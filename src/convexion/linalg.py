@@ -1,14 +1,18 @@
 """Exact rational linear algebra: phase-1 simplex feasibility for systems
 A x = b, x >= 0, and reduced row echelon / nullspace computations.
 
-Everything runs over fractions.Fraction; no floating point.  Sizes here
-are desk scale (tens of rows/columns), so dense tableaus are fine.
-Bland's rule guarantees termination.
+Everything runs over fractions.Fraction; no floating point.  The systems
+the equality engine builds are block-banded and almost all zero, so rows
+are stored sparsely as {column: Fraction} dicts, and both the simplex and
+the row reduction go through one elimination step (_eliminate) that touches
+only the rows holding the pivot column.  Bland's rule guarantees termination.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -18,65 +22,67 @@ def solve_eq_nonneg(rows, rhs):
     """Find x >= 0 with A x = b exactly; return a list of Fractions or None.
 
     rows: list of coefficient lists (each of equal length), rhs: list.
-    Phase-1 simplex; Dantzig pricing for speed, falling back to Bland's
-    rule after a degenerate stall so termination stays guaranteed.
+    Phase-1 simplex; Dantzig pricing (most negative reduced cost, lowest
+    column on ties) for speed, falling back to Bland's rule after a
+    degenerate stall so termination stays guaranteed.  The ratio test
+    takes the smallest ratio, the lowest basic variable on ties.  These
+    choices fix the vertex returned, and so the witnesses built from it.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in rhs]
-    for i in range(m):
+    # Tableau rows 0..m-1 are the constraints, with columns n.. for the
+    # artificials; row m is the reduced-cost row of the phase-1 objective
+    # (minimize the sum of artificials), and b[m] is the negated objective.
+    tab, b = [], []
+    cost, objective = {}, ZERO
+    for i, (row, v) in enumerate(zip(rows, rhs)):
+        r = {j: Fraction(a) for j, a in enumerate(row) if a}
+        v = Fraction(v)
         # scale to integers (keeps early pivots integral) and make b >= 0
-        scale = ONE
-        for v in a[i] + [b[i]]:
-            if v.denominator != 1:
-                scale = scale * v.denominator // _gcd(scale, v.denominator)
-        if b[i] < 0:
+        scale = lcm(v.denominator, *(a.denominator for a in r.values()))
+        if v < 0:
             scale = -scale
         if scale != 1:
-            a[i] = [v * scale for v in a[i]]
-            b[i] = b[i] * scale
-
-    # Tableau columns: n structural vars, m artificials, then rhs.
-    width = n + m
-    tab = [a[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
+            r = {j: a * scale for j, a in r.items()}
+            v *= scale
+        for j, a in r.items():
+            cost[j] = cost.get(j, ZERO) - a
+        objective -= v
+        r[n + i] = ONE
+        tab.append(r)
+        b.append(v)
+    tab.append({j: c for j, c in cost.items() if c})
+    b.append(objective)
+    cols = [set() for _ in range(n + m)]
+    for i, r in enumerate(tab):
+        for j in r:
+            cols[j].add(i)
+    cost = tab[m]
     basis = [n + i for i in range(m)]
-
-    # Phase-1 objective: minimize the sum of artificials.  Reduced cost row
-    # starts as -(column sums of the structural part); cost[width] tracks
-    # the negated objective value.
-    cost = [ZERO] * (width + 1)
-    for i in range(m):
-        for j in range(n):
-            cost[j] -= tab[i][j]
-        cost[width] -= tab[i][width]
 
     bland = False
     stall = 0
-    last_objective = cost[width]
-    while True:
-        if cost[width] == 0:
-            break  # all artificials at zero: feasible
+    last_objective = b[m]
+    while b[m] != 0:  # zero once every artificial is at zero: feasible
         enter = -1
         if bland:
-            for j in range(width):
-                if cost[j] < 0:
-                    enter = j
-                    break
+            enter = min((j for j, c in cost.items() if c < 0), default=-1)
         else:
             most_negative = ZERO
-            for j in range(width):
-                if cost[j] < most_negative:
-                    most_negative = cost[j]
+            for j, c in cost.items():
+                if c < most_negative or (c == most_negative and j < enter):
+                    most_negative = c
                     enter = j
         if enter < 0:
             break
         leave = -1
         best = None
-        for i in range(m):
+        for i in cols[enter]:
+            if i == m:
+                continue
             coef = tab[i][enter]
             if coef > 0:
-                ratio = tab[i][width] / coef
+                ratio = b[i] / coef
                 if best is None or ratio < best or (
                     ratio == best and basis[i] < basis[leave]
                 ):
@@ -86,96 +92,114 @@ def solve_eq_nonneg(rows, rhs):
             # Unbounded phase-1 cannot happen (objective bounded below by 0),
             # but guard against malformed input.
             return None
-        _pivot(tab, cost, basis, leave, enter, width)
-        if cost[width] == last_objective:
+        _eliminate(tab, b, cols, leave, enter)
+        basis[leave] = enter
+        if b[m] == last_objective:
             stall += 1
             if stall > 24:
                 bland = True  # anti-cycling from here on
         else:
             stall = 0
-            last_objective = cost[width]
+            last_objective = b[m]
 
-    if cost[width] != 0:
+    if b[m] != 0:
         return None
 
     x = [ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tab[i][width]
+            x[var] = b[i]
     # Artificials stuck in the basis sit at value 0; x already solves A x = b.
     return x
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _eliminate(rows, rhs, cols, r, c):
+    """Scale row r to a 1 in column c, then clear column c from every other
+    row.  rows are {column: value} dicts without zeros; cols maps each
+    column to the set of rows holding it and is kept in step.  rhs, if not
+    None, is the right-hand side list and is updated alongside."""
+    prow = rows[r]
+    inv = 1 / prow[c]
+    if inv != 1:
+        for j in prow:
+            prow[j] *= inv
+        if rhs is not None:
+            rhs[r] *= inv
+    others = cols[c] - {r}
+    cols[c] = {r}
+    for i in others:
+        row = rows[i]
+        f = -row.pop(c)  # row += f * prow clears column c exactly
+        for j, v in prow.items():
+            if j == c:
+                continue
+            w = row.get(j)
+            if w is None:
+                row[j] = f * v
+                cols[j].add(i)
+            else:
+                w += f * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        if rhs is not None:
+            rhs[i] += f * rhs[r]
 
 
-def _pivot(tab, cost, basis, row, col, width):
-    piv = tab[row][col]
-    inv = 1 / piv
-    tab[row] = [v * inv for v in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [v - f * w for v, w in zip(tab[i], tab[row])]
-    if cost[col] != 0:
-        f = cost[col]
-        for j in range(width + 1):
-            cost[j] -= f * tab[row][j]
-    basis[row] = col
+def _rref(rows, ncols):
+    """Reduced row echelon form as dict rows, in pivot order, and the
+    pivot columns.  The form is unique, so the row that supplies each
+    pivot is free to choose: the sparsest, to keep fill-in down."""
+    mat = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
+    cols = defaultdict(set)
+    for i, row in enumerate(mat):
+        for j in row:
+            cols[j].add(i)
+    unused = set(range(len(mat)))
+    order, pivots = [], []
+    for c in range(ncols):
+        candidates = cols[c] & unused
+        if not candidates:
+            continue
+        r = min(candidates, key=lambda i: (len(mat[i]), i))
+        _eliminate(mat, None, cols, r, c)
+        unused.discard(r)
+        order.append(r)
+        pivots.append(c)
+        if not unused:
+            break
+    return [mat[r] for r in order], pivots
 
 
 def rref(rows, ncols=None):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    mat = [list(map(Fraction, row)) for row in rows]
     if ncols is None:
-        ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+        ncols = len(rows[0]) if rows else 0
+    reduced, pivots = _rref(rows, ncols)
+    return [[row.get(j, ZERO) for j in range(ncols)] for row in reduced], pivots
 
 
 def nullspace(rows, ncols):
     """Basis of {v : A v = 0} for the row matrix A with ncols columns."""
-    reduced, pivots = rref(rows, ncols)
+    reduced, pivots = _rref(rows, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [ZERO] * ncols
         v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row.get(fc, ZERO)
         basis.append(v)
     return basis
 
 
 def in_row_space(rows, v):
     """Whether v lies in the span of the given rows."""
-    reduced, pivots = rref(rows, len(v))
-    residue = list(map(Fraction, v))
-    for r, pc in enumerate(pivots):
-        if residue[pc] != 0:
-            f = residue[pc]
-            residue = [x - f * y for x, y in zip(residue, reduced[r])]
-    return all(x == 0 for x in residue)
+    rows = list(rows)
+    return len(_rref(rows + [v], len(v))[1]) == len(_rref(rows, len(v))[1])
 
 
 def dot(u, v):

@@ -107,6 +107,17 @@ class Presentation:
         return tuple(out)
 
     @cached_property
+    def symmetric_relation_vectors(self):
+        """symmetric_relations as pairs of dense vectors over generators;
+        the two orientations of a relation share its two vectors."""
+        out = []
+        for lhs, rhs in self.relations:
+            lv, rv = tuple(self.vector(lhs)), tuple(self.vector(rhs))
+            out.append((lv, rv))
+            out.append((rv, lv))
+        return tuple(out)
+
+    @cached_property
     def _difference_rows(self):
         """One row per relation: coefficients of lhs - rhs over generators."""
         rows = []
@@ -207,11 +218,9 @@ class ZigZagStep:
         n = len(pres.generators)
         start = [Fraction(v) for v in self.spectator]
         end = list(start)
-        for lam, (r, s) in zip(self.lambdas, pres.symmetric_relations):
+        for lam, (rv, sv) in zip(self.lambdas, pres.symmetric_relation_vectors):
             if lam == 0:
                 continue
-            rv = pres.vector(r)
-            sv = pres.vector(s)
             for i in range(n):
                 start[i] += lam * rv[i]
                 end[i] += lam * sv[i]
@@ -269,18 +278,35 @@ def eq(
 
 
 def _zigzag_search(pres, p, q, k):
-    """Feasibility of a k-step zig-zag as one exact LP.
+    """Feasibility of a k-step zig-zag as one exact LP; the steps, or None."""
+    pv = pres.vector(p.rep if isinstance(p, PresentedElement) else p)
+    qv = pres.vector(q.rep if isinstance(q, PresentedElement) else q)
+    rows, rhs = _zigzag_lp(pres, pv, qv, k)
+    sol = linalg.solve_eq_nonneg(rows, rhs)
+    if sol is None:
+        return None
+    nj = len(pres.symmetric_relations)
+    width = nj + len(pres.generators)
+    steps = []
+    for i in range(0, k * width, width):
+        lams = tuple(sol[i : i + nj])
+        spect = tuple(sol[i + nj : i + width])
+        if any(l != 0 for l in lams):
+            steps.append(ZigZagStep(lams, spect))
+    return tuple(steps)
+
+
+def _zigzag_lp(pres, pv, qv, k):
+    """The system A x = b, x >= 0 of a k-step zig-zag from pv to qv.
 
     Variables per step i: lambda_{i,j} over symmetrized pairs and a
     spectator t_i over generators, all >= 0.  Equations chain the
-    intermediate points, which are then implicit.
+    intermediate points, which are then implicit.  Returns (rows, rhs).
     """
-    pairs = pres.symmetric_relations
-    gens = pres.generators
-    nj = len(pairs)
-    ng = len(gens)
-    rvec = [pres.vector(r) for r, _ in pairs]
-    svec = [pres.vector(s) for _, s in pairs]
+    rvec = [rv for rv, _ in pres.symmetric_relation_vectors]
+    svec = [sv for _, sv in pres.symmetric_relation_vectors]
+    nj = len(rvec)
+    ng = len(pres.generators)
 
     def lam_col(i, j):
         return i * (nj + ng) + j
@@ -290,8 +316,6 @@ def _zigzag_search(pres, p, q, k):
 
     ncols = k * (nj + ng)
     rows, rhs = [], []
-    pv = pres.vector(p.rep if isinstance(p, PresentedElement) else p)
-    qv = pres.vector(q.rep if isinstance(q, PresentedElement) else q)
 
     for x in range(ng):  # step 1 start equals p
         row = [Fraction(0)] * ncols
@@ -317,17 +341,7 @@ def _zigzag_search(pres, p, q, k):
         row[t_col(k - 1, x)] = Fraction(1)
         rows.append(row)
         rhs.append(qv[x])
-
-    sol = linalg.solve_eq_nonneg(rows, rhs)
-    if sol is None:
-        return None
-    steps = []
-    for i in range(k):
-        lams = tuple(sol[lam_col(i, j)] for j in range(nj))
-        spect = tuple(sol[t_col(i, x)] for x in range(ng))
-        if any(l != 0 for l in lams):
-            steps.append(ZigZagStep(lams, spect))
-    return tuple(steps)
+    return rows, rhs
 
 
 def verify_verdict(

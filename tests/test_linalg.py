@@ -1,11 +1,15 @@
 """Exact rational feasibility and nullspace computations."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convexion import linalg
+from convexion import linalg, presentation
+from convexion.distribution import FiniteDistribution
+from convexion.presentation import Presentation
 
 F = Fraction
 
@@ -90,3 +94,92 @@ def test_nullspace_orthogonality_random(data):
             assert linalg.dot(row, v) == 0
     reduced, pivots = linalg.rref(rows, n)
     assert len(reduced) + len(basis) == n  # rank-nullity
+
+
+# -- pinned outputs on zig-zag-shaped systems ----------------------------------------
+
+# Digest of the exact outputs (each x, or None) on the corpus below, as
+# the dense-tableau simplex that the sparse one replaced returned them.
+# The pivot rule fixes which vertex the simplex returns, and Equal
+# witnesses are built from that vertex, so a change here changes reports.
+ZIGZAG_DIGEST = "ed16f4caa6b52fd795295a110bb5847bce56cb79cb40032aab7e23a7057dfb04"
+ZIGZAG_SEED = 20240327
+
+
+def _random_weights(rng, n, max_cut=2):
+    cuts = [rng.randint(0, max_cut) for _ in range(n)]
+    if not any(cuts):
+        cuts[rng.randrange(n)] = 1
+    return [F(c, sum(cuts)) for c in cuts]
+
+
+def _rewrite(rng, pres, start, length):
+    """Apply length one-step moves (each rewrites lambda*r into lambda*s
+    inside the current point); None when no move fits."""
+    cur = list(start)
+    for _ in range(length):
+        usable = [
+            (rv, sv)
+            for rv, sv in pres.symmetric_relation_vectors
+            if all(c != 0 for c, r in zip(cur, rv) if r != 0)
+        ]
+        if not usable:
+            return None
+        rv, sv = rng.choice(usable)
+        lam = min(c / r for c, r in zip(cur, rv) if r != 0)
+        lam *= rng.choice((F(1, 2), F(1)))
+        cur = [c - lam * r + lam * s for c, r, s in zip(cur, rv, sv)]
+    return cur
+
+
+def zigzag_corpus(seed=ZIGZAG_SEED, size=120):
+    """Zig-zag systems of small random presentations at bounds 1-4: the
+    target is a rewrite of the start within the bound (feasible), a longer
+    rewrite, or an unrelated point."""
+    rng = random.Random(seed)
+    corpus = []
+    while len(corpus) < size:
+        ng = rng.randint(2, 4)
+        gens = [f"g{i}" for i in range(ng)]
+        rels = []
+        for _ in range(rng.randint(1, 2)):
+            lhs, rhs = _random_weights(rng, ng), _random_weights(rng, ng)
+            if lhs != rhs:
+                rels.append((_dist(gens, lhs), _dist(gens, rhs)))
+        if not rels:
+            continue
+        pres = Presentation(gens, rels)
+        k = rng.randint(1, 4)
+        start = _random_weights(rng, ng)
+        kind = rng.choice(("within", "beyond", "random"))
+        if kind == "random":
+            target = _random_weights(rng, ng)
+        else:
+            length = rng.randint(1, k) if kind == "within" else k + rng.randint(1, 3)
+            target = _rewrite(rng, pres, start, length)
+            if target is None:
+                continue
+        corpus.append(presentation._zigzag_lp(pres, start, target, k))
+    return corpus
+
+
+def _dist(gens, weights):
+    return FiniteDistribution({g: w for g, w in zip(gens, weights) if w})
+
+
+def _outputs_digest(outputs):
+    text = "\n".join(
+        "None" if x is None else " ".join(str(v) for v in x) for x in outputs
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_zigzag_outputs_are_pinned():
+    outputs = []
+    for rows, rhs in zigzag_corpus():
+        x = linalg.solve_eq_nonneg(rows, rhs)
+        if x is not None:
+            check_solution(rows, rhs, x)
+        outputs.append(x)
+    assert sum(x is None for x in outputs) not in (0, len(outputs))
+    assert _outputs_digest(outputs) == ZIGZAG_DIGEST

@@ -21,6 +21,7 @@ from convexion.presentation import (
     eq,
     induce_map,
     quotient_mix,
+    verify_verdict,
 )
 from convexion.tensor import (
     UNIT,
@@ -164,6 +165,45 @@ def test_universal_map_multiconvex_up_to_eq_with_relations():
         [universal_map([GLUE, CD], [x1, ys]), universal_map([GLUE, CD], [x2, ys])],
     )
     assert eq(lhs, rhs, 2).is_equal
+
+
+# The next two instances stall the phase-1 simplex: its objective stays
+# flat for more than 24 pivots, so it switches from Dantzig pricing to
+# Bland's rule before it finds the zig-zag.
+
+
+def test_segment_cube_midpoint_equals_corner_mixture():
+    seg = Presentation(
+        ["a", "b", "m"], [(delta("m"), FiniteDistribution({"a": F(1, 2), "b": F(1, 2)}))]
+    )
+    factors = [seg] * 3
+    mid = universal_map(factors, [seg.delta("m")] * 3)
+    corners = rd(tensor(factors), {g: "1/8" for g in itertools.product("ab", repeat=3)})
+    verdict = eq(mid, corners, 4)
+    assert verdict.is_equal
+    assert verify_verdict(verdict, mid, corners)
+
+
+def test_two_step_chain_through_a_stalling_lp():
+    third = F(1, 3)
+    a_rel = Presentation(
+        ["a", "b", "c"], [(delta("a"), FiniteDistribution({"b": F(1, 2), "c": F(1, 2)}))]
+    )
+    b_rel = Presentation(
+        ["a", "b", "c"],
+        [(delta("b"), FiniteDistribution({"a": third, "b": third, "c": third}))],
+    )
+    factors = [a_rel, b_rel]
+    start = universal_map(
+        factors, [rd(a_rel, {"a": "1/2", "b": "1/2"}), b_rel.delta("b")]
+    )
+    end = rd(
+        tensor(factors),
+        {("a", "b"): "2/9", ("b", "b"): "1/2", ("a", "a"): "5/36", ("a", "c"): "5/36"},
+    )
+    verdict = eq(start, end, 4)
+    assert verdict.is_equal
+    assert verify_verdict(verdict, start, end)
 
 
 # -- extension and restriction -------------------------------------------------
