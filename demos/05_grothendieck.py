@@ -20,7 +20,8 @@ from convexion.category import (
     walking_arrow,
 )
 from convexion.distribution import FiniteDistribution
-from convexion.omonoidal import dist_lax_functor, o_grothendieck, qconv_op
+from convexion.matprop import QConvOp
+from convexion.omonoidal import dist_lax_functor, o_grothendieck
 from convexion.presentation import ConvexMap, induce_map
 
 print("== classical construction over the walking arrow ==")
@@ -63,7 +64,7 @@ print("== operad-indexed totals: distributions over disjoint unions ==")
 lax = dist_lax_functor(max_size=6)
 total = o_grothendieck(lax)
 rng = random.Random(5)
-op = qconv_op([F(1, 4), F(3, 4)])
+op = QConvOp([F(1, 4), F(3, 4)])
 s1 = lax.fibre("S1")
 s2 = lax.fibre("S2")
 pairs = [

@@ -479,7 +479,6 @@ def handle_omon(job, ctx):
         SymmetricMonoidalData,
         check_lax,
         o_grothendieck,
-        qconv_op,
         star_alpha,
         trivial_structure,
     )
@@ -504,7 +503,7 @@ def handle_omon(job, ctx):
         sym = SymmetricMonoidalData(base, nfold, unit_object=job.get("unit"))
         omon = trivial_structure(sym, QCONV)
         samples = [
-            [list(pair), omon.tensor_objects(qconv_op(["1/2", "1/2"]), pair)]
+            [list(pair), omon.tensor_objects(QConvOp(["1/2", "1/2"]), pair)]
             for pair in [
                 (a, b) for a in base.objects for b in base.objects
             ]
@@ -518,7 +517,7 @@ def handle_omon(job, ctx):
             outer = jsonio.decode_qconv(raw["operation"])
             inner_raw = raw.get("inner")
             if inner_raw is None:
-                inner_ops = [qconv_op(["1"]) for _ in range(outer.arity)]
+                inner_ops = [QConvOp.unit() for _ in range(outer.arity)]
             else:
                 inner_ops = [jsonio.decode_qconv(x) for x in inner_raw]
             obj_list = list(raw["objects"])
@@ -534,14 +533,7 @@ def handle_omon(job, ctx):
                 for block in blocks
             )
             instances.append(
-                LaxInstance(
-                    qconv_op([str(w) for w in outer.weights]),
-                    tuple(
-                        qconv_op([str(w) for w in x.weights]) for x in inner_ops
-                    ),
-                    tuple(blocks),
-                    elements,
-                )
+                LaxInstance(outer, tuple(inner_ops), tuple(blocks), elements)
             )
         report = check_lax(
             functor,
@@ -564,9 +556,7 @@ def handle_omon(job, ctx):
         results = []
         ok = True
         for raw in job.get("instances", []):
-            operation = qconv_op(
-                [str(w) for w in jsonio.decode_qconv(raw["operation"]).weights]
-            )
+            operation = jsonio.decode_qconv(raw["operation"])
             objs = list(raw["objects"])
             pairs = [
                 (o, _sample_elements(rng, functor.fibre(o), 1)[0]) for o in objs
@@ -580,10 +570,7 @@ def handle_omon(job, ctx):
             recover = fib.recovers_functor(operation, tuple(objs))
             results.append(
                 {
-                    "operation": {
-                        "arity": operation.arity,
-                        "alpha": [str(w) for w in operation.param],
-                    },
+                    "operation": jsonio.encode_qconv(operation),
                     "strict": strict,
                     "n_convex": nconv,
                     "recovers": recover,

@@ -118,4 +118,5 @@ class BaseMismatch(ConvexionError):
 
 
 class InvalidInput(ConvexionError):
-    """Simplicial data failed a structural precondition."""
+    """Input failed a structural precondition (an empty generator set, a
+    negative step bound, malformed simplicial or probability data)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .distribution import FiniteDistribution
+from .distribution import FiniteDistribution, pushforward
 from .errors import ArityMismatch, InvalidInput, NotMeasurePreserving, NotNormalized
 from .matprop import QConvOp
 
@@ -30,40 +30,39 @@ SIGN_CONVENTION = "info_loss = H(source) - H(target)"
 class ProbObject:
     """A finite carrier with an exact probability weighting.
 
-    Zero weights are pruned from the stored map; the carrier may be larger
-    than the support.
+    The weighting is a FiniteDistribution, so zero weights are pruned; the
+    carrier may be larger than the support.
     """
 
-    __slots__ = ("carrier", "weights")
+    __slots__ = ("carrier", "distribution")
 
     def __init__(self, carrier, weights: Mapping):
         self.carrier = tuple(carrier)
-        cleaned = {}
         carrier_set = set(self.carrier)
         if len(carrier_set) != len(self.carrier):
             raise InvalidInput("carrier has duplicate elements")
+        weights = {x: F(w) for x, w in weights.items()}
         for x, w in weights.items():
-            w = F(w)
             if w < 0:
                 raise NotNormalized(f"negative probability at {x!r}")
             if x not in carrier_set:
                 raise InvalidInput(f"weight on non-carrier element {x!r}")
-            if w != 0:
-                cleaned[x] = w
-        if sum(cleaned.values()) != 1:
-            raise NotNormalized("probabilities do not sum to 1")
-        self.weights = cleaned
+        self.distribution = FiniteDistribution(weights)
+
+    @property
+    def weights(self) -> dict:
+        return self.distribution.as_dict()
 
     def p(self, x) -> Fraction:
-        return self.weights.get(x, F(0))
+        return self.distribution.weight(x)
 
     def __eq__(self, other):
         if not isinstance(other, ProbObject):
             return NotImplemented
-        return self.carrier == other.carrier and self.weights == other.weights
+        return self.carrier == other.carrier and self.distribution == other.distribution
 
     def __hash__(self):
-        return hash((self.carrier, frozenset(self.weights.items())))
+        return hash((self.carrier, self.distribution))
 
     def __repr__(self):
         return f"ProbObject({len(self.carrier)} points)"
@@ -78,18 +77,17 @@ class ProbMorphism:
         self.src = src
         self.tgt = tgt
         self.mapping = dict(mapping)
+        tgt_carrier = set(tgt.carrier)
         for x in src.carrier:
             if x not in self.mapping:
                 raise NotMeasurePreserving(f"map undefined at {x!r}")
-            if self.mapping[x] not in set(tgt.carrier):
+            if self.mapping[x] not in tgt_carrier:
                 raise NotMeasurePreserving(f"map leaves the target at {x!r}")
+        image = pushforward(self.mapping, src.distribution)
         for y in tgt.carrier:
-            mass = sum(
-                (src.p(x) for x in src.carrier if self.mapping[x] == y), F(0)
-            )
-            if mass != tgt.p(y):
+            if image.weight(y) != tgt.p(y):
                 raise NotMeasurePreserving(
-                    f"pushforward mass {mass} != {tgt.p(y)} at {y!r}"
+                    f"pushforward mass {image.weight(y)} != {tgt.p(y)} at {y!r}"
                 )
 
     @classmethod
@@ -98,11 +96,8 @@ class ProbMorphism:
         carrier = tuple(tgt_carrier) if tgt_carrier is not None else tuple(
             sorted(set(mapping.values()), key=repr)
         )
-        weights = {}
-        for x, w in src.weights.items():
-            y = mapping[x]
-            weights[y] = weights.get(y, F(0)) + w
-        return cls(src, ProbObject(carrier, weights), mapping)
+        image = pushforward(mapping, src.distribution)
+        return cls(src, ProbObject(carrier, image.as_dict()), mapping)
 
     @classmethod
     def identity(cls, obj: ProbObject):

@@ -1,23 +1,24 @@
 """The join of convex sets: the coproduct, with elements canonically
-represented as weighted triples.
+represented as weighted tuples.
 
-A point of X * Y is [alpha, x, y]: "alpha of x, 1-alpha of y".  At the
-endpoints the irrelevant part is dropped (alpha = 1 stores no y, alpha = 0
-stores no x).  Mixing renormalizes: for sum_j beta_j [alpha_j, x_j, y_j] the
-total X-weight is w = sum beta_j alpha_j, the X-part mixes the x_j with
-weights beta_j alpha_j / w, and the Y-part mixes the y_j with weights
-beta_j (1 - alpha_j) / (1 - w); endpoint cases never divide by zero.
+A point of the indexed join X_1 * ... * X_n is a convex weight vector with
+one part per nonzero slot: "w_1 of x_1, ..., w_n of x_n".  Parts of
+zero-weight slots are dropped.  Mixing renormalizes slotwise: for
+sum_j beta_j p_j the new weight of slot i is w_i = sum_j beta_j w_ji, and
+its part mixes the parts x_ji with weights beta_j w_ji / w_i; empty slots
+never divide by zero.
 
-Factors are presentations, or other join spaces (so finite indexed joins can
-be iterated left-associatively).  Coefficients are rational throughout: the
-triple representation needs 1 - alpha.
+The binary join X * Y is the 2-factor indexed join, read as the triple
+[alpha, x, y]: "alpha of x, 1-alpha of y".  Factors are presentations.
+Coefficients are rational throughout: the triple representation needs
+1 - alpha.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     MissingPart,
@@ -36,63 +37,110 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-def _belongs(part, factor) -> bool:
-    if isinstance(factor, Presentation):
-        return isinstance(part, PresentedElement) and part.presentation == factor
-    if isinstance(factor, JoinSpace):
-        return isinstance(part, JoinElement) and part.space == factor
-    return False
-
-
-def _mix_in(factor, weights, parts):
-    if isinstance(factor, Presentation):
-        return quotient_mix(weights, parts)
-    return join_mix(weights, parts)
-
-
 @dataclass(frozen=True)
-class JoinSpace:
-    """The join of two factors (presentations or further join spaces)."""
-
-    x_factor: object
-    y_factor: object
-
-    def point(self, alpha, x=None, y=None) -> "JoinElement":
-        alpha = Fraction(alpha)
-        if alpha < 0 or alpha > 1:
-            raise NotConvexVector(f"join weight {alpha} outside [0, 1]")
-        if alpha != 0:
-            if x is None:
-                raise MissingPart("x part required when alpha != 0")
-            if not _belongs(x, self.x_factor):
-                raise PresentationMismatch("x part does not belong to the x factor")
-        if alpha != 1:
-            if y is None:
-                raise MissingPart("y part required when alpha != 1")
-            if not _belongs(y, self.y_factor):
-                raise PresentationMismatch("y part does not belong to the y factor")
-        if alpha == 1:
-            y = None
-        if alpha == 0:
-            x = None
-        return JoinElement(self, alpha, x, y)
-
-    def inject_x(self, x) -> "JoinElement":
-        return self.point(ONE, x=x)
-
-    def inject_y(self, y) -> "JoinElement":
-        return self.point(ZERO, y=y)
+class IndexedJoinElement:
+    space: IndexedJoinSpace
+    weights: tuple
+    parts: tuple
 
 
-@dataclass(frozen=True)
-class JoinElement:
-    space: JoinSpace
-    alpha: Fraction
-    x_part: Optional[object]
-    y_part: Optional[object]
+class JoinElement(IndexedJoinElement):
+    """A point of a binary join, read as [alpha, x, y]."""
+
+    @property
+    def alpha(self) -> Fraction:
+        return self.weights[0]
+
+    @property
+    def x_part(self):
+        return self.parts[0]
+
+    @property
+    def y_part(self):
+        return self.parts[1]
 
     def __repr__(self):
         return f"[{self.alpha}, {self.x_part!r}, {self.y_part!r}]"
+
+
+@dataclass(frozen=True)
+class IndexedJoinSpace:
+    """Join of finitely many presentations; points carry a weight vector and
+    one part per nonzero slot."""
+
+    factors: tuple
+
+    _element = IndexedJoinElement
+
+    def point(self, weights, parts) -> IndexedJoinElement:
+        ws = tuple(Fraction(w) for w in weights)
+        if len(ws) != len(self.factors) or len(parts) != len(self.factors):
+            raise NotConvexVector("weight/part count does not match the factors")
+        if sum(ws) != 1 or any(w < 0 for w in ws):
+            raise NotConvexVector("weights are not a convex vector")
+        kept = []
+        for i, (w, part, pres) in enumerate(zip(ws, parts, self.factors)):
+            if w == 0:
+                kept.append(None)
+                continue
+            if part is None:
+                raise MissingPart(f"part {i} required when its weight is nonzero")
+            if not isinstance(part, PresentedElement) or part.presentation != pres:
+                raise PresentationMismatch(f"part {i} does not belong to its factor")
+            kept.append(part)
+        return self._element(self, ws, tuple(kept))
+
+    def mix(self, beta, pts: Sequence[IndexedJoinElement]) -> IndexedJoinElement:
+        """Structure map of the join on a formal mixture of points."""
+        if any(p.space != self for p in pts):
+            raise PresentationMismatch("join points live in different joins")
+        if len(beta) != len(pts):
+            raise NotConvexVector(f"{len(beta)} coefficients for {len(pts)} points")
+        coeffs = [Fraction(b) for b in beta]
+        if sum(coeffs) != 1 or any(b < 0 for b in coeffs):
+            raise NotConvexVector("coefficients are not a convex vector")
+        new_w, new_parts = [], []
+        for i in range(len(self.factors)):
+            w = sum((b * p.weights[i] for b, p in zip(coeffs, pts)), ZERO)
+            new_w.append(w)
+            if w == 0:
+                new_parts.append(None)
+                continue
+            ws, es = [], []
+            for b, p in zip(coeffs, pts):
+                c = b * p.weights[i]
+                if c != 0:
+                    ws.append(c / w)
+                    es.append(p.parts[i])
+            new_parts.append(quotient_mix(ws, es))
+        return self._element(self, tuple(new_w), tuple(new_parts))
+
+
+class JoinSpace(IndexedJoinSpace):
+    """The join X * Y of two presentations: the 2-factor indexed join."""
+
+    _element = JoinElement
+
+    def __init__(self, x_factor: Presentation, y_factor: Presentation):
+        super().__init__((x_factor, y_factor))
+
+    @property
+    def x_factor(self) -> Presentation:
+        return self.factors[0]
+
+    @property
+    def y_factor(self) -> Presentation:
+        return self.factors[1]
+
+    def point(self, alpha, x=None, y=None) -> JoinElement:
+        alpha = Fraction(alpha)
+        return super().point((alpha, ONE - alpha), (x, y))
+
+    def inject_x(self, x) -> JoinElement:
+        return self.point(ONE, x=x)
+
+    def inject_y(self, y) -> JoinElement:
+        return self.point(ZERO, y=y)
 
 
 def join_point(alpha, x=None, y=None, space: JoinSpace | None = None) -> JoinElement:
@@ -108,45 +156,11 @@ def join_point(alpha, x=None, y=None, space: JoinSpace | None = None) -> JoinEle
     return space.point(alpha, x, y)
 
 
-def _shared_space(pts: Sequence[JoinElement]) -> JoinSpace:
-    if not pts:
-        raise PresentationMismatch("no join points given")
-    space = pts[0].space
-    for p in pts[1:]:
-        if p.space != space:
-            raise PresentationMismatch("join points live in different joins")
-    return space
-
-
 def join_mix(beta, pts: Sequence[JoinElement]) -> JoinElement:
     """Structure map of the join on a formal mixture of triples."""
-    space = _shared_space(pts)
-    if len(beta) != len(pts):
-        raise NotConvexVector(f"{len(beta)} coefficients for {len(pts)} points")
-    coeffs = [Fraction(b) for b in beta]
-    if sum(coeffs) != 1 or any(b < 0 for b in coeffs):
-        raise NotConvexVector("coefficients are not a convex vector")
-    w = sum((b * p.alpha for b, p in zip(coeffs, pts)), ZERO)
-
-    x_part = None
-    if w != 0:
-        xw, xs = [], []
-        for b, p in zip(coeffs, pts):
-            c = b * p.alpha
-            if c != 0:
-                xw.append(c / w)
-                xs.append(p.x_part)
-        x_part = _mix_in(space.x_factor, xw, xs)
-    y_part = None
-    if w != 1:
-        yw, ys = [], []
-        for b, p in zip(coeffs, pts):
-            c = b * (ONE - p.alpha)
-            if c != 0:
-                yw.append(c / (ONE - w))
-                ys.append(p.y_part)
-        y_part = _mix_in(space.y_factor, yw, ys)
-    return space.point(w, x_part, y_part)
+    if not pts:
+        raise PresentationMismatch("no join points given")
+    return pts[0].space.mix(beta, pts)
 
 
 @dataclass(frozen=True)
@@ -180,90 +194,3 @@ def copair(f: ConvexMap, g: ConvexMap) -> JoinCopairMap:
     if f.tgt != g.tgt:
         raise TargetMismatch("copaired maps must share a target")
     return JoinCopairMap(JoinSpace(f.src, g.src), f, g)
-
-
-# -- finite indexed joins ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IndexedJoinSpace:
-    """Join of finitely many presentations; points carry a weight vector and
-    one part per nonzero slot.  Parts of zero-weight slots are dropped."""
-
-    factors: tuple
-
-    def point(self, weights, parts) -> "IndexedJoinElement":
-        ws = tuple(Fraction(w) for w in weights)
-        if len(ws) != len(self.factors) or len(parts) != len(self.factors):
-            raise NotConvexVector("weight/part count does not match the factors")
-        if sum(ws) != 1 or any(w < 0 for w in ws):
-            raise NotConvexVector("weights are not a convex vector")
-        kept = []
-        for w, part, pres in zip(ws, parts, self.factors):
-            if w == 0:
-                kept.append(None)
-                continue
-            if not isinstance(part, PresentedElement) or part.presentation != pres:
-                raise PresentationMismatch("part does not belong to its factor")
-            kept.append(part)
-        return IndexedJoinElement(self, ws, tuple(kept))
-
-    def mix(self, beta, pts: Sequence["IndexedJoinElement"]) -> "IndexedJoinElement":
-        coeffs = [Fraction(b) for b in beta]
-        if sum(coeffs) != 1 or any(b < 0 for b in coeffs):
-            raise NotConvexVector("coefficients are not a convex vector")
-        n = len(self.factors)
-        new_w = [
-            sum((b * p.weights[i] for b, p in zip(coeffs, pts)), ZERO)
-            for i in range(n)
-        ]
-        new_parts = []
-        for i in range(n):
-            if new_w[i] == 0:
-                new_parts.append(None)
-                continue
-            ws, es = [], []
-            for b, p in zip(coeffs, pts):
-                c = b * p.weights[i]
-                if c != 0:
-                    ws.append(c / new_w[i])
-                    es.append(p.parts[i])
-            new_parts.append(quotient_mix(ws, es))
-        return IndexedJoinElement(self, tuple(new_w), tuple(new_parts))
-
-
-@dataclass(frozen=True)
-class IndexedJoinElement:
-    space: IndexedJoinSpace
-    weights: tuple
-    parts: tuple
-
-
-def iterated_join(factors: Sequence[Presentation]) -> JoinSpace:
-    """Left-associated binary join ((X1 * X2) * X3) * ... of the factors."""
-    if len(factors) < 2:
-        raise PresentationMismatch("an iterated join needs at least two factors")
-    space = JoinSpace(factors[0], factors[1])
-    for f in factors[2:]:
-        space = JoinSpace(space, f)
-    return space
-
-
-def nest_point(space: JoinSpace, point: IndexedJoinElement) -> JoinElement:
-    """Rewrite a J-ary join point into the left-nested binary form."""
-    ws, parts = list(point.weights), list(point.parts)
-
-    def build(sp, weights, elems):
-        y_w = weights[-1]
-        head_w = ONE - y_w
-        y = elems[-1] if y_w != 0 else None
-        if len(weights) == 2:
-            x = elems[0] if head_w != 0 else None
-            return sp.point(head_w, x, y)
-        if head_w == 0:
-            return sp.point(ZERO, None, y)
-        rescaled = [w / head_w for w in weights[:-1]]
-        x = build(sp.x_factor, rescaled, elems[:-1])
-        return sp.point(head_w, x, y)
-
-    return build(space, ws, parts)

@@ -159,6 +159,7 @@ class QConvOp:
     """A convex vector of rational weights: an m-ary mixing operation."""
 
     weights: tuple
+    kind = "qconv"  # its operad, as in omonoidal.OperadOp.kind
 
     def __init__(self, weights):
         ws = tuple(F(w) for w in weights)

@@ -2,9 +2,11 @@
 
 An operad here is one of four kinds: trivial, associative (parameters are
 permutations), commutative (one operation per arity), and the quasiconvexity
-operad (parameters are rational convex vectors, composed by flattening
-products).  An O-monoidal category assigns an n-ary tensor to each n-ary
-operation; a symmetric monoidal structure induces a parameter-blind one.
+operad.  The first three have OperadOp operations; the quasiconvexity
+operad's operations are matprop.QConvOp convex vectors, composed by
+matprop.qconv_compose (flattened products).  An O-monoidal category assigns
+an n-ary tensor to each n-ary operation; a symmetric monoidal structure
+induces a parameter-blind one.
 
 A lax O-functor into presented convex sets carries structure maps xi^z out
 of the tensor of the fibre presentations.  Its Grothendieck construction is
@@ -54,19 +56,15 @@ F = Fraction
 
 @dataclass(frozen=True)
 class OperadOp:
-    kind: str  # "trivial" | "assoc" | "comm" | "qconv"
+    """An operation of the trivial, associative or commutative operad; the
+    quasiconvexity operad's operations are QConvOp."""
+
+    kind: str  # "trivial" | "assoc" | "comm"
     arity: int
     param: tuple = ()
 
     def __post_init__(self):
-        if self.kind == "qconv":
-            weights = tuple(F(w) for w in self.param)
-            if len(weights) != self.arity or sum(weights) != 1 or any(
-                w < 0 for w in weights
-            ):
-                raise ArityMismatch("qconv parameter is not a convex vector")
-            object.__setattr__(self, "param", weights)
-        elif self.kind == "assoc":
+        if self.kind == "assoc":
             if sorted(self.param) != list(range(self.arity)):
                 raise ArityMismatch("assoc parameter is not a permutation")
         elif self.kind in ("trivial", "comm"):
@@ -74,11 +72,6 @@ class OperadOp:
                 raise ArityMismatch(f"{self.kind} operations carry no parameter")
         else:
             raise ArityMismatch(f"unknown operad kind {self.kind!r}")
-
-
-def qconv_op(weights) -> OperadOp:
-    weights = tuple(F(w) for w in weights)
-    return OperadOp("qconv", len(weights), weights)
 
 
 def comm_op(arity: int) -> OperadOp:
@@ -94,14 +87,14 @@ def assoc_op(perm) -> OperadOp:
 class OperadSpec:
     kind: str
 
-    def unit(self) -> OperadOp:
+    def unit(self) -> OperadOp | QConvOp:
         if self.kind == "qconv":
-            return qconv_op((F(1),))
+            return QConvOp.unit()
         if self.kind == "assoc":
             return assoc_op((0,))
         return OperadOp(self.kind, 1)
 
-    def compose(self, z: OperadOp, xs: Sequence[OperadOp]) -> OperadOp:
+    def compose(self, z: OperadOp | QConvOp, xs: Sequence) -> OperadOp | QConvOp:
         if z.kind != self.kind or any(x.kind != self.kind for x in xs):
             raise ArityMismatch("operations from a different operad")
         if len(xs) != z.arity:
@@ -112,10 +105,7 @@ class OperadSpec:
         if self.kind == "comm":
             return comm_op(total)
         if self.kind == "qconv":
-            out = qconv_compose(
-                QConvOp(z.param), [QConvOp(x.param) for x in xs]
-            )
-            return qconv_op(out.weights)
+            return qconv_compose(z, xs)
         # assoc: block permutation
         arities = [x.arity for x in xs]
         offsets = [0]
@@ -159,7 +149,7 @@ class OMonCategory:
     coherence: Optional[Callable] = None
     name: str = ""
 
-    def tensor_objects(self, op: OperadOp, objs: Sequence) -> object:
+    def tensor_objects(self, op: OperadOp | QConvOp, objs: Sequence) -> object:
         if op.arity != len(objs):
             raise ArityMismatch(f"{len(objs)} objects for arity {op.arity}")
         if op.arity == 1 and op == self.operad.unit():
@@ -293,12 +283,12 @@ class LaxOMonFunctor:
 
     source: OMonCategory
     functor: CSetFunctor
-    xi: Callable[[OperadOp, tuple], ConvexMap]
+    xi: Callable[[OperadOp | QConvOp, tuple], ConvexMap]
 
     def fibre(self, obj) -> Presentation:
         return self.functor.on_objects[obj]
 
-    def xi_map(self, op: OperadOp, objs: Sequence) -> ConvexMap:
+    def xi_map(self, op: OperadOp | QConvOp, objs: Sequence) -> ConvexMap:
         cmap = self.xi(op, tuple(objs))
         expected_src = nfold_tensor([self.fibre(o) for o in objs])
         expected_tgt = self.fibre(self.source.tensor_objects(op, objs))
@@ -324,8 +314,8 @@ class LaxInstance:
     """One compatibility-square instance: an outer operation, inner
     operations, the object blocks, and sample elements per innermost slot."""
 
-    outer: OperadOp
-    inner: tuple  # OperadOps, len = outer.arity
+    outer: OperadOp | QConvOp
+    inner: tuple  # operations, len = outer.arity
     object_blocks: tuple  # tuple of tuples of source objects
     elements: tuple  # tuple of tuples of PresentedElements
 
@@ -387,7 +377,7 @@ def check_lax(
 
 def permutation_square_holds(
     functor: LaxOMonFunctor,
-    op: OperadOp,
+    op: OperadOp | QConvOp,
     sigma: Sequence[int],
     objs: Sequence,
     elems: Sequence[PresentedElement],
@@ -400,7 +390,7 @@ def permutation_square_holds(
     sigma = tuple(sigma)
     if op.kind != "qconv":
         raise ArityMismatch("permutation squares are checked for qconv")
-    permuted = qconv_op(tuple(op.param[sigma[k]] for k in range(op.arity)))
+    permuted = QConvOp(tuple(op.weights[sigma[k]] for k in range(op.arity)))
     objs_p = tuple(objs[sigma[k]] for k in range(op.arity))
     elems_p = [elems[sigma[k]] for k in range(op.arity)]
     lhs = functor.xi_map(op, tuple(objs))(nfold_pure(list(elems)))
@@ -429,7 +419,7 @@ class OConvexFibration:
     def base(self) -> OMonCategory:
         return self.lax.source
 
-    def total_op(self, op: OperadOp, pairs: Sequence[tuple]):
+    def total_op(self, op: OperadOp | QConvOp, pairs: Sequence[tuple]):
         """((i_1, x_1), ..., (i_n, x_n)) -> (tensor(i), xi(x_1 (x) ... x_n))."""
         objs = tuple(i for i, _ in pairs)
         xs = [x for _, x in pairs]
@@ -442,14 +432,16 @@ class OConvexFibration:
 
     # -- checks ------------------------------------------------------------
 
-    def strictness_holds(self, op: OperadOp, pairs) -> bool:
+    def strictness_holds(self, op: OperadOp | QConvOp, pairs) -> bool:
         target_obj, value = self.total_op(op, pairs)
         return (
             target_obj == self.base.tensor_objects(op, tuple(i for i, _ in pairs))
             and self.cfib.contains_object(target_obj, value)
         )
 
-    def nconvex_in_slot(self, op: OperadOp, pairs, slot, alpha, variants) -> bool:
+    def nconvex_in_slot(
+        self, op: OperadOp | QConvOp, pairs, slot, alpha, variants
+    ) -> bool:
         """Mixing in one fibre slot commutes with the total operation."""
         mixed_first = list(pairs)
         obj = pairs[slot][0]
@@ -463,7 +455,7 @@ class OConvexFibration:
         rhs = quotient_mix(alpha, outs)
         return eq(lhs, rhs, self.step_bound).is_equal
 
-    def extract_xi_tables(self, op: OperadOp, objs):
+    def extract_xi_tables(self, op: OperadOp | QConvOp, objs):
         """Recover the structure map's generator table from total operations."""
         factors = [self.lax.fibre(o) for o in objs]
         table = {}
@@ -474,7 +466,7 @@ class OConvexFibration:
             table[combo] = self.total_op(op, pairs)[1]
         return table
 
-    def recovers_functor(self, op: OperadOp, objs) -> bool:
+    def recovers_functor(self, op: OperadOp | QConvOp, objs) -> bool:
         """The extracted tables agree with the original xi up to eq."""
         cmap = self.lax.xi_map(op, tuple(objs))
         table = self.extract_xi_tables(op, objs)
@@ -555,7 +547,7 @@ def dist_lax_functor(max_size: int = 6, operad: OperadSpec = QCONV) -> LaxOMonFu
             offsets.append(acc)
             acc += size(o)
         src = nfold_tensor(fibres)
-        weights = op.param if op.kind == "qconv" else tuple(
+        weights = op.weights if op.kind == "qconv" else tuple(
             F(1, len(objs)) for _ in objs
         )
         assignment = {}
@@ -589,7 +581,7 @@ def mixture_lax_functor(carrier: Sequence[str], operad: OperadSpec = QCONV) -> L
         if len(objs) == 1:
             return ConvexMap.identity(pres)
         src = nfold_tensor([pres] * len(objs))
-        weights = op.param if op.kind == "qconv" else tuple(
+        weights = op.weights if op.kind == "qconv" else tuple(
             F(1, len(objs)) for _ in objs
         )
         assignment = {}

@@ -32,6 +32,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .distribution import FiniteDistribution, convex_combine, delta, element_key
 from .errors import (
+    InvalidInput,
     NotConvexVector,
     PresentationMismatch,
     RelationViolated,
@@ -50,7 +51,7 @@ class Presentation:
     def __init__(self, generators, relations=()):
         gens = tuple(sorted(set(generators), key=element_key))
         if not gens:
-            raise ValueError("a presentation needs at least one generator")
+            raise InvalidInput("a presentation needs at least one generator")
         gen_set = set(gens)
         rels = []
         for lhs, rhs in relations:
@@ -256,7 +257,7 @@ def eq(
     if e1.presentation != e2.presentation:
         raise PresentationMismatch("eq needs elements of one presentation")
     if step_bound < 0:
-        raise ValueError("step_bound must be >= 0")
+        raise InvalidInput("step_bound must be >= 0")
     pres = e1.presentation
     if e1.rep == e2.rep:
         return EqualityVerdict("equal", path=(), bound=step_bound)

@@ -534,7 +534,6 @@ def test_criterion_8_o_monoidal_grothendieck():
         dist_lax_functor,
         mixture_lax_functor,
         o_grothendieck,
-        qconv_op,
     )
 
     with criterion(8, "QConv grid (den <= 4, arity <= 3): strictness, convexity, recovery"):
@@ -547,8 +546,7 @@ def test_criterion_8_o_monoidal_grothendieck():
         dist = dist_lax_functor(6)
         fib_dist = o_grothendieck(dist)
 
-        for op_raw in grid:
-            op = qconv_op([str(w) for w in op_raw.weights])
+        for op in grid:
             # one-object mixture fibres
             pairs = [
                 ("*", random_element(rng, mixture.fibre("*")))

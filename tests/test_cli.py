@@ -538,6 +538,26 @@ def test_omon_check_lax_and_grothendieck_cli(tmp_path):
     assert code == 0 and report["result"]["ok"] is True
 
 
+def test_omon_check_lax_without_inner_operations(tmp_path):
+    # a missing "inner" means one unit operation per outer slot
+    job = write(
+        tmp_path,
+        "lax.json",
+        {
+            "op": "check_lax",
+            "functor": "dist",
+            "instances": [
+                {
+                    "operation": {"arity": 2, "alpha": ["1/4", "3/4"]},
+                    "objects": ["S1", "S2"],
+                }
+            ],
+        },
+    )
+    code, report = invoke("omon", "--job", job)
+    assert code == 0 and report["result"]["ok"] is True
+
+
 def test_omon_trivial_structure_cli(tmp_path):
     job = write(
         tmp_path,
@@ -810,6 +830,47 @@ def test_parse_error_exit_two(tmp_path):
     code, report = invoke("dist", "--job", str(bad))
     assert code == 2
     assert "line" in report["error"]
+
+
+def _run_process(*argv):
+    out = subprocess.run(
+        [sys.executable, "-m", "convexion", *argv],
+        capture_output=True,
+        text=True,
+    )
+    return out.returncode, json.loads(out.stdout), out.stderr
+
+
+def test_empty_generator_list_exit_two(tmp_path):
+    job = write(
+        tmp_path,
+        "empty.json",
+        {
+            "op": "eq",
+            "presentation": {"generators": []},
+            "lhs": {"weights": [{"el": "a", "w": "1"}]},
+            "rhs": {"weights": [{"el": "a", "w": "1"}]},
+        },
+    )
+    code, report, stderr = _run_process("eq", "--job", job)
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"].startswith("InvalidInput")
+
+
+def test_negative_bound_exit_two(tmp_path):
+    job = write(
+        tmp_path,
+        "eq.json",
+        {
+            "op": "eq",
+            "presentation": PRES,
+            "lhs": {"weights": [{"el": "a", "w": "1"}]},
+            "rhs": {"weights": [{"el": "b", "w": "1"}]},
+        },
+    )
+    code, report, stderr = _run_process("--bound", "-1", "eq", "--job", job)
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"].startswith("InvalidInput")
 
 
 def test_check_failure_exit_one(tmp_path):

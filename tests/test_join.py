@@ -5,16 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from convexion.distribution import FiniteDistribution
-from convexion.errors import MissingPart, NotConvexVector, TargetMismatch
+from convexion.distribution import FiniteDistribution, convex_combine
+from convexion.errors import (
+    MissingPart,
+    NotConvexVector,
+    PresentationMismatch,
+    TargetMismatch,
+)
 from convexion.join import (
     IndexedJoinSpace,
     JoinSpace,
     copair,
-    iterated_join,
     join_mix,
     join_point,
-    nest_point,
 )
 from convexion.presentation import (
     ConvexMap,
@@ -307,13 +310,29 @@ def test_indexed_join_drops_zero_slots():
     assert pt.parts[1] is None
 
 
-def test_indexed_mix_matches_nested_binary_join():
+def test_indexed_join_requires_parts_of_weighted_slots():
+    space = IndexedJoinSpace((X, Y, Z))
+    with pytest.raises(MissingPart):
+        space.point([F(1, 2), F(1, 2), F(0)], [X.delta("x0"), None, None])
+
+
+def _indexed_combined(pt):
+    """A point of a join of free factors as one distribution over the union
+    of their generators."""
+    weights = {}
+    for w, part in zip(pt.weights, pt.parts):
+        if part is not None:
+            for g, v in part.rep.items():
+                weights[g] = weights.get(g, F(0)) + w * v
+    return FiniteDistribution(weights)
+
+
+def test_indexed_mix_is_associative_and_matches_combined_oracle():
     rng = random.Random(21)
     space = IndexedJoinSpace((X, Y, Z))
-    nested_space = iterated_join((X, Y, Z))
     for _ in range(15):
         pts = []
-        for _ in range(2):
+        for _ in range(3):
             raw = [rng.randint(0, 3) for _ in range(3)]
             if sum(raw) == 0:
                 raw[0] = 1
@@ -328,27 +347,34 @@ def test_indexed_mix_matches_nested_binary_join():
                     ],
                 )
             )
-        mixed = space.mix([F(1, 3), F(2, 3)], pts)
-        nested_mixed = join_mix(
-            [F(1, 3), F(2, 3)], [nest_point(nested_space, p) for p in pts]
+        flat = space.mix([F(1, 3), F(1, 3), F(1, 3)], pts)
+        inner = space.mix([F(1, 2), F(1, 2)], pts[:2])
+        # the factors are free, so equal points have identical parts
+        assert space.mix([F(2, 3), F(1, 3)], [inner, pts[2]]) == flat
+        assert _indexed_combined(flat) == convex_combine(
+            [F(1, 3), F(1, 3), F(1, 3)], [_indexed_combined(p) for p in pts]
         )
-        assert _binary_equals_indexed(nested_mixed, mixed)
+        pair = space.mix([F(1, 3), F(2, 3)], pts[:2])
+        assert _indexed_combined(pair) == convex_combine(
+            [F(1, 3), F(2, 3)], [_indexed_combined(p) for p in pts[:2]]
+        )
 
 
-def _binary_equals_indexed(binary, indexed):
-    expected = nest_point(binary.space, indexed)
+def test_indexed_mix_rejects_a_short_coefficient_vector():
+    space = IndexedJoinSpace((X, Y, Z))
+    p1 = space.point([F(1), F(0), F(0)], [X.delta("x0"), None, None])
+    p2 = space.point([F(0), F(0), F(1)], [None, None, Z.delta("z1")])
+    with pytest.raises(NotConvexVector):
+        space.mix([F(1)], [p1, p2])
 
-    def same(a, b):
-        if a is None and b is None:
-            return True
-        if hasattr(a, "alpha") and hasattr(b, "alpha"):
-            return (
-                a.alpha == b.alpha
-                and same(a.x_part, b.x_part)
-                and same(a.y_part, b.y_part)
-            )
-        if a is None or b is None:
-            return False
-        return eq(a, b, 2).is_equal
 
-    return same(binary, expected)
+def test_mix_rejects_points_of_another_join():
+    space = IndexedJoinSpace((X, Y, Z))
+    other = IndexedJoinSpace((X, Z))
+    foreign = other.point([F(1), F(0)], [X.delta("x0"), None])
+    with pytest.raises(PresentationMismatch):
+        space.mix([F(1)], [foreign])
+    pt = SPACE.point(F(1, 2), X.delta("x0"), Y.delta("y0"))
+    elsewhere = JoinSpace(X, Z).point(F(1, 2), X.delta("x0"), Z.delta("z0"))
+    with pytest.raises(PresentationMismatch):
+        join_mix([F(1, 2), F(1, 2)], [pt, elsewhere])

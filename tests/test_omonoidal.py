@@ -25,7 +25,6 @@ from convexion.omonoidal import (
     mixture_lax_functor,
     o_grothendieck,
     permutation_square_holds,
-    qconv_op,
     star_alpha,
     trivial_structure,
 )
@@ -48,9 +47,9 @@ def rd(pres, mapping):
 
 
 def test_qconv_composition_flattens():
-    z = qconv_op(["1/2", "1/2"])
-    xs = [qconv_op(["1"]), qconv_op(["1/3", "2/3"])]
-    assert QCONV.compose(z, xs) == qconv_op(["1/2", "1/6", "1/3"])
+    z = QConvOp(["1/2", "1/2"])
+    xs = [QConvOp(["1"]), QConvOp(["1/3", "2/3"])]
+    assert QCONV.compose(z, xs) == QConvOp(["1/2", "1/6", "1/3"])
 
 
 def test_comm_composition_adds_arities():
@@ -90,8 +89,8 @@ def or_poset_monoidal():
 
 def test_trivial_structure_parameter_blind():
     omon = trivial_structure(or_poset_monoidal(), QCONV)
-    assert omon.tensor_objects(qconv_op(["1/2", "1/2"]), ("0", "1")) == "1"
-    assert omon.tensor_objects(qconv_op(["1/4", "3/4"]), ("0", "0")) == "0"
+    assert omon.tensor_objects(QConvOp(["1/2", "1/2"]), ("0", "1")) == "1"
+    assert omon.tensor_objects(QConvOp(["1/4", "3/4"]), ("0", "0")) == "0"
     # unit operation acts as the identity
     assert omon.tensor_objects(QCONV.unit(), ("1",)) == "1"
 
@@ -101,7 +100,7 @@ def test_cset_handle_is_parameter_blind_tensor():
     from convexion.tensor import tensor
 
     omon = cset_omon()
-    op = qconv_op([F(1, 2), F(1, 2)])
+    op = QConvOp([F(1, 2), F(1, 2)])
     assert omon.tensor_objects(op, (AB, CD)) == tensor([AB, CD])
     assert omon.tensor_objects(QCONV.unit(), (AB,)) == AB
 
@@ -218,7 +217,7 @@ def _grid_op(rng, arity):
     cuts = [rng.randint(0, 4) for _ in range(arity)]
     if sum(cuts) == 0:
         cuts[0] = 1
-    return qconv_op([F(c, sum(cuts)) for c in cuts])
+    return QConvOp([F(c, sum(cuts)) for c in cuts])
 
 
 def test_dist_lax_structure_passes():
@@ -257,7 +256,7 @@ def test_corrupted_xi_is_reported():
         # Corrupt the binary components only: the arity-3 composite of the
         # square below stays honest, so the two paths disagree.
         if len(objs) == 2:
-            return good_xi(qconv_op(tuple(reversed(op.param))), objs)
+            return good_xi(QConvOp(tuple(reversed(op.weights))), objs)
         return good_xi(op, objs)
 
     import dataclasses
@@ -265,8 +264,8 @@ def test_corrupted_xi_is_reported():
     broken = dataclasses.replace(functor, xi=bad_xi)
     pres = functor.fibre("*")
     inst = LaxInstance(
-        qconv_op([F(1, 4), F(3, 4)]),
-        (qconv_op([F(1)]), qconv_op([F(1, 3), F(2, 3)])),
+        QConvOp([F(1, 4), F(3, 4)]),
+        (QConvOp([F(1)]), QConvOp([F(1, 3), F(2, 3)])),
         (("*",), ("*", "*")),
         (
             (pres.delta("x"),),
@@ -331,7 +330,7 @@ def test_check_lax_transports_through_base_coherence():
         assignment = {}
         for combo in src.generators:
             weights = {}
-            for w, g in zip(op.param, combo):
+            for w, g in zip(op.weights, combo):
                 if w != 0:
                     weights[g] = weights.get(g, F(0)) + w
             assignment[combo] = pres.element(FiniteDistribution(weights))
@@ -339,8 +338,8 @@ def test_check_lax_transports_through_base_coherence():
 
     lax = LaxOMonFunctor(omon, functor, xi)
     inst = LaxInstance(
-        qconv_op([F(1, 2), F(1, 2)]),
-        (qconv_op([F(1)]), qconv_op([F(1, 3), F(2, 3)])),
+        QConvOp([F(1, 2), F(1, 2)]),
+        (QConvOp([F(1)]), QConvOp([F(1, 3), F(2, 3)])),
         (("P",), ("P", "P")),
         ((pres.delta("x"),), (pres.delta("y"), pres.delta("x"))),
     )
@@ -420,7 +419,7 @@ def test_mixture_total_op_is_the_mixture():
     functor = mixture_lax_functor(["x", "y"])
     fib = o_grothendieck(functor)
     pres = functor.fibre("*")
-    op = qconv_op([F(1, 2), F(1, 2)])
+    op = QConvOp([F(1, 2), F(1, 2)])
     e1, e2 = pres.delta("x"), pres.delta("y")
     _, val = fib.total_op(op, [("*", e1), ("*", e2)])
     assert val == quotient_mix([F(1, 2), F(1, 2)], [e1, e2])
@@ -429,12 +428,12 @@ def test_mixture_total_op_is_the_mixture():
 def test_functor_recovery():
     functor = dist_lax_functor(4)
     fib = o_grothendieck(functor)
-    assert fib.recovers_functor(qconv_op([F(1, 4), F(3, 4)]), ("S1", "S2"))
+    assert fib.recovers_functor(QConvOp([F(1, 4), F(3, 4)]), ("S1", "S2"))
     assert fib.recovers_functor(QCONV.unit(), ("S2",))
     mix = mixture_lax_functor(["x", "y", "z"])
     fib2 = o_grothendieck(mix)
     assert fib2.recovers_functor(
-        qconv_op([F(1, 3), F(1, 3), F(1, 3)]), ("*", "*", "*")
+        QConvOp([F(1, 3), F(1, 3), F(1, 3)]), ("*", "*", "*")
     )
 
 
@@ -449,7 +448,7 @@ def test_comm_specializes_to_monoidal_construction():
     e1, e2 = pres.delta("x"), pres.delta("y")
     _, val_c = fib_c.total_op(comm_op(2), [("*", e1), ("*", e2)])
     _, val_q = fib_q.total_op(
-        qconv_op([F(1, 2), F(1, 2)]), [("*", e1), ("*", e2)]
+        QConvOp([F(1, 2), F(1, 2)]), [("*", e1), ("*", e2)]
     )
     assert val_c == val_q
 
@@ -466,7 +465,7 @@ def test_wrong_signature_xi_rejected():
         functor, xi=lambda op, objs: ConvexMap.identity(other)
     )
     with pytest.raises(NotConvexStructureMap):
-        broken.xi_map(qconv_op([F(1, 2), F(1, 2)]), ("*", "*"))
+        broken.xi_map(QConvOp([F(1, 2), F(1, 2)]), ("*", "*"))
 
 
 def test_o_grothendieck_rejects_broken_strictness():
@@ -486,7 +485,7 @@ def test_o_grothendieck_rejects_broken_strictness():
             broken,
             instances=[
                 (
-                    qconv_op([F(1, 2), F(1, 2)]),
+                    QConvOp([F(1, 2), F(1, 2)]),
                     [("*", pres.delta("x")), ("*", pres.delta("y"))],
                 )
             ],
