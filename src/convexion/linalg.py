@@ -1,18 +1,23 @@
 """Exact rational linear algebra: phase-1 simplex feasibility for systems
 A x = b, x >= 0, and reduced row echelon / nullspace computations.
 
-Everything runs over fractions.Fraction; no floating point.  The systems
-the equality engine builds are block-banded and almost all zero, so rows
-are stored sparsely as {column: Fraction} dicts, and both the simplex and
-the row reduction go through one elimination step (_eliminate) that touches
-only the rows holding the pivot column.  Bland's rule guarantees termination.
+No floating point, and no Fraction arithmetic inside the loops.  The
+systems the equality engine builds are block-banded and almost all zero,
+so rows are stored sparsely as {column: int} dicts, each input row scaled
+by the lcm of its denominators.  The simplex and the row reduction share
+one fraction-free elimination step (_eliminate): it touches only the rows
+holding the pivot column and divides each by its content (the gcd of its
+entries and rhs), which keeps the integers small.  The pivot row is never
+normalised, so each stored row is a nonzero multiple of the row a
+normalising Fraction tableau would hold.  Fractions are built only for
+the answers.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -21,12 +26,24 @@ ONE = Fraction(1)
 def solve_eq_nonneg(rows, rhs):
     """Find x >= 0 with A x = b exactly; return a list of Fractions or None.
 
-    rows: list of coefficient lists (each of equal length), rhs: list.
-    Phase-1 simplex; Dantzig pricing (most negative reduced cost, lowest
-    column on ties) for speed, falling back to Bland's rule after a
-    degenerate stall so termination stays guaranteed.  The ratio test
-    takes the smallest ratio, the lowest basic variable on ties.  These
-    choices fix the vertex returned, and so the witnesses built from it.
+    rows: list of coefficient lists (each of equal length) of ints or
+    Fractions, rhs: list.  Phase-1 simplex; Dantzig pricing (most negative
+    reduced cost, lowest column on ties) for speed, falling back to Bland's
+    rule after a degenerate stall so termination stays guaranteed.  The
+    ratio test takes the smallest ratio, the lowest basic variable on ties.
+    These choices fix the vertex returned, and so the witnesses built from
+    it.
+
+    The tableau is integer.  Each row starts as the input row times the
+    lcm of its denominators (negated when the rhs is negative), and the
+    entering column's entry is always positive, so every stored row, the
+    reduced-cost row included, stays a positive multiple of the row a
+    normalising Fraction tableau would hold.  The signs of the reduced
+    costs, their order and each ratio b_i / a_ic are those of that
+    tableau, so the pivots are the same; ratios are compared by
+    cross-multiplication.  A pivot is degenerate (a stall) when the
+    leaving row's rhs is 0: the objective moves by
+    cost[enter] * b[leave] / a, with cost[enter] < 0 and a > 0.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -34,21 +51,13 @@ def solve_eq_nonneg(rows, rhs):
     # artificials; row m is the reduced-cost row of the phase-1 objective
     # (minimize the sum of artificials), and b[m] is the negated objective.
     tab, b = [], []
-    cost, objective = {}, ZERO
+    cost, objective = {}, 0
     for i, (row, v) in enumerate(zip(rows, rhs)):
-        r = {j: Fraction(a) for j, a in enumerate(row) if a}
-        v = Fraction(v)
-        # scale to integers (keeps early pivots integral) and make b >= 0
-        scale = lcm(v.denominator, *(a.denominator for a in r.values()))
-        if v < 0:
-            scale = -scale
-        if scale != 1:
-            r = {j: a * scale for j, a in r.items()}
-            v *= scale
+        r, v = _integer_row(row, v)
         for j, a in r.items():
-            cost[j] = cost.get(j, ZERO) - a
+            cost[j] = cost.get(j, 0) - a
         objective -= v
-        r[n + i] = ONE
+        r[n + i] = 1
         tab.append(r)
         b.append(v)
     tab.append({j: c for j, c in cost.items() if c})
@@ -62,13 +71,12 @@ def solve_eq_nonneg(rows, rhs):
 
     bland = False
     stall = 0
-    last_objective = b[m]
     while b[m] != 0:  # zero once every artificial is at zero: feasible
         enter = -1
         if bland:
             enter = min((j for j, c in cost.items() if c < 0), default=-1)
         else:
-            most_negative = ZERO
+            most_negative = 0
             for j, c in cost.items():
                 if c < most_negative or (c == most_negative and j < enter):
                     most_negative = c
@@ -76,31 +84,29 @@ def solve_eq_nonneg(rows, rhs):
         if enter < 0:
             break
         leave = -1
-        best = None
         for i in cols[enter]:
             if i == m:
                 continue
             coef = tab[i][enter]
             if coef > 0:
-                ratio = b[i] / coef
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+                if leave >= 0:
+                    # b[i] / coef against b[leave] / tab[leave][enter]
+                    d = b[i] * tab[leave][enter] - b[leave] * coef
+                    if d > 0 or (d == 0 and basis[i] > basis[leave]):
+                        continue
+                leave = i
         if leave < 0:
             # Unbounded phase-1 cannot happen (objective bounded below by 0),
             # but guard against malformed input.
             return None
-        _eliminate(tab, b, cols, leave, enter)
-        basis[leave] = enter
-        if b[m] == last_objective:
+        if b[leave] == 0:
             stall += 1
             if stall > 24:
                 bland = True  # anti-cycling from here on
         else:
             stall = 0
-            last_objective = b[m]
+        _eliminate(tab, b, cols, leave, enter)
+        basis[leave] = enter
 
     if b[m] != 0:
         return None
@@ -108,55 +114,78 @@ def solve_eq_nonneg(rows, rhs):
     x = [ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = b[i]
+            x[var] = Fraction(b[i], tab[i][var])
     # Artificials stuck in the basis sit at value 0; x already solves A x = b.
     return x
 
 
 def _eliminate(rows, rhs, cols, r, c):
-    """Scale row r to a 1 in column c, then clear column c from every other
-    row.  rows are {column: value} dicts without zeros; cols maps each
-    column to the set of rows holding it and is kept in step.  rhs, if not
-    None, is the right-hand side list and is updated alongside."""
+    """Clear column c from every row but r, fraction-free: each such row
+    becomes p * row - row[c] * rows[r], with p = rows[r][c], and is then
+    divided together with its rhs by their gcd, signed like p so the row
+    keeps its sign.  rows are {column: int} dicts without zeros; cols maps
+    each column to the set of rows holding it and is kept in step; rhs is
+    the right-hand side list, updated alongside."""
     prow = rows[r]
-    inv = 1 / prow[c]
-    if inv != 1:
-        for j in prow:
-            prow[j] *= inv
-        if rhs is not None:
-            rhs[r] *= inv
+    p = prow[c]
+    pb = rhs[r]
     others = cols[c] - {r}
     cols[c] = {r}
     for i in others:
         row = rows[i]
-        f = -row.pop(c)  # row += f * prow clears column c exactly
+        f = row.pop(c)  # p * row - f * prow clears column c exactly
+        if p != 1:
+            for j, w in row.items():
+                row[j] = p * w
         for j, v in prow.items():
             if j == c:
                 continue
             w = row.get(j)
             if w is None:
-                row[j] = f * v
+                row[j] = -f * v
                 cols[j].add(i)
             else:
-                w += f * v
+                w -= f * v
                 if w:
                     row[j] = w
                 else:
                     del row[j]
                     cols[j].discard(i)
-        if rhs is not None:
-            rhs[i] += f * rhs[r]
+        bi = p * rhs[i] - f * pb
+        g = gcd(bi, *row.values())
+        if p < 0:
+            g = -g
+        if g != 1 and g != 0:
+            for j, w in row.items():
+                row[j] = w // g
+            bi //= g
+        rhs[i] = bi
+
+
+def _integer_row(row, v=0):
+    """A dense row and its rhs v times the lcm of their denominators,
+    negated when v < 0: the row as a {column: int} dict, and the int rhs."""
+    entries = [(j, a) for j, a in enumerate(row) if a]
+    scale = lcm(v.denominator, *(a.denominator for _, a in entries))
+    if v < 0:
+        scale = -scale
+    return (
+        {j: a.numerator * (scale // a.denominator) for j, a in entries},
+        v.numerator * (scale // v.denominator),
+    )
 
 
 def _rref(rows, ncols):
-    """Reduced row echelon form as dict rows, in pivot order, and the
-    pivot columns.  The form is unique, so the row that supplies each
-    pivot is free to choose: the sparsest, to keep fill-in down."""
-    mat = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
+    """Reduced row echelon form as {column: Fraction} dict rows, in pivot
+    order, and the pivot columns.  The form is unique, so the row that
+    supplies each pivot is free to choose: the sparsest, to keep fill-in
+    down."""
+    mat = [_integer_row(row)[0] for row in rows]
     cols = defaultdict(set)
     for i, row in enumerate(mat):
         for j in row:
             cols[j].add(i)
+    zeros = [0] * len(mat)
     unused = set(range(len(mat)))
     order, pivots = [], []
     for c in range(ncols):
@@ -164,13 +193,17 @@ def _rref(rows, ncols):
         if not candidates:
             continue
         r = min(candidates, key=lambda i: (len(mat[i]), i))
-        _eliminate(mat, None, cols, r, c)
+        _eliminate(mat, zeros, cols, r, c)
         unused.discard(r)
         order.append(r)
         pivots.append(c)
         if not unused:
             break
-    return [mat[r] for r in order], pivots
+    reduced = []
+    for r, c in zip(order, pivots):
+        p = mat[r][c]
+        reduced.append({j: Fraction(v, p) for j, v in mat[r].items()})
+    return reduced, pivots
 
 
 def rref(rows, ncols=None):

@@ -256,6 +256,8 @@ def eq(
     """Decide equality in the quotient, with a replayable certificate."""
     if e1.presentation != e2.presentation:
         raise PresentationMismatch("eq needs elements of one presentation")
+    if not isinstance(step_bound, int) or isinstance(step_bound, bool):
+        raise InvalidInput(f"step_bound must be an int, not {step_bound!r}")
     if step_bound < 0:
         raise InvalidInput("step_bound must be >= 0")
     pres = e1.presentation
@@ -319,27 +321,27 @@ def _zigzag_lp(pres, pv, qv, k):
     rows, rhs = [], []
 
     for x in range(ng):  # step 1 start equals p
-        row = [Fraction(0)] * ncols
+        row = [0] * ncols
         for j in range(nj):
             row[lam_col(0, j)] = rvec[j][x]
-        row[t_col(0, x)] = Fraction(1)
+        row[t_col(0, x)] = 1
         rows.append(row)
         rhs.append(pv[x])
     for i in range(k - 1):  # end of step i equals start of step i+1
         for x in range(ng):
-            row = [Fraction(0)] * ncols
+            row = [0] * ncols
             for j in range(nj):
                 row[lam_col(i, j)] = svec[j][x]
                 row[lam_col(i + 1, j)] = -rvec[j][x]
-            row[t_col(i, x)] = Fraction(1)
-            row[t_col(i + 1, x)] = Fraction(-1)
+            row[t_col(i, x)] = 1
+            row[t_col(i + 1, x)] = -1
             rows.append(row)
-            rhs.append(Fraction(0))
+            rhs.append(0)
     for x in range(ng):  # step k end equals q
-        row = [Fraction(0)] * ncols
+        row = [0] * ncols
         for j in range(nj):
             row[lam_col(k - 1, j)] = svec[j][x]
-        row[t_col(k - 1, x)] = Fraction(1)
+        row[t_col(k - 1, x)] = 1
         rows.append(row)
         rhs.append(qv[x])
     return rows, rhs

@@ -873,6 +873,24 @@ def test_negative_bound_exit_two(tmp_path):
     assert report["error"].startswith("InvalidInput")
 
 
+@pytest.mark.parametrize("bound", [{}, "x", None, [], True, 2.5])
+def test_non_integer_job_bound_exit_two(tmp_path, bound):
+    job = write(
+        tmp_path,
+        "eq.json",
+        {
+            "op": "eq",
+            "presentation": PRES,
+            "lhs": {"weights": [{"el": "a", "w": "1"}]},
+            "rhs": {"weights": [{"el": "b", "w": "1"}]},
+            "bound": bound,
+        },
+    )
+    code, report, stderr = _run_process("eq", "--job", job)
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"].startswith("InvalidInput")
+
+
 def test_check_failure_exit_one(tmp_path):
     pres = write(tmp_path, "p.json", PRES)
     job = write(

@@ -96,6 +96,81 @@ def test_nullspace_orthogonality_random(data):
     assert len(reduced) + len(basis) == n  # rank-nullity
 
 
+# -- rational entries ------------------------------------------------------------------
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
+
+
+def _rational_matrix(data, m, n):
+    return [[data.draw(rationals) for _ in range(n)] for _ in range(m)]
+
+
+@given(st.data())
+def test_rational_systems_are_solved_exactly(data):
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 5))
+    rows = _rational_matrix(data, m, n)
+    feasible = data.draw(st.booleans())
+    if feasible:
+        point = [data.draw(st.builds(F, st.integers(0, 6), st.integers(1, 7)))
+                 for _ in range(n)]
+        rhs = [sum(a * v for a, v in zip(row, point)) for row in rows]
+    else:
+        rhs = [data.draw(rationals) for _ in range(m)]
+    x = linalg.solve_eq_nonneg(rows, rhs)
+    if feasible:
+        assert x is not None
+    if x is not None:
+        assert len(x) == n and all(type(v) is F for v in x)
+        check_solution(rows, rhs, x)
+
+
+def naive_rref(rows, ncols):
+    """Dense Gauss-Jordan over Fractions: the first nonzero row below the
+    current one supplies each pivot."""
+    mat = [[F(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        source = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if source is None:
+            continue
+        mat[r], mat[source] = mat[source], mat[r]
+        p = mat[r][c]
+        mat[r] = [v / p for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat[: len(pivots)], pivots
+
+
+@given(st.data())
+def test_rref_matches_dense_gauss_jordan(data):
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 5))
+    rows = _rational_matrix(data, m, n)
+    assert linalg.rref(rows, n) == naive_rref(rows, n)
+
+
+def test_rref_with_negative_pivots():
+    rows = [[F(-2, 3), F(1), F(0)], [F(0), F(-5, 7), F(3)], [F(-1), F(0), F(1, 2)]]
+    assert linalg.rref(rows, 3) == naive_rref(rows, 3)
+    reduced, pivots = linalg.rref([[F(-3), F(6), F(-9, 2)]], 3)
+    assert reduced == [[F(1), F(-2), F(3, 2)]] and pivots == [0]
+
+
+@given(st.data())
+def test_nullspace_is_the_same_for_int_and_fraction_input(data):
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 5))
+    ints = [[data.draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(m)]
+    basis = linalg.nullspace(ints, n)
+    assert basis == linalg.nullspace([[F(v) for v in row] for row in ints], n)
+    assert all(type(v) is F for vec in basis for v in vec)
+
+
 # -- pinned outputs on zig-zag-shaped systems ----------------------------------------
 
 # Digest of the exact outputs (each x, or None) on the corpus below, as

@@ -1,6 +1,7 @@
 """Convex tensor product: construction, universal property, coherences,
 the biconvex-not-convex composition, and the enriched-category bridge."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -169,7 +170,15 @@ def test_universal_map_multiconvex_up_to_eq_with_relations():
 
 # The next two instances stall the phase-1 simplex: its objective stays
 # flat for more than 24 pivots, so it switches from Dantzig pricing to
-# Bland's rule before it finds the zig-zag.
+# Bland's rule before it finds the zig-zag.  The pivot rule fixes the
+# vertex, and so the witness; these digests of repr(verdict.path) were
+# recorded from the Fraction-tableau simplex.
+SEGMENT_PATH_DIGEST = "9e774392405a49d25a85c07f1b1c02a8b08c09325409ce30034733ad28a6fd8b"
+STALL_PATH_DIGEST = "8dd9d5a25864eef811374f4a60bdb02a8d8119f4664e09888fc21ec9e07411b9"
+
+
+def path_digest(verdict):
+    return hashlib.sha256(repr(verdict.path).encode()).hexdigest()
 
 
 def test_segment_cube_midpoint_equals_corner_mixture():
@@ -182,6 +191,7 @@ def test_segment_cube_midpoint_equals_corner_mixture():
     verdict = eq(mid, corners, 4)
     assert verdict.is_equal
     assert verify_verdict(verdict, mid, corners)
+    assert path_digest(verdict) == SEGMENT_PATH_DIGEST
 
 
 def test_two_step_chain_through_a_stalling_lp():
@@ -204,6 +214,7 @@ def test_two_step_chain_through_a_stalling_lp():
     verdict = eq(start, end, 4)
     assert verdict.is_equal
     assert verify_verdict(verdict, start, end)
+    assert path_digest(verdict) == STALL_PATH_DIGEST
 
 
 # -- extension and restriction -------------------------------------------------
