@@ -233,23 +233,62 @@ def encode_verdict(verdict: EqualityVerdict, pres: Presentation) -> dict:
 
 
 def decode_verdict(payload, pres: Presentation) -> EqualityVerdict:
+    """A verdict as encode_verdict writes it.  Malformed input raises
+    ParseError naming its JSON path below the verdict."""
     status = _require(payload, "status", "verdict")
     bound = payload.get("bound", 0)
+    labels = {element_label(g): i for i, g in enumerate(pres.generators)}
     if status == "equal":
+        raw_path = _typed(payload.get("path", []), list, "verdict.path")
         steps = []
-        for raw in payload.get("path", []):
-            lams = tuple(F(l) for l in raw.get("lambdas", []))
-            spect_map = raw.get("spectator", {})
-            spect = tuple(
-                F(spect_map.get(element_label(g), 0)) for g in pres.generators
+        for i, raw in enumerate(raw_path):
+            at = f"verdict.path[{i}]"
+            _typed(raw, dict, at)
+            raw_lams = _typed(raw.get("lambdas", []), list, f"{at}.lambdas")
+            lams = tuple(
+                _rational(l, f"{at}.lambdas[{j}]") for j, l in enumerate(raw_lams)
             )
+            spect = _generator_map(raw.get("spectator", {}), labels, f"{at}.spectator")
             steps.append(ZigZagStep(lams, spect))
         return EqualityVerdict("equal", path=tuple(steps), bound=bound)
     if status == "distinct":
-        inv_map = payload.get("invariant", {})
-        inv = tuple(F(inv_map.get(element_label(g), 0)) for g in pres.generators)
+        inv = _generator_map(
+            payload.get("invariant", {}), labels, "verdict.invariant", signed=True
+        )
         return EqualityVerdict("distinct", invariant=inv, bound=bound)
-    return EqualityVerdict("unknown", bound=bound)
+    if status == "unknown":
+        return EqualityVerdict("unknown", bound=bound)
+    raise ParseError(f"verdict.status: unknown verdict status {status!r}")
+
+
+def _typed(value, kind, where):
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "list"
+        raise ParseError(f"{where}: expected a JSON {name}")
+    return value
+
+
+def _rational(raw, where, signed=False):
+    """A rational literal; nonnegative unless signed."""
+    text = str(raw).strip()
+    negative = signed and text.startswith("-")
+    try:
+        value = RATIONAL.parse(text[1:] if negative else text)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+    return -value if negative else value
+
+
+def _generator_map(raw, labels, where, signed=False):
+    """A {generator label: rational} object as a dense tuple over the
+    generators (labels maps each label to its index), absent ones 0."""
+    _typed(raw, dict, where)
+    dense = [F(0)] * len(labels)
+    for label, value in raw.items():
+        if label not in labels:
+            raise ParseError(f"{where}: {label!r} is not a generator")
+        dense[labels[label]] = _rational(value, f"{where}[{label!r}]", signed)
+    return tuple(dense)
 
 
 # -- categories and functors ------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 ZERO = Fraction(0)
@@ -164,13 +165,19 @@ def _eliminate(rows, rhs, cols, r, c):
 
 def _integer_row(row, v=0):
     """A dense row and its rhs v times the lcm of their denominators,
-    negated when v < 0: the row as a {column: int} dict, and the int rhs."""
-    entries = [(j, a) for j, a in enumerate(row) if a]
-    scale = lcm(v.denominator, *(a.denominator for _, a in entries))
+    negated when v < 0: the row as a {column: int} dict, and the int rhs.
+
+    This is the one place a row is scaled.  The scale is part of the pivot
+    rule: the phase-1 objective sums the scaled rows, so each row's scale
+    is its weight in the reduced costs, and a row scaled anywhere else
+    would change the pivots and the witnesses.  Zeros are skipped by a
+    truth test in C (itertools.compress), which is fastest on int 0."""
+    nonzero = list(compress(range(len(row)), row))
+    scale = lcm(v.denominator, *(row[j].denominator for j in nonzero))
     if v < 0:
         scale = -scale
     return (
-        {j: a.numerator * (scale // a.denominator) for j, a in entries},
+        {j: row[j].numerator * (scale // row[j].denominator) for j in nonzero},
         v.numerator * (scale // v.denominator),
     )
 
@@ -236,4 +243,5 @@ def in_row_space(rows, v):
 
 
 def dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    """Exact inner product; zero terms are skipped, not multiplied."""
+    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)

@@ -108,15 +108,16 @@ class Presentation:
         return tuple(out)
 
     @cached_property
-    def symmetric_relation_vectors(self):
-        """symmetric_relations as pairs of dense vectors over generators;
-        the two orientations of a relation share its two vectors."""
-        out = []
-        for lhs, rhs in self.relations:
-            lv, rv = tuple(self.vector(lhs)), tuple(self.vector(rhs))
-            out.append((lv, rv))
-            out.append((rv, lv))
-        return tuple(out)
+    def _relation_columns(self):
+        """Per generator x, the x-th entries of symmetric_relations as three
+        tuples over the pairs (r_j, s_j): r, -r (negated once, here) and s,
+        with zeros as int 0.  _zigzag_lp slices them into its rows."""
+        columns = []
+        for g in self.generators:
+            r = tuple(lhs.weight(g) or 0 for lhs, _ in self.symmetric_relations)
+            s = tuple(rhs.weight(g) or 0 for _, rhs in self.symmetric_relations)
+            columns.append((r, tuple(-w for w in r), s))
+        return tuple(columns)
 
     @cached_property
     def _difference_rows(self):
@@ -216,15 +217,18 @@ class ZigZagStep:
     spectator: tuple  # dense over presentation.generators
 
     def endpoints(self, pres: Presentation):
-        n = len(pres.generators)
+        """The step's start and end as dense lists over pres.generators:
+        the spectator plus the relations' nonzero weights, times lambda."""
+        index = pres._gen_index
         start = [Fraction(v) for v in self.spectator]
         end = list(start)
-        for lam, (rv, sv) in zip(self.lambdas, pres.symmetric_relation_vectors):
+        for lam, (r, s) in zip(self.lambdas, pres.symmetric_relations):
             if lam == 0:
                 continue
-            for i in range(n):
-                start[i] += lam * rv[i]
-                end[i] += lam * sv[i]
+            for g, w in r.items():
+                start[index[g]] += lam * w
+            for g, w in s.items():
+                end[index[g]] += lam * w
         return start, end
 
 
@@ -305,46 +309,40 @@ def _zigzag_lp(pres, pv, qv, k):
     Variables per step i: lambda_{i,j} over symmetrized pairs and a
     spectator t_i over generators, all >= 0.  Equations chain the
     intermediate points, which are then implicit.  Returns (rows, rhs).
+
+    Rows are dense lists (the solver's interface) of int 0, +-1 and the
+    relations' weights, each filled by slice assignment from the cached
+    relation columns.  The rows are not scaled here: linalg._integer_row
+    scales each one, and its scale is part of the pivot rule.
     """
-    rvec = [rv for rv, _ in pres.symmetric_relation_vectors]
-    svec = [sv for _, sv in pres.symmetric_relation_vectors]
-    nj = len(rvec)
+    columns = pres._relation_columns
+    nj = len(pres.symmetric_relations)
     ng = len(pres.generators)
+    width = nj + ng
+    ncols = k * width
+    rows = []
 
-    def lam_col(i, j):
-        return i * (nj + ng) + j
-
-    def t_col(i, x):
-        return i * (nj + ng) + nj + x
-
-    ncols = k * (nj + ng)
-    rows, rhs = [], []
-
-    for x in range(ng):  # step 1 start equals p
+    for x, (r, _, _) in enumerate(columns):  # step 1 start equals p
         row = [0] * ncols
-        for j in range(nj):
-            row[lam_col(0, j)] = rvec[j][x]
-        row[t_col(0, x)] = 1
+        row[:nj] = r
+        row[nj + x] = 1
         rows.append(row)
-        rhs.append(pv[x])
-    for i in range(k - 1):  # end of step i equals start of step i+1
-        for x in range(ng):
+    for a in range(0, (k - 1) * width, width):  # end of step i = start of i+1
+        b = a + width
+        for x, (_, neg_r, s) in enumerate(columns):
             row = [0] * ncols
-            for j in range(nj):
-                row[lam_col(i, j)] = svec[j][x]
-                row[lam_col(i + 1, j)] = -rvec[j][x]
-            row[t_col(i, x)] = 1
-            row[t_col(i + 1, x)] = -1
+            row[a : a + nj] = s
+            row[b : b + nj] = neg_r
+            row[a + nj + x] = 1
+            row[b + nj + x] = -1
             rows.append(row)
-            rhs.append(0)
-    for x in range(ng):  # step k end equals q
+    last = ncols - width
+    for x, (_, _, s) in enumerate(columns):  # step k end equals q
         row = [0] * ncols
-        for j in range(nj):
-            row[lam_col(k - 1, j)] = svec[j][x]
-        row[t_col(k - 1, x)] = 1
+        row[last : last + nj] = s
+        row[last + nj + x] = 1
         rows.append(row)
-        rhs.append(qv[x])
-    return rows, rhs
+    return rows, [*pv, *[0] * ((k - 1) * ng), *qv]
 
 
 def verify_verdict(
@@ -358,6 +356,8 @@ def verify_verdict(
         current = pres.vector(e1.rep)
         for step in verdict.path:
             if len(step.lambdas) != len(pres.symmetric_relations):
+                return False
+            if len(step.spectator) != len(pres.generators):
                 return False
             if any(l < 0 for l in step.lambdas) or any(
                 t < 0 for t in step.spectator

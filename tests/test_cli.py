@@ -2,6 +2,8 @@
 verb coverage of every module operation."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -18,6 +20,14 @@ import convexion.simplicial as simplicial_mod
 import convexion.tensor as tensor_mod
 from convexion import jsonio
 from convexion.cli import VERB_OPERATIONS, run
+
+
+# Child processes import convexion from this checkout's src/.
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+)
 
 
 def write(tmp_path, name, payload):
@@ -837,6 +847,7 @@ def _run_process(*argv):
         [sys.executable, "-m", "convexion", *argv],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     return out.returncode, json.loads(out.stdout), out.stderr
 
@@ -891,6 +902,72 @@ def test_non_integer_job_bound_exit_two(tmp_path, bound):
     assert report["error"].startswith("InvalidInput")
 
 
+# The segment m = a/2 + b/2: one relation, so two symmetrized pairs.
+SEGMENT = {
+    "generators": ["a", "b", "m"],
+    "relations": [
+        [
+            {"weights": [{"el": "m", "w": "1"}]},
+            {"weights": [{"el": "a", "w": "1/2"}, {"el": "b", "w": "1/2"}]},
+        ]
+    ],
+}
+MIDPOINT = {"weights": [{"el": "m", "w": "1"}]}
+HALVES = {"weights": [{"el": "a", "w": "1/2"}, {"el": "b", "w": "1/2"}]}
+
+
+def _verify_job(tmp_path, verdict, lhs=MIDPOINT, rhs=HALVES):
+    return write(
+        tmp_path,
+        "verify.json",
+        {
+            "op": "verify",
+            "presentation": SEGMENT,
+            "lhs": lhs,
+            "rhs": rhs,
+            "verdict": verdict,
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "verdict, where",
+    [
+        ({"status": "equal", "path": [{"lambdas": ["x"]}]}, "verdict.path[0].lambdas[0]:"),
+        (
+            {"status": "equal", "path": [{"lambdas": ["1", "0"], "spectator": []}]},
+            "verdict.path[0].spectator:",
+        ),
+        ({"status": "equal", "path": [7]}, "verdict.path[0]:"),
+        ({"status": "distinct", "invariant": {"a": "1/0"}}, "verdict.invariant['a']:"),
+        ({"status": "equal", "path": {}}, "verdict.path:"),
+        ({"status": "equal", "path": [{"lambdas": "10"}]}, "verdict.path[0].lambdas:"),
+        ({"status": "equal", "path": [{"lambdas": ["-1", "0"]}]}, "verdict.path[0].lambdas[0]:"),
+        (
+            {"status": "equal", "path": [{"lambdas": ["1", "0"], "spectator": {"z": "0"}}]},
+            "verdict.path[0].spectator:",
+        ),
+        ({"status": "equl"}, "verdict.status:"),
+    ],
+)
+def test_malformed_certificate_exit_two(tmp_path, verdict, where):
+    code, report, stderr = _run_process("eq", "--job", _verify_job(tmp_path, verdict))
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"].startswith(where)
+
+
+def test_well_formed_certificates_verify(tmp_path):
+    step = {"lambdas": ["1", "0"], "spectator": {}}
+    job = _verify_job(tmp_path, {"status": "equal", "path": [step]})
+    code, report, _ = _run_process("eq", "--job", job)
+    assert code == 0 and report["result"]["verified"] is True
+    # An invariant may take negative values: -a + b is constant on m = a/2 + b/2.
+    distinct = {"status": "distinct", "invariant": {"a": "-1", "b": "1"}}
+    a, b = ({"weights": [{"el": g, "w": "1"}]} for g in "ab")
+    code, report, _ = _run_process("eq", "--job", _verify_job(tmp_path, distinct, a, b))
+    assert code == 0 and report["result"]["verified"] is True
+
+
 def test_check_failure_exit_one(tmp_path):
     pres = write(tmp_path, "p.json", PRES)
     job = write(
@@ -914,6 +991,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "convexion", "selfcheck"],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     assert out.returncode == 0
     payload = json.loads(out.stdout)
@@ -933,6 +1011,7 @@ def test_report_written_to_path(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     assert out.returncode == 0
     payload = json.loads(report_path.read_text())

@@ -1,6 +1,7 @@
 """Exact rational feasibility and nullspace computations."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexion import linalg, presentation
-from convexion.distribution import FiniteDistribution
-from convexion.presentation import Presentation
+from convexion.distribution import FiniteDistribution, delta
+from convexion.presentation import Presentation, ZigZagStep
+from convexion.tensor import universal_map
 
 F = Fraction
 
@@ -195,7 +197,9 @@ def _rewrite(rng, pres, start, length):
     for _ in range(length):
         usable = [
             (rv, sv)
-            for rv, sv in pres.symmetric_relation_vectors
+            for rv, sv in (
+                (pres.vector(r), pres.vector(s)) for r, s in pres.symmetric_relations
+            )
             if all(c != 0 for c, r in zip(cur, rv) if r != 0)
         ]
         if not usable:
@@ -211,6 +215,11 @@ def zigzag_corpus(seed=ZIGZAG_SEED, size=120):
     """Zig-zag systems of small random presentations at bounds 1-4: the
     target is a rewrite of the start within the bound (feasible), a longer
     rewrite, or an unrelated point."""
+    return [presentation._zigzag_lp(*case) for case in zigzag_cases(seed, size)]
+
+
+def zigzag_cases(seed=ZIGZAG_SEED, size=120):
+    """The (presentation, start, target, bound) behind each corpus system."""
     rng = random.Random(seed)
     corpus = []
     while len(corpus) < size:
@@ -234,7 +243,7 @@ def zigzag_corpus(seed=ZIGZAG_SEED, size=120):
             target = _rewrite(rng, pres, start, length)
             if target is None:
                 continue
-        corpus.append(presentation._zigzag_lp(pres, start, target, k))
+        corpus.append((pres, start, target, k))
     return corpus
 
 
@@ -258,3 +267,125 @@ def test_zigzag_outputs_are_pinned():
         outputs.append(x)
     assert sum(x is None for x in outputs) not in (0, len(outputs))
     assert _outputs_digest(outputs) == ZIGZAG_DIGEST
+
+
+# -- the LP rows and the replay against their dense oracles ------------------------------
+
+
+def dense_zigzag_lp(pres, pv, qv, k):
+    """The zig-zag LP as dense Fraction rows, one cell at a time: the
+    builder that the cached relation columns replaced."""
+    pairs = [(pres.vector(r), pres.vector(s)) for r, s in pres.symmetric_relations]
+    rvec = [rv for rv, _ in pairs]
+    svec = [sv for _, sv in pairs]
+    nj = len(rvec)
+    ng = len(pres.generators)
+
+    def lam_col(i, j):
+        return i * (nj + ng) + j
+
+    def t_col(i, x):
+        return i * (nj + ng) + nj + x
+
+    ncols = k * (nj + ng)
+    rows, rhs = [], []
+    for x in range(ng):
+        row = [0] * ncols
+        for j in range(nj):
+            row[lam_col(0, j)] = rvec[j][x]
+        row[t_col(0, x)] = 1
+        rows.append(row)
+        rhs.append(pv[x])
+    for i in range(k - 1):
+        for x in range(ng):
+            row = [0] * ncols
+            for j in range(nj):
+                row[lam_col(i, j)] = svec[j][x]
+                row[lam_col(i + 1, j)] = -rvec[j][x]
+            row[t_col(i, x)] = 1
+            row[t_col(i + 1, x)] = -1
+            rows.append(row)
+            rhs.append(0)
+    for x in range(ng):
+        row = [0] * ncols
+        for j in range(nj):
+            row[lam_col(k - 1, j)] = svec[j][x]
+        row[t_col(k - 1, x)] = 1
+        rows.append(row)
+        rhs.append(qv[x])
+    return rows, rhs
+
+
+def _tensor_cases():
+    """The two fixed tensor instances of tests/test_tensor.py (the
+    27-generator segment cube and the 9-generator stall chain) at bounds 1-4."""
+    half = FiniteDistribution({"a": F(1, 2), "b": F(1, 2)})
+    seg = Presentation(["a", "b", "m"], [(delta("m"), half)])
+    third = F(1, 3)
+    a_rel = Presentation(
+        ["a", "b", "c"], [(delta("a"), FiniteDistribution({"b": F(1, 2), "c": F(1, 2)}))]
+    )
+    b_rel = Presentation(
+        ["a", "b", "c"],
+        [(delta("b"), FiniteDistribution({"a": third, "b": third, "c": third}))],
+    )
+    corners = FiniteDistribution({g: F(1, 8) for g in itertools.product("ab", repeat=3)})
+    stall_end = FiniteDistribution(
+        {("a", "b"): F(2, 9), ("b", "b"): F(1, 2), ("a", "a"): F(5, 36), ("a", "c"): F(5, 36)}
+    )
+    instances = [
+        ([seg] * 3, [seg.delta("m")] * 3, corners),
+        ([a_rel, b_rel], [a_rel.element(half), b_rel.delta("b")], stall_end),
+    ]
+    for factors, xs, end in instances:
+        start = universal_map(factors, xs)
+        pres = start.presentation
+        for k in range(1, 5):
+            yield pres, pres.vector(start.rep), pres.vector(end), k
+
+
+def test_zigzag_lp_rows_match_the_dense_builder():
+    cases = zigzag_cases() + list(_tensor_cases())
+    assert len(cases) == 128
+    for pres, pv, qv, k in cases:
+        rows, rhs = presentation._zigzag_lp(pres, pv, qv, k)
+        dense_rows, dense_rhs = dense_zigzag_lp(pres, pv, qv, k)
+        assert len(rows) == len(dense_rows) == len(rhs) == len(dense_rhs)
+        for row, b, dense_row, dense_b in zip(rows, rhs, dense_rows, dense_rhs):
+            assert len(row) == len(dense_row)
+            assert linalg._integer_row(row, b) == linalg._integer_row(dense_row, dense_b)
+
+
+def dense_endpoints(step, pres):
+    """Replay a step over every dense entry, zeros included."""
+    start = [F(v) for v in step.spectator]
+    end = list(start)
+    for lam, (r, s) in zip(step.lambdas, pres.symmetric_relations):
+        rv, sv = pres.vector(r), pres.vector(s)
+        for i in range(len(start)):
+            start[i] += lam * rv[i]
+            end[i] += lam * sv[i]
+    return start, end
+
+
+nonnegative = st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 6), st.integers(1, 7)))
+
+
+@given(st.data())
+def test_endpoints_match_a_dense_replay(data):
+    ng = data.draw(st.integers(1, 4))
+    gens = [f"g{i}" for i in range(ng)]
+
+    def side():
+        cuts = data.draw(st.lists(st.integers(0, 3), min_size=ng, max_size=ng))
+        if not any(cuts):
+            cuts[data.draw(st.integers(0, ng - 1))] = 1
+        return _dist(gens, [F(c, sum(cuts)) for c in cuts])
+
+    pres = Presentation(gens, [(side(), side()) for _ in range(data.draw(st.integers(0, 3)))])
+    nj = len(pres.symmetric_relations)
+    step = ZigZagStep(
+        tuple(data.draw(st.lists(nonnegative, min_size=nj, max_size=nj))),
+        tuple(data.draw(st.lists(nonnegative, min_size=ng, max_size=ng))),
+    )
+    assert step.endpoints(pres) == dense_endpoints(step, pres)

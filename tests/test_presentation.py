@@ -16,7 +16,9 @@ from convexion.errors import (
 )
 from convexion.presentation import (
     ConvexMap,
+    EqualityVerdict,
     Presentation,
+    ZigZagStep,
     eq,
     hom_combine,
     induce_map,
@@ -140,6 +142,19 @@ def test_eq_one_step_worked_example():
     assert v.is_equal
     assert len(v.path) == 1
     assert verify_verdict(v, lhs, rhs)
+
+
+def test_spectator_of_the_wrong_length_fails_to_verify():
+    # The relation's first side is d, the last generator, so a replay that
+    # trusted a short spectator would index past its end.
+    seg = Presentation(["a", "b", "d"], [(delta("d"), rd({"a": "1/2", "b": "1/2"}))])
+    lhs, rhs = seg.delta("d"), seg.element(rd({"a": "1/2", "b": "1/2"}))
+    good = eq(lhs, rhs, 1)
+    (step,) = good.path
+    assert step.spectator == (0, 0, 0) and verify_verdict(good, lhs, rhs)
+    for spectator in ((), (F(0),) * 2, (F(0),) * 4):
+        bad = EqualityVerdict("equal", path=(ZigZagStep(step.lambdas, spectator),))
+        assert not verify_verdict(bad, lhs, rhs)
 
 
 def test_eq_mismatch_raises():
