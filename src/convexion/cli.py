@@ -79,7 +79,10 @@ def handle_dist(job, ctx):
     op = job["op"]
     if op == "delta":
         semiring = semiring_by_name(job.get("semiring", "rational"))
-        out = delta(job["element"], semiring)
+        element = job.get("element")
+        if not isinstance(element, str):
+            raise ParseError("element: expected a JSON string")
+        out = delta(element, semiring)
         return {"distribution": jsonio.encode_distribution(out)}
     if op == "pushforward":
         out = pushforward(dict(job["map"]), _dist(job["dist"]))
@@ -180,6 +183,9 @@ def handle_eq(job, ctx):
             result["value"] = jsonio.encode_distribution(out.rep)
         return result
     if op == "verify":
+        for key in ("presentation", "lhs", "rhs", "verdict"):
+            if key not in job:
+                raise ParseError(f"{key}: missing from the verify job")
         lhs = pres.element(_dist(job["lhs"]))
         rhs = pres.element(_dist(job["rhs"]))
         verdict = jsonio.decode_verdict(job["verdict"], pres)

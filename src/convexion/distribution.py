@@ -7,11 +7,25 @@ stored, so two equal distributions always have identical internal state and
 equality is O(support).  Elements are arbitrary hashables (strings in the
 JSON interface; tuples and other distributions appear internally for
 tensors and nesting).
+
+Next to its payload map every distribution keeps its integer form, built
+once by the constructor: ``_nums`` maps each support element to a positive
+int and ``_den`` is one common denominator, with the semiring fixing the
+form (``Semiring.int_form``).  Over the rationals ``_den`` is the lcm of
+the reduced denominators, so ``gcd(_den, *_nums.values()) == 1``: the form
+is canonical, equal distributions have equal forms, and normalisation is
+``sum(_nums.values()) == _den``.  Over the Booleans every weight is 1 over
+1.  ``flatten``, ``convex_combine`` and ``pushforward`` add integer
+numerators over one common denominator and build their result through one
+trusted constructor, which brings the sum into canonical form and makes
+one payload per support element; equality and hashing read the integer
+form, everything else the payloads.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import NotConvexVector, NotNormalized, SemiringMismatch, UndefinedOnSupport
@@ -44,9 +58,14 @@ def element_label(el) -> str:
 
 
 class FiniteDistribution:
-    """Finite-support weight map summing to one in its semiring."""
+    """Finite-support weight map summing to one in its semiring.
 
-    __slots__ = ("semiring", "_weights", "_hash")
+    ``_weights`` holds the payloads (element -> nonzero weight) and
+    ``_nums``/``_den`` the same weights as integer numerators over one
+    denominator in the semiring's canonical form (see the module text).
+    """
+
+    __slots__ = ("semiring", "_weights", "_nums", "_den", "_hash")
 
     def __init__(self, weights: Mapping, semiring: Semiring = RATIONAL):
         cleaned = {}
@@ -57,14 +76,27 @@ class FiniteDistribution:
             if el in cleaned:
                 w = semiring.add(cleaned[el], w)
             cleaned[el] = w
-        total = semiring.sum(cleaned.values())
-        if not semiring.is_one(total):
+        nums, den = semiring.int_form(cleaned)
+        if not semiring.is_normalized(nums, den):
+            total = semiring.sum(cleaned.values())
             raise NotNormalized(
                 f"weights sum to {semiring.format(total)}, expected 1"
             )
         self.semiring = semiring
         self._weights = cleaned
+        self._nums = nums
+        self._den = den
         self._hash = None
+
+    @classmethod
+    def _from_numerators(cls, acc: dict, den: int, semiring: Semiring):
+        """Trusted constructor: ``acc`` maps elements to positive ints that
+        sum to ``den``; the semiring brings them into canonical form."""
+        self = object.__new__(cls)
+        self.semiring = semiring
+        self._nums, self._den, self._weights = semiring.canonical_form(acc, den)
+        self._hash = None
+        return self
 
     # -- access ---------------------------------------------------------
 
@@ -93,12 +125,16 @@ class FiniteDistribution:
     def __eq__(self, other):
         if not isinstance(other, FiniteDistribution):
             return NotImplemented
-        return self.semiring is other.semiring and self._weights == other._weights
+        return (
+            self.semiring is other.semiring
+            and self._den == other._den
+            and self._nums == other._nums
+        )
 
     def __hash__(self):
         if self._hash is None:
             self._hash = hash(
-                (self.semiring.name, frozenset(self._weights.items()))
+                (self.semiring.name, self._den, frozenset(self._nums.items()))
             )
         return self._hash
 
@@ -112,7 +148,7 @@ class FiniteDistribution:
 
 def delta(el, semiring: Semiring = RATIONAL) -> FiniteDistribution:
     """The point distribution concentrated on el."""
-    return FiniteDistribution({el: semiring.one()}, semiring)
+    return FiniteDistribution._from_numerators({el: 1}, 1, semiring)
 
 
 def _apply(f, el):
@@ -128,34 +164,47 @@ def _apply(f, el):
         ) from exc
 
 
+def _mix(parts, den: int, sr: Semiring) -> FiniteDistribution:
+    """The distribution sum_q (s_q / den) * q over pairs (s_q, q) of
+    nonnegative ints s_q summing to den and distributions q over sr."""
+    parts = [(s, q) for s, q in parts if s]
+    scale = lcm(*[q._den for _, q in parts])
+    acc: dict = {}
+    get = acc.get
+    for s, q in parts:
+        s *= scale // q._den
+        for el, n in q._nums.items():
+            acc[el] = get(el, 0) + s * n
+    return FiniteDistribution._from_numerators(acc, den * scale, sr)
+
+
 def pushforward(f, p: FiniteDistribution) -> FiniteDistribution:
     """Image distribution: the weight of y is the sum of p over its fibre."""
-    sr = p.semiring
-    out: dict = {}
-    for el, w in p._weights.items():
+    acc: dict = {}
+    get = acc.get
+    for el, n in p._nums.items():
         y = _apply(f, el)
-        out[y] = sr.add(out[y], w) if y in out else w
-    return FiniteDistribution(out, sr)
+        acc[y] = get(y, 0) + n
+    return FiniteDistribution._from_numerators(acc, p._den, p.semiring)
 
 
 def flatten(nested: FiniteDistribution) -> FiniteDistribution:
     """Monad multiplication: weight of x is sum over q of P(q) * q(x)."""
     sr = nested.semiring
-    out: dict = {}
-    for q, outer in nested._weights.items():
+    for q in nested._nums:
         if not isinstance(q, FiniteDistribution):
             raise SemiringMismatch("flatten needs a distribution of distributions")
         if q.semiring is not sr:
             raise SemiringMismatch("inner and outer semirings differ")
-        for el, inner in q._weights.items():
-            w = sr.mul(outer, inner)
-            out[el] = sr.add(out[el], w) if el in out else w
-    return FiniteDistribution(out, sr)
+    return _mix(((s, q) for q, s in nested._nums.items()), nested._den, sr)
+
+
+def _coefficient_form(alpha: Sequence, sr: Semiring):
+    return sr.int_form(dict(enumerate(sr.coerce(a) for a in alpha)))
 
 
 def is_convex_vector(alpha: Sequence, semiring: Semiring = RATIONAL) -> bool:
-    vals = [semiring.coerce(a) for a in alpha]
-    return semiring.is_one(semiring.sum(vals))
+    return semiring.is_normalized(*_coefficient_form(alpha, semiring))
 
 
 def convex_combine(
@@ -172,17 +221,10 @@ def convex_combine(
     for p in ps:
         if p.semiring is not sr:
             raise SemiringMismatch("mixed semirings in convex combination")
-    coeffs = [sr.coerce(a) for a in alpha]
-    if not sr.is_one(sr.sum(coeffs)):
+    nums, den = _coefficient_form(alpha, sr)
+    if not sr.is_normalized(nums, den):
         raise NotConvexVector("coefficients do not sum to 1")
-    out: dict = {}
-    for a, p in zip(coeffs, ps):
-        if sr.is_zero(a):
-            continue
-        for el, w in p._weights.items():
-            term = sr.mul(a, w)
-            out[el] = sr.add(out[el], term) if el in out else term
-    return FiniteDistribution(out, sr)
+    return _mix(zip(nums.values(), ps), den, sr)
 
 
 def map_delta(p: FiniteDistribution) -> FiniteDistribution:

@@ -237,6 +237,8 @@ def decode_verdict(payload, pres: Presentation) -> EqualityVerdict:
     ParseError naming its JSON path below the verdict."""
     status = _require(payload, "status", "verdict")
     bound = payload.get("bound", 0)
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+        raise ParseError("verdict.bound: expected a nonnegative integer")
     labels = {element_label(g): i for i, g in enumerate(pres.generators)}
     if status == "equal":
         raw_path = _typed(payload.get("path", []), list, "verdict.path")

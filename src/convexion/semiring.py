@@ -5,13 +5,25 @@ payloads, always in lowest terms) and the Boolean semiring (``bool``
 payloads, or/and).  Both are semifields: every nonzero value is invertible.
 Values are plain payloads; the semiring object supplies the operations, so
 containers carry one semiring reference instead of wrapping every scalar.
+
+Each semiring also fixes the integer form of a weight map that
+``distribution.py`` computes with: numerators (element -> int) over one
+common denominator, with the semiring's normalisation test and its
+canonical form of an accumulated sum.  Rationals use the lcm of the
+reduced denominators and divide a sum by its gcd; Booleans use weight 1
+over 1 for every support element.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ParseError, SemiringMismatch
+
+# Fractions are immutable, so every rational zero and one can be these two.
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class Semiring:
@@ -59,6 +71,22 @@ class Semiring:
     def format(self, v) -> str:
         raise NotImplementedError
 
+    # -- integer form ------------------------------------------------------
+
+    def int_form(self, weights):
+        """(nums, den): integer numerators over one denominator for a map of
+        payloads; a zero payload gets numerator 0."""
+        raise NotImplementedError
+
+    def is_normalized(self, nums, den) -> bool:
+        """Whether the integer form (nums, den) sums to one."""
+        raise NotImplementedError
+
+    def canonical_form(self, acc, den):
+        """(nums, den, weights): the canonical integer form and the payloads
+        of positive integer numerators ``acc`` over ``den`` that sum to one."""
+        raise NotImplementedError
+
     def __repr__(self):
         return f"<semiring {self.name}>"
 
@@ -69,10 +97,10 @@ class RationalSemiring(Semiring):
     name = "rational"
 
     def zero(self):
-        return Fraction(0)
+        return ZERO
 
     def one(self):
-        return Fraction(1)
+        return ONE
 
     def is_value(self, v):
         return isinstance(v, Fraction) and v >= 0
@@ -88,6 +116,9 @@ class RationalSemiring(Semiring):
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return 1 / a
 
+    def is_zero(self, v) -> bool:
+        return not v
+
     def coerce(self, v):
         if isinstance(v, bool):
             raise SemiringMismatch("boolean payload in a rational context")
@@ -99,7 +130,7 @@ class RationalSemiring(Semiring):
             return self.parse(v)
         else:
             raise ParseError(f"cannot coerce {v!r} to a nonnegative rational")
-        if out < 0:
+        if out.numerator < 0:
             raise ParseError(f"negative coefficient {out} is not allowed")
         return out
 
@@ -114,6 +145,20 @@ class RationalSemiring(Semiring):
 
     def format(self, v) -> str:
         return str(Fraction(v))
+
+    def int_form(self, weights):
+        den = lcm(*[w.denominator for w in weights.values()])
+        return {el: w.numerator * (den // w.denominator) for el, w in weights.items()}, den
+
+    def is_normalized(self, nums, den):
+        return sum(nums.values()) == den
+
+    def canonical_form(self, acc, den):
+        g = gcd(den, *acc.values())
+        if g != 1:
+            den //= g
+            acc = {el: n // g for el, n in acc.items()}
+        return acc, den, {el: Fraction(n, den) for el, n in acc.items()}
 
 
 class BooleanSemiring(Semiring):
@@ -160,6 +205,15 @@ class BooleanSemiring(Semiring):
 
     def format(self, v) -> str:
         return "1" if v else "0"
+
+    def int_form(self, weights):
+        return {el: int(w) for el, w in weights.items()}, 1
+
+    def is_normalized(self, nums, den):
+        return any(nums.values())
+
+    def canonical_form(self, acc, den):
+        return dict.fromkeys(acc, 1), 1, dict.fromkeys(acc, True)
 
 
 RATIONAL = RationalSemiring()

@@ -968,6 +968,45 @@ def test_well_formed_certificates_verify(tmp_path):
     assert code == 0 and report["result"]["verified"] is True
 
 
+@pytest.mark.parametrize("missing", ["presentation", "lhs", "rhs", "verdict"])
+def test_verify_job_missing_field_exit_two(tmp_path, missing):
+    payload = {
+        "op": "verify",
+        "presentation": SEGMENT,
+        "lhs": MIDPOINT,
+        "rhs": HALVES,
+        "verdict": {"status": "unknown"},
+    }
+    del payload[missing]
+    job = write(tmp_path, "verify.json", payload)
+    code, report, stderr = _run_process("eq", "--job", job)
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"].startswith(f"{missing}:")
+
+
+@pytest.mark.parametrize("bound", [{}, -1, "2", None, True, 1.5])
+def test_verdict_bound_must_be_a_nonnegative_int(tmp_path, bound):
+    verdict = {"status": "unknown", "bound": bound}
+    code, report, stderr = _run_process("eq", "--job", _verify_job(tmp_path, verdict))
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"].startswith("verdict.bound:")
+
+
+def test_verdict_bound_in_range_verifies(tmp_path):
+    for bound in (0, 3):
+        verdict = {"status": "unknown", "bound": bound}
+        code, report, _ = _run_process("eq", "--job", _verify_job(tmp_path, verdict))
+        assert code == 0 and report["result"]["verified"] is True
+
+
+@pytest.mark.parametrize("element", [7, None, [], {}])
+def test_delta_element_must_be_a_string(tmp_path, element):
+    job = write(tmp_path, "delta.json", {"op": "delta", "element": element})
+    code, report, stderr = _run_process("dist", "--job", job)
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"].startswith("element:")
+
+
 def test_check_failure_exit_one(tmp_path):
     pres = write(tmp_path, "p.json", PRES)
     job = write(

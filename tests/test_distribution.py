@@ -1,5 +1,6 @@
 """Distribution monad: unit, pushforward, flatten, mixtures."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,17 @@ from convexion.distribution import (
     convex_combine,
     delta,
     flatten,
+    is_convex_vector,
     map_delta,
     pushforward,
 )
-from convexion.errors import NotConvexVector, NotNormalized, UndefinedOnSupport
+from convexion.errors import (
+    NotConvexVector,
+    NotNormalized,
+    ParseError,
+    SemiringMismatch,
+    UndefinedOnSupport,
+)
 from convexion.semiring import BOOLEAN, RATIONAL
 
 F = Fraction
@@ -267,3 +275,215 @@ def test_boolean_pushforward_is_image():
     assert pushforward({"a": "x", "b": "x", "c": "y"}, s) == boolean_subset(
         ["x", "y"]
     )
+
+
+# -- integer form against the Fraction accumulation it replaced --------------
+#
+# These are the constructor and operation loops that accumulated one
+# semiring add or multiply per term before distributions kept an integer
+# form; they stay here as the oracle for both semirings.
+
+
+def fraction_cleaned(weights, sr):
+    cleaned = {}
+    for el, w in weights.items():
+        w = sr.coerce(w)
+        if sr.is_zero(w):
+            continue
+        if el in cleaned:
+            w = sr.add(cleaned[el], w)
+        cleaned[el] = w
+    return cleaned, sr.is_one(sr.sum(cleaned.values()))
+
+
+def fraction_pushforward(f, p):
+    sr = p.semiring
+    out = {}
+    for el, w in p.as_dict().items():
+        y = f[el]
+        out[y] = sr.add(out[y], w) if y in out else w
+    return out
+
+
+def fraction_flatten(nested):
+    sr = nested.semiring
+    out = {}
+    for q, outer in nested.as_dict().items():
+        for el, inner in q.as_dict().items():
+            w = sr.mul(outer, inner)
+            out[el] = sr.add(out[el], w) if el in out else w
+    return out
+
+
+def fraction_convex_combine(alpha, ps):
+    sr = ps[0].semiring
+    coeffs = [sr.coerce(a) for a in alpha]
+    out = {}
+    for a, p in zip(coeffs, ps):
+        if sr.is_zero(a):
+            continue
+        for el, w in p.as_dict().items():
+            term = sr.mul(a, w)
+            out[el] = sr.add(out[el], term) if el in out else term
+    return out
+
+
+def assert_integer_form(p):
+    """The stored integer form is the canonical form of the payloads."""
+    weights = p.as_dict()
+    assert list(p._nums) == list(weights)
+    if p.semiring is BOOLEAN:
+        assert p._den == 1 and set(p._nums.values()) <= {1}
+        assert all(w is True for w in weights.values())
+        return
+    assert p._den == math.lcm(*(w.denominator for w in weights.values()))
+    assert math.gcd(p._den, *p._nums.values()) == 1
+    assert sum(p._nums.values()) == p._den
+    for el, n in p._nums.items():
+        assert n > 0 and type(weights[el]) is F and F(n, p._den) == weights[el]
+
+
+LEAVES = ("a", "b", "c", 3, ("a", 1))
+
+
+def spelled(w):
+    """One of the payload spellings the constructor accepts for w."""
+    return st.sampled_from(
+        [w, str(w), f"{2 * w.numerator}/{2 * w.denominator}"]
+        + ([int(w)] if w.denominator == 1 else [])
+    )
+
+
+@st.composite
+def weight_maps(draw, sr, elements=LEAVES, zeros=True):
+    """A raw weight map over sr summing to one, in mixed spellings, maybe
+    with zero entries."""
+    els = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=len(elements), unique=True))
+    if sr is BOOLEAN:
+        flags = draw(st.lists(st.booleans(), min_size=len(els), max_size=len(els)))
+        flags[draw(st.integers(0, len(els) - 1))] = True
+        return {el: draw(st.sampled_from([flag, int(flag), str(int(flag))])) for el, flag in zip(els, flags)}
+    cuts = [draw(st.integers(0 if zeros else 1, 6)) for _ in els]
+    if not any(cuts):
+        cuts[0] = 1
+    return {el: draw(spelled(F(c, sum(cuts)))) for el, c in zip(els, cuts)}
+
+
+def dists(sr, elements=LEAVES):
+    return weight_maps(sr, elements).map(lambda w: FiniteDistribution(w, sr))
+
+
+SEMIRINGS = st.sampled_from([RATIONAL, BOOLEAN])
+
+
+@st.composite
+def nested_dists(draw, sr, depth):
+    """A distribution of distributions whose leaves may themselves be
+    distributions (depth 2)."""
+    leaves = list(LEAVES)
+    if depth > 1:
+        leaves += draw(st.lists(dists(sr), min_size=1, max_size=3))
+    inner = draw(st.lists(dists(sr, leaves), min_size=1, max_size=4, unique=True))
+    return FiniteDistribution(draw(weight_maps(sr, inner)), sr)
+
+
+@given(SEMIRINGS.flatmap(lambda sr: st.tuples(st.just(sr), weight_maps(sr))))
+def test_constructor_matches_fraction_oracle(case):
+    sr, raw = case
+    p = FiniteDistribution(raw, sr)
+    cleaned, normalized = fraction_cleaned(raw, sr)
+    assert normalized and p.as_dict() == cleaned
+    assert_integer_form(p)
+
+
+@given(st.data())
+def test_flatten_matches_fraction_oracle(data):
+    sr = data.draw(SEMIRINGS)
+    nested = data.draw(nested_dists(sr, data.draw(st.integers(1, 2))))
+    got = flatten(nested)
+    assert got.as_dict() == fraction_flatten(nested)
+    assert_integer_form(got)
+
+
+@given(st.data())
+def test_convex_combine_matches_fraction_oracle(data):
+    sr = data.draw(SEMIRINGS)
+    ps = data.draw(st.lists(dists(sr), min_size=1, max_size=4))
+    # zero coefficients are allowed and drop their summand
+    raw = data.draw(weight_maps(sr, range(len(ps))))
+    alpha = [raw.get(i, 0) for i in range(len(ps))]
+    got = convex_combine(alpha, ps)
+    assert got.as_dict() == fraction_convex_combine(alpha, ps)
+    assert_integer_form(got)
+    assert is_convex_vector(alpha, sr)
+
+
+@given(st.data())
+def test_pushforward_matches_fraction_oracle(data):
+    sr = data.draw(SEMIRINGS)
+    p = data.draw(st.one_of(dists(sr), nested_dists(sr, 1)))
+    f = {el: data.draw(st.sampled_from(["u", "v", delta("w", sr), 5])) for el in p.support()}
+    got = pushforward(f, p)
+    assert got.as_dict() == fraction_pushforward(f, p)
+    assert_integer_form(got)
+
+
+@given(st.lists(st.sampled_from(["0", "1/3", "2/3", "1/2", "1", 0, 1, F(1, 6)]), max_size=4))
+def test_is_convex_vector_matches_fraction_sum(alpha):
+    assert is_convex_vector(alpha) == RATIONAL.is_one(RATIONAL.sum(RATIONAL.coerce(a) for a in alpha))
+
+
+@given(st.data())
+def test_equality_and_hash_ignore_spelling(data):
+    sr = data.draw(SEMIRINGS)
+    p = data.draw(dists(sr))
+    respelled = {}
+    for el, w in p.as_dict().items():
+        respelled[el] = w if sr is BOOLEAN else data.draw(spelled(w))
+    respelled[data.draw(st.sampled_from(["z0", "z1"]))] = 0
+    q = FiniteDistribution(dict(reversed(list(respelled.items()))), sr)
+    assert q == p and hash(q) == hash(p)
+    assert_integer_form(q)
+
+
+def test_equality_and_hash_on_fixed_spellings():
+    half = FiniteDistribution({"x": "2/4", "y": F(1, 2), "z": 0})
+    assert half == FiniteDistribution({"y": "1/2", "x": F(1, 2)})
+    assert hash(half) == hash(FiniteDistribution({"y": "1/2", "x": F(1, 2)}))
+    one = FiniteDistribution({"x": 1, "y": "0/5"})
+    assert one == delta("x") == FiniteDistribution({"x": "3/3"})
+    assert hash(one) == hash(delta("x"))
+    assert half != FiniteDistribution({"x": F(1, 3), "y": F(2, 3)})
+    assert delta("x") != delta("x", BOOLEAN)
+    nested = FiniteDistribution({half: "1/3", one: "2/3"})
+    assert nested == FiniteDistribution({one: F(2, 3), FiniteDistribution({"x": "1/2", "y": "1/2"}): F(1, 3)})
+    assert hash(nested) == hash(FiniteDistribution({one: F(4, 6), half: F(2, 6)}))
+
+
+def test_error_messages_are_unchanged():
+    with pytest.raises(NotNormalized, match=r"^weights sum to 3/4, expected 1$"):
+        FiniteDistribution({"a": "1/2", "b": F(1, 4)})
+    with pytest.raises(NotNormalized, match=r"^weights sum to 0, expected 1$"):
+        FiniteDistribution({"a": 0})
+    with pytest.raises(NotNormalized, match=r"^weights sum to 0, expected 1$"):
+        FiniteDistribution({}, BOOLEAN)
+    with pytest.raises(NotConvexVector, match="coefficients do not sum to 1"):
+        convex_combine(["1/2", "1/3"], [delta("a"), delta("b")])
+    with pytest.raises(NotConvexVector, match="coefficients do not sum to 1"):
+        convex_combine([False], [delta("a", BOOLEAN)])
+    with pytest.raises(ParseError, match="negative coefficient"):
+        FiniteDistribution({"a": "-1/2", "b": "3/2"})
+    with pytest.raises(ParseError, match="negative coefficient"):
+        FiniteDistribution({"a": F(-1, 2), "b": F(3, 2)})
+    with pytest.raises(ParseError, match="negative coefficient"):
+        convex_combine([-1, 2], [delta("a"), delta("b")])
+    with pytest.raises(SemiringMismatch, match="boolean payload"):
+        FiniteDistribution({"a": True})
+    with pytest.raises(SemiringMismatch, match="boolean payload"):
+        convex_combine([True], [delta("a")])
+    with pytest.raises(SemiringMismatch, match="distribution of distributions"):
+        flatten(FiniteDistribution({"a": "1/2", delta("b"): "1/2"}))
+    with pytest.raises(SemiringMismatch, match="semirings differ"):
+        flatten(FiniteDistribution({delta("a", BOOLEAN): 1}))
+    with pytest.raises(SemiringMismatch, match="mixed semirings"):
+        convex_combine([1, 0], [delta("a"), delta("a", BOOLEAN)])
