@@ -65,11 +65,25 @@ def _dist(payload):
     return jsonio.decode_distribution(payload)
 
 
+class Job(dict):
+    """The top-level object of a job file.  A missing field is a
+    ParseError naming it (exit 2), not a KeyError."""
+
+    def __init__(self, payload, name):
+        if not isinstance(payload, dict):
+            raise ParseError(f"{name} job: expected a JSON object")
+        super().__init__(payload)
+        self.name = name
+
+    def __missing__(self, key):
+        raise ParseError(f"{key}: missing from the {self.name} job")
+
+
 def _load_job(path):
     job = jsonio.load_json(path)
-    if "op" not in job:
+    if not isinstance(job, dict) or "op" not in job:
         raise ParseError(f"{path}: job file has no 'op' field")
-    return job
+    return Job(job, job["op"])
 
 
 # -- dist ---------------------------------------------------------------------------
@@ -119,8 +133,8 @@ def handle_eq_flags(args, ctx):
 
 def handle_eq(job, ctx):
     op = job["op"]
-    pres = jsonio.decode_presentation(job["presentation"]) if "presentation" in job else None
     if op == "eq":
+        pres = jsonio.decode_presentation(job["presentation"])
         lhs = pres.element(_dist(job["lhs"]))
         rhs = pres.element(_dist(job["rhs"]))
         verdict = eq(lhs, rhs, job.get("bound", ctx["bound"]))
@@ -129,6 +143,7 @@ def handle_eq(job, ctx):
             "verified": verify_verdict(verdict, lhs, rhs),
         }
     if op == "quotient_mix":
+        pres = jsonio.decode_presentation(job["presentation"])
         alpha = [RATIONAL.parse(str(a)) for a in job["alpha"]]
         elements = [pres.element(_dist(d)) for d in job["elements"]]
         out = quotient_mix(alpha, elements)
@@ -183,9 +198,7 @@ def handle_eq(job, ctx):
             result["value"] = jsonio.encode_distribution(out.rep)
         return result
     if op == "verify":
-        for key in ("presentation", "lhs", "rhs", "verdict"):
-            if key not in job:
-                raise ParseError(f"{key}: missing from the verify job")
+        pres = jsonio.decode_presentation(job["presentation"])
         lhs = pres.element(_dist(job["lhs"]))
         rhs = pres.element(_dist(job["rhs"]))
         verdict = jsonio.decode_verdict(job["verdict"], pres)
@@ -768,7 +781,7 @@ def handle_entropy(args, ctx):
         mixed = convex_combine_morphisms(lam, f, g)
         return {"morphism": jsonio.encode_prob_morphism(mixed)}
     if action == "xi":
-        payload = jsonio.load_json(args.input)
+        payload = Job(jsonio.load_json(args.input), "xi")
         alpha = QConvOp([RATIONAL.parse(str(a)) for a in payload["alpha"]])
         dists = [_dist(d) for d in payload["dists"]]
         out = dist_lax_xi(alpha, dists)

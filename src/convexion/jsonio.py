@@ -75,9 +75,13 @@ def decode_distribution(payload, semiring: Semiring | None = None) -> FiniteDist
     if semiring is None:
         semiring = _semiring_of(payload)
     entries = _require(payload, "weights", "distribution")
+    if not isinstance(entries, list):
+        raise ParseError("weights: expected a JSON list")
     weights = {}
-    for item in entries:
+    for i, item in enumerate(entries):
         el = _require(item, "el", "distribution weight")
+        if not isinstance(el, str):
+            raise ParseError(f"weights[{i}].el: expected a JSON string")
         w = semiring.parse(str(_require(item, "w", "distribution weight")))
         if el in weights:
             raise ParseError(f"duplicate element {el!r} in distribution")

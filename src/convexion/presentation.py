@@ -10,8 +10,12 @@ elements is decided (where possible) by a three-valued engine:
   symmetrized relation pairs (r_j, s_j) and a nonnegative spectator vector t
   with p = sum_j lambda_j r_j + t and q = sum_j lambda_j s_j + t.  The
   spectator makes partial rewriting a single step.  A k-step zig-zag is one
-  exact LP (intermediate points are chained and eliminated), so the decision
-  runs a single feasibility problem at the step bound.
+  exact LP (intermediate points are chained and eliminated).  The search
+  deepens: it solves at k = 1, 2, 4, ... with the last k clamped to the
+  step bound, and stops at the first feasible LP.  Padding with an
+  all-zero step turns a k-step zig-zag into a (k+1)-step one, so
+  feasibility is monotone in k and the first feasible level decides the
+  same status as one LP at the bound.
 * Distinct -- witnessed by an affine invariant: a rational assignment on the
   generators whose induced affine functional is constant across every
   relation pair but differs on the two inputs.  Such functionals are
@@ -19,7 +23,9 @@ elements is decided (where possible) by a three-valued engine:
 * Unknown -- neither certificate found within the step bound.  Completeness
   is not claimed; callers that need a decision treat Unknown as an error.
 
-Both witness kinds replay mechanically; see verify_verdict.
+Both witness kinds replay mechanically; see verify_verdict.  A verdict's
+bound is the step bound that was asked for, not the level where the
+search stopped.
 """
 
 from __future__ import annotations
@@ -237,7 +243,7 @@ class EqualityVerdict:
     status: str  # "equal" | "distinct" | "unknown"
     path: tuple = ()  # ZigZagSteps for Equal
     invariant: tuple = ()  # dense rational assignment for Distinct
-    bound: int = DEFAULT_STEP_BOUND
+    bound: int = DEFAULT_STEP_BOUND  # the requested step bound
 
     @property
     def is_equal(self):
@@ -257,7 +263,14 @@ def eq(
     e2: PresentedElement,
     step_bound: int = DEFAULT_STEP_BOUND,
 ) -> EqualityVerdict:
-    """Decide equality in the quotient, with a replayable certificate."""
+    """Decide equality in the quotient, with a replayable certificate.
+
+    Distinct is tried first, through the invariant basis.  Then the
+    zig-zag LP is solved at k = 1, 2, 4, ..., step_bound; the first
+    feasible level gives Equal with its path (at most k steps), and if
+    every level is infeasible the verdict is Unknown.  The verdict's bound
+    is step_bound, whichever level decided it.
+    """
     if e1.presentation != e2.presentation:
         raise PresentationMismatch("eq needs elements of one presentation")
     if not isinstance(step_bound, int) or isinstance(step_bound, bool):
@@ -277,11 +290,22 @@ def eq(
                 "distinct", invariant=tuple(vec), bound=step_bound
             )
 
-    if step_bound >= 1 and pres.relations:
-        steps = _zigzag_search(pres, e1.rep, e2.rep, step_bound)
-        if steps is not None:
-            return EqualityVerdict("equal", path=steps, bound=step_bound)
+    if pres.relations:
+        for k in _deepening_levels(step_bound):
+            steps = _zigzag_search(pres, e1.rep, e2.rep, k)
+            if steps is not None:
+                return EqualityVerdict("equal", path=steps, bound=step_bound)
     return EqualityVerdict("unknown", bound=step_bound)
+
+
+def _deepening_levels(bound):
+    """The step counts eq solves at: 1, 2, 4, ..., the last clamped to bound."""
+    k = 1
+    while k < bound:
+        yield k
+        k *= 2
+    if bound >= 1:
+        yield bound
 
 
 def _zigzag_search(pres, p, q, k):

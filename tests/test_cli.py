@@ -1007,6 +1007,51 @@ def test_delta_element_must_be_a_string(tmp_path, element):
     assert report["error"].startswith("element:")
 
 
+@pytest.mark.parametrize("el", [7, [], None, {}])
+def test_weight_element_must_be_a_string(tmp_path, el):
+    bad = {"weights": [{"el": "a", "w": "1/2"}, {"el": el, "w": "1/2"}]}
+    job = write(tmp_path, "flat.json", {"op": "flatten", "outer": [{"weight": "1", "dist": bad}]})
+    code, report, stderr = _run_process("dist", "--job", job)
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"] == "weights[1].el: expected a JSON string"
+
+
+# One job per verb, each without a field its handler reads unconditionally.
+MISSING_FIELD_JOBS = [
+    ("dist", {"op": "flatten"}, "outer"),
+    ("eq", {"op": "eq", "lhs": MIDPOINT, "rhs": HALVES}, "presentation"),
+    ("join", {"op": "join_mix", "x_presentation": PRES, "y_presentation": PRES, "points": []}, "beta"),
+    ("tensor", {"op": "coherence", "factors": [PRES]}, "kind"),
+    ("prop", {"op": "compose", "left": {"rows": 1, "cols": 1, "entries": [["1"]]}}, "right"),
+    ("groth", {"op": "grothendieck"}, "category"),
+    ("omon", {"op": "star_alpha", "alpha": ["1"]}, "factors"),
+    ("twist", {"op": "twisted_product"}, "space"),
+]
+
+
+@pytest.mark.parametrize("verb, payload, missing", MISSING_FIELD_JOBS)
+def test_missing_job_field_exit_two(tmp_path, verb, payload, missing):
+    job = write(tmp_path, "job.json", payload)
+    code, report, stderr = _run_process(verb, "--job", job)
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"] == f"{missing}: missing from the {payload['op']} job"
+
+
+def test_missing_xi_field_exit_two(tmp_path):
+    payload = write(tmp_path, "xi.json", {"dists": [DIST]})
+    code, report, stderr = _run_process("entropy", "xi", "--input", payload)
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"] == "alpha: missing from the xi job"
+
+
+@pytest.mark.parametrize("payload", [[1], "op", 7, None])
+def test_job_file_must_be_an_object(tmp_path, payload):
+    job = write(tmp_path, "job.json", payload)
+    code, report, stderr = _run_process("dist", "--job", job)
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"].endswith("job file has no 'op' field")
+
+
 def test_check_failure_exit_one(tmp_path):
     pres = write(tmp_path, "p.json", PRES)
     job = write(

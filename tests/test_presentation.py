@@ -1,12 +1,15 @@
 """Presented convex sets: quotient mixing, the equality engine, induced maps."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_linalg import _rewrite, _tensor_cases, zigzag_cases
 
+from convexion import linalg, presentation
 from convexion.distribution import FiniteDistribution, delta
 from convexion.errors import (
     PresentationMismatch,
@@ -323,6 +326,113 @@ def test_eq_verdicts_monotone_in_bound(data):
             assert later == "equal"
         if earlier == "distinct":
             assert later == "distinct"
+
+
+# -- iterative deepening: eq solves at k = 1, 2, 4, ..., bound ---------------
+
+
+def single_lp_status(e1, e2, bound):
+    """The status of eq without deepening: the same invariant check, then
+    one zig-zag LP at the full bound."""
+    pres = e1.presentation
+    if e1.rep == e2.rep:
+        return "equal"
+    diff = [e1.rep.weight(g) - e2.rep.weight(g) for g in pres.generators]
+    if any(linalg.dot(vec, diff) != 0 for vec in pres.invariant_basis):
+        return "distinct"
+    if bound >= 1 and pres.relations:
+        if presentation._zigzag_search(pres, e1.rep, e2.rep, bound) is not None:
+            return "equal"
+    return "unknown"
+
+
+def check_deepened(e1, e2, bound):
+    v = eq(e1, e2, bound)
+    assert v.status == single_lp_status(e1, e2, bound)
+    assert v.bound == bound
+    assert verify_verdict(v, e1, e2)
+    assert len(v.path) <= bound
+    return v
+
+
+def test_deepening_keeps_every_status_on_the_zigzag_corpus():
+    statuses = Counter()
+    for pres, pv, qv, k in zigzag_cases() + list(_tensor_cases()):
+        e1 = pres.element(pres.dist_from_vector(pv))
+        e2 = pres.element(pres.dist_from_vector(qv))
+        statuses[check_deepened(e1, e2, k).status] += 1
+    assert statuses["equal"] > 0 and statuses["unknown"] > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_deepening_keeps_every_status_on_criterion_11_draws(data):
+    # 1-4 generators and 0-2 relations as in criterion 11; the partner is
+    # a random element or a rewrite chain of 1-4 moves.
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    gens = [f"g{i}" for i in range(rng.randint(1, 4))]
+    rels = [
+        (_random_dist(rng, gens), _random_dist(rng, gens))
+        for _ in range(rng.randint(0, 2))
+    ]
+    pres = Presentation(gens, rels)
+    e1 = pres.element(_random_dist(rng, gens))
+    target = _rewrite(rng, pres, pres.vector(e1.rep), rng.randint(1, 4))
+    if target is None or rng.random() < 0.4:
+        e2 = pres.element(_random_dist(rng, gens))
+    else:
+        e2 = pres.element(pres.dist_from_vector(target))
+    check_deepened(e1, e2, data.draw(st.integers(0, 5)))
+
+
+# delta(a) ~ delta(b) ~ delta(c) ~ delta(d): a to c takes two moves, a to d three.
+CHAIN = Presentation(
+    ["a", "b", "c", "d"],
+    [(delta("a"), delta("b")), (delta("b"), delta("c")), (delta("c"), delta("d"))],
+)
+
+
+def levels_tried(monkeypatch, e1, e2, bound):
+    """eq's verdict and the step counts of the LPs it solved."""
+    tried = []
+    search = presentation._zigzag_search
+
+    def spy(pres, p, q, k):
+        tried.append(k)
+        return search(pres, p, q, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(presentation, "_zigzag_search", spy)
+        verdict = eq(e1, e2, bound)
+    return verdict, tried
+
+
+def test_deepening_levels_double_and_clamp_to_the_bound():
+    levels = [list(presentation._deepening_levels(b)) for b in range(7)]
+    assert levels == [[], [1], [1, 2], [1, 2, 3], [1, 2, 4], [1, 2, 4, 5], [1, 2, 4, 6]]
+
+
+def test_level_one_infeasible_level_two_feasible(monkeypatch):
+    a, c = CHAIN.delta("a"), CHAIN.delta("c")
+    v, tried = levels_tried(monkeypatch, a, c, 4)
+    assert tried == [1, 2]
+    assert v.is_equal and len(v.path) == 2 and v.bound == 4
+    assert verify_verdict(v, a, c)
+
+
+def test_bound_three_reaches_the_clamped_level(monkeypatch):
+    a, d = CHAIN.delta("a"), CHAIN.delta("d")
+    v, tried = levels_tried(monkeypatch, a, d, 3)
+    assert tried == [1, 2, 3]
+    assert v.is_equal and len(v.path) == 3 and v.bound == 3
+    assert verify_verdict(v, a, d)
+
+
+def test_unknown_solves_every_level(monkeypatch):
+    a, d = CHAIN.delta("a"), CHAIN.delta("d")
+    v, tried = levels_tried(monkeypatch, a, d, 2)
+    assert tried == [1, 2]
+    assert v.is_unknown and v.bound == 2
 
 
 def test_maps_agree_helper():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from convexion import presentation
 from convexion.distribution import FiniteDistribution, delta
 from convexion.errors import (
     ArityMismatch,
@@ -168,17 +169,20 @@ def test_universal_map_multiconvex_up_to_eq_with_relations():
     assert eq(lhs, rhs, 2).is_equal
 
 
-# The next two instances stall the phase-1 simplex: its objective stays
-# flat for more than 24 pivots, so it switches from Dantzig pricing to
-# Bland's rule before it finds the zig-zag.  The pivot rule fixes the
-# vertex, and so the witness; these digests of repr(verdict.path) were
-# recorded from the Fraction-tableau simplex.
+# The next two instances stall the phase-1 simplex at bound 4: its
+# objective stays flat for more than 24 pivots, so it switches from
+# Dantzig pricing to Bland's rule before it finds the zig-zag.  The pivot
+# rule fixes the vertex, and so the witness; these digests of the repr of
+# the bound-4 path were recorded from the Fraction-tableau simplex.  eq
+# reaches the bound-4 LP on the segment cube; it finds the stall chain at
+# a lower level, whose path STALL_EQ_PATH_DIGEST pins.
 SEGMENT_PATH_DIGEST = "9e774392405a49d25a85c07f1b1c02a8b08c09325409ce30034733ad28a6fd8b"
 STALL_PATH_DIGEST = "8dd9d5a25864eef811374f4a60bdb02a8d8119f4664e09888fc21ec9e07411b9"
+STALL_EQ_PATH_DIGEST = "c165fab9a77df13f08cc3e7cadfb243bcc93504f4954353e99bf9a5d79be4f26"
 
 
-def path_digest(verdict):
-    return hashlib.sha256(repr(verdict.path).encode()).hexdigest()
+def path_digest(path):
+    return hashlib.sha256(repr(path).encode()).hexdigest()
 
 
 def test_segment_cube_midpoint_equals_corner_mixture():
@@ -191,7 +195,7 @@ def test_segment_cube_midpoint_equals_corner_mixture():
     verdict = eq(mid, corners, 4)
     assert verdict.is_equal
     assert verify_verdict(verdict, mid, corners)
-    assert path_digest(verdict) == SEGMENT_PATH_DIGEST
+    assert path_digest(verdict.path) == SEGMENT_PATH_DIGEST
 
 
 def test_two_step_chain_through_a_stalling_lp():
@@ -211,10 +215,13 @@ def test_two_step_chain_through_a_stalling_lp():
         tensor(factors),
         {("a", "b"): "2/9", ("b", "b"): "1/2", ("a", "a"): "5/36", ("a", "c"): "5/36"},
     )
+    bound4 = presentation._zigzag_search(start.presentation, start, end, 4)
+    assert path_digest(bound4) == STALL_PATH_DIGEST
     verdict = eq(start, end, 4)
-    assert verdict.is_equal
+    assert verdict.is_equal and verdict.bound == 4
     assert verify_verdict(verdict, start, end)
-    assert path_digest(verdict) == STALL_PATH_DIGEST
+    assert len(verdict.path) <= 2
+    assert path_digest(verdict.path) == STALL_EQ_PATH_DIGEST
 
 
 # -- extension and restriction -------------------------------------------------
