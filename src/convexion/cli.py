@@ -65,18 +65,34 @@ def _dist(payload):
     return jsonio.decode_distribution(payload)
 
 
-class Job(dict):
-    """The top-level object of a job file.  A missing field is a
-    ParseError naming it (exit 2), not a KeyError."""
+_REQUIRED = object()
 
-    def __init__(self, payload, name):
+
+class Job(dict):
+    """An object of a job file: its top level, or an object inside it at
+    the JSON path `at` (such as "outer[0]").  A missing field is a
+    ParseError naming it (exit 2), not a KeyError, and typed() checks a
+    field's JSON type."""
+
+    def __init__(self, payload, name, at=""):
         if not isinstance(payload, dict):
-            raise ParseError(f"{name} job: expected a JSON object")
+            raise ParseError(f"{at or name + ' job'}: expected a JSON object")
         super().__init__(payload)
         self.name = name
+        self.at = at
+
+    def _path(self, key):
+        return f"{self.at}.{key}" if self.at else key
 
     def __missing__(self, key):
-        raise ParseError(f"{key}: missing from the {self.name} job")
+        raise ParseError(f"{self._path(key)}: missing from the {self.name} job")
+
+    def typed(self, key, kind, default=_REQUIRED):
+        """The field key, which must be a JSON object (kind dict), list,
+        string or integer; when it is absent, default if one is given.  The objects
+        of a list field are read with Job(item, job.name, f"{key}[{i}]")."""
+        value = self[key] if default is _REQUIRED else self.get(key, default)
+        return jsonio._typed(value, kind, self._path(key))
 
 
 def _load_job(path):
@@ -92,27 +108,25 @@ def _load_job(path):
 def handle_dist(job, ctx):
     op = job["op"]
     if op == "delta":
-        semiring = semiring_by_name(job.get("semiring", "rational"))
-        element = job.get("element")
-        if not isinstance(element, str):
-            raise ParseError("element: expected a JSON string")
-        out = delta(element, semiring)
+        semiring = semiring_by_name(job.typed("semiring", str, "rational"))
+        out = delta(job.typed("element", str), semiring)
         return {"distribution": jsonio.encode_distribution(out)}
     if op == "pushforward":
-        out = pushforward(dict(job["map"]), _dist(job["dist"]))
+        out = pushforward(dict(job.typed("map", dict)), _dist(job["dist"]))
         return {"distribution": jsonio.encode_distribution(out)}
     if op == "flatten":
-        semiring = semiring_by_name(job.get("semiring", "rational"))
+        semiring = semiring_by_name(job.typed("semiring", str, "rational"))
         outer = {}
-        for item in job["outer"]:
+        for i, raw in enumerate(job.typed("outer", list)):
+            item = Job(raw, job.name, f"outer[{i}]")
             inner = jsonio.decode_distribution(item["dist"], semiring)
             w = semiring.parse(str(item["weight"]))
             outer[inner] = semiring.add(outer.get(inner, semiring.zero()), w)
         out = flatten(FiniteDistribution(outer, semiring))
         return {"distribution": jsonio.encode_distribution(out)}
     if op == "convex_combine":
-        alpha = [RATIONAL.parse(str(a)) for a in job["alpha"]]
-        out = convex_combine(alpha, [_dist(d) for d in job["dists"]])
+        alpha = [RATIONAL.parse(str(a)) for a in job.typed("alpha", list)]
+        out = convex_combine(alpha, [_dist(d) for d in job.typed("dists", list)])
         return {"distribution": jsonio.encode_distribution(out)}
     raise ParseError(f"unknown dist op {op!r}")
 
@@ -144,15 +158,15 @@ def handle_eq(job, ctx):
         }
     if op == "quotient_mix":
         pres = jsonio.decode_presentation(job["presentation"])
-        alpha = [RATIONAL.parse(str(a)) for a in job["alpha"]]
-        elements = [pres.element(_dist(d)) for d in job["elements"]]
+        alpha = [RATIONAL.parse(str(a)) for a in job.typed("alpha", list)]
+        elements = [pres.element(_dist(d)) for d in job.typed("elements", list)]
         out = quotient_mix(alpha, elements)
         return {"element": jsonio.encode_distribution(out.rep)}
     if op == "induce_map":
         src = jsonio.decode_presentation(job["source"])
         tgt = jsonio.decode_presentation(job["target"])
         assignment = {
-            g: tgt.element(_dist(d)) for g, d in job["assignment"].items()
+            g: tgt.element(_dist(d)) for g, d in job.typed("assignment", dict).items()
         }
         try:
             fmap = induce_map(src, tgt, assignment, ctx["bound"])
@@ -176,16 +190,17 @@ def handle_eq(job, ctx):
         src = jsonio.decode_presentation(job["source"])
         tgt = jsonio.decode_presentation(job["target"])
         maps = []
-        for raw in job["assignments"]:
+        for i, raw in enumerate(job.typed("assignments", list)):
+            table = Job(raw, job.name, f"assignments[{i}]")
             maps.append(
                 ConvexMap(
                     src,
                     tgt,
-                    {g: tgt.element(_dist(d)) for g, d in raw.items()},
+                    {g: tgt.element(_dist(d)) for g, d in table.items()},
                     ctx["bound"],
                 )
             )
-        alpha = [RATIONAL.parse(str(a)) for a in job["alpha"]]
+        alpha = [RATIONAL.parse(str(a)) for a in job.typed("alpha", list)]
         mixed = hom_combine(alpha, maps)
         result = {
             "assignment": {
@@ -227,8 +242,8 @@ def handle_join(job, ctx):
             "assumptions_used": [],
         }
     if op == "join_mix":
-        beta = [RATIONAL.parse(str(b)) for b in job["beta"]]
-        pts = [jsonio.decode_join_element(p, space) for p in job["points"]]
+        beta = [RATIONAL.parse(str(b)) for b in job.typed("beta", list)]
+        pts = [jsonio.decode_join_element(p, space) for p in job.typed("points", list)]
         out = join_mix(beta, pts)
         return {
             "point": jsonio.encode_join_element(out),
@@ -239,13 +254,13 @@ def handle_join(job, ctx):
         f = induce_map(
             xp,
             tgt,
-            {g: tgt.element(_dist(d)) for g, d in job["f"].items()},
+            {g: tgt.element(_dist(d)) for g, d in job.typed("f", dict).items()},
             ctx["bound"],
         )
         g = induce_map(
             yp,
             tgt,
-            {g2: tgt.element(_dist(d)) for g2, d in job["g"].items()},
+            {g2: tgt.element(_dist(d)) for g2, d in job.typed("g", dict).items()},
             ctx["bound"],
         )
         h = copair(f, g)
@@ -271,12 +286,12 @@ def handle_tensor(job, ctx):
 
     op = job["op"]
     if op == "tensor":
-        factors = [jsonio.decode_presentation(p) for p in job["factors"]]
+        factors = [jsonio.decode_presentation(p) for p in job.typed("factors", list)]
         return {"presentation": jsonio.encode_presentation(tensor(factors))}
     if op == "universal_map":
-        factors = [jsonio.decode_presentation(p) for p in job["factors"]]
+        factors = [jsonio.decode_presentation(p) for p in job.typed("factors", list)]
         xs = [
-            f.element(_dist(d)) for f, d in zip(factors, job["elements"])
+            f.element(_dist(d)) for f, d in zip(factors, job.typed("elements", list))
         ]
         out = universal_map(factors, xs)
         return {"element": jsonio.encode_distribution(out.rep)}
@@ -292,7 +307,7 @@ def handle_tensor(job, ctx):
         if "elements" in job:
             xs = [
                 f.element(_dist(d))
-                for f, d in zip(spec.factors, job["elements"])
+                for f, d in zip(spec.factors, job.typed("elements", list))
             ]
             out = fmap(universal_map(list(spec.factors), xs))
             result["value"] = jsonio.encode_distribution(out.rep)
@@ -301,7 +316,7 @@ def handle_tensor(job, ctx):
         )
         return result
     if op == "coherence":
-        factors = [jsonio.decode_presentation(p) for p in job["factors"]]
+        factors = [jsonio.decode_presentation(p) for p in job.typed("factors", list)]
         iso = coherence(job["kind"], factors)
         round_trips = all(
             iso.back(iso.fwd(iso.fwd.src.delta(g))) == iso.fwd.src.delta(g)
@@ -331,14 +346,14 @@ def handle_tensor(job, ctx):
 
         hom = {
             tuple(k.split(",")): jsonio.decode_presentation(v)
-            for k, v in job["hom"].items()
+            for k, v in job.typed("hom", dict).items()
         }
         identities = {
             k: hom[(k, k)].element(_dist(v))
-            for k, v in job["identities"].items()
+            for k, v in job.typed("identities", dict).items()
         }
         composition = {}
-        for key, rows in job["composition"].items():
+        for key, rows in job.typed("composition", dict).items():
             a, b, c = key.split(",")
             table = {}
             for row in rows:
@@ -346,7 +361,7 @@ def handle_tensor(job, ctx):
                 table[(g2, g1)] = hom[(a, c)].element(_dist(row["value"]))
             composition[(a, b, c)] = table
         cat = BiconvexCategory(
-            tuple(job["objects"]), hom, identities, composition
+            tuple(job.typed("objects", list)), hom, identities, composition
         )
         data = enriched_bridge(cat, ctx["bound"])
         back = enriched_inverse(data)
@@ -377,19 +392,19 @@ def handle_prop(job, ctx):
         return {"matrix": jsonio.encode_matrix(out)}
     if op == "permute":
         out = permute(
-            tuple(job["tau"]),
+            tuple(job.typed("tau", list)),
             jsonio.decode_matrix(job["matrix"]),
-            tuple(job["sigma"]),
+            tuple(job.typed("sigma", list)),
         )
         return {"matrix": jsonio.encode_matrix(out)}
     if op == "qconv_compose":
         outer = jsonio.decode_qconv(job["outer"])
-        inner = [jsonio.decode_qconv(x) for x in job["inner"]]
+        inner = [jsonio.decode_qconv(x) for x in job.typed("inner", list)]
         return {"operation": jsonio.encode_qconv(qconv_compose(outer, inner))}
     if op == "algebra_apply":
         pres = jsonio.decode_presentation(job["presentation"])
         matrix = jsonio.decode_matrix(job["matrix"])
-        xs = [pres.element(_dist(d)) for d in job["elements"]]
+        xs = [pres.element(_dist(d)) for d in job.typed("elements", list)]
         out = algebra_apply(pres, matrix, xs)
         return {
             "elements": [jsonio.encode_distribution(e.rep) for e in out]
@@ -423,7 +438,10 @@ def handle_groth(job, ctx):
         base = jsonio.decode_category(job["category"])
         total = jsonio.decode_category(job["total"])
         fib = FibrationData(
-            total, base, dict(job["object_projection"]), dict(job["morphism_projection"])
+            total,
+            base,
+            dict(job.typed("object_projection", dict)),
+            dict(job.typed("morphism_projection", dict)),
         )
         if op == "is_discrete_fibration":
             return {"is_discrete_fibration": is_discrete_fibration(fib)}
@@ -439,12 +457,13 @@ def handle_groth(job, ctx):
         functor = jsonio.decode_cset_functor(job["functor"], base, ctx["bound"])
         cfib = convex_grothendieck(functor)
         samples = []
-        for raw in job.get("samples", []):
+        for i, raw in enumerate(job.typed("samples", list, [])):
+            raw = Job(raw, job.name, f"samples[{i}]")
             name = raw["morphism"]
             src = base.morphisms[name].src
             pres = cfib.fibre_presentation(src)
-            alpha = [RATIONAL.parse(str(a)) for a in raw["alpha"]]
-            elements = [pres.element(_dist(d)) for d in raw["elements"]]
+            alpha = [RATIONAL.parse(str(a)) for a in raw.typed("alpha", list)]
+            elements = [pres.element(_dist(d)) for d in raw.typed("elements", list)]
             samples.append((name, alpha, elements))
         failures = check_fibrewise_equations(cfib, samples, ctx["bound"])
         result = {
@@ -466,9 +485,9 @@ def _lax_functor_from_job(job):
 
     kind = job.get("functor", "dist")
     if kind == "dist":
-        return dist_lax_functor(int(job.get("max_size", 6)))
+        return dist_lax_functor(job.typed("max_size", int, 6))
     if kind == "mixture":
-        return mixture_lax_functor(list(job.get("carrier", ["x", "y"])))
+        return mixture_lax_functor(job.typed("carrier", list, ["x", "y"]))
     raise ParseError(f"unknown lax functor kind {kind!r}")
 
 
@@ -504,14 +523,14 @@ def handle_omon(job, ctx):
 
     op = job["op"]
     if op == "star_alpha":
-        alpha = QConvOp([RATIONAL.parse(str(a)) for a in job["alpha"]])
-        factors = [jsonio.decode_presentation(p) for p in job["factors"]]
+        alpha = QConvOp([RATIONAL.parse(str(a)) for a in job.typed("alpha", list)])
+        factors = [jsonio.decode_presentation(p) for p in job.typed("factors", list)]
         return {
             "presentation": jsonio.encode_presentation(star_alpha(alpha, factors))
         }
     if op == "trivial_structure":
         base = jsonio.decode_category(job["category"])
-        table = {tuple(k.split(",")): v for k, v in job["tensor"].items()}
+        table = {tuple(k.split(",")): v for k, v in job.typed("tensor", dict).items()}
 
         def nfold(objs):
             acc = objs[0]
@@ -532,14 +551,15 @@ def handle_omon(job, ctx):
         functor = _lax_functor_from_job(job)
         rng = random.Random(ctx["seed"])
         instances = []
-        for raw in job.get("instances", []):
+        for i, raw in enumerate(job.typed("instances", list, [])):
+            raw = Job(raw, job.name, f"instances[{i}]")
             outer = jsonio.decode_qconv(raw["operation"])
             inner_raw = raw.get("inner")
             if inner_raw is None:
                 inner_ops = [QConvOp.unit() for _ in range(outer.arity)]
             else:
-                inner_ops = [jsonio.decode_qconv(x) for x in inner_raw]
-            obj_list = list(raw["objects"])
+                inner_ops = [jsonio.decode_qconv(x) for x in raw.typed("inner", list)]
+            obj_list = raw.typed("objects", list)
             blocks = []
             pos = 0
             for op_i in inner_ops:
@@ -558,7 +578,7 @@ def handle_omon(job, ctx):
             functor,
             instances,
             ctx["bound"],
-            unit_objects=job.get("unit_objects", []),
+            unit_objects=job.typed("unit_objects", list, []),
         )
         result = {
             "checked": report.checked,
@@ -574,9 +594,10 @@ def handle_omon(job, ctx):
         rng = random.Random(ctx["seed"])
         results = []
         ok = True
-        for raw in job.get("instances", []):
+        for i, raw in enumerate(job.typed("instances", list, [])):
+            raw = Job(raw, job.name, f"instances[{i}]")
             operation = jsonio.decode_qconv(raw["operation"])
-            objs = list(raw["objects"])
+            objs = raw.typed("objects", list)
             pairs = [
                 (o, _sample_elements(rng, functor.fibre(o), 1)[0]) for o in objs
             ]
@@ -783,7 +804,7 @@ def handle_entropy(args, ctx):
     if action == "xi":
         payload = Job(jsonio.load_json(args.input), "xi")
         alpha = QConvOp([RATIONAL.parse(str(a)) for a in payload["alpha"]])
-        dists = [_dist(d) for d in payload["dists"]]
+        dists = [_dist(d) for d in payload.typed("dists", list)]
         out = dist_lax_xi(alpha, dists)
         return {"distribution": jsonio.encode_distribution(out)}
     raise ParseError(f"unknown entropy action {action!r}")

@@ -267,10 +267,14 @@ def decode_verdict(payload, pres: Presentation) -> EqualityVerdict:
     raise ParseError(f"verdict.status: unknown verdict status {status!r}")
 
 
+_JSON_TYPE_NAMES = {dict: "object", list: "list", str: "string", int: "integer"}
+
+
 def _typed(value, kind, where):
+    """value, if it is of the JSON type kind (dict, list, str or int);
+    else a ParseError naming the path where."""
     if not isinstance(value, kind):
-        name = "object" if kind is dict else "list"
-        raise ParseError(f"{where}: expected a JSON {name}")
+        raise ParseError(f"{where}: expected a JSON {_JSON_TYPE_NAMES[kind]}")
     return value
 
 
@@ -451,6 +455,7 @@ def encode_simplicial_set(x) -> dict:
 def decode_simplicial_group(payload):
     from .simplicial import AbGroup, SimplicialAbGroup
 
+    _typed(payload, dict, "group")
     if "cyclic" in payload:
         return SimplicialAbGroup.constant(
             AbGroup.cyclic(int(payload["cyclic"])),
@@ -539,11 +544,9 @@ def encode_prob_object(obj) -> dict:
 def decode_prob_object(payload):
     from .finprob import ProbObject
 
-    carrier = _require(payload, "carrier", "probability object")
-    weights = {
-        x: RATIONAL.parse(str(w))
-        for x, w in _require(payload, "p", "probability object").items()
-    }
+    carrier = _typed(_require(payload, "carrier", "probability object"), list, "carrier")
+    raw = _typed(_require(payload, "p", "probability object"), dict, "p")
+    weights = {x: RATIONAL.parse(str(w)) for x, w in raw.items()}
     return ProbObject(carrier, weights)
 
 

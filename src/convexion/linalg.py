@@ -2,15 +2,17 @@
 A x = b, x >= 0, and reduced row echelon / nullspace computations.
 
 No floating point, and no Fraction arithmetic inside the loops.  The
-systems the equality engine builds are block-banded and almost all zero,
-so rows are stored sparsely as {column: int} dicts, each input row scaled
-by the lcm of its denominators.  The simplex and the row reduction share
+systems the equality engine builds are block lower-triangular and mostly
+zero, so rows are stored sparsely as {column: int} dicts, each input row
+scaled by the lcm of its denominators.  The simplex and the row reduction share
 one fraction-free elimination step (_eliminate): it touches only the rows
 holding the pivot column and divides each by its content (the gcd of its
 entries and rhs), which keeps the integers small.  The pivot row is never
 normalised, so each stored row is a nonzero multiple of the row a
 normalising Fraction tableau would hold.  Fractions are built only for
-the answers.
+the answers.  The simplex starts from the slack columns a system offers
+(unit-like columns, such as the spectators of the equality engine's
+zig-zag LP) and adds artificials only on the rows without one.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ def solve_eq_nonneg(rows, rhs):
     These choices fix the vertex returned, and so the witnesses built from
     it.
 
+    The start basis is a slack basis where the system has one (Bixby
+    1992): a column whose only nonzero sits in one row, and is positive
+    once that row is signed so its rhs is >= 0, starts basic in that row
+    at value b_i / a_ij (the lowest such column when a row has several).
+    Only the remaining rows get an artificial, and the phase-1 objective
+    sums those.  A system without such columns starts from the all-
+    artificial basis.
+
     The tableau is integer.  Each row starts as the input row times the
     lcm of its denominators (negated when the rhs is negative), and the
     entering column's entry is always positive, so every stored row, the
@@ -48,27 +58,39 @@ def solve_eq_nonneg(rows, rhs):
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    # Tableau rows 0..m-1 are the constraints, with columns n.. for the
-    # artificials; row m is the reduced-cost row of the phase-1 objective
-    # (minimize the sum of artificials), and b[m] is the negated objective.
+    # Tableau rows 0..m-1 are the constraints, with column n + i for row
+    # i's artificial (if it has one); row m is the reduced-cost row of the
+    # phase-1 objective (minimize the sum of artificials), and b[m] is the
+    # negated objective.
     tab, b = [], []
-    cost, objective = {}, 0
-    for i, (row, v) in enumerate(zip(rows, rhs)):
+    for row, v in zip(rows, rhs):
         r, v = _integer_row(row, v)
-        for j, a in r.items():
-            cost[j] = cost.get(j, 0) - a
-        objective -= v
-        r[n + i] = 1
         tab.append(r)
         b.append(v)
-    tab.append({j: c for j, c in cost.items() if c})
-    b.append(objective)
     cols = [set() for _ in range(n + m)]
     for i, r in enumerate(tab):
         for j in r:
             cols[j].add(i)
-    cost = tab[m]
     basis = [n + i for i in range(m)]
+    for j in range(n):
+        if len(cols[j]) == 1:
+            (i,) = cols[j]
+            if basis[i] >= n and tab[i][j] > 0:
+                basis[i] = j
+    cost, objective = {}, 0
+    for i, r in enumerate(tab):
+        if basis[i] < n:
+            continue
+        for j, a in r.items():
+            cost[j] = cost.get(j, 0) - a
+        objective -= b[i]
+        r[n + i] = 1
+        cols[n + i].add(i)
+    cost = {j: c for j, c in cost.items() if c}
+    for j in cost:
+        cols[j].add(m)
+    tab.append(cost)
+    b.append(objective)
 
     bland = False
     stall = 0

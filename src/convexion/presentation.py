@@ -10,9 +10,12 @@ elements is decided (where possible) by a three-valued engine:
   symmetrized relation pairs (r_j, s_j) and a nonnegative spectator vector t
   with p = sum_j lambda_j r_j + t and q = sum_j lambda_j s_j + t.  The
   spectator makes partial rewriting a single step.  A k-step zig-zag is one
-  exact LP (intermediate points are chained and eliminated).  The search
-  deepens: it solves at k = 1, 2, 4, ... with the last k clamped to the
-  step bound, and stops at the first feasible LP.  Padding with an
+  exact LP in difference form: step i starts at p plus the net moves of
+  the steps before it, and the net moves of all k steps sum to q - p, so
+  the intermediate points never appear and each spectator is a slack
+  that starts the simplex basis (see _zigzag_lp).  The search deepens:
+  it solves at k = 1, 2, 4, ... with the last k clamped to the step
+  bound, and stops at the first feasible LP.  Padding with an
   all-zero step turns a k-step zig-zag into a (k+1)-step one, so
   feasibility is monotone in k and the first feasible level decides the
   same status as one LP at the bound.
@@ -116,18 +119,22 @@ class Presentation:
     @cached_property
     def _relation_columns(self):
         """Per generator x, the x-th entries of symmetric_relations as three
-        tuples over the pairs (r_j, s_j): r, -r (negated once, here) and s,
-        with zeros as int 0.  _zigzag_lp slices them into its rows."""
+        tuples over the pairs (r_j, s_j): r, r - s and s - r (subtracted
+        once, here), with zeros as int 0.  _zigzag_lp slices them into its
+        rows."""
         columns = []
         for g in self.generators:
             r = tuple(lhs.weight(g) or 0 for lhs, _ in self.symmetric_relations)
             s = tuple(rhs.weight(g) or 0 for _, rhs in self.symmetric_relations)
-            columns.append((r, tuple(-w for w in r), s))
+            r_minus_s = tuple((a - b) or 0 for a, b in zip(r, s))
+            columns.append((r, r_minus_s, tuple(-d for d in r_minus_s)))
         return tuple(columns)
 
     @cached_property
     def _difference_rows(self):
-        """One row per relation: coefficients of lhs - rhs over generators."""
+        """One row per relation: coefficients of lhs - rhs over generators.
+        An invariant is a vector orthogonal to every row (invariant_basis
+        and the Distinct replay in verify_verdict)."""
         rows = []
         for lhs, rhs in self.relations:
             rows.append(
@@ -330,14 +337,25 @@ def _zigzag_search(pres, p, q, k):
 def _zigzag_lp(pres, pv, qv, k):
     """The system A x = b, x >= 0 of a k-step zig-zag from pv to qv.
 
-    Variables per step i: lambda_{i,j} over symmetrized pairs and a
-    spectator t_i over generators, all >= 0.  Equations chain the
-    intermediate points, which are then implicit.  Returns (rows, rhs).
+    Variables per step i: lambda_i over the symmetrized pairs (r_j, s_j)
+    and a spectator t_i over the generators, all >= 0.  Step i moves
+    R lambda_i + t_i to S lambda_i + t_i, a net move of (S - R) lambda_i,
+    so its start is p plus the net moves before it.  The rows, in
+    difference form:
 
-    Rows are dense lists (the solver's interface) of int 0, +-1 and the
-    relations' weights, each filled by slice assignment from the cached
-    relation columns.  The rows are not scaled here: linalg._integer_row
-    scales each one, and its scale is part of the pivot rule.
+        (i, x):  r lambda_i + sum_{i' < i} (r - s) lambda_i' + t_i = p[x]
+        x:       sum_i (s - r) lambda_i = q[x] - p[x]
+
+    The feasible set is that of chaining each step's end to the next
+    step's start.  Each t_i[x] is a unit column with rhs p[x] >= 0, so
+    linalg.solve_eq_nonneg starts it basic, and phase 1 needs artificials
+    on the last ng rows only.  Returns (rows, rhs).
+
+    Rows are dense lists (the solver's interface) of int 0, 1 and the
+    relations' weights and differences, each filled by slice assignment
+    from the cached relation columns.  The rows are not scaled here:
+    linalg._integer_row scales each one, and its scale is part of the
+    pivot rule.
     """
     columns = pres._relation_columns
     nj = len(pres.symmetric_relations)
@@ -345,28 +363,20 @@ def _zigzag_lp(pres, pv, qv, k):
     width = nj + ng
     ncols = k * width
     rows = []
-
-    for x, (r, _, _) in enumerate(columns):  # step 1 start equals p
-        row = [0] * ncols
-        row[:nj] = r
-        row[nj + x] = 1
-        rows.append(row)
-    for a in range(0, (k - 1) * width, width):  # end of step i = start of i+1
-        b = a + width
-        for x, (_, neg_r, s) in enumerate(columns):
+    for a in range(0, ncols, width):  # step i starts at p + earlier moves
+        for x, (r, r_minus_s, _) in enumerate(columns):
             row = [0] * ncols
-            row[a : a + nj] = s
-            row[b : b + nj] = neg_r
+            for c in range(0, a, width):
+                row[c : c + nj] = r_minus_s
+            row[a : a + nj] = r
             row[a + nj + x] = 1
-            row[b + nj + x] = -1
             rows.append(row)
-    last = ncols - width
-    for x, (_, _, s) in enumerate(columns):  # step k end equals q
+    for _, _, s_minus_r in columns:  # the net moves sum to q - p
         row = [0] * ncols
-        row[last : last + nj] = s
-        row[last + nj + x] = 1
+        for c in range(0, ncols, width):
+            row[c : c + nj] = s_minus_r
         rows.append(row)
-    return rows, [*pv, *[0] * ((k - 1) * ng), *qv]
+    return rows, [*pv * k, *(b - a for a, b in zip(pv, qv))]
 
 
 def verify_verdict(
@@ -396,11 +406,8 @@ def verify_verdict(
         vec = list(verdict.invariant)
         if len(vec) != len(pres.generators):
             return False
-        for lhs, rhs in pres.relations:
-            if linalg.dot(vec, pres.vector(lhs)) != linalg.dot(
-                vec, pres.vector(rhs)
-            ):
-                return False
+        if any(linalg.dot(vec, row) != 0 for row in pres._difference_rows):
+            return False
         return linalg.dot(vec, pres.vector(e1.rep)) != linalg.dot(
             vec, pres.vector(e2.rep)
         )

@@ -1037,6 +1037,106 @@ def test_missing_job_field_exit_two(tmp_path, verb, payload, missing):
     assert report["error"] == f"{missing}: missing from the {payload['op']} job"
 
 
+DELTA_A = {"weights": [{"el": "a", "w": "1"}]}
+LAX_INSTANCE = {"operation": {"arity": 2, "alpha": ["1/4", "3/4"]}, "objects": ["S1", "S2"]}
+
+# A wrong-typed or missing field in each job, the argv it runs with, and
+# the error naming it.
+WRONG_FIELD_JOBS = [
+    (
+        ["dist"],
+        {"op": "pushforward", "map": "x", "dist": DIST},
+        "map: expected a JSON object",
+    ),
+    (
+        ["entropy", "eval"],
+        {"carrier": ["a", "b"], "p": None},
+        "p: expected a JSON object",
+    ),
+    (
+        ["entropy", "eval"],
+        {"carrier": ["a", "b"], "p": []},
+        "p: expected a JSON object",
+    ),
+    (
+        ["join"],
+        {
+            "op": "copair",
+            "x_presentation": PRES,
+            "y_presentation": PRES,
+            "target": PRES,
+            "f": None,
+            "g": {"a": DELTA_A, "b": DELTA_A},
+            "point": {"alpha": "1", "x": DELTA_A, "y": None},
+        },
+        "f: expected a JSON object",
+    ),
+    (
+        ["omon"],
+        {"op": "check_lax", "functor": "dist", "instances": "x"},
+        "instances: expected a JSON list",
+    ),
+    (
+        ["omon"],
+        {"op": "check_lax", "functor": "dist", "unit_objects": {}, "instances": [LAX_INSTANCE]},
+        "unit_objects: expected a JSON list",
+    ),
+    (
+        ["omon"],
+        {"op": "star_alpha", "alpha": ["1/2", "1/2"], "factors": 7},
+        "factors: expected a JSON list",
+    ),
+    (
+        ["tensor"],
+        {"op": "coherence", "kind": "braiding", "factors": 7},
+        "factors: expected a JSON list",
+    ),
+    (
+        ["tensor"],
+        {"op": "universal_map", "factors": [PRES, PRES], "elements": 7},
+        "elements: expected a JSON list",
+    ),
+    (
+        ["dist"],
+        {"op": "flatten", "outer": [{"weight": "1"}]},
+        "outer[0].dist: missing from the flatten job",
+    ),
+    (
+        ["omon"],
+        {"op": "check_lax", "functor": "dist", "max_size": "x", "instances": [LAX_INSTANCE]},
+        "max_size: expected a JSON integer",
+    ),
+    (
+        ["twist"],
+        {"op": "twisted_product", "space": {"standard": "circle"}, "group": None, "twist": {}},
+        "group: expected a JSON object",
+    ),
+    (
+        ["omon"],
+        {"op": "o_grothendieck", "functor": "mixture", "carrier": 7},
+        "carrier: expected a JSON list",
+    ),
+    (
+        ["dist"],
+        {"op": "delta", "element": "a", "semiring": []},
+        "semiring: expected a JSON string",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, payload, error",
+    WRONG_FIELD_JOBS,
+    ids=[f"{' '.join(argv)} {error.split(':')[0]}" for argv, _, error in WRONG_FIELD_JOBS],
+)
+def test_wrong_job_field_exit_two(tmp_path, argv, payload, error):
+    path = write(tmp_path, "job.json", payload)
+    flag = "--object" if argv[0] == "entropy" else "--job"
+    code, report, stderr = _run_process(*argv, flag, path)
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"] == error
+
+
 def test_missing_xi_field_exit_two(tmp_path):
     payload = write(tmp_path, "xi.json", {"dists": [DIST]})
     code, report, stderr = _run_process("entropy", "xi", "--input", payload)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import given
@@ -177,8 +178,10 @@ def test_nullspace_is_the_same_for_int_and_fraction_input(data):
 
 # Digest of the exact outputs (each x, or None) on the corpus below, as
 # the dense-tableau simplex that the sparse one replaced returned them.
-# The pivot rule fixes which vertex the simplex returns, and Equal
-# witnesses are built from that vertex, so a change here changes reports.
+# The pivot rule fixes which vertex the simplex returns, so a change here
+# changes witnesses.  The corpus is the chained form of the zig-zag LP
+# (dense_zigzag_lp): it has no singleton columns, so the solver starts it
+# from the all-artificial basis, exactly as before the slack start basis.
 ZIGZAG_DIGEST = "ed16f4caa6b52fd795295a110bb5847bce56cb79cb40032aab7e23a7057dfb04"
 ZIGZAG_SEED = 20240327
 
@@ -212,10 +215,10 @@ def _rewrite(rng, pres, start, length):
 
 
 def zigzag_corpus(seed=ZIGZAG_SEED, size=120):
-    """Zig-zag systems of small random presentations at bounds 1-4: the
-    target is a rewrite of the start within the bound (feasible), a longer
-    rewrite, or an unrelated point."""
-    return [presentation._zigzag_lp(*case) for case in zigzag_cases(seed, size)]
+    """Chained zig-zag systems of small random presentations at bounds 1-4:
+    the target is a rewrite of the start within the bound (feasible), a
+    longer rewrite, or an unrelated point."""
+    return [dense_zigzag_lp(*case) for case in zigzag_cases(seed, size)]
 
 
 def zigzag_cases(seed=ZIGZAG_SEED, size=120):
@@ -272,12 +275,18 @@ def test_zigzag_outputs_are_pinned():
 # -- the LP rows and the replay against their dense oracles ------------------------------
 
 
-def dense_zigzag_lp(pres, pv, qv, k):
-    """The zig-zag LP as dense Fraction rows, one cell at a time: the
-    builder that the cached relation columns replaced."""
+def _dense_relation_vectors(pres):
+    """The symmetrized pairs as dense vectors: (r_j over j, s_j over j)."""
     pairs = [(pres.vector(r), pres.vector(s)) for r, s in pres.symmetric_relations]
-    rvec = [rv for rv, _ in pairs]
-    svec = [sv for _, sv in pairs]
+    return [rv for rv, _ in pairs], [sv for _, sv in pairs]
+
+
+def dense_zigzag_lp(pres, pv, qv, k):
+    """The chained zig-zag LP as dense Fraction rows, one cell at a time:
+    step 1 starts at p, each step's end is the next step's start, and step
+    k ends at q.  The builder that the difference form replaced; its
+    solutions are the reference for the difference form's."""
+    rvec, svec = _dense_relation_vectors(pres)
     nj = len(rvec)
     ng = len(pres.generators)
 
@@ -316,6 +325,36 @@ def dense_zigzag_lp(pres, pv, qv, k):
     return rows, rhs
 
 
+def dense_difference_lp(pres, pv, qv, k):
+    """The difference-form zig-zag LP as dense Fraction rows, one cell at a
+    time: row (i, x) is r lambda_i + sum_{i' < i} (r - s) lambda_i' + t_i =
+    p[x], and row x of the last block is sum_i (s - r) lambda_i = q[x] - p[x]."""
+    rvec, svec = _dense_relation_vectors(pres)
+    nj = len(rvec)
+    ng = len(pres.generators)
+    width = nj + ng
+    ncols = k * width
+    rows, rhs = [], []
+    for i in range(k):
+        for x in range(ng):
+            row = [0] * ncols
+            for j in range(nj):
+                for earlier in range(i):
+                    row[earlier * width + j] = rvec[j][x] - svec[j][x]
+                row[i * width + j] = rvec[j][x]
+            row[i * width + nj + x] = 1
+            rows.append(row)
+            rhs.append(pv[x])
+    for x in range(ng):
+        row = [0] * ncols
+        for i in range(k):
+            for j in range(nj):
+                row[i * width + j] = svec[j][x] - rvec[j][x]
+        rows.append(row)
+        rhs.append(qv[x] - pv[x])
+    return rows, rhs
+
+
 def _tensor_cases():
     """The two fixed tensor instances of tests/test_tensor.py (the
     27-generator segment cube and the 9-generator stall chain) at bounds 1-4."""
@@ -345,15 +384,108 @@ def _tensor_cases():
 
 
 def test_zigzag_lp_rows_match_the_dense_builder():
+    # The dense builder is the cell-by-cell difference-form oracle.
     cases = zigzag_cases() + list(_tensor_cases())
     assert len(cases) == 128
     for pres, pv, qv, k in cases:
         rows, rhs = presentation._zigzag_lp(pres, pv, qv, k)
-        dense_rows, dense_rhs = dense_zigzag_lp(pres, pv, qv, k)
-        assert len(rows) == len(dense_rows) == len(rhs) == len(dense_rhs)
-        for row, b, dense_row, dense_b in zip(rows, rhs, dense_rows, dense_rhs):
-            assert len(row) == len(dense_row)
-            assert linalg._integer_row(row, b) == linalg._integer_row(dense_row, dense_b)
+        dense_rows, dense_rhs = dense_difference_lp(pres, pv, qv, k)
+        assert len(rows) == len(dense_rows) == (k + 1) * len(pres.generators)
+        assert rows == dense_rows and rhs == dense_rhs
+
+
+def test_difference_form_solutions_satisfy_the_chained_rows():
+    # Same variables, same feasible set: each difference-form solution
+    # solves the chained system, and its steps chain from p to q.
+    feasible = 0
+    for pres, pv, qv, k in zigzag_cases() + list(_tensor_cases()):
+        chained_rows, chained_rhs = dense_zigzag_lp(pres, pv, qv, k)
+        x = linalg.solve_eq_nonneg(*presentation._zigzag_lp(pres, pv, qv, k))
+        assert (x is None) == (linalg.solve_eq_nonneg(chained_rows, chained_rhs) is None)
+        if x is None:
+            continue
+        feasible += 1
+        check_solution(chained_rows, chained_rhs, x)
+        p, q = pres.dist_from_vector(pv), pres.dist_from_vector(qv)
+        steps = presentation._zigzag_search(pres, p, q, k)
+        assert len(steps) <= k
+        current = list(pv)
+        for step in steps:
+            start, end = step.endpoints(pres)
+            assert start == current
+            current = end
+        assert current == list(qv)
+    assert feasible > 0
+
+
+# -- the slack start basis ---------------------------------------------------------------
+
+
+@contextmanager
+def recorded_pivots(monkeypatch):
+    """A list that gets, per _eliminate call (a simplex pivot or an RREF
+    step) made inside the block, whether it was degenerate: rhs 0 in the
+    pivot row."""
+    stalls = []
+    eliminate = linalg._eliminate
+
+    def spy(rows, rhs, cols, r, c):
+        stalls.append(rhs[r] == 0)
+        return eliminate(rows, rhs, cols, r, c)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_eliminate", spy)
+        yield stalls
+
+
+def pivots(monkeypatch, rows, rhs):
+    """solve_eq_nonneg's answer and its number of pivots."""
+    with recorded_pivots(monkeypatch) as stalls:
+        x = linalg.solve_eq_nonneg(rows, rhs)
+    return x, len(stalls)
+
+
+def test_singleton_columns_start_basic(monkeypatch):
+    # Columns 1 and 2 are unit columns with rhs >= 0: the start basis is
+    # feasible, so no pivot is made.  From artificials, Dantzig pricing
+    # would enter column 0 and return (2, 0, 1) instead.
+    rows = [[F(1), F(1), F(0)], [F(1), F(0), F(1)]]
+    assert pivots(monkeypatch, rows, [F(2), F(3)]) == ([F(0), F(2), F(3)], 0)
+    # A scaled singleton starts basic at b_i / a_ij.
+    rows = [[F(1), F(3), F(0)], [F(1), F(0), F(1, 2)]]
+    assert pivots(monkeypatch, rows, [F(2), F(3)]) == ([F(0), F(2, 3), F(6)], 0)
+
+
+def test_lowest_singleton_column_wins_a_row(monkeypatch):
+    rows = [[F(2), F(1)]]
+    assert pivots(monkeypatch, rows, [F(4)]) == ([F(2), F(0)], 0)
+
+
+def test_negative_singleton_gets_an_artificial(monkeypatch):
+    # Column 1's only entry is -1 in a row with rhs 1: not a start column,
+    # so row 0 gets an artificial and column 0 enters in one pivot.
+    rows = [[F(1), F(-1), F(0)], [F(1), F(0), F(1)]]
+    assert pivots(monkeypatch, rows, [F(1), F(2)]) == ([F(1), F(0), F(1)], 1)
+    # Negated for its negative rhs, the row's singleton turns positive.
+    assert pivots(monkeypatch, rows, [F(-1), F(2)]) == ([F(0), F(1), F(2)], 0)
+
+
+def test_zero_rhs_rows(monkeypatch):
+    # A zero rhs keeps the row's sign: a positive singleton (column 1)
+    # starts basic at 0, a negative one leaves row 0 an artificial at 0,
+    # and either way the start is feasible.
+    rows = [[F(1), F(1), F(0)], [F(1), F(0), F(1)]]
+    assert pivots(monkeypatch, rows, [F(0), F(1)]) == ([F(0), F(0), F(1)], 0)
+    rows = [[F(1), F(-1), F(0)], [F(1), F(0), F(1)]]
+    assert pivots(monkeypatch, rows, [F(0), F(1)]) == ([F(0), F(0), F(1)], 0)
+    # Slack rows take part in the ratio test: with x0 + x1 = 0 the entering
+    # x0 cannot rise, so x0 = 1 is infeasible.
+    rows = [[F(1), F(1), F(0)], [F(1), F(0), F(1)], [F(1), F(0), F(0)]]
+    assert linalg.solve_eq_nonneg(rows, [F(0), F(2), F(1)]) is None
+    # With rhs 1 instead, x0 ties rows 0 and 2 in the ratio test; the lower
+    # basic variable (row 0's slack x1, not row 2's artificial) leaves.
+    assert pivots(monkeypatch, rows, [F(1), F(2), F(1)]) == ([F(1), F(0), F(1)], 1)
+
 
 
 def dense_endpoints(step, pres):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_linalg import _rewrite, _tensor_cases, zigzag_cases
+from test_linalg import _rewrite, _tensor_cases, recorded_pivots, zigzag_cases
 
 from convexion import linalg, presentation
 from convexion.distribution import FiniteDistribution, delta
@@ -433,6 +433,31 @@ def test_unknown_solves_every_level(monkeypatch):
     v, tried = levels_tried(monkeypatch, a, d, 2)
     assert tried == [1, 2]
     assert v.is_unknown and v.bound == 2
+
+
+def test_bound_16_unknown_stays_cheap(monkeypatch):
+    # Four generators, two relations, and g2 against g1/2 + g2/2: Unknown
+    # at every level.  The chained LP ran past 144,000 pivots at bound 16
+    # without finishing; the difference form starts phase 1 with
+    # artificials on 4 rows per level, and all levels together take about
+    # 70 eliminations.
+    pres = Presentation(
+        ["g0", "g1", "g2", "g3"],
+        [
+            (
+                rd({"g0": "1/3", "g1": "2/9", "g2": "1/3", "g3": "1/9"}),
+                rd({"g0": "1/3", "g1": "1/3", "g3": "1/3"}),
+            ),
+            (
+                rd({"g1": "1/4", "g2": "3/8", "g3": "3/8"}),
+                rd({"g1": "3/7", "g2": "2/7", "g3": "2/7"}),
+            ),
+        ],
+    )
+    with recorded_pivots(monkeypatch) as eliminations:
+        v = eq(pres.delta("g2"), pres.element(rd({"g1": "1/2", "g2": "1/2"})), 16)
+    assert v.is_unknown and v.bound == 16
+    assert len(eliminations) <= 1000
 
 
 def test_maps_agree_helper():

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_linalg import dense_zigzag_lp, recorded_pivots
 
 from convexion import presentation
 from convexion.distribution import FiniteDistribution, delta
@@ -169,13 +170,17 @@ def test_universal_map_multiconvex_up_to_eq_with_relations():
     assert eq(lhs, rhs, 2).is_equal
 
 
-# The next two instances stall the phase-1 simplex at bound 4: its
-# objective stays flat for more than 24 pivots, so it switches from
-# Dantzig pricing to Bland's rule before it finds the zig-zag.  The pivot
-# rule fixes the vertex, and so the witness; these digests of the repr of
-# the bound-4 path were recorded from the Fraction-tableau simplex.  eq
-# reaches the bound-4 LP on the segment cube; it finds the stall chain at
-# a lower level, whose path STALL_EQ_PATH_DIGEST pins.
+# The next two instances stalled the phase-1 simplex at bound 4 in the
+# chained form of the zig-zag LP: its objective stays flat for more than
+# 24 pivots, so it switches from Dantzig pricing to Bland's rule before it
+# finds the zig-zag.  The pivot rule fixes the vertex, and so the witness;
+# these digests of the repr of the path were recorded from the
+# Fraction-tableau simplex.  eq reaches the bound-4 LP on the segment
+# cube.  It finds the stall chain at a lower level, whose path
+# STALL_EQ_PATH_DIGEST pins; STALL_PATH_DIGEST pins the chained bound-4
+# LP (tests/test_linalg.py::dense_zigzag_lp), which keeps Bland's rule
+# covered now that the difference form solves the instance in one pivot
+# per level.
 SEGMENT_PATH_DIGEST = "9e774392405a49d25a85c07f1b1c02a8b08c09325409ce30034733ad28a6fd8b"
 STALL_PATH_DIGEST = "8dd9d5a25864eef811374f4a60bdb02a8d8119f4664e09888fc21ec9e07411b9"
 STALL_EQ_PATH_DIGEST = "c165fab9a77df13f08cc3e7cadfb243bcc93504f4954353e99bf9a5d79be4f26"
@@ -198,7 +203,7 @@ def test_segment_cube_midpoint_equals_corner_mixture():
     assert path_digest(verdict.path) == SEGMENT_PATH_DIGEST
 
 
-def test_two_step_chain_through_a_stalling_lp():
+def test_two_step_chain_through_a_stalling_lp(monkeypatch):
     third = F(1, 3)
     a_rel = Presentation(
         ["a", "b", "c"], [(delta("a"), FiniteDistribution({"b": F(1, 2), "c": F(1, 2)}))]
@@ -215,8 +220,15 @@ def test_two_step_chain_through_a_stalling_lp():
         tensor(factors),
         {("a", "b"): "2/9", ("b", "b"): "1/2", ("a", "a"): "5/36", ("a", "c"): "5/36"},
     )
-    bound4 = presentation._zigzag_search(start.presentation, start, end, 4)
-    assert path_digest(bound4) == STALL_PATH_DIGEST
+    with monkeypatch.context() as patch, recorded_pivots(monkeypatch) as stalls:
+        patch.setattr(presentation, "_zigzag_lp", dense_zigzag_lp)
+        chained = presentation._zigzag_search(start.presentation, start, end, 4)
+    longest = run = 0
+    for stalled in stalls:
+        run = run + 1 if stalled else 0
+        longest = max(longest, run)
+    assert longest > 24  # so the solver switched to Bland's rule
+    assert path_digest(chained) == STALL_PATH_DIGEST
     verdict = eq(start, end, 4)
     assert verdict.is_equal and verdict.bound == 4
     assert verify_verdict(verdict, start, end)
