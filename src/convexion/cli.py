@@ -112,7 +112,10 @@ def handle_dist(job, ctx):
         out = delta(job.typed("element", str), semiring)
         return {"distribution": jsonio.encode_distribution(out)}
     if op == "pushforward":
-        out = pushforward(dict(job.typed("map", dict)), _dist(job["dist"]))
+        fmap = job.typed("map", dict)
+        for el, image in fmap.items():
+            jsonio._typed(image, str, f"map[{el!r}]")
+        out = pushforward(dict(fmap), _dist(job["dist"]))
         return {"distribution": jsonio.encode_distribution(out)}
     if op == "flatten":
         semiring = semiring_by_name(job.typed("semiring", str, "rational"))
@@ -348,17 +351,27 @@ def handle_tensor(job, ctx):
             tuple(k.split(",")): jsonio.decode_presentation(v)
             for k, v in job.typed("hom", dict).items()
         }
-        identities = {
-            k: hom[(k, k)].element(_dist(v))
-            for k, v in job.typed("identities", dict).items()
-        }
+        identities = {}
+        for k, v in job.typed("identities", dict).items():
+            if (k, k) not in hom:
+                raise ParseError(f"identities[{k!r}]: hom has no entry {k + ',' + k!r}")
+            identities[k] = hom[(k, k)].element(_dist(v))
         composition = {}
         for key, rows in job.typed("composition", dict).items():
-            a, b, c = key.split(",")
+            at = f"composition[{key!r}]"
+            objects = key.split(",")
+            if len(objects) != 3:
+                raise ParseError(f"{at}: expected a key 'a,b,c' naming three objects")
+            a, b, c = objects
+            if (a, c) not in hom:
+                raise ParseError(f"{at}: hom has no entry {a + ',' + c!r}")
             table = {}
-            for row in rows:
-                g2, g1 = row["pair"]
-                table[(g2, g1)] = hom[(a, c)].element(_dist(row["value"]))
+            for i, raw in enumerate(jsonio._typed(rows, list, at)):
+                row = Job(raw, job.name, f"{at}[{i}]")
+                pair = row.typed("pair", list)
+                if len(pair) != 2 or not all(isinstance(g, str) for g in pair):
+                    raise ParseError(f"{at}[{i}].pair: expected two generator names")
+                table[tuple(pair)] = hom[(a, c)].element(_dist(row["value"]))
             composition[(a, b, c)] = table
         cat = BiconvexCategory(
             tuple(job.typed("objects", list)), hom, identities, composition
@@ -632,7 +645,7 @@ def _space_from_job(payload):
 
     if isinstance(payload, dict) and "standard" in payload:
         name = payload["standard"]
-        n_max = int(payload.get("N", 2))
+        n_max = jsonio._typed(payload.get("N", 2), int, "space.N")
         if name == "circle":
             return standard_circle(n_max)
         if name == "point":

@@ -458,8 +458,8 @@ def decode_simplicial_group(payload):
     _typed(payload, dict, "group")
     if "cyclic" in payload:
         return SimplicialAbGroup.constant(
-            AbGroup.cyclic(int(payload["cyclic"])),
-            int(_require(payload, "N", "simplicial group")),
+            AbGroup.cyclic(_typed(payload["cyclic"], int, "group.cyclic")),
+            _typed(_require(payload, "N", "simplicial group"), int, "group.N"),
         )
     n_max = _require(payload, "N", "simplicial group")
     groups = []

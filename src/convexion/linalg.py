@@ -1,18 +1,20 @@
 """Exact rational linear algebra: phase-1 simplex feasibility for systems
 A x = b, x >= 0, and reduced row echelon / nullspace computations.
 
-No floating point, and no Fraction arithmetic inside the loops.  The
-systems the equality engine builds are block lower-triangular and mostly
-zero, so rows are stored sparsely as {column: int} dicts, each input row
-scaled by the lcm of its denominators.  The simplex and the row reduction share
-one fraction-free elimination step (_eliminate): it touches only the rows
-holding the pivot column and divides each by its content (the gcd of its
-entries and rhs), which keeps the integers small.  The pivot row is never
-normalised, so each stored row is a nonzero multiple of the row a
-normalising Fraction tableau would hold.  Fractions are built only for
-the answers.  The simplex starts from the slack columns a system offers
-(unit-like columns, such as the spectators of the equality engine's
-zig-zag LP) and adds artificials only on the rows without one.
+No floating point, and no Fraction arithmetic inside the loops.  Rows are
+stored sparsely as {column: int} dicts of nonzeros.  The simplex takes
+its rows in that form, already scaled to integers by the caller (the
+equality engine's zig-zag LP is built that way from its presentation's
+cache); the row reduction scales its Fraction rows itself, each by the
+lcm of its denominators (_integer_row).  Both share one fraction-free
+elimination step (_eliminate): it touches only the rows holding the pivot
+column and divides each by its content (the gcd of its entries and rhs),
+which keeps the integers small.  The pivot row is never normalised, so
+each stored row is a nonzero multiple of the row a normalising Fraction
+tableau would hold.  Fractions are built only for the answers.  The
+simplex starts from the slack columns a system offers (unit-like columns,
+such as the spectators of the equality engine's zig-zag LP) and adds
+artificials only on the rows without one.
 """
 
 from __future__ import annotations
@@ -26,16 +28,27 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def solve_eq_nonneg(rows, rhs):
+def solve_eq_nonneg(rows, rhs, ncols):
     """Find x >= 0 with A x = b exactly; return a list of Fractions or None.
 
-    rows: list of coefficient lists (each of equal length) of ints or
-    Fractions, rhs: list.  Phase-1 simplex; Dantzig pricing (most negative
-    reduced cost, lowest column on ties) for speed, falling back to Bland's
-    rule after a degenerate stall so termination stays guaranteed.  The
-    ratio test takes the smallest ratio, the lowest basic variable on ties.
-    These choices fix the vertex returned, and so the witnesses built from
-    it.
+    rows: one {column: int} dict per row of A, holding its nonzero
+    entries, with columns in range(ncols); rhs: one int per row.  The
+    arguments are not modified.  Phase-1 simplex; Dantzig pricing (most
+    negative reduced cost, lowest column on ties) for speed, falling back
+    to Bland's rule after a degenerate stall so termination stays
+    guaranteed.  The ratio test takes the smallest ratio, the lowest basic
+    variable on ties.  These choices fix the vertex returned, and so the
+    witnesses built from it.
+
+    The rows are taken as they are, and their scale is part of the pivot
+    rule: the phase-1 objective sums the rows that get an artificial, so
+    each row's scale is its weight in the reduced costs.  Rescaling a row
+    by a positive factor leaves the feasible set and the answer's
+    existence alone but may change the pivots, the vertex and so the
+    witnesses.  The equality engine scales each row by the lcm of its
+    denominators, negated when the rhs is negative (what _integer_row
+    does to a dense Fraction row).  A row whose rhs is negative is
+    negated here, which keeps its scale's size.
 
     The start basis is a slack basis where the system has one (Bixby
     1992): a column whose only nonzero sits in one row, and is positive
@@ -45,28 +58,29 @@ def solve_eq_nonneg(rows, rhs):
     sums those.  A system without such columns starts from the all-
     artificial basis.
 
-    The tableau is integer.  Each row starts as the input row times the
-    lcm of its denominators (negated when the rhs is negative), and the
-    entering column's entry is always positive, so every stored row, the
-    reduced-cost row included, stays a positive multiple of the row a
-    normalising Fraction tableau would hold.  The signs of the reduced
-    costs, their order and each ratio b_i / a_ic are those of that
-    tableau, so the pivots are the same; ratios are compared by
+    The entering column's entry is always positive, so every stored row,
+    the reduced-cost row included, stays a positive multiple of the row a
+    normalising Fraction tableau of the given rows would hold.  The signs
+    of the reduced costs, their order and each ratio b_i / a_ic are those
+    of that tableau, so the pivots are the same; ratios are compared by
     cross-multiplication.  A pivot is degenerate (a stall) when the
     leaving row's rhs is 0: the objective moves by
     cost[enter] * b[leave] / a, with cost[enter] < 0 and a > 0.
     """
     m = len(rows)
-    n = len(rows[0]) if m else 0
+    n = ncols
     # Tableau rows 0..m-1 are the constraints, with column n + i for row
     # i's artificial (if it has one); row m is the reduced-cost row of the
     # phase-1 objective (minimize the sum of artificials), and b[m] is the
     # negated objective.
     tab, b = [], []
     for row, v in zip(rows, rhs):
-        r, v = _integer_row(row, v)
-        tab.append(r)
-        b.append(v)
+        if v < 0:
+            tab.append({j: -a for j, a in row.items()})
+            b.append(-v)
+        else:
+            tab.append(dict(row))
+            b.append(v)
     cols = [set() for _ in range(n + m)]
     for i, r in enumerate(tab):
         for j in r:
@@ -188,12 +202,9 @@ def _eliminate(rows, rhs, cols, r, c):
 def _integer_row(row, v=0):
     """A dense row and its rhs v times the lcm of their denominators,
     negated when v < 0: the row as a {column: int} dict, and the int rhs.
-
-    This is the one place a row is scaled.  The scale is part of the pivot
-    rule: the phase-1 objective sums the scaled rows, so each row's scale
-    is its weight in the reduced costs, and a row scaled anywhere else
-    would change the pivots and the witnesses.  Zeros are skipped by a
-    truth test in C (itertools.compress), which is fastest on int 0."""
+    _rref scales its input rows with it (the RREF does not depend on the
+    scale).  Zeros are skipped by a truth test in C (itertools.compress),
+    which is fastest on int 0."""
     nonzero = list(compress(range(len(row)), row))
     scale = lcm(v.denominator, *(row[j].denominator for j in nonzero))
     if v < 0:

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -117,17 +118,32 @@ class Presentation:
         return tuple(out)
 
     @cached_property
-    def _relation_columns(self):
-        """Per generator x, the x-th entries of symmetric_relations as three
-        tuples over the pairs (r_j, s_j): r, r - s and s - r (subtracted
-        once, here), with zeros as int 0.  _zigzag_lp slices them into its
-        rows."""
+    def _integer_columns(self):
+        """Per generator x, the x-th entries of symmetric_relations in
+        integer form, for _zigzag_lp: (r, r_lcm, r_minus_s, s_minus_r,
+        d_lcm).  r holds the (pair index j, r_j[x] * r_lcm) of the nonzero
+        r_j[x], where r_lcm is the lcm of their denominators; r_minus_s and
+        s_minus_r hold r_j[x] - s_j[x] and its negation, both times d_lcm,
+        the lcm of the differences' denominators.  Built from the
+        relations' supports, so a generator in no relation costs nothing
+        and gets empty entries with lcm 1."""
+        index = self._gen_index
+        r_at = [{} for _ in self.generators]
+        s_at = [{} for _ in self.generators]
+        for j, (lhs, rhs) in enumerate(self.symmetric_relations):
+            for g, w in lhs.items():
+                r_at[index[g]][j] = w
+            for g, w in rhs.items():
+                s_at[index[g]][j] = w
         columns = []
-        for g in self.generators:
-            r = tuple(lhs.weight(g) or 0 for lhs, _ in self.symmetric_relations)
-            s = tuple(rhs.weight(g) or 0 for _, rhs in self.symmetric_relations)
-            r_minus_s = tuple((a - b) or 0 for a, b in zip(r, s))
-            columns.append((r, r_minus_s, tuple(-d for d in r_minus_s)))
+        for r, s in zip(r_at, s_at):
+            diff = {
+                j: d for j in sorted(r.keys() | s.keys()) if (d := r.get(j, 0) - s.get(j, 0))
+            }
+            r_lcm, r_ints = _integer_entries(r)
+            d_lcm, d_ints = _integer_entries(diff)
+            s_minus_r = tuple((j, -v) for j, v in d_ints)
+            columns.append((r_ints, r_lcm, d_ints, s_minus_r, d_lcm))
         return tuple(columns)
 
     @cached_property
@@ -319,8 +335,8 @@ def _zigzag_search(pres, p, q, k):
     """Feasibility of a k-step zig-zag as one exact LP; the steps, or None."""
     pv = pres.vector(p.rep if isinstance(p, PresentedElement) else p)
     qv = pres.vector(q.rep if isinstance(q, PresentedElement) else q)
-    rows, rhs = _zigzag_lp(pres, pv, qv, k)
-    sol = linalg.solve_eq_nonneg(rows, rhs)
+    rows, rhs, ncols = _zigzag_lp(pres, pv, qv, k)
+    sol = linalg.solve_eq_nonneg(rows, rhs, ncols)
     if sol is None:
         return None
     nj = len(pres.symmetric_relations)
@@ -349,34 +365,71 @@ def _zigzag_lp(pres, pv, qv, k):
     The feasible set is that of chaining each step's end to the next
     step's start.  Each t_i[x] is a unit column with rhs p[x] >= 0, so
     linalg.solve_eq_nonneg starts it basic, and phase 1 needs artificials
-    on the last ng rows only.  Returns (rows, rhs).
+    on the last ng rows only.  Returns (rows, rhs, ncols).
 
-    Rows are dense lists (the solver's interface) of int 0, 1 and the
-    relations' weights and differences, each filled by slice assignment
-    from the cached relation columns.  The rows are not scaled here:
-    linalg._integer_row scales each one, and its scale is part of the
-    pivot rule.
+    Rows are linalg.solve_eq_nonneg's integer rows: {column: int} dicts
+    of nonzeros with an int rhs, read off the cached
+    Presentation._integer_columns.  Each row is the rational row times
+    the lcm of its denominators and its rhs's, negated when the rhs is
+    negative.  That scale is part of the pivot rule (the solver's
+    docstring says why), and it is the one linalg._integer_row gives the
+    dense row, so the pivots and the witnesses do not depend on how the
+    rows were built.
     """
-    columns = pres._relation_columns
     nj = len(pres.symmetric_relations)
     ng = len(pres.generators)
     width = nj + ng
     ncols = k * width
-    rows = []
-    for a in range(0, ncols, width):  # step i starts at p + earlier moves
-        for x, (r, r_minus_s, _) in enumerate(columns):
-            row = [0] * ncols
-            for c in range(0, a, width):
-                row[c : c + nj] = r_minus_s
-            row[a : a + nj] = r
-            row[a + nj + x] = 1
-            rows.append(row)
-    for _, _, s_minus_r in columns:  # the net moves sum to q - p
-        row = [0] * ncols
-        for c in range(0, ncols, width):
-            row[c : c + nj] = s_minus_r
-        rows.append(row)
-    return rows, [*pv * k, *(b - a for a, b in zip(pv, qv))]
+    rows = [None] * ((k + 1) * ng)  # row (i, x) at i * ng + x
+    rhs = [0] * len(rows)
+    for x, (r, r_lcm, r_minus_s, s_minus_r, d_lcm) in enumerate(
+        pres._integer_columns
+    ):
+        p = pv[x]
+        scale = lcm(r_lcm, p.denominator)  # step 0 has no earlier moves
+        f = scale // r_lcm
+        row = {j: v * f for j, v in r}
+        row[nj + x] = scale
+        rows[x] = row
+        rhs[x] = p.numerator * (scale // p.denominator)
+        if k > 1:  # steps 1 .. k-1 share one scale and add (r - s) blocks
+            scale = lcm(r_lcm, d_lcm, p.denominator)
+            f = scale // r_lcm
+            r_scaled = [(j, v * f) for j, v in r]
+            f = scale // d_lcm
+            b = p.numerator * (scale // p.denominator)
+            earlier = {}
+            for i in range(1, k):
+                a = i * width
+                for j, v in r_minus_s:
+                    earlier[a - width + j] = v * f
+                row = earlier.copy()
+                for j, v in r_scaled:
+                    row[a + j] = v
+                row[a + nj + x] = scale
+                rows[i * ng + x] = row
+                rhs[i * ng + x] = b
+        v = qv[x] - p  # the net moves sum to q - p
+        scale = lcm(d_lcm, v.denominator)
+        if v < 0:
+            scale = -scale
+        f = scale // d_lcm
+        row = {}
+        for a in range(0, ncols, width):
+            for j, w in s_minus_r:
+                row[a + j] = w * f
+        rows[k * ng + x] = row
+        rhs[k * ng + x] = v.numerator * (scale // v.denominator)
+    return rows, rhs, ncols
+
+
+def _integer_entries(weights):
+    """The lcm of a {j: Fraction} map's denominators, and its (j, weight
+    times that lcm) pairs as ints."""
+    scale = lcm(*(w.denominator for w in weights.values()))
+    return scale, tuple(
+        (j, w.numerator * (scale // w.denominator)) for j, w in weights.items()
+    )
 
 
 def verify_verdict(

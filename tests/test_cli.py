@@ -1038,6 +1038,22 @@ def test_missing_job_field_exit_two(tmp_path, verb, payload, missing):
 
 
 DELTA_A = {"weights": [{"el": "a", "w": "1"}]}
+DELTA_I = {"weights": [{"el": "i", "w": "1"}]}
+
+
+def bridge_job(composition):
+    """A tensor enriched_bridge job on one object o whose hom is free on i."""
+    return {
+        "op": "enriched_bridge",
+        "objects": ["o"],
+        "hom": {"o,o": {"generators": ["i"], "relations": []}},
+        "identities": {"o": DELTA_I},
+        "composition": composition,
+    }
+
+
+BRIDGE_ROW = {"pair": ["i", "i"], "value": DELTA_I}
+TWIST_JOB = {"op": "twisted_product", "twist": {"maps": {"1": {"e": "1", "sv": "0"}}}}
 LAX_INSTANCE = {"operation": {"arity": 2, "alpha": ["1/4", "3/4"]}, "objects": ["S1", "S2"]}
 
 # A wrong-typed or missing field in each job, the argv it runs with, and
@@ -1121,6 +1137,51 @@ WRONG_FIELD_JOBS = [
         {"op": "delta", "element": "a", "semiring": []},
         "semiring: expected a JSON string",
     ),
+    (
+        ["tensor"],
+        bridge_job({"o,o": [BRIDGE_ROW]}),
+        "composition['o,o']: expected a key 'a,b,c' naming three objects",
+    ),
+    (
+        ["tensor"],
+        bridge_job({"o,o,p": [BRIDGE_ROW]}),
+        "composition['o,o,p']: hom has no entry 'o,p'",
+    ),
+    (
+        ["tensor"],
+        {**bridge_job({"o,o,o": [BRIDGE_ROW]}), "identities": {"p": DELTA_I}},
+        "identities['p']: hom has no entry 'p,p'",
+    ),
+    (
+        ["tensor"],
+        bridge_job({"o,o,o": 7}),
+        "composition['o,o,o']: expected a JSON list",
+    ),
+    (
+        ["tensor"],
+        bridge_job({"o,o,o": [{"value": DELTA_I}]}),
+        "composition['o,o,o'][0].pair: missing from the enriched_bridge job",
+    ),
+    (
+        ["tensor"],
+        bridge_job({"o,o,o": [BRIDGE_ROW, {"pair": ["i"], "value": DELTA_I}]}),
+        "composition['o,o,o'][1].pair: expected two generator names",
+    ),
+    (
+        ["twist"],
+        {**TWIST_JOB, "space": {"standard": "circle", "N": 1}, "group": {"cyclic": "x", "N": 1}},
+        "group.cyclic: expected a JSON integer",
+    ),
+    (
+        ["twist"],
+        {**TWIST_JOB, "space": {"standard": "circle", "N": "x"}, "group": {"cyclic": 2, "N": 1}},
+        "space.N: expected a JSON integer",
+    ),
+    (
+        ["dist"],
+        {"op": "pushforward", "map": {"a": [], "b": "a"}, "dist": DIST},
+        "map['a']: expected a JSON string",
+    ),
 ]
 
 
@@ -1135,6 +1196,13 @@ def test_wrong_job_field_exit_two(tmp_path, argv, payload, error):
     code, report, stderr = _run_process(*argv, flag, path)
     assert code == 2 and "Traceback" not in stderr
     assert report["error"] == error
+
+
+def test_enriched_bridge_cli(tmp_path):
+    job = write(tmp_path, "job.json", bridge_job({"o,o,o": [BRIDGE_ROW]}))
+    code, report = invoke("tensor", "--job", job)
+    assert code == 0
+    assert report["result"] == {"round_trip": True}
 
 
 def test_missing_xi_field_exit_two(tmp_path):

@@ -23,28 +23,41 @@ def check_solution(rows, rhs, x):
         assert sum(a * v for a, v in zip(row, x)) == b
 
 
+def integer_lp(rows, rhs):
+    """Dense rows and their rhs as solve_eq_nonneg's arguments: each row
+    scaled by linalg._integer_row (the lcm of its denominators, negated
+    for a negative rhs), the scale the equality engine gives its rows."""
+    scaled = [linalg._integer_row(row, v) for row, v in zip(rows, rhs)]
+    ncols = len(rows[0]) if rows else 0
+    return [row for row, _ in scaled], [v for _, v in scaled], ncols
+
+
+def solve_dense(rows, rhs):
+    return linalg.solve_eq_nonneg(*integer_lp(rows, rhs))
+
+
 def test_simple_feasible_system():
     rows = [[F(1), F(1)], [F(1), F(-1)]]
     rhs = [F(1), F(0)]
-    x = linalg.solve_eq_nonneg(rows, rhs)
+    x = solve_dense(rows, rhs)
     assert x == [F(1, 2), F(1, 2)]
 
 
 def test_infeasible_by_sign():
     # x1 + x2 = -1 has no nonnegative solution.
-    assert linalg.solve_eq_nonneg([[F(1), F(1)]], [F(-1)]) is None
+    assert solve_dense([[F(1), F(1)]], [F(-1)]) is None
 
 
 def test_infeasible_inconsistent():
     rows = [[F(1), F(0)], [F(1), F(0)]]
     rhs = [F(1), F(2)]
-    assert linalg.solve_eq_nonneg(rows, rhs) is None
+    assert solve_dense(rows, rhs) is None
 
 
 def test_degenerate_zero_rows():
     rows = [[F(0), F(0)]]
-    assert linalg.solve_eq_nonneg(rows, [F(0)]) == [F(0), F(0)]
-    assert linalg.solve_eq_nonneg(rows, [F(1)]) is None
+    assert solve_dense(rows, [F(0)]) == [F(0), F(0)]
+    assert solve_dense(rows, [F(1)]) is None
 
 
 @given(st.data())
@@ -58,12 +71,12 @@ def test_random_systems_agree_with_verification(data):
     if data.draw(st.booleans()):
         point = [F(data.draw(st.integers(0, 3))) for _ in range(n)]
         rhs = [sum(a * v for a, v in zip(row, point)) for row in rows]
-        x = linalg.solve_eq_nonneg(rows, rhs)
+        x = solve_dense(rows, rhs)
         assert x is not None
         check_solution(rows, rhs, x)
     else:
         rhs = [F(data.draw(st.integers(-3, 3))) for _ in range(m)]
-        x = linalg.solve_eq_nonneg(rows, rhs)
+        x = solve_dense(rows, rhs)
         if x is not None:
             check_solution(rows, rhs, x)
 
@@ -120,7 +133,7 @@ def test_rational_systems_are_solved_exactly(data):
         rhs = [sum(a * v for a, v in zip(row, point)) for row in rows]
     else:
         rhs = [data.draw(rationals) for _ in range(m)]
-    x = linalg.solve_eq_nonneg(rows, rhs)
+    x = solve_dense(rows, rhs)
     if feasible:
         assert x is not None
     if x is not None:
@@ -182,6 +195,8 @@ def test_nullspace_is_the_same_for_int_and_fraction_input(data):
 # changes witnesses.  The corpus is the chained form of the zig-zag LP
 # (dense_zigzag_lp): it has no singleton columns, so the solver starts it
 # from the all-artificial basis, exactly as before the slack start basis.
+# Each row is scaled by _integer_row (integer_lp), as the engine scales
+# its own rows.
 ZIGZAG_DIGEST = "ed16f4caa6b52fd795295a110bb5847bce56cb79cb40032aab7e23a7057dfb04"
 ZIGZAG_SEED = 20240327
 
@@ -264,7 +279,7 @@ def _outputs_digest(outputs):
 def test_zigzag_outputs_are_pinned():
     outputs = []
     for rows, rhs in zigzag_corpus():
-        x = linalg.solve_eq_nonneg(rows, rhs)
+        x = solve_dense(rows, rhs)
         if x is not None:
             check_solution(rows, rhs, x)
         outputs.append(x)
@@ -383,15 +398,71 @@ def _tensor_cases():
             yield pres, pres.vector(start.rep), pres.vector(end), k
 
 
+def scaled_zigzag_lp(pres, pv, qv, k):
+    """The chained oracle's rows in solve_eq_nonneg's integer form."""
+    return integer_lp(*dense_zigzag_lp(pres, pv, qv, k))
+
+
+def zigzag_lp_matching_the_dense_builder(pres, pv, qv, k):
+    """_zigzag_lp's system, after checking that each of its rows and rhs
+    is exactly _integer_row of the cell-by-cell difference-form oracle's."""
+    rows, rhs, ncols = presentation._zigzag_lp(pres, pv, qv, k)
+    dense_rows, dense_rhs = dense_difference_lp(pres, pv, qv, k)
+    assert len(rows) == len(rhs) == len(dense_rows) == (k + 1) * len(pres.generators)
+    assert ncols == len(dense_rows[0])
+    for row, v, dense_row, dense_v in zip(rows, rhs, dense_rows, dense_rhs):
+        assert (row, v) == linalg._integer_row(dense_row, dense_v)
+        assert type(v) is int and all(type(a) is int for a in row.values())
+    return rows, rhs, ncols
+
+
 def test_zigzag_lp_rows_match_the_dense_builder():
-    # The dense builder is the cell-by-cell difference-form oracle.
     cases = zigzag_cases() + list(_tensor_cases())
     assert len(cases) == 128
-    for pres, pv, qv, k in cases:
-        rows, rhs = presentation._zigzag_lp(pres, pv, qv, k)
-        dense_rows, dense_rhs = dense_difference_lp(pres, pv, qv, k)
-        assert len(rows) == len(dense_rows) == (k + 1) * len(pres.generators)
-        assert rows == dense_rows and rhs == dense_rhs
+    for case in cases:
+        zigzag_lp_matching_the_dense_builder(*case)
+
+
+# The segment relation m ~ 1/2 a + 1/2 b plus a generator z in no relation;
+# the pairs are j = 0: (m, a/2 + b/2) and j = 1: (a/2 + b/2, m), so nj = 2
+# and step i's columns start at 6 i.  p[a] = 1/3 has a denominator that
+# does not divide a's column lcm 2, and q - p is 1/4, 1/4, -1/2, 0.
+SEGMENT_Z = Presentation(
+    ["a", "b", "m", "z"], [(delta("m"), FiniteDistribution({"a": F(1, 2), "b": F(1, 2)}))]
+)
+P_Z = [F(1, 3), F(0), F(1, 2), F(1, 6)]
+Q_Z = [F(7, 12), F(1, 4), F(0), F(1, 6)]
+
+
+def test_a_generator_in_no_relation_has_empty_columns():
+    assert SEGMENT_Z._integer_columns[3] == ((), 1, (), (), 1)
+    rows, rhs, _ = zigzag_lp_matching_the_dense_builder(SEGMENT_Z, P_Z, Q_Z, 2)
+    # z's start rows hold its spectator only, scaled by p[z]'s denominator
+    assert (rows[3], rhs[3]) == ({5: 6}, 1)
+    assert (rows[4 + 3], rhs[4 + 3]) == ({11: 6}, 1)
+
+
+def test_rhs_denominators_outside_the_column_lcm():
+    assert SEGMENT_Z._integer_columns[0] == (((1, 1),), 2, ((0, -1), (1, 1)), ((0, 1), (1, -1)), 2)
+    rows, rhs, _ = zigzag_lp_matching_the_dense_builder(SEGMENT_Z, P_Z, Q_Z, 2)
+    # a's rows: scale lcm(2, 3) = 6
+    assert (rows[0], rhs[0]) == ({1: 3, 2: 6}, 2)
+    assert (rows[4], rhs[4]) == ({0: -3, 1: 3, 7: 3, 8: 6}, 2)
+
+
+def test_negative_and_zero_net_move_rows():
+    rows, rhs, ncols = zigzag_lp_matching_the_dense_builder(SEGMENT_Z, P_Z, Q_Z, 2)
+    last = 2 * 4
+    assert (rows[last], rhs[last]) == ({0: 2, 1: -2, 6: 2, 7: -2}, 1)  # a: +1/4
+    # m: q - p = -1/2, so the row is negated: scale -2
+    assert (rows[last + 2], rhs[last + 2]) == ({0: 2, 1: -2, 6: 2, 7: -2}, 1)
+    assert (rows[last + 3], rhs[last + 3]) == ({}, 0)  # z: q - p = 0
+    x = linalg.solve_eq_nonneg(rows, rhs, ncols)
+    check_solution(*dense_difference_lp(SEGMENT_Z, P_Z, Q_Z, 2), x)
+    p = SEGMENT_Z.element(SEGMENT_Z.dist_from_vector(P_Z))
+    q = SEGMENT_Z.element(SEGMENT_Z.dist_from_vector(Q_Z))
+    verdict = presentation.eq(p, q, 2)
+    assert verdict.is_equal and presentation.verify_verdict(verdict, p, q)
 
 
 def test_difference_form_solutions_satisfy_the_chained_rows():
@@ -401,7 +472,7 @@ def test_difference_form_solutions_satisfy_the_chained_rows():
     for pres, pv, qv, k in zigzag_cases() + list(_tensor_cases()):
         chained_rows, chained_rhs = dense_zigzag_lp(pres, pv, qv, k)
         x = linalg.solve_eq_nonneg(*presentation._zigzag_lp(pres, pv, qv, k))
-        assert (x is None) == (linalg.solve_eq_nonneg(chained_rows, chained_rhs) is None)
+        assert (x is None) == (solve_dense(chained_rows, chained_rhs) is None)
         if x is None:
             continue
         feasible += 1
@@ -441,7 +512,7 @@ def recorded_pivots(monkeypatch):
 def pivots(monkeypatch, rows, rhs):
     """solve_eq_nonneg's answer and its number of pivots."""
     with recorded_pivots(monkeypatch) as stalls:
-        x = linalg.solve_eq_nonneg(rows, rhs)
+        x = solve_dense(rows, rhs)
     return x, len(stalls)
 
 
@@ -481,11 +552,19 @@ def test_zero_rhs_rows(monkeypatch):
     # Slack rows take part in the ratio test: with x0 + x1 = 0 the entering
     # x0 cannot rise, so x0 = 1 is infeasible.
     rows = [[F(1), F(1), F(0)], [F(1), F(0), F(1)], [F(1), F(0), F(0)]]
-    assert linalg.solve_eq_nonneg(rows, [F(0), F(2), F(1)]) is None
+    assert solve_dense(rows, [F(0), F(2), F(1)]) is None
     # With rhs 1 instead, x0 ties rows 0 and 2 in the ratio test; the lower
     # basic variable (row 0's slack x1, not row 2's artificial) leaves.
     assert pivots(monkeypatch, rows, [F(1), F(2), F(1)]) == ([F(1), F(0), F(1)], 1)
 
+
+def test_integer_rows_are_read_not_modified():
+    # A negative rhs negates its row: -x0 = -2 is x0 = 2, and x0 + x1 = -1
+    # has no nonnegative solution.  The caller's rows and rhs stay as given.
+    rows, rhs = [{0: -1}, {0: 1, 1: 1, 2: 1}], [-2, 3]
+    assert linalg.solve_eq_nonneg(rows, rhs, 3) == [F(2), F(1), F(0)]
+    assert rows == [{0: -1}, {0: 1, 1: 1, 2: 1}] and rhs == [-2, 3]
+    assert linalg.solve_eq_nonneg([{0: 1, 1: 1}], [-1], 2) is None
 
 
 def dense_endpoints(step, pres):

@@ -7,9 +7,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_linalg import dense_zigzag_lp, recorded_pivots
+from test_linalg import recorded_pivots, scaled_zigzag_lp
 
-from convexion import presentation
+from convexion import linalg, presentation
 from convexion.distribution import FiniteDistribution, delta
 from convexion.errors import (
     ArityMismatch,
@@ -178,9 +178,9 @@ def test_universal_map_multiconvex_up_to_eq_with_relations():
 # Fraction-tableau simplex.  eq reaches the bound-4 LP on the segment
 # cube.  It finds the stall chain at a lower level, whose path
 # STALL_EQ_PATH_DIGEST pins; STALL_PATH_DIGEST pins the chained bound-4
-# LP (tests/test_linalg.py::dense_zigzag_lp), which keeps Bland's rule
-# covered now that the difference form solves the instance in one pivot
-# per level.
+# LP (tests/test_linalg.py::dense_zigzag_lp, scaled as the engine scales
+# its rows), which keeps Bland's rule covered now that the difference
+# form solves the instance in one pivot per level.
 SEGMENT_PATH_DIGEST = "9e774392405a49d25a85c07f1b1c02a8b08c09325409ce30034733ad28a6fd8b"
 STALL_PATH_DIGEST = "8dd9d5a25864eef811374f4a60bdb02a8d8119f4664e09888fc21ec9e07411b9"
 STALL_EQ_PATH_DIGEST = "c165fab9a77df13f08cc3e7cadfb243bcc93504f4954353e99bf9a5d79be4f26"
@@ -203,6 +203,25 @@ def test_segment_cube_midpoint_equals_corner_mixture():
     assert path_digest(verdict.path) == SEGMENT_PATH_DIGEST
 
 
+def test_eq_builds_no_dense_lp_row(monkeypatch):
+    # The zig-zag LP's rows come scaled from the presentation's cache.  The
+    # invariant basis is computed first: its RREF scales dense rows.
+    seg = Presentation(
+        ["a", "b", "m"], [(delta("m"), FiniteDistribution({"a": F(1, 2), "b": F(1, 2)}))]
+    )
+    mid = universal_map([seg] * 3, [seg.delta("m")] * 3)
+    corners = rd(mid.presentation, {g: "1/8" for g in itertools.product("ab", repeat=3)})
+    assert len(mid.presentation.generators) == 27
+    mid.presentation.invariant_basis
+    scaled = []
+    integer_row = linalg._integer_row
+    monkeypatch.setattr(
+        linalg, "_integer_row", lambda *args: scaled.append(args) or integer_row(*args)
+    )
+    assert eq(mid, corners, 4).is_equal
+    assert scaled == []
+
+
 def test_two_step_chain_through_a_stalling_lp(monkeypatch):
     third = F(1, 3)
     a_rel = Presentation(
@@ -221,7 +240,7 @@ def test_two_step_chain_through_a_stalling_lp(monkeypatch):
         {("a", "b"): "2/9", ("b", "b"): "1/2", ("a", "a"): "5/36", ("a", "c"): "5/36"},
     )
     with monkeypatch.context() as patch, recorded_pivots(monkeypatch) as stalls:
-        patch.setattr(presentation, "_zigzag_lp", dense_zigzag_lp)
+        patch.setattr(presentation, "_zigzag_lp", scaled_zigzag_lp)
         chained = presentation._zigzag_search(start.presentation, start, end, 4)
     longest = run = 0
     for stalled in stalls:
