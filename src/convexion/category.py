@@ -550,9 +550,6 @@ class ConvexFibrationData:
     def identity_pair(self, c, element: PresentedElement) -> GraphPair:
         return self.lift(self.base.identity[c], element)
 
-    def mix_objects(self, c, alpha, elements) -> PresentedElement:
-        return quotient_mix(alpha, elements)
-
     def mix_pairs(self, alpha, pairs) -> GraphPair:
         names = {p.morphism for p in pairs}
         if len(names) != 1:

@@ -1,12 +1,16 @@
 """Command-line front door.
 
-Every module operation is reachable from one of the verbs (the registry at
-the bottom is asserted in the test suite).  Most verbs take a --job JSON
-file with an "op" field selecting the operation and inline arguments per
-the schemas in jsonio; eq also accepts the direct flag form, and entropy
-has explicit subcommands.  Reports are canonical JSON (sorted keys,
-lowest-terms rationals) and always carry the tool version, the equality
-step bound in use, and the assumption flags relevant to the operation.
+Every operation is a plain function registered once, next to its body, in
+the table OPS under its (verb, op) key.  Dispatch, the parser's verbs and
+each verb's --help list are read from that table, and the test suite checks
+its coverage against it: one sample job per key, and every module operation
+reached by running them.  Most verbs take a --job JSON file whose "op" field
+selects the operation, with inline arguments per the schemas in jsonio; eq
+also accepts the direct flag form, the entropy ops are subcommands with
+their own flags, and selfcheck takes none.  Reports are canonical JSON
+(sorted keys, lowest-terms rationals) and always carry the tool version,
+the equality step bound in use, and the assumption flags relevant to the
+operation.
 
 Exit codes: 0 success / all checks passed; 1 a check failed (the report is
 still written); 2 malformed input.
@@ -21,6 +25,7 @@ from fractions import Fraction
 from . import __version__, jsonio
 from .distribution import FiniteDistribution, convex_combine, delta, flatten, pushforward
 from .errors import ConvexionError, ParseError, RelationViolated, Undecided
+from .join import JoinSpace, copair, join_mix
 from .matprop import (
     QConvOp,
     RMatrix,
@@ -32,14 +37,7 @@ from .matprop import (
     permute,
     qconv_compose,
 )
-from .presentation import (
-    ConvexMap,
-    eq,
-    hom_combine,
-    induce_map,
-    quotient_mix,
-    verify_verdict,
-)
+from .presentation import eq, hom_combine, induce_map, quotient_mix, verify_verdict
 from .semiring import RATIONAL, semiring_by_name
 
 F = Fraction
@@ -52,6 +50,25 @@ ASSUMPTION_FLAGS = {
     "counterexample_value": "from_definitions",
 }
 
+#: (verb, op) -> handler(job, ctx).  The handlers of the entropy ops and of
+#: selfcheck get the argparse namespace in place of a job.
+OPS = {}
+
+#: (verb, op) -> the argparse (flag, options) pairs that an entropy
+#: subcommand adds; empty for the other ops.
+FLAGS = {}
+
+
+def op(verb, name, *flags):
+    """Register the decorated handler as the operation name of verb."""
+
+    def register(handler):
+        OPS[(verb, name)] = handler
+        FLAGS[(verb, name)] = flags
+        return handler
+
+    return register
+
 
 class CheckFailure(Exception):
     """A well-formed computation whose verification did not pass."""
@@ -61,8 +78,11 @@ class CheckFailure(Exception):
         self.result = result
 
 
-def _dist(payload):
-    return jsonio.decode_distribution(payload)
+def _checked(ok, result):
+    """result, or CheckFailure(result) (exit 1) when ok is false."""
+    if not ok:
+        raise CheckFailure(result)
+    return result
 
 
 _REQUIRED = object()
@@ -89,405 +109,423 @@ class Job(dict):
 
     def typed(self, key, kind, default=_REQUIRED):
         """The field key, which must be a JSON object (kind dict), list,
-        string or integer; when it is absent, default if one is given.  The objects
-        of a list field are read with Job(item, job.name, f"{key}[{i}]")."""
+        string or integer; when it is absent, default if one is given."""
         value = self[key] if default is _REQUIRED else self.get(key, default)
         return jsonio._typed(value, kind, self._path(key))
 
+    def objects(self, key, default=_REQUIRED):
+        """The list field key, each item read as a Job at its path."""
+        return [
+            Job(raw, self.name, f"{self._path(key)}[{i}]")
+            for i, raw in enumerate(self.typed(key, list, default))
+        ]
 
-def _load_job(path):
-    job = jsonio.load_json(path)
-    if not isinstance(job, dict) or "op" not in job:
-        raise ParseError(f"{path}: job file has no 'op' field")
-    return Job(job, job["op"])
+    def rationals(self, key):
+        """The list field key of rational literals."""
+        return [RATIONAL.parse(str(a)) for a in self.typed(key, list)]
+
+    def presentations(self, key):
+        """The list field key of presentations."""
+        return [jsonio.decode_presentation(p) for p in self.typed(key, list)]
+
+
+def _element(pres, payload):
+    """The element of pres named by the distribution JSON payload."""
+    return pres.element(jsonio.decode_distribution(payload))
+
+
+def _assignment(tgt, table):
+    """A {generator: distribution JSON} table as elements of tgt."""
+    return {g: _element(tgt, d) for g, d in table.items()}
+
+
+def _distribution(out):
+    return {"distribution": jsonio.encode_distribution(out)}
+
+
+def _induced(build, report_pair):
+    """(build(), None), or (None, the refusal's report) when build raises
+    RelationViolated (with its pair if report_pair) or Undecided."""
+    try:
+        return build(), None
+    except RelationViolated as exc:
+        refusal = {"accepted": False, "reason": "relation_violated"}
+        if report_pair:
+            refusal["pair"] = [jsonio.encode_distribution(side) for side in exc.pair]
+        return None, refusal
+    except Undecided:
+        return None, {"accepted": False, "reason": "undecided"}
 
 
 # -- dist ---------------------------------------------------------------------------
 
 
-def handle_dist(job, ctx):
-    op = job["op"]
-    if op == "delta":
-        semiring = semiring_by_name(job.typed("semiring", str, "rational"))
-        out = delta(job.typed("element", str), semiring)
-        return {"distribution": jsonio.encode_distribution(out)}
-    if op == "pushforward":
-        fmap = job.typed("map", dict)
-        for el, image in fmap.items():
-            jsonio._typed(image, str, f"map[{el!r}]")
-        out = pushforward(dict(fmap), _dist(job["dist"]))
-        return {"distribution": jsonio.encode_distribution(out)}
-    if op == "flatten":
-        semiring = semiring_by_name(job.typed("semiring", str, "rational"))
-        outer = {}
-        for i, raw in enumerate(job.typed("outer", list)):
-            item = Job(raw, job.name, f"outer[{i}]")
-            inner = jsonio.decode_distribution(item["dist"], semiring)
-            w = semiring.parse(str(item["weight"]))
-            outer[inner] = semiring.add(outer.get(inner, semiring.zero()), w)
-        out = flatten(FiniteDistribution(outer, semiring))
-        return {"distribution": jsonio.encode_distribution(out)}
-    if op == "convex_combine":
-        alpha = [RATIONAL.parse(str(a)) for a in job.typed("alpha", list)]
-        out = convex_combine(alpha, [_dist(d) for d in job.typed("dists", list)])
-        return {"distribution": jsonio.encode_distribution(out)}
-    raise ParseError(f"unknown dist op {op!r}")
+@op("dist", "delta")
+def dist_delta(job, ctx):
+    semiring = semiring_by_name(job.typed("semiring", str, "rational"))
+    return _distribution(delta(job.typed("element", str), semiring))
+
+
+@op("dist", "pushforward")
+def dist_pushforward(job, ctx):
+    fmap = job.typed("map", dict)
+    for el, image in fmap.items():
+        jsonio._typed(image, str, f"map[{el!r}]")
+    return _distribution(pushforward(dict(fmap), jsonio.decode_distribution(job["dist"])))
+
+
+@op("dist", "flatten")
+def dist_flatten(job, ctx):
+    semiring = semiring_by_name(job.typed("semiring", str, "rational"))
+    outer = {}
+    for item in job.objects("outer"):
+        inner = jsonio.decode_distribution(item["dist"], semiring)
+        w = semiring.parse(str(item["weight"]))
+        outer[inner] = semiring.add(outer.get(inner, semiring.zero()), w)
+    return _distribution(flatten(FiniteDistribution(outer, semiring)))
+
+
+@op("dist", "convex_combine")
+def dist_convex_combine(job, ctx):
+    alpha = job.rationals("alpha")
+    dists = [jsonio.decode_distribution(d) for d in job.typed("dists", list)]
+    return _distribution(convex_combine(alpha, dists))
 
 
 # -- eq -----------------------------------------------------------------------------
 
 
-def handle_eq_flags(args, ctx):
-    pres = jsonio.decode_presentation(jsonio.load_json(args.presentation))
-    lhs = pres.element(_dist(jsonio.load_json(args.lhs)))
-    rhs = pres.element(_dist(jsonio.load_json(args.rhs)))
-    verdict = eq(lhs, rhs, ctx["bound"])
+@op("eq", "eq")
+def eq_eq(job, ctx):
+    pres = jsonio.decode_presentation(job["presentation"])
+    lhs, rhs = _element(pres, job["lhs"]), _element(pres, job["rhs"])
+    verdict = eq(lhs, rhs, job.get("bound", ctx["bound"]))
     return {
         "verdict": jsonio.encode_verdict(verdict, pres),
         "verified": verify_verdict(verdict, lhs, rhs),
     }
 
 
-def handle_eq(job, ctx):
-    op = job["op"]
-    if op == "eq":
-        pres = jsonio.decode_presentation(job["presentation"])
-        lhs = pres.element(_dist(job["lhs"]))
-        rhs = pres.element(_dist(job["rhs"]))
-        verdict = eq(lhs, rhs, job.get("bound", ctx["bound"]))
-        return {
-            "verdict": jsonio.encode_verdict(verdict, pres),
-            "verified": verify_verdict(verdict, lhs, rhs),
-        }
-    if op == "quotient_mix":
-        pres = jsonio.decode_presentation(job["presentation"])
-        alpha = [RATIONAL.parse(str(a)) for a in job.typed("alpha", list)]
-        elements = [pres.element(_dist(d)) for d in job.typed("elements", list)]
-        out = quotient_mix(alpha, elements)
-        return {"element": jsonio.encode_distribution(out.rep)}
-    if op == "induce_map":
-        src = jsonio.decode_presentation(job["source"])
-        tgt = jsonio.decode_presentation(job["target"])
-        assignment = {
-            g: tgt.element(_dist(d)) for g, d in job.typed("assignment", dict).items()
-        }
-        try:
-            fmap = induce_map(src, tgt, assignment, ctx["bound"])
-        except RelationViolated as exc:
-            return {
-                "accepted": False,
-                "reason": "relation_violated",
-                "pair": [
-                    jsonio.encode_distribution(exc.pair[0]),
-                    jsonio.encode_distribution(exc.pair[1]),
-                ],
-            }
-        except Undecided:
-            return {"accepted": False, "reason": "undecided"}
-        result = {"accepted": True}
-        if "apply_to" in job:
-            out = fmap(src.element(_dist(job["apply_to"])))
-            result["value"] = jsonio.encode_distribution(out.rep)
-        return result
-    if op == "hom_combine":
-        src = jsonio.decode_presentation(job["source"])
-        tgt = jsonio.decode_presentation(job["target"])
-        maps = []
-        for i, raw in enumerate(job.typed("assignments", list)):
-            table = Job(raw, job.name, f"assignments[{i}]")
-            maps.append(
-                ConvexMap(
-                    src,
-                    tgt,
-                    {g: tgt.element(_dist(d)) for g, d in table.items()},
-                    ctx["bound"],
-                )
-            )
-        alpha = [RATIONAL.parse(str(a)) for a in job.typed("alpha", list)]
-        mixed = hom_combine(alpha, maps)
-        result = {
-            "assignment": {
-                g: jsonio.encode_distribution(mixed.on_generator(g).rep)
-                for g in src.generators
-            }
-        }
-        if "apply_to" in job:
-            out = mixed(src.element(_dist(job["apply_to"])))
-            result["value"] = jsonio.encode_distribution(out.rep)
-        return result
-    if op == "verify":
-        pres = jsonio.decode_presentation(job["presentation"])
-        lhs = pres.element(_dist(job["lhs"]))
-        rhs = pres.element(_dist(job["rhs"]))
-        verdict = jsonio.decode_verdict(job["verdict"], pres)
-        ok = verify_verdict(verdict, lhs, rhs)
-        result = {"verified": ok}
-        if not ok:
-            raise CheckFailure(result)
-        return result
-    raise ParseError(f"unknown eq op {op!r}")
+@op("eq", "quotient_mix")
+def eq_quotient_mix(job, ctx):
+    pres = jsonio.decode_presentation(job["presentation"])
+    alpha = job.rationals("alpha")
+    elements = [_element(pres, d) for d in job.typed("elements", list)]
+    return {"element": jsonio.encode_distribution(quotient_mix(alpha, elements).rep)}
+
+
+@op("eq", "induce_map")
+def eq_induce_map(job, ctx):
+    src = jsonio.decode_presentation(job["source"])
+    tgt = jsonio.decode_presentation(job["target"])
+    assignment = _assignment(tgt, job.typed("assignment", dict))
+    fmap, refusal = _induced(lambda: induce_map(src, tgt, assignment, ctx["bound"]), True)
+    if refusal:
+        return refusal
+    result = {"accepted": True}
+    if "apply_to" in job:
+        result["value"] = jsonio.encode_distribution(fmap(_element(src, job["apply_to"])).rep)
+    return result
+
+
+@op("eq", "hom_combine")
+def eq_hom_combine(job, ctx):
+    src = jsonio.decode_presentation(job["source"])
+    tgt = jsonio.decode_presentation(job["target"])
+    maps = [
+        induce_map(src, tgt, _assignment(tgt, table), ctx["bound"])
+        for table in job.objects("assignments")
+    ]
+    mixed = hom_combine(job.rationals("alpha"), maps)
+    assignment = {g: jsonio.encode_distribution(mixed.on_generator(g).rep) for g in src.generators}
+    result = {"assignment": assignment}
+    if "apply_to" in job:
+        result["value"] = jsonio.encode_distribution(mixed(_element(src, job["apply_to"])).rep)
+    return result
+
+
+@op("eq", "verify")
+def eq_verify(job, ctx):
+    pres = jsonio.decode_presentation(job["presentation"])
+    lhs, rhs = _element(pres, job["lhs"]), _element(pres, job["rhs"])
+    verdict = jsonio.decode_verdict(job["verdict"], pres)
+    ok = verify_verdict(verdict, lhs, rhs)
+    return _checked(ok, {"verified": ok})
 
 
 # -- join ----------------------------------------------------------------------------
 
 
-def handle_join(job, ctx):
-    from .join import JoinSpace, copair, join_mix
+def _join_space(job):
+    return JoinSpace(*(jsonio.decode_presentation(job[f"{s}_presentation"]) for s in "xy"))
 
-    op = job["op"]
-    xp = jsonio.decode_presentation(job["x_presentation"])
-    yp = jsonio.decode_presentation(job["y_presentation"])
-    space = JoinSpace(xp, yp)
-    if op == "join_point":
-        pt = jsonio.decode_join_element(job["point"], space)
-        return {
-            "point": jsonio.encode_join_element(pt),
-            "assumptions_used": [],
-        }
-    if op == "join_mix":
-        beta = [RATIONAL.parse(str(b)) for b in job.typed("beta", list)]
-        pts = [jsonio.decode_join_element(p, space) for p in job.typed("points", list)]
-        out = join_mix(beta, pts)
-        return {
-            "point": jsonio.encode_join_element(out),
-            "assumptions_used": ["join_mix"],
-        }
-    if op == "copair":
-        tgt = jsonio.decode_presentation(job["target"])
-        f = induce_map(
-            xp,
-            tgt,
-            {g: tgt.element(_dist(d)) for g, d in job.typed("f", dict).items()},
-            ctx["bound"],
-        )
-        g = induce_map(
-            yp,
-            tgt,
-            {g2: tgt.element(_dist(d)) for g2, d in job.typed("g", dict).items()},
-            ctx["bound"],
-        )
-        h = copair(f, g)
-        pt = jsonio.decode_join_element(job["point"], h.space)
-        return {"value": jsonio.encode_distribution(h(pt).rep)}
-    raise ParseError(f"unknown join op {op!r}")
+
+@op("join", "join_point")
+def join_join_point(job, ctx):
+    pt = jsonio.decode_join_element(job["point"], _join_space(job))
+    return {"point": jsonio.encode_join_element(pt), "assumptions_used": []}
+
+
+@op("join", "join_mix")
+def join_join_mix(job, ctx):
+    space = _join_space(job)
+    beta = job.rationals("beta")
+    pts = [jsonio.decode_join_element(p, space) for p in job.typed("points", list)]
+    point = jsonio.encode_join_element(join_mix(beta, pts))
+    return {"point": point, "assumptions_used": ["join_mix"]}
+
+
+@op("join", "copair")
+def join_copair(job, ctx):
+    space = _join_space(job)
+    tgt = jsonio.decode_presentation(job["target"])
+    f = induce_map(space.x_factor, tgt, _assignment(tgt, job.typed("f", dict)), ctx["bound"])
+    g = induce_map(space.y_factor, tgt, _assignment(tgt, job.typed("g", dict)), ctx["bound"])
+    h = copair(f, g)
+    pt = jsonio.decode_join_element(job["point"], h.space)
+    return {"value": jsonio.encode_distribution(h(pt).rep)}
 
 
 # -- tensor ---------------------------------------------------------------------------
 
 
-def handle_tensor(job, ctx):
-    from .tensor import (
-        check_biconvex_not_convex_counterexample,
-        coherence,
-        enriched_bridge,
-        enriched_inverse,
-        extend_multiconvex,
-        restrict_multiconvex,
-        tensor,
-        universal_map,
+@op("tensor", "tensor")
+def tensor_tensor(job, ctx):
+    from .tensor import tensor
+
+    return {"presentation": jsonio.encode_presentation(tensor(job.presentations("factors")))}
+
+
+@op("tensor", "universal_map")
+def tensor_universal_map(job, ctx):
+    from .tensor import universal_map
+
+    factors = job.presentations("factors")
+    xs = [_element(f, d) for f, d in zip(factors, job.typed("elements", list))]
+    return {"element": jsonio.encode_distribution(universal_map(factors, xs).rep)}
+
+
+@op("tensor", "extend_multiconvex")
+def tensor_extend_multiconvex(job, ctx):
+    from .tensor import extend_multiconvex, restrict_multiconvex, universal_map
+
+    spec = jsonio.decode_nconvex_spec(job["spec"])
+    fmap, refusal = _induced(lambda: extend_multiconvex(spec, ctx["bound"]), False)
+    if refusal:
+        return refusal
+    result = {"accepted": True}
+    if "elements" in job:
+        xs = [_element(f, d) for f, d in zip(spec.factors, job.typed("elements", list))]
+        out = fmap(universal_map(list(spec.factors), xs))
+        result["value"] = jsonio.encode_distribution(out.rep)
+    result["restriction"] = jsonio.encode_nconvex_spec(restrict_multiconvex(fmap))
+    return result
+
+
+@op("tensor", "coherence")
+def tensor_coherence(job, ctx):
+    from .tensor import coherence
+
+    factors = job.presentations("factors")
+    iso = coherence(job["kind"], factors)
+    round_trips = all(
+        iso.back(iso.fwd(iso.fwd.src.delta(g))) == iso.fwd.src.delta(g)
+        for g in iso.fwd.src.generators
     )
+    return {
+        "source": jsonio.encode_presentation(iso.fwd.src),
+        "target": jsonio.encode_presentation(iso.fwd.tgt),
+        "two_sided_inverse": round_trips,
+    }
 
-    op = job["op"]
-    if op == "tensor":
-        factors = [jsonio.decode_presentation(p) for p in job.typed("factors", list)]
-        return {"presentation": jsonio.encode_presentation(tensor(factors))}
-    if op == "universal_map":
-        factors = [jsonio.decode_presentation(p) for p in job.typed("factors", list)]
-        xs = [
-            f.element(_dist(d)) for f, d in zip(factors, job.typed("elements", list))
-        ]
-        out = universal_map(factors, xs)
-        return {"element": jsonio.encode_distribution(out.rep)}
-    if op == "extend_multiconvex":
-        spec = jsonio.decode_nconvex_spec(job["spec"])
-        try:
-            fmap = extend_multiconvex(spec, ctx["bound"])
-        except RelationViolated:
-            return {"accepted": False, "reason": "relation_violated"}
-        except Undecided:
-            return {"accepted": False, "reason": "undecided"}
-        result = {"accepted": True}
-        if "elements" in job:
-            xs = [
-                f.element(_dist(d))
-                for f, d in zip(spec.factors, job.typed("elements", list))
-            ]
-            out = fmap(universal_map(list(spec.factors), xs))
-            result["value"] = jsonio.encode_distribution(out.rep)
-        result["restriction"] = jsonio.encode_nconvex_spec(
-            restrict_multiconvex(fmap)
-        )
-        return result
-    if op == "coherence":
-        factors = [jsonio.decode_presentation(p) for p in job.typed("factors", list)]
-        iso = coherence(job["kind"], factors)
-        round_trips = all(
-            iso.back(iso.fwd(iso.fwd.src.delta(g))) == iso.fwd.src.delta(g)
-            for g in iso.fwd.src.generators
-        )
-        return {
-            "source": jsonio.encode_presentation(iso.fwd.src),
-            "target": jsonio.encode_presentation(iso.fwd.tgt),
-            "two_sided_inverse": round_trips,
-        }
-    if op == "counterexample":
-        report = check_biconvex_not_convex_counterexample()
-        result = {
-            "biconvex_value": jsonio.encode_distribution(report.biconvex_value),
-            "convex_hypothesis_value": jsonio.encode_distribution(
-                report.convex_hypothesis_value
-            ),
-            "unequal": report.unequal,
-            "note": report.value_note,
-            "assumptions_used": ["counterexample_value"],
-        }
-        if not report.unequal:
-            raise CheckFailure(result)
-        return result
-    if op == "enriched_bridge":
-        from .tensor import BiconvexCategory
 
-        hom = {
-            tuple(k.split(",")): jsonio.decode_presentation(v)
-            for k, v in job.typed("hom", dict).items()
-        }
-        identities = {}
-        for k, v in job.typed("identities", dict).items():
-            if (k, k) not in hom:
-                raise ParseError(f"identities[{k!r}]: hom has no entry {k + ',' + k!r}")
-            identities[k] = hom[(k, k)].element(_dist(v))
-        composition = {}
-        for key, rows in job.typed("composition", dict).items():
-            at = f"composition[{key!r}]"
-            objects = key.split(",")
-            if len(objects) != 3:
-                raise ParseError(f"{at}: expected a key 'a,b,c' naming three objects")
-            a, b, c = objects
-            if (a, c) not in hom:
-                raise ParseError(f"{at}: hom has no entry {a + ',' + c!r}")
-            table = {}
-            for i, raw in enumerate(jsonio._typed(rows, list, at)):
-                row = Job(raw, job.name, f"{at}[{i}]")
-                pair = row.typed("pair", list)
-                if len(pair) != 2 or not all(isinstance(g, str) for g in pair):
-                    raise ParseError(f"{at}[{i}].pair: expected two generator names")
-                table[tuple(pair)] = hom[(a, c)].element(_dist(row["value"]))
-            composition[(a, b, c)] = table
-        cat = BiconvexCategory(
-            tuple(job.typed("objects", list)), hom, identities, composition
-        )
-        data = enriched_bridge(cat, ctx["bound"])
-        back = enriched_inverse(data)
-        round_trip = back.composition == cat.composition
-        result = {"round_trip": round_trip}
-        if not round_trip:
-            raise CheckFailure(result)
-        return result
-    raise ParseError(f"unknown tensor op {op!r}")
+@op("tensor", "counterexample")
+def tensor_counterexample(job, ctx):
+    from .tensor import check_biconvex_not_convex_counterexample
+
+    report = check_biconvex_not_convex_counterexample()
+    result = {
+        "biconvex_value": jsonio.encode_distribution(report.biconvex_value),
+        "convex_hypothesis_value": jsonio.encode_distribution(report.convex_hypothesis_value),
+        "unequal": report.unequal,
+        "note": report.value_note,
+        "assumptions_used": ["counterexample_value"],
+    }
+    return _checked(report.unequal, result)
+
+
+@op("tensor", "enriched_bridge")
+def tensor_enriched_bridge(job, ctx):
+    from .tensor import BiconvexCategory, enriched_bridge, enriched_inverse
+
+    objects = tuple(
+        jsonio._typed(o, str, f"objects[{i}]") for i, o in enumerate(job.typed("objects", list))
+    )
+    hom = {}
+    for key, value in job.typed("hom", dict).items():
+        pair = tuple(key.split(","))
+        if len(pair) != 2 or not set(pair) <= set(objects):
+            raise ParseError(f"hom[{key!r}]: expected a key 'a,b' naming two objects")
+        hom[pair] = jsonio.decode_presentation(value)
+
+    def hom_at(at, a, b):
+        if (a, b) not in hom:
+            raise ParseError(f"{at}: hom has no entry {a + ',' + b!r}")
+        return hom[(a, b)]
+
+    identities = {
+        k: _element(hom_at(f"identities[{k!r}]", k, k), v)
+        for k, v in job.typed("identities", dict).items()
+    }
+    for o in objects:
+        if o not in identities:
+            raise ParseError(f"identities: object {o!r} has no identity")
+    composition = {}
+    for key, rows in job.typed("composition", dict).items():
+        at = f"composition[{key!r}]"
+        triple = tuple(key.split(","))
+        if len(triple) != 3:
+            raise ParseError(f"{at}: expected a key 'a,b,c' naming three objects")
+        a, b, c = triple
+        hom_at(at, a, b)
+        hom_at(at, b, c)
+        target = hom_at(at, a, c)
+        table = {}
+        for i, raw in enumerate(jsonio._typed(rows, list, at)):
+            row = Job(raw, job.name, f"{at}[{i}]")
+            pair = row.typed("pair", list)
+            if len(pair) != 2 or not all(isinstance(g, str) for g in pair):
+                raise ParseError(f"{at}[{i}].pair: expected two generator names")
+            table[tuple(pair)] = _element(target, row["value"])
+        composition[triple] = table
+    for a, b in hom:
+        for c in objects:
+            if (b, c) in hom and (a, b, c) not in composition:
+                raise ParseError(f"composition: no table for {a + ',' + b + ',' + c!r}")
+    cat = BiconvexCategory(objects, hom, identities, composition)
+    back = enriched_inverse(enriched_bridge(cat, ctx["bound"]))
+    round_trip = back.composition == cat.composition
+    return _checked(round_trip, {"round_trip": round_trip})
 
 
 # -- prop ------------------------------------------------------------------------------
 
 
-def handle_prop(job, ctx):
-    op = job["op"]
-    if op == "is_convex_matrix":
-        return {"convex": is_convex_matrix(jsonio.decode_matrix(job["matrix"]))}
-    if op == "compose":
-        out = compose(
-            jsonio.decode_matrix(job["left"]), jsonio.decode_matrix(job["right"])
-        )
-        return {"matrix": jsonio.encode_matrix(out)}
-    if op == "direct_sum":
-        out = direct_sum(
-            jsonio.decode_matrix(job["left"]), jsonio.decode_matrix(job["right"])
-        )
-        return {"matrix": jsonio.encode_matrix(out)}
-    if op == "permute":
-        out = permute(
-            tuple(job.typed("tau", list)),
-            jsonio.decode_matrix(job["matrix"]),
-            tuple(job.typed("sigma", list)),
-        )
-        return {"matrix": jsonio.encode_matrix(out)}
-    if op == "qconv_compose":
-        outer = jsonio.decode_qconv(job["outer"])
-        inner = [jsonio.decode_qconv(x) for x in job.typed("inner", list)]
-        return {"operation": jsonio.encode_qconv(qconv_compose(outer, inner))}
-    if op == "algebra_apply":
-        pres = jsonio.decode_presentation(job["presentation"])
-        matrix = jsonio.decode_matrix(job["matrix"])
-        xs = [pres.element(_dist(d)) for d in job.typed("elements", list)]
-        out = algebra_apply(pres, matrix, xs)
-        return {
-            "elements": [jsonio.encode_distribution(e.rep) for e in out]
-        }
-    raise ParseError(f"unknown prop op {op!r}")
+def _matrix(job, key):
+    return jsonio.decode_matrix(job[key])
+
+
+@op("prop", "is_convex_matrix")
+def prop_is_convex_matrix(job, ctx):
+    return {"convex": is_convex_matrix(_matrix(job, "matrix"))}
+
+
+@op("prop", "compose")
+def prop_compose(job, ctx):
+    return {"matrix": jsonio.encode_matrix(compose(_matrix(job, "left"), _matrix(job, "right")))}
+
+
+@op("prop", "direct_sum")
+def prop_direct_sum(job, ctx):
+    out = direct_sum(_matrix(job, "left"), _matrix(job, "right"))
+    return {"matrix": jsonio.encode_matrix(out)}
+
+
+@op("prop", "permute")
+def prop_permute(job, ctx):
+    tau, sigma = job.typed("tau", list), job.typed("sigma", list)
+    if not all(type(i) is int for i in tau + sigma):
+        raise ParseError("tau, sigma: expected lists of indices")
+    out = permute(tuple(tau), _matrix(job, "matrix"), tuple(sigma))
+    return {"matrix": jsonio.encode_matrix(out)}
+
+
+@op("prop", "qconv_compose")
+def prop_qconv_compose(job, ctx):
+    outer = jsonio.decode_qconv(job["outer"])
+    inner = [jsonio.decode_qconv(x) for x in job.typed("inner", list)]
+    return {"operation": jsonio.encode_qconv(qconv_compose(outer, inner))}
+
+
+@op("prop", "algebra_apply")
+def prop_algebra_apply(job, ctx):
+    pres = jsonio.decode_presentation(job["presentation"])
+    matrix = _matrix(job, "matrix")
+    xs = [_element(pres, d) for d in job.typed("elements", list)]
+    out = algebra_apply(pres, matrix, xs)
+    return {"elements": [jsonio.encode_distribution(e.rep) for e in out]}
 
 
 # -- groth ------------------------------------------------------------------------------
 
 
-def handle_groth(job, ctx):
-    from .category import (
-        FibrationData,
-        check_fibrewise_equations,
-        convex_grothendieck,
-        extract_functor,
-        grothendieck,
-        is_discrete_fibration,
-    )
+@op("groth", "grothendieck")
+def groth_grothendieck(job, ctx):
+    from .category import grothendieck, is_discrete_fibration
 
-    op = job["op"]
-    if op == "grothendieck":
-        base = jsonio.decode_category(job["category"])
-        functor = jsonio.decode_set_functor(job["functor"], base)
-        fib = grothendieck(functor)
-        return {
-            "total": jsonio.encode_category(fib.total),
-            "is_discrete_fibration": is_discrete_fibration(fib),
+    base = jsonio.decode_category(job["category"])
+    fib = grothendieck(jsonio.decode_set_functor(job["functor"], base))
+    total = jsonio.encode_category(fib.total)
+    return {"total": total, "is_discrete_fibration": is_discrete_fibration(fib)}
+
+
+def _fibration(job):
+    from .category import FibrationData
+
+    base = jsonio.decode_category(job["category"])
+    total = jsonio.decode_category(job["total"])
+    projections = [_projection(job, f"{k}_projection") for k in ("object", "morphism")]
+    return FibrationData(total, base, *projections)
+
+
+def _projection(job, key):
+    table = job.typed(key, dict)
+    jsonio._names(list(table.values()), key)
+    return dict(table)
+
+
+@op("groth", "is_discrete_fibration")
+def groth_is_discrete_fibration(job, ctx):
+    from .category import is_discrete_fibration
+
+    return {"is_discrete_fibration": is_discrete_fibration(_fibration(job))}
+
+
+@op("groth", "extract_functor")
+def groth_extract_functor(job, ctx):
+    from .category import extract_functor
+
+    functor = extract_functor(_fibration(job))
+    return {
+        "on_objects": {
+            jsonio.element_label(c): [jsonio.element_label(x) for x in xs]
+            for c, xs in functor.on_objects.items()
         }
-    if op in ("is_discrete_fibration", "extract_functor"):
-        base = jsonio.decode_category(job["category"])
-        total = jsonio.decode_category(job["total"])
-        fib = FibrationData(
-            total,
-            base,
-            dict(job.typed("object_projection", dict)),
-            dict(job.typed("morphism_projection", dict)),
-        )
-        if op == "is_discrete_fibration":
-            return {"is_discrete_fibration": is_discrete_fibration(fib)}
-        functor = extract_functor(fib)
-        return {
-            "on_objects": {
-                jsonio.element_label(c): [jsonio.element_label(x) for x in xs]
-                for c, xs in functor.on_objects.items()
-            }
-        }
-    if op == "convex_grothendieck":
-        base = jsonio.decode_category(job["category"])
-        functor = jsonio.decode_cset_functor(job["functor"], base, ctx["bound"])
-        cfib = convex_grothendieck(functor)
-        samples = []
-        for i, raw in enumerate(job.typed("samples", list, [])):
-            raw = Job(raw, job.name, f"samples[{i}]")
-            name = raw["morphism"]
-            src = base.morphisms[name].src
-            pres = cfib.fibre_presentation(src)
-            alpha = [RATIONAL.parse(str(a)) for a in raw.typed("alpha", list)]
-            elements = [pres.element(_dist(d)) for d in raw.typed("elements", list)]
-            samples.append((name, alpha, elements))
-        failures = check_fibrewise_equations(cfib, samples, ctx["bound"])
-        result = {
-            "fibrewise_equations_hold": not failures,
-            "failures": [list(map(str, f)) for f in failures],
-            "recognized_finite": cfib.recognized_finite(),
-        }
-        if failures:
-            raise CheckFailure(result)
-        return result
-    raise ParseError(f"unknown groth op {op!r}")
+    }
+
+
+@op("groth", "convex_grothendieck")
+def groth_convex_grothendieck(job, ctx):
+    from .category import check_fibrewise_equations, convex_grothendieck
+
+    base = jsonio.decode_category(job["category"])
+    functor = jsonio.decode_cset_functor(job["functor"], base, ctx["bound"])
+    cfib = convex_grothendieck(functor)
+    samples = []
+    for raw in job.objects("samples", []):
+        name = raw.typed("morphism", str)
+        if name not in base.morphisms:
+            raise ParseError(f"{raw.at}.morphism: {name!r} is not a morphism")
+        pres = cfib.fibre_presentation(base.morphisms[name].src)
+        alpha = raw.rationals("alpha")
+        samples.append((name, alpha, [_element(pres, d) for d in raw.typed("elements", list)]))
+    failures = check_fibrewise_equations(cfib, samples, ctx["bound"])
+    result = {
+        "fibrewise_equations_hold": not failures,
+        "failures": [list(map(str, f)) for f in failures],
+        "recognized_finite": cfib.recognized_finite(),
+    }
+    return _checked(not failures, result)
 
 
 # -- omon -------------------------------------------------------------------------------
@@ -500,8 +538,17 @@ def _lax_functor_from_job(job):
     if kind == "dist":
         return dist_lax_functor(job.typed("max_size", int, 6))
     if kind == "mixture":
-        return mixture_lax_functor(job.typed("carrier", list, ["x", "y"]))
+        return mixture_lax_functor(jsonio._names(job.get("carrier", ["x", "y"]), "carrier"))
     raise ParseError(f"unknown lax functor kind {kind!r}")
+
+
+def _objects(job, key, functor, default=_REQUIRED):
+    """The list field key, each item an object of functor."""
+    objs = job.typed(key, list, default)
+    for i, o in enumerate(objs):
+        if not isinstance(o, str) or o not in functor.functor.on_objects:
+            raise ParseError(f"{job._path(key)}[{i}]: {o!r} is not an object of the functor")
+    return objs
 
 
 def _sample_elements(rng, pres, count):
@@ -510,235 +557,208 @@ def _sample_elements(rng, pres, count):
         cuts = [rng.randint(0, 3) for _ in pres.generators]
         if sum(cuts) == 0:
             cuts[0] = 1
-        total = sum(cuts)
-        out.append(
-            pres.element(
-                FiniteDistribution(
-                    {g: F(c, total) for g, c in zip(pres.generators, cuts) if c}
-                )
-            )
-        )
+        weights = {g: F(c, sum(cuts)) for g, c in zip(pres.generators, cuts) if c}
+        out.append(pres.element(FiniteDistribution(weights)))
     return out
 
 
-def handle_omon(job, ctx):
+@op("omon", "star_alpha")
+def omon_star_alpha(job, ctx):
+    from .omonoidal import star_alpha
+
+    alpha = QConvOp(job.rationals("alpha"))
+    out = star_alpha(alpha, job.presentations("factors"))
+    return {"presentation": jsonio.encode_presentation(out)}
+
+
+@op("omon", "trivial_structure")
+def omon_trivial_structure(job, ctx):
+    from .omonoidal import QCONV, SymmetricMonoidalData, trivial_structure
+
+    base = jsonio.decode_category(job["category"])
+    table = {}
+    for key, value in job.typed("tensor", dict).items():
+        if value not in base.objects:
+            raise ParseError(f"tensor[{key!r}]: {value!r} is not an object")
+        table[tuple(key.split(","))] = value
+    unit = job.get("unit")
+    if unit is not None and unit not in base.objects:
+        raise ParseError(f"unit: {unit!r} is not an object")
+
+    def nfold(objs):
+        acc = objs[0]
+        for other in objs[1:]:
+            if (acc, other) not in table:
+                raise ParseError(f"tensor: no entry for {acc},{other}")
+            acc = table[(acc, other)]
+        return acc
+
+    sym = SymmetricMonoidalData(base, nfold, unit_object=unit)
+    omon = trivial_structure(sym, QCONV)
+    samples = [
+        [list(pair), omon.tensor_objects(QConvOp(["1/2", "1/2"]), pair)]
+        for pair in [(a, b) for a in base.objects for b in base.objects]
+    ]
+    return {"validated": True, "binary_tensor": samples}
+
+
+@op("omon", "check_lax")
+def omon_check_lax(job, ctx):
     import random
 
-    from .omonoidal import (
-        LaxInstance,
-        QCONV,
-        SymmetricMonoidalData,
-        check_lax,
-        o_grothendieck,
-        star_alpha,
-        trivial_structure,
-    )
+    from .omonoidal import LaxInstance, check_lax
 
-    op = job["op"]
-    if op == "star_alpha":
-        alpha = QConvOp([RATIONAL.parse(str(a)) for a in job.typed("alpha", list)])
-        factors = [jsonio.decode_presentation(p) for p in job.typed("factors", list)]
-        return {
-            "presentation": jsonio.encode_presentation(star_alpha(alpha, factors))
-        }
-    if op == "trivial_structure":
-        base = jsonio.decode_category(job["category"])
-        table = {tuple(k.split(",")): v for k, v in job.typed("tensor", dict).items()}
-
-        def nfold(objs):
-            acc = objs[0]
-            for other in objs[1:]:
-                acc = table[(acc, other)]
-            return acc
-
-        sym = SymmetricMonoidalData(base, nfold, unit_object=job.get("unit"))
-        omon = trivial_structure(sym, QCONV)
-        samples = [
-            [list(pair), omon.tensor_objects(QConvOp(["1/2", "1/2"]), pair)]
-            for pair in [
-                (a, b) for a in base.objects for b in base.objects
-            ]
-        ]
-        return {"validated": True, "binary_tensor": samples}
-    if op == "check_lax":
-        functor = _lax_functor_from_job(job)
-        rng = random.Random(ctx["seed"])
-        instances = []
-        for i, raw in enumerate(job.typed("instances", list, [])):
-            raw = Job(raw, job.name, f"instances[{i}]")
-            outer = jsonio.decode_qconv(raw["operation"])
-            inner_raw = raw.get("inner")
-            if inner_raw is None:
-                inner_ops = [QConvOp.unit() for _ in range(outer.arity)]
-            else:
-                inner_ops = [jsonio.decode_qconv(x) for x in raw.typed("inner", list)]
-            obj_list = raw.typed("objects", list)
-            blocks = []
-            pos = 0
-            for op_i in inner_ops:
-                blocks.append(tuple(obj_list[pos : pos + op_i.arity]))
-                pos += op_i.arity
-            elements = tuple(
-                tuple(
-                    _sample_elements(rng, functor.fibre(o), 1)[0] for o in block
-                )
-                for block in blocks
-            )
-            instances.append(
-                LaxInstance(outer, tuple(inner_ops), tuple(blocks), elements)
-            )
-        report = check_lax(
-            functor,
-            instances,
-            ctx["bound"],
-            unit_objects=job.typed("unit_objects", list, []),
+    functor = _lax_functor_from_job(job)
+    rng = random.Random(ctx["seed"])
+    instances = []
+    for raw in job.objects("instances", []):
+        outer = jsonio.decode_qconv(raw["operation"])
+        if raw.get("inner") is None:
+            inner_ops = [QConvOp.unit() for _ in range(outer.arity)]
+        else:
+            inner_ops = [jsonio.decode_qconv(x) for x in raw.typed("inner", list)]
+        obj_list = _objects(raw, "objects", functor)
+        blocks = []
+        pos = 0
+        for op_i in inner_ops:
+            blocks.append(tuple(obj_list[pos : pos + op_i.arity]))
+            pos += op_i.arity
+        elements = tuple(
+            tuple(_sample_elements(rng, functor.fibre(o), 1)[0] for o in block)
+            for block in blocks
         )
-        result = {
-            "checked": report.checked,
-            "ok": report.ok,
-            "failures": [str(f) for f in report.failures],
-        }
-        if not report.ok:
-            raise CheckFailure(result)
-        return result
-    if op == "o_grothendieck":
-        functor = _lax_functor_from_job(job)
-        fib = o_grothendieck(functor, step_bound=ctx["bound"])
-        rng = random.Random(ctx["seed"])
-        results = []
-        ok = True
-        for i, raw in enumerate(job.typed("instances", list, [])):
-            raw = Job(raw, job.name, f"instances[{i}]")
-            operation = jsonio.decode_qconv(raw["operation"])
-            objs = raw.typed("objects", list)
-            pairs = [
-                (o, _sample_elements(rng, functor.fibre(o), 1)[0]) for o in objs
-            ]
-            strict = fib.strictness_holds(operation, pairs)
-            slot = rng.randrange(len(objs))
-            variants = _sample_elements(rng, functor.fibre(objs[slot]), 2)
-            nconv = fib.nconvex_in_slot(
-                operation, pairs, slot, [F(1, 3), F(2, 3)], variants
-            )
-            recover = fib.recovers_functor(operation, tuple(objs))
-            results.append(
-                {
-                    "operation": jsonio.encode_qconv(operation),
-                    "strict": strict,
-                    "n_convex": nconv,
-                    "recovers": recover,
-                }
-            )
-            ok = ok and strict and nconv and recover
-        result = {"instances": results, "ok": ok}
-        if not ok:
-            raise CheckFailure(result)
-        return result
-    raise ParseError(f"unknown omon op {op!r}")
+        instances.append(LaxInstance(outer, tuple(inner_ops), tuple(blocks), elements))
+    units = _objects(job, "unit_objects", functor, [])
+    report = check_lax(functor, instances, ctx["bound"], unit_objects=units)
+    failures = [str(f) for f in report.failures]
+    return _checked(report.ok, {"checked": report.checked, "ok": report.ok, "failures": failures})
+
+
+@op("omon", "o_grothendieck")
+def omon_o_grothendieck(job, ctx):
+    import random
+
+    from .omonoidal import o_grothendieck
+
+    functor = _lax_functor_from_job(job)
+    fib = o_grothendieck(functor, step_bound=ctx["bound"])
+    rng = random.Random(ctx["seed"])
+    results = []
+    ok = True
+    for raw in job.objects("instances", []):
+        operation = jsonio.decode_qconv(raw["operation"])
+        objs = _objects(raw, "objects", functor)
+        pairs = [(o, _sample_elements(rng, functor.fibre(o), 1)[0]) for o in objs]
+        strict = fib.strictness_holds(operation, pairs)
+        slot = rng.randrange(len(objs))
+        variants = _sample_elements(rng, functor.fibre(objs[slot]), 2)
+        nconv = fib.nconvex_in_slot(operation, pairs, slot, [F(1, 3), F(2, 3)], variants)
+        recover = fib.recovers_functor(operation, tuple(objs))
+        results.append({"operation": jsonio.encode_qconv(operation), "strict": strict,
+                        "n_convex": nconv, "recovers": recover})
+        ok = ok and strict and nconv and recover
+    return _checked(ok, {"instances": results, "ok": ok})
 
 
 # -- twist -------------------------------------------------------------------------------
 
 
-def _space_from_job(payload):
+def _space_and_group(job):
     from .simplicial import standard_circle, standard_point
 
+    payload = job["space"]
     if isinstance(payload, dict) and "standard" in payload:
         name = payload["standard"]
         n_max = jsonio._typed(payload.get("N", 2), int, "space.N")
         if name == "circle":
-            return standard_circle(n_max)
-        if name == "point":
-            return standard_point(n_max)
-        raise ParseError(f"unknown standard space {name!r}")
-    return jsonio.decode_simplicial_set(payload)
+            space = standard_circle(n_max)
+        elif name == "point":
+            space = standard_point(n_max)
+        else:
+            raise ParseError(f"unknown standard space {name!r}")
+    else:
+        space = jsonio.decode_simplicial_set(payload)
+    return space, jsonio.decode_simplicial_group(job["group"])
 
 
-def handle_twist(job, ctx):
-    from .simplicial import (
-        bundle_iso_valid,
-        bundle_tensor,
-        check_simplicial_distribution,
-        mu_product,
-        twist_addition_iso,
-        twist_monoid_structure,
-        twisted_product,
-    )
+def _bundle(job, key, space, group):
+    """The twisting function at job[key] and its twisted product."""
+    from .simplicial import twisted_product
 
-    op = job["op"]
-    space = _space_from_job(job["space"])
-    group = jsonio.decode_simplicial_group(job["group"])
-    if op == "twisted_product":
-        twist = jsonio.decode_twist(job["twist"], space, group)
-        bundle = twisted_product(group, twist, space)
-        return {
-            "levels": [len(lv) for lv in bundle.total.levels],
-            "total": jsonio.encode_simplicial_set(bundle.total),
-            "principal": True,  # the constructor validates
-        }
-    if op == "check_distribution":
-        twist = jsonio.decode_twist(job["twist"], space, group)
-        bundle = twisted_product(group, twist, space)
-        p = jsonio.decode_sdist(job["distribution"], bundle)
-        report = check_simplicial_distribution(p, bundle)
-        result = {
-            "ok": report.ok,
-            "failures": [list(map(str, f)) for f in report.failures],
-        }
-        if not report.ok:
-            raise CheckFailure(result)
-        return result
-    if op == "bundle_tensor":
-        t1 = jsonio.decode_twist(job["twist1"], space, group)
-        t2 = jsonio.decode_twist(job["twist2"], space, group)
-        b1 = twisted_product(group, t1, space)
-        b2 = twisted_product(group, t2, space)
-        tensored = bundle_tensor(b1, b2)
-        target = twisted_product(group, t1 + t2, space)
-        iso_ok = bundle_iso_valid(
-            tensored, target, twist_addition_iso(tensored, target)
-        )
-        result = {
-            "realizes_twist_addition": iso_ok,
-            "sum_twist": jsonio.encode_twist(t1 + t2),
-        }
-        if not iso_ok:
-            raise CheckFailure(result)
-        return result
-    if op == "mu_product":
-        t1 = jsonio.decode_twist(job["twist1"], space, group)
-        t2 = jsonio.decode_twist(job["twist2"], space, group)
-        b1 = twisted_product(group, t1, space)
-        b2 = twisted_product(group, t2, space)
-        p = jsonio.decode_sdist(job["p"], b1)
-        q = jsonio.decode_sdist(job["q"], b2)
-        product = mu_product(p, q)
-        report = check_simplicial_distribution(product, product.bundle)
-        result = {
+    twist = jsonio.decode_twist(job[key], space, group)
+    return twist, twisted_product(group, twist, space)
+
+
+@op("twist", "twisted_product")
+def twist_twisted_product(job, ctx):
+    _, bundle = _bundle(job, "twist", *_space_and_group(job))
+    return {
+        "levels": [len(lv) for lv in bundle.total.levels],
+        "total": jsonio.encode_simplicial_set(bundle.total),
+        "principal": True,  # the constructor validates
+    }
+
+
+@op("twist", "check_distribution")
+def twist_check_distribution(job, ctx):
+    from .simplicial import check_simplicial_distribution
+
+    _, bundle = _bundle(job, "twist", *_space_and_group(job))
+    p = jsonio.decode_sdist(job["distribution"], bundle)
+    report = check_simplicial_distribution(p, bundle)
+    failures = [list(map(str, f)) for f in report.failures]
+    return _checked(report.ok, {"ok": report.ok, "failures": failures})
+
+
+@op("twist", "bundle_tensor")
+def twist_bundle_tensor(job, ctx):
+    from .simplicial import bundle_iso_valid, bundle_tensor, twist_addition_iso, twisted_product
+
+    space, group = _space_and_group(job)
+    t1, b1 = _bundle(job, "twist1", space, group)
+    t2, b2 = _bundle(job, "twist2", space, group)
+    tensored = bundle_tensor(b1, b2)
+    target = twisted_product(group, t1 + t2, space)
+    iso_ok = bundle_iso_valid(tensored, target, twist_addition_iso(tensored, target))
+    result = {"realizes_twist_addition": iso_ok, "sum_twist": jsonio.encode_twist(t1 + t2)}
+    return _checked(iso_ok, result)
+
+
+@op("twist", "mu_product")
+def twist_mu_product(job, ctx):
+    from .simplicial import check_simplicial_distribution, mu_product
+
+    space, group = _space_and_group(job)
+    _, b1 = _bundle(job, "twist1", space, group)
+    _, b2 = _bundle(job, "twist2", space, group)
+    product = mu_product(jsonio.decode_sdist(job["p"], b1), jsonio.decode_sdist(job["q"], b2))
+    report = check_simplicial_distribution(product, product.bundle)
+    return _checked(
+        report.ok,
+        {
             "product": jsonio.encode_sdist(product),
             "valid": report.ok,
             "assumptions_used": ["m_product"],
-        }
-        if not report.ok:
-            raise CheckFailure(result)
-        return result
-    if op == "twist_monoid":
-        monoid = twist_monoid_structure(space, group)
-        addition = {}
-        for t1 in monoid.twists:
-            for t2 in monoid.twists:
-                key = (
-                    jsonio.canonical_json(jsonio.encode_twist(t1)).strip()
-                    + " + "
-                    + jsonio.canonical_json(jsonio.encode_twist(t2)).strip()
-                )
-                addition[key] = jsonio.encode_twist(t1 + t2)
-        return {
-            "twist_count": len(monoid.twists),
-            "zero": jsonio.encode_twist(monoid.zero),
-            "addition": addition,
-        }
-    raise ParseError(f"unknown twist op {op!r}")
+        },
+    )
+
+
+@op("twist", "twist_monoid")
+def twist_twist_monoid(job, ctx):
+    from .simplicial import twist_monoid_structure
+
+    monoid = twist_monoid_structure(*_space_and_group(job))
+    text = {t: jsonio.canonical_json(jsonio.encode_twist(t)).strip() for t in monoid.twists}
+    addition = {
+        f"{text[t1]} + {text[t2]}": jsonio.encode_twist(t1 + t2)
+        for t1 in monoid.twists
+        for t2 in monoid.twists
+    }
+    return {
+        "twist_count": len(monoid.twists),
+        "zero": jsonio.encode_twist(monoid.zero),
+        "addition": addition,
+    }
 
 
 # -- entropy -----------------------------------------------------------------------------
@@ -751,104 +771,110 @@ def _candidate_from_spec(spec: str):
     if spec == "info_loss":
         return info_loss
     if spec.startswith("scaled:"):
-        c = float(Fraction(spec.split(":", 1)[1]))
+        try:
+            c = float(Fraction(spec.split(":", 1)[1]))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"candidate {spec!r}: the scale is not a number") from None
         return lambda m: c * info_loss(m)
     if spec.startswith("custom-table:"):
         return None
     raise ParseError(f"unknown candidate {spec!r}")
 
 
-def handle_entropy(args, ctx):
-    from .finprob import (
-        convex_combine_morphisms,
-        dist_lax_xi,
-        generate_corpus,
-        info_loss,
-        shannon_entropy,
-        verify_entropy_axioms,
-    )
+@op("entropy", "gen", ("--out", {"required": True}), ("--chains", {"type": int, "default": 50}),
+    ("--max-carrier", {"type": int, "default": 16}))
+def entropy_gen(args, ctx):
+    from .finprob import generate_corpus
 
-    action = args.entropy_action
-    if action == "gen":
-        corpus = generate_corpus(
-            seed=ctx["seed"], n_chains=args.chains, max_carrier=args.max_carrier
-        )
-        payload = jsonio.encode_corpus(corpus)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.canonical_json(payload))
-        return {"written": args.out, "morphisms": len(corpus.morphisms)}
-    if action == "verify":
-        from .finprob import verify_value_table
+    corpus = generate_corpus(seed=ctx["seed"], n_chains=args.chains, max_carrier=args.max_carrier)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(jsonio.canonical_json(jsonio.encode_corpus(corpus)))
+    return {"written": args.out, "morphisms": len(corpus.morphisms)}
 
-        corpus = jsonio.decode_corpus(jsonio.load_json(args.corpus))
-        candidate = _candidate_from_spec(args.candidate)
-        if candidate is None:
-            # tabulated candidate: one value per morphism and per chain
-            # composite; only additivity and the scalar fit are checkable
-            table = jsonio.load_json(args.candidate.split(":", 1)[1])
-            report = verify_value_table(
-                [float(v) for v in table["values"]],
-                [float(v) for v in table.get("chain_values", [])],
-                corpus,
-                tol=ctx["tol"],
-            )
-        else:
-            report = verify_entropy_axioms(candidate, corpus, tol=ctx["tol"])
-        result = dict(report.as_dict())
-        result["assumptions_used"] = ["info_loss_sign"]
-        if not report.all_passed:
-            raise CheckFailure(result)
-        return result
-    if action == "eval":
-        if args.object:
-            obj = jsonio.decode_prob_object(jsonio.load_json(args.object))
-            return {"entropy_nats": shannon_entropy(obj)}
-        m = jsonio.decode_prob_morphism(jsonio.load_json(args.morphism))
-        return {
-            "info_loss": info_loss(m),
-            "assumptions_used": ["info_loss_sign"],
-        }
-    if action == "combine":
-        f = jsonio.decode_prob_morphism(jsonio.load_json(args.f))
-        g = jsonio.decode_prob_morphism(jsonio.load_json(args.g))
-        lam = RATIONAL.parse(args.lam)
-        mixed = convex_combine_morphisms(lam, f, g)
-        return {"morphism": jsonio.encode_prob_morphism(mixed)}
-    if action == "xi":
-        payload = Job(jsonio.load_json(args.input), "xi")
-        alpha = QConvOp([RATIONAL.parse(str(a)) for a in payload["alpha"]])
-        dists = [_dist(d) for d in payload.typed("dists", list)]
-        out = dist_lax_xi(alpha, dists)
-        return {"distribution": jsonio.encode_distribution(out)}
-    raise ParseError(f"unknown entropy action {action!r}")
+
+def _floats(job, key, default=_REQUIRED):
+    """The list field key of numbers."""
+    try:
+        return [float(v) for v in job.typed(key, list, default)]
+    except (TypeError, ValueError):
+        raise ParseError(f"{key}: expected a list of numbers") from None
+
+
+@op("entropy", "verify", ("--corpus", {"required": True}),
+    ("--candidate", {"default": "info_loss"}))
+def entropy_verify(args, ctx):
+    from .finprob import verify_entropy_axioms, verify_value_table
+
+    corpus = jsonio.decode_corpus(jsonio.load_json(args.corpus))
+    candidate = _candidate_from_spec(args.candidate)
+    if candidate is None:
+        # tabulated candidate: one value per morphism and per chain
+        # composite; only additivity and the scalar fit are checkable
+        table = Job(jsonio.load_json(args.candidate.split(":", 1)[1]), "custom-table")
+        values, chain_values = _floats(table, "values"), _floats(table, "chain_values", [])
+        report = verify_value_table(values, chain_values, corpus, tol=ctx["tol"])
+    else:
+        report = verify_entropy_axioms(candidate, corpus, tol=ctx["tol"])
+    result = dict(report.as_dict())
+    result["assumptions_used"] = ["info_loss_sign"]
+    return _checked(report.all_passed, result)
+
+
+@op("entropy", "eval", ("--object", {}), ("--morphism", {}))
+def entropy_eval(args, ctx):
+    from .finprob import info_loss, shannon_entropy
+
+    if args.object:
+        obj = jsonio.decode_prob_object(jsonio.load_json(args.object))
+        return {"entropy_nats": shannon_entropy(obj)}
+    if not args.morphism:
+        raise ParseError("entropy eval needs --object or --morphism")
+    m = jsonio.decode_prob_morphism(jsonio.load_json(args.morphism))
+    return {"info_loss": info_loss(m), "assumptions_used": ["info_loss_sign"]}
+
+
+@op("entropy", "combine", ("--lambda", {"dest": "lam", "required": True}),
+    ("--f", {"required": True}), ("--g", {"required": True}))
+def entropy_combine(args, ctx):
+    from .finprob import convex_combine_morphisms
+
+    f = jsonio.decode_prob_morphism(jsonio.load_json(args.f))
+    g = jsonio.decode_prob_morphism(jsonio.load_json(args.g))
+    mixed = convex_combine_morphisms(RATIONAL.parse(args.lam), f, g)
+    return {"morphism": jsonio.encode_prob_morphism(mixed)}
+
+
+@op("entropy", "xi", ("--input", {"required": True}))
+def entropy_xi(args, ctx):
+    from .finprob import dist_lax_xi
+
+    payload = Job(jsonio.load_json(args.input), "xi")
+    dists = [jsonio.decode_distribution(d) for d in payload.typed("dists", list)]
+    return _distribution(dist_lax_xi(QConvOp(payload.rationals("alpha")), dists))
 
 
 # -- selfcheck ----------------------------------------------------------------------------
 
 
-def handle_selfcheck(ctx):
+@op("selfcheck", "selfcheck")
+def selfcheck_selfcheck(args, ctx):
     from .tensor import check_biconvex_not_convex_counterexample
 
     report = check_biconvex_not_convex_counterexample()
     checks = {"counterexample_unequal": report.unequal}
 
     mats = list(convex_matrices(2, 2, 2))
-    closure = all(
-        is_convex_matrix(compose(a, b))
-        for a in mats
-        for b in mats
+    checks["conv_closed_under_compose"] = all(
+        is_convex_matrix(compose(a, b)) for a in mats for b in mats
     )
-    checks["conv_closed_under_compose"] = closure
     checks["conv_closed_under_direct_sum"] = all(
         is_convex_matrix(direct_sum(a, b)) for a in mats[:8] for b in mats[:8]
     )
-    swap = (1, 0)
-    ident = (0, 1)
     checks["conv_closed_under_permute"] = all(
-        is_convex_matrix(permute(swap, m, ident)) for m in mats
+        is_convex_matrix(permute((1, 0), m, (0, 1))) for m in mats
     )
     small = list(convex_matrices(1, 2, 2))
-    interchange = all(
+    checks["interchange_law"] = all(
         compose(direct_sum(p, q), direct_sum(r, s))
         == direct_sum(compose(p, r), compose(q, s))
         for p in small[:4]
@@ -856,20 +882,12 @@ def handle_selfcheck(ctx):
         for r in (RMatrix.identity(2),)
         for s in (RMatrix.identity(2),)
     )
-    checks["interchange_law"] = interchange
     checks["single_input_convex_is_unique"] = all(
         list(convex_matrices(n, 1, 3)) == [RMatrix.column_of_ones(n)]
         for n in (1, 2, 3)
     )
     ok = all(checks.values())
-    result = {
-        "checks": checks,
-        "ok": ok,
-        "assumptions_used": ["counterexample_value"],
-    }
-    if not ok:
-        raise CheckFailure(result)
-    return result
+    return _checked(ok, {"checks": checks, "ok": ok, "assumptions_used": ["counterexample_value"]})
 
 
 # -- wiring -------------------------------------------------------------------------------
@@ -888,66 +906,52 @@ def _global_flags(parser, top: bool):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per verb of OPS, its ops listed in its --help; the
+    entropy ops are subcommands with their FLAGS, selfcheck has no
+    arguments, and every other verb reads a --job file."""
     parser = argparse.ArgumentParser(
         prog="convexion",
         description="Exact-arithmetic computational convex algebra.",
     )
     _global_flags(parser, top=True)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_verb(name):
-        p = sub.add_parser(name)
+    verbs = {}
+    for verb, name in OPS:
+        verbs.setdefault(verb, []).append(name)
+    for verb, names in verbs.items():
+        ops = f"ops: {', '.join(names)}"
+        p = sub.add_parser(verb, help=ops, description=ops)
         _global_flags(p, top=False)
-        return p
-
-    for verb in ("dist", "join", "tensor", "prop", "groth", "omon", "twist"):
-        add_verb(verb).add_argument("--job", required=True, help="job JSON file")
-
-    eq_p = add_verb("eq")
-    eq_p.add_argument("--job", help="job JSON file")
-    eq_p.add_argument("--presentation", help="presentation JSON file")
-    eq_p.add_argument("--lhs", help="element JSON file")
-    eq_p.add_argument("--rhs", help="element JSON file")
-
-    ent = add_verb("entropy")
-    ent_sub = ent.add_subparsers(dest="entropy_action", required=True)
-
-    def add_action(name):
-        p = ent_sub.add_parser(name)
-        _global_flags(p, top=False)
-        return p
-
-    verify = add_action("verify")
-    verify.add_argument("--corpus", required=True)
-    verify.add_argument("--candidate", default="info_loss")
-    gen = add_action("gen")
-    gen.add_argument("--out", required=True)
-    gen.add_argument("--chains", type=int, default=50)
-    gen.add_argument("--max-carrier", dest="max_carrier", type=int, default=16)
-    ev = add_action("eval")
-    ev.add_argument("--object")
-    ev.add_argument("--morphism")
-    comb = add_action("combine")
-    comb.add_argument("--lambda", dest="lam", required=True)
-    comb.add_argument("--f", required=True)
-    comb.add_argument("--g", required=True)
-    xi = add_action("xi")
-    xi.add_argument("--input", required=True)
-
-    add_verb("selfcheck")
+        if verb == "entropy":
+            actions = p.add_subparsers(dest="op", required=True)
+            for name in names:
+                action = actions.add_parser(name)
+                _global_flags(action, top=False)
+                for flag, options in FLAGS[(verb, name)]:
+                    action.add_argument(flag, **options)
+        elif verb == "selfcheck":
+            p.set_defaults(op=verb)
+        else:
+            p.add_argument("--job", required=verb != "eq", help="job JSON file")
+        if verb == "eq":
+            p.add_argument("--presentation", help="presentation JSON file")
+            p.add_argument("--lhs", help="element JSON file")
+            p.add_argument("--rhs", help="element JSON file")
     return parser
 
 
-JOB_HANDLERS = {
-    "dist": handle_dist,
-    "eq": handle_eq,
-    "join": handle_join,
-    "tensor": handle_tensor,
-    "prop": handle_prop,
-    "groth": handle_groth,
-    "omon": handle_omon,
-    "twist": handle_twist,
-}
+def _load_job(args):
+    """The job of a job verb: its --job file, or for eq's flag form the
+    eq job that its three files make."""
+    if args.job is None:
+        if not (args.presentation and args.lhs and args.rhs):
+            raise ParseError("eq needs --job or all of --presentation/--lhs/--rhs")
+        keys = ("presentation", "lhs", "rhs")
+        return Job({"op": "eq", **{k: jsonio.load_json(getattr(args, k)) for k in keys}}, "eq")
+    job = jsonio.load_json(args.job)
+    if not isinstance(job, dict) or "op" not in job:
+        raise ParseError(f"{args.job}: job file has no 'op' field")
+    return Job(job, job["op"])
 
 
 def run(argv=None):
@@ -964,20 +968,18 @@ def run(argv=None):
     }
     exit_code = 0
     try:
-        if args.verb == "selfcheck":
-            report["result"] = handle_selfcheck(ctx)
-        elif args.verb == "entropy":
-            report["result"] = handle_entropy(args, ctx)
-        elif args.verb == "eq" and args.job is None:
-            if not (args.presentation and args.lhs and args.rhs):
-                raise ParseError(
-                    "eq needs --job or all of --presentation/--lhs/--rhs"
-                )
-            report["result"] = handle_eq_flags(args, ctx)
+        if hasattr(args, "op"):  # entropy and selfcheck read the command line
+            name, request = args.op, args
         else:
-            job = _load_job(args.job)
-            report["op"] = job["op"]
-            report["result"] = JOB_HANDLERS[args.verb](job, ctx)
+            request = _load_job(args)
+            name = request["op"]
+            if args.job is not None:
+                report["op"] = name
+        # a JSON list or object as the op cannot be a key of OPS
+        handler = OPS.get((args.verb, name)) if isinstance(name, str) else None
+        if handler is None:
+            raise ParseError(f"unknown {args.verb} op {name!r}")
+        report["result"] = handler(request, ctx)
     except CheckFailure as failure:
         report["ok"] = False
         report["result"] = failure.result
@@ -1002,51 +1004,3 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     return exit_code
-
-
-# -- coverage registry ----------------------------------------------------------------------
-
-#: Which module operations each verb reaches; asserted complete in tests.
-VERB_OPERATIONS = {
-    "dist": {"delta", "pushforward", "flatten", "convex_combine"},
-    "eq": {"eq", "quotient_mix", "induce_map", "hom_combine", "verify_verdict"},
-    "join": {"join_point", "join_mix", "copair"},
-    "tensor": {
-        "tensor",
-        "universal_map",
-        "extend_multiconvex",
-        "coherence",
-        "check_biconvex_not_convex_counterexample",
-        "enriched_bridge",
-    },
-    "prop": {
-        "is_convex_matrix",
-        "compose",
-        "direct_sum",
-        "permute",
-        "qconv_compose",
-        "algebra_apply",
-    },
-    "groth": {
-        "grothendieck",
-        "is_discrete_fibration",
-        "extract_functor",
-        "convex_grothendieck",
-    },
-    "omon": {"trivial_structure", "star_alpha", "o_grothendieck", "check_lax"},
-    "entropy": {
-        "shannon_entropy",
-        "info_loss",
-        "convex_combine_morphisms",
-        "verify_entropy_axioms",
-        "dist_lax_xi",
-    },
-    "twist": {
-        "twisted_product",
-        "check_simplicial_distribution",
-        "bundle_tensor",
-        "mu_product",
-        "twist_monoid_structure",
-    },
-    "selfcheck": {"check_biconvex_not_convex_counterexample", "is_convex_matrix"},
-}

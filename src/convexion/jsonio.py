@@ -15,13 +15,13 @@ from fractions import Fraction
 
 from .distribution import FiniteDistribution, element_label
 from .errors import ParseError
-from .join import JoinElement, JoinSpace
+from .join import JoinElement, JoinSpace, join_point
 from .matprop import QConvOp, RMatrix
 from .presentation import (
-    ConvexMap,
     EqualityVerdict,
     Presentation,
     ZigZagStep,
+    induce_map,
 )
 from .semiring import RATIONAL, Semiring, semiring_by_name
 
@@ -103,8 +103,8 @@ def encode_presentation(pres: Presentation) -> dict:
 
 
 def decode_presentation(payload) -> Presentation:
-    gens = _require(payload, "generators", "presentation")
-    rels = payload.get("relations", [])
+    gens = _names(_require(payload, "generators", "presentation"), "presentation.generators")
+    rels = _typed(payload.get("relations", []), list, "presentation.relations")
     relations = []
     for pair in rels:
         if not isinstance(pair, list) or len(pair) != 2:
@@ -140,7 +140,7 @@ def decode_join_element(payload, space: JoinSpace) -> JoinElement:
         if y_raw is not None
         else None
     )
-    return space.point(alpha, x, y)
+    return join_point(alpha, x, y, space)
 
 
 # -- matrices and operad operations ---------------------------------------------------
@@ -159,10 +159,13 @@ def encode_matrix(m: RMatrix) -> dict:
 
 def decode_matrix(payload) -> RMatrix:
     semiring = _semiring_of(payload)
-    rows = _require(payload, "rows", "matrix")
-    cols = _require(payload, "cols", "matrix")
-    entries = _require(payload, "entries", "matrix")
-    parsed = [[semiring.parse(str(v)) for v in row] for row in entries]
+    rows = _typed(_require(payload, "rows", "matrix"), int, "matrix.rows")
+    cols = _typed(_require(payload, "cols", "matrix"), int, "matrix.cols")
+    entries = _typed(_require(payload, "entries", "matrix"), list, "matrix.entries")
+    parsed = [
+        [semiring.parse(str(v)) for v in _typed(row, list, f"matrix.entries[{i}]")]
+        for i, row in enumerate(entries)
+    ]
     return RMatrix(parsed, rows=rows, cols=cols, semiring=semiring)
 
 
@@ -171,7 +174,7 @@ def encode_qconv(op: QConvOp) -> dict:
 
 
 def decode_qconv(payload) -> QConvOp:
-    alpha = _require(payload, "alpha", "operation")
+    alpha = _typed(_require(payload, "alpha", "operation"), list, "operation.alpha")
     return QConvOp([RATIONAL.parse(str(a)) for a in alpha])
 
 
@@ -197,13 +200,12 @@ def encode_nconvex_spec(spec) -> dict:
 def decode_nconvex_spec(payload):
     from .tensor import NConvexMapSpec
 
-    factors = [
-        decode_presentation(p) for p in _require(payload, "factors", "table spec")
-    ]
+    raw_factors = _typed(_require(payload, "factors", "table spec"), list, "spec.factors")
+    factors = [decode_presentation(p) for p in raw_factors]
     target = decode_presentation(_require(payload, "target", "table spec"))
     table = {}
-    for item in _require(payload, "table", "table spec"):
-        key = tuple(_require(item, "tuple", "table row"))
+    for i, item in enumerate(_typed(_require(payload, "table", "table spec"), list, "spec.table")):
+        key = tuple(_names(_require(item, "tuple", "table row"), f"spec.table[{i}].tuple"))
         table[key] = target.element(
             decode_distribution(_require(item, "value", "table row"))
         )
@@ -278,6 +280,23 @@ def _typed(value, kind, where):
     return value
 
 
+def _names(raw, where):
+    """raw, if it is a JSON list of strings; else a ParseError naming where."""
+    if not all(isinstance(x, str) for x in _typed(raw, list, where)):
+        raise ParseError(f"{where}: expected names (JSON strings)")
+    return raw
+
+
+def _triples(raw, where):
+    """A list of [a, b, c] name triples as the table {(a, b): c}."""
+    table = {}
+    for i, entry in enumerate(_typed(raw, list, where)):
+        if len(_names(entry, f"{where}[{i}]")) != 3:
+            raise ParseError(f"{where}[{i}]: expected a list of three names")
+        table[(entry[0], entry[1])] = entry[2]
+    return table
+
+
 def _rational(raw, where, signed=False):
     """A rational literal; nonnegative unless signed."""
     text = str(raw).strip()
@@ -327,18 +346,13 @@ def encode_category(cat) -> dict:
 def decode_category(payload):
     from .category import FiniteCategory, Morphism
 
-    objects = _require(payload, "objects", "category")
-    morphisms = [
-        Morphism(
-            _require(m, "id", "morphism"),
-            _require(m, "src", "morphism"),
-            _require(m, "tgt", "morphism"),
-        )
-        for m in _require(payload, "morphisms", "category")
-    ]
-    table = {
-        (g, f): gf for g, f, gf in _require(payload, "compose", "category")
-    }
+    objects = _typed(_require(payload, "objects", "category"), list, "category.objects")
+    raw_morphisms = _typed(_require(payload, "morphisms", "category"), list, "category.morphisms")
+    morphisms = []
+    for i, m in enumerate(raw_morphisms):
+        names = [_require(m, key, "morphism") for key in ("id", "src", "tgt")]
+        morphisms.append(Morphism(*_names(names, f"category.morphisms[{i}]")))
+    table = _triples(_require(payload, "compose", "category"), "category.compose")
     identities = payload.get("identities")
     if identities is None:
         identities = _infer_identities(objects, morphisms, table)
@@ -375,14 +389,19 @@ def decode_set_functor(payload, base):
     from .category import SetFunctor
 
     on_objects = {
-        k: tuple(v)
-        for k, v in _require(payload, "on_objects", "functor").items()
+        k: tuple(_names(v, f"functor.on_objects[{k!r}]"))
+        for k, v in _functor_table(payload, "on_objects").items()
     }
     on_morphisms = {
-        k: dict(v)
-        for k, v in _require(payload, "on_morphisms", "functor").items()
+        k: dict(_typed(v, dict, f"functor.on_morphisms[{k!r}]"))
+        for k, v in _functor_table(payload, "on_morphisms").items()
     }
+    _names([x for table in on_morphisms.values() for x in table.values()], "functor.on_morphisms")
     return SetFunctor(base, on_objects, on_morphisms)
+
+
+def _functor_table(payload, key):
+    return _typed(_require(payload, key, "functor"), dict, f"functor.{key}")
 
 
 def decode_cset_functor(payload, base, step_bound, base_dir=""):
@@ -391,18 +410,22 @@ def decode_cset_functor(payload, base, step_bound, base_dir=""):
     from .category import CSetFunctor
 
     on_objects = {}
-    for k, raw in _require(payload, "on_objects", "functor").items():
+    for k, raw in _functor_table(payload, "on_objects").items():
         if isinstance(raw, dict) and "path" in raw:
-            raw = load_json(os.path.join(base_dir, raw["path"]))
+            path = _typed(raw["path"], str, f"functor.on_objects[{k!r}].path")
+            raw = load_json(os.path.join(base_dir, path))
         on_objects[k] = decode_presentation(raw)
     on_morphisms = {}
-    for k, raw in _require(payload, "on_morphisms", "functor").items():
-        m = base.morphisms[k]
+    for k, raw in _functor_table(payload, "on_morphisms").items():
+        at = f"functor.on_morphisms[{k!r}]"
+        m = base.morphisms.get(k)
+        if m is None or m.src not in on_objects or m.tgt not in on_objects:
+            raise ParseError(f"{at}: not a morphism between objects in on_objects")
         src, tgt = on_objects[m.src], on_objects[m.tgt]
         assignment = {
-            g: tgt.element(decode_distribution(d)) for g, d in raw.items()
+            g: tgt.element(decode_distribution(d)) for g, d in _typed(raw, dict, at).items()
         }
-        on_morphisms[k] = ConvexMap(src, tgt, assignment, step_bound)
+        on_morphisms[k] = induce_map(src, tgt, assignment, step_bound, validate=False)
     return CSetFunctor(base, on_objects, on_morphisms, step_bound)
 
 
@@ -411,13 +434,13 @@ def decode_cset_functor(payload, base, step_bound, base_dir=""):
 
 def _decode_indexed_tables(payload, what):
     out = {}
-    for key, table in payload.items():
+    for key, table in _typed(payload, dict, f"{what} tables").items():
         try:
             n_str, i_str = key.split(",")
             n, i = int(n_str), int(i_str)
         except ValueError:
             raise ParseError(f"{what} key {key!r} is not 'n,i'") from None
-        out[(n, i)] = dict(table)
+        out[(n, i)] = dict(_typed(table, dict, f"{what}[{key!r}]"))
     return out
 
 
@@ -461,15 +484,17 @@ def decode_simplicial_group(payload):
             AbGroup.cyclic(_typed(payload["cyclic"], int, "group.cyclic")),
             _typed(_require(payload, "N", "simplicial group"), int, "group.N"),
         )
-    n_max = _require(payload, "N", "simplicial group")
+    n_max = _typed(_require(payload, "N", "simplicial group"), int, "group.N")
     groups = []
-    for raw in _require(payload, "groups", "simplicial group"):
+    raw_groups = _typed(_require(payload, "groups", "simplicial group"), list, "group.groups")
+    for i, raw in enumerate(raw_groups):
+        at = f"group.groups[{i}]"
         groups.append(
             AbGroup(
-                _require(raw, "elements", "group"),
-                {(a, b): c for a, b, c in _require(raw, "add", "group")},
+                _typed(_require(raw, "elements", "group"), list, f"{at}.elements"),
+                _triples(_require(raw, "add", "group"), f"{at}.add"),
                 _require(raw, "zero", "group"),
-                dict(_require(raw, "neg", "group")),
+                _typed(_require(raw, "neg", "group"), dict, f"{at}.neg"),
             )
         )
     face = _decode_indexed_tables(_require(payload, "faces", "simplicial group"), "face")
@@ -482,11 +507,9 @@ def decode_simplicial_group(payload):
 def decode_twist(payload, space, group):
     from .simplicial import TwistingFunction
 
-    maps = {
-        int(n): dict(table)
-        for n, table in _require(payload, "maps", "twisting function").items()
-    }
-    return TwistingFunction(space, group, maps)
+    maps = _levels(_require(payload, "maps", "twisting function"), "twist.maps")
+    _names([v for table in maps.values() for v in table.values()], "twist.maps")
+    return TwistingFunction(space, group, {n: dict(table) for n, table in maps.items()})
 
 
 def encode_twist(twist) -> dict:
@@ -502,16 +525,28 @@ def decode_sdist(payload, bundle):
     from .simplicial import SimplicialDistribution
 
     levels = {}
-    for n_str, table in _require(payload, "levels", "simplicial distribution").items():
-        n = int(n_str)
+    raw = _levels(_require(payload, "levels", "simplicial distribution"), "levels")
+    for n, table in raw.items():
+        if n > bundle.total.n_max:
+            raise ParseError(f"levels[{str(n)!r}]: above the truncation {bundle.total.n_max}")
+        lookup = {element_label(e): e for e in bundle.total.simplices(n)}
         levels[n] = {}
         for x, dist in table.items():
-            parsed = decode_distribution(dist)
-            lookup = {element_label(e): e for e in bundle.total.simplices(n)}
-            levels[n][x] = FiniteDistribution(
-                {lookup[el]: w for el, w in parsed.as_dict().items()}
-            )
+            weights = decode_distribution(dist).as_dict()
+            if not set(weights) <= set(lookup):
+                raise ParseError(f"levels[{str(n)!r}][{x!r}]: not a distribution on level {n}")
+            levels[n][x] = FiniteDistribution({lookup[el]: w for el, w in weights.items()})
     return SimplicialDistribution(bundle, levels)
+
+
+def _levels(raw, where):
+    """A JSON object keyed by level numbers "0", "1", ... of JSON objects."""
+    out = {}
+    for key, table in _typed(raw, dict, where).items():
+        if not key.isdigit():
+            raise ParseError(f"{where}: key {key!r} is not a level number")
+        out[int(key)] = _typed(table, dict, f"{where}[{key!r}]")
+    return out
 
 
 def encode_sdist(p) -> dict:
@@ -544,7 +579,7 @@ def encode_prob_object(obj) -> dict:
 def decode_prob_object(payload):
     from .finprob import ProbObject
 
-    carrier = _typed(_require(payload, "carrier", "probability object"), list, "carrier")
+    carrier = _names(_require(payload, "carrier", "probability object"), "carrier")
     raw = _typed(_require(payload, "p", "probability object"), dict, "p")
     weights = {x: RATIONAL.parse(str(w)) for x, w in raw.items()}
     return ProbObject(carrier, weights)
@@ -565,7 +600,9 @@ def decode_prob_morphism(payload):
 
     src = decode_prob_object(_require(payload, "src", "morphism"))
     tgt = decode_prob_object(_require(payload, "tgt", "morphism"))
-    return ProbMorphism(src, tgt, _require(payload, "map", "morphism"))
+    mapping = _typed(_require(payload, "map", "morphism"), dict, "map")
+    _names(list(mapping.values()), "map")
+    return ProbMorphism(src, tgt, mapping)
 
 
 def encode_corpus(corpus) -> dict:
@@ -578,11 +615,15 @@ def encode_corpus(corpus) -> dict:
 def decode_corpus(payload):
     from .finprob import Corpus
 
-    morphisms = [
-        decode_prob_morphism(m) for m in _require(payload, "morphisms", "corpus")
-    ]
-    chains = [tuple(c) for c in payload.get("chains", [])]
-    for i, j in chains:
-        if not (0 <= i < len(morphisms) and 0 <= j < len(morphisms)):
-            raise ParseError("corpus chain index out of range")
+    raw = _typed(_require(payload, "morphisms", "corpus"), list, "morphisms")
+    morphisms = [decode_prob_morphism(m) for m in raw]
+    chains = []
+    for k, chain in enumerate(_typed(payload.get("chains", []), list, "chains")):
+        if not (
+            isinstance(chain, list)
+            and len(chain) == 2
+            and all(type(i) is int and 0 <= i < len(morphisms) for i in chain)
+        ):
+            raise ParseError(f"chains[{k}]: expected two morphism indices")
+        chains.append(tuple(chain))
     return Corpus(morphisms, chains)

@@ -175,9 +175,6 @@ class QConvOp:
     def unit(cls) -> "QConvOp":
         return cls((F(1),))
 
-    def as_matrix(self) -> RMatrix:
-        return RMatrix([list(self.weights)])
-
     def __repr__(self):
         return "QConvOp(" + ", ".join(str(w) for w in self.weights) + ")"
 

@@ -83,10 +83,6 @@ class Presentation:
     def free(cls, generators) -> "Presentation":
         return cls(generators, ())
 
-    @property
-    def is_free(self) -> bool:
-        return not self.relations
-
     def delta(self, generator) -> "PresentedElement":
         if generator not in self._gen_index:
             raise PresentationMismatch(f"{generator!r} is not a generator")

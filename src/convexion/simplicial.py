@@ -53,7 +53,7 @@ class AbGroup:
         for a in self.elements:
             if self.add_table[(a, zero)] != a:
                 raise InvalidInput("zero is not neutral")
-            if self.add_table[(a, self.neg_table[a])] != zero:
+            if self.add_table.get((a, self.neg_table.get(a))) != zero:
                 raise InvalidInput(f"negation wrong at {a!r}")
         for a, b, c in itertools.product(self.elements, repeat=3):
             if self.add_table[(self.add_table[(a, b)], c)] != self.add_table[
@@ -505,6 +505,8 @@ class SimplicialDistribution:
     levels: dict  # n -> {x: FiniteDistribution}
 
     def at(self, n, x) -> FiniteDistribution:
+        if x not in self.levels.get(n, {}):
+            raise InvalidInput(f"no distribution at simplex {x!r} of level {n}")
         return self.levels[n][x]
 
 

@@ -1,6 +1,8 @@
 """Command-line behaviour: schemas, exit codes, report stability, and the
-verb coverage of every module operation."""
+coverage of the (verb, op) table cli.OPS: one sample job per op, and every
+module operation reached by running them."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -18,8 +20,8 @@ import convexion.omonoidal as omonoidal_mod
 import convexion.presentation as presentation_mod
 import convexion.simplicial as simplicial_mod
 import convexion.tensor as tensor_mod
-from convexion import jsonio
-from convexion.cli import VERB_OPERATIONS, run
+from convexion import cli, jsonio
+from convexion.cli import run
 
 
 # Child processes import convexion from this checkout's src/.
@@ -49,64 +51,6 @@ GLUE = {
         [{"weights": [{"el": "a", "w": "1"}]}, {"weights": [{"el": "b", "w": "1"}]}]
     ],
 }
-
-
-# -- coverage ------------------------------------------------------------------
-
-
-OPERATIONS_BY_MODULE = {
-    distribution_mod: ["delta", "pushforward", "flatten", "convex_combine"],
-    presentation_mod: ["quotient_mix", "eq", "induce_map", "hom_combine", "verify_verdict"],
-    join_mod: ["join_point", "join_mix", "copair"],
-    tensor_mod: [
-        "tensor",
-        "universal_map",
-        "extend_multiconvex",
-        "coherence",
-        "check_biconvex_not_convex_counterexample",
-        "enriched_bridge",
-    ],
-    matprop_mod: [
-        "is_convex_matrix",
-        "compose",
-        "direct_sum",
-        "permute",
-        "qconv_compose",
-        "algebra_apply",
-    ],
-    category_mod: [
-        "grothendieck",
-        "is_discrete_fibration",
-        "extract_functor",
-        "convex_grothendieck",
-    ],
-    omonoidal_mod: ["trivial_structure", "star_alpha", "o_grothendieck", "check_lax"],
-    finprob_mod: [
-        "shannon_entropy",
-        "info_loss",
-        "convex_combine_morphisms",
-        "verify_entropy_axioms",
-        "dist_lax_xi",
-    ],
-    simplicial_mod: [
-        "twisted_product",
-        "check_simplicial_distribution",
-        "bundle_tensor",
-        "mu_product",
-        "twist_monoid_structure",
-    ],
-}
-
-
-def test_every_operation_reachable_from_some_verb():
-    all_ops = set()
-    for module, names in OPERATIONS_BY_MODULE.items():
-        for name in names:
-            assert hasattr(module, name), f"{module.__name__} lacks {name}"
-            all_ops.add(name)
-    covered = set().union(*VERB_OPERATIONS.values())
-    missing = all_ops - covered
-    assert not missing, f"operations unreachable from any verb: {missing}"
 
 
 def test_unknown_verb_rejected_before_io():
@@ -747,23 +691,26 @@ def test_twist_monoid_cli(tmp_path):
     assert report["result"]["twist_count"] == 2
 
 
-def test_twist_check_distribution_cli(tmp_path):
-    # the uniform family on the twisted circle, spelled out in JSON
-    twist1 = {"maps": {"1": {"e": "1", "sv": "0"}, "2": {"s0e": "0", "s1e": "1", "ssv": "0"}}}
-    uniform = {
-        "levels": {
-            "0": {"v": {"weights": [{"el": "(0,v)", "w": "1/2"}, {"el": "(1,v)", "w": "1/2"}]}},
-            "1": {
-                "e": {"weights": [{"el": "(0,e)", "w": "1/2"}, {"el": "(1,e)", "w": "1/2"}]},
-                "sv": {"weights": [{"el": "(0,sv)", "w": "1/2"}, {"el": "(1,sv)", "w": "1/2"}]},
-            },
-            "2": {
-                "s0e": {"weights": [{"el": "(0,s0e)", "w": "1/2"}, {"el": "(1,s0e)", "w": "1/2"}]},
-                "s1e": {"weights": [{"el": "(0,s1e)", "w": "1/2"}, {"el": "(1,s1e)", "w": "1/2"}]},
-                "ssv": {"weights": [{"el": "(0,ssv)", "w": "1/2"}, {"el": "(1,ssv)", "w": "1/2"}]},
-            },
-        }
+TWIST1 = {"maps": {"1": {"e": "1", "sv": "0"}, "2": {"s0e": "0", "s1e": "1", "ssv": "0"}}}
+# the uniform family on the twisted circle, spelled out in JSON
+UNIFORM = {
+    "levels": {
+        "0": {"v": {"weights": [{"el": "(0,v)", "w": "1/2"}, {"el": "(1,v)", "w": "1/2"}]}},
+        "1": {
+            "e": {"weights": [{"el": "(0,e)", "w": "1/2"}, {"el": "(1,e)", "w": "1/2"}]},
+            "sv": {"weights": [{"el": "(0,sv)", "w": "1/2"}, {"el": "(1,sv)", "w": "1/2"}]},
+        },
+        "2": {
+            "s0e": {"weights": [{"el": "(0,s0e)", "w": "1/2"}, {"el": "(1,s0e)", "w": "1/2"}]},
+            "s1e": {"weights": [{"el": "(0,s1e)", "w": "1/2"}, {"el": "(1,s1e)", "w": "1/2"}]},
+            "ssv": {"weights": [{"el": "(0,ssv)", "w": "1/2"}, {"el": "(1,ssv)", "w": "1/2"}]},
+        },
     }
+}
+
+
+def test_twist_check_distribution_cli(tmp_path):
+    twist1, uniform = TWIST1, UNIFORM
     job = write(
         tmp_path,
         "chk.json",
@@ -1055,6 +1002,9 @@ def bridge_job(composition):
 BRIDGE_ROW = {"pair": ["i", "i"], "value": DELTA_I}
 TWIST_JOB = {"op": "twisted_product", "twist": {"maps": {"1": {"e": "1", "sv": "0"}}}}
 LAX_INSTANCE = {"operation": {"arity": 2, "alpha": ["1/4", "3/4"]}, "objects": ["S1", "S2"]}
+# the trivial group, as explicit tables at levels 0 and 1
+Z1 = {"elements": ["0"], "add": [["0", "0", "0"]], "zero": "0", "neg": {"0": "0"}}
+GROUP_1 = {"N": 1, "groups": [Z1, Z1], "faces": {"1,0": {"0": "0"}, "1,1": {"0": "0"}}, "degeneracies": {"0,0": {"0": "0"}}}
 
 # A wrong-typed or missing field in each job, the argv it runs with, and
 # the error naming it.
@@ -1182,6 +1132,66 @@ WRONG_FIELD_JOBS = [
         {"op": "pushforward", "map": {"a": [], "b": "a"}, "dist": DIST},
         "map['a']: expected a JSON string",
     ),
+    (
+        ["tensor"],
+        {**bridge_job({"o,o,o": [BRIDGE_ROW]}), "hom": {"o": {"generators": ["i"]}}},
+        "hom['o']: expected a key 'a,b' naming two objects",
+    ),
+    (
+        ["tensor"],
+        {
+            **bridge_job({"o,p,o": [BRIDGE_ROW]}),
+            "objects": ["o", "p"],
+            "hom": {k: {"generators": ["i"]} for k in ("o,o", "o,p", "p,p")},
+            "identities": {"o": DELTA_I, "p": DELTA_I},
+        },
+        "composition['o,p,o']: hom has no entry 'p,o'",
+    ),
+    (
+        ["tensor"],
+        {**bridge_job({"o,o,o": [BRIDGE_ROW]}), "identities": {"o": DELTA_I, "q": DELTA_I}},
+        "identities['q']: hom has no entry 'q,q'",
+    ),
+    (
+        ["tensor"],
+        {**bridge_job({"o,o,o": [BRIDGE_ROW]}), "identities": {}},
+        "identities: object 'o' has no identity",
+    ),
+    (
+        ["twist"],
+        {**TWIST_JOB, "space": {"standard": "circle", "N": 1}, "group": {**GROUP_1, "groups": 7}},
+        "group.groups: expected a JSON list",
+    ),
+    (
+        ["twist"],
+        {**TWIST_JOB, "space": {"standard": "circle", "N": 1}, "group": {**GROUP_1, "groups": [{**Z1, "neg": 5}]}},
+        "group.groups[0].neg: expected a JSON object",
+    ),
+    (
+        ["twist"],
+        {**TWIST_JOB, "space": {"standard": "circle", "N": 1}, "group": {**GROUP_1, "groups": [{**Z1, "add": [["0", "0"]]}]}},
+        "group.groups[0].add[0]: expected a list of three names",
+    ),
+    (
+        ["eq"],
+        {"op": "eq", "presentation": {"generators": ["a"], "relations": 7}, "lhs": DELTA_A, "rhs": DELTA_A},
+        "presentation.relations: expected a JSON list",
+    ),
+    (
+        ["eq"],
+        {"op": "eq", "presentation": {"generators": 7}, "lhs": DELTA_A, "rhs": DELTA_A},
+        "presentation.generators: expected a JSON list",
+    ),
+    (
+        ["prop"],
+        {"op": "is_convex_matrix", "matrix": {"rows": 1, "cols": 1, "entries": 7}},
+        "matrix.entries: expected a JSON list",
+    ),
+    (
+        ["groth"],
+        {"op": "grothendieck", "category": {**ARROW_CAT, "morphisms": 7}, "functor": {}},
+        "category.morphisms: expected a JSON list",
+    ),
 ]
 
 
@@ -1268,3 +1278,562 @@ def test_report_written_to_path(tmp_path):
     assert out.returncode == 0
     payload = json.loads(report_path.read_text())
     assert payload["verb"] == "selfcheck"
+
+
+# -- one sample per operation ------------------------------------------------------------------
+
+DELTA_B = {"weights": [{"el": "b", "w": "1"}]}
+DELTA_C = {"weights": [{"el": "c", "w": "1"}]}
+DELTA_U = {"weights": [{"el": "u", "w": "1"}]}
+C_PRES = {"generators": ["c"], "relations": []}
+CD_PRES = {"generators": ["c", "d"], "relations": []}
+X_AND_Y = {"x_presentation": PRES, "y_presentation": {"generators": ["u"], "relations": []}}
+MATRIX = {"rows": 2, "cols": 2, "entries": [["1/2", "1/2"], ["0", "1"]]}
+ARROW_IDENTITY = {
+    "category": ARROW_CAT,
+    "total": ARROW_CAT,
+    "object_projection": {"0": "0", "1": "1"},
+    "morphism_projection": {"id0": "id0", "id1": "id1", "f": "f"},
+}
+CIRCLE = {"standard": "circle", "N": 2}
+Z2 = {"cyclic": 2, "N": 2}
+PROB_AB = {"carrier": ["a", "b"], "p": {"a": "1/3", "b": "2/3"}}
+PROB_C = {"carrier": ["c"], "p": {"c": "1"}}
+COLLAPSE = {"src": PROB_AB, "tgt": PROB_C, "map": {"a": "c", "b": "c"}}
+RENAME = {"src": PROB_C, "tgt": {"carrier": ["d"], "p": {"d": "1"}}, "map": {"c": "d"}}
+
+# One well-formed input per (verb, op) of cli.OPS.  A dict is the job file of
+# its verb; a tuple is the argv, each dict in it written to a file and
+# "{tmp}" replaced by the test's temporary directory.
+SAMPLE_JOBS = {
+    ("dist", "delta"): {"op": "delta", "element": "a"},
+    ("dist", "pushforward"): {"op": "pushforward", "map": {"a": "b", "b": "a"}, "dist": DIST},
+    ("dist", "flatten"): {
+        "op": "flatten",
+        "outer": [{"weight": "1/2", "dist": DIST}, {"weight": "1/2", "dist": DELTA_A}],
+    },
+    ("dist", "convex_combine"): {
+        "op": "convex_combine", "alpha": ["1/3", "2/3"], "dists": [DIST, DELTA_B],
+    },
+    ("eq", "eq"): {"op": "eq", "presentation": SEGMENT, "lhs": MIDPOINT, "rhs": HALVES},
+    ("eq", "quotient_mix"): {
+        "op": "quotient_mix",
+        "presentation": SEGMENT,
+        "alpha": ["1/2", "1/2"],
+        "elements": [DELTA_A, DELTA_B],
+    },
+    ("eq", "induce_map"): {
+        "op": "induce_map",
+        "source": SEGMENT,
+        "target": PRES,
+        "assignment": {"a": DELTA_A, "b": DELTA_B, "m": DIST},
+        "apply_to": MIDPOINT,
+    },
+    ("eq", "hom_combine"): {
+        "op": "hom_combine",
+        "source": PRES,
+        "target": PRES,
+        "alpha": ["1/4", "3/4"],
+        "assignments": [{"a": DELTA_A, "b": DELTA_B}, {"a": DELTA_B, "b": DELTA_A}],
+        "apply_to": DELTA_A,
+    },
+    ("eq", "verify"): {
+        "op": "verify",
+        "presentation": SEGMENT,
+        "lhs": MIDPOINT,
+        "rhs": HALVES,
+        "verdict": {"status": "equal", "path": [{"lambdas": ["1", "0"], "spectator": {}}]},
+    },
+    ("join", "join_point"): {
+        "op": "join_point", **X_AND_Y, "point": {"alpha": "1/3", "x": DIST, "y": DELTA_U},
+    },
+    ("join", "join_mix"): {
+        "op": "join_mix",
+        **X_AND_Y,
+        "beta": ["1/2", "1/2"],
+        "points": [
+            {"alpha": "1", "x": DELTA_A, "y": None},
+            {"alpha": "0", "x": None, "y": DELTA_U},
+        ],
+    },
+    ("join", "copair"): {
+        "op": "copair",
+        **X_AND_Y,
+        "target": {"generators": ["z0", "z1"], "relations": []},
+        "f": {
+            "a": {"weights": [{"el": "z0", "w": "1"}]},
+            "b": {"weights": [{"el": "z1", "w": "1"}]},
+        },
+        "g": {"u": {"weights": [{"el": "z1", "w": "1"}]}},
+        "point": {"alpha": "1/2", "x": DELTA_A, "y": DELTA_U},
+    },
+    ("tensor", "tensor"): {"op": "tensor", "factors": [PRES, C_PRES]},
+    ("tensor", "universal_map"): {
+        "op": "universal_map", "factors": [PRES, C_PRES], "elements": [DIST, DELTA_C],
+    },
+    ("tensor", "extend_multiconvex"): {
+        "op": "extend_multiconvex",
+        "spec": {
+            "factors": [PRES, C_PRES],
+            "target": PRES,
+            "table": [
+                {"tuple": ["a", "c"], "value": DELTA_A},
+                {"tuple": ["b", "c"], "value": DIST},
+            ],
+        },
+        "elements": [DIST, DELTA_C],
+    },
+    ("tensor", "coherence"): {"op": "coherence", "kind": "braiding", "factors": [PRES, CD_PRES]},
+    ("tensor", "counterexample"): {"op": "counterexample"},
+    ("tensor", "enriched_bridge"): bridge_job({"o,o,o": [BRIDGE_ROW]}),
+    ("prop", "is_convex_matrix"): {"op": "is_convex_matrix", "matrix": MATRIX},
+    ("prop", "compose"): {"op": "compose", "left": MATRIX, "right": MATRIX},
+    ("prop", "direct_sum"): {
+        "op": "direct_sum", "left": MATRIX, "right": {"rows": 1, "cols": 1, "entries": [["1"]]},
+    },
+    ("prop", "permute"): {"op": "permute", "tau": [1, 0], "matrix": MATRIX, "sigma": [1, 0]},
+    ("prop", "qconv_compose"): {
+        "op": "qconv_compose",
+        "outer": {"alpha": ["1/2", "1/2"]},
+        "inner": [{"alpha": ["1"]}, {"alpha": ["1/3", "2/3"]}],
+    },
+    ("prop", "algebra_apply"): {
+        "op": "algebra_apply",
+        "presentation": PRES,
+        "matrix": {"rows": 2, "cols": 1, "entries": [["1"], ["1"]]},
+        "elements": [DIST],
+    },
+    ("groth", "grothendieck"): {
+        "op": "grothendieck",
+        "category": ARROW_CAT,
+        "functor": {
+            "on_objects": {"0": ["x", "y"], "1": ["z"]},
+            "on_morphisms": {
+                "id0": {"x": "x", "y": "y"}, "id1": {"z": "z"}, "f": {"x": "z", "y": "z"},
+            },
+        },
+    },
+    ("groth", "is_discrete_fibration"): {"op": "is_discrete_fibration", **ARROW_IDENTITY},
+    ("groth", "extract_functor"): {"op": "extract_functor", **ARROW_IDENTITY},
+    ("groth", "convex_grothendieck"): {
+        "op": "convex_grothendieck",
+        "category": ARROW_CAT,
+        "functor": {
+            "on_objects": {"0": PRES, "1": {"generators": ["u", "v"], "relations": []}},
+            "on_morphisms": {
+                "id0": {"a": DELTA_A, "b": DELTA_B},
+                "id1": {"u": DELTA_U, "v": {"weights": [{"el": "v", "w": "1"}]}},
+                "f": {"a": DELTA_U, "b": {"weights": [{"el": "u", "w": "1/2"}, {"el": "v", "w": "1/2"}]}},
+            },
+        },
+        "samples": [{"morphism": "f", "alpha": ["1/3", "2/3"], "elements": [DELTA_A, DELTA_B]}],
+    },
+    ("omon", "star_alpha"): {"op": "star_alpha", "alpha": ["1/2", "1/2"], "factors": [PRES, CD_PRES]},
+    ("omon", "trivial_structure"): {
+        "op": "trivial_structure",
+        "category": ARROW_CAT,
+        "tensor": {"0,0": "0", "0,1": "1", "1,0": "1", "1,1": "1"},
+        "unit": "0",
+    },
+    ("omon", "check_lax"): {
+        "op": "check_lax",
+        "functor": "dist",
+        "max_size": 6,
+        "unit_objects": ["S1", "S2"],
+        "instances": [
+            {
+                "operation": {"arity": 2, "alpha": ["1/2", "1/2"]},
+                "inner": [{"alpha": ["1"]}, {"alpha": ["1/3", "2/3"]}],
+                "objects": ["S1", "S1", "S2"],
+            }
+        ],
+    },
+    ("omon", "o_grothendieck"): {
+        "op": "o_grothendieck",
+        "functor": "mixture",
+        "carrier": ["x", "y"],
+        "instances": [{"operation": {"arity": 2, "alpha": ["1/4", "3/4"]}, "objects": ["*", "*"]}],
+    },
+    ("twist", "twisted_product"): {"op": "twisted_product", "space": CIRCLE, "group": Z2, "twist": TWIST1},
+    ("twist", "check_distribution"): {
+        "op": "check_distribution", "space": CIRCLE, "group": Z2, "twist": TWIST1, "distribution": UNIFORM,
+    },
+    ("twist", "bundle_tensor"): {
+        "op": "bundle_tensor", "space": CIRCLE, "group": Z2, "twist1": TWIST1, "twist2": TWIST1,
+    },
+    ("twist", "mu_product"): {
+        "op": "mu_product",
+        "space": CIRCLE,
+        "group": Z2,
+        "twist1": TWIST1,
+        "twist2": TWIST1,
+        "p": UNIFORM,
+        "q": UNIFORM,
+    },
+    ("twist", "twist_monoid"): {"op": "twist_monoid", "space": CIRCLE, "group": Z2},
+    ("entropy", "gen"): (
+        "entropy", "gen", "--out", "{tmp}/corpus.json", "--chains", "2", "--max-carrier", "3",
+    ),
+    ("entropy", "verify"): (
+        "entropy", "verify", "--corpus", {"morphisms": [COLLAPSE, RENAME], "chains": [[1, 0]]},
+    ),
+    ("entropy", "eval"): ("entropy", "eval", "--object", PROB_AB),
+    ("entropy", "combine"): ("entropy", "combine", "--lambda", "1/4", "--f", COLLAPSE, "--g", RENAME),
+    ("entropy", "xi"): ("entropy", "xi", "--input", {"alpha": ["1/4", "3/4"], "dists": [DIST, DELTA_C]}),
+    ("selfcheck", "selfcheck"): ("selfcheck",),
+}
+
+
+def sample_argv(tmp_path, key, sample=None):
+    """The argv that runs SAMPLE_JOBS[key], or sample in its place."""
+    sample = SAMPLE_JOBS[key] if sample is None else sample
+    if isinstance(sample, dict):
+        sample = (key[0], "--job", sample)
+    return [
+        write(tmp_path, f"arg{i}.json", arg) if isinstance(arg, dict) else arg.format(tmp=tmp_path)
+        for i, arg in enumerate(sample)
+    ]
+
+
+def sample_digest(tmp_path, key):
+    """The exit code and the sha256 of the canonical report of SAMPLE_JOBS[key];
+    the temporary directory reads "{tmp}" in the report."""
+    code, report = invoke(*sample_argv(tmp_path, key))
+    text = jsonio.canonical_json(report).replace(str(tmp_path), "{tmp}")
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of each sample's canonical report and its exit code, as the
+# command line wrote them before the operations moved into one table
+# (cli.OPS).  Only ("entropy", "gen") names a temporary path (its
+# "written" field), which sample_digest writes as "{tmp}".
+SAMPLE_DIGESTS = {
+    ('dist', 'delta'): (0, '3dc0b772bc4cb639ea578e11e3e87de5c187a6a677473b613315756a17aea3c5'),
+    ('dist', 'pushforward'): (0, 'b1759f7c3d82d0b89825c98845dac77285d998ed0f681b5d931b7aa1c36d8351'),
+    ('dist', 'flatten'): (0, '90942c0f19a464b8e46da7187d75319f7cd8e55f5d1e2c6a2c65b766d3c34d06'),
+    ('dist', 'convex_combine'): (0, 'f9c9c7870f23613ff30b1939ae7eb320f053ccc8b5dd54f17627002be0e4b839'),
+    ('eq', 'eq'): (0, '0100540c2c6a201221f69468c13a9e85d87810e6c8349bf4b1ec02e566b6db35'),
+    ('eq', 'quotient_mix'): (0, '1d4c73cf79e0693874c504484821e0ab8f6144080fed105e91e9ef3eb0544371'),
+    ('eq', 'induce_map'): (0, '8cbf7b559e02c29cae280585a6411aa0d4c7414a930066f42a6393a591b717a1'),
+    ('eq', 'hom_combine'): (0, '4058b550833fa9f9cd950467da82807c1eec06694ad178162627679a11bea8c4'),
+    ('eq', 'verify'): (0, 'ebc599965fed5cb9f011dd58be74d265266b071e063d6cf0b20c4a235527c691'),
+    ('join', 'join_point'): (0, '1be42d7afc48c09e45afb8c5f34459a333412e888c6c80ed22e18dcc4e9814db'),
+    ('join', 'join_mix'): (0, '3db77f2b0a4c05722c07e00d4cc06608c9dc1768bb966280c4d3897b5b07d5f6'),
+    ('join', 'copair'): (0, 'e80e029578e46ea55931ee8a26356014322083ca800817aae44446de9747b271'),
+    ('tensor', 'tensor'): (0, 'fceacd0cc1ccca8b57ac476f029cb7f30fe87e4dc061210a5838fc37301239d0'),
+    ('tensor', 'universal_map'): (0, 'a1460b47d66da9c39d1d6e9e2b94acaadd3bc7a3892ace91956b1b03df23e4e0'),
+    ('tensor', 'extend_multiconvex'): (0, '77ac59e240aec7996fbef206fed2a27ad5e5923a35a16fa4cec4bdc2c8309da0'),
+    ('tensor', 'coherence'): (0, '92f9c7291dee98b4b3d6ed9d6aed4a2da5f62ca2092d9263581f8bf3538aab6a'),
+    ('tensor', 'counterexample'): (0, '7e23021529cd5671db814778ad8689ef9c5908447d194f67b29e8f732377ad7b'),
+    ('tensor', 'enriched_bridge'): (0, 'df75e2be42ef7be422bb584701cf0ce0a122ee5d29728eb16b0c978601d2465d'),
+    ('prop', 'is_convex_matrix'): (0, 'd1f7d62d6097ad392e18d4743b7fa1e96ee3cfce5a46a616b1f72685cbd02f70'),
+    ('prop', 'compose'): (0, '9d2d88824b01eb04aa5c29706aef909a3894caceeaf2fc3526185db66cc87e30'),
+    ('prop', 'direct_sum'): (0, '0d4cb254b53a6b57b2864e5e8f69ac3d3eef1bba3258389bd1bf86d3dd5d3d90'),
+    ('prop', 'permute'): (0, 'cb3298fe1af0ac6600201c97b62303eb9ba2114440837f54fd6db9e6a5cdeb4d'),
+    ('prop', 'qconv_compose'): (0, 'd6aaeaeec2b8c1d6bfe797c2cf4544e13b657a830b6fa3a9ebc6f5d1bc10bae7'),
+    ('prop', 'algebra_apply'): (0, '00863727ff691d3bd4573327328f99f08a642e190b6cfc180d8266f00355f350'),
+    ('groth', 'grothendieck'): (0, 'ad504601516ad57793b4849200c966e69a793e7243983173da7afa7082c9d439'),
+    ('groth', 'is_discrete_fibration'): (0, '6019aac0e7b79d0f57cef69765519010b1724ab567067d145172896d3e5cbef7'),
+    ('groth', 'extract_functor'): (0, '4b79351ac0c2c385d5c55145109072c9047b12ecfc49cc90d1a11a116f7d74f1'),
+    ('groth', 'convex_grothendieck'): (0, 'd5eda38e83bf9f8f65c0a7261aafbb1bda916257230d91805fd0e1d7f9aaf880'),
+    ('omon', 'star_alpha'): (0, 'bb22551d3d1344c7c70cf06b2c5d5b69736b0e15fae7f1c49ec1fd2c6412bcc6'),
+    ('omon', 'trivial_structure'): (0, 'bc3a2735a60ad0965a77a2d0409223b6b84cb3e07e136dc65d739eb97091090d'),
+    ('omon', 'check_lax'): (0, '0817c7a51125bf21ca3fe742630478f39920e10d94c3fcfdfc5a8c782bd88714'),
+    ('omon', 'o_grothendieck'): (0, '0c6d4393f95d38e262de4520c366dfbfa5c662db0f42251bc44f7f5f288e678f'),
+    ('twist', 'twisted_product'): (0, '62d5b1bc3df89fad4bc1cd46febdde2736c543af7e8f6c2813c5c444252cebe9'),
+    ('twist', 'check_distribution'): (0, 'd323b4dd78f35db3565363afac5bb133c199fff001a7ec66a65cb782a027135d'),
+    ('twist', 'bundle_tensor'): (0, '6b5d3b08bbea81813e52d1a0583ee595f05619ac85def81f27249ab339ef1e80'),
+    ('twist', 'mu_product'): (0, 'e2a99a14be690dc0a5f4fb23ad0119ccdb39c82ec2695de2c27f0030a9c7e77d'),
+    ('twist', 'twist_monoid'): (0, '20c80950686177d6f2f8e03e9dd0030488f964d94babfe781ce6859dd3f4b0c9'),
+    ('entropy', 'gen'): (0, '052849f39b0fe55832c7c0e82617b2805bafafe27fe45705f3a869c4b9247b2e'),
+    ('entropy', 'verify'): (0, 'ab7200a6b7433c6db71015b7d60ec4ca8cec8593cbfbc02837433498d5ea0dc7'),
+    ('entropy', 'eval'): (0, 'da0eee1257864c8497dcc7ec0af79eecc8b25db663f6a56f92acf2ec5354189b'),
+    ('entropy', 'combine'): (0, 'a21d5e8c5af2c931e3ece3777d93a1818c744737227c610814940f14f7debc9e'),
+    ('entropy', 'xi'): (0, 'bd94c56682d9a602b296006d62ba1aa8c78b5de7feae6cba29d91a4afdf17bd9'),
+    ('selfcheck', 'selfcheck'): (0, '5dd3324087d256806d0ad07c2f4ad2783a0ffeafa0ea8d1f2ca5359af871c10c'),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SAMPLE_DIGESTS), ids="-".join)
+def test_sample_report_is_unchanged(tmp_path, key):
+    assert sample_digest(tmp_path, key) == SAMPLE_DIGESTS[key]
+
+
+# -- coverage of cli.OPS ------------------------------------------------------------------------
+
+# The library operations the command line exposes, by module.
+OPERATIONS_BY_MODULE = {
+    distribution_mod: ["delta", "pushforward", "flatten", "convex_combine"],
+    presentation_mod: ["quotient_mix", "eq", "induce_map", "hom_combine", "verify_verdict"],
+    join_mod: ["join_point", "join_mix", "copair"],
+    tensor_mod: [
+        "tensor",
+        "universal_map",
+        "extend_multiconvex",
+        "coherence",
+        "check_biconvex_not_convex_counterexample",
+        "enriched_bridge",
+    ],
+    matprop_mod: [
+        "is_convex_matrix",
+        "compose",
+        "direct_sum",
+        "permute",
+        "qconv_compose",
+        "algebra_apply",
+    ],
+    category_mod: [
+        "grothendieck",
+        "is_discrete_fibration",
+        "extract_functor",
+        "convex_grothendieck",
+    ],
+    omonoidal_mod: ["trivial_structure", "star_alpha", "o_grothendieck", "check_lax"],
+    finprob_mod: [
+        "shannon_entropy",
+        "info_loss",
+        "convex_combine_morphisms",
+        "verify_entropy_axioms",
+        "dist_lax_xi",
+    ],
+    simplicial_mod: [
+        "twisted_product",
+        "check_simplicial_distribution",
+        "bundle_tensor",
+        "mu_product",
+        "twist_monoid_structure",
+    ],
+}
+
+
+def test_every_op_has_a_sample_job():
+    assert set(SAMPLE_JOBS) == set(cli.OPS)
+
+
+def test_samples_reach_every_module_operation(tmp_path, monkeypatch):
+    # Each operation is wrapped where it is defined and wherever a convexion
+    # module (cli, jsonio, ...) imported it by name.
+    called = set()
+
+    def spy(label, fn):
+        def wrapper(*args, **kwargs):
+            called.add(label)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    holders = [m for name, m in sys.modules.items() if name.split(".")[0] == "convexion"]
+    expected = set()
+    for module, names in OPERATIONS_BY_MODULE.items():
+        for name in names:
+            label = f"{module.__name__}.{name}"
+            expected.add(label)
+            original = getattr(module, name)
+            wrapper = spy(label, original)
+            for holder in holders:
+                if getattr(holder, name, None) is original:
+                    monkeypatch.setattr(holder, name, wrapper)
+    for key in SAMPLE_JOBS:
+        code, _ = invoke(*sample_argv(tmp_path, key))
+        assert code == 0, key
+    assert expected - called == set()
+
+
+@pytest.mark.parametrize("verb", sorted({verb for verb, _ in cli.OPS}))
+def test_verb_help_lists_its_ops(verb, capsys):
+    with pytest.raises(SystemExit):
+        run([verb, "--help"])
+    names = [name for v, name in cli.OPS if v == verb]
+    assert f"ops: {', '.join(names)}" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("name", ["nope", "join_mix", [1], {"op": "delta"}, 7, None])
+def test_unknown_op_exit_two(tmp_path, name):
+    job = write(tmp_path, "job.json", {"op": name, "element": "a"})
+    code, report, stderr = _run_process("dist", "--job", job)
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"] == f"unknown dist op {name!r}"
+
+
+def test_eq_flag_form_reports_the_eq_job_without_op(tmp_path):
+    job = SAMPLE_JOBS[("eq", "eq")]
+    flags = []
+    for key in ("presentation", "lhs", "rhs"):
+        flags += [f"--{key}", write(tmp_path, f"{key}.json", job[key])]
+    code, flag_report = invoke("eq", *flags)
+    _, job_report = invoke(*sample_argv(tmp_path, ("eq", "eq")))
+    assert code == 0 and job_report.pop("op") == "eq"
+    assert flag_report == job_report
+
+
+def test_refused_maps_report_the_pair_for_induce_map_only(tmp_path):
+    # Both maps send the relation a = b of GLUE to the distinct a and b.
+    induce = {"op": "induce_map", "source": GLUE, "target": PRES, "assignment": {"a": DELTA_A, "b": DELTA_B}}
+    extend = {
+        "op": "extend_multiconvex",
+        "spec": {
+            "factors": [GLUE, C_PRES],
+            "target": PRES,
+            "table": [{"tuple": ["a", "c"], "value": DELTA_A}, {"tuple": ["b", "c"], "value": DELTA_B}],
+        },
+    }
+    code, report = invoke(*sample_argv(tmp_path, ("eq", "induce_map"), induce))
+    assert code == 0
+    assert report["result"] == {"accepted": False, "reason": "relation_violated", "pair": [DELTA_A, DELTA_B]}
+    code, report = invoke(*sample_argv(tmp_path, ("tensor", "extend_multiconvex"), extend))
+    assert code == 0
+    assert report["result"] == {"accepted": False, "reason": "relation_violated"}
+
+
+def test_cli_import_loads_no_construction_module():
+    lazy = ["convexion.category", "convexion.finprob", "convexion.omonoidal",
+            "convexion.simplicial", "convexion.tensor"]
+    code = f"import sys, convexion.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+MUTATIONS = ("remove", None, 7, "x", [], {})
+
+
+def mutated_samples():
+    """Each sample with one top-level field of one of its JSON objects
+    removed or set to a value of another JSON type; "op" is kept."""
+    for key, sample in SAMPLE_JOBS.items():
+        parts = [sample] if isinstance(sample, dict) else list(sample)
+        for i, part in enumerate(parts):
+            if not isinstance(part, dict):
+                continue
+            for field, value in part.items():
+                for mutation in MUTATIONS:
+                    if field == "op" or (mutation != "remove" and type(mutation) is type(value)):
+                        continue
+                    bad = {k: v for k, v in part.items() if k != field}
+                    if mutation != "remove":
+                        bad[field] = mutation
+                    mutated = parts[:i] + [bad] + parts[i + 1:]
+                    yield key, f"{field}={mutation!r}", bad if isinstance(sample, dict) else tuple(mutated)
+
+
+def test_mutated_samples_exit_0_1_or_2(tmp_path):
+    escapes = []
+    for key, label, sample in mutated_samples():
+        try:
+            code, report = invoke(*sample_argv(tmp_path, key, sample))
+        except Exception as exc:  # every escape is listed below, not just the first
+            escapes.append(f"{key} {label}: {type(exc).__name__}: {exc}")
+            continue
+        # exit 1 is a CheckFailure: a result, no error
+        if code not in (0, 1, 2) or (code == 1) != ("result" in report and not report["ok"]):
+            escapes.append(f"{key} {label}: exit {code}")
+    assert escapes == []
+
+
+def _sample_with(key, **fields):
+    return {**SAMPLE_JOBS[key], **fields}
+
+
+CSET_FUNCTOR = SAMPLE_JOBS[("groth", "convex_grothendieck")]["functor"]
+SPEC = SAMPLE_JOBS[("tensor", "extend_multiconvex")]["spec"]
+
+# A malformed field below the top level of a sample job, and the error that
+# names it; each of these raised a Python exception before.
+NESTED_FIELD_JOBS = [
+    (("omon", "trivial_structure"), {"unit": 7}, "unit: 7 is not an object"),
+    (("omon", "trivial_structure"), {"tensor": {"0,0": "2"}}, "tensor['0,0']: '2' is not an object"),
+    (("omon", "trivial_structure"), {"tensor": {"0,0": "0"}}, "tensor: no entry for 0,1"),
+    (("omon", "o_grothendieck"), {"functor": "dist"}, "instances[0].objects[0]: '*' is not an object of the functor"),
+    (("omon", "o_grothendieck"), {"carrier": ["x", []]}, "carrier: expected names (JSON strings)"),
+    (("omon", "check_lax"), {"unit_objects": ["S1", "T"]}, "unit_objects[1]: 'T' is not an object of the functor"),
+    (("twist", "twisted_product"), {"twist": {"maps": {"1": 7}}}, "twist.maps['1']: expected a JSON object"),
+    (("twist", "twisted_product"), {"twist": {"maps": {"one": {}}}}, "twist.maps: key 'one' is not a level number"),
+    (("twist", "twisted_product"), {"twist": {"maps": {"1": {"e": [], "sv": "0"}}}}, "twist.maps: expected names (JSON strings)"),
+    (("twist", "check_distribution"), {"distribution": {"levels": {"3": {}}}}, "levels['3']: above the truncation 2"),
+    (
+        ("twist", "check_distribution"),
+        {"distribution": {"levels": {"0": {"v": DELTA_A}}}},
+        "levels['0']['v']: not a distribution on level 0",
+    ),
+    (
+        ("twist", "mu_product"),
+        {"p": {"levels": {"0": UNIFORM["levels"]["0"]}}},
+        "InvalidInput: no distribution at simplex 'e' of level 1",
+    ),
+    (("eq", "eq"), {"presentation": {"generators": ["a", []]}}, "presentation.generators: expected names (JSON strings)"),
+    (
+        ("eq", "hom_combine"),
+        {"source": GLUE},
+        "RelationViolated: assignment sends a relation pair to distinct elements",
+    ),
+    (("eq", "hom_combine"), {"assignments": [{"a": DELTA_A}]}, "PresentationMismatch: assignment misses generator 'b'"),
+    (
+        ("groth", "grothendieck"),
+        {"functor": {"on_objects": {"0": ["x", {}], "1": ["z"]}, "on_morphisms": {}}},
+        "functor.on_objects['0']: expected names (JSON strings)",
+    ),
+    (
+        ("groth", "convex_grothendieck"),
+        {"functor": {**CSET_FUNCTOR, "on_morphisms": {"g": {}}}},
+        "functor.on_morphisms['g']: not a morphism between objects in on_objects",
+    ),
+    (
+        ("groth", "convex_grothendieck"),
+        {"functor": {**CSET_FUNCTOR, "on_morphisms": {"id0": {"a": DELTA_A}}}},
+        "PresentationMismatch: assignment misses generator 'b'",
+    ),
+    (
+        ("groth", "convex_grothendieck"),
+        {"samples": [{"morphism": "g", "alpha": [], "elements": []}]},
+        "samples[0].morphism: 'g' is not a morphism",
+    ),
+    (("groth", "is_discrete_fibration"), {"morphism_projection": {"id0": []}}, "morphism_projection: expected names (JSON strings)"),
+    (
+        ("tensor", "enriched_bridge"),
+        {
+            "objects": ["o", "p"],
+            "hom": {"o,o": {"generators": ["i"]}, "p,p": {"generators": ["i"]}},
+            "identities": {"o": DELTA_I, "p": DELTA_I},
+        },
+        "composition: no table for 'p,p,p'",
+    ),
+    (("prop", "permute"), {"tau": [1, "0"]}, "tau, sigma: expected lists of indices"),
+    (("prop", "qconv_compose"), {"outer": {"alpha": 7}}, "operation.alpha: expected a JSON list"),
+    (("tensor", "extend_multiconvex"), {"spec": {**SPEC, "factors": 7}}, "spec.factors: expected a JSON list"),
+    (
+        ("tensor", "extend_multiconvex"),
+        {"spec": {**SPEC, "table": [{"tuple": 7, "value": DELTA_A}]}},
+        "spec.table[0].tuple: expected a JSON list",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "key, fields, error", NESTED_FIELD_JOBS, ids=[f"{key[1]} {error}" for key, _, error in NESTED_FIELD_JOBS]
+)
+def test_nested_field_exit_two(tmp_path, key, fields, error):
+    code, report = invoke(*sample_argv(tmp_path, key, _sample_with(key, **fields)))
+    assert code == 2 and report["error"] == error
+
+
+def test_entropy_eval_needs_an_input():
+    code, report = invoke("entropy", "eval")
+    assert code == 2 and report["error"] == "entropy eval needs --object or --morphism"
+
+
+@pytest.mark.parametrize(
+    "table, candidate, error",
+    [
+        ([1, 2], "custom-table:{table}", "custom-table job: expected a JSON object"),
+        ({"values": 7}, "custom-table:{table}", "values: expected a JSON list"),
+        ({"values": ["x"]}, "custom-table:{table}", "values: expected a list of numbers"),
+        ({"values": [], "chain_values": [None]}, "custom-table:{table}", "chain_values: expected a list of numbers"),
+        (None, "scaled:x", "candidate 'scaled:x': the scale is not a number"),
+        (None, "scaled:1/0", "candidate 'scaled:1/0': the scale is not a number"),
+    ],
+)
+def test_entropy_candidate_exit_two(tmp_path, table, candidate, error):
+    corpus = write(tmp_path, "corpus.json", {"morphisms": [COLLAPSE], "chains": []})
+    candidate = candidate.format(table=write(tmp_path, "table.json", table))
+    code, report = invoke("entropy", "verify", "--corpus", corpus, "--candidate", candidate)
+    assert code == 2 and report["error"] == error
