@@ -64,6 +64,41 @@ def test_bad_face_table_rejected():
         )
 
 
+def test_non_total_tables_name_their_side():
+    with pytest.raises(InvalidInput) as face_side:
+        TruncatedSimplicialSet(
+            1,
+            [("v",), ("e",)],
+            {(1, 0): {"e": "v"}, (1, 1): {}},
+            {(0, 0): {"v": "e"}},
+        )
+    assert str(face_side.value) == "face table (1,1) missing or not total"
+    with pytest.raises(InvalidInput) as degeneracy_side:
+        TruncatedSimplicialSet(
+            1,
+            [("v",), ("e",)],
+            {(1, 0): {"e": "v"}, (1, 1): {"e": "v"}},
+            {(0, 0): {}},
+        )
+    assert str(degeneracy_side.value) == "degeneracy table (0,0) missing or not total"
+
+
+def test_non_homomorphic_tables_name_their_side():
+    Z4 = AbGroup.cyclic(4)
+    swap = {"0": "1", "1": "0"}
+    with pytest.raises(InvalidInput) as face_side:
+        SimplicialAbGroup(1, [Z2, Z2], {(1, 0): swap, (1, 1): swap}, {(0, 0): swap})
+    assert str(face_side.value) == "face (1,0) is not a homomorphism"
+    # faces reduce mod 2 (homomorphisms); the degeneracy is a section of
+    # them that sends 0 to 2, so only the degeneracy side fails
+    mod2 = {str(a): str(a % 2) for a in range(4)}
+    with pytest.raises(InvalidInput) as degeneracy_side:
+        SimplicialAbGroup(
+            1, [Z2, Z4], {(1, 0): mod2, (1, 1): mod2}, {(0, 0): {"0": "2", "1": "1"}}
+        )
+    assert str(degeneracy_side.value) == "degeneracy (0,0) is not a homomorphism"
+
+
 def test_cyclic_group_tables():
     assert Z3.add("1", "2") == "0"
     assert Z3.neg("1") == "2"
@@ -185,6 +220,20 @@ def test_invalid_distribution_itemized():
     assert "face" in kinds
 
 
+def test_failures_list_faces_then_degeneracies():
+    x, k = circle_setup()
+    bundle = twisted_product(k, TwistingFunction.zero(x, k), x)
+    p = uniform_sdist(bundle)
+    p.levels[2]["s0e"] = delta(("0", "s0e"))
+    report = check_simplicial_distribution(p, bundle)
+    assert report.failures == [
+        ("face", 2, "s0e", 0),
+        ("face", 2, "s0e", 1),
+        ("face", 2, "s0e", 2),
+        ("degeneracy", 1, "e", 0),
+    ]
+
+
 def test_mixtures_stay_valid():
     x, k = circle_setup()
     bundle = twisted_product(k, TwistingFunction.zero(x, k), x)
@@ -211,6 +260,27 @@ def test_tensor_with_trivial_is_unit():
     for t, bundle in bundles.items():
         tensored = bundle_tensor(bundle, bundles[zero])
         assert bundle_iso_valid(tensored, bundle, unit_iso(tensored))
+
+
+def test_unit_iso_moved_over_one_simplex_is_not_simplicial():
+    x, k, bundles = all_twists_and_bundles()
+    zero = TwistingFunction.zero(x, k)
+    for bundle in bundles.values():
+        tensored = bundle_tensor(bundle, bundles[zero])
+        mapping = unit_iso(tensored)
+        mapping[2] = {
+            src: bundle.act(2, "1", dst) if dst[1] == "s0e" else dst
+            for src, dst in mapping[2].items()
+        }
+        # still a bijection over the base and equivariant at every level
+        for n, table in mapping.items():
+            assert sorted(table.values()) == sorted(bundle.total.simplices(n))
+            for src, dst in table.items():
+                assert bundle.project(n, dst) == tensored.project(n, src)
+                for g in k.level(n).elements:
+                    assert table[tensored.act(n, g, src)] == bundle.act(n, g, dst)
+        # but no longer commutes with faces and degeneracies
+        assert not bundle_iso_valid(tensored, bundle, mapping)
 
 
 def test_tensor_realizes_twist_addition_on_all_pairs():
