@@ -4,7 +4,11 @@ distributions on principal bundles, the bundle tensor, and the graded
 monoid of twisted distributions.
 
 Everything is table-driven and dimension-truncated (default bound 2, max 3);
-all simplicial identities are checked exhaustively on the tables.  The
+all simplicial identities are checked exhaustively on the tables.  Faces
+and degeneracies are walked as one family: structure_maps(n_max) yields
+every face d_i: X_n -> X_{n-1}, then every degeneracy s_i: X_n -> X_{n+1},
+and TruncatedSimplicialSet.apply applies either kind, so each check and
+builder below has one loop over both.  The
 twisted product K x_eta X has componentwise faces except the zeroth, which
 is shifted: d_0(k, x) = (eta(x) + d_0 k, d_0 x); the twisting-function
 identities validated here are exactly the ones this convention forces.
@@ -78,48 +82,31 @@ class AbGroup:
         return f"AbGroup({len(self.elements)} elements)"
 
 
-class SimplicialAbGroup:
-    """Levelwise abelian groups with homomorphic face/degeneracy tables."""
-
-    def __init__(self, n_max: int, groups: Sequence[AbGroup], face: Mapping, degen: Mapping):
-        self.n_max = n_max
-        self.groups = tuple(groups)
-        self.face = {k: dict(v) for k, v in face.items()}
-        self.degen = {k: dict(v) for k, v in degen.items()}
-        if len(self.groups) != n_max + 1:
-            raise InvalidInput("need one group per level")
-        _check_tables(self, [g.elements for g in self.groups])
-        for (n, i), table in self.face.items():
-            g_from, g_to = self.groups[n], self.groups[n - 1]
-            for a, b in itertools.product(g_from.elements, repeat=2):
-                if table[g_from.add(a, b)] != g_to.add(table[a], table[b]):
-                    raise InvalidInput(f"face ({n},{i}) is not a homomorphism")
-        for (n, i), table in self.degen.items():
-            g_from, g_to = self.groups[n], self.groups[n + 1]
-            for a, b in itertools.product(g_from.elements, repeat=2):
-                if table[g_from.add(a, b)] != g_to.add(table[a], table[b]):
-                    raise InvalidInput(f"degeneracy ({n},{i}) is not a homomorphism")
-
-    @classmethod
-    def constant(cls, group: AbGroup, n_max: int) -> "SimplicialAbGroup":
-        ident = {a: a for a in group.elements}
-        face = {
-            (n, i): dict(ident) for n in range(1, n_max + 1) for i in range(n + 1)
-        }
-        degen = {(n, i): dict(ident) for n in range(n_max) for i in range(n + 1)}
-        return cls(n_max, [group] * (n_max + 1), face, degen)
-
-    def level(self, n: int) -> AbGroup:
-        return self.groups[n]
-
-    def d(self, n, i, k):
-        return self.face[(n, i)][k]
-
-    def s(self, n, i, k):
-        return self.degen[(n, i)][k]
-
-
 # -- truncated simplicial sets ---------------------------------------------------------
+
+
+def structure_maps(n_max: int):
+    """Every structure map up to the bound as (kind, n, i, m): each face
+    d_i: X_n -> X_m (kind "face", m = n - 1), then each degeneracy
+    s_i: X_n -> X_m (kind "degeneracy", m = n + 1), in (n, i) order."""
+    for n in range(1, n_max + 1):
+        for i in range(n + 1):
+            yield "face", n, i, n - 1
+    for n in range(n_max):
+        for i in range(n + 1):
+            yield "degeneracy", n, i, n + 1
+
+
+def _split_tables(n_max: int, table):
+    """The face and degeneracy tables of a builder, where table(kind, n, i,
+    m) gives the map of one structure_maps entry."""
+    tables = {"face": {}, "degeneracy": {}}
+    for kind, n, i, m in structure_maps(n_max):
+        tables[kind][(n, i)] = table(kind, n, i, m)
+    return tables["face"], tables["degeneracy"]
+
+
+_PLURAL = {"face": "faces", "degeneracy": "degeneracies"}
 
 
 class TruncatedSimplicialSet:
@@ -132,7 +119,14 @@ class TruncatedSimplicialSet:
         self.degen = {k: dict(v) for k, v in degen.items()}
         if len(self.levels) != n_max + 1:
             raise InvalidInput("need one simplex list per level")
-        _check_tables(self, self.levels)
+        self._check_tables()
+
+    def tables(self, kind):
+        """The face or the degeneracy tables, by structure_maps kind."""
+        return self.face if kind == "face" else self.degen
+
+    def apply(self, kind, n, i, x):
+        return self.tables(kind)[(n, i)][x]
 
     def d(self, n, i, x):
         return self.face[(n, i)][x]
@@ -145,75 +139,81 @@ class TruncatedSimplicialSet:
 
     def __repr__(self):
         sizes = ", ".join(str(len(lv)) for lv in self.levels)
-        return f"TruncatedSimplicialSet(N={self.n_max}; sizes {sizes})"
+        return f"{type(self).__name__}(N={self.n_max}; sizes {sizes})"
 
-
-def _check_tables(obj, levels):
-    """Totality plus the simplicial identities, on any levelled tables."""
-    n_max = obj.n_max
-    for n in range(1, n_max + 1):
-        for i in range(n + 1):
-            table = obj.face.get((n, i))
+    def _check_tables(self):
+        """Totality plus the simplicial identities."""
+        n_max, levels, d, s = self.n_max, self.levels, self.d, self.s
+        for kind, n, i, m in structure_maps(n_max):
+            table = self.tables(kind).get((n, i))
             if table is None or set(table) != set(levels[n]):
-                raise InvalidInput(f"face table ({n},{i}) missing or not total")
-            if not set(table.values()) <= set(levels[n - 1]):
-                raise InvalidInput(f"face table ({n},{i}) escapes its level")
-    for n in range(n_max):
-        for i in range(n + 1):
-            table = obj.degen.get((n, i))
-            if table is None or set(table) != set(levels[n]):
-                raise InvalidInput(f"degeneracy table ({n},{i}) missing or not total")
-            if not set(table.values()) <= set(levels[n + 1]):
-                raise InvalidInput(f"degeneracy table ({n},{i}) escapes its level")
+                raise InvalidInput(f"{kind} table ({n},{i}) missing or not total")
+            if not set(table.values()) <= set(levels[m]):
+                raise InvalidInput(f"{kind} table ({n},{i}) escapes its level")
 
-    d = lambda n, i, x: obj.face[(n, i)][x]
-    s = lambda n, i, x: obj.degen[(n, i)][x]
+        for n in range(2, n_max + 1):  # d_i d_j = d_{j-1} d_i, i < j
+            for i in range(n + 1):
+                for j in range(i + 1, n + 1):
+                    for x in levels[n]:
+                        if d(n - 1, i, d(n, j, x)) != d(n - 1, j - 1, d(n, i, x)):
+                            raise InvalidInput(
+                                f"face identity fails at n={n}, i={i}, j={j}, {x!r}"
+                            )
+        for n in range(n_max - 1):  # s_i s_j = s_{j+1} s_i, i <= j
+            for j in range(n + 1):
+                for i in range(j + 1):
+                    for x in levels[n]:
+                        if s(n + 1, i, s(n, j, x)) != s(n + 1, j + 1, s(n, i, x)):
+                            raise InvalidInput(
+                                f"degeneracy identity fails at n={n}, i={i}, j={j}"
+                            )
+        for n in range(n_max):  # mixed identities on X_n through X_{n+1}
+            for j in range(n + 1):
+                for i in range(n + 2):
+                    for x in levels[n]:
+                        got = d(n + 1, i, s(n, j, x))
+                        if i == j or i == j + 1:
+                            want = x
+                        elif i < j:
+                            want = s(n - 1, j - 1, d(n, i, x))
+                        else:
+                            want = s(n - 1, j, d(n, i - 1, x))
+                        if got != want:
+                            raise InvalidInput(
+                                f"mixed identity fails at n={n}, i={i}, j={j}, {x!r}"
+                            )
 
-    for n in range(2, n_max + 1):  # d_i d_j = d_{j-1} d_i, i < j
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                for x in levels[n]:
-                    if d(n - 1, i, d(n, j, x)) != d(n - 1, j - 1, d(n, i, x)):
-                        raise InvalidInput(
-                            f"face identity fails at n={n}, i={i}, j={j}, {x!r}"
-                        )
-    for n in range(n_max - 1):  # s_i s_j = s_{j+1} s_i, i <= j
-        for j in range(n + 1):
-            for i in range(j + 1):
-                for x in levels[n]:
-                    if s(n + 1, i, s(n, j, x)) != s(n + 1, j + 1, s(n, i, x)):
-                        raise InvalidInput(
-                            f"degeneracy identity fails at n={n}, i={i}, j={j}"
-                        )
-    for n in range(n_max):  # mixed identities on X_n through X_{n+1}
-        for j in range(n + 1):
-            for i in range(n + 2):
-                for x in levels[n]:
-                    got = d(n + 1, i, s(n, j, x))
-                    if i == j or i == j + 1:
-                        want = x
-                    elif i < j:
-                        want = s(n - 1, j - 1, d(n, i, x))
-                    else:
-                        want = s(n - 1, j, d(n, i - 1, x))
-                    if got != want:
-                        raise InvalidInput(
-                            f"mixed identity fails at n={n}, i={i}, j={j}, {x!r}"
-                        )
+
+class SimplicialAbGroup(TruncatedSimplicialSet):
+    """Levelwise abelian groups with homomorphic face/degeneracy tables: a
+    truncated simplicial set whose level-n simplices are the elements of
+    groups[n]."""
+
+    def __init__(self, n_max: int, groups: Sequence[AbGroup], face: Mapping, degen: Mapping):
+        self.groups = tuple(groups)
+        if len(self.groups) != n_max + 1:
+            raise InvalidInput("need one group per level")
+        super().__init__(n_max, [g.elements for g in self.groups], face, degen)
+        for kind, n, i, m in structure_maps(n_max):
+            g_from, g_to = self.groups[n], self.groups[m]
+            table = self.tables(kind)[(n, i)]
+            for a, b in itertools.product(g_from.elements, repeat=2):
+                if table[g_from.add(a, b)] != g_to.add(table[a], table[b]):
+                    raise InvalidInput(f"{kind} ({n},{i}) is not a homomorphism")
+
+    @classmethod
+    def constant(cls, group: AbGroup, n_max: int) -> "SimplicialAbGroup":
+        ident = {a: a for a in group.elements}
+        face, degen = _split_tables(n_max, lambda kind, n, i, m: dict(ident))
+        return cls(n_max, [group] * (n_max + 1), face, degen)
+
+    def level(self, n: int) -> AbGroup:
+        return self.groups[n]
 
 
 def standard_point(n_max: int) -> TruncatedSimplicialSet:
     levels = [(f"v{n}",) for n in range(n_max + 1)]
-    face = {
-        (n, i): {f"v{n}": f"v{n-1}"}
-        for n in range(1, n_max + 1)
-        for i in range(n + 1)
-    }
-    degen = {
-        (n, i): {f"v{n}": f"v{n+1}"}
-        for n in range(n_max)
-        for i in range(n + 1)
-    }
+    face, degen = _split_tables(n_max, lambda kind, n, i, m: {f"v{n}": f"v{m}"})
     return TruncatedSimplicialSet(n_max, levels, face, degen)
 
 
@@ -336,22 +336,21 @@ class TwistingFunction:
         )
 
 
+def _choice_product(space: TruncatedSimplicialSet, ns, choices):
+    """Every {n: {simplex: choice}} over the levels ns of space that takes
+    one of choices(n, simplex) at each simplex, in itertools.product order;
+    the brute force that enumerate_twists and enumerate_sections filter."""
+    keys = [(n, space.simplices(n)) for n in ns]
+    per_level = [itertools.product(*(choices(n, x) for x in simps)) for n, simps in keys]
+    for combo in itertools.product(*per_level):
+        yield {n: dict(zip(simps, values)) for (n, simps), values in zip(keys, combo)}
+
+
 def enumerate_twists(space: TruncatedSimplicialSet, group: SimplicialAbGroup):
     """All twisting functions on the given tables, by filtered brute force."""
-    level_choices = []
-    level_keys = []
-    for n in range(1, space.n_max + 1):
-        simps = space.simplices(n)
-        level_keys.append((n, simps))
-        level_choices.append(
-            itertools.product(group.level(n - 1).elements, repeat=len(simps))
-        )
     out = []
-    for combo in itertools.product(*level_choices):
-        maps = {
-            n: dict(zip(simps, values))
-            for (n, simps), values in zip(level_keys, combo)
-        }
+    ns = range(1, space.n_max + 1)  # eta_n is defined for 1 <= n <= N
+    for maps in _choice_product(space, ns, lambda n, x: group.level(n - 1).elements):
         try:
             out.append(TwistingFunction(space, group, maps))
         except InvalidTwist:
@@ -421,30 +420,16 @@ class Bundle:
                 if orbit != fibre:
                     raise InvalidInput("fibres do not match orbits")
         # action and projection are simplicial
-        for n in range(1, e.n_max + 1):
-            for i in range(n + 1):
-                for el in e.simplices(n):
-                    if self.proj[n - 1][e.d(n, i, el)] != x.d(n, i, self.proj[n][el]):
-                        raise InvalidInput("projection does not commute with faces")
-                    for g in k.level(n).elements:
-                        if e.d(n, i, self.act(n, g, el)) != self.act(
-                            n - 1, k.d(n, i, g), e.d(n, i, el)
-                        ):
-                            raise InvalidInput("action does not commute with faces")
-        for n in range(e.n_max):
-            for i in range(n + 1):
-                for el in e.simplices(n):
-                    if self.proj[n + 1][e.s(n, i, el)] != x.s(n, i, self.proj[n][el]):
-                        raise InvalidInput(
-                            "projection does not commute with degeneracies"
-                        )
-                    for g in k.level(n).elements:
-                        if e.s(n, i, self.act(n, g, el)) != self.act(
-                            n + 1, k.s(n, i, g), e.s(n, i, el)
-                        ):
-                            raise InvalidInput(
-                                "action does not commute with degeneracies"
-                            )
+        for kind, n, i, m in structure_maps(e.n_max):
+            for el in e.simplices(n):
+                image = e.apply(kind, n, i, el)
+                if self.proj[m][image] != x.apply(kind, n, i, self.proj[n][el]):
+                    raise InvalidInput(f"projection does not commute with {_PLURAL[kind]}")
+                for g in k.level(n).elements:
+                    if e.apply(kind, n, i, self.act(n, g, el)) != self.act(
+                        m, k.apply(kind, n, i, g), image
+                    ):
+                        raise InvalidInput(f"action does not commute with {_PLURAL[kind]}")
 
 
 def twisted_product(group: SimplicialAbGroup, eta: TwistingFunction,
@@ -455,33 +440,22 @@ def twisted_product(group: SimplicialAbGroup, eta: TwistingFunction,
         raise InvalidTwist("twisting function is for different data")
     n_max = space.n_max
     levels = [
-        tuple(
-            (k, x)
-            for k in group.level(n).elements
-            for x in space.simplices(n)
-        )
+        tuple(itertools.product(group.level(n).elements, space.simplices(n)))
         for n in range(n_max + 1)
     ]
-    face = {}
-    for n in range(1, n_max + 1):
-        for i in range(n + 1):
-            table = {}
-            for (k, x) in levels[n]:
-                if i == 0:
-                    shifted = group.level(n - 1).add(
-                        eta.value(n, x), group.d(n, 0, k)
-                    )
-                    table[(k, x)] = (shifted, space.d(n, 0, x))
-                else:
-                    table[(k, x)] = (group.d(n, i, k), space.d(n, i, x))
-            face[(n, i)] = table
-    degen = {}
-    for n in range(n_max):
-        for i in range(n + 1):
-            degen[(n, i)] = {
-                (k, x): (group.s(n, i, k), space.s(n, i, x)) for (k, x) in levels[n]
+
+    def structure(kind, n, i, m):
+        if kind == "face" and i == 0:  # the shifted zeroth face
+            return {
+                (k, x): (group.level(m).add(eta.value(n, x), group.d(n, 0, k)), space.d(n, 0, x))
+                for (k, x) in levels[n]
             }
-    total = TruncatedSimplicialSet(n_max, levels, face, degen)
+        return {
+            (k, x): (group.apply(kind, n, i, k), space.apply(kind, n, i, x))
+            for (k, x) in levels[n]
+        }
+
+    total = TruncatedSimplicialSet(n_max, levels, *_split_tables(n_max, structure))
     action = {
         n: {
             (g, (k, x)): (group.level(n).add(g, k), x)
@@ -536,20 +510,12 @@ def check_simplicial_distribution(p: SimplicialDistribution, bundle: Bundle) -> 
             pushed = pushforward(lambda el: bundle.project(n, el), dist)
             if pushed != delta(simp):
                 report.failures.append(("section", n, simp, None))
-    for n in range(1, x.n_max + 1):
-        for i in range(n + 1):
-            for simp in x.simplices(n):
-                lhs = pushforward(lambda el: e.d(n, i, el), p.at(n, simp))
-                rhs = p.at(n - 1, x.d(n, i, simp))
-                if lhs != rhs:
-                    report.failures.append(("face", n, simp, i))
-    for n in range(x.n_max):
-        for i in range(n + 1):
-            for simp in x.simplices(n):
-                lhs = pushforward(lambda el: e.s(n, i, el), p.at(n, simp))
-                rhs = p.at(n + 1, x.s(n, i, simp))
-                if lhs != rhs:
-                    report.failures.append(("degeneracy", n, simp, i))
+    for kind, n, i, m in structure_maps(x.n_max):
+        for simp in x.simplices(n):
+            lhs = pushforward(lambda el: e.apply(kind, n, i, el), p.at(n, simp))
+            rhs = p.at(m, x.apply(kind, n, i, simp))
+            if lhs != rhs:
+                report.failures.append((kind, n, simp, i))
     return report
 
 
@@ -578,37 +544,20 @@ def uniform_sdist(bundle: Bundle) -> SimplicialDistribution:
 
 def enumerate_sections(bundle: Bundle):
     """All simplicial sections of the projection, by filtered brute force."""
-    x, e = bundle.base, bundle.total
-    per_level = []
-    keys = []
-    for n in range(x.n_max + 1):
-        simps = x.simplices(n)
-        keys.append((n, simps))
-        per_level.append(
-            itertools.product(*(bundle.fibre(n, s) for s in simps))
-        )
-    out = []
-    for combo in itertools.product(*per_level):
-        section = {
-            n: dict(zip(simps, values)) for (n, simps), values in zip(keys, combo)
-        }
-        if _section_is_simplicial(bundle, section):
-            out.append(section)
-    return out
+    x = bundle.base
+    return [
+        section
+        for section in _choice_product(x, range(x.n_max + 1), bundle.fibre)
+        if _section_is_simplicial(bundle, section)
+    ]
 
 
 def _section_is_simplicial(bundle, section):
     x, e = bundle.base, bundle.total
-    for n in range(1, x.n_max + 1):
-        for i in range(n + 1):
-            for simp in x.simplices(n):
-                if e.d(n, i, section[n][simp]) != section[n - 1][x.d(n, i, simp)]:
-                    return False
-    for n in range(x.n_max):
-        for i in range(n + 1):
-            for simp in x.simplices(n):
-                if e.s(n, i, section[n][simp]) != section[n + 1][x.s(n, i, simp)]:
-                    return False
+    for kind, n, i, m in structure_maps(x.n_max):
+        for simp in x.simplices(n):
+            if e.apply(kind, n, i, section[n][simp]) != section[m][x.apply(kind, n, i, simp)]:
+                return False
     return True
 
 
@@ -643,13 +592,8 @@ class TensorBundle(Bundle):
             grp = group.level(n)
             reps = []
             for x in base.simplices(n):
-                pairs = [
-                    (e, f)
-                    for e in left.fibre(n, x)
-                    for f in right.fibre(n, x)
-                ]
                 seen = set()
-                for pair in pairs:
+                for pair in itertools.product(left.fibre(n, x), right.fibre(n, x)):
                     if pair in seen:
                         continue
                     orbit = {
@@ -663,24 +607,12 @@ class TensorBundle(Bundle):
                     reps.append(rep)
             levels.append(tuple(sorted(reps, key=element_key)))
 
-        face = {}
-        for n in range(1, n_max + 1):
-            for i in range(n + 1):
-                face[(n, i)] = {
-                    (e, f): self._orbit_rep[
-                        (n - 1, (left.total.d(n, i, e), right.total.d(n, i, f)))
-                    ]
-                    for (e, f) in levels[n]
-                }
-        degen = {}
-        for n in range(n_max):
-            for i in range(n + 1):
-                degen[(n, i)] = {
-                    (e, f): self._orbit_rep[
-                        (n + 1, (left.total.s(n, i, e), right.total.s(n, i, f)))
-                    ]
-                    for (e, f) in levels[n]
-                }
+        face, degen = _split_tables(n_max, lambda kind, n, i, m: {
+            (e, f): self._orbit_rep[
+                (m, (left.total.apply(kind, n, i, e), right.total.apply(kind, n, i, f)))
+            ]
+            for (e, f) in levels[n]
+        })
         total = TruncatedSimplicialSet(n_max, levels, face, degen)
         action = {
             n: {
@@ -743,20 +675,12 @@ def bundle_iso_valid(src: Bundle, dst: Bundle, mapping: Mapping) -> bool:
             for g in src.group.level(n).elements:
                 if table[src.act(n, g, e)] != dst.act(n, g, table[e]):
                     return False
-    for n in range(1, src.total.n_max + 1):
-        for i in range(n + 1):
-            for e in src.total.simplices(n):
-                if mapping[n - 1][src.total.d(n, i, e)] != dst.total.d(
-                    n, i, mapping[n][e]
-                ):
-                    return False
-    for n in range(src.total.n_max):
-        for i in range(n + 1):
-            for e in src.total.simplices(n):
-                if mapping[n + 1][src.total.s(n, i, e)] != dst.total.s(
-                    n, i, mapping[n][e]
-                ):
-                    return False
+    for kind, n, i, m in structure_maps(src.total.n_max):
+        for e in src.total.simplices(n):
+            if mapping[m][src.total.apply(kind, n, i, e)] != dst.total.apply(
+                kind, n, i, mapping[n][e]
+            ):
+                return False
     return True
 
 
@@ -775,38 +699,30 @@ def twist_addition_iso(tensor_bundle: TensorBundle, sum_bundle: Bundle):
 
 
 def braiding_iso(ef: TensorBundle, fe: TensorBundle):
-    mapping = {}
-    for n in range(ef.total.n_max + 1):
-        mapping[n] = {
-            (e, f): fe.orbit_rep(n, (f, e)) for (e, f) in ef.total.simplices(n)
-        }
-    return mapping
+    return {
+        n: {(e, f): fe.orbit_rep(n, (f, e)) for (e, f) in ef.total.simplices(n)}
+        for n in range(ef.total.n_max + 1)
+    }
 
 
 def assoc_iso(left_nested: TensorBundle, right_nested: TensorBundle):
     """(E (x) F) (x) G -> E (x) (F (x) G) on orbit representatives."""
     fg = right_nested.right
-    mapping = {}
-    for n in range(left_nested.total.n_max + 1):
-        table = {}
-        for ((e, f), g) in left_nested.total.simplices(n):
-            inner = fg.orbit_rep(n, (f, g))
-            table[((e, f), g)] = right_nested.orbit_rep(n, (e, inner))
-        mapping[n] = table
-    return mapping
+    return {
+        n: {
+            ((e, f), g): right_nested.orbit_rep(n, (e, fg.orbit_rep(n, (f, g))))
+            for ((e, f), g) in left_nested.total.simplices(n)
+        }
+        for n in range(left_nested.total.n_max + 1)
+    }
 
 
 def unit_iso(et: TensorBundle):
     """E (x) (K x_0 X) -> E: the trivial factor shifts the other one."""
-    left = et.left
-    mapping = {}
-    for n in range(et.total.n_max + 1):
-        table = {}
-        for (e, f) in et.total.simplices(n):
-            k, _ = f  # trivial-bundle point (k, x)
-            table[(e, f)] = left.act(n, k, e)
-        mapping[n] = table
-    return mapping
+    return {  # f = (k, x) is a point of the trivial bundle
+        n: {(e, (k, x)): et.left.act(n, k, e) for (e, (k, x)) in et.total.simplices(n)}
+        for n in range(et.total.n_max + 1)
+    }
 
 
 def pushforward_sdist(p: SimplicialDistribution, dst_bundle: Bundle, mapping) -> SimplicialDistribution:
