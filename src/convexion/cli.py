@@ -787,8 +787,7 @@ def entropy_gen(args, ctx):
     from .finprob import generate_corpus
 
     corpus = generate_corpus(seed=ctx["seed"], n_chains=args.chains, max_carrier=args.max_carrier)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(jsonio.canonical_json(jsonio.encode_corpus(corpus)))
+    _write_file("--out", args.out, jsonio.canonical_json(jsonio.encode_corpus(corpus)))
     return {"written": args.out, "morphisms": len(corpus.morphisms)}
 
 
@@ -995,12 +994,25 @@ def run(argv=None):
     return exit_code, report, args.report
 
 
+def _write_file(flag, path, text):
+    """Write text to the file that flag names; a path that cannot be
+    written is a ParseError naming both."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"{flag} {path}: cannot write: {exc.strerror or exc}") from None
+
+
 def main(argv=None) -> int:
     exit_code, report, report_path = run(argv)
     text = jsonio.canonical_json(report)
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            _write_file("--report", report_path, text)
+        except ParseError as exc:
+            sys.stderr.write(f"convexion: {exc}\n")
+            return 2
     else:
         sys.stdout.write(text)
     return exit_code

@@ -1280,6 +1280,28 @@ def test_report_written_to_path(tmp_path):
     assert payload["verb"] == "selfcheck"
 
 
+def test_unwritable_report_path_exit_two(tmp_path):
+    report_path = tmp_path / "missing" / "r.json"
+    out = subprocess.run(
+        [sys.executable, "-m", "convexion", "--report", str(report_path), "selfcheck"],
+        capture_output=True,
+        text=True,
+        env=ENV,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == (
+        f"convexion: --report {report_path}: cannot write: No such file or directory\n"
+    )
+
+
+def test_unwritable_out_path_exit_two(tmp_path):
+    out_path = tmp_path / "missing" / "x.json"
+    code, report, stderr = _run_process("entropy", "gen", "--out", str(out_path))
+    assert code == 2 and stderr == ""
+    assert report["error"] == f"--out {out_path}: cannot write: No such file or directory"
+
+
 # -- one sample per operation ------------------------------------------------------------------
 
 DELTA_B = {"weights": [{"el": "b", "w": "1"}]}
