@@ -269,12 +269,6 @@ def nullspace(rows, ncols):
     return basis
 
 
-def in_row_space(rows, v):
-    """Whether v lies in the span of the given rows."""
-    rows = list(rows)
-    return len(_rref(rows + [v], len(v))[1]) == len(_rref(rows, len(v))[1])
-
-
 def dot(u, v):
     """Exact inner product; zero terms are skipped, not multiplied."""
     return sum((a * b for a, b in zip(u, v) if a and b), ZERO)

@@ -36,9 +36,6 @@ class Semiring:
     def one(self):
         raise NotImplementedError
 
-    def is_value(self, v) -> bool:
-        raise NotImplementedError
-
     def add(self, a, b):
         raise NotImplementedError
 
@@ -101,9 +98,6 @@ class RationalSemiring(Semiring):
 
     def one(self):
         return ONE
-
-    def is_value(self, v):
-        return isinstance(v, Fraction) and v >= 0
 
     def add(self, a, b):
         return a + b
@@ -171,9 +165,6 @@ class BooleanSemiring(Semiring):
 
     def one(self):
         return True
-
-    def is_value(self, v):
-        return isinstance(v, bool)
 
     def add(self, a, b):
         return a or b
