@@ -960,7 +960,7 @@ def test_weight_element_must_be_a_string(tmp_path, el):
     job = write(tmp_path, "flat.json", {"op": "flatten", "outer": [{"weight": "1", "dist": bad}]})
     code, report, stderr = _run_process("dist", "--job", job)
     assert code == 2 and "Traceback" not in stderr
-    assert report["error"] == "weights[1].el: expected a JSON string"
+    assert report["error"] == "outer[0].dist.weights[1].el: expected a JSON string"
 
 
 # One job per verb, each without a field its handler reads unconditionally.
@@ -1758,6 +1758,13 @@ def _sample_with(key, **fields):
 
 CSET_FUNCTOR = SAMPLE_JOBS[("groth", "convex_grothendieck")]["functor"]
 SPEC = SAMPLE_JOBS[("tensor", "extend_multiconvex")]["spec"]
+# the circle truncated at N = 1, as explicit tables
+CIRCLE_1 = {
+    "N": 1,
+    "levels": [["v"], ["e", "sv"]],
+    "faces": {"1,0": {"e": "v", "sv": "v"}, "1,1": {"e": "v", "sv": "v"}},
+    "degeneracies": {"0,0": {"v": "sv"}},
+}
 
 # A malformed field below the top level of a sample job, and the error that
 # names it; each of these raised a Python exception before.
@@ -1771,11 +1778,11 @@ NESTED_FIELD_JOBS = [
     (("twist", "twisted_product"), {"twist": {"maps": {"1": 7}}}, "twist.maps['1']: expected a JSON object"),
     (("twist", "twisted_product"), {"twist": {"maps": {"one": {}}}}, "twist.maps: key 'one' is not a level number"),
     (("twist", "twisted_product"), {"twist": {"maps": {"1": {"e": [], "sv": "0"}}}}, "twist.maps: expected names (JSON strings)"),
-    (("twist", "check_distribution"), {"distribution": {"levels": {"3": {}}}}, "levels['3']: above the truncation 2"),
+    (("twist", "check_distribution"), {"distribution": {"levels": {"3": {}}}}, "distribution.levels['3']: above the truncation 2"),
     (
         ("twist", "check_distribution"),
         {"distribution": {"levels": {"0": {"v": DELTA_A}}}},
-        "levels['0']['v']: not a distribution on level 0",
+        "distribution.levels['0']['v']: not a distribution on level 0",
     ),
     (
         ("twist", "mu_product"),
@@ -1820,13 +1827,45 @@ NESTED_FIELD_JOBS = [
         "composition: no table for 'p,p,p'",
     ),
     (("prop", "permute"), {"tau": [1, "0"]}, "tau, sigma: expected lists of indices"),
-    (("prop", "qconv_compose"), {"outer": {"alpha": 7}}, "operation.alpha: expected a JSON list"),
+    (("prop", "qconv_compose"), {"outer": {"alpha": 7}}, "outer.alpha: expected a JSON list"),
     (("tensor", "extend_multiconvex"), {"spec": {**SPEC, "factors": 7}}, "spec.factors: expected a JSON list"),
     (
         ("tensor", "extend_multiconvex"),
         {"spec": {**SPEC, "table": [{"tuple": 7, "value": DELTA_A}]}},
         "spec.table[0].tuple: expected a JSON list",
     ),
+    (
+        ("dist", "convex_combine"),
+        {"alpha": ["1/2", "x"]},
+        "alpha[1]: bad rational literal 'x': Invalid literal for Fraction: 'x'",
+    ),
+    (
+        ("dist", "convex_combine"),
+        {"dists": [DIST, {"weights": [{"el": "b"}]}]},
+        "dists[1].weights[0].w: missing from the convex_combine job",
+    ),
+    (
+        ("dist", "flatten"),
+        {"outer": [{"weight": "z", "dist": DIST}]},
+        "outer[0].weight: bad rational literal 'z': Invalid literal for Fraction: 'z'",
+    ),
+    (
+        ("tensor", "tensor"),
+        {"factors": [PRES, {"generators": ["c"], "relations": 7}]},
+        "factors[1].relations: expected a JSON list",
+    ),
+    (
+        ("tensor", "tensor"),
+        {"factors": [PRES, {"generators": ["c"], "relations": [[DELTA_C]]}]},
+        "factors[1].relations[0]: expected a pair of distributions",
+    ),
+    (
+        ("eq", "induce_map"),
+        {"target": {"generators": ["a", "b"], "relations": [[DELTA_A, {"weights": [{"el": 7, "w": "1"}]}]]}},
+        "target.relations[0][1].weights[0].el: expected a JSON string",
+    ),
+    (("twist", "twisted_product"), {"space": {**CIRCLE_1, "N": "x"}}, "space.N: expected a JSON integer"),
+    (("twist", "twisted_product"), {"space": {**CIRCLE_1, "levels": 5}}, "space.levels: expected a JSON list"),
 ]
 
 
