@@ -37,8 +37,9 @@ from .matprop import (
     permute,
     qconv_compose,
 )
+from .jsonio import Job
 from .presentation import eq, hom_combine, induce_map, quotient_mix, verify_verdict
-from .semiring import RATIONAL, semiring_by_name
+from .semiring import RATIONAL
 
 F = Fraction
 
@@ -85,50 +86,6 @@ def _checked(ok, result):
     return result
 
 
-_REQUIRED = object()
-
-
-class Job(dict):
-    """An object of a job file: its top level, or an object inside it at
-    the JSON path `at` (such as "outer[0]").  A missing field is a
-    ParseError naming it (exit 2), not a KeyError, and typed() checks a
-    field's JSON type."""
-
-    def __init__(self, payload, name, at=""):
-        if not isinstance(payload, dict):
-            raise ParseError(f"{at or name + ' job'}: expected a JSON object")
-        super().__init__(payload)
-        self.name = name
-        self.at = at
-
-    def _path(self, key):
-        return f"{self.at}.{key}" if self.at else key
-
-    def __missing__(self, key):
-        raise ParseError(f"{self._path(key)}: missing from the {self.name} job")
-
-    def typed(self, key, kind, default=_REQUIRED):
-        """The field key, which must be a JSON object (kind dict), list,
-        string or integer; when it is absent, default if one is given."""
-        value = self[key] if default is _REQUIRED else self.get(key, default)
-        return jsonio._typed(value, kind, self._path(key))
-
-    def objects(self, key, default=_REQUIRED):
-        """The list field key, each item read as a Job at its path."""
-        return [
-            Job(raw, self.name, f"{self._path(key)}[{i}]")
-            for i, raw in enumerate(self.typed(key, list, default))
-        ]
-
-    def rationals(self, key):
-        """The list field key of rational literals."""
-        return [RATIONAL.parse(str(a)) for a in self.typed(key, list)]
-
-    def presentations(self, key):
-        """The list field key of presentations."""
-        return [jsonio.decode_presentation(p) for p in self.typed(key, list)]
-
-
 def _element(pres, payload):
     """The element of pres named by the distribution JSON payload."""
     return pres.element(jsonio.decode_distribution(payload))
@@ -136,7 +93,12 @@ def _element(pres, payload):
 
 def _assignment(tgt, table):
     """A {generator: distribution JSON} table as elements of tgt."""
-    return {g: _element(tgt, d) for g, d in table.items()}
+    return {g: _element(tgt, d) for g, d in table.entries()}
+
+
+def _factors(job):
+    """The presentations of the list field "factors"."""
+    return [jsonio.decode_presentation(p) for p in job["factors"].items()]
 
 
 def _distribution(out):
@@ -162,25 +124,23 @@ def _induced(build, report_pair):
 
 @op("dist", "delta")
 def dist_delta(job, ctx):
-    semiring = semiring_by_name(job.typed("semiring", str, "rational"))
+    semiring = jsonio.semiring_of(job)
     return _distribution(delta(job.typed("element", str), semiring))
 
 
 @op("dist", "pushforward")
 def dist_pushforward(job, ctx):
-    fmap = job.typed("map", dict)
-    for el, image in fmap.items():
-        jsonio._typed(image, str, f"map[{el!r}]")
-    return _distribution(pushforward(dict(fmap), jsonio.decode_distribution(job["dist"])))
+    fmap = {el: image.expect(str) for el, image in job["map"].entries()}
+    return _distribution(pushforward(fmap, jsonio.decode_distribution(job["dist"])))
 
 
 @op("dist", "flatten")
 def dist_flatten(job, ctx):
-    semiring = semiring_by_name(job.typed("semiring", str, "rational"))
+    semiring = jsonio.semiring_of(job)
     outer = {}
-    for item in job.objects("outer"):
+    for item in job["outer"].items():
         inner = jsonio.decode_distribution(item["dist"], semiring)
-        w = semiring.parse(str(item["weight"]))
+        w = item["weight"].literal(semiring)
         outer[inner] = semiring.add(outer.get(inner, semiring.zero()), w)
     return _distribution(flatten(FiniteDistribution(outer, semiring)))
 
@@ -188,7 +148,7 @@ def dist_flatten(job, ctx):
 @op("dist", "convex_combine")
 def dist_convex_combine(job, ctx):
     alpha = job.rationals("alpha")
-    dists = [jsonio.decode_distribution(d) for d in job.typed("dists", list)]
+    dists = [jsonio.decode_distribution(d) for d in job["dists"].items()]
     return _distribution(convex_combine(alpha, dists))
 
 
@@ -199,7 +159,7 @@ def dist_convex_combine(job, ctx):
 def eq_eq(job, ctx):
     pres = jsonio.decode_presentation(job["presentation"])
     lhs, rhs = _element(pres, job["lhs"]), _element(pres, job["rhs"])
-    verdict = eq(lhs, rhs, job.get("bound", ctx["bound"]))
+    verdict = eq(lhs, rhs, job.get("bound", ctx["bound"]).value)
     return {
         "verdict": jsonio.encode_verdict(verdict, pres),
         "verified": verify_verdict(verdict, lhs, rhs),
@@ -210,7 +170,7 @@ def eq_eq(job, ctx):
 def eq_quotient_mix(job, ctx):
     pres = jsonio.decode_presentation(job["presentation"])
     alpha = job.rationals("alpha")
-    elements = [_element(pres, d) for d in job.typed("elements", list)]
+    elements = [_element(pres, d) for d in job["elements"].items()]
     return {"element": jsonio.encode_distribution(quotient_mix(alpha, elements).rep)}
 
 
@@ -218,7 +178,7 @@ def eq_quotient_mix(job, ctx):
 def eq_induce_map(job, ctx):
     src = jsonio.decode_presentation(job["source"])
     tgt = jsonio.decode_presentation(job["target"])
-    assignment = _assignment(tgt, job.typed("assignment", dict))
+    assignment = _assignment(tgt, job["assignment"])
     fmap, refusal = _induced(lambda: induce_map(src, tgt, assignment, ctx["bound"]), True)
     if refusal:
         return refusal
@@ -234,7 +194,7 @@ def eq_hom_combine(job, ctx):
     tgt = jsonio.decode_presentation(job["target"])
     maps = [
         induce_map(src, tgt, _assignment(tgt, table), ctx["bound"])
-        for table in job.objects("assignments")
+        for table in job["assignments"].items()
     ]
     mixed = hom_combine(job.rationals("alpha"), maps)
     assignment = {g: jsonio.encode_distribution(mixed.on_generator(g).rep) for g in src.generators}
@@ -270,7 +230,7 @@ def join_join_point(job, ctx):
 def join_join_mix(job, ctx):
     space = _join_space(job)
     beta = job.rationals("beta")
-    pts = [jsonio.decode_join_element(p, space) for p in job.typed("points", list)]
+    pts = [jsonio.decode_join_element(p, space) for p in job["points"].items()]
     point = jsonio.encode_join_element(join_mix(beta, pts))
     return {"point": point, "assumptions_used": ["join_mix"]}
 
@@ -279,8 +239,8 @@ def join_join_mix(job, ctx):
 def join_copair(job, ctx):
     space = _join_space(job)
     tgt = jsonio.decode_presentation(job["target"])
-    f = induce_map(space.x_factor, tgt, _assignment(tgt, job.typed("f", dict)), ctx["bound"])
-    g = induce_map(space.y_factor, tgt, _assignment(tgt, job.typed("g", dict)), ctx["bound"])
+    f = induce_map(space.x_factor, tgt, _assignment(tgt, job["f"]), ctx["bound"])
+    g = induce_map(space.y_factor, tgt, _assignment(tgt, job["g"]), ctx["bound"])
     h = copair(f, g)
     pt = jsonio.decode_join_element(job["point"], h.space)
     return {"value": jsonio.encode_distribution(h(pt).rep)}
@@ -293,15 +253,15 @@ def join_copair(job, ctx):
 def tensor_tensor(job, ctx):
     from .tensor import tensor
 
-    return {"presentation": jsonio.encode_presentation(tensor(job.presentations("factors")))}
+    return {"presentation": jsonio.encode_presentation(tensor(_factors(job)))}
 
 
 @op("tensor", "universal_map")
 def tensor_universal_map(job, ctx):
     from .tensor import universal_map
 
-    factors = job.presentations("factors")
-    xs = [_element(f, d) for f, d in zip(factors, job.typed("elements", list))]
+    factors = _factors(job)
+    xs = [_element(f, d) for f, d in zip(factors, job["elements"].items())]
     return {"element": jsonio.encode_distribution(universal_map(factors, xs).rep)}
 
 
@@ -315,7 +275,7 @@ def tensor_extend_multiconvex(job, ctx):
         return refusal
     result = {"accepted": True}
     if "elements" in job:
-        xs = [_element(f, d) for f, d in zip(spec.factors, job.typed("elements", list))]
+        xs = [_element(f, d) for f, d in zip(spec.factors, job["elements"].items())]
         out = fmap(universal_map(list(spec.factors), xs))
         result["value"] = jsonio.encode_distribution(out.rep)
     result["restriction"] = jsonio.encode_nconvex_spec(restrict_multiconvex(fmap))
@@ -326,8 +286,8 @@ def tensor_extend_multiconvex(job, ctx):
 def tensor_coherence(job, ctx):
     from .tensor import coherence
 
-    factors = job.presentations("factors")
-    iso = coherence(job["kind"], factors)
+    factors = _factors(job)
+    iso = coherence(job["kind"].value, factors)
     round_trips = all(
         iso.back(iso.fwd(iso.fwd.src.delta(g))) == iso.fwd.src.delta(g)
         for g in iso.fwd.src.generators
@@ -358,50 +318,43 @@ def tensor_counterexample(job, ctx):
 def tensor_enriched_bridge(job, ctx):
     from .tensor import BiconvexCategory, enriched_bridge, enriched_inverse
 
-    objects = tuple(
-        jsonio._typed(o, str, f"objects[{i}]") for i, o in enumerate(job.typed("objects", list))
-    )
+    objects = tuple(o.expect(str) for o in job["objects"].items())
     hom = {}
-    for key, value in job.typed("hom", dict).items():
+    for key, value in job["hom"].entries():
         pair = tuple(key.split(","))
         if len(pair) != 2 or not set(pair) <= set(objects):
-            raise ParseError(f"hom[{key!r}]: expected a key 'a,b' naming two objects")
+            raise value.error("expected a key 'a,b' naming two objects")
         hom[pair] = jsonio.decode_presentation(value)
 
     def hom_at(at, a, b):
         if (a, b) not in hom:
-            raise ParseError(f"{at}: hom has no entry {a + ',' + b!r}")
+            raise at.error(f"hom has no entry {a + ',' + b!r}")
         return hom[(a, b)]
 
-    identities = {
-        k: _element(hom_at(f"identities[{k!r}]", k, k), v)
-        for k, v in job.typed("identities", dict).items()
-    }
+    identities = {k: _element(hom_at(v, k, k), v) for k, v in job["identities"].entries()}
     for o in objects:
         if o not in identities:
-            raise ParseError(f"identities: object {o!r} has no identity")
+            raise job["identities"].error(f"object {o!r} has no identity")
     composition = {}
-    for key, rows in job.typed("composition", dict).items():
-        at = f"composition[{key!r}]"
+    for key, rows in job["composition"].entries():
         triple = tuple(key.split(","))
         if len(triple) != 3:
-            raise ParseError(f"{at}: expected a key 'a,b,c' naming three objects")
+            raise rows.error("expected a key 'a,b,c' naming three objects")
         a, b, c = triple
-        hom_at(at, a, b)
-        hom_at(at, b, c)
-        target = hom_at(at, a, c)
+        hom_at(rows, a, b)
+        hom_at(rows, b, c)
+        target = hom_at(rows, a, c)
         table = {}
-        for i, raw in enumerate(jsonio._typed(rows, list, at)):
-            row = Job(raw, job.name, f"{at}[{i}]")
+        for row in rows.items():
             pair = row.typed("pair", list)
             if len(pair) != 2 or not all(isinstance(g, str) for g in pair):
-                raise ParseError(f"{at}[{i}].pair: expected two generator names")
+                raise row["pair"].error("expected two generator names")
             table[tuple(pair)] = _element(target, row["value"])
         composition[triple] = table
     for a, b in hom:
         for c in objects:
             if (b, c) in hom and (a, b, c) not in composition:
-                raise ParseError(f"composition: no table for {a + ',' + b + ',' + c!r}")
+                raise job["composition"].error(f"no table for {a + ',' + b + ',' + c!r}")
     cat = BiconvexCategory(objects, hom, identities, composition)
     back = enriched_inverse(enriched_bridge(cat, ctx["bound"]))
     round_trip = back.composition == cat.composition
@@ -443,7 +396,7 @@ def prop_permute(job, ctx):
 @op("prop", "qconv_compose")
 def prop_qconv_compose(job, ctx):
     outer = jsonio.decode_qconv(job["outer"])
-    inner = [jsonio.decode_qconv(x) for x in job.typed("inner", list)]
+    inner = [jsonio.decode_qconv(x) for x in job["inner"].items()]
     return {"operation": jsonio.encode_qconv(qconv_compose(outer, inner))}
 
 
@@ -451,7 +404,7 @@ def prop_qconv_compose(job, ctx):
 def prop_algebra_apply(job, ctx):
     pres = jsonio.decode_presentation(job["presentation"])
     matrix = _matrix(job, "matrix")
-    xs = [_element(pres, d) for d in job.typed("elements", list)]
+    xs = [_element(pres, d) for d in job["elements"].items()]
     out = algebra_apply(pres, matrix, xs)
     return {"elements": [jsonio.encode_distribution(e.rep) for e in out]}
 
@@ -474,14 +427,8 @@ def _fibration(job):
 
     base = jsonio.decode_category(job["category"])
     total = jsonio.decode_category(job["total"])
-    projections = [_projection(job, f"{k}_projection") for k in ("object", "morphism")]
+    projections = [dict(job[f"{k}_projection"].name_table()) for k in ("object", "morphism")]
     return FibrationData(total, base, *projections)
-
-
-def _projection(job, key):
-    table = job.typed(key, dict)
-    jsonio._names(list(table.values()), key)
-    return dict(table)
 
 
 @op("groth", "is_discrete_fibration")
@@ -512,13 +459,13 @@ def groth_convex_grothendieck(job, ctx):
     functor = jsonio.decode_cset_functor(job["functor"], base, ctx["bound"])
     cfib = convex_grothendieck(functor)
     samples = []
-    for raw in job.objects("samples", []):
+    for raw in job.get("samples", []).items():
         name = raw.typed("morphism", str)
         if name not in base.morphisms:
-            raise ParseError(f"{raw.at}.morphism: {name!r} is not a morphism")
+            raise raw["morphism"].error(f"{name!r} is not a morphism")
         pres = cfib.fibre_presentation(base.morphisms[name].src)
         alpha = raw.rationals("alpha")
-        samples.append((name, alpha, [_element(pres, d) for d in raw.typed("elements", list)]))
+        samples.append((name, alpha, [_element(pres, d) for d in raw["elements"].items()]))
     failures = check_fibrewise_equations(cfib, samples, ctx["bound"])
     result = {
         "fibrewise_equations_hold": not failures,
@@ -534,21 +481,20 @@ def groth_convex_grothendieck(job, ctx):
 def _lax_functor_from_job(job):
     from .omonoidal import dist_lax_functor, mixture_lax_functor
 
-    kind = job.get("functor", "dist")
+    kind = job.get("functor", "dist").value
     if kind == "dist":
         return dist_lax_functor(job.typed("max_size", int, 6))
     if kind == "mixture":
-        return mixture_lax_functor(jsonio._names(job.get("carrier", ["x", "y"]), "carrier"))
-    raise ParseError(f"unknown lax functor kind {kind!r}")
+        return mixture_lax_functor(job.get("carrier", ["x", "y"]).names())
+    raise job["functor"].error(f"unknown lax functor kind {kind!r}")
 
 
-def _objects(job, key, functor, default=_REQUIRED):
-    """The list field key, each item an object of functor."""
-    objs = job.typed(key, list, default)
-    for i, o in enumerate(objs):
-        if not isinstance(o, str) or o not in functor.functor.on_objects:
-            raise ParseError(f"{job._path(key)}[{i}]: {o!r} is not an object of the functor")
-    return objs
+def _objects(field, functor):
+    """The items of the list field, each an object of functor."""
+    for o in field.items():
+        if not isinstance(o.value, str) or o.value not in functor.functor.on_objects:
+            raise o.error(f"{o.value!r} is not an object of the functor")
+    return field.value
 
 
 def _sample_elements(rng, pres, count):
@@ -567,7 +513,7 @@ def omon_star_alpha(job, ctx):
     from .omonoidal import star_alpha
 
     alpha = QConvOp(job.rationals("alpha"))
-    out = star_alpha(alpha, job.presentations("factors"))
+    out = star_alpha(alpha, _factors(job))
     return {"presentation": jsonio.encode_presentation(out)}
 
 
@@ -577,19 +523,19 @@ def omon_trivial_structure(job, ctx):
 
     base = jsonio.decode_category(job["category"])
     table = {}
-    for key, value in job.typed("tensor", dict).items():
-        if value not in base.objects:
-            raise ParseError(f"tensor[{key!r}]: {value!r} is not an object")
-        table[tuple(key.split(","))] = value
-    unit = job.get("unit")
+    for key, value in job["tensor"].entries():
+        if value.value not in base.objects:
+            raise value.error(f"{value.value!r} is not an object")
+        table[tuple(key.split(","))] = value.value
+    unit = job.get("unit").value
     if unit is not None and unit not in base.objects:
-        raise ParseError(f"unit: {unit!r} is not an object")
+        raise job["unit"].error(f"{unit!r} is not an object")
 
     def nfold(objs):
         acc = objs[0]
         for other in objs[1:]:
             if (acc, other) not in table:
-                raise ParseError(f"tensor: no entry for {acc},{other}")
+                raise job["tensor"].error(f"no entry for {acc},{other}")
             acc = table[(acc, other)]
         return acc
 
@@ -611,13 +557,17 @@ def omon_check_lax(job, ctx):
     functor = _lax_functor_from_job(job)
     rng = random.Random(ctx["seed"])
     instances = []
-    for raw in job.objects("instances", []):
+    for raw in job.get("instances", []).items():
         outer = jsonio.decode_qconv(raw["operation"])
-        if raw.get("inner") is None:
+        if raw.get("inner").value is None:
             inner_ops = [QConvOp.unit() for _ in range(outer.arity)]
         else:
-            inner_ops = [jsonio.decode_qconv(x) for x in raw.typed("inner", list)]
-        obj_list = _objects(raw, "objects", functor)
+            inner_ops = [jsonio.decode_qconv(x) for x in raw["inner"].items()]
+            if len(inner_ops) != outer.arity:
+                raise raw["inner"].error(f"expected {outer.arity} operations, one per input")
+        obj_list = _objects(raw["objects"], functor)
+        if len(obj_list) != sum(op_i.arity for op_i in inner_ops):
+            raise raw["objects"].error("expected one object per input of the inner operations")
         blocks = []
         pos = 0
         for op_i in inner_ops:
@@ -628,7 +578,7 @@ def omon_check_lax(job, ctx):
             for block in blocks
         )
         instances.append(LaxInstance(outer, tuple(inner_ops), tuple(blocks), elements))
-    units = _objects(job, "unit_objects", functor, [])
+    units = _objects(job.get("unit_objects", []), functor)
     report = check_lax(functor, instances, ctx["bound"], unit_objects=units)
     failures = [str(f) for f in report.failures]
     return _checked(report.ok, {"checked": report.checked, "ok": report.ok, "failures": failures})
@@ -645,9 +595,9 @@ def omon_o_grothendieck(job, ctx):
     rng = random.Random(ctx["seed"])
     results = []
     ok = True
-    for raw in job.objects("instances", []):
+    for raw in job.get("instances", []).items():
         operation = jsonio.decode_qconv(raw["operation"])
-        objs = _objects(raw, "objects", functor)
+        objs = _objects(raw["objects"], functor)
         pairs = [(o, _sample_elements(rng, functor.fibre(o), 1)[0]) for o in objs]
         strict = fib.strictness_holds(operation, pairs)
         slot = rng.randrange(len(objs))
@@ -667,15 +617,15 @@ def _space_and_group(job):
     from .simplicial import standard_circle, standard_point
 
     payload = job["space"]
-    if isinstance(payload, dict) and "standard" in payload:
-        name = payload["standard"]
-        n_max = jsonio._typed(payload.get("N", 2), int, "space.N")
+    if "standard" in payload:
+        name = payload["standard"].value
+        n_max = payload.typed("N", int, 2)
         if name == "circle":
             space = standard_circle(n_max)
         elif name == "point":
             space = standard_point(n_max)
         else:
-            raise ParseError(f"unknown standard space {name!r}")
+            raise payload["standard"].error(f"unknown standard space {name!r}")
     else:
         space = jsonio.decode_simplicial_set(payload)
     return space, jsonio.decode_simplicial_group(job["group"])
@@ -791,26 +741,18 @@ def entropy_gen(args, ctx):
     return {"written": args.out, "morphisms": len(corpus.morphisms)}
 
 
-def _floats(job, key, default=_REQUIRED):
-    """The list field key of numbers."""
-    try:
-        return [float(v) for v in job.typed(key, list, default)]
-    except (TypeError, ValueError):
-        raise ParseError(f"{key}: expected a list of numbers") from None
-
-
 @op("entropy", "verify", ("--corpus", {"required": True}),
     ("--candidate", {"default": "info_loss"}))
 def entropy_verify(args, ctx):
     from .finprob import verify_entropy_axioms, verify_value_table
 
-    corpus = jsonio.decode_corpus(jsonio.load_json(args.corpus))
+    corpus = jsonio.decode_corpus(Job(jsonio.load_json(args.corpus), "verify"))
     candidate = _candidate_from_spec(args.candidate)
     if candidate is None:
         # tabulated candidate: one value per morphism and per chain
         # composite; only additivity and the scalar fit are checkable
         table = Job(jsonio.load_json(args.candidate.split(":", 1)[1]), "custom-table")
-        values, chain_values = _floats(table, "values"), _floats(table, "chain_values", [])
+        values, chain_values = table.floats("values"), table.floats("chain_values", [])
         report = verify_value_table(values, chain_values, corpus, tol=ctx["tol"])
     else:
         report = verify_entropy_axioms(candidate, corpus, tol=ctx["tol"])
@@ -824,11 +766,11 @@ def entropy_eval(args, ctx):
     from .finprob import info_loss, shannon_entropy
 
     if args.object:
-        obj = jsonio.decode_prob_object(jsonio.load_json(args.object))
+        obj = jsonio.decode_prob_object(Job(jsonio.load_json(args.object), "eval"))
         return {"entropy_nats": shannon_entropy(obj)}
     if not args.morphism:
         raise ParseError("entropy eval needs --object or --morphism")
-    m = jsonio.decode_prob_morphism(jsonio.load_json(args.morphism))
+    m = jsonio.decode_prob_morphism(Job(jsonio.load_json(args.morphism), "eval"))
     return {"info_loss": info_loss(m), "assumptions_used": ["info_loss_sign"]}
 
 
@@ -837,8 +779,7 @@ def entropy_eval(args, ctx):
 def entropy_combine(args, ctx):
     from .finprob import convex_combine_morphisms
 
-    f = jsonio.decode_prob_morphism(jsonio.load_json(args.f))
-    g = jsonio.decode_prob_morphism(jsonio.load_json(args.g))
+    f, g = (jsonio.decode_prob_morphism(Job(jsonio.load_json(path), "combine")) for path in (args.f, args.g))
     mixed = convex_combine_morphisms(RATIONAL.parse(args.lam), f, g)
     return {"morphism": jsonio.encode_prob_morphism(mixed)}
 
@@ -848,7 +789,7 @@ def entropy_xi(args, ctx):
     from .finprob import dist_lax_xi
 
     payload = Job(jsonio.load_json(args.input), "xi")
-    dists = [jsonio.decode_distribution(d) for d in payload.typed("dists", list)]
+    dists = [jsonio.decode_distribution(d) for d in payload["dists"].items()]
     return _distribution(dist_lax_xi(QConvOp(payload.rationals("alpha")), dists))
 
 
@@ -971,7 +912,7 @@ def run(argv=None):
             name, request = args.op, args
         else:
             request = _load_job(args)
-            name = request["op"]
+            name = request["op"].value
             if args.job is not None:
                 report["op"] = name
         # a JSON list or object as the op cannot be a key of OPS

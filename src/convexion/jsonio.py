@@ -1,4 +1,14 @@
-"""JSON schemas for every value the command line reads or writes.
+"""JSON schemas for every value the command line reads or writes, and the
+one reader of JSON input.
+
+Job is a read view of one JSON value at its path from the root of the file
+it came from.  Every decoder reads each field, list item and map entry
+through it, so a missing field, a value of another JSON type or a bad
+literal is a ParseError whose message begins with the path of the
+offending value: schema fields are written .field, list items [i] and
+user-chosen keys ['k'], as in outer[0].dist.weights[1].el.  The path is
+built only when an error is raised, and a decoder given a raw payload
+reads it as a Job at the root.
 
 Rational strings are canonical lowest-terms ("3/4", "1"); the Boolean
 semiring writes "1".  Element identifiers are strings in JSON; internal
@@ -44,16 +54,126 @@ def load_json(path: str):
         ) from None
 
 
-def _require(payload, key, context):
-    if not isinstance(payload, dict) or key not in payload:
-        raise ParseError(f"{context}: missing key {key!r}")
-    return payload[key]
+_REQUIRED = object()
+
+_JSON_TYPE_NAMES = {dict: "object", list: "list", str: "string", int: "integer"}
 
 
-def _semiring_of(payload) -> Semiring:
-    if isinstance(payload, dict) and "semiring" in payload:
-        return semiring_by_name(payload["semiring"])
-    return RATIONAL
+class Job:
+    """A read view of the JSON value `value`: the root of the job (or input
+    file) named `key`, or the value at `key` below the reader `parent`.  A
+    key below the root is a field name, a list index, or (entry) an object
+    key that the user chose.  Reading copies nothing; a missing field is a
+    ParseError naming its path (exit 2), not a KeyError."""
+
+    __slots__ = ("value", "key", "parent", "entry")
+
+    def __init__(self, value, key, parent=None, entry=False):
+        self.value = value
+        self.key = key
+        self.parent = parent
+        self.entry = entry
+
+    @property
+    def name(self):
+        """The name of the job this value is read from."""
+        return self.key if self.parent is None else self.parent.name
+
+    def error(self, message) -> ParseError:
+        """A ParseError about this value: its path, then message."""
+        path, job = "", self
+        while job.parent is not None:
+            key = job.key
+            step = f"[{key!r}]" if job.entry else f"[{key}]" if type(key) is int else f".{key}"
+            path, job = step + path, job.parent
+        return ParseError(f"{path.removeprefix('.') or f'{job.key} job'}: {message}")
+
+    def __getitem__(self, key):
+        """The reader of the field key, which must be present."""
+        fields = self.value
+        if isinstance(fields, dict) and key in fields:
+            return Job(fields[key], key, self)
+        self.expect(dict)
+        raise Job(None, key, self).error(f"missing from the {self.name} job")
+
+    def get(self, key, default=None):
+        """The reader of the field key, or of default when it is absent."""
+        return Job(self.expect(dict).get(key, default), key, self)
+
+    def __contains__(self, key):
+        return isinstance(self.value, dict) and key in self.value
+
+    def expect(self, kind):
+        """This value, which must be of the JSON type kind: dict (an
+        object), list, str or int."""
+        if not isinstance(self.value, kind):
+            raise self.error(f"expected a JSON {_JSON_TYPE_NAMES[kind]}")
+        return self.value
+
+    def typed(self, key, kind, default=_REQUIRED):
+        """The value of the field key, of the JSON type kind; when it is
+        absent, default if one is given."""
+        fields = self.value
+        if isinstance(fields, dict) and isinstance(value := fields.get(key, default), kind):
+            return value
+        return (self[key] if default is _REQUIRED else self.get(key, default)).expect(kind)
+
+    def items(self):
+        """The readers of the items of this list."""
+        return [Job(v, i, self) for i, v in enumerate(self.expect(list))]
+
+    def entries(self):
+        """(key, reader) for each entry of this object, whose keys are the
+        user's."""
+        return [(k, Job(v, k, self, True)) for k, v in self.expect(dict).items()]
+
+    def names(self):
+        """This list, whose items must be names (JSON strings)."""
+        if not all(isinstance(x, str) for x in self.expect(list)):
+            raise self.error("expected names (JSON strings)")
+        return self.value
+
+    def name_table(self):
+        """This object, whose values must be names (JSON strings)."""
+        if not all(isinstance(x, str) for x in self.expect(dict).values()):
+            raise self.error("expected names (JSON strings)")
+        return self.value
+
+    def literal(self, semiring=RATIONAL, signed=False):
+        """This value as a literal of semiring; a rational may be negative
+        when signed."""
+        text = str(self.value)
+        try:
+            if signed and text.lstrip().startswith("-"):
+                return -semiring.parse(text.lstrip()[1:])
+            return semiring.parse(text)
+        except ParseError as exc:
+            raise self.error(str(exc)) from None
+
+    def rationals(self, key):
+        """The list field key of rational literals."""
+        return [item.literal() for item in self[key].items()]
+
+    def floats(self, key, default=_REQUIRED):
+        """The list field key of numbers."""
+        try:
+            return [float(v) for v in self.typed(key, list, default)]
+        except (TypeError, ValueError):
+            raise self[key].error("expected a list of numbers") from None
+
+
+def _reader(payload) -> Job:
+    """payload if it is a Job, else a Job at the root of the raw payload."""
+    return payload if isinstance(payload, Job) else Job(payload, "input")
+
+
+def semiring_of(job: Job) -> Semiring:
+    """The semiring that the optional field "semiring" of job names."""
+    name = job.typed("semiring", str, "rational")
+    try:
+        return semiring_by_name(name)
+    except ParseError as exc:
+        raise job["semiring"].error(str(exc)) from None
 
 
 # -- distributions ---------------------------------------------------------------
@@ -72,19 +192,15 @@ def encode_distribution(dist: FiniteDistribution) -> dict:
 
 
 def decode_distribution(payload, semiring: Semiring | None = None) -> FiniteDistribution:
+    job = _reader(payload)
     if semiring is None:
-        semiring = _semiring_of(payload)
-    entries = _require(payload, "weights", "distribution")
-    if not isinstance(entries, list):
-        raise ParseError("weights: expected a JSON list")
+        semiring = semiring_of(job)
     weights = {}
-    for i, item in enumerate(entries):
-        el = _require(item, "el", "distribution weight")
-        if not isinstance(el, str):
-            raise ParseError(f"weights[{i}].el: expected a JSON string")
-        w = semiring.parse(str(_require(item, "w", "distribution weight")))
+    for item in job["weights"].items():
+        el = item.typed("el", str)
+        w = item["w"].literal(semiring)
         if el in weights:
-            raise ParseError(f"duplicate element {el!r} in distribution")
+            raise item["el"].error(f"duplicate element {el!r} in distribution")
         weights[el] = w
     return FiniteDistribution(weights, semiring)
 
@@ -103,15 +219,14 @@ def encode_presentation(pres: Presentation) -> dict:
 
 
 def decode_presentation(payload) -> Presentation:
-    gens = _names(_require(payload, "generators", "presentation"), "presentation.generators")
-    rels = _typed(payload.get("relations", []), list, "presentation.relations")
+    job = _reader(payload)
+    gens = job["generators"].names()
     relations = []
-    for pair in rels:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError("presentation relation is not a pair")
-        relations.append(
-            (decode_distribution(pair[0]), decode_distribution(pair[1]))
-        )
+    for pair in job.get("relations", []).items():
+        sides = pair.items()
+        if len(sides) != 2:
+            raise pair.error("expected a pair of distributions")
+        relations.append((decode_distribution(sides[0]), decode_distribution(sides[1])))
     return Presentation(gens, relations)
 
 
@@ -127,18 +242,11 @@ def encode_join_element(pt: JoinElement) -> dict:
 
 
 def decode_join_element(payload, space: JoinSpace) -> JoinElement:
-    alpha = RATIONAL.parse(str(_require(payload, "alpha", "join element")))
-    x_raw = payload.get("x")
-    y_raw = payload.get("y")
-    x = (
-        space.x_factor.element(decode_distribution(x_raw))
-        if x_raw is not None
-        else None
-    )
-    y = (
-        space.y_factor.element(decode_distribution(y_raw))
-        if y_raw is not None
-        else None
+    job = _reader(payload)
+    alpha = job["alpha"].literal()
+    x, y = (
+        None if part.value is None else factor.element(decode_distribution(part))
+        for part, factor in ((job.get("x"), space.x_factor), (job.get("y"), space.y_factor))
     )
     return join_point(alpha, x, y, space)
 
@@ -158,14 +266,10 @@ def encode_matrix(m: RMatrix) -> dict:
 
 
 def decode_matrix(payload) -> RMatrix:
-    semiring = _semiring_of(payload)
-    rows = _typed(_require(payload, "rows", "matrix"), int, "matrix.rows")
-    cols = _typed(_require(payload, "cols", "matrix"), int, "matrix.cols")
-    entries = _typed(_require(payload, "entries", "matrix"), list, "matrix.entries")
-    parsed = [
-        [semiring.parse(str(v)) for v in _typed(row, list, f"matrix.entries[{i}]")]
-        for i, row in enumerate(entries)
-    ]
+    job = _reader(payload)
+    semiring = semiring_of(job)
+    rows, cols = job.typed("rows", int), job.typed("cols", int)
+    parsed = [[v.literal(semiring) for v in row.items()] for row in job["entries"].items()]
     return RMatrix(parsed, rows=rows, cols=cols, semiring=semiring)
 
 
@@ -174,8 +278,7 @@ def encode_qconv(op: QConvOp) -> dict:
 
 
 def decode_qconv(payload) -> QConvOp:
-    alpha = _typed(_require(payload, "alpha", "operation"), list, "operation.alpha")
-    return QConvOp([RATIONAL.parse(str(a)) for a in alpha])
+    return QConvOp(_reader(payload).rationals("alpha"))
 
 
 # -- multiconvex tables ------------------------------------------------------------------
@@ -200,15 +303,13 @@ def encode_nconvex_spec(spec) -> dict:
 def decode_nconvex_spec(payload):
     from .tensor import NConvexMapSpec
 
-    raw_factors = _typed(_require(payload, "factors", "table spec"), list, "spec.factors")
-    factors = [decode_presentation(p) for p in raw_factors]
-    target = decode_presentation(_require(payload, "target", "table spec"))
+    job = _reader(payload)
+    factors = [decode_presentation(p) for p in job["factors"].items()]
+    target = decode_presentation(job["target"])
     table = {}
-    for i, item in enumerate(_typed(_require(payload, "table", "table spec"), list, "spec.table")):
-        key = tuple(_names(_require(item, "tuple", "table row"), f"spec.table[{i}].tuple"))
-        table[key] = target.element(
-            decode_distribution(_require(item, "value", "table row"))
-        )
+    for row in job["table"].items():
+        key = tuple(row["tuple"].names())
+        table[key] = target.element(decode_distribution(row["value"]))
     return NConvexMapSpec(tuple(factors), target, table)
 
 
@@ -239,84 +340,46 @@ def encode_verdict(verdict: EqualityVerdict, pres: Presentation) -> dict:
 
 
 def decode_verdict(payload, pres: Presentation) -> EqualityVerdict:
-    """A verdict as encode_verdict writes it.  Malformed input raises
-    ParseError naming its JSON path below the verdict."""
-    status = _require(payload, "status", "verdict")
-    bound = payload.get("bound", 0)
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
-        raise ParseError("verdict.bound: expected a nonnegative integer")
+    """A verdict as encode_verdict writes it."""
+    job = _reader(payload)
+    status = job["status"]
+    bound = job.get("bound", 0)
+    if isinstance(bound.value, bool) or not isinstance(bound.value, int) or bound.value < 0:
+        raise bound.error("expected a nonnegative integer")
     labels = {element_label(g): i for i, g in enumerate(pres.generators)}
-    if status == "equal":
-        raw_path = _typed(payload.get("path", []), list, "verdict.path")
+    if status.value == "equal":
         steps = []
-        for i, raw in enumerate(raw_path):
-            at = f"verdict.path[{i}]"
-            _typed(raw, dict, at)
-            raw_lams = _typed(raw.get("lambdas", []), list, f"{at}.lambdas")
-            lams = tuple(
-                _rational(l, f"{at}.lambdas[{j}]") for j, l in enumerate(raw_lams)
-            )
-            spect = _generator_map(raw.get("spectator", {}), labels, f"{at}.spectator")
+        for step in job.get("path", []).items():
+            lams = tuple(l.literal() for l in step.get("lambdas", []).items())
+            spect = _generator_map(step.get("spectator", {}), labels)
             steps.append(ZigZagStep(lams, spect))
-        return EqualityVerdict("equal", path=tuple(steps), bound=bound)
-    if status == "distinct":
-        inv = _generator_map(
-            payload.get("invariant", {}), labels, "verdict.invariant", signed=True
-        )
-        return EqualityVerdict("distinct", invariant=inv, bound=bound)
-    if status == "unknown":
-        return EqualityVerdict("unknown", bound=bound)
-    raise ParseError(f"verdict.status: unknown verdict status {status!r}")
+        return EqualityVerdict("equal", path=tuple(steps), bound=bound.value)
+    if status.value == "distinct":
+        inv = _generator_map(job.get("invariant", {}), labels, signed=True)
+        return EqualityVerdict("distinct", invariant=inv, bound=bound.value)
+    if status.value == "unknown":
+        return EqualityVerdict("unknown", bound=bound.value)
+    raise status.error(f"unknown verdict status {status.value!r}")
 
 
-_JSON_TYPE_NAMES = {dict: "object", list: "list", str: "string", int: "integer"}
-
-
-def _typed(value, kind, where):
-    """value, if it is of the JSON type kind (dict, list, str or int);
-    else a ParseError naming the path where."""
-    if not isinstance(value, kind):
-        raise ParseError(f"{where}: expected a JSON {_JSON_TYPE_NAMES[kind]}")
-    return value
-
-
-def _names(raw, where):
-    """raw, if it is a JSON list of strings; else a ParseError naming where."""
-    if not all(isinstance(x, str) for x in _typed(raw, list, where)):
-        raise ParseError(f"{where}: expected names (JSON strings)")
-    return raw
-
-
-def _triples(raw, where):
+def _triples(job):
     """A list of [a, b, c] name triples as the table {(a, b): c}."""
     table = {}
-    for i, entry in enumerate(_typed(raw, list, where)):
-        if len(_names(entry, f"{where}[{i}]")) != 3:
-            raise ParseError(f"{where}[{i}]: expected a list of three names")
-        table[(entry[0], entry[1])] = entry[2]
+    for entry in job.items():
+        if len(entry.names()) != 3:
+            raise entry.error("expected a list of three names")
+        table[(entry.value[0], entry.value[1])] = entry.value[2]
     return table
 
 
-def _rational(raw, where, signed=False):
-    """A rational literal; nonnegative unless signed."""
-    text = str(raw).strip()
-    negative = signed and text.startswith("-")
-    try:
-        value = RATIONAL.parse(text[1:] if negative else text)
-    except ParseError as exc:
-        raise ParseError(f"{where}: {exc}") from None
-    return -value if negative else value
-
-
-def _generator_map(raw, labels, where, signed=False):
+def _generator_map(job, labels, signed=False):
     """A {generator label: rational} object as a dense tuple over the
     generators (labels maps each label to its index), absent ones 0."""
-    _typed(raw, dict, where)
     dense = [F(0)] * len(labels)
-    for label, value in raw.items():
+    for label, value in job.entries():
         if label not in labels:
-            raise ParseError(f"{where}: {label!r} is not a generator")
-        dense[labels[label]] = _rational(value, f"{where}[{label!r}]", signed)
+            raise job.error(f"{label!r} is not a generator")
+        dense[labels[label]] = value.literal(signed=signed)
     return tuple(dense)
 
 
@@ -346,20 +409,22 @@ def encode_category(cat) -> dict:
 def decode_category(payload):
     from .category import FiniteCategory, Morphism
 
-    objects = _typed(_require(payload, "objects", "category"), list, "category.objects")
-    raw_morphisms = _typed(_require(payload, "morphisms", "category"), list, "category.morphisms")
-    morphisms = []
-    for i, m in enumerate(raw_morphisms):
-        names = [_require(m, key, "morphism") for key in ("id", "src", "tgt")]
-        morphisms.append(Morphism(*_names(names, f"category.morphisms[{i}]")))
-    table = _triples(_require(payload, "compose", "category"), "category.compose")
-    identities = payload.get("identities")
-    if identities is None:
-        identities = _infer_identities(objects, morphisms, table)
+    job = _reader(payload)
+    objects = job["objects"].names()
+    morphisms = [
+        Morphism(*(m.typed(key, str) for key in ("id", "src", "tgt")))
+        for m in job["morphisms"].items()
+    ]
+    table = _triples(job["compose"])
+    given = job.get("identities")
+    if given.value is None:
+        identities = _infer_identities(job, objects, morphisms, table)
+    else:
+        identities = given.name_table()
     return FiniteCategory(objects, morphisms, identities, table)
 
 
-def _infer_identities(objects, morphisms, table):
+def _infer_identities(job, objects, morphisms, table):
     by_obj = {}
     for c in objects:
         endos = [m.name for m in morphisms if m.src == c and m.tgt == c]
@@ -378,9 +443,7 @@ def _infer_identities(objects, morphisms, table):
             if left_ok and right_ok:
                 units.append(e)
         if len(units) != 1:
-            raise ParseError(
-                f"category JSON: cannot infer a unique identity for {c!r}"
-            )
+            raise job.error(f"cannot infer a unique identity for {c!r}")
         by_obj[c] = units[0]
     return by_obj
 
@@ -388,20 +451,10 @@ def _infer_identities(objects, morphisms, table):
 def decode_set_functor(payload, base):
     from .category import SetFunctor
 
-    on_objects = {
-        k: tuple(_names(v, f"functor.on_objects[{k!r}]"))
-        for k, v in _functor_table(payload, "on_objects").items()
-    }
-    on_morphisms = {
-        k: dict(_typed(v, dict, f"functor.on_morphisms[{k!r}]"))
-        for k, v in _functor_table(payload, "on_morphisms").items()
-    }
-    _names([x for table in on_morphisms.values() for x in table.values()], "functor.on_morphisms")
+    job = _reader(payload)
+    on_objects = {k: tuple(v.names()) for k, v in job["on_objects"].entries()}
+    on_morphisms = {k: dict(v.name_table()) for k, v in job["on_morphisms"].entries()}
     return SetFunctor(base, on_objects, on_morphisms)
-
-
-def _functor_table(payload, key):
-    return _typed(_require(payload, key, "functor"), dict, f"functor.{key}")
 
 
 def decode_cset_functor(payload, base, step_bound, base_dir=""):
@@ -409,22 +462,20 @@ def decode_cset_functor(payload, base, step_bound, base_dir=""):
 
     from .category import CSetFunctor
 
+    job = _reader(payload)
     on_objects = {}
-    for k, raw in _functor_table(payload, "on_objects").items():
-        if isinstance(raw, dict) and "path" in raw:
-            path = _typed(raw["path"], str, f"functor.on_objects[{k!r}].path")
-            raw = load_json(os.path.join(base_dir, path))
+    for k, raw in job["on_objects"].entries():
+        if "path" in raw:
+            path = os.path.join(base_dir, raw.typed("path", str))
+            raw = Job(load_json(path), path)
         on_objects[k] = decode_presentation(raw)
     on_morphisms = {}
-    for k, raw in _functor_table(payload, "on_morphisms").items():
-        at = f"functor.on_morphisms[{k!r}]"
+    for k, raw in job["on_morphisms"].entries():
         m = base.morphisms.get(k)
         if m is None or m.src not in on_objects or m.tgt not in on_objects:
-            raise ParseError(f"{at}: not a morphism between objects in on_objects")
+            raise raw.error("not a morphism between objects in on_objects")
         src, tgt = on_objects[m.src], on_objects[m.tgt]
-        assignment = {
-            g: tgt.element(decode_distribution(d)) for g, d in _typed(raw, dict, at).items()
-        }
+        assignment = {g: tgt.element(decode_distribution(d)) for g, d in raw.entries()}
         on_morphisms[k] = induce_map(src, tgt, assignment, step_bound, validate=False)
     return CSetFunctor(base, on_objects, on_morphisms, step_bound)
 
@@ -432,27 +483,27 @@ def decode_cset_functor(payload, base, step_bound, base_dir=""):
 # -- simplicial data ----------------------------------------------------------------------------
 
 
-def _decode_indexed_tables(payload, what):
+def _indexed_tables(job, key):
+    """The object field key of {name: name} tables keyed "n,i", as
+    {(n, i): table}."""
     out = {}
-    for key, table in _typed(payload, dict, f"{what} tables").items():
+    for index, table in job[key].entries():
         try:
-            n_str, i_str = key.split(",")
+            n_str, i_str = index.split(",")
             n, i = int(n_str), int(i_str)
         except ValueError:
-            raise ParseError(f"{what} key {key!r} is not 'n,i'") from None
-        out[(n, i)] = dict(_typed(table, dict, f"{what}[{key!r}]"))
+            raise job[key].error(f"key {index!r} is not 'n,i'") from None
+        out[(n, i)] = dict(table.name_table())
     return out
 
 
 def decode_simplicial_set(payload):
     from .simplicial import TruncatedSimplicialSet
 
-    n_max = _require(payload, "N", "simplicial set")
-    levels = _require(payload, "levels", "simplicial set")
-    face = _decode_indexed_tables(_require(payload, "faces", "simplicial set"), "face")
-    degen = _decode_indexed_tables(
-        _require(payload, "degeneracies", "simplicial set"), "degeneracy"
-    )
+    job = _reader(payload)
+    n_max = job.typed("N", int)
+    levels = [level.names() for level in job["levels"].items()]
+    face, degen = _indexed_tables(job, "faces"), _indexed_tables(job, "degeneracies")
     return TruncatedSimplicialSet(n_max, levels, face, degen)
 
 
@@ -478,38 +529,28 @@ def encode_simplicial_set(x) -> dict:
 def decode_simplicial_group(payload):
     from .simplicial import AbGroup, SimplicialAbGroup
 
-    _typed(payload, dict, "group")
-    if "cyclic" in payload:
+    job = _reader(payload)
+    if "cyclic" in job:
         return SimplicialAbGroup.constant(
-            AbGroup.cyclic(_typed(payload["cyclic"], int, "group.cyclic")),
-            _typed(_require(payload, "N", "simplicial group"), int, "group.N"),
+            AbGroup.cyclic(job.typed("cyclic", int)), job.typed("N", int)
         )
-    n_max = _typed(_require(payload, "N", "simplicial group"), int, "group.N")
-    groups = []
-    raw_groups = _typed(_require(payload, "groups", "simplicial group"), list, "group.groups")
-    for i, raw in enumerate(raw_groups):
-        at = f"group.groups[{i}]"
-        groups.append(
-            AbGroup(
-                _typed(_require(raw, "elements", "group"), list, f"{at}.elements"),
-                _triples(_require(raw, "add", "group"), f"{at}.add"),
-                _require(raw, "zero", "group"),
-                _typed(_require(raw, "neg", "group"), dict, f"{at}.neg"),
-            )
-        )
-    face = _decode_indexed_tables(_require(payload, "faces", "simplicial group"), "face")
-    degen = _decode_indexed_tables(
-        _require(payload, "degeneracies", "simplicial group"), "degeneracy"
-    )
+    n_max = job.typed("N", int)
+    groups = [
+        AbGroup(g["elements"].names(), _triples(g["add"]), g.typed("zero", str), g["neg"].name_table())
+        for g in job["groups"].items()
+    ]
+    face, degen = _indexed_tables(job, "faces"), _indexed_tables(job, "degeneracies")
     return SimplicialAbGroup(n_max, groups, face, degen)
 
 
 def decode_twist(payload, space, group):
     from .simplicial import TwistingFunction
 
-    maps = _levels(_require(payload, "maps", "twisting function"), "twist.maps")
-    _names([v for table in maps.values() for v in table.values()], "twist.maps")
-    return TwistingFunction(space, group, {n: dict(table) for n, table in maps.items()})
+    maps = _reader(payload)["maps"]
+    tables = {n: table.value for n, table in _levels(maps).items()}
+    if not all(isinstance(v, str) for table in tables.values() for v in table.values()):
+        raise maps.error("expected names (JSON strings)")
+    return TwistingFunction(space, group, {n: dict(table) for n, table in tables.items()})
 
 
 def encode_twist(twist) -> dict:
@@ -525,27 +566,28 @@ def decode_sdist(payload, bundle):
     from .simplicial import SimplicialDistribution
 
     levels = {}
-    raw = _levels(_require(payload, "levels", "simplicial distribution"), "levels")
-    for n, table in raw.items():
+    for n, table in _levels(_reader(payload)["levels"]).items():
         if n > bundle.total.n_max:
-            raise ParseError(f"levels[{str(n)!r}]: above the truncation {bundle.total.n_max}")
+            raise table.error(f"above the truncation {bundle.total.n_max}")
         lookup = {element_label(e): e for e in bundle.total.simplices(n)}
         levels[n] = {}
-        for x, dist in table.items():
+        for x, dist in table.entries():
             weights = decode_distribution(dist).as_dict()
             if not set(weights) <= set(lookup):
-                raise ParseError(f"levels[{str(n)!r}][{x!r}]: not a distribution on level {n}")
+                raise dist.error(f"not a distribution on level {n}")
             levels[n][x] = FiniteDistribution({lookup[el]: w for el, w in weights.items()})
     return SimplicialDistribution(bundle, levels)
 
 
-def _levels(raw, where):
-    """A JSON object keyed by level numbers "0", "1", ... of JSON objects."""
+def _levels(job):
+    """A JSON object keyed by level numbers "0", "1", ... of JSON objects,
+    as {n: the reader of its object}."""
     out = {}
-    for key, table in _typed(raw, dict, where).items():
+    for key, table in job.entries():
         if not key.isdigit():
-            raise ParseError(f"{where}: key {key!r} is not a level number")
-        out[int(key)] = _typed(table, dict, f"{where}[{key!r}]")
+            raise job.error(f"key {key!r} is not a level number")
+        table.expect(dict)
+        out[int(key)] = table
     return out
 
 
@@ -579,9 +621,9 @@ def encode_prob_object(obj) -> dict:
 def decode_prob_object(payload):
     from .finprob import ProbObject
 
-    carrier = _names(_require(payload, "carrier", "probability object"), "carrier")
-    raw = _typed(_require(payload, "p", "probability object"), dict, "p")
-    weights = {x: RATIONAL.parse(str(w)) for x, w in raw.items()}
+    job = _reader(payload)
+    carrier = job["carrier"].names()
+    weights = {x: w.literal() for x, w in job["p"].entries()}
     return ProbObject(carrier, weights)
 
 
@@ -598,11 +640,9 @@ def encode_prob_morphism(m) -> dict:
 def decode_prob_morphism(payload):
     from .finprob import ProbMorphism
 
-    src = decode_prob_object(_require(payload, "src", "morphism"))
-    tgt = decode_prob_object(_require(payload, "tgt", "morphism"))
-    mapping = _typed(_require(payload, "map", "morphism"), dict, "map")
-    _names(list(mapping.values()), "map")
-    return ProbMorphism(src, tgt, mapping)
+    job = _reader(payload)
+    src, tgt = decode_prob_object(job["src"]), decode_prob_object(job["tgt"])
+    return ProbMorphism(src, tgt, job["map"].name_table())
 
 
 def encode_corpus(corpus) -> dict:
@@ -615,15 +655,16 @@ def encode_corpus(corpus) -> dict:
 def decode_corpus(payload):
     from .finprob import Corpus
 
-    raw = _typed(_require(payload, "morphisms", "corpus"), list, "morphisms")
-    morphisms = [decode_prob_morphism(m) for m in raw]
+    job = _reader(payload)
+    morphisms = [decode_prob_morphism(m) for m in job["morphisms"].items()]
     chains = []
-    for k, chain in enumerate(_typed(payload.get("chains", []), list, "chains")):
+    for chain in job.get("chains", []).items():
+        pair = chain.value
         if not (
-            isinstance(chain, list)
-            and len(chain) == 2
-            and all(type(i) is int and 0 <= i < len(morphisms) for i in chain)
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(type(i) is int and 0 <= i < len(morphisms) for i in pair)
         ):
-            raise ParseError(f"chains[{k}]: expected two morphism indices")
-        chains.append(tuple(chain))
+            raise chain.error("expected two morphism indices")
+        chains.append(tuple(pair))
     return Corpus(morphisms, chains)

@@ -129,7 +129,12 @@ class RationalSemiring(Semiring):
         return out
 
     def parse(self, s: str):
+        num, slash, den = s.partition("/")
         try:
+            if num.isdecimal() and (den.isdecimal() or not slash):
+                # "p/q" and "n", the forms canonical JSON writes, skip the
+                # regular expression of Fraction(str)
+                return Fraction(int(num), int(den) if slash else 1)
             out = Fraction(s.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {s!r}: {exc}") from None

@@ -3,12 +3,13 @@ abelian groups, twisting functions and twisted products, simplicial
 distributions on principal bundles, the bundle tensor, and the graded
 monoid of twisted distributions.
 
-Everything is table-driven and dimension-truncated (default bound 2, max 3);
-all simplicial identities are checked exhaustively on the tables.  Faces
-and degeneracies are walked as one family: structure_maps(n_max) yields
-every face d_i: X_n -> X_{n-1}, then every degeneracy s_i: X_n -> X_{n+1},
-and TruncatedSimplicialSet.apply applies either kind, so each check and
-builder below has one loop over both.  The
+Everything is table-driven and dimension-truncated (default bound 2, max
+MAX_N = 3); all simplicial identities are checked exhaustively on the
+tables.  Faces and degeneracies are walked as one family: structure_maps(
+n_max) lists every face d_i: X_n -> X_{n-1}, then every degeneracy s_i:
+X_n -> X_{n+1}, and TruncatedSimplicialSet.apply applies either kind, so
+each check and builder below has one loop over both, and the bound is
+enforced once, in structure_maps, before any table is built.  The
 twisted product K x_eta X has componentwise faces except the zeroth, which
 is shifted: d_0(k, x) = (eta(x) + d_0 k, d_0 x); the twisting-function
 identities validated here are exactly the ones this convention forces.
@@ -85,16 +86,20 @@ class AbGroup:
 # -- truncated simplicial sets ---------------------------------------------------------
 
 
+#: The largest truncation bound: the tables, and the cost of checking
+#: them, grow about as n_max cubed.
+MAX_N = 3
+
+
 def structure_maps(n_max: int):
     """Every structure map up to the bound as (kind, n, i, m): each face
     d_i: X_n -> X_m (kind "face", m = n - 1), then each degeneracy
-    s_i: X_n -> X_m (kind "degeneracy", m = n + 1), in (n, i) order."""
-    for n in range(1, n_max + 1):
-        for i in range(n + 1):
-            yield "face", n, i, n - 1
-    for n in range(n_max):
-        for i in range(n + 1):
-            yield "degeneracy", n, i, n + 1
+    s_i: X_n -> X_m (kind "degeneracy", m = n + 1), in (n, i) order.  A
+    bound outside 0..MAX_N is InvalidInput."""
+    if not 0 <= n_max <= MAX_N:
+        raise InvalidInput(f"truncation bound N = {n_max} is outside 0..{MAX_N}")
+    faces = [("face", n, i, n - 1) for n in range(1, n_max + 1) for i in range(n + 1)]
+    return faces + [("degeneracy", n, i, n + 1) for n in range(n_max) for i in range(n + 1)]
 
 
 def _split_tables(n_max: int, table):
@@ -142,14 +147,23 @@ class TruncatedSimplicialSet:
         return f"{type(self).__name__}(N={self.n_max}; sizes {sizes})"
 
     def _check_tables(self):
-        """Totality plus the simplicial identities."""
+        """Totality, no table outside the truncation, plus the simplicial
+        identities."""
         n_max, levels, d, s = self.n_max, self.levels, self.d, self.s
-        for kind, n, i, m in structure_maps(n_max):
+        maps = structure_maps(n_max)
+        for kind, n, i, m in maps:
             table = self.tables(kind).get((n, i))
             if table is None or set(table) != set(levels[n]):
                 raise InvalidInput(f"{kind} table ({n},{i}) missing or not total")
             if not set(table.values()) <= set(levels[m]):
                 raise InvalidInput(f"{kind} table ({n},{i}) escapes its level")
+        walked = {(kind, n, i) for kind, n, i, _ in maps}
+        for kind in ("face", "degeneracy"):
+            for n, i in self.tables(kind):
+                if (kind, n, i) not in walked:
+                    raise InvalidInput(
+                        f"{kind} table ({n},{i}) is outside the truncation N = {n_max}"
+                    )
 
         for n in range(2, n_max + 1):  # d_i d_j = d_{j-1} d_i, i < j
             for i in range(n + 1):
@@ -212,8 +226,8 @@ class SimplicialAbGroup(TruncatedSimplicialSet):
 
 
 def standard_point(n_max: int) -> TruncatedSimplicialSet:
-    levels = [(f"v{n}",) for n in range(n_max + 1)]
     face, degen = _split_tables(n_max, lambda kind, n, i, m: {f"v{n}": f"v{m}"})
+    levels = [(f"v{n}",) for n in range(n_max + 1)]
     return TruncatedSimplicialSet(n_max, levels, face, degen)
 
 

@@ -10,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import convexion.category as category_mod
 import convexion.distribution as distribution_mod
@@ -1866,6 +1868,37 @@ NESTED_FIELD_JOBS = [
     ),
     (("twist", "twisted_product"), {"space": {**CIRCLE_1, "N": "x"}}, "space.N: expected a JSON integer"),
     (("twist", "twisted_product"), {"space": {**CIRCLE_1, "levels": 5}}, "space.levels: expected a JSON list"),
+    (
+        ("twist", "twisted_product"),
+        {"space": {**CIRCLE_1, "faces": {**CIRCLE_1["faces"], "2,0": {}}}},
+        "InvalidInput: face table (2,0) is outside the truncation N = 1",
+    ),
+    (
+        ("omon", "check_lax"),
+        {"instances": [{**SAMPLE_JOBS[("omon", "check_lax")]["instances"][0], "inner": []}]},
+        "instances[0].inner: expected 2 operations, one per input",
+    ),
+    (
+        ("omon", "check_lax"),
+        {"instances": [{**SAMPLE_JOBS[("omon", "check_lax")]["instances"][0], "objects": ["S1"] * 4}]},
+        "instances[0].objects: expected one object per input of the inner operations",
+    ),
+    (
+        ("groth", "grothendieck"),
+        {"category": {**ARROW_CAT, "identities": 7}},
+        "category.identities: expected a JSON object",
+    ),
+    (
+        ("twist", "twisted_product"),
+        {"space": CIRCLE_1, "group": {**GROUP_1, "faces": {**GROUP_1["faces"], "1,1": {"0": []}}}},
+        "group.faces['1,1']: expected names (JSON strings)",
+    ),
+    # the bound is checked before any table is built: N = 1000 would take hours
+    (
+        ("twist", "twisted_product"),
+        {"space": {"standard": "point", "N": 1000}},
+        "InvalidInput: truncation bound N = 1000 is outside 0..3",
+    ),
 ]
 
 
@@ -1875,6 +1908,51 @@ NESTED_FIELD_JOBS = [
 def test_nested_field_exit_two(tmp_path, key, fields, error):
     code, report = invoke(*sample_argv(tmp_path, key, _sample_with(key, **fields)))
     assert code == 2 and report["error"] == error
+
+
+def nested_paths(value, path=()):
+    """The path, as a tuple of keys and indices, of every value nested in
+    the JSON object or list value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from nested_paths(child, path + (key,))
+
+
+def replaced(value, path, new):
+    """value with the value at path replaced by new."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+# (key, path) for every value nested in a JSON argument of a sample; a
+# sample that is an argv tuple is read as a list, and only its JSON
+# objects are entered.
+SAMPLE_PATHS = [
+    (key, path)
+    for key, sample in SAMPLE_JOBS.items()
+    for path in nested_paths(sample if isinstance(sample, dict) else list(sample))
+    if isinstance(sample, dict) or isinstance(sample[path[0]], dict) and len(path) > 1
+]
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=st.sampled_from(SAMPLE_PATHS), value=st.sampled_from([None, 7, "x", [], {}]))
+def test_nested_mutation_exits_0_1_or_2(tmp_path_factory, case, value):
+    key, path = case
+    sample = SAMPLE_JOBS[key]
+    if isinstance(sample, dict):
+        sample = replaced(sample, path, value)
+    else:
+        sample = tuple(replaced(list(sample), path, value))
+    code, report = invoke(*sample_argv(tmp_path_factory.mktemp("nested"), key, sample))
+    # exit 1 is a CheckFailure: a result, no error
+    assert code in (0, 1, 2) and (code == 1) == ("result" in report and not report["ok"])
 
 
 def test_entropy_eval_needs_an_input():

@@ -99,6 +99,28 @@ def test_non_homomorphic_tables_name_their_side():
     assert str(degeneracy_side.value) == "degeneracy (0,0) is not a homomorphism"
 
 
+def test_tables_outside_the_truncation_are_rejected():
+    # a face d_0: X_2 -> X_1 on a set truncated at N = 0
+    with pytest.raises(InvalidInput) as set_side:
+        TruncatedSimplicialSet(0, [("v",)], {(2, 0): {"s": "v"}}, {})
+    assert str(set_side.value) == "face table (2,0) is outside the truncation N = 0"
+    ident = {"0": "0", "1": "1"}
+    with pytest.raises(InvalidInput) as group_side:
+        SimplicialAbGroup(
+            1, [Z2, Z2], {(1, 0): ident, (1, 1): ident}, {(0, 0): ident, (1, 0): ident}
+        )
+    assert str(group_side.value) == "degeneracy table (1,0) is outside the truncation N = 1"
+
+
+@pytest.mark.parametrize("n_max", [-1, 4])
+def test_truncation_bound_is_at_most_three(n_max):
+    message = rf"^truncation bound N = {n_max} is outside 0\.\.3$"
+    with pytest.raises(InvalidInput, match=message):
+        standard_point(n_max)
+    with pytest.raises(InvalidInput, match=message):
+        SimplicialAbGroup.constant(Z2, n_max)
+
+
 def test_cyclic_group_tables():
     assert Z3.add("1", "2") == "0"
     assert Z3.neg("1") == "2"
