@@ -7,10 +7,13 @@ its coverage against it: one sample job per key, and every module operation
 reached by running them.  Most verbs take a --job JSON file whose "op" field
 selects the operation, with inline arguments per the schemas in jsonio; eq
 also accepts the direct flag form, the entropy ops are subcommands with
-their own flags, and selfcheck takes none.  Reports are canonical JSON
-(sorted keys, lowest-terms rationals) and always carry the tool version,
-the equality step bound in use, and the assumption flags relevant to the
-operation.
+their own flags, and selfcheck takes none.  A handler reads its job, and
+every JSON file the entropy ops name, only through jsonio.Job, the one
+reader, and passes its sub-readers to the decoders, so each malformed-input
+diagnostic begins with the JSON path of the offending value.  Reports are
+canonical JSON (sorted keys, lowest-terms rationals) and always carry the
+tool version, the equality step bound in use, and the assumption flags
+relevant to the operation.
 
 Exit codes: 0 success / all checks passed; 1 a check failed (the report is
 still written); 2 malformed input.
@@ -37,7 +40,6 @@ from .matprop import (
     permute,
     qconv_compose,
 )
-from .jsonio import Job
 from .presentation import eq, hom_combine, induce_map, quotient_mix, verify_verdict
 from .semiring import RATIONAL
 
@@ -746,12 +748,12 @@ def entropy_gen(args, ctx):
 def entropy_verify(args, ctx):
     from .finprob import verify_entropy_axioms, verify_value_table
 
-    corpus = jsonio.decode_corpus(Job(jsonio.load_json(args.corpus), "verify"))
+    corpus = jsonio.decode_corpus(jsonio.Job(jsonio.load_json(args.corpus), "verify"))
     candidate = _candidate_from_spec(args.candidate)
     if candidate is None:
         # tabulated candidate: one value per morphism and per chain
         # composite; only additivity and the scalar fit are checkable
-        table = Job(jsonio.load_json(args.candidate.split(":", 1)[1]), "custom-table")
+        table = jsonio.Job(jsonio.load_json(args.candidate.split(":", 1)[1]), "custom-table")
         values, chain_values = table.floats("values"), table.floats("chain_values", [])
         report = verify_value_table(values, chain_values, corpus, tol=ctx["tol"])
     else:
@@ -766,11 +768,11 @@ def entropy_eval(args, ctx):
     from .finprob import info_loss, shannon_entropy
 
     if args.object:
-        obj = jsonio.decode_prob_object(Job(jsonio.load_json(args.object), "eval"))
+        obj = jsonio.decode_prob_object(jsonio.Job(jsonio.load_json(args.object), "eval"))
         return {"entropy_nats": shannon_entropy(obj)}
     if not args.morphism:
         raise ParseError("entropy eval needs --object or --morphism")
-    m = jsonio.decode_prob_morphism(Job(jsonio.load_json(args.morphism), "eval"))
+    m = jsonio.decode_prob_morphism(jsonio.Job(jsonio.load_json(args.morphism), "eval"))
     return {"info_loss": info_loss(m), "assumptions_used": ["info_loss_sign"]}
 
 
@@ -779,7 +781,8 @@ def entropy_eval(args, ctx):
 def entropy_combine(args, ctx):
     from .finprob import convex_combine_morphisms
 
-    f, g = (jsonio.decode_prob_morphism(Job(jsonio.load_json(path), "combine")) for path in (args.f, args.g))
+    f = jsonio.decode_prob_morphism(jsonio.Job(jsonio.load_json(args.f), "combine"))
+    g = jsonio.decode_prob_morphism(jsonio.Job(jsonio.load_json(args.g), "combine"))
     mixed = convex_combine_morphisms(RATIONAL.parse(args.lam), f, g)
     return {"morphism": jsonio.encode_prob_morphism(mixed)}
 
@@ -788,7 +791,7 @@ def entropy_combine(args, ctx):
 def entropy_xi(args, ctx):
     from .finprob import dist_lax_xi
 
-    payload = Job(jsonio.load_json(args.input), "xi")
+    payload = jsonio.Job(jsonio.load_json(args.input), "xi")
     dists = [jsonio.decode_distribution(d) for d in payload["dists"].items()]
     return _distribution(dist_lax_xi(QConvOp(payload.rationals("alpha")), dists))
 
@@ -886,12 +889,12 @@ def _load_job(args):
     if args.job is None:
         if not (args.presentation and args.lhs and args.rhs):
             raise ParseError("eq needs --job or all of --presentation/--lhs/--rhs")
-        keys = ("presentation", "lhs", "rhs")
-        return Job({"op": "eq", **{k: jsonio.load_json(getattr(args, k)) for k in keys}}, "eq")
+        files = {k: jsonio.load_json(getattr(args, k)) for k in ("presentation", "lhs", "rhs")}
+        return jsonio.Job({"op": "eq", **files}, "eq")
     job = jsonio.load_json(args.job)
     if not isinstance(job, dict) or "op" not in job:
         raise ParseError(f"{args.job}: job file has no 'op' field")
-    return Job(job, job["op"])
+    return jsonio.Job(job, job["op"])
 
 
 def run(argv=None):

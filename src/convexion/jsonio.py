@@ -268,7 +268,8 @@ def encode_matrix(m: RMatrix) -> dict:
 def decode_matrix(payload) -> RMatrix:
     job = _reader(payload)
     semiring = semiring_of(job)
-    rows, cols = job.typed("rows", int), job.typed("cols", int)
+    rows = job.typed("rows", int)
+    cols = job.typed("cols", int)
     parsed = [[v.literal(semiring) for v in row.items()] for row in job["entries"].items()]
     return RMatrix(parsed, rows=rows, cols=cols, semiring=semiring)
 
@@ -457,16 +458,14 @@ def decode_set_functor(payload, base):
     return SetFunctor(base, on_objects, on_morphisms)
 
 
-def decode_cset_functor(payload, base, step_bound, base_dir=""):
-    import os
-
+def decode_cset_functor(payload, base, step_bound):
     from .category import CSetFunctor
 
     job = _reader(payload)
     on_objects = {}
     for k, raw in job["on_objects"].entries():
         if "path" in raw:
-            path = os.path.join(base_dir, raw.typed("path", str))
+            path = raw.typed("path", str)
             raw = Job(load_json(path), path)
         on_objects[k] = decode_presentation(raw)
     on_morphisms = {}
@@ -503,7 +502,8 @@ def decode_simplicial_set(payload):
     job = _reader(payload)
     n_max = job.typed("N", int)
     levels = [level.names() for level in job["levels"].items()]
-    face, degen = _indexed_tables(job, "faces"), _indexed_tables(job, "degeneracies")
+    face = _indexed_tables(job, "faces")
+    degen = _indexed_tables(job, "degeneracies")
     return TruncatedSimplicialSet(n_max, levels, face, degen)
 
 
@@ -536,10 +536,16 @@ def decode_simplicial_group(payload):
         )
     n_max = job.typed("N", int)
     groups = [
-        AbGroup(g["elements"].names(), _triples(g["add"]), g.typed("zero", str), g["neg"].name_table())
+        AbGroup(
+            g["elements"].names(),
+            _triples(g["add"]),
+            g.typed("zero", str),
+            g["neg"].name_table(),
+        )
         for g in job["groups"].items()
     ]
-    face, degen = _indexed_tables(job, "faces"), _indexed_tables(job, "degeneracies")
+    face = _indexed_tables(job, "faces")
+    degen = _indexed_tables(job, "degeneracies")
     return SimplicialAbGroup(n_max, groups, face, degen)
 
 
@@ -641,7 +647,8 @@ def decode_prob_morphism(payload):
     from .finprob import ProbMorphism
 
     job = _reader(payload)
-    src, tgt = decode_prob_object(job["src"]), decode_prob_object(job["tgt"])
+    src = decode_prob_object(job["src"])
+    tgt = decode_prob_object(job["tgt"])
     return ProbMorphism(src, tgt, job["map"].name_table())
 
 

@@ -1936,7 +1936,7 @@ SAMPLE_PATHS = [
     (key, path)
     for key, sample in SAMPLE_JOBS.items()
     for path in nested_paths(sample if isinstance(sample, dict) else list(sample))
-    if isinstance(sample, dict) or isinstance(sample[path[0]], dict) and len(path) > 1
+    if isinstance(sample, dict) or (isinstance(sample[path[0]], dict) and len(path) > 1)
 ]
 
 
