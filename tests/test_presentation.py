@@ -1,5 +1,6 @@
 """Presented convex sets: quotient mixing, the equality engine, induced maps."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -495,3 +496,73 @@ def test_undecided_raised_at_bound_zero():
             },
             step_bound=0,
         )
+
+
+# -- verdict identity on a seeded corpus ---------------------------------------------------
+#
+# The sha256 of the repr of every verdict (status, path, invariant, bound)
+# over a fixed corpus, recorded before the face presolve and the integer
+# prelude and replay went in.  Both leave every verdict as it was, so the
+# digest must not move.  The corpus has sparse relation sides and sparse
+# elements, so many of its pairs leave a proper respected face.
+VERDICT_DIGEST = "cc30934013c627cd81c5662efb486cdac8ef29022a8d997b6368b68d6ae1e8d5"
+VERDICT_SEED = 4817
+
+
+def _sparse_dist(rng, gens):
+    support = rng.sample(gens, rng.randint(1, min(3, len(gens))))
+    weights = [rng.randint(1, 3) for _ in support]
+    return FiniteDistribution({g: F(w, sum(weights)) for g, w in zip(support, weights)})
+
+
+def _sparse_presentation(rng, gens, relations):
+    rels = [(_sparse_dist(rng, gens), _sparse_dist(rng, gens)) for _ in range(relations)]
+    return Presentation(gens, [(lhs, rhs) for lhs, rhs in rels if lhs != rhs])
+
+
+def _partner(rng, e1, bound):
+    """A rewrite chain of 1 to bound + 1 moves from e1, or a sparse random
+    element of e1's presentation."""
+    pres = e1.presentation
+    target = _rewrite(rng, pres, pres.vector(e1.rep), rng.randint(1, bound + 1))
+    if target is None or rng.random() < 0.3:
+        return pres.element(_sparse_dist(rng, list(pres.generators)))
+    return pres.element(pres.dist_from_vector(target))
+
+
+def verdict_corpus(seed=VERDICT_SEED):
+    """(e1, e2, bound) triples: 240 on presentations of 2-5 generators and
+    1-3 relations, then 40 on tensors of two 3-generator factors with one
+    relation each, whose e1 is a pure tensor."""
+    from convexion.tensor import universal_map
+
+    rng = random.Random(seed)
+    corpus = []
+    while len(corpus) < 240:
+        gens = [f"g{i}" for i in range(rng.randint(2, 5))]
+        pres = _sparse_presentation(rng, gens, rng.randint(1, 3))
+        if not pres.relations:
+            continue
+        e1 = pres.element(_sparse_dist(rng, gens))
+        bound = rng.randint(1, 4)
+        corpus.append((e1, _partner(rng, e1, bound), bound))
+    gens = ["a", "b", "c"]
+    while len(corpus) < 280:
+        factors = [_sparse_presentation(rng, gens, 1) for _ in range(2)]
+        if not all(f.relations for f in factors):
+            continue
+        e1 = universal_map(factors, [f.element(_sparse_dist(rng, gens)) for f in factors])
+        bound = rng.randint(1, 4)
+        corpus.append((e1, _partner(rng, e1, bound), bound))
+    return corpus
+
+
+def test_verdicts_on_the_seeded_corpus_are_pinned():
+    text, statuses = [], Counter()
+    for e1, e2, bound in verdict_corpus():
+        v = eq(e1, e2, bound)
+        assert verify_verdict(v, e1, e2)
+        statuses[v.status] += 1
+        text.append(repr(v))
+    assert set(statuses) == {"equal", "distinct", "unknown"}
+    assert hashlib.sha256("\n".join(text).encode()).hexdigest() == VERDICT_DIGEST
