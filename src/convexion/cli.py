@@ -883,6 +883,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _FlagJob(jsonio.Job):
+    """eq's flag form as an eq job whose fields are whole files, each read
+    as a job of its own named after its flag, so that a diagnostic's path
+    starts at the root of its file (weights[0].w: missing from the lhs
+    job), as it does in a --job file."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        if key in self.value:
+            return jsonio.Job(self.value[key], key)
+        return super().__getitem__(key)
+
+
 def _load_job(args):
     """The job of a job verb: its --job file, or for eq's flag form the
     eq job that its three files make."""
@@ -890,7 +904,7 @@ def _load_job(args):
         if not (args.presentation and args.lhs and args.rhs):
             raise ParseError("eq needs --job or all of --presentation/--lhs/--rhs")
         files = {k: jsonio.load_json(getattr(args, k)) for k in ("presentation", "lhs", "rhs")}
-        return jsonio.Job({"op": "eq", **files}, "eq")
+        return _FlagJob({"op": "eq", **files}, "eq")
     job = jsonio.load_json(args.job)
     if not isinstance(job, dict) or "op" not in job:
         raise ParseError(f"{args.job}: job file has no 'op' field")

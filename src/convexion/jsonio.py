@@ -24,7 +24,7 @@ import json
 from fractions import Fraction
 
 from .distribution import FiniteDistribution, element_label
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
 from .join import JoinElement, JoinSpace, join_point
 from .matprop import QConvOp, RMatrix
 from .presentation import (
@@ -531,9 +531,11 @@ def decode_simplicial_group(payload):
 
     job = _reader(payload)
     if "cyclic" in job:
-        return SimplicialAbGroup.constant(
-            AbGroup.cyclic(job.typed("cyclic", int)), job.typed("N", int)
-        )
+        try:
+            group = AbGroup.cyclic(job.typed("cyclic", int))
+        except InvalidInput as exc:
+            raise job["cyclic"].error(str(exc)) from None
+        return SimplicialAbGroup.constant(group, job.typed("N", int))
     n_max = job.typed("N", int)
     groups = [
         AbGroup(

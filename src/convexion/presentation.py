@@ -19,6 +19,17 @@ elements is decided (where possible) by a three-valued engine:
   all-zero step turns a k-step zig-zag into a (k+1)-step one, so
   feasibility is monotone in k and the first feasible level decides the
   same status as one LP at the bound.
+  Before the first level, the LP is cut down to a face.  A set U of
+  generators is respected when every relation pair has both sides
+  meeting U or both missing it.  Let U be the greatest respected set
+  outside supp p and supp q, and W the rest of the generators.  A step
+  from a point supported in W uses only pairs whose moved side lies in
+  W (its start is lambda_j r_j + t), so r_j misses U, so s_j does too,
+  and its end is supported in W again.  So every zig-zag from p stays in
+  W and uses only pairs inside W: the LP keeps the W rows, the W
+  spectators and those pairs, and has the same feasibility as the full
+  one.  Its witness is widened with zero multipliers on the dropped pairs
+  and zero spectators outside W (see _face).
 * Distinct -- witnessed by an affine invariant: a rational assignment on the
   generators whose induced affine functional is constant across every
   relation pair but differs on the two inputs.  Such functionals are
@@ -26,7 +37,9 @@ elements is decided (where possible) by a three-valued engine:
 * Unknown -- neither certificate found within the step bound.  Completeness
   is not claimed; callers that need a decision treat Unknown as an error.
 
-Both witness kinds replay mechanically; see verify_verdict.  A verdict's
+Both witness kinds replay mechanically, in integers; see verify_verdict.
+eq's invariant test also runs in integers, on each element's integer
+form (_nums over _den) and the invariant basis scaled to ints.  A verdict's
 bound is the step bound that was asked for, not the level where the
 search stopped.
 """
@@ -36,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -144,14 +158,17 @@ class Presentation:
 
     @cached_property
     def _difference_rows(self):
-        """One row per relation: coefficients of lhs - rhs over generators.
-        An invariant is a vector orthogonal to every row (invariant_basis
-        and the Distinct replay in verify_verdict)."""
+        """One row per relation: lhs - rhs over the generators, times the
+        lcm of the two sides' denominators, as a dense list of ints.  An
+        invariant is a vector orthogonal to every row (invariant_basis and
+        the Distinct replay in verify_verdict); the scale does not change
+        which vectors those are."""
         rows = []
         for lhs, rhs in self.relations:
-            rows.append(
-                [lhs.weight(g) - rhs.weight(g) for g in self.generators]
-            )
+            scale = lcm(lhs._den, rhs._den)
+            fl, fr = scale // lhs._den, scale // rhs._den
+            ln, rn = lhs._nums, rhs._nums
+            rows.append([ln.get(g, 0) * fl - rn.get(g, 0) * fr for g in self.generators])
         return rows
 
     @cached_property
@@ -163,6 +180,23 @@ class Presentation:
                 [Fraction(int(i == j)) for j in range(n)] for i in range(n)
             ]
         return linalg.nullspace(self._difference_rows, len(self.generators))
+
+    @cached_property
+    def _integer_invariants(self):
+        """invariant_basis as eq's Distinct test reads it: per basis vector,
+        the vector as a tuple (the certificate eq returns) and its nonzero
+        entries times the lcm of their denominators, as a {generator: int}
+        map.  The scale does not change which elements it separates."""
+        out = []
+        for vec in self.invariant_basis:
+            scale = lcm(*(v.denominator for v in vec))
+            ints = {
+                g: v.numerator * (scale // v.denominator)
+                for g, v in zip(self.generators, vec)
+                if v
+            }
+            out.append((tuple(vec), ints))
+        return tuple(out)
 
     # -- value semantics ---------------------------------------------------
 
@@ -241,20 +275,38 @@ class ZigZagStep:
     lambdas: tuple
     spectator: tuple  # dense over presentation.generators
 
-    def endpoints(self, pres: Presentation):
-        """The step's start and end as dense lists over pres.generators:
-        the spectator plus the relations' nonzero weights, times lambda."""
-        index = pres._gen_index
-        start = [Fraction(v) for v in self.spectator]
-        end = list(start)
-        for lam, (r, s) in zip(self.lambdas, pres.symmetric_relations):
-            if lam == 0:
-                continue
-            for g, w in r.items():
-                start[index[g]] += lam * w
-            for g, w in s.items():
-                end[index[g]] += lam * w
-        return start, end
+    def integer_endpoints(self, pres: Presentation):
+        """The step's start and end in integers: two {generator: int} maps
+        of their nonzero entries over one common scale, and that scale.
+        The scale is the lcm of the spectator's denominators and, per
+        nonzero lambda, of its denominator times its pair's two
+        denominators, so each term is an int multiple of a relation side's
+        integer form (_nums over _den).  None when an entry is negative,
+        which no step may have."""
+        used = [
+            (_rational(lam), r, s)
+            for lam, (r, s) in zip(self.lambdas, pres.symmetric_relations)
+            if lam
+        ]
+        spectator = [
+            (g, _rational(t)) for g, t in zip(pres.generators, self.spectator) if t
+        ]
+        if any(lam.numerator < 0 for lam, _, _ in used) or any(
+            t.numerator < 0 for _, t in spectator
+        ):
+            return None
+        scale = lcm(
+            *(t.denominator for _, t in spectator),
+            *(lam.denominator * lcm(r._den, s._den) for lam, r, s in used),
+        )
+        start = {g: t.numerator * (scale // t.denominator) for g, t in spectator}
+        end = start.copy()
+        for lam, r, s in used:
+            for side, point in ((r, start), (s, end)):
+                f = lam.numerator * (scale // (lam.denominator * side._den))
+                for g, n in side._nums.items():
+                    point[g] = point.get(g, 0) + f * n
+        return start, end, scale
 
 
 @dataclass(frozen=True)
@@ -285,7 +337,8 @@ def eq(
     """Decide equality in the quotient, with a replayable certificate.
 
     Distinct is tried first, through the invariant basis.  Then the
-    zig-zag LP is solved at k = 1, 2, 4, ..., step_bound; the first
+    zig-zag LP, cut down to the face of e1 and e2 (_face), is solved at
+    k = 1, 2, 4, ..., step_bound; the first
     feasible level gives Equal with its path (at most k steps), and if
     every level is infeasible the verdict is Unknown.  The verdict's bound
     is step_bound, whichever level decided it.
@@ -297,24 +350,104 @@ def eq(
     if step_bound < 0:
         raise InvalidInput("step_bound must be >= 0")
     pres = e1.presentation
-    if e1.rep == e2.rep:
+    x, y = e1.rep, e2.rep
+    if x == y:
         return EqualityVerdict("equal", path=(), bound=step_bound)
 
-    diff = [
-        e1.rep.weight(g) - e2.rep.weight(g) for g in pres.generators
-    ]
-    for vec in pres.invariant_basis:
-        if linalg.dot(vec, diff) != 0:
-            return EqualityVerdict(
-                "distinct", invariant=tuple(vec), bound=step_bound
-            )
+    for vec, ints in pres._integer_invariants:
+        if _value(ints, x) * y._den != _value(ints, y) * x._den:
+            return EqualityVerdict("distinct", invariant=vec, bound=step_bound)
 
-    if pres.relations:
+    if pres.relations and step_bound >= 1:
+        face = _face(pres, x, y)
         for k in _deepening_levels(step_bound):
-            steps = _zigzag_search(pres, e1.rep, e2.rep, k)
+            steps = _zigzag_search(face, x, y, k)
             if steps is not None:
                 return EqualityVerdict("equal", path=steps, bound=step_bound)
     return EqualityVerdict("unknown", bound=step_bound)
+
+
+def _value(ints, dist):
+    """An integer-scaled functional ({generator: int}) on a distribution,
+    times the distribution's denominator: an int."""
+    return sum([n * a for g, n in dist._nums.items() if (a := ints.get(g))])
+
+
+def _rational(v):
+    """v as an int or a Fraction, which carry numerator and denominator."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _face(pres, p, q):
+    """Where a zig-zag from p to q must stay: pres cut down to W = X minus
+    U, for U the greatest respected set of generators outside supp p and
+    supp q (a _Face); pres itself when that U is empty.
+
+    Respected sets are closed under union, so the greatest one inside a
+    set is its fixed point under: while some relation has exactly one
+    side meeting U, remove that side's support from U."""
+    outside = set(pres._gen_index).difference(p._weights, q._weights)
+    stable = not outside
+    while not stable:
+        stable = True
+        for lhs, rhs in pres.relations:
+            meets = not outside.isdisjoint(lhs._weights)
+            if meets == outside.isdisjoint(rhs._weights):  # one side only
+                outside.difference_update((lhs if meets else rhs)._weights)
+                stable = not outside
+    return _Face(pres, outside) if outside else pres
+
+
+class _Face:
+    """A presentation cut down to the complement W of a respected set U of
+    generators: the generators in W, the symmetric pairs with both sides
+    inside W, and the presentation's _integer_columns filtered to them.
+    It offers what _zigzag_search and _zigzag_lp read of a presentation,
+    so the zig-zag LP is built on W alone, and widen maps a solution back.
+    The filtered columns keep the presentation's lcms, so each row is the
+    full LP's row at the same scale, without the dropped columns."""
+
+    __slots__ = (
+        "presentation", "generators", "symmetric_relations", "_integer_columns",
+        "_gen_at", "_pair_at",
+    )
+
+    def __init__(self, pres, outside):
+        self.presentation = pres
+        self._gen_at = [x for x, g in enumerate(pres.generators) if g not in outside]
+        self._pair_at = [
+            j
+            for j, (r, _) in enumerate(pres.symmetric_relations)
+            if outside.isdisjoint(r._weights)
+        ]
+        self.generators = [pres.generators[x] for x in self._gen_at]
+        self.symmetric_relations = [pres.symmetric_relations[j] for j in self._pair_at]
+        new = {j: i for i, j in enumerate(self._pair_at)}
+        columns = pres._integer_columns
+        self._integer_columns = [
+            (_kept(r, new), r_lcm, _kept(r_minus_s, new), _kept(s_minus_r, new), d_lcm)
+            for r, r_lcm, r_minus_s, s_minus_r, d_lcm in (columns[x] for x in self._gen_at)
+        ]
+
+    def vector(self, dist):
+        return [dist.weight(g) for g in self.generators]
+
+    def widen(self, lambdas, spectator):
+        """The ZigZagStep of the presentation whose lambdas and spectator
+        over the face are given: zero on every dropped pair and generator."""
+        pres = self.presentation
+        lams = [linalg.ZERO] * len(pres.symmetric_relations)
+        for j, v in zip(self._pair_at, lambdas):
+            lams[j] = v
+        spect = [linalg.ZERO] * len(pres.generators)
+        for x, v in zip(self._gen_at, spectator):
+            spect[x] = v
+        return ZigZagStep(tuple(lams), tuple(spect))
+
+
+def _kept(entries, new):
+    """The (pair index, value) entries whose pair is kept, renumbered."""
+    return [(new[j], v) for j, v in entries if j in new]
 
 
 def _deepening_levels(bound):
@@ -328,7 +461,9 @@ def _deepening_levels(bound):
 
 
 def _zigzag_search(pres, p, q, k):
-    """Feasibility of a k-step zig-zag as one exact LP; the steps, or None."""
+    """Feasibility of a k-step zig-zag as one exact LP; the steps, or None.
+    pres is the presentation, or a _Face of it (eq passes the face of p
+    and q): then the LP is solved on the face and its steps are widened."""
     pv = pres.vector(p.rep if isinstance(p, PresentedElement) else p)
     qv = pres.vector(q.rep if isinstance(q, PresentedElement) else q)
     rows, rhs, ncols = _zigzag_lp(pres, pv, qv, k)
@@ -339,10 +474,12 @@ def _zigzag_search(pres, p, q, k):
     width = nj + len(pres.generators)
     steps = []
     for i in range(0, k * width, width):
-        lams = tuple(sol[i : i + nj])
-        spect = tuple(sol[i + nj : i + width])
+        lams, spect = sol[i : i + nj], sol[i + nj : i + width]
         if any(l != 0 for l in lams):
-            steps.append(ZigZagStep(lams, spect))
+            if isinstance(pres, _Face):
+                steps.append(pres.widen(lams, spect))
+            else:
+                steps.append(ZigZagStep(tuple(lams), tuple(spect)))
     return tuple(steps)
 
 
@@ -370,7 +507,8 @@ def _zigzag_lp(pres, pv, qv, k):
     negative.  That scale is part of the pivot rule (the solver's
     docstring says why), and it is the one linalg._integer_row gives the
     dense row, so the pivots and the witnesses do not depend on how the
-    rows were built.
+    rows were built.  pres may be a _Face: then the generators, the pairs
+    and the columns are the face's, and the scales the presentation's.
     """
     nj = len(pres.symmetric_relations)
     ng = len(pres.generators)
@@ -405,9 +543,13 @@ def _zigzag_lp(pres, pv, qv, k):
                 row[a + nj + x] = scale
                 rows[i * ng + x] = row
                 rhs[i * ng + x] = b
-        v = qv[x] - p  # the net moves sum to q - p
-        scale = lcm(d_lcm, v.denominator)
-        if v < 0:
+        q = qv[x]  # the net moves sum to q - p, here vn / vd in lowest terms
+        vn = q.numerator * p.denominator - p.numerator * q.denominator
+        vd = q.denominator * p.denominator
+        g = gcd(vn, vd)
+        vn, vd = vn // g, vd // g
+        scale = lcm(d_lcm, vd)
+        if vn < 0:
             scale = -scale
         f = scale // d_lcm
         row = {}
@@ -415,7 +557,7 @@ def _zigzag_lp(pres, pv, qv, k):
             for j, w in s_minus_r:
                 row[a + j] = w * f
         rows[k * ng + x] = row
-        rhs[k * ng + x] = v.numerator * (scale // v.denominator)
+        rhs[k * ng + x] = vn * (scale // vd)
     return rows, rhs, ncols
 
 
@@ -431,36 +573,51 @@ def _integer_entries(weights):
 def verify_verdict(
     verdict: EqualityVerdict, e1: PresentedElement, e2: PresentedElement
 ) -> bool:
-    """Machine-check a certificate against the two elements."""
+    """Machine-check a certificate against the two elements, in integers.
+
+    An Equal path is replayed step by step: each point is a {generator:
+    int} map over one scale (an element's _nums over its _den, then each
+    step's ZigZagStep.integer_endpoints), and two points are compared by
+    cross-multiplication.  A Distinct invariant is scaled to ints, checked
+    orthogonal to the cached integer difference rows, and evaluated on
+    both elements' integer forms."""
     pres = e1.presentation
     if pres != e2.presentation:
         return False
+    x, y = e1.rep, e2.rep
     if verdict.is_equal:
-        current = pres.vector(e1.rep)
+        nj, ng = len(pres.symmetric_relations), len(pres.generators)
+        point, scale = x._nums, x._den
         for step in verdict.path:
-            if len(step.lambdas) != len(pres.symmetric_relations):
+            if len(step.lambdas) != nj or len(step.spectator) != ng:
                 return False
-            if len(step.spectator) != len(pres.generators):
+            ends = step.integer_endpoints(pres)
+            if ends is None:
                 return False
-            if any(l < 0 for l in step.lambdas) or any(
-                t < 0 for t in step.spectator
-            ):
+            start, end, step_scale = ends
+            if not _same_point(start, step_scale, point, scale):
                 return False
-            start, end = step.endpoints(pres)
-            if start != current:
-                return False
-            current = end
-        return current == pres.vector(e2.rep)
+            point, scale = end, step_scale
+        return _same_point(point, scale, y._nums, y._den)
     if verdict.is_distinct:
-        vec = list(verdict.invariant)
+        vec = [_rational(v) for v in verdict.invariant]
         if len(vec) != len(pres.generators):
             return False
-        if any(linalg.dot(vec, row) != 0 for row in pres._difference_rows):
+        scale = lcm(*(v.denominator for v in vec))
+        ints = [v.numerator * (scale // v.denominator) for v in vec]
+        if any(sum(map(mul, ints, row)) for row in pres._difference_rows):
             return False
-        return linalg.dot(vec, pres.vector(e1.rep)) != linalg.dot(
-            vec, pres.vector(e2.rep)
-        )
+        ints = {g: a for g, a in zip(pres.generators, ints) if a}
+        return _value(ints, x) * y._den != _value(ints, y) * x._den
     return True  # Unknown asserts nothing
+
+
+def _same_point(a, a_scale, b, b_scale):
+    """Whether a / a_scale == b / b_scale for two {generator: int} maps of
+    positive entries."""
+    return len(a) == len(b) and all(
+        b.get(g, 0) * a_scale == n * b_scale for g, n in a.items()
+    )
 
 
 # -- convex maps -------------------------------------------------------------

@@ -41,6 +41,7 @@ from .presentation import (
     induce_map,
     quotient_mix,
 )
+from .semiring import RATIONAL
 
 F = Fraction
 
@@ -87,7 +88,9 @@ def universal_map(
     factors: Sequence[Presentation], xs: Sequence[PresentedElement]
 ) -> PresentedElement:
     """Pure-tensor expansion of a tuple of factor elements: the weight of a
-    generator tuple is the product of the factor representative weights."""
+    generator tuple is the product of the factor representative weights.
+    Built in integers: the numerators' products over the product of the
+    denominators."""
     factors = tuple(factors)
     if len(factors) != len(xs):
         raise FactorMismatch(f"{len(xs)} elements for {len(factors)} factors")
@@ -95,14 +98,15 @@ def universal_map(
         if not isinstance(x, PresentedElement) or x.presentation != factor:
             raise FactorMismatch("element does not belong to its factor")
     tp = tensor(factors)
-    weights = {}
-    for combo in itertools.product(*(x.rep.items() for x in xs)):
-        key = tuple(g for g, _ in combo)
-        w = F(1)
-        for _, wi in combo:
-            w *= wi
-        weights[key] = w
-    return PresentedElement(tp, FiniteDistribution(weights))
+    nums, den = {}, 1
+    for combo in itertools.product(*([(g, x.rep._nums[g]) for g, _ in x.rep.items()] for x in xs)):
+        n = 1
+        for _, ni in combo:
+            n *= ni
+        nums[tuple(g for g, _ in combo)] = n
+    for x in xs:
+        den *= x.rep._den
+    return PresentedElement(tp, FiniteDistribution._from_numerators(nums, den, RATIONAL))
 
 
 def pure_tensor(xs: Sequence[PresentedElement]) -> PresentedElement:

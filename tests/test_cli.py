@@ -1910,6 +1910,41 @@ def test_nested_field_exit_two(tmp_path, key, fields, error):
     assert code == 2 and report["error"] == error
 
 
+def test_cyclic_order_above_the_budget_builds_nothing(tmp_path, monkeypatch):
+    # The order is checked before the n^2 addition table is built: a spy
+    # in place of AbGroup.__init__ records every group that gets that far.
+    built = []
+    monkeypatch.setattr(simplicial_mod.AbGroup, "__init__", lambda self, *args: built.append(args))
+    order = simplicial_mod.MAX_CYCLIC + 1
+    key = ("twist", "twisted_product")
+    code, report = invoke(*sample_argv(tmp_path, key, _sample_with(key, group={"cyclic": order, "N": 2})))
+    assert code == 2 and built == []
+    assert report["error"] == f"group.cyclic: cyclic group order {order} is outside 1..{order - 1}"
+
+
+def test_cyclic_order_at_the_budget_is_built():
+    group = simplicial_mod.AbGroup.cyclic(simplicial_mod.MAX_CYCLIC)
+    assert len(group.elements) == simplicial_mod.MAX_CYCLIC
+    assert group.add("1", str(simplicial_mod.MAX_CYCLIC - 1)) == "0"
+
+
+@pytest.mark.parametrize(
+    "files, error",
+    [
+        ({"lhs": {"weights": [{"el": "a"}]}}, "weights[0].w: missing from the lhs job"),
+        ({"rhs": [DELTA_A]}, "rhs job: expected a JSON object"),
+        ({"presentation": {"generators": ["a", "b"], "relations": 7}}, "relations: expected a JSON list"),
+    ],
+)
+def test_eq_flag_form_paths_start_at_each_file(tmp_path, files, error):
+    job = {**SAMPLE_JOBS[("eq", "eq")], **files}
+    flags = []
+    for key in ("presentation", "lhs", "rhs"):
+        flags += [f"--{key}", write(tmp_path, f"{key}.json", job[key])]
+    code, report = invoke("eq", *flags)
+    assert code == 2 and report["error"] == error
+
+
 def nested_paths(value, path=()):
     """The path, as a tuple of keys and indices, of every value nested in
     the JSON object or list value."""

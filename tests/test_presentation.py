@@ -1,12 +1,13 @@
 """Presented convex sets: quotient mixing, the equality engine, induced maps."""
 
 import hashlib
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_linalg import _rewrite, _tensor_cases, recorded_pivots, zigzag_cases
 
@@ -558,11 +559,195 @@ def verdict_corpus(seed=VERDICT_SEED):
 
 
 def test_verdicts_on_the_seeded_corpus_are_pinned():
-    text, statuses = [], Counter()
+    text, statuses, cut = [], Counter(), 0
     for e1, e2, bound in verdict_corpus():
         v = eq(e1, e2, bound)
         assert verify_verdict(v, e1, e2)
         statuses[v.status] += 1
         text.append(repr(v))
+        pres = e1.presentation
+        cut += not v.is_distinct and presentation._face(pres, e1.rep, e2.rep) is not pres
     assert set(statuses) == {"equal", "distinct", "unknown"}
+    assert cut >= 40  # pairs that reach the LP and leave a proper respected face
     assert hashlib.sha256("\n".join(text).encode()).hexdigest() == VERDICT_DIGEST
+
+
+# -- the face presolve ---------------------------------------------------------------------
+
+
+def respected_oracle(pres, inside):
+    """The greatest respected set of generators outside inside, as the
+    union of every respected subset: a subset U is respected when each
+    relation's two sides both meet U or both miss it."""
+    free = [g for g in pres.generators if g not in inside]
+    greatest = set()
+    for size in range(1, len(free) + 1):
+        for subset in itertools.combinations(free, size):
+            u = set(subset)
+            if all(u.isdisjoint(l.support()) == u.isdisjoint(r.support()) for l, r in pres.relations):
+                greatest |= u
+    return greatest
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_face_presolve_keeps_every_level(data):
+    # 2-5 generators, 1-3 relations with sparse sides; the partner is a
+    # rewrite chain or a sparse random element.  At every level the LP on
+    # the face is feasible exactly when the full LP is, and its witness is
+    # zero off the face and replays.
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    gens = [f"g{i}" for i in range(rng.randint(2, 5))]
+    pres = _sparse_presentation(rng, gens, rng.randint(1, 3))
+    assume(pres.relations)
+    e1 = pres.element(_sparse_dist(rng, gens))
+    e2 = _partner(rng, e1, 3)
+    outside = respected_oracle(pres, e1.rep.support() | e2.rep.support())
+    face = presentation._face(pres, e1.rep, e2.rep)
+    assert (face is pres) == (not outside)
+    assert list(face.generators) == [g for g in pres.generators if g not in outside]
+    for k in range(1, 5):
+        assert eq(e1, e2, k).status == single_lp_status(e1, e2, k)
+        full = presentation._zigzag_search(pres, e1.rep, e2.rep, k)
+        cut = presentation._zigzag_search(face, e1.rep, e2.rep, k)
+        assert (full is None) == (cut is None)
+        if cut is None:
+            continue
+        for step in cut:
+            for lam, (r, _) in zip(step.lambdas, pres.symmetric_relations):
+                assert lam == 0 or outside.isdisjoint(r.support())
+            for t, g in zip(step.spectator, pres.generators):
+                assert t == 0 or g not in outside
+        assert verify_verdict(EqualityVerdict("equal", path=cut, bound=k), e1, e2)
+
+
+def test_face_drops_the_generators_a_zigzag_cannot_reach():
+    # a ~ (b + c)/2 and d ~ e: from a to (b + c)/2 the pair d ~ e is never
+    # usable, so the LP is built on a, b, c and the first pair only.
+    pres = Presentation(
+        ["a", "b", "c", "d", "e"],
+        [(delta("a"), rd({"b": "1/2", "c": "1/2"})), (delta("d"), delta("e"))],
+    )
+    lhs, rhs = pres.delta("a"), pres.element(rd({"b": "1/2", "c": "1/2"}))
+    face = presentation._face(pres, lhs.rep, rhs.rep)
+    assert face.generators == ["a", "b", "c"]
+    assert face.symmetric_relations == list(pres.symmetric_relations[:2])
+    rows, _, ncols = presentation._zigzag_lp(face, face.vector(lhs.rep), face.vector(rhs.rep), 1)
+    assert (len(rows), ncols) == (6, 5)
+    v = eq(lhs, rhs, 1)
+    assert v.is_equal and verify_verdict(v, lhs, rhs)
+    (step,) = v.path
+    assert step.lambdas == (F(1), 0, 0, 0) and step.spectator == (0,) * 5
+    # b ~ c, a ~ b, b ~ e: from a to e, a ~ b takes b out of U after
+    # b ~ c was read, and b ~ c then takes c out: only d stays outside.
+    chain = Presentation(
+        ["a", "b", "c", "d", "e"],
+        [(delta("b"), delta("c")), (delta("a"), delta("b")), (delta("b"), delta("e"))],
+    )
+    a, e = chain.delta("a"), chain.delta("e")
+    assert respected_oracle(chain, {"a", "e"}) == {"d"}
+    assert presentation._face(chain, a.rep, e.rep).generators == ["a", "b", "c", "e"]
+    # With d in the support nothing is dropped: d ~ e is respected by no
+    # set that misses d and meets e.
+    far = pres.element(rd({"a": "1/2", "d": "1/2"}))
+    assert presentation._face(pres, far.rep, pres.element(rd({"b": "1/4", "c": "1/4", "e": "1/2"})).rep) is pres
+
+
+# -- the integer replay ------------------------------------------------------------------
+
+
+def test_replay_rejects_a_spectator_off_by_one_over_its_denominator():
+    # one step with multiplier 1/2 and spectator d/2 (the worked example)
+    lhs = SPLIT.element(rd({"a": "1/2", "d": "1/2"}))
+    rhs = SPLIT.element(rd({"b": "1/4", "c": "1/4", "d": "1/2"}))
+    v = eq(lhs, rhs, 1)
+    (step,) = v.path
+    assert verify_verdict(v, lhs, rhs) and step.spectator[3] == F(1, 2)
+    for off in (F(1, 2), F(-1, 2), F(1, 1000)):
+        spectator = list(step.spectator)
+        spectator[3] += off
+        bad = EqualityVerdict("equal", path=(ZigZagStep(step.lambdas, tuple(spectator)),))
+        assert not verify_verdict(bad, lhs, rhs)
+
+
+# (a + b)/2 ~ (b + c)/2
+HALVES = Presentation(["a", "b", "c"], [(rd({"a": "1/2", "b": "1/2"}), rd({"b": "1/2", "c": "1/2"}))])
+
+
+@pytest.mark.parametrize("minus_one", [F(-1), -1], ids=["Fraction", "int"])
+def test_replay_rejects_a_negative_multiplier(minus_one):
+    # Multiplier -1 on the pair ((a + b)/2, (b + c)/2) with spectator
+    # (5a + 5b + 6c)/8 starts at p and ends at q, and every entry of both
+    # points is positive: only the sign check refuses the step.
+    p = HALVES.element(rd({"a": "1/8", "b": "1/8", "c": "3/4"}))
+    q = HALVES.element(rd({"a": "5/8", "b": "1/8", "c": "1/4"}))
+    step = ZigZagStep((minus_one, 0), (F(5, 8), F(5, 8), F(3, 4)))
+    assert _unchecked_endpoints(step, HALVES) == (HALVES.vector(p.rep), HALVES.vector(q.rep))
+    assert step.integer_endpoints(HALVES) is None
+    assert not verify_verdict(EqualityVerdict("equal", path=(step,)), p, q)
+    half = ZigZagStep((F(-1, 2), 0), (F(5, 8), F(5, 8), F(3, 4)))
+    assert not verify_verdict(EqualityVerdict("equal", path=(half,)), p, q)
+
+
+def _unchecked_endpoints(step, pres):
+    """A step's start and end as dense Fractions, summed without the sign
+    check of ZigZagStep.integer_endpoints."""
+    start, end = [F(t) for t in step.spectator], [F(t) for t in step.spectator]
+    index = pres._gen_index
+    for lam, (r, s) in zip(step.lambdas, pres.symmetric_relations):
+        for g, w in r.items():
+            start[index[g]] += lam * w
+        for g, w in s.items():
+            end[index[g]] += lam * w
+    return start, end
+
+
+def test_replay_rejects_wrong_lengths():
+    a, c = CHAIN.delta("a"), CHAIN.delta("c")
+    v = eq(a, c, 2)
+    assert verify_verdict(v, a, c)
+    first, second = v.path
+    for lambdas in (first.lambdas[:-1], first.lambdas + (0,)):
+        bad = EqualityVerdict("equal", path=(ZigZagStep(lambdas, first.spectator), second))
+        assert not verify_verdict(bad, a, c)
+    distinct = eq(FREE_ABC.delta("a"), FREE_ABC.delta("b"), 1)
+    for invariant in (distinct.invariant[:-1], distinct.invariant + (F(0),), ()):
+        bad = EqualityVerdict("distinct", invariant=invariant)
+        assert not verify_verdict(bad, FREE_ABC.delta("a"), FREE_ABC.delta("b"))
+
+
+def test_replay_rejects_a_path_one_step_short():
+    a, c, d = CHAIN.delta("a"), CHAIN.delta("c"), CHAIN.delta("d")
+    v = eq(a, d, 3)
+    assert len(v.path) == 3 and verify_verdict(v, a, d)
+    assert not verify_verdict(EqualityVerdict("equal", path=v.path[:-1]), a, d)
+    assert not verify_verdict(EqualityVerdict("equal", path=v.path[1:]), a, d)
+    assert not verify_verdict(EqualityVerdict("equal", path=()), a, c)
+
+
+def test_replay_rejects_an_invariant_not_orthogonal_to_one_relation():
+    # a ~ b and c ~ d: 2[a] + 2[b] + [c] is constant across a ~ b, not
+    # across c ~ d, and takes 2 on a and 1 on c.
+    pres = Presentation(["a", "b", "c", "d"], [(delta("a"), delta("b")), (delta("c"), delta("d"))])
+    a, c = pres.delta("a"), pres.delta("c")
+    good = eq(a, c, 1)
+    assert good.is_distinct and verify_verdict(good, a, c)
+    assert not verify_verdict(EqualityVerdict("distinct", invariant=(F(2), F(2), F(1), F(0))), a, c)
+    assert not verify_verdict(EqualityVerdict("distinct", invariant=(2, 2, 1, 0)), a, c)
+    # orthogonal to both but equal on a and c: not a separation either
+    assert not verify_verdict(EqualityVerdict("distinct", invariant=(1, 1, 1, 1)), a, c)
+
+
+def test_replay_accepts_int_entries():
+    lhs = SPLIT.element(rd({"a": "1/2", "d": "1/2"}))
+    rhs = SPLIT.element(rd({"b": "1/4", "c": "1/4", "d": "1/2"}))
+    (step,) = eq(lhs, rhs, 1).path
+    mixed = ZigZagStep((F(1, 2), 0), (0, 0, 0, F(1, 2)))
+    assert step == ZigZagStep((F(1, 2), F(0)), (F(0), F(0), F(0), F(1, 2))) == mixed
+    assert verify_verdict(EqualityVerdict("equal", path=(mixed,)), lhs, rhs)
+    a, b = GLUE_AB.delta("a"), GLUE_AB.delta("b")
+    assert verify_verdict(EqualityVerdict("equal", path=(ZigZagStep((1, 0), (0, 0)),)), a, b)
+    separated = eq(FREE_AB.delta("a"), FREE_AB.delta("b"), 1)
+    assert separated.invariant == (F(1), F(0))
+    ints = EqualityVerdict("distinct", invariant=(1, 0))
+    assert verify_verdict(ints, FREE_AB.delta("a"), FREE_AB.delta("b"))
