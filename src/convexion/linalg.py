@@ -267,8 +267,3 @@ def nullspace(rows, ncols):
             v[pc] = -row.get(fc, ZERO)
         basis.append(v)
     return basis
-
-
-def dot(u, v):
-    """Exact inner product; zero terms are skipped, not multiplied."""
-    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)

@@ -281,19 +281,11 @@ class ZigZagStep:
         The scale is the lcm of the spectator's denominators and, per
         nonzero lambda, of its denominator times its pair's two
         denominators, so each term is an int multiple of a relation side's
-        integer form (_nums over _den).  None when an entry is negative,
-        which no step may have."""
-        used = [
-            (_rational(lam), r, s)
-            for lam, (r, s) in zip(self.lambdas, pres.symmetric_relations)
-            if lam
-        ]
-        spectator = [
-            (g, _rational(t)) for g, t in zip(pres.generators, self.spectator) if t
-        ]
-        if any(lam.numerator < 0 for lam, _, _ in used) or any(
-            t.numerator < 0 for _, t in spectator
-        ):
+        integer form (_nums over _den).  Entries are ints or Fractions.
+        None when an entry is negative, which no step may have."""
+        used = [(lam, r, s) for lam, (r, s) in zip(self.lambdas, pres.symmetric_relations) if lam]
+        spectator = [(g, t) for g, t in zip(pres.generators, self.spectator) if t]
+        if any(lam.numerator < 0 for lam, _, _ in used) or any(t.numerator < 0 for _, t in spectator):
             return None
         scale = lcm(
             *(t.denominator for _, t in spectator),
@@ -373,11 +365,6 @@ def _value(ints, dist):
     return sum([n * a for g, n in dist._nums.items() if (a := ints.get(g))])
 
 
-def _rational(v):
-    """v as an int or a Fraction, which carry numerator and denominator."""
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
 def _face(pres, p, q):
     """Where a zig-zag from p to q must stay: pres cut down to W = X minus
     U, for U the greatest respected set of generators outside supp p and
@@ -429,8 +416,7 @@ class _Face:
             for r, r_lcm, r_minus_s, s_minus_r, d_lcm in (columns[x] for x in self._gen_at)
         ]
 
-    def vector(self, dist):
-        return [dist.weight(g) for g in self.generators]
+    vector = Presentation.vector
 
     def widen(self, lambdas, spectator):
         """The ZigZagStep of the presentation whose lambdas and spectator
@@ -600,7 +586,7 @@ def verify_verdict(
             point, scale = end, step_scale
         return _same_point(point, scale, y._nums, y._den)
     if verdict.is_distinct:
-        vec = [_rational(v) for v in verdict.invariant]
+        vec = verdict.invariant
         if len(vec) != len(pres.generators):
             return False
         scale = lcm(*(v.denominator for v in vec))

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_linalg import _rewrite, _tensor_cases, recorded_pivots, zigzag_cases
+from test_linalg import _rewrite, _tensor_cases, dot, recorded_pivots, zigzag_cases
 
 from convexion import linalg, presentation
 from convexion.distribution import FiniteDistribution, delta
@@ -340,7 +340,7 @@ def single_lp_status(e1, e2, bound):
     if e1.rep == e2.rep:
         return "equal"
     diff = [e1.rep.weight(g) - e2.rep.weight(g) for g in pres.generators]
-    if any(linalg.dot(vec, diff) != 0 for vec in pres.invariant_basis):
+    if any(dot(vec, diff) != 0 for vec in pres.invariant_basis):
         return "distinct"
     if bound >= 1 and pres.relations:
         if presentation._zigzag_search(pres, e1.rep, e2.rep, bound) is not None:
