@@ -190,11 +190,7 @@ class Presentation:
         out = []
         for vec in self.invariant_basis:
             scale = lcm(*(v.denominator for v in vec))
-            ints = {
-                g: v.numerator * (scale // v.denominator)
-                for g, v in zip(self.generators, vec)
-                if v
-            }
+            ints = {g: v.numerator * (scale // v.denominator) for g, v in zip(self.generators, vec) if v}
             out.append((tuple(vec), ints))
         return tuple(out)
 

@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Mapping, Sequence
 
 from .distribution import FiniteDistribution
@@ -98,14 +99,10 @@ def universal_map(
         if not isinstance(x, PresentedElement) or x.presentation != factor:
             raise FactorMismatch("element does not belong to its factor")
     tp = tensor(factors)
-    nums, den = {}, 1
+    nums = {}
     for combo in itertools.product(*([(g, x.rep._nums[g]) for g, _ in x.rep.items()] for x in xs)):
-        n = 1
-        for _, ni in combo:
-            n *= ni
-        nums[tuple(g for g, _ in combo)] = n
-    for x in xs:
-        den *= x.rep._den
+        nums[tuple(g for g, _ in combo)] = prod(n for _, n in combo)
+    den = prod(x.rep._den for x in xs)
     return PresentedElement(tp, FiniteDistribution._from_numerators(nums, den, RATIONAL))
 
 
