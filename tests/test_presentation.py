@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_linalg import _rewrite, _tensor_cases, dot, recorded_pivots, zigzag_cases
 
-from convexion import linalg, presentation
+from convexion import presentation
 from convexion.distribution import FiniteDistribution, delta
 from convexion.errors import (
     PresentationMismatch,
