@@ -541,12 +541,6 @@ class ConvexFibrationData:
             morphism_name, element, self.functor.apply(morphism_name, element)
         )
 
-    def source_of(self, pair: GraphPair) -> PresentedElement:
-        return pair.source
-
-    def target_of(self, pair: GraphPair) -> PresentedElement:
-        return pair.target
-
     def identity_pair(self, c, element: PresentedElement) -> GraphPair:
         return self.lift(self.base.identity[c], element)
 
@@ -605,9 +599,9 @@ def check_fibrewise_equations(
         mixed_pair = cfib.mix_pairs(alpha, pairs)
         src_mix = quotient_mix(alpha, [p.source for p in pairs])
         tgt_mix = quotient_mix(alpha, [p.target for p in pairs])
-        if not eq(cfib.source_of(mixed_pair), src_mix, step_bound).is_equal:
+        if not eq(mixed_pair.source, src_mix, step_bound).is_equal:
             failures.append(("source", name))
-        if not eq(cfib.target_of(mixed_pair), tgt_mix, step_bound).is_equal:
+        if not eq(mixed_pair.target, tgt_mix, step_bound).is_equal:
             failures.append(("target", name))
         m = cfib.base.morphisms[name]
         id_of_mix = cfib.identity_pair(m.src, src_mix)

@@ -733,12 +733,21 @@ def _candidate_from_spec(spec: str):
     raise ParseError(f"unknown candidate {spec!r}")
 
 
+def _at_least(flag, value, low):
+    """value, or a ParseError naming flag when value is below low."""
+    if value < low:
+        raise ParseError(f"{flag} {value}: expected an integer >= {low}")
+    return value
+
+
 @op("entropy", "gen", ("--out", {"required": True}), ("--chains", {"type": int, "default": 50}),
     ("--max-carrier", {"type": int, "default": 16}))
 def entropy_gen(args, ctx):
     from .finprob import generate_corpus
 
-    corpus = generate_corpus(seed=ctx["seed"], n_chains=args.chains, max_carrier=args.max_carrier)
+    chains = _at_least("--chains", args.chains, 0)
+    max_carrier = _at_least("--max-carrier", args.max_carrier, 1)
+    corpus = generate_corpus(seed=ctx["seed"], n_chains=chains, max_carrier=max_carrier)
     _write_file("--out", args.out, jsonio.canonical_json(jsonio.encode_corpus(corpus)))
     return {"written": args.out, "morphisms": len(corpus.morphisms)}
 
@@ -783,7 +792,10 @@ def entropy_combine(args, ctx):
 
     f = jsonio.decode_prob_morphism(jsonio.Job(jsonio.load_json(args.f), "combine"))
     g = jsonio.decode_prob_morphism(jsonio.Job(jsonio.load_json(args.g), "combine"))
-    mixed = convex_combine_morphisms(RATIONAL.parse(args.lam), f, g)
+    lam = RATIONAL.parse(args.lam)
+    if lam > 1:
+        raise ParseError(f"--lambda {args.lam}: expected a rational in [0, 1]")
+    mixed = convex_combine_morphisms(lam, f, g)
     return {"morphism": jsonio.encode_prob_morphism(mixed)}
 
 

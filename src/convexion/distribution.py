@@ -1,6 +1,7 @@
 """Finite distributions over a semiring and the operations of the
 distribution monad: unit (delta), pushforward, multiplication (flatten),
-and convex combination.
+convex combination, and the product measure on tuples (product).  Every
+mixture and product of weights in the package goes through these.
 
 A distribution is a finite, normalized weight map; zero weights are never
 stored, so two equal distributions always have identical internal state and
@@ -16,7 +17,8 @@ the reduced denominators, so ``gcd(_den, *_nums.values()) == 1``: the form
 is canonical, equal distributions have equal forms, and normalisation is
 ``sum(_nums.values()) == _den``.  Over the Booleans every weight is 1 over
 1.  ``flatten``, ``convex_combine`` and ``pushforward`` add integer
-numerators over one common denominator and build their result through one
+numerators over one common denominator, ``product`` multiplies them over
+the product of the denominators, and each builds its result through one
 trusted constructor, which brings the sum into canonical form and makes
 one payload per support element; equality and hashing read the integer
 form, everything else the payloads.
@@ -25,10 +27,12 @@ form, everything else the payloads.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .errors import NotConvexVector, NotNormalized, SemiringMismatch, UndefinedOnSupport
+from .errors import (
+    EmptyFactorList, NotConvexVector, NotNormalized, SemiringMismatch, UndefinedOnSupport,
+)
 from .semiring import BOOLEAN, RATIONAL, Semiring
 
 
@@ -227,12 +231,23 @@ def convex_combine(
     return _mix(zip(nums.values(), ps), den, sr)
 
 
+def product(ps: Sequence[FiniteDistribution]) -> FiniteDistribution:
+    """Product measure on tuples: the weight of (x_1, ..., x_n) is the
+    product of the ps_i(x_i), in integers over the product of the _den."""
+    if not ps:
+        raise EmptyFactorList("product of no distributions")
+    sr = ps[0].semiring
+    acc = {(): 1}
+    for p in ps:
+        if p.semiring is not sr:
+            raise SemiringMismatch("mixed semirings in a product")
+        acc = {t + (el,): n * m for t, n in acc.items() for el, m in p._nums.items()}
+    return FiniteDistribution._from_numerators(acc, prod(p._den for p in ps), sr)
+
+
 def map_delta(p: FiniteDistribution) -> FiniteDistribution:
     """Functorial image of p under the unit: a distribution of deltas."""
-    sr = p.semiring
-    return FiniteDistribution(
-        {delta(el, sr): w for el, w in p._weights.items()}, sr
-    )
+    return pushforward(lambda el: delta(el, p.semiring), p)
 
 
 def boolean_subset(elements: Iterable) -> FiniteDistribution:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .distribution import FiniteDistribution, pushforward
+from .distribution import FiniteDistribution, convex_combine, pushforward
 from .errors import ArityMismatch, InvalidInput, NotMeasurePreserving, NotNormalized
 from .matprop import QConvOp
 
@@ -139,16 +139,16 @@ def binary_entropy(lam: Fraction) -> float:
 
 
 def convex_combine_objects(lam, a: ProbObject, b: ProbObject) -> ProbObject:
+    """lam * a + (1 - lam) * b on the carriers tagged "L" and "R"."""
     lam = F(lam)
+    if not 0 <= lam <= 1:
+        raise NotNormalized(f"mixing weight {lam} is outside [0, 1]")
     carrier = [("L", x) for x in a.carrier] + [("R", x) for x in b.carrier]
-    weights = {}
-    for x, w in a.weights.items():
-        if lam * w != 0:
-            weights[("L", x)] = lam * w
-    for x, w in b.weights.items():
-        if (1 - lam) * w != 0:
-            weights[("R", x)] = (1 - lam) * w
-    return ProbObject(carrier, weights)
+    mixed = convex_combine([lam, 1 - lam], [
+        pushforward(lambda x: ("L", x), a.distribution),
+        pushforward(lambda x: ("R", x), b.distribution),
+    ])
+    return ProbObject(carrier, mixed.as_dict())
 
 
 def convex_combine_morphisms(lam, f: ProbMorphism, g: ProbMorphism) -> ProbMorphism:
@@ -173,13 +173,7 @@ def dist_lax_xi(alpha: QConvOp, ps: Sequence[FiniteDistribution]) -> FiniteDistr
         if overlap:
             raise InvalidInput(f"carriers overlap on {sorted(overlap, key=repr)}")
         seen |= p.support()
-    out = {}
-    for w, p in zip(alpha.weights, ps):
-        if w == 0:
-            continue
-        for el, v in p.items():
-            out[el] = w * v
-    return FiniteDistribution(out)
+    return convex_combine(alpha.weights, ps)
 
 
 # -- corpora ---------------------------------------------------------------------
@@ -345,13 +339,9 @@ def verify_value_table(
 
 def _perturbation(obj: ProbObject, n: int) -> ProbObject:
     """p + (1/n)(u - p) with u uniform on the carrier."""
-    size = len(obj.carrier)
-    u = F(1, size)
-    inv = F(1, n)
-    weights = {
-        x: obj.p(x) + inv * (u - obj.p(x)) for x in obj.carrier
-    }
-    return ProbObject(obj.carrier, weights)
+    uniform = FiniteDistribution(dict.fromkeys(obj.carrier, F(1, len(obj.carrier))))
+    mixed = convex_combine([F(1, n), 1 - F(1, n)], [uniform, obj.distribution])
+    return ProbObject(obj.carrier, mixed.as_dict())
 
 
 def verify_entropy_axioms(

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .category import CSetFunctor, ConvexFibrationData, FiniteCategory, convex_grothendieck
-from .distribution import FiniteDistribution
+from .distribution import FiniteDistribution, convex_combine, delta
 from .errors import (
     ArityMismatch,
     CoherenceFailure,
@@ -134,8 +134,8 @@ OPERADS = {"trivial": TRIVIAL, "assoc": ASSOC, "comm": COMM, "qconv": QCONV}
 @dataclass
 class OMonCategory:
     """A category (finite, or a named large handle) with an n-ary tensor per
-    operation.  tensor_obj(op, objects) and tensor_mor(op, morphism names)
-    must satisfy: the unit operation acts as the identity.
+    operation.  tensor_obj(op, objects) must satisfy: the unit operation
+    acts as the identity.
 
     coherence(sigma, z, xs, objects), when given, returns the base
     isomorphism (a morphism name) from tensor_{z o (x)} of the flattened
@@ -145,9 +145,7 @@ class OMonCategory:
     operad: OperadSpec
     base: object  # FiniteCategory or a handle string like "CSet"
     tensor_obj: Callable
-    tensor_mor: Optional[Callable] = None
     coherence: Optional[Callable] = None
-    name: str = ""
 
     def tensor_objects(self, op: OperadOp | QConvOp, objs: Sequence) -> object:
         if op.arity != len(objs):
@@ -172,12 +170,11 @@ def nfold_pure(xs: Sequence[PresentedElement]) -> PresentedElement:
 
 @dataclass
 class SymmetricMonoidalData:
-    """Minimal symmetric monoidal data: an n-ary object tensor, and
-    optionally a morphism tensor, plus validation samples."""
+    """Minimal symmetric monoidal data: an n-ary object tensor and an
+    optional unit object, validated on the base's objects."""
 
     base: object
     nfold_obj: Callable[[tuple], object]
-    nfold_mor: Optional[Callable] = None
     unit_object: object = None
 
     def validate(self):
@@ -207,10 +204,7 @@ def trivial_structure(sym_mon: SymmetricMonoidalData, operad: OperadSpec) -> OMo
     def tensor_obj(op, objs):
         return sym_mon.nfold_obj(tuple(objs))
 
-    tensor_mor = None
-    if sym_mon.nfold_mor is not None:
-        tensor_mor = lambda op, mors: sym_mon.nfold_mor(tuple(mors))
-    return OMonCategory(operad, sym_mon.base, tensor_obj, tensor_mor, name="trivial")
+    return OMonCategory(operad, sym_mon.base, tensor_obj)
 
 
 def cset_omon(operad: OperadSpec = QCONV) -> OMonCategory:
@@ -219,7 +213,7 @@ def cset_omon(operad: OperadSpec = QCONV) -> OMonCategory:
     def tensor_obj(op, objs):
         return nfold_tensor(objs)
 
-    return OMonCategory(operad, "CSet", tensor_obj, name="CSet-tensor")
+    return OMonCategory(operad, "CSet", tensor_obj)
 
 
 # -- the subset-of-the-join structure ---------------------------------------------
@@ -504,8 +498,9 @@ def o_grothendieck(
 # -- concrete lax functors ------------------------------------------------------
 
 
-def _free_dist_presentation(size: int) -> Presentation:
-    return Presentation.free([f"e{i}" for i in range(size)])
+def _mixing_weights(op: OperadOp | QConvOp, n: int) -> tuple:
+    """A qconv operation's own weights; uniform ones for the other operads."""
+    return op.weights if op.kind == "qconv" else (F(1, n),) * n
 
 
 def dist_lax_functor(max_size: int = 6, operad: OperadSpec = QCONV) -> LaxOMonFunctor:
@@ -529,8 +524,8 @@ def dist_lax_functor(max_size: int = 6, operad: OperadSpec = QCONV) -> LaxOMonFu
             )
         return f"S{total}"
 
-    omon = OMonCategory(operad, base_cat, tensor_obj, name="Fin-disjoint-union")
-    on_objects = {o: _free_dist_presentation(size(o)) for o in objects}
+    omon = OMonCategory(operad, base_cat, tensor_obj)
+    on_objects = {o: Presentation.free([f"e{i}" for i in range(size(o))]) for o in objects}
     on_morphisms = {
         base_cat.identity[o]: ConvexMap.identity(on_objects[o]) for o in objects
     }
@@ -541,26 +536,13 @@ def dist_lax_functor(max_size: int = 6, operad: OperadSpec = QCONV) -> LaxOMonFu
         if len(objs) == 1:
             return ConvexMap.identity(fibres[0])
         target = on_objects[tensor_obj(op, objs)]
-        offsets = []
-        acc = 0
-        for o in objs:
-            offsets.append(acc)
-            acc += size(o)
-        src = nfold_tensor(fibres)
-        weights = op.weights if op.kind == "qconv" else tuple(
-            F(1, len(objs)) for _ in objs
-        )
+        offsets = [0, *itertools.accumulate(size(o) for o in objs[:-1])]
+        weights = _mixing_weights(op, len(objs))
         assignment = {}
         for combo in itertools.product(*(f.generators for f in fibres)):
-            dist = {}
-            for slot, g in enumerate(combo):
-                w = weights[slot]
-                if w == 0:
-                    continue
-                shifted = f"e{offsets[slot] + int(g[1:])}"
-                dist[shifted] = dist.get(shifted, F(0)) + w
-            assignment[combo] = target.element(FiniteDistribution(dist))
-        return ConvexMap(src, target, assignment)
+            shifted = [delta(f"e{offset + int(g[1:])}") for offset, g in zip(offsets, combo)]
+            assignment[combo] = target.element(convex_combine(weights, shifted))
+        return ConvexMap(nfold_tensor(fibres), target, assignment)
 
     return LaxOMonFunctor(omon, functor, xi)
 
@@ -572,7 +554,7 @@ def mixture_lax_functor(carrier: Sequence[str], operad: OperadSpec = QCONV) -> L
 
     base_cat = discrete_category(["*"])
     pres = Presentation.free(list(carrier))
-    omon = OMonCategory(operad, base_cat, lambda op, objs: "*", name="one-object")
+    omon = OMonCategory(operad, base_cat, lambda op, objs: "*")
     functor = CSetFunctor(
         base_cat, {"*": pres}, {base_cat.identity["*"]: ConvexMap.identity(pres)}
     )
@@ -580,18 +562,12 @@ def mixture_lax_functor(carrier: Sequence[str], operad: OperadSpec = QCONV) -> L
     def xi(op, objs):
         if len(objs) == 1:
             return ConvexMap.identity(pres)
-        src = nfold_tensor([pres] * len(objs))
-        weights = op.weights if op.kind == "qconv" else tuple(
-            F(1, len(objs)) for _ in objs
-        )
-        assignment = {}
-        for combo in itertools.product(pres.generators, repeat=len(objs)):
-            dist = {}
-            for w, g in zip(weights, combo):
-                if w != 0:
-                    dist[g] = dist.get(g, F(0)) + w
-            assignment[combo] = pres.element(FiniteDistribution(dist))
-        return ConvexMap(src, pres, assignment)
+        weights = _mixing_weights(op, len(objs))
+        assignment = {
+            combo: pres.element(convex_combine(weights, [delta(g) for g in combo]))
+            for combo in itertools.product(pres.generators, repeat=len(objs))
+        }
+        return ConvexMap(nfold_tensor([pres] * len(objs)), pres, assignment)
 
     return LaxOMonFunctor(omon, functor, xi)
 
@@ -602,7 +578,7 @@ def identity_lax_functor(pres: Presentation) -> LaxOMonFunctor:
     from .category import discrete_category
 
     base_cat = discrete_category(["*"])
-    omon = OMonCategory(TRIVIAL, base_cat, lambda op, objs: "*", name="trivial")
+    omon = OMonCategory(TRIVIAL, base_cat, lambda op, objs: "*")
     functor = CSetFunctor(
         base_cat, {"*": pres}, {base_cat.identity["*"]: ConvexMap.identity(pres)}
     )

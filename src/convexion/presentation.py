@@ -54,7 +54,9 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
-from .distribution import FiniteDistribution, convex_combine, delta, element_key
+from .distribution import (
+    FiniteDistribution, convex_combine, delta, element_key, flatten, pushforward,
+)
 from .errors import (
     InvalidInput,
     NotConvexVector,
@@ -624,13 +626,16 @@ class ConvexMap:
         return self.assignment[g]
 
     def __call__(self, e: PresentedElement) -> PresentedElement:
+        """The Kleisli extension: flatten(pushforward(values, e.rep))."""
         if e.presentation != self.src:
             raise PresentationMismatch("element is not in the map's source")
-        weights, values = [], []
-        for g, w in e.rep.items():
-            weights.append(w)
-            values.append(self.assignment[g])
-        return quotient_mix(weights, values)
+        return PresentedElement(self.tgt, flatten(pushforward(self._value_rep, e.rep)))
+
+    def _value_rep(self, g) -> FiniteDistribution:
+        value = self.assignment[g]
+        if value.presentation != self.tgt:
+            raise PresentationMismatch("map value is not an element of its target")
+        return value.rep
 
     def compose(self, first: "ConvexMap") -> "ConvexMap":
         """self after first."""

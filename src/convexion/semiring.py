@@ -2,9 +2,9 @@
 
 Two semirings are supported: nonnegative rationals (``fractions.Fraction``
 payloads, always in lowest terms) and the Boolean semiring (``bool``
-payloads, or/and).  Both are semifields: every nonzero value is invertible.
-Values are plain payloads; the semiring object supplies the operations, so
-containers carry one semiring reference instead of wrapping every scalar.
+payloads, or/and).  Values are plain payloads; the semiring object supplies
+the operations, so containers carry one semiring reference instead of
+wrapping every scalar.
 
 Each semiring also fixes the integer form of a weight map that
 ``distribution.py`` computes with: numerators (element -> int) over one
@@ -28,7 +28,6 @@ ONE = Fraction(1)
 
 class Semiring:
     name = "abstract"
-    semifield = True
 
     def zero(self):
         raise NotImplementedError
@@ -40,10 +39,6 @@ class Semiring:
         raise NotImplementedError
 
     def mul(self, a, b):
-        raise NotImplementedError
-
-    def inverse(self, a):
-        """Multiplicative inverse of a nonzero value."""
         raise NotImplementedError
 
     def sum(self, values):
@@ -105,11 +100,6 @@ class RationalSemiring(Semiring):
     def mul(self, a, b):
         return a * b
 
-    def inverse(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return 1 / a
-
     def is_zero(self, v) -> bool:
         return not v
 
@@ -161,7 +151,7 @@ class RationalSemiring(Semiring):
 
 
 class BooleanSemiring(Semiring):
-    """Truth values under or and and; 1 is its own inverse."""
+    """Truth values under or and and."""
 
     name = "boolean"
 
@@ -176,11 +166,6 @@ class BooleanSemiring(Semiring):
 
     def mul(self, a, b):
         return a and b
-
-    def inverse(self, a):
-        if not a:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return True
 
     def coerce(self, v):
         if isinstance(v, bool):

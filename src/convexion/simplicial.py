@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .distribution import FiniteDistribution, convex_combine, delta, element_key, pushforward
+from .distribution import (
+    FiniteDistribution, convex_combine, delta, element_key, product, pushforward,
+)
 from .errors import BaseMismatch, InvalidInput, InvalidTwist
 
 F = Fraction
@@ -667,13 +669,9 @@ def mu_product(p: SimplicialDistribution, q: SimplicialDistribution) -> Simplici
     for n in range(tb.base.n_max + 1):
         levels[n] = {}
         for x in tb.base.simplices(n):
-            weights = {}
-            for e, we in p.at(n, x).items():
-                for f, wf in q.at(n, x).items():
-                    rep = tb.orbit_rep(n, (e, f))
-                    w = we * wf
-                    weights[rep] = weights.get(rep, F(0)) + w
-            levels[n][x] = FiniteDistribution(weights)
+            levels[n][x] = pushforward(
+                lambda pair: tb.orbit_rep(n, pair), product([p.at(n, x), q.at(n, x)])
+            )
     return SimplicialDistribution(tb, levels)
 
 

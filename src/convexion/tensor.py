@@ -21,10 +21,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 from typing import Mapping, Sequence
 
-from .distribution import FiniteDistribution
+from .distribution import FiniteDistribution, product, pushforward
 from .errors import (
     ArityMismatch,
     CompositionNotBiconvex,
@@ -42,9 +41,6 @@ from .presentation import (
     induce_map,
     quotient_mix,
 )
-from .semiring import RATIONAL
-
-F = Fraction
 
 #: Presentation of the one-point convex set (monoidal unit).
 UNIT = Presentation.free(("*",))
@@ -79,31 +75,21 @@ def _tensor_cached(factors: tuple) -> TensorPresentation:
 
 
 def _lift(dist: FiniteDistribution, slot: int, fixed: tuple) -> FiniteDistribution:
-    out = {}
-    for g, w in dist.items():
-        out[fixed[:slot] + (g,) + fixed[slot:]] = w
-    return FiniteDistribution(out)
+    return pushforward(lambda g: fixed[:slot] + (g,) + fixed[slot:], dist)
 
 
 def universal_map(
     factors: Sequence[Presentation], xs: Sequence[PresentedElement]
 ) -> PresentedElement:
-    """Pure-tensor expansion of a tuple of factor elements: the weight of a
-    generator tuple is the product of the factor representative weights.
-    Built in integers: the numerators' products over the product of the
-    denominators."""
+    """Pure-tensor expansion of a tuple of factor elements: the product
+    measure (distribution.product) of the factor representatives."""
     factors = tuple(factors)
     if len(factors) != len(xs):
         raise FactorMismatch(f"{len(xs)} elements for {len(factors)} factors")
     for x, factor in zip(xs, factors):
         if not isinstance(x, PresentedElement) or x.presentation != factor:
             raise FactorMismatch("element does not belong to its factor")
-    tp = tensor(factors)
-    nums = {}
-    for combo in itertools.product(*([(g, x.rep._nums[g]) for g, _ in x.rep.items()] for x in xs)):
-        nums[tuple(g for g, _ in combo)] = prod(n for _, n in combo)
-    den = prod(x.rep._den for x in xs)
-    return PresentedElement(tp, FiniteDistribution._from_numerators(nums, den, RATIONAL))
+    return PresentedElement(tensor(factors), product([x.rep for x in xs]))
 
 
 def pure_tensor(xs: Sequence[PresentedElement]) -> PresentedElement:
@@ -326,7 +312,7 @@ def check_biconvex_not_convex_counterexample() -> CounterexampleReport:
 
     from .presentation import hom_combine  # local to avoid cycle noise
 
-    half = [F(1, 2), F(1, 2)]
+    half = [Fraction(1, 2)] * 2
     mixed_f = hom_combine(half, [f0, f1])
     mixed_g = hom_combine(half, [g0, g1])
     biconvex_value = mixed_f(mixed_g(x.delta("0"))).rep
@@ -368,12 +354,8 @@ class BiconvexCategory:
     def compose_elements(self, a, b, c, g2: PresentedElement, g1: PresentedElement):
         """Biconvex extension of the table to arbitrary hom elements."""
         table = self.composition[(a, b, c)]
-        weights, values = [], []
-        for k2, w2 in g2.rep.items():
-            for k1, w1 in g1.rep.items():
-                weights.append(w2 * w1)
-                values.append(table[(k2, k1)])
-        return quotient_mix(weights, values)
+        pairs = product([g2.rep, g1.rep]).items()
+        return quotient_mix([w for _, w in pairs], [table[k] for k, _ in pairs])
 
 
 @dataclass

@@ -1995,6 +1995,32 @@ def test_entropy_eval_needs_an_input():
     assert code == 2 and report["error"] == "entropy eval needs --object or --morphism"
 
 
+def test_entropy_gen_empty_carrier_exit_two(tmp_path):
+    out = tmp_path / "x.json"
+    code, report, stderr = _run_process("entropy", "gen", "--out", str(out), "--max-carrier", "0")
+    assert code == 2 and stderr == ""
+    assert report["error"] == "--max-carrier 0: expected an integer >= 1"
+    assert not out.exists()
+
+
+def test_entropy_gen_negative_chains_exit_two(tmp_path):
+    out = tmp_path / "x.json"
+    code, report = invoke("entropy", "gen", "--out", str(out), "--chains", "-1")
+    assert code == 2 and report["error"] == "--chains -1: expected an integer >= 0"
+    assert not out.exists()
+    # no chains at all is a corpus of single maps
+    code, report = invoke("entropy", "gen", "--out", str(out), "--chains", "0", "--max-carrier", "1")
+    assert code == 0 and report["result"]["morphisms"] == 20
+
+
+def test_entropy_combine_lambda_above_one_exit_two(tmp_path):
+    f, g = write(tmp_path, "f.json", COLLAPSE), write(tmp_path, "g.json", RENAME)
+    code, report = invoke("entropy", "combine", "--lambda", "3/2", "--f", f, "--g", g)
+    assert code == 2 and report["error"] == "--lambda 3/2: expected a rational in [0, 1]"
+    code, report = invoke("entropy", "combine", "--lambda", "1", "--f", f, "--g", g)
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "table, candidate, error",
     [

@@ -1,10 +1,11 @@
 """Distribution monad: unit, pushforward, flatten, mixtures."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from convexion.distribution import (
@@ -15,9 +16,11 @@ from convexion.distribution import (
     flatten,
     is_convex_vector,
     map_delta,
+    product,
     pushforward,
 )
 from convexion.errors import (
+    EmptyFactorList,
     NotConvexVector,
     NotNormalized,
     ParseError,
@@ -328,6 +331,17 @@ def fraction_convex_combine(alpha, ps):
     return out
 
 
+def fraction_product(ps):
+    sr = ps[0].semiring
+    out = {}
+    for combo in itertools.product(*(p.as_dict().items() for p in ps)):
+        w = sr.one()
+        for _, v in combo:
+            w = sr.mul(w, v)
+        out[tuple(el for el, _ in combo)] = w
+    return out
+
+
 def assert_integer_form(p):
     """The stored integer form is the canonical form of the payloads."""
     weights = p.as_dict()
@@ -426,6 +440,33 @@ def test_pushforward_matches_fraction_oracle(data):
     got = pushforward(f, p)
     assert got.as_dict() == fraction_pushforward(f, p)
     assert_integer_form(got)
+
+
+@seed(20261019)
+@given(st.data())
+def test_product_matches_fraction_oracle(data):
+    sr = data.draw(SEMIRINGS)
+    ps = data.draw(st.lists(st.one_of(dists(sr), nested_dists(sr, 1)), min_size=1, max_size=3))
+    got = product(ps)
+    assert got.as_dict() == fraction_product(ps)
+    assert_integer_form(got)
+
+
+def test_product_fixed_cases():
+    p = FiniteDistribution({"a": F(1, 3), "b": F(2, 3)})
+    q = FiniteDistribution({"x": "1/2", "y": "1/2"})
+    assert product([p, q]) == FiniteDistribution(
+        {("a", "x"): F(1, 6), ("a", "y"): F(1, 6), ("b", "x"): F(1, 3), ("b", "y"): F(1, 3)}
+    )
+    # one factor: the same weights on 1-tuples
+    assert product([p]) == pushforward(lambda el: (el,), p)
+    assert product([delta("a"), p, delta("c")]) == pushforward(lambda el: ("a", el, "c"), p)
+    # over the Booleans the product of subsets is their cartesian product
+    assert product([boolean_subset("ab"), boolean_subset("c")]) == boolean_subset([("a", "c"), ("b", "c")])
+    with pytest.raises(EmptyFactorList):
+        product([])
+    with pytest.raises(SemiringMismatch, match="mixed semirings"):
+        product([p, delta("a", BOOLEAN)])
 
 
 @given(st.lists(st.sampled_from(["0", "1/3", "2/3", "1/2", "1", 0, 1, F(1, 6)]), max_size=4))

@@ -9,7 +9,7 @@ import pytest
 
 from convexion.category import fin_skeleton
 from convexion.distribution import FiniteDistribution, delta, pushforward
-from convexion.errors import ArityMismatch, InvalidInput, NotMeasurePreserving
+from convexion.errors import ArityMismatch, InvalidInput, NotMeasurePreserving, NotNormalized
 from convexion.finprob import (
     ProbMorphism,
     ProbObject,
@@ -150,6 +150,11 @@ def test_grouping_identity_frozen_value():
     )
     assert abs(shannon_entropy(mixed) - 1.0397207708399179) < 1e-9
 
+
+@pytest.mark.parametrize("lam", [F(3, 2), F(-1, 2), 2])
+def test_combine_objects_rejects_lambda_outside_the_unit_interval(lam):
+    with pytest.raises(NotNormalized, match=f"^mixing weight {lam} is outside \\[0, 1\\]$"):
+        convex_combine_objects(lam, uniform(2), ProbObject(["z"], {"z": F(1)}))
 
 # -- the lax mixture on distributions ---------------------------------------------------
 

@@ -275,6 +275,19 @@ def test_map_evaluation_pushes_weights_through_assignment():
     assert f(e).rep == rd({"x": "3/4", "y": "1/4"})
 
 
+def test_map_value_outside_its_target_is_refused():
+    # ConvexMap itself does not validate its assignment; evaluation does
+    mixed = ConvexMap(FREE_AB, FREE_AB, {"a": FREE_AB.delta("a"), "b": GLUE_AB.delta("b")})
+    assert mixed(FREE_AB.delta("a")) == FREE_AB.delta("a")
+    with pytest.raises(PresentationMismatch, match="not an element of its target"):
+        mixed(FREE_AB.delta("b"))
+    with pytest.raises(PresentationMismatch, match="not an element of its target"):
+        mixed(FREE_AB.element(rd({"a": "1/2", "b": "1/2"})))
+    elsewhere = ConvexMap(FREE_AB, FREE_AB, {g: GLUE_AB.delta(g) for g in "ab"})
+    with pytest.raises(PresentationMismatch, match="not an element of its target"):
+        elsewhere(FREE_AB.element(rd({"a": "1/3", "b": "2/3"})))
+
+
 # -- hom_combine ---------------------------------------------------------------
 
 
