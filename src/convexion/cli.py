@@ -792,7 +792,10 @@ def entropy_combine(args, ctx):
 
     f = jsonio.decode_prob_morphism(jsonio.Job(jsonio.load_json(args.f), "combine"))
     g = jsonio.decode_prob_morphism(jsonio.Job(jsonio.load_json(args.g), "combine"))
-    lam = RATIONAL.parse(args.lam)
+    try:
+        lam = RATIONAL.parse(args.lam)
+    except ParseError as exc:
+        raise ParseError(f"--lambda {args.lam}: {exc}") from None
     if lam > 1:
         raise ParseError(f"--lambda {args.lam}: expected a rational in [0, 1]")
     mixed = convex_combine_morphisms(lam, f, g)

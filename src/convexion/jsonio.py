@@ -331,7 +331,9 @@ def encode_verdict(verdict: EqualityVerdict, pres: Presentation) -> dict:
             }
             for step in verdict.path
         ]
-    if verdict.is_distinct:
+    if verdict.is_distinct and verdict.support:
+        out["support"] = [element_label(g) for g in verdict.support]
+    elif verdict.is_distinct:
         out["invariant"] = {
             element_label(g): str(v)
             for g, v in zip(pres.generators, verdict.invariant)
@@ -355,6 +357,9 @@ def decode_verdict(payload, pres: Presentation) -> EqualityVerdict:
             spect = _generator_map(step.get("spectator", {}), labels)
             steps.append(ZigZagStep(lams, spect))
         return EqualityVerdict("equal", path=tuple(steps), bound=bound.value)
+    if status.value == "distinct" and "support" in job:
+        support = tuple(pres.generators[_generator_at(item, labels)] for item in job["support"].items())
+        return EqualityVerdict("distinct", bound=bound.value, support=support)
     if status.value == "distinct":
         inv = _generator_map(job.get("invariant", {}), labels, signed=True)
         return EqualityVerdict("distinct", invariant=inv, bound=bound.value)
@@ -382,6 +387,14 @@ def _generator_map(job, labels, signed=False):
             raise job.error(f"{label!r} is not a generator")
         dense[labels[label]] = value.literal(signed=signed)
     return tuple(dense)
+
+
+def _generator_at(job, labels):
+    """The index of the generator whose label is the string job."""
+    label = job.expect(str)
+    if label not in labels:
+        raise job.error(f"{label!r} is not a generator")
+    return labels[label]
 
 
 # -- categories and functors ------------------------------------------------------------------

@@ -19,25 +19,40 @@ elements is decided (where possible) by a three-valued engine:
   all-zero step turns a k-step zig-zag into a (k+1)-step one, so
   feasibility is monotone in k and the first feasible level decides the
   same status as one LP at the bound.
-  Before the first level, the LP is cut down to a face.  A set U of
-  generators is respected when every relation pair has both sides
-  meeting U or both missing it.  Let U be the greatest respected set
-  outside supp p and supp q, and W the rest of the generators.  A step
-  from a point supported in W uses only pairs whose moved side lies in
-  W (its start is lambda_j r_j + t), so r_j misses U, so s_j does too,
-  and its end is supported in W again.  So every zig-zag from p stays in
-  W and uses only pairs inside W: the LP keeps the W rows, the W
-  spectators and those pairs, and has the same feasibility as the full
-  one.  Its witness is widened with zero multipliers on the dropped pairs
-  and zero spectators outside W (see _face).
-* Distinct -- witnessed by an affine invariant: a rational assignment on the
-  generators whose induced affine functional is constant across every
-  relation pair but differs on the two inputs.  Such functionals are
-  invariant along one-step moves, so this is sound.
-* Unknown -- neither certificate found within the step bound.  Completeness
+  Before the first level, the LP is cut down to a face.  Let U be the
+  greatest respected set (below) outside supp p and supp q, and W the
+  rest of the generators.  A step from a point supported in W uses only
+  pairs whose moved side lies in W (its start is lambda_j r_j + t), so
+  r_j misses U, so s_j does too, and its end is supported in W again.
+  So every zig-zag from p stays in W and uses only pairs inside W: the
+  LP keeps the W rows, the W spectators and those pairs, and has the
+  same feasibility as the full one.  Its witness is widened with zero
+  multipliers on the dropped pairs and zero spectators outside W (see
+  _Face).
+* Distinct -- witnessed by one of two certificates, tried in this order.
+  An affine invariant: a rational assignment on the generators whose
+  induced affine functional is constant across every relation pair but
+  differs on the two inputs.  Such functionals are invariant along
+  one-step moves, so this is sound.
+  A support set: a set U of generators that is respected, meaning every
+  relation pair has both sides meeting U or both missing it, and that
+  meets the support of exactly one input.  The map x -> [supp x meets U]
+  onto {0, 1} with join is a convex-algebra map, since a mixture with
+  positive weights has the union of the supports as its support; it is
+  constant on every relation pair, so it is constant on each class of
+  the quotient, and it separates the inputs.  Respected sets are closed
+  under union, so the greatest one inside a set is a fixed point
+  (_respected), and eq tries U_y, the greatest respected set missing
+  supp y, then U_x, the same with x and y swapped.
+  The face is that same fixed point: when U_y misses supp x, U_y is the
+  greatest respected set outside supp x and supp y.  U_y is respected and
+  lies outside both supports, so it lies in the greatest such set; that
+  set is respected and misses supp y, so it lies in U_y.  So the LP needs
+  no fixed point of its own.
+* Unknown -- no certificate found within the step bound.  Completeness
   is not claimed; callers that need a decision treat Unknown as an error.
 
-Both witness kinds replay mechanically, in integers; see verify_verdict.
+Every witness replays mechanically, in integers; see verify_verdict.
 eq's invariant test also runs in integers, on each element's integer
 form (_nums over _den) and the invariant basis scaled to ints.  A verdict's
 bound is the step bound that was asked for, not the level where the
@@ -305,6 +320,7 @@ class EqualityVerdict:
     path: tuple = ()  # ZigZagSteps for Equal
     invariant: tuple = ()  # dense rational assignment for Distinct
     bound: int = DEFAULT_STEP_BOUND  # the requested step bound
+    support: tuple = ()  # respected generators for Distinct, in place of invariant
 
     @property
     def is_equal(self):
@@ -326,8 +342,10 @@ def eq(
 ) -> EqualityVerdict:
     """Decide equality in the quotient, with a replayable certificate.
 
-    Distinct is tried first, through the invariant basis.  Then the
-    zig-zag LP, cut down to the face of e1 and e2 (_face), is solved at
+    Distinct is tried first, through the invariant basis, then through
+    the support sets U_y and U_x (in generator order in the verdict).
+    Then the zig-zag LP, cut down to the face that U_x gives (the module
+    docstring says why it is the face of e1 and e2), is solved at
     k = 1, 2, 4, ..., step_bound; the first
     feasible level gives Equal with its path (at most k steps), and if
     every level is infeasible the verdict is Unknown.  The verdict's bound
@@ -348,8 +366,15 @@ def eq(
         if _value(ints, x) * y._den != _value(ints, y) * x._den:
             return EqualityVerdict("distinct", invariant=vec, bound=step_bound)
 
+    for p, q in ((x, y), (y, x)):  # U_y, then U_x
+        outside = _respected(pres, set(pres._gen_index).difference(q._weights))
+        if not outside.isdisjoint(p._weights):
+            support = tuple(g for g in pres.generators if g in outside)
+            return EqualityVerdict("distinct", bound=step_bound, support=support)
+
+    # U_x misses supp y, so it is the greatest respected set outside both
     if pres.relations and step_bound >= 1:
-        face = _face(pres, x, y)
+        face = _face(pres, outside)
         for k in _deepening_levels(step_bound):
             steps = _zigzag_search(face, x, y, k)
             if steps is not None:
@@ -363,15 +388,13 @@ def _value(ints, dist):
     return sum([n * a for g, n in dist._nums.items() if (a := ints.get(g))])
 
 
-def _face(pres, p, q):
-    """Where a zig-zag from p to q must stay: pres cut down to W = X minus
-    U, for U the greatest respected set of generators outside supp p and
-    supp q (a _Face); pres itself when that U is empty.
+def _respected(pres, outside):
+    """The greatest respected set of generators inside the set outside,
+    which is updated in place and returned.
 
     Respected sets are closed under union, so the greatest one inside a
     set is its fixed point under: while some relation has exactly one
     side meeting U, remove that side's support from U."""
-    outside = set(pres._gen_index).difference(p._weights, q._weights)
     stable = not outside
     while not stable:
         stable = True
@@ -380,6 +403,13 @@ def _face(pres, p, q):
             if meets == outside.isdisjoint(rhs._weights):  # one side only
                 outside.difference_update((lhs if meets else rhs)._weights)
                 stable = not outside
+    return outside
+
+
+def _face(pres, outside):
+    """Where a zig-zag between two points must stay, given the greatest
+    respected set outside their supports: pres cut down to the rest of
+    the generators (a _Face), or pres itself when that set is empty."""
     return _Face(pres, outside) if outside else pres
 
 
@@ -564,7 +594,9 @@ def verify_verdict(
     step's ZigZagStep.integer_endpoints), and two points are compared by
     cross-multiplication.  A Distinct invariant is scaled to ints, checked
     orthogonal to the cached integer difference rows, and evaluated on
-    both elements' integer forms."""
+    both elements' integer forms.  A Distinct support set must hold only
+    generators, be respected by every relation and meet the support of
+    exactly one element (so it is not empty)."""
     pres = e1.presentation
     if pres != e2.presentation:
         return False
@@ -583,6 +615,13 @@ def verify_verdict(
                 return False
             point, scale = end, step_scale
         return _same_point(point, scale, y._nums, y._den)
+    if verdict.is_distinct and verdict.support:
+        u = set(verdict.support)
+        return (
+            u <= pres._gen_index.keys()
+            and all(u.isdisjoint(lhs._weights) == u.isdisjoint(rhs._weights) for lhs, rhs in pres.relations)
+            and u.isdisjoint(x._weights) != u.isdisjoint(y._weights)
+        )
     if verdict.is_distinct:
         vec = verdict.invariant
         if len(vec) != len(pres.generators):

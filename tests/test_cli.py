@@ -917,6 +917,51 @@ def test_well_formed_certificates_verify(tmp_path):
     assert code == 0 and report["result"]["verified"] is True
 
 
+# a ~ a/2 + b/2: a and b agree on every affine invariant, and {a} is a
+# respected set that separates them.
+ABSORB = {
+    "generators": ["a", "b"],
+    "relations": [
+        [
+            {"weights": [{"el": "a", "w": "1"}]},
+            {"weights": [{"el": "a", "w": "1/2"}, {"el": "b", "w": "1/2"}]},
+        ]
+    ],
+}
+DELTA_A, DELTA_B = ({"weights": [{"el": g, "w": "1"}]} for g in "ab")
+
+
+def test_support_certificate_replays_and_a_tampered_one_fails(tmp_path):
+    job = {"op": "eq", "presentation": ABSORB, "lhs": DELTA_A, "rhs": DELTA_B}
+    code, report, _ = _run_process("eq", "--job", write(tmp_path, "eq.json", job))
+    verdict = report["result"]["verdict"]
+    assert code == 0 and report["result"]["verified"] is True
+    assert verdict == {"status": "distinct", "bound": 4, "support": ["a"]}
+    job.update(op="verify", verdict=verdict)
+    code, report, _ = _run_process("eq", "--job", write(tmp_path, "verify.json", job))
+    assert code == 0 and report["result"]["verified"] is True
+    verdict["support"] = ["b"]
+    code, report, _ = _run_process("eq", "--job", write(tmp_path, "tampered.json", job))
+    assert code == 1 and report["result"]["verified"] is False
+
+
+@pytest.mark.parametrize(
+    "support, error",
+    [
+        ("a", "verdict.support: expected a JSON list"),
+        ({"a": "1"}, "verdict.support: expected a JSON list"),
+        ([7], "verdict.support[0]: expected a JSON string"),
+        (["a", None], "verdict.support[1]: expected a JSON string"),
+        (["z"], "verdict.support[0]: 'z' is not a generator"),
+    ],
+)
+def test_malformed_support_exit_two(tmp_path, support, error):
+    verdict = {"status": "distinct", "support": support}
+    code, report, stderr = _run_process("eq", "--job", _verify_job(tmp_path, verdict, DELTA_A, DELTA_B))
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"] == error
+
+
 @pytest.mark.parametrize("missing", ["presentation", "lhs", "rhs", "verdict"])
 def test_verify_job_missing_field_exit_two(tmp_path, missing):
     payload = {
@@ -2019,6 +2064,19 @@ def test_entropy_combine_lambda_above_one_exit_two(tmp_path):
     assert code == 2 and report["error"] == "--lambda 3/2: expected a rational in [0, 1]"
     code, report = invoke("entropy", "combine", "--lambda", "1", "--f", f, "--g", g)
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "flag, error",
+    [
+        (["--lambda", "x"], "--lambda x: bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+        (["--lambda=-1/2"], "--lambda -1/2: negative coefficient '-1/2' is not allowed"),
+    ],
+)
+def test_entropy_combine_bad_lambda_names_the_flag(tmp_path, flag, error):
+    f, g = write(tmp_path, "f.json", COLLAPSE), write(tmp_path, "g.json", RENAME)
+    code, report = invoke("entropy", "combine", *flag, "--f", f, "--g", g)
+    assert code == 2 and report["error"] == error
 
 
 @pytest.mark.parametrize(

@@ -347,13 +347,17 @@ def test_eq_verdicts_monotone_in_bound(data):
 
 
 def single_lp_status(e1, e2, bound):
-    """The status of eq without deepening: the same invariant check, then
-    one zig-zag LP at the full bound."""
+    """The status of eq without deepening: the same invariant check, the
+    support check against respected_oracle, then one zig-zag LP at the
+    full bound."""
     pres = e1.presentation
     if e1.rep == e2.rep:
         return "equal"
     diff = [e1.rep.weight(g) - e2.rep.weight(g) for g in pres.generators]
     if any(dot(vec, diff) != 0 for vec in pres.invariant_basis):
+        return "distinct"
+    x, y = e1.rep.support(), e2.rep.support()
+    if respected_oracle(pres, y) & x or respected_oracle(pres, x) & y:
         return "distinct"
     if bound >= 1 and pres.relations:
         if presentation._zigzag_search(pres, e1.rep, e2.rep, bound) is not None:
@@ -451,11 +455,13 @@ def test_unknown_solves_every_level(monkeypatch):
 
 
 def test_bound_16_unknown_stays_cheap(monkeypatch):
-    # Four generators, two relations, and g2 against g1/2 + g2/2: Unknown
-    # at every level.  The chained LP ran past 144,000 pivots at bound 16
-    # without finishing; the difference form starts phase 1 with
+    # Four generators, two relations, and g2 against g1/2 + g2/2: no
+    # zig-zag at any level.  The chained LP ran past 144,000 pivots at
+    # bound 16 without finishing; the difference form starts phase 1 with
     # artificials on 4 rows per level, and all levels together take about
-    # 70 eliminations.
+    # 70 eliminations.  eq no longer solves them: {g0, g1, g3} is
+    # respected and meets only the second support, so the pair is
+    # Distinct by support, with no elimination at all.
     pres = Presentation(
         ["g0", "g1", "g2", "g3"],
         [
@@ -469,10 +475,18 @@ def test_bound_16_unknown_stays_cheap(monkeypatch):
             ),
         ],
     )
+    lhs, rhs = pres.delta("g2"), pres.element(rd({"g1": "1/2", "g2": "1/2"}))
+    face = presentation._face(pres, presentation._respected(pres, {"g0", "g3"}))
+    assert face.generators == ["g1", "g2"]
     with recorded_pivots(monkeypatch) as eliminations:
-        v = eq(pres.delta("g2"), pres.element(rd({"g1": "1/2", "g2": "1/2"})), 16)
-    assert v.is_unknown and v.bound == 16
+        levels = [presentation._zigzag_search(face, lhs.rep, rhs.rep, k) for k in presentation._deepening_levels(16)]
+    assert levels == [None] * 5
     assert len(eliminations) <= 1000
+    pres.invariant_basis  # its two RREF eliminations are not the LP's
+    with recorded_pivots(monkeypatch) as eliminations:
+        v = eq(lhs, rhs, 16)
+    assert v == EqualityVerdict("distinct", bound=16, support=("g0", "g1", "g3"))
+    assert verify_verdict(v, lhs, rhs) and eliminations == []
 
 
 def test_maps_agree_helper():
@@ -515,10 +529,13 @@ def test_undecided_raised_at_bound_zero():
 # -- verdict identity on a seeded corpus ---------------------------------------------------
 #
 # The sha256 of the repr of every verdict (status, path, invariant, bound)
-# over a fixed corpus, recorded before the face presolve and the integer
-# prelude and replay went in.  Both leave every verdict as it was, so the
-# digest must not move.  The corpus has sparse relation sides and sparse
-# elements, so many of its pairs leave a proper respected face.
+# over a fixed corpus, recorded before the face presolve, the integer
+# prelude and replay, and the support certificate went in.  The first
+# three leave every verdict as it was; the support certificate turns
+# Unknowns into Distinct, and each of those is hashed as the Unknown it
+# replaced, so the digest must not move.  The corpus has sparse relation
+# sides and sparse elements, so many of its pairs leave a proper
+# respected face, and many of its Unknowns are support-separated.
 VERDICT_DIGEST = "cc30934013c627cd81c5662efb486cdac8ef29022a8d997b6368b68d6ae1e8d5"
 VERDICT_SEED = 4817
 
@@ -571,17 +588,26 @@ def verdict_corpus(seed=VERDICT_SEED):
     return corpus
 
 
+def _pinned_repr(v):
+    """repr(v) as EqualityVerdict wrote it before it had a support field,
+    with a support verdict written as the Unknown it replaced."""
+    if v.support:
+        v = EqualityVerdict("unknown", bound=v.bound)
+    return f"EqualityVerdict(status={v.status!r}, path={v.path!r}, invariant={v.invariant!r}, bound={v.bound!r})"
+
+
 def test_verdicts_on_the_seeded_corpus_are_pinned():
     text, statuses, cut = [], Counter(), 0
     for e1, e2, bound in verdict_corpus():
         v = eq(e1, e2, bound)
         assert verify_verdict(v, e1, e2)
-        statuses[v.status] += 1
-        text.append(repr(v))
+        statuses["support" if v.support else v.status] += 1
+        text.append(_pinned_repr(v))
         pres = e1.presentation
         reaches_lp = not v.is_distinct and e1.rep != e2.rep
-        cut += reaches_lp and presentation._face(pres, e1.rep, e2.rep) is not pres
-    assert set(statuses) == {"equal", "distinct", "unknown"}
+        cut += reaches_lp and face_of(pres, e1.rep, e2.rep) is not pres
+    assert set(statuses) == {"equal", "distinct", "unknown", "support"}
+    assert statuses["support"] == 33 and statuses["unknown"] == 13  # of the 46 Unknowns before
     assert cut >= 40  # pairs that reach the LP and leave a proper respected face
     assert hashlib.sha256("\n".join(text).encode()).hexdigest() == VERDICT_DIGEST
 
@@ -589,11 +615,33 @@ def test_verdicts_on_the_seeded_corpus_are_pinned():
 # -- the face presolve ---------------------------------------------------------------------
 
 
+def face_of(pres, p, q):
+    """The face of p and q, from the greatest respected set outside both
+    supports."""
+    return presentation._face(pres, presentation._respected(pres, set(pres.generators) - p.support() - q.support()))
+
+
 def respected_oracle(pres, inside):
     """The greatest respected set of generators outside inside, as the
     union of every respected subset: a subset U is respected when each
-    relation's two sides both meet U or both miss it."""
+    relation's two sides both meet U or both miss it.
+
+    Above 16 free generators the subsets are too many, and the set is
+    read off the complements instead: U is respected exactly when its
+    complement F has, for each relation, both sides inside F or neither.
+    Such sets F are closed under intersection, so the least one holding
+    inside exists, and its complement is the greatest respected set.  It
+    is grown here from inside by adding a relation's other side whenever
+    one side lies in it."""
     free = [g for g in pres.generators if g not in inside]
+    if len(free) > 16:
+        closed = set(inside)
+        while grown := [
+            s for l, r in pres.relations for t, s in ((l, r), (r, l))
+            if t.support() <= closed and not s.support() <= closed
+        ]:
+            closed.update(*(s.support() for s in grown))
+        return set(free) - closed
     greatest = set()
     for size in range(1, len(free) + 1):
         for subset in itertools.combinations(free, size):
@@ -617,7 +665,7 @@ def test_face_presolve_keeps_every_level(data):
     e1 = pres.element(_sparse_dist(rng, gens))
     e2 = _partner(rng, e1, 3)
     outside = respected_oracle(pres, e1.rep.support() | e2.rep.support())
-    face = presentation._face(pres, e1.rep, e2.rep)
+    face = face_of(pres, e1.rep, e2.rep)
     assert (face is pres) == (not outside)
     assert list(face.generators) == [g for g in pres.generators if g not in outside]
     for k in range(1, 5):
@@ -643,7 +691,7 @@ def test_face_drops_the_generators_a_zigzag_cannot_reach():
         [(delta("a"), rd({"b": "1/2", "c": "1/2"})), (delta("d"), delta("e"))],
     )
     lhs, rhs = pres.delta("a"), pres.element(rd({"b": "1/2", "c": "1/2"}))
-    face = presentation._face(pres, lhs.rep, rhs.rep)
+    face = face_of(pres, lhs.rep, rhs.rep)
     assert face.generators == ["a", "b", "c"]
     assert face.symmetric_relations == list(pres.symmetric_relations[:2])
     rows, _, ncols = presentation._zigzag_lp(face, face.vector(lhs.rep), face.vector(rhs.rep), 1)
@@ -660,11 +708,11 @@ def test_face_drops_the_generators_a_zigzag_cannot_reach():
     )
     a, e = chain.delta("a"), chain.delta("e")
     assert respected_oracle(chain, {"a", "e"}) == {"d"}
-    assert presentation._face(chain, a.rep, e.rep).generators == ["a", "b", "c", "e"]
+    assert face_of(chain, a.rep, e.rep).generators == ["a", "b", "c", "e"]
     # With d in the support nothing is dropped: d ~ e is respected by no
     # set that misses d and meets e.
     far = pres.element(rd({"a": "1/2", "d": "1/2"}))
-    assert presentation._face(pres, far.rep, pres.element(rd({"b": "1/4", "c": "1/4", "e": "1/2"})).rep) is pres
+    assert face_of(pres, far.rep, pres.element(rd({"b": "1/4", "c": "1/4", "e": "1/2"})).rep) is pres
 
 
 # -- the integer replay ------------------------------------------------------------------
@@ -765,3 +813,97 @@ def test_replay_accepts_int_entries():
     assert separated.invariant == (F(1), F(0))
     ints = EqualityVerdict("distinct", invariant=(1, 0))
     assert verify_verdict(ints, FREE_AB.delta("a"), FREE_AB.delta("b"))
+
+
+# -- the support certificate ---------------------------------------------------------------
+
+# a ~ a/2 + b/2
+ABSORB = Presentation(["a", "b"], [(delta("a"), rd({"a": "1/2", "b": "1/2"}))])
+
+
+def test_a_against_b_under_absorption_is_distinct_by_support():
+    # The only invariants are multiples of [a] + [b], which take 1 on both
+    # a and b, and no zig-zag joins them at any level; but {a} is
+    # respected (both sides of the relation meet it) and misses b.
+    a, b = ABSORB.delta("a"), ABSORB.delta("b")
+    assert all(vec[0] == vec[1] for vec in ABSORB.invariant_basis)
+    assert all(presentation._zigzag_search(ABSORB, a.rep, b.rep, k) is None for k in range(1, 7))
+    for bound in range(7):
+        for lhs, rhs in ((a, b), (b, a)):
+            v = eq(lhs, rhs, bound)
+            assert v == EqualityVerdict("distinct", bound=bound, support=("a",))
+            assert verify_verdict(v, lhs, rhs)
+    # the mixture a/2 + b/2 meets {a} as well: it is equal to a, not to b
+    mid = ABSORB.element(rd({"a": "1/2", "b": "1/2"}))
+    assert eq(a, mid, 1).is_equal
+    assert eq(mid, b, 4).support == ("a",)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_support_verdicts_take_the_greatest_respected_set(data):
+    # 2-5 generators, 1-3 relations with sparse sides, and a sparse random
+    # partner.  A support verdict carries U_y, the greatest respected set
+    # missing supp y, when it meets supp x, and U_x otherwise.  When
+    # neither separates, both are the greatest respected set outside
+    # both supports: the face that the LP is solved on.
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    gens = [f"g{i}" for i in range(rng.randint(2, 5))]
+    pres = _sparse_presentation(rng, gens, rng.randint(1, 3))
+    assume(pres.relations)
+    e1, e2 = (pres.element(_sparse_dist(rng, gens)) for _ in range(2))
+    v = eq(e1, e2, rng.randint(0, 3))
+    assert verify_verdict(v, e1, e2)
+    x, y = e1.rep.support(), e2.rep.support()
+    u_y, u_x = respected_oracle(pres, y), respected_oracle(pres, x)
+    if v.support:
+        expected = u_y if u_y & x else u_x
+        assert v.support == tuple(g for g in pres.generators if g in expected)
+    elif not v.is_distinct and x != y:
+        assert not u_y & x and not u_x & y
+        assert u_y == u_x == respected_oracle(pres, x | y)
+        everywhere = set(pres.generators)
+        assert presentation._respected(pres, everywhere - y) == u_y
+        assert presentation._respected(pres, everywhere - x) == u_x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_no_support_verdict_on_a_rewrite_chain(data):
+    # the partner is equal by construction, so no certificate may separate it
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    gens = [f"g{i}" for i in range(rng.randint(2, 5))]
+    pres = _sparse_presentation(rng, gens, rng.randint(1, 3))
+    assume(pres.relations)
+    e1 = pres.element(_sparse_dist(rng, gens))
+    target = _rewrite(rng, pres, pres.vector(e1.rep), rng.randint(1, 4))
+    assume(target is not None)
+    e2 = pres.element(pres.dist_from_vector(target))
+    for bound in range(5):
+        v = eq(e1, e2, bound)
+        assert not v.is_distinct and not v.support
+        assert verify_verdict(v, e1, e2)
+
+
+def test_replay_rejects_forged_support_certificates():
+    # a ~ a/2 + b/2 and c ~ d, with a against b
+    pres = Presentation(
+        ["a", "b", "c", "d"],
+        [(delta("a"), rd({"a": "1/2", "b": "1/2"})), (delta("c"), delta("d"))],
+    )
+    a, b = pres.delta("a"), pres.delta("b")
+    v = eq(a, b, 2)
+    assert v.support == ("a", "c", "d") and verify_verdict(v, a, b)
+
+    def replays(support):
+        return verify_verdict(EqualityVerdict("distinct", support=support), a, b)
+
+    assert replays(("a",)) and replays(("d", "a", "c")) and replays(("a",) * 2)
+    assert not replays(("a", "c"))  # c ~ d has only its left side meeting it
+    assert not replays(("a", "b"))  # meets both supports
+    assert not replays(("c", "d"))  # meets neither
+    assert not replays(())  # empty: no certificate at all
+    assert not replays(("a", "z"))  # z is not a generator
+    assert verify_verdict(EqualityVerdict("distinct", support=("a",)), b, a)
+    mid = pres.element(rd({"a": "1/2", "b": "1/2"}))  # equal to a
+    assert not verify_verdict(EqualityVerdict("distinct", support=("a",)), a, mid)
