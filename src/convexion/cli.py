@@ -926,10 +926,25 @@ def _load_job(args):
     return jsonio.Job(job, job["op"])
 
 
+def _glue_dash_values(argv):
+    """argv with each op flag that a token such as -1/2 follows joined to
+    it as --flag=-1/2.  argparse reads a token that begins with a dash as
+    an option unless it is a plain negative int or decimal, so the value
+    would not reach the handler that judges it."""
+    flags = {flag for pairs in FLAGS.values() for flag, _ in pairs}
+    out = []
+    for token in argv:
+        if out and out[-1] in flags and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv=None):
     """Parse, dispatch, and return (exit_code, report, report_path)."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_dash_values(sys.argv[1:] if argv is None else argv))
     ctx = {"bound": args.bound, "tol": args.tol, "seed": args.seed}
     report = {
         "tool": {"name": "convexion", "version": __version__},

@@ -9,19 +9,21 @@ equality is O(support).  Elements are arbitrary hashables (strings in the
 JSON interface; tuples and other distributions appear internally for
 tensors and nesting).
 
-Next to its payload map every distribution keeps its integer form, built
-once by the constructor: ``_nums`` maps each support element to a positive
-int and ``_den`` is one common denominator, with the semiring fixing the
-form (``Semiring.int_form``).  Over the rationals ``_den`` is the lcm of
+A distribution stores only its integer form, built once by the
+constructor: ``_nums`` maps each support element to a positive int and
+``_den`` is one common denominator, with the semiring fixing the form
+(``Semiring.canonical_form``).  Over the rationals ``_den`` is the lcm of
 the reduced denominators, so ``gcd(_den, *_nums.values()) == 1``: the form
 is canonical, equal distributions have equal forms, and normalisation is
 ``sum(_nums.values()) == _den``.  Over the Booleans every weight is 1 over
-1.  ``flatten``, ``convex_combine`` and ``pushforward`` add integer
-numerators over one common denominator, ``product`` multiplies them over
-the product of the denominators, and each builds its result through one
-trusted constructor, which brings the sum into canonical form and makes
-one payload per support element; equality and hashing read the integer
-form, everything else the payloads.
+1.  The constructor reads each weight straight into a numerator and a
+denominator (``Semiring.ratio``).  ``flatten``, ``convex_combine`` and
+``pushforward`` add integer numerators over one common denominator,
+``product`` multiplies them over the product of the denominators, and each
+builds its result through one trusted constructor, which brings the sum
+into canonical form.  Equality and hashing read the integer form; the
+payloads that ``weight``, ``items``, ``as_dict`` and ``repr`` show are
+built on demand (``Semiring.payload``).
 """
 
 from __future__ import annotations
@@ -64,32 +66,19 @@ def element_label(el) -> str:
 class FiniteDistribution:
     """Finite-support weight map summing to one in its semiring.
 
-    ``_weights`` holds the payloads (element -> nonzero weight) and
-    ``_nums``/``_den`` the same weights as integer numerators over one
-    denominator in the semiring's canonical form (see the module text).
+    ``_nums``/``_den`` hold the weights as positive integer numerators over
+    one denominator in the semiring's canonical form (see the module text);
+    the payloads are views built from them.
     """
 
-    __slots__ = ("semiring", "_weights", "_nums", "_den", "_hash")
+    __slots__ = ("semiring", "_nums", "_den", "_hash")
 
     def __init__(self, weights: Mapping, semiring: Semiring = RATIONAL):
-        cleaned = {}
-        for el, w in weights.items():
-            w = semiring.coerce(w)
-            if semiring.is_zero(w):
-                continue
-            if el in cleaned:
-                w = semiring.add(cleaned[el], w)
-            cleaned[el] = w
-        nums, den = semiring.int_form(cleaned)
-        if not semiring.is_normalized(nums, den):
-            total = semiring.sum(cleaned.values())
-            raise NotNormalized(
-                f"weights sum to {semiring.format(total)}, expected 1"
-            )
+        ratio = semiring.ratio
+        ratios = {el: ratio(w) for el, w in weights.items()}
+        acc, den = _common_denominator(ratios, semiring)
         self.semiring = semiring
-        self._weights = cleaned
-        self._nums = nums
-        self._den = den
+        self._nums, self._den = semiring.canonical_form(acc, den)
         self._hash = None
 
     @classmethod
@@ -98,7 +87,7 @@ class FiniteDistribution:
         sum to ``den``; the semiring brings them into canonical form."""
         self = object.__new__(cls)
         self.semiring = semiring
-        self._nums, self._den, self._weights = semiring.canonical_form(acc, den)
+        self._nums, self._den = semiring.canonical_form(acc, den)
         self._hash = None
         return self
 
@@ -106,23 +95,25 @@ class FiniteDistribution:
 
     def weight(self, el):
         """Weight of el (zero if outside the support)."""
-        return self._weights.get(el, self.semiring.zero())
+        n = self._nums.get(el)
+        return self.semiring.payload(n, self._den) if n else self.semiring.zero()
 
     __call__ = weight
 
     def support(self):
-        return frozenset(self._weights)
+        return frozenset(self._nums)
 
     @property
     def support_size(self) -> int:
-        return len(self._weights)
+        return len(self._nums)
 
     def items(self):
         """Support/weight pairs in canonical order."""
-        return sorted(self._weights.items(), key=lambda kv: element_key(kv[0]))
+        return sorted(self.as_dict().items(), key=lambda kv: element_key(kv[0]))
 
     def as_dict(self) -> dict:
-        return dict(self._weights)
+        payload, den = self.semiring.payload, self._den
+        return {el: payload(n, den) for el, n in self._nums.items()}
 
     # -- value semantics --------------------------------------------------
 
@@ -148,6 +139,18 @@ class FiniteDistribution:
             for el, w in self.items()
         )
         return "{" + body + "}"
+
+
+def _common_denominator(ratios: Mapping, semiring: Semiring):
+    """(acc, den): the weights that ``ratios`` maps elements to as
+    (numerator, denominator) int pairs, as numerators over their lcm den,
+    zeros dropped; NotNormalized unless they sum to one."""
+    den = lcm(*[d for n, d in ratios.values() if n])
+    acc = {el: n * (den // d) for el, (n, d) in ratios.items() if n}
+    if not semiring.is_normalized(acc, den):
+        total = semiring.payload(sum(acc.values()), den)
+        raise NotNormalized(f"weights sum to {semiring.format(total)}, expected 1")
+    return acc, den
 
 
 def delta(el, semiring: Semiring = RATIONAL) -> FiniteDistribution:
@@ -204,7 +207,9 @@ def flatten(nested: FiniteDistribution) -> FiniteDistribution:
 
 
 def _coefficient_form(alpha: Sequence, sr: Semiring):
-    return sr.int_form(dict(enumerate(sr.coerce(a) for a in alpha)))
+    ratios = [sr.ratio(a) for a in alpha]
+    den = lcm(*[d for _, d in ratios])
+    return {i: n * (den // d) for i, (n, d) in enumerate(ratios)}, den
 
 
 def is_convex_vector(alpha: Sequence, semiring: Semiring = RATIONAL) -> bool:

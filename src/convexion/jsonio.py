@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .distribution import FiniteDistribution, element_label
+from .distribution import FiniteDistribution, _common_denominator, element_label
 from .errors import InvalidInput, ParseError
 from .join import JoinElement, JoinSpace, join_point
 from .matprop import QConvOp, RMatrix
@@ -192,17 +192,31 @@ def encode_distribution(dist: FiniteDistribution) -> dict:
 
 
 def decode_distribution(payload, semiring: Semiring | None = None) -> FiniteDistribution:
+    """The distribution of a {"weights": [{"el": ..., "w": ...}, ...]}
+    object.  Each weight literal is read straight into a numerator and a
+    denominator; an item's reader is built only to raise its error."""
     job = _reader(payload)
     if semiring is None:
         semiring = semiring_of(job)
-    weights = {}
-    for item in job["weights"].items():
+    weights = job["weights"]
+    ratios = {}
+    for i, entry in enumerate(weights.expect(list)):
+        if (
+            isinstance(entry, dict)
+            and isinstance(el := entry.get("el"), str)
+            and "w" in entry
+            and el not in ratios
+        ):
+            try:
+                ratios[el] = semiring.read(str(entry["w"]))
+                continue
+            except ParseError:
+                pass
+        item = Job(entry, i, weights)
         el = item.typed("el", str)
-        w = item["w"].literal(semiring)
-        if el in weights:
-            raise item["el"].error(f"duplicate element {el!r} in distribution")
-        weights[el] = w
-    return FiniteDistribution(weights, semiring)
+        item["w"].literal(semiring)
+        raise item["el"].error(f"duplicate element {el!r} in distribution")
+    return FiniteDistribution._from_numerators(*_common_denominator(ratios, semiring), semiring)
 
 
 # -- presentations ------------------------------------------------------------------

@@ -56,6 +56,16 @@ class RMatrix:
         self.semiring = semiring
 
     @classmethod
+    def _trusted(cls, entries: tuple, rows: int, cols: int, semiring: Semiring) -> "RMatrix":
+        """Trusted constructor: entries is a tuple of rows rows, each a
+        tuple of cols payloads of semiring, taken as they are."""
+        self = object.__new__(cls)
+        self.rows, self.cols = rows, cols
+        self.entries = entries
+        self.semiring = semiring
+        return self
+
+    @classmethod
     def identity(cls, n: int, semiring: Semiring = RATIONAL) -> "RMatrix":
         one, zero = semiring.one(), semiring.zero()
         return cls(
@@ -116,8 +126,8 @@ def compose(m: RMatrix, n: RMatrix) -> RMatrix:
             for k in range(m.cols):
                 acc = sr.add(acc, sr.mul(m.entries[i][k], n.entries[k][j]))
             row.append(acc)
-        out.append(row)
-    return RMatrix(out, rows=m.rows, cols=n.cols, semiring=sr)
+        out.append(tuple(row))
+    return RMatrix._trusted(tuple(out), m.rows, n.cols, sr)
 
 
 def direct_sum(m: RMatrix, n: RMatrix) -> RMatrix:
@@ -126,14 +136,10 @@ def direct_sum(m: RMatrix, n: RMatrix) -> RMatrix:
         raise SemiringMismatch("matrices over different semirings")
     sr = m.semiring
     zero = sr.zero()
-    out = []
-    for row in m.entries:
-        out.append(list(row) + [zero] * n.cols)
-    for row in n.entries:
-        out.append([zero] * m.cols + list(row))
-    return RMatrix(
-        out, rows=m.rows + n.rows, cols=m.cols + n.cols, semiring=sr
+    out = tuple(row + (zero,) * n.cols for row in m.entries) + tuple(
+        (zero,) * m.cols + row for row in n.entries
     )
+    return RMatrix._trusted(out, m.rows + n.rows, m.cols + n.cols, sr)
 
 
 def permute(tau: Sequence[int], m: RMatrix, sigma: Sequence[int]) -> RMatrix:
@@ -144,11 +150,11 @@ def permute(tau: Sequence[int], m: RMatrix, sigma: Sequence[int]) -> RMatrix:
         raise SizeMismatch(
             f"column permutation has size {len(sigma)}, need {m.cols}"
         )
-    out = [
-        [m.entries[tau[i]][sigma[j]] for j in range(m.cols)]
+    out = tuple(
+        tuple(m.entries[tau[i]][sigma[j]] for j in range(m.cols))
         for i in range(m.rows)
-    ]
-    return RMatrix(out, rows=m.rows, cols=m.cols, semiring=m.semiring)
+    )
+    return RMatrix._trusted(out, m.rows, m.cols, m.semiring)
 
 
 # -- the quasiconvexity operad -------------------------------------------------

@@ -125,8 +125,10 @@ class Presentation:
         return PresentedElement(self, FiniteDistribution(weights, RATIONAL))
 
     def vector(self, dist: FiniteDistribution):
-        """Dense coefficient vector of a distribution over the generators."""
-        return [dist.weight(g) for g in self.generators]
+        """Dense coefficient vector of a distribution over the generators,
+        each entry in lowest terms as a (numerator, denominator) int pair."""
+        nums, den = dist._nums, dist._den
+        return [_lowest(nums.get(g, 0), den) for g in self.generators]
 
     def dist_from_vector(self, vec) -> FiniteDistribution:
         return FiniteDistribution(
@@ -158,15 +160,16 @@ class Presentation:
         r_at = [{} for _ in self.generators]
         s_at = [{} for _ in self.generators]
         for j, (lhs, rhs) in enumerate(self.symmetric_relations):
-            for g, w in lhs.items():
-                r_at[index[g]][j] = w
-            for g, w in rhs.items():
-                s_at[index[g]][j] = w
+            for side, at in ((lhs, r_at), (rhs, s_at)):
+                for g, n in side._nums.items():
+                    at[index[g]][j] = (n, side._den)
         columns = []
         for r, s in zip(r_at, s_at):
-            diff = {
-                j: d for j in sorted(r.keys() | s.keys()) if (d := r.get(j, 0) - s.get(j, 0))
-            }
+            diff = {}
+            for j in sorted(r.keys() | s.keys()):
+                (rn, rd), (sn, sd) = r.get(j, (0, 1)), s.get(j, (0, 1))
+                if dn := rn * sd - sn * rd:
+                    diff[j] = (dn, rd * sd)
             r_lcm, r_ints = _integer_entries(r)
             d_lcm, d_ints = _integer_entries(diff)
             s_minus_r = tuple((j, -v) for j, v in d_ints)
@@ -367,8 +370,8 @@ def eq(
             return EqualityVerdict("distinct", invariant=vec, bound=step_bound)
 
     for p, q in ((x, y), (y, x)):  # U_y, then U_x
-        outside = _respected(pres, set(pres._gen_index).difference(q._weights))
-        if not outside.isdisjoint(p._weights):
+        outside = _respected(pres, set(pres._gen_index).difference(q._nums))
+        if not outside.isdisjoint(p._nums):
             support = tuple(g for g in pres.generators if g in outside)
             return EqualityVerdict("distinct", bound=step_bound, support=support)
 
@@ -399,9 +402,9 @@ def _respected(pres, outside):
     while not stable:
         stable = True
         for lhs, rhs in pres.relations:
-            meets = not outside.isdisjoint(lhs._weights)
-            if meets == outside.isdisjoint(rhs._weights):  # one side only
-                outside.difference_update((lhs if meets else rhs)._weights)
+            meets = not outside.isdisjoint(lhs._nums)
+            if meets == outside.isdisjoint(rhs._nums):  # one side only
+                outside.difference_update((lhs if meets else rhs)._nums)
                 stable = not outside
     return outside
 
@@ -433,7 +436,7 @@ class _Face:
         self._pair_at = [
             j
             for j, (r, _) in enumerate(pres.symmetric_relations)
-            if outside.isdisjoint(r._weights)
+            if outside.isdisjoint(r._nums)
         ]
         self.generators = [pres.generators[x] for x in self._gen_at]
         self.symmetric_relations = [pres.symmetric_relations[j] for j in self._pair_at]
@@ -533,19 +536,19 @@ def _zigzag_lp(pres, pv, qv, k):
     for x, (r, r_lcm, r_minus_s, s_minus_r, d_lcm) in enumerate(
         pres._integer_columns
     ):
-        p = pv[x]
-        scale = lcm(r_lcm, p.denominator)  # step 0 has no earlier moves
+        pn, pd = pv[x]
+        scale = lcm(r_lcm, pd)  # step 0 has no earlier moves
         f = scale // r_lcm
         row = {j: v * f for j, v in r}
         row[nj + x] = scale
         rows[x] = row
-        rhs[x] = p.numerator * (scale // p.denominator)
+        rhs[x] = pn * (scale // pd)
         if k > 1:  # steps 1 .. k-1 share one scale and add (r - s) blocks
-            scale = lcm(r_lcm, d_lcm, p.denominator)
+            scale = lcm(r_lcm, d_lcm, pd)
             f = scale // r_lcm
             r_scaled = [(j, v * f) for j, v in r]
             f = scale // d_lcm
-            b = p.numerator * (scale // p.denominator)
+            b = pn * (scale // pd)
             earlier = {}
             for i in range(1, k):
                 a = i * width
@@ -557,11 +560,8 @@ def _zigzag_lp(pres, pv, qv, k):
                 row[a + nj + x] = scale
                 rows[i * ng + x] = row
                 rhs[i * ng + x] = b
-        q = qv[x]  # the net moves sum to q - p, here vn / vd in lowest terms
-        vn = q.numerator * p.denominator - p.numerator * q.denominator
-        vd = q.denominator * p.denominator
-        g = gcd(vn, vd)
-        vn, vd = vn // g, vd // g
+        qn, qd = qv[x]  # the net moves sum to q - p, here vn / vd in lowest terms
+        vn, vd = _lowest(qn * pd - pn * qd, qd * pd)
         scale = lcm(d_lcm, vd)
         if vn < 0:
             scale = -scale
@@ -575,13 +575,20 @@ def _zigzag_lp(pres, pv, qv, k):
     return rows, rhs, ncols
 
 
+def _lowest(n, d):
+    """The fraction n / d in lowest terms, as a (numerator, denominator)
+    int pair."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 def _integer_entries(weights):
-    """The lcm of a {j: Fraction} map's denominators, and its (j, weight
-    times that lcm) pairs as ints."""
-    scale = lcm(*(w.denominator for w in weights.values()))
-    return scale, tuple(
-        (j, w.numerator * (scale // w.denominator)) for j, w in weights.items()
-    )
+    """The lcm of the reduced denominators of a {j: (numerator,
+    denominator)} map of nonzero int pairs, and its (j, weight times that
+    lcm) pairs as ints."""
+    reduced = {j: _lowest(n, d) for j, (n, d) in weights.items()}
+    scale = lcm(*(d for _, d in reduced.values()))
+    return scale, tuple((j, n * (scale // d)) for j, (n, d) in reduced.items())
 
 
 def verify_verdict(
@@ -619,8 +626,8 @@ def verify_verdict(
         u = set(verdict.support)
         return (
             u <= pres._gen_index.keys()
-            and all(u.isdisjoint(lhs._weights) == u.isdisjoint(rhs._weights) for lhs, rhs in pres.relations)
-            and u.isdisjoint(x._weights) != u.isdisjoint(y._weights)
+            and all(u.isdisjoint(lhs._nums) == u.isdisjoint(rhs._nums) for lhs, rhs in pres.relations)
+            and u.isdisjoint(x._nums) != u.isdisjoint(y._nums)
         )
     if verdict.is_distinct:
         vec = verdict.invariant

@@ -6,18 +6,21 @@ payloads, or/and).  Values are plain payloads; the semiring object supplies
 the operations, so containers carry one semiring reference instead of
 wrapping every scalar.
 
-Each semiring also fixes the integer form of a weight map that
-``distribution.py`` computes with: numerators (element -> int) over one
-common denominator, with the semiring's normalisation test and its
-canonical form of an accumulated sum.  Rationals use the lcm of the
-reduced denominators and divide a sum by its gcd; Booleans use weight 1
-over 1 for every support element.
+Each semiring also fixes the integer form that ``distribution.py`` stores
+instead of payloads: numerators (element -> int) over one common
+denominator.  ``ratio`` reads a payload spelling (a payload, an int or a
+string) straight into a numerator and a denominator, ``read`` does so for
+a string literal, ``payload`` turns a numerator over a denominator back
+into a payload, and ``is_normalized`` and ``canonical_form`` test and
+reduce an integer form.  Rationals divide a sum by its gcd, which leaves
+the lcm of the reduced denominators; Booleans use weight 1 over 1 for every
+support element.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import ParseError, SemiringMismatch
 
@@ -55,19 +58,26 @@ class Semiring:
 
     def coerce(self, v):
         """Accept convenient payload spellings (ints, strings) exactly."""
-        raise NotImplementedError
+        return self.payload(*self.ratio(v))
 
     def parse(self, s: str):
-        raise NotImplementedError
+        return self.payload(*self.read(s))
 
     def format(self, v) -> str:
         raise NotImplementedError
 
     # -- integer form ------------------------------------------------------
 
-    def int_form(self, weights):
-        """(nums, den): integer numerators over one denominator for a map of
-        payloads; a zero payload gets numerator 0."""
+    def ratio(self, v):
+        """(numerator, denominator) of a payload spelling, as ints."""
+        raise NotImplementedError
+
+    def read(self, s: str):
+        """(numerator, denominator) of a string literal, as ints."""
+        raise NotImplementedError
+
+    def payload(self, n: int, den: int):
+        """The payload of the numerator n over the denominator den."""
         raise NotImplementedError
 
     def is_normalized(self, nums, den) -> bool:
@@ -75,8 +85,8 @@ class Semiring:
         raise NotImplementedError
 
     def canonical_form(self, acc, den):
-        """(nums, den, weights): the canonical integer form and the payloads
-        of positive integer numerators ``acc`` over ``den`` that sum to one."""
+        """(nums, den): the canonical integer form of positive integer
+        numerators ``acc`` over ``den`` that sum to one."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -104,40 +114,43 @@ class RationalSemiring(Semiring):
         return not v
 
     def coerce(self, v):
+        n, den = self.ratio(v)
+        return v if isinstance(v, Fraction) else Fraction(n, den)
+
+    def ratio(self, v):
+        if isinstance(v, (Fraction, int)) and not isinstance(v, bool):
+            n, den = v.numerator, v.denominator
+            if n < 0:
+                raise ParseError(f"negative coefficient {v} is not allowed")
+            return n, den
+        if isinstance(v, str):
+            return self.read(v)
         if isinstance(v, bool):
             raise SemiringMismatch("boolean payload in a rational context")
-        if isinstance(v, Fraction):
-            out = v
-        elif isinstance(v, int):
-            out = Fraction(v)
-        elif isinstance(v, str):
-            return self.parse(v)
-        else:
-            raise ParseError(f"cannot coerce {v!r} to a nonnegative rational")
-        if out.numerator < 0:
-            raise ParseError(f"negative coefficient {out} is not allowed")
-        return out
+        raise ParseError(f"cannot coerce {v!r} to a nonnegative rational")
 
-    def parse(self, s: str):
+    def read(self, s: str):
         num, slash, den = s.partition("/")
         try:
             if num.isdecimal() and (den.isdecimal() or not slash):
                 # "p/q" and "n", the forms canonical JSON writes, skip the
                 # regular expression of Fraction(str)
-                return Fraction(int(num), int(den) if slash else 1)
+                n, d = int(num), int(den) if slash else 1
+                if d:
+                    return n, d
+                raise ZeroDivisionError(f"Fraction({n}, 0)")
             out = Fraction(s.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {s!r}: {exc}") from None
         if out < 0:
             raise ParseError(f"negative coefficient {s!r} is not allowed")
-        return out
+        return out.numerator, out.denominator
 
     def format(self, v) -> str:
         return str(Fraction(v))
 
-    def int_form(self, weights):
-        den = lcm(*[w.denominator for w in weights.values()])
-        return {el: w.numerator * (den // w.denominator) for el, w in weights.items()}, den
+    def payload(self, n, den):
+        return Fraction(n, den)
 
     def is_normalized(self, nums, den):
         return sum(nums.values()) == den
@@ -147,7 +160,7 @@ class RationalSemiring(Semiring):
         if g != 1:
             den //= g
             acc = {el: n // g for el, n in acc.items()}
-        return acc, den, {el: Fraction(n, den) for el, n in acc.items()}
+        return acc, den
 
 
 class BooleanSemiring(Semiring):
@@ -167,34 +180,32 @@ class BooleanSemiring(Semiring):
     def mul(self, a, b):
         return a and b
 
-    def coerce(self, v):
-        if isinstance(v, bool):
-            return v
-        if isinstance(v, int) and v in (0, 1):
-            return bool(v)
+    def ratio(self, v):
         if isinstance(v, str):
-            return self.parse(v)
+            return self.read(v)
+        if isinstance(v, bool) or (isinstance(v, int) and v in (0, 1)):
+            return int(v), 1
         raise ParseError(f"cannot coerce {v!r} to a boolean weight")
 
-    def parse(self, s: str):
+    def read(self, s: str):
         s = s.strip()
         if s == "1":
-            return True
+            return 1, 1
         if s == "0":
-            return False
+            return 0, 1
         raise ParseError(f"bad boolean literal {s!r} (expected '0' or '1')")
 
     def format(self, v) -> str:
         return "1" if v else "0"
 
-    def int_form(self, weights):
-        return {el: int(w) for el, w in weights.items()}, 1
+    def payload(self, n, den):
+        return bool(n)
 
     def is_normalized(self, nums, den):
         return any(nums.values())
 
     def canonical_form(self, acc, den):
-        return dict.fromkeys(acc, 1), 1, dict.fromkeys(acc, True)
+        return dict.fromkeys(acc, 1), 1
 
 
 RATIONAL = RationalSemiring()

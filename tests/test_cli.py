@@ -9,6 +9,10 @@ import pathlib
 import subprocess
 import sys
 
+import random
+from collections import Counter
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -24,6 +28,9 @@ import convexion.simplicial as simplicial_mod
 import convexion.tensor as tensor_mod
 from convexion import cli, jsonio
 from convexion.cli import run
+from convexion.distribution import FiniteDistribution
+from convexion.errors import ConvexionError, ParseError
+from convexion.semiring import BOOLEAN, RATIONAL
 
 
 # Child processes import convexion from this checkout's src/.
@@ -1008,6 +1015,77 @@ def test_weight_element_must_be_a_string(tmp_path, el):
     code, report, stderr = _run_process("dist", "--job", job)
     assert code == 2 and "Traceback" not in stderr
     assert report["error"] == "outer[0].dist.weights[1].el: expected a JSON string"
+
+
+# The decoder reads weight literals straight into ints; the reference
+# parses each one to a payload and builds through the constructor.
+DECODER_LITERALS = {
+    RATIONAL: [
+        "2/4", "04/8", " 1/2", "1/2 ", "+1/2", "0/3", "1/0", "-1/2", "0.5", "1e-1",
+        "\u0662/\u0664", "\u0661", "1/2", "1/3", "1", "0", "x", "1/", 1, 0, None,
+    ],
+    BOOLEAN: ["1", "0", " 1", "0 ", "2", "x", 1, 0, 2, True, None],
+}
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ConvexionError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_decode(items, semiring):
+    weights = {}
+    for i, (el, w) in enumerate(items):
+        try:
+            payload = semiring.parse(str(w))
+        except ParseError as exc:
+            raise ParseError(f"weights[{i}].w: {exc}") from None
+        if el in weights:
+            raise ParseError(f"weights[{i}].el: duplicate element {el!r} in distribution")
+        weights[el] = payload
+    return FiniteDistribution(weights, semiring)
+
+
+@pytest.mark.parametrize("semiring", [RATIONAL, BOOLEAN], ids=["rational", "boolean"])
+def test_decoder_integer_read_matches_the_reference(semiring):
+    rng = random.Random(20261019)
+    literals = DECODER_LITERALS[semiring]
+    if semiring is RATIONAL:  # the literal read itself, against Fraction's parser
+        for text in map(str, literals):
+            try:
+                value = F(text.strip())
+            except (ValueError, ZeroDivisionError) as exc:
+                want = ParseError, f"bad rational literal {text!r}: {exc}"
+            else:
+                want = value if value >= 0 else (ParseError, f"negative coefficient {text!r} is not allowed")
+            assert _outcome(lambda: RATIONAL.parse(text)) == want, text
+    cases = [[("a", w)] for w in literals]
+    cases += [[("a", w), ("b", "1/2")] for w in literals]
+    cases += [[("a", "1/2"), ("a", "1/2")], [("a", "0"), ("a", "1")], [("a", "0"), ("b", "0/3")]]
+    for _ in range(1500):
+        items = [(rng.choice("abc"), rng.choice(literals)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:  # top up to one where the literals allow it
+            total = _outcome(lambda: sum(F(*semiring.read(str(w))) for _, w in items))
+            if isinstance(total, F) and total <= 1:
+                items.append((rng.choice("abcd"), str(1 - total)))
+        cases.append(items)
+    seen = Counter()
+    for items in cases:
+        payload = {"weights": [{"el": el, "w": w} for el, w in items]}
+        if semiring is BOOLEAN:
+            payload["semiring"] = "boolean"
+        got = _outcome(lambda: jsonio.decode_distribution(payload))
+        want = _outcome(lambda: _reference_decode(items, semiring))
+        if isinstance(want, FiniteDistribution):
+            assert isinstance(got, FiniteDistribution), (items, got)
+            assert (got, repr(got), got._nums, got._den) == (want, repr(want), want._nums, want._den)
+            seen["dist"] += 1
+        else:
+            assert got == want, items
+            seen[want[0].__name__] += 1
+    assert set(seen) == {"dist", "ParseError", "NotNormalized"} and min(seen.values()) > 50, seen
 
 
 # One job per verb, each without a field its handler reads unconditionally.
@@ -2071,6 +2149,7 @@ def test_entropy_combine_lambda_above_one_exit_two(tmp_path):
     [
         (["--lambda", "x"], "--lambda x: bad rational literal 'x': Invalid literal for Fraction: 'x'"),
         (["--lambda=-1/2"], "--lambda -1/2: negative coefficient '-1/2' is not allowed"),
+        (["--lambda", "-1/2"], "--lambda -1/2: negative coefficient '-1/2' is not allowed"),
     ],
 )
 def test_entropy_combine_bad_lambda_names_the_flag(tmp_path, flag, error):

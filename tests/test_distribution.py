@@ -13,6 +13,8 @@ from convexion.distribution import (
     boolean_subset,
     convex_combine,
     delta,
+    element_key,
+    element_label,
     flatten,
     is_convex_vector,
     map_delta,
@@ -408,6 +410,32 @@ def test_constructor_matches_fraction_oracle(case):
     cleaned, normalized = fraction_cleaned(raw, sr)
     assert normalized and p.as_dict() == cleaned
     assert_integer_form(p)
+
+
+def test_integer_form_is_the_only_stored_state():
+    assert FiniteDistribution.__slots__ == ("semiring", "_nums", "_den", "_hash")
+    p = FiniteDistribution({"a": "1/3", "b": F(2, 3)})
+    assert not hasattr(p, "_weights") and not hasattr(p, "__dict__")
+    assert type(p._den) is int and all(type(n) is int for n in p._nums.values())
+
+
+@given(st.data())
+def test_views_match_fraction_oracle(data):
+    sr = data.draw(SEMIRINGS)
+    elements = list(LEAVES) + data.draw(st.lists(dists(sr), max_size=2, unique=True))
+    raw = data.draw(weight_maps(sr, elements))
+    p = FiniteDistribution(raw, sr)
+    cleaned, _ = fraction_cleaned(raw, sr)
+    ordered = sorted(cleaned.items(), key=lambda kv: element_key(kv[0]))
+    assert p.as_dict() == cleaned and list(p.as_dict()) == list(cleaned)
+    assert all(type(w) is type(sr.one()) for w in p.as_dict().values())
+    assert p.items() == ordered
+    assert p.support() == frozenset(cleaned) and p.support_size == len(cleaned)
+    for el in elements + ["outside"]:
+        w = p.weight(el)
+        assert w == cleaned.get(el, sr.zero()) and type(w) is type(sr.zero())
+    body = ", ".join(f"{element_label(el)}: {sr.format(w)}" for el, w in ordered)
+    assert repr(p) == "{" + body + "}"
 
 
 @given(st.data())

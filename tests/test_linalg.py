@@ -22,6 +22,17 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def dense(pres, dist):
+    """A distribution's dense Fraction vector over the generators."""
+    return [dist.weight(g) for g in pres.generators]
+
+
+def int_pairs(vec):
+    """A dense Fraction vector as Presentation.vector gives it: each entry
+    as its (numerator, denominator) pair in lowest terms."""
+    return [(F(v).numerator, F(v).denominator) for v in vec]
+
+
 def check_solution(rows, rhs, x):
     assert all(v >= 0 for v in x)
     for row, b in zip(rows, rhs):
@@ -219,7 +230,7 @@ def _rewrite(rng, pres, start, length):
         usable = [
             (rv, sv)
             for rv, sv in (
-                (pres.vector(r), pres.vector(s)) for r, s in pres.symmetric_relations
+                (dense(pres, r), dense(pres, s)) for r, s in pres.symmetric_relations
             )
             if all(c != 0 for c, r in zip(cur, rv) if r != 0)
         ]
@@ -295,7 +306,7 @@ def test_zigzag_outputs_are_pinned():
 
 def _dense_relation_vectors(pres):
     """The symmetrized pairs as dense vectors: (r_j over j, s_j over j)."""
-    pairs = [(pres.vector(r), pres.vector(s)) for r, s in pres.symmetric_relations]
+    pairs = [(dense(pres, r), dense(pres, s)) for r, s in pres.symmetric_relations]
     return [rv for rv, _ in pairs], [sv for _, sv in pairs]
 
 
@@ -398,18 +409,19 @@ def _tensor_cases():
         start = universal_map(factors, xs)
         pres = start.presentation
         for k in range(1, 5):
-            yield pres, pres.vector(start.rep), pres.vector(end), k
+            yield pres, dense(pres, start.rep), dense(pres, end), k
 
 
 def scaled_zigzag_lp(pres, pv, qv, k):
-    """The chained oracle's rows in solve_eq_nonneg's integer form."""
-    return integer_lp(*dense_zigzag_lp(pres, pv, qv, k))
+    """The chained oracle's rows in solve_eq_nonneg's integer form, from
+    _zigzag_lp's arguments (pv and qv as Presentation.vector gives them)."""
+    return integer_lp(*dense_zigzag_lp(pres, [F(*v) for v in pv], [F(*v) for v in qv], k))
 
 
 def zigzag_lp_matching_the_dense_builder(pres, pv, qv, k):
     """_zigzag_lp's system, after checking that each of its rows and rhs
     is exactly _integer_row of the cell-by-cell difference-form oracle's."""
-    rows, rhs, ncols = presentation._zigzag_lp(pres, pv, qv, k)
+    rows, rhs, ncols = presentation._zigzag_lp(pres, int_pairs(pv), int_pairs(qv), k)
     dense_rows, dense_rhs = dense_difference_lp(pres, pv, qv, k)
     assert len(rows) == len(rhs) == len(dense_rows) == (k + 1) * len(pres.generators)
     assert ncols == len(dense_rows[0])
@@ -474,13 +486,14 @@ def test_difference_form_solutions_satisfy_the_chained_rows():
     feasible = 0
     for pres, pv, qv, k in zigzag_cases() + list(_tensor_cases()):
         chained_rows, chained_rhs = dense_zigzag_lp(pres, pv, qv, k)
-        x = linalg.solve_eq_nonneg(*presentation._zigzag_lp(pres, pv, qv, k))
+        x = linalg.solve_eq_nonneg(*presentation._zigzag_lp(pres, int_pairs(pv), int_pairs(qv), k))
         assert (x is None) == (solve_dense(chained_rows, chained_rhs) is None)
         if x is None:
             continue
         feasible += 1
         check_solution(chained_rows, chained_rhs, x)
         p, q = pres.dist_from_vector(pv), pres.dist_from_vector(qv)
+        assert (pres.vector(p), pres.vector(q)) == (int_pairs(pv), int_pairs(qv))
         steps = presentation._zigzag_search(pres, p, q, k)
         assert len(steps) <= k
         current = list(pv)
@@ -581,7 +594,7 @@ def dense_endpoints(step, pres):
     start = [F(v) for v in step.spectator]
     end = list(start)
     for lam, (r, s) in zip(step.lambdas, pres.symmetric_relations):
-        rv, sv = pres.vector(r), pres.vector(s)
+        rv, sv = dense(pres, r), dense(pres, s)
         for i in range(len(start)):
             start[i] += lam * rv[i]
             end[i] += lam * sv[i]

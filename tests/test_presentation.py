@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_linalg import _rewrite, _tensor_cases, dot, recorded_pivots, zigzag_cases
+from test_linalg import _rewrite, _tensor_cases, dense, dot, recorded_pivots, zigzag_cases
 
 from convexion import presentation
 from convexion.distribution import FiniteDistribution, delta
@@ -396,7 +396,7 @@ def test_deepening_keeps_every_status_on_criterion_11_draws(data):
     ]
     pres = Presentation(gens, rels)
     e1 = pres.element(_random_dist(rng, gens))
-    target = _rewrite(rng, pres, pres.vector(e1.rep), rng.randint(1, 4))
+    target = _rewrite(rng, pres, dense(pres, e1.rep), rng.randint(1, 4))
     if target is None or rng.random() < 0.4:
         e2 = pres.element(_random_dist(rng, gens))
     else:
@@ -555,7 +555,7 @@ def _partner(rng, e1, bound):
     """A rewrite chain of 1 to bound + 1 moves from e1, or a sparse random
     element of e1's presentation."""
     pres = e1.presentation
-    target = _rewrite(rng, pres, pres.vector(e1.rep), rng.randint(1, bound + 1))
+    target = _rewrite(rng, pres, dense(pres, e1.rep), rng.randint(1, bound + 1))
     if target is None or rng.random() < 0.3:
         return pres.element(_sparse_dist(rng, list(pres.generators)))
     return pres.element(pres.dist_from_vector(target))
@@ -744,7 +744,7 @@ def test_replay_rejects_a_negative_multiplier(minus_one):
     p = HALVES.element(rd({"a": "1/8", "b": "1/8", "c": "3/4"}))
     q = HALVES.element(rd({"a": "5/8", "b": "1/8", "c": "1/4"}))
     step = ZigZagStep((minus_one, 0), (F(5, 8), F(5, 8), F(3, 4)))
-    assert _unchecked_endpoints(step, HALVES) == (HALVES.vector(p.rep), HALVES.vector(q.rep))
+    assert _unchecked_endpoints(step, HALVES) == (dense(HALVES, p.rep), dense(HALVES, q.rep))
     assert step.integer_endpoints(HALVES) is None
     assert not verify_verdict(EqualityVerdict("equal", path=(step,)), p, q)
     half = ZigZagStep((F(-1, 2), 0), (F(5, 8), F(5, 8), F(3, 4)))
@@ -876,7 +876,7 @@ def test_no_support_verdict_on_a_rewrite_chain(data):
     pres = _sparse_presentation(rng, gens, rng.randint(1, 3))
     assume(pres.relations)
     e1 = pres.element(_sparse_dist(rng, gens))
-    target = _rewrite(rng, pres, pres.vector(e1.rep), rng.randint(1, 4))
+    target = _rewrite(rng, pres, dense(pres, e1.rep), rng.randint(1, 4))
     assume(target is not None)
     e2 = pres.element(pres.dist_from_vector(target))
     for bound in range(5):
