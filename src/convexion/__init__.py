@@ -5,40 +5,42 @@ certificate-producing equality engine, the join and the convex tensor
 product, the convexity PROP and quasiconvexity operad, classical and convex
 Grothendieck constructions, entropy-axiom verification, and desk-scale
 simplicial distributions.
+
+The names below are read from their modules on first access (PEP 562), so
+``import convexion`` loads no submodule and a command-line job loads only
+the modules its verb uses.
 """
 
 __version__ = "0.1.0"
 
-from .distribution import FiniteDistribution, convex_combine, delta, flatten, pushforward
-from .presentation import (
-    ConvexMap,
-    EqualityVerdict,
-    PresentedElement,
-    Presentation,
-    eq,
-    hom_combine,
-    induce_map,
-    quotient_mix,
-    verify_verdict,
-)
-from .semiring import BOOLEAN, RATIONAL
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "FiniteDistribution": "distribution",
+    "delta": "distribution",
+    "pushforward": "distribution",
+    "flatten": "distribution",
+    "convex_combine": "distribution",
+    "Presentation": "presentation",
+    "PresentedElement": "presentation",
+    "ConvexMap": "presentation",
+    "EqualityVerdict": "presentation",
+    "eq": "presentation",
+    "quotient_mix": "presentation",
+    "induce_map": "presentation",
+    "hom_combine": "presentation",
+    "verify_verdict": "presentation",
+    "RATIONAL": "semiring",
+    "BOOLEAN": "semiring",
+}
 
-__all__ = [
-    "__version__",
-    "FiniteDistribution",
-    "delta",
-    "pushforward",
-    "flatten",
-    "convex_combine",
-    "Presentation",
-    "PresentedElement",
-    "ConvexMap",
-    "EqualityVerdict",
-    "eq",
-    "quotient_mix",
-    "induce_map",
-    "hom_combine",
-    "verify_verdict",
-    "RATIONAL",
-    "BOOLEAN",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

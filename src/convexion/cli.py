@@ -13,7 +13,8 @@ reader, and passes its sub-readers to the decoders, so each malformed-input
 diagnostic begins with the JSON path of the offending value.  Reports are
 canonical JSON (sorted keys, lowest-terms rationals) and always carry the
 tool version, the equality step bound in use, and the assumption flags
-relevant to the operation.
+relevant to the operation.  Every handler imports the modules it uses, so a
+job loads only its verb's modules.
 
 Exit codes: 0 success / all checks passed; 1 a check failed (the report is
 still written); 2 malformed input.
@@ -22,25 +23,13 @@ still written); 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
 from . import __version__, jsonio
 from .distribution import FiniteDistribution, convex_combine, delta, flatten, pushforward
 from .errors import ConvexionError, ParseError, RelationViolated, Undecided
-from .join import JoinSpace, copair, join_mix
-from .matprop import (
-    QConvOp,
-    RMatrix,
-    algebra_apply,
-    compose,
-    convex_matrices,
-    direct_sum,
-    is_convex_matrix,
-    permute,
-    qconv_compose,
-)
-from .presentation import eq, hom_combine, induce_map, quotient_mix, verify_verdict
 from .semiring import RATIONAL
 
 F = Fraction
@@ -159,6 +148,8 @@ def dist_convex_combine(job, ctx):
 
 @op("eq", "eq")
 def eq_eq(job, ctx):
+    from .presentation import eq, verify_verdict
+
     pres = jsonio.decode_presentation(job["presentation"])
     lhs, rhs = _element(pres, job["lhs"]), _element(pres, job["rhs"])
     verdict = eq(lhs, rhs, job.get("bound", ctx["bound"]).value)
@@ -170,6 +161,8 @@ def eq_eq(job, ctx):
 
 @op("eq", "quotient_mix")
 def eq_quotient_mix(job, ctx):
+    from .presentation import quotient_mix
+
     pres = jsonio.decode_presentation(job["presentation"])
     alpha = job.rationals("alpha")
     elements = [_element(pres, d) for d in job["elements"].items()]
@@ -178,6 +171,8 @@ def eq_quotient_mix(job, ctx):
 
 @op("eq", "induce_map")
 def eq_induce_map(job, ctx):
+    from .presentation import induce_map
+
     src = jsonio.decode_presentation(job["source"])
     tgt = jsonio.decode_presentation(job["target"])
     assignment = _assignment(tgt, job["assignment"])
@@ -192,6 +187,8 @@ def eq_induce_map(job, ctx):
 
 @op("eq", "hom_combine")
 def eq_hom_combine(job, ctx):
+    from .presentation import hom_combine, induce_map
+
     src = jsonio.decode_presentation(job["source"])
     tgt = jsonio.decode_presentation(job["target"])
     maps = [
@@ -208,6 +205,8 @@ def eq_hom_combine(job, ctx):
 
 @op("eq", "verify")
 def eq_verify(job, ctx):
+    from .presentation import verify_verdict
+
     pres = jsonio.decode_presentation(job["presentation"])
     lhs, rhs = _element(pres, job["lhs"]), _element(pres, job["rhs"])
     verdict = jsonio.decode_verdict(job["verdict"], pres)
@@ -219,6 +218,8 @@ def eq_verify(job, ctx):
 
 
 def _join_space(job):
+    from .join import JoinSpace
+
     return JoinSpace(*(jsonio.decode_presentation(job[f"{s}_presentation"]) for s in "xy"))
 
 
@@ -230,6 +231,8 @@ def join_join_point(job, ctx):
 
 @op("join", "join_mix")
 def join_join_mix(job, ctx):
+    from .join import join_mix
+
     space = _join_space(job)
     beta = job.rationals("beta")
     pts = [jsonio.decode_join_element(p, space) for p in job["points"].items()]
@@ -239,6 +242,9 @@ def join_join_mix(job, ctx):
 
 @op("join", "copair")
 def join_copair(job, ctx):
+    from .join import copair
+    from .presentation import induce_map
+
     space = _join_space(job)
     tgt = jsonio.decode_presentation(job["target"])
     f = induce_map(space.x_factor, tgt, _assignment(tgt, job["f"]), ctx["bound"])
@@ -372,22 +378,30 @@ def _matrix(job, key):
 
 @op("prop", "is_convex_matrix")
 def prop_is_convex_matrix(job, ctx):
+    from .matprop import is_convex_matrix
+
     return {"convex": is_convex_matrix(_matrix(job, "matrix"))}
 
 
 @op("prop", "compose")
 def prop_compose(job, ctx):
+    from .matprop import compose
+
     return {"matrix": jsonio.encode_matrix(compose(_matrix(job, "left"), _matrix(job, "right")))}
 
 
 @op("prop", "direct_sum")
 def prop_direct_sum(job, ctx):
+    from .matprop import direct_sum
+
     out = direct_sum(_matrix(job, "left"), _matrix(job, "right"))
     return {"matrix": jsonio.encode_matrix(out)}
 
 
 @op("prop", "permute")
 def prop_permute(job, ctx):
+    from .matprop import permute
+
     tau, sigma = job.typed("tau", list), job.typed("sigma", list)
     if not all(type(i) is int for i in tau + sigma):
         raise ParseError("tau, sigma: expected lists of indices")
@@ -397,6 +411,8 @@ def prop_permute(job, ctx):
 
 @op("prop", "qconv_compose")
 def prop_qconv_compose(job, ctx):
+    from .matprop import qconv_compose
+
     outer = jsonio.decode_qconv(job["outer"])
     inner = [jsonio.decode_qconv(x) for x in job["inner"].items()]
     return {"operation": jsonio.encode_qconv(qconv_compose(outer, inner))}
@@ -404,6 +420,8 @@ def prop_qconv_compose(job, ctx):
 
 @op("prop", "algebra_apply")
 def prop_algebra_apply(job, ctx):
+    from .matprop import algebra_apply
+
     pres = jsonio.decode_presentation(job["presentation"])
     matrix = _matrix(job, "matrix")
     xs = [_element(pres, d) for d in job["elements"].items()]
@@ -512,6 +530,7 @@ def _sample_elements(rng, pres, count):
 
 @op("omon", "star_alpha")
 def omon_star_alpha(job, ctx):
+    from .matprop import QConvOp
     from .omonoidal import star_alpha
 
     alpha = QConvOp(job.rationals("alpha"))
@@ -521,6 +540,7 @@ def omon_star_alpha(job, ctx):
 
 @op("omon", "trivial_structure")
 def omon_trivial_structure(job, ctx):
+    from .matprop import QConvOp
     from .omonoidal import QCONV, SymmetricMonoidalData, trivial_structure
 
     base = jsonio.decode_category(job["category"])
@@ -554,6 +574,7 @@ def omon_trivial_structure(job, ctx):
 def omon_check_lax(job, ctx):
     import random
 
+    from .matprop import QConvOp
     from .omonoidal import LaxInstance, check_lax
 
     functor = _lax_functor_from_job(job)
@@ -805,6 +826,7 @@ def entropy_combine(args, ctx):
 @op("entropy", "xi", ("--input", {"required": True}))
 def entropy_xi(args, ctx):
     from .finprob import dist_lax_xi
+    from .matprop import QConvOp
 
     payload = jsonio.Job(jsonio.load_json(args.input), "xi")
     dists = [jsonio.decode_distribution(d) for d in payload["dists"].items()]
@@ -816,6 +838,7 @@ def entropy_xi(args, ctx):
 
 @op("selfcheck", "selfcheck")
 def selfcheck_selfcheck(args, ctx):
+    from .matprop import RMatrix, compose, convex_matrices, direct_sum, is_convex_matrix, permute
     from .tensor import check_biconvex_not_convex_counterexample
 
     report = check_biconvex_not_convex_counterexample()
@@ -858,7 +881,7 @@ def _global_flags(parser, top: bool):
         lambda default: {"default": argparse.SUPPRESS}
     )
     parser.add_argument("--bound", type=int, help="eq step bound", **kw(4))
-    parser.add_argument("--tol", type=float, help="entropy tolerance", **kw(1e-9))
+    parser.add_argument("--tol", help="entropy tolerance", **kw("1e-9"))
     parser.add_argument("--seed", type=int, help="sample seed", **kw(0))
     parser.add_argument("--report", type=str, help="report path", **kw(None))
 
@@ -926,26 +949,47 @@ def _load_job(args):
     return jsonio.Job(job, job["op"])
 
 
+def _numeric(text):
+    """Whether text begins with a digit or reads as a float (inf, .5e3)."""
+    try:
+        float(text)
+    except ValueError:
+        return text[:1].isdigit()
+    return True
+
+
 def _glue_dash_values(argv):
-    """argv with each op flag that a token such as -1/2 follows joined to
-    it as --flag=-1/2.  argparse reads a token that begins with a dash as
-    an option unless it is a plain negative int or decimal, so the value
-    would not reach the handler that judges it."""
-    flags = {flag for pairs in FLAGS.values() for flag, _ in pairs}
+    """argv with each op flag, --bound or --tol that a token such as -1/2,
+    -1e-3 or -inf follows joined to it as --flag=-1/2.  argparse reads a
+    token that begins with a dash as an option unless it is a plain
+    negative int or decimal, so the value would not reach the code that
+    judges it."""
+    flags = {"--bound", "--tol"} | {flag for pairs in FLAGS.values() for flag, _ in pairs}
     out = []
     for token in argv:
-        if out and out[-1] in flags and token[:1] == "-" and token[1:2].isdigit():
+        if out and out[-1] in flags and token[:1] == "-" and _numeric(token[1:]):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
     return out
 
 
+def _tolerance(text):
+    """The --tol text as a float, or a ParseError naming it when it is not
+    a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise ParseError(f"--tol {text}: expected a finite number >= 0")
+    return tol
+
+
 def run(argv=None):
     """Parse, dispatch, and return (exit_code, report, report_path)."""
     parser = build_parser()
     args = parser.parse_args(_glue_dash_values(sys.argv[1:] if argv is None else argv))
-    ctx = {"bound": args.bound, "tol": args.tol, "seed": args.seed}
     report = {
         "tool": {"name": "convexion", "version": __version__},
         "bound": args.bound,
@@ -955,6 +999,8 @@ def run(argv=None):
     }
     exit_code = 0
     try:
+        bound, tol = _at_least("--bound", args.bound, 0), _tolerance(args.tol)
+        ctx = {"bound": bound, "tol": tol, "seed": args.seed}
         if hasattr(args, "op"):  # entropy and selfcheck read the command line
             name, request = args.op, args
         else:

@@ -20,7 +20,6 @@ from typing import Callable, Mapping, Sequence
 
 from .distribution import FiniteDistribution, convex_combine, pushforward
 from .errors import ArityMismatch, InvalidInput, NotMeasurePreserving, NotNormalized
-from .matprop import QConvOp
 
 F = Fraction
 

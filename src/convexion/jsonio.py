@@ -15,7 +15,9 @@ semiring writes "1".  Element identifiers are strings in JSON; internal
 tuple elements (tensor generators, bundle points) are rendered through
 their canonical labels.  Encoding is deterministic: weights sort by
 element, keys sort lexicographically, so identical inputs give
-byte-identical output.
+byte-identical output.  Every decoder imports the module whose values it
+builds, so a job loads only its verb's modules: decoding a distribution
+loads no presentation, join or matrix module.
 """
 
 from __future__ import annotations
@@ -25,14 +27,6 @@ from fractions import Fraction
 
 from .distribution import FiniteDistribution, _common_denominator, element_label
 from .errors import InvalidInput, ParseError
-from .join import JoinElement, JoinSpace, join_point
-from .matprop import QConvOp, RMatrix
-from .presentation import (
-    EqualityVerdict,
-    Presentation,
-    ZigZagStep,
-    induce_map,
-)
 from .semiring import RATIONAL, Semiring, semiring_by_name
 
 F = Fraction
@@ -233,6 +227,8 @@ def encode_presentation(pres: Presentation) -> dict:
 
 
 def decode_presentation(payload) -> Presentation:
+    from .presentation import Presentation
+
     job = _reader(payload)
     gens = job["generators"].names()
     relations = []
@@ -256,6 +252,8 @@ def encode_join_element(pt: JoinElement) -> dict:
 
 
 def decode_join_element(payload, space: JoinSpace) -> JoinElement:
+    from .join import join_point
+
     job = _reader(payload)
     alpha = job["alpha"].literal()
     x, y = (
@@ -280,6 +278,8 @@ def encode_matrix(m: RMatrix) -> dict:
 
 
 def decode_matrix(payload) -> RMatrix:
+    from .matprop import RMatrix
+
     job = _reader(payload)
     semiring = semiring_of(job)
     rows = job.typed("rows", int)
@@ -293,6 +293,8 @@ def encode_qconv(op: QConvOp) -> dict:
 
 
 def decode_qconv(payload) -> QConvOp:
+    from .matprop import QConvOp
+
     return QConvOp(_reader(payload).rationals("alpha"))
 
 
@@ -358,6 +360,8 @@ def encode_verdict(verdict: EqualityVerdict, pres: Presentation) -> dict:
 
 def decode_verdict(payload, pres: Presentation) -> EqualityVerdict:
     """A verdict as encode_verdict writes it."""
+    from .presentation import EqualityVerdict, ZigZagStep
+
     job = _reader(payload)
     status = job["status"]
     bound = job.get("bound", 0)
@@ -487,6 +491,7 @@ def decode_set_functor(payload, base):
 
 def decode_cset_functor(payload, base, step_bound):
     from .category import CSetFunctor
+    from .presentation import induce_map
 
     job = _reader(payload)
     on_objects = {}

@@ -27,7 +27,6 @@ from .errors import (
     SemiringMismatch,
     SizeMismatch,
 )
-from .presentation import PresentedElement, Presentation, quotient_mix
 from .semiring import RATIONAL, Semiring
 
 F = Fraction
@@ -203,6 +202,8 @@ def algebra_apply(
 ) -> tuple:
     """Action of a convex matrix on a presented convex set: each output is
     the quotient_mix of the inputs by the corresponding row."""
+    from .presentation import PresentedElement, quotient_mix
+
     if m.cols != len(xs):
         raise DimensionMismatch(f"{len(xs)} inputs for {m.cols} columns")
     if not is_convex_matrix(m):

@@ -837,7 +837,7 @@ def test_negative_bound_exit_two(tmp_path):
     )
     code, report, stderr = _run_process("--bound", "-1", "eq", "--job", job)
     assert code == 2 and "Traceback" not in stderr
-    assert report["error"].startswith("InvalidInput")
+    assert report["error"] == "--bound -1: expected an integer >= 0"
 
 
 @pytest.mark.parametrize("bound", [{}, "x", None, [], True, 2.5])
@@ -1759,7 +1759,8 @@ def test_every_op_has_a_sample_job():
 
 def test_samples_reach_every_module_operation(tmp_path, monkeypatch):
     # Each operation is wrapped where it is defined and wherever a convexion
-    # module (cli, jsonio, ...) imported it by name.
+    # module imported it by name; the handlers import their operations when
+    # they are called, so they read the wrapped module attribute.
     called = set()
 
     def spy(label, fn):
@@ -1833,12 +1834,98 @@ def test_refused_maps_report_the_pair_for_induce_map_only(tmp_path):
 
 
 def test_cli_import_loads_no_construction_module():
-    lazy = ["convexion.category", "convexion.finprob", "convexion.omonoidal",
+    lazy = ["convexion.category", "convexion.finprob", "convexion.join", "convexion.linalg",
+            "convexion.matprop", "convexion.omonoidal", "convexion.presentation",
             "convexion.simplicial", "convexion.tensor"]
     code = f"import sys, convexion.cli; print([m for m in {lazy!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# The convexion modules that one sample job per verb loads, beyond cli and
+# the modules every job loads: jsonio, distribution, errors and semiring.
+VERB_MODULES = {
+    ("dist", "delta"): [],
+    ("eq", "eq"): ["linalg", "presentation"],
+    ("join", "join_mix"): ["join", "linalg", "presentation"],
+    ("tensor", "tensor"): ["linalg", "presentation", "tensor"],
+    ("prop", "compose"): ["matprop"],
+    ("groth", "grothendieck"): ["category", "linalg", "presentation"],
+    ("omon", "star_alpha"): ["category", "linalg", "matprop", "omonoidal", "presentation", "tensor"],
+    ("twist", "twisted_product"): ["simplicial"],
+    ("entropy", "eval"): ["finprob"],
+    ("selfcheck", "selfcheck"): ["linalg", "matprop", "presentation", "tensor"],
+}
+
+
+def test_every_verb_has_a_module_set():
+    assert {verb for verb, _ in VERB_MODULES} == {verb for verb, _ in cli.OPS}
+
+
+@pytest.mark.parametrize("key", sorted(VERB_MODULES), ids="-".join)
+def test_job_loads_only_its_verb_modules(tmp_path, key):
+    code = (
+        "import json, sys\n"
+        "from convexion import cli\n"
+        "code = cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('convexion.'))]))"
+    )
+    report = tmp_path / "report.json"
+    argv = ["--report", str(report), *sample_argv(tmp_path, key)]
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, env=ENV
+    )
+    assert out.returncode == 0, out.stderr
+    exit_code, loaded = json.loads(out.stdout)
+    assert exit_code == 0 and json.loads(report.read_text())["ok"] is True
+    every_job = ["cli", "distribution", "errors", "jsonio", "semiring"]
+    assert loaded == sorted(f"convexion.{m}" for m in every_job + VERB_MODULES[key])
+
+
+# -- global flags ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--tol", "-1e-3", "selfcheck"], "--tol -1e-3: "),
+        (["--tol=-1e-3", "selfcheck"], "--tol -1e-3: "),
+        (["selfcheck", "--tol", "-1e-3"], "--tol -1e-3: "),
+        (["--tol=nan", "selfcheck"], "--tol nan: "),
+        (["--tol=inf", "selfcheck"], "--tol inf: "),
+        (["--tol", "-inf", "selfcheck"], "--tol -inf: "),
+        (["--tol", "-.5e3", "selfcheck"], "--tol -.5e3: "),
+        (["--tol", "x", "selfcheck"], "--tol x: "),
+        (["--bound", "-1", "selfcheck"], "--bound -1: "),
+        (["--bound=-1", "selfcheck"], "--bound -1: "),
+        (["selfcheck", "--bound", "-1"], "--bound -1: "),
+    ],
+)
+def test_bad_global_flag_exit_two(argv, error):
+    code, report = invoke(*argv)
+    assert code == 2 and report["ok"] is False and "result" not in report
+    assert report["error"].startswith(error)
+
+
+@pytest.mark.parametrize("verb", sorted({verb for verb, _ in cli.OPS}))
+def test_bad_tolerance_is_refused_for_every_verb(tmp_path, verb):
+    key = next(k for k in SAMPLE_JOBS if k[0] == verb)
+    code, report = invoke("--tol", "-1e-3", *sample_argv(tmp_path, key))
+    assert code == 2
+    assert report["error"] == "--tol -1e-3: expected a finite number >= 0"
+
+
+@pytest.mark.parametrize("argv", [["--tol", "0"], ["--tol=1e-12"], ["--bound", "0"]])
+def test_edge_global_flags_are_accepted(argv):
+    code, report = invoke(*argv, "selfcheck")
+    assert code == 0 and report["ok"] is True
+
+
+def test_dash_led_tolerance_reaches_the_report():
+    code, report, stderr = _run_process("--tol", "-1e-3", "selfcheck")
+    assert code == 2 and stderr == ""
+    assert report["error"] == "--tol -1e-3: expected a finite number >= 0"
 
 
 MUTATIONS = ("remove", None, 7, "x", [], {})
