@@ -754,20 +754,26 @@ def _candidate_from_spec(spec: str):
     raise ParseError(f"unknown candidate {spec!r}")
 
 
-def _at_least(flag, value, low):
-    """value, or a ParseError naming flag when value is below low."""
-    if value < low:
-        raise ParseError(f"{flag} {value}: expected an integer >= {low}")
+def _integer(flag, text, low=None):
+    """The text of an integer flag as an int, or a ParseError naming flag
+    when it is not an integer, or below low when low is given."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or (low is not None and value < low):
+        expected = "an integer" if low is None else f"an integer >= {low}"
+        raise ParseError(f"{flag} {text}: expected {expected}")
     return value
 
 
-@op("entropy", "gen", ("--out", {"required": True}), ("--chains", {"type": int, "default": 50}),
-    ("--max-carrier", {"type": int, "default": 16}))
+@op("entropy", "gen", ("--out", {"required": True}), ("--chains", {"default": "50"}),
+    ("--max-carrier", {"default": "16"}))
 def entropy_gen(args, ctx):
     from .finprob import generate_corpus
 
-    chains = _at_least("--chains", args.chains, 0)
-    max_carrier = _at_least("--max-carrier", args.max_carrier, 1)
+    chains = _integer("--chains", args.chains, 0)
+    max_carrier = _integer("--max-carrier", args.max_carrier, 1)
     corpus = generate_corpus(seed=ctx["seed"], n_chains=chains, max_carrier=max_carrier)
     _write_file("--out", args.out, jsonio.canonical_json(jsonio.encode_corpus(corpus)))
     return {"written": args.out, "morphisms": len(corpus.morphisms)}
@@ -880,9 +886,9 @@ def _global_flags(parser, top: bool):
     kw = (lambda default: {"default": default}) if top else (
         lambda default: {"default": argparse.SUPPRESS}
     )
-    parser.add_argument("--bound", type=int, help="eq step bound", **kw(4))
+    parser.add_argument("--bound", help="eq step bound", **kw("4"))
     parser.add_argument("--tol", help="entropy tolerance", **kw("1e-9"))
-    parser.add_argument("--seed", type=int, help="sample seed", **kw(0))
+    parser.add_argument("--seed", help="sample seed", **kw("0"))
     parser.add_argument("--report", type=str, help="report path", **kw(None))
 
 
@@ -949,25 +955,17 @@ def _load_job(args):
     return jsonio.Job(job, job["op"])
 
 
-def _numeric(text):
-    """Whether text begins with a digit or reads as a float (inf, .5e3)."""
-    try:
-        float(text)
-    except ValueError:
-        return text[:1].isdigit()
-    return True
-
-
 def _glue_dash_values(argv):
-    """argv with each op flag, --bound or --tol that a token such as -1/2,
-    -1e-3 or -inf follows joined to it as --flag=-1/2.  argparse reads a
+    """argv with each op flag, --bound, --tol or --seed that a token such as
+    -1/2, -inf or -x follows joined to it as --flag=-1/2.  argparse reads a
     token that begins with a dash as an option unless it is a plain
     negative int or decimal, so the value would not reach the code that
-    judges it."""
-    flags = {"--bound", "--tol"} | {flag for pairs in FLAGS.values() for flag, _ in pairs}
+    judges it.  A token that begins with -- stays an option: --out --chains
+    is a missing value, not a file named --chains."""
+    flags = {"--bound", "--tol", "--seed"} | {flag for pairs in FLAGS.values() for flag, _ in pairs}
     out = []
     for token in argv:
-        if out and out[-1] in flags and token[:1] == "-" and _numeric(token[1:]):
+        if out and out[-1] in flags and token[:1] == "-" and token[:2] != "--":
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
@@ -999,8 +997,9 @@ def run(argv=None):
     }
     exit_code = 0
     try:
-        bound, tol = _at_least("--bound", args.bound, 0), _tolerance(args.tol)
-        ctx = {"bound": bound, "tol": tol, "seed": args.seed}
+        report["bound"] = bound = _integer("--bound", args.bound, 0)
+        tol, seed = _tolerance(args.tol), _integer("--seed", args.seed)
+        ctx = {"bound": bound, "tol": tol, "seed": seed}
         if hasattr(args, "op"):  # entropy and selfcheck read the command line
             name, request = args.op, args
         else:

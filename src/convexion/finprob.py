@@ -8,6 +8,10 @@ measure-preserving maps; a candidate functional passes when it respects
 composition additively, respects convex combinations of morphisms, and is
 continuous along pointwise perturbation families.  The scalar c is fitted
 by least squares against the entropy differences.
+
+A callable candidate (verify_entropy_axioms) and a table
+(verify_value_table) share one path: _check turns (key, lhs, rhs) triples
+into a CheckResult, and _report fits c and builds the EntropyReport.
 """
 
 from __future__ import annotations
@@ -178,6 +182,12 @@ def dist_lax_xi(alpha: QConvOp, ps: Sequence[FiniteDistribution]) -> FiniteDistr
 # -- corpora ---------------------------------------------------------------------
 
 
+#: Random objects weigh each point 0..MAX_WEIGHT before normalizing; a corpus
+#: ends with SINGLES maps outside its chains.
+MAX_WEIGHT = 8
+SINGLES = 20
+
+
 @dataclass
 class Corpus:
     """Morphisms plus composable chains (pairs of indices: apply second
@@ -191,10 +201,10 @@ class Corpus:
         return self.morphisms[i], self.morphisms[j]
 
 
-def _random_object(rng: random.Random, max_carrier: int, max_weight: int = 8):
+def _random_object(rng: random.Random, max_carrier: int):
     size = rng.randint(1, max_carrier)
     carrier = [f"x{i}" for i in range(size)]
-    cuts = [rng.randint(0, max_weight) for _ in carrier]
+    cuts = [rng.randint(0, MAX_WEIGHT) for _ in carrier]
     if sum(cuts) == 0:
         cuts[0] = 1
     total = sum(cuts)
@@ -214,13 +224,9 @@ def _random_collapse(rng: random.Random, src: ProbObject):
     return ProbMorphism.from_map(src, mapping, names)
 
 
-def generate_corpus(
-    seed: int,
-    n_chains: int = 50,
-    max_carrier: int = 16,
-    singles: int = 20,
-) -> Corpus:
-    """Deterministic corpus: composable collapse chains plus single maps."""
+def generate_corpus(seed: int, n_chains: int = 50, max_carrier: int = 16) -> Corpus:
+    """Deterministic corpus: composable collapse chains plus SINGLES single
+    maps."""
     rng = random.Random(seed)
     morphisms = []
     chains = []
@@ -230,12 +236,17 @@ def generate_corpus(
         morphisms.append(g)
         morphisms.append(f)
         chains.append((len(morphisms) - 1, len(morphisms) - 2))  # f after g
-    for _ in range(singles):
+    for _ in range(SINGLES):
         morphisms.append(_random_collapse(rng, _random_object(rng, max_carrier)))
     return Corpus(morphisms, chains)
 
 
 # -- axiom verification ------------------------------------------------------------
+
+#: The convexity grid 0, 1/8, ..., 1, and the largest last deviation of a
+#: continuity family that still counts as converged.
+LAMBDA_GRID = tuple(F(i, 8) for i in range(9))
+CONTINUITY_FINAL = 1e-2
 
 
 @dataclass
@@ -255,8 +266,6 @@ class EntropyReport:
     continuity: CheckResult
     fitted_c: float
     max_residual: float
-    residuals: list
-    values: list
 
     @property
     def all_passed(self) -> bool:
@@ -289,6 +298,26 @@ class EntropyReport:
         }
 
 
+def _check(triples, tol: float) -> CheckResult:
+    """Every (key, lhs, rhs) triple checked; a triple whose sides differ by
+    more than tol fails and is its own witness."""
+    triples = list(triples)
+    failures = [t for t in triples if abs(t[1] - t[2]) > tol]
+    return CheckResult(not failures, len(triples), failures)
+
+
+def _report(values, corpus: Corpus, tol: float, composition, convexity, continuity):
+    """The report of the three checks, with c fitted by least squares to
+    values[i] against info_loss of corpus.morphisms[i]."""
+    diffs = [info_loss(m) for m in corpus.morphisms]
+    denom = sum(d * d for d in diffs)
+    c = sum(v * d for v, d in zip(values, diffs)) / denom if denom > 0 else 0.0
+    return EntropyReport(
+        SIGN_CONVENTION, tol, composition, convexity, continuity, c,
+        max((abs(v - c * d) for v, d in zip(values, diffs)), default=0.0),
+    )
+
+
 def verify_value_table(
     values: Sequence[float],
     chain_values: Sequence[float],
@@ -306,34 +335,14 @@ def verify_value_table(
         raise InvalidInput("one value per corpus morphism required")
     if len(chain_values) != len(corpus.chains):
         raise InvalidInput("one value per corpus chain required")
-    composition = CheckResult()
-    for idx, (i, j) in enumerate(corpus.chains):
-        lhs = float(chain_values[idx])
-        rhs = float(values[i]) + float(values[j])
-        composition.checked += 1
-        if abs(lhs - rhs) > tol:
-            composition.passed = False
-            composition.failures.append((idx, lhs, rhs))
-    skipped = CheckResult(passed=True, checked=0, skipped=True)
-    diffs = [info_loss(m) for m in corpus.morphisms]
-    denom = sum(d * d for d in diffs)
-    fitted_c = (
-        sum(float(v) * d for v, d in zip(values, diffs)) / denom
-        if denom > 0
-        else 0.0
+    values = [float(v) for v in values]
+    composition = _check(
+        ((idx, float(chain_values[idx]), values[i] + values[j])
+         for idx, (i, j) in enumerate(corpus.chains)),
+        tol,
     )
-    residuals = [float(v) - fitted_c * d for v, d in zip(values, diffs)]
-    return EntropyReport(
-        sign_convention=SIGN_CONVENTION,
-        tolerance=tol,
-        composition=composition,
-        convexity=skipped,
-        continuity=CheckResult(passed=True, checked=0, skipped=True),
-        fitted_c=fitted_c,
-        max_residual=max((abs(r) for r in residuals), default=0.0),
-        residuals=residuals,
-        values=[float(v) for v in values],
-    )
+    skipped = CheckResult(skipped=True)
+    return _report(values, corpus, tol, composition, skipped, skipped)
 
 
 def _perturbation(obj: ProbObject, n: int) -> ProbObject:
@@ -347,41 +356,26 @@ def verify_entropy_axioms(
     candidate: Callable[[ProbMorphism], float],
     corpus: Corpus,
     tol: float = 1e-9,
-    lambda_step: Fraction = F(1, 8),
-    continuity_final: float = 1e-2,
 ) -> EntropyReport:
     """Check additivity, convexity, and continuity of a morphism functional
     and fit the proportionality scalar against entropy differences."""
-    composition = CheckResult()
-    for idx in range(len(corpus.chains)):
-        f, g = corpus.chain_morphisms(idx)
-        lhs = candidate(f.compose(g))
-        rhs = candidate(f) + candidate(g)
-        composition.checked += 1
-        if abs(lhs - rhs) > tol:
-            composition.passed = False
-            composition.failures.append((idx, lhs, rhs))
-
-    convexity = CheckResult()
-    grid = []
-    lam = F(0)
-    while lam <= 1:
-        grid.append(lam)
-        lam += lambda_step
-    pairs = list(zip(corpus.morphisms[0::2], corpus.morphisms[1::2]))[:10]
-    for f, g in pairs:
-        for lam in grid:
-            mixed = convex_combine_morphisms(lam, f, g)
-            lhs = candidate(mixed)
-            rhs = float(lam) * candidate(f) + (1 - float(lam)) * candidate(g)
-            convexity.checked += 1
-            if abs(lhs - rhs) > tol:
-                convexity.passed = False
-                convexity.failures.append((lam, lhs, rhs))
+    ms = corpus.morphisms
+    composition = _check(
+        ((idx, candidate(ms[i].compose(ms[j])), candidate(ms[i]) + candidate(ms[j]))
+         for idx, (i, j) in enumerate(corpus.chains)),
+        tol,
+    )
+    pairs = list(zip(ms[0::2], ms[1::2]))[:10]
+    convexity = _check(
+        ((lam, candidate(convex_combine_morphisms(lam, f, g)),
+          float(lam) * candidate(f) + (1 - float(lam)) * candidate(g))
+         for f, g in pairs for lam in LAMBDA_GRID),
+        tol,
+    )
 
     continuity = CheckResult()
     steps = (4, 16, 64, 256, 1024)
-    for m in corpus.morphisms[:10]:
+    for m in ms[:10]:
         base = candidate(m)
         devs = []
         for n in steps:
@@ -395,29 +389,11 @@ def verify_entropy_axioms(
         )
         # converged: monotone decay, an order of magnitude gained, small tail
         decayed = devs[-1] < 1e-12 or (
-            devs[-1] <= devs[0] / 10 and devs[-1] < continuity_final
+            devs[-1] <= devs[0] / 10 and devs[-1] < CONTINUITY_FINAL
         )
         if not (tail_shrinks and decayed):
             continuity.passed = False
             continuity.failures.append((repr(m), devs))
 
-    values = [candidate(m) for m in corpus.morphisms]
-    diffs = [info_loss(m) for m in corpus.morphisms]
-    denom = sum(d * d for d in diffs)
-    fitted_c = (
-        sum(v * d for v, d in zip(values, diffs)) / denom if denom > 0 else 0.0
-    )
-    residuals = [v - fitted_c * d for v, d in zip(values, diffs)]
-    max_residual = max((abs(r) for r in residuals), default=0.0)
-
-    return EntropyReport(
-        sign_convention=SIGN_CONVENTION,
-        tolerance=tol,
-        composition=composition,
-        convexity=convexity,
-        continuity=continuity,
-        fitted_c=fitted_c,
-        max_residual=max_residual,
-        residuals=residuals,
-        values=values,
-    )
+    values = [candidate(m) for m in ms]
+    return _report(values, corpus, tol, composition, convexity, continuity)

@@ -125,8 +125,6 @@ ASSOC = OperadSpec("assoc")
 COMM = OperadSpec("comm")
 QCONV = OperadSpec("qconv")
 
-OPERADS = {"trivial": TRIVIAL, "assoc": ASSOC, "comm": COMM, "qconv": QCONV}
-
 
 # -- O-monoidal categories -------------------------------------------------------
 

@@ -62,7 +62,6 @@ search stopped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
@@ -194,11 +193,6 @@ class Presentation:
     @cached_property
     def invariant_basis(self):
         """Basis of affine functionals constant on every relation pair."""
-        if not self.relations:
-            n = len(self.generators)
-            return [
-                [Fraction(int(i == j)) for j in range(n)] for i in range(n)
-            ]
         return linalg.nullspace(self._difference_rows, len(self.generators))
 
     @cached_property

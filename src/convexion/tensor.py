@@ -37,8 +37,8 @@ from .presentation import (
     ConvexMap,
     PresentedElement,
     Presentation,
-    eq,
     induce_map,
+    maps_agree,
     quotient_mix,
 )
 
@@ -209,21 +209,13 @@ def coherence(kind: str, factors: Sequence[Presentation]) -> Iso:
     raise ArityMismatch(f"unknown coherence kind {kind!r}")
 
 
-def _maps_equal_on_generators(f: ConvexMap, g: ConvexMap, step_bound=2) -> bool:
-    if f.src != g.src or f.tgt != g.tgt:
-        return False
-    return all(
-        eq(f.on_generator(x), g.on_generator(x), step_bound).is_equal
-        for x in f.src.generators
-    )
-
-
 def coherence_diagrams(a, b, c, d) -> dict:
     """The seven diagram checks (pentagon, triangle, two hexagons, braiding
     involution, two unitor compatibilities), each on every generator tuple."""
     results = {}
     assoc = lambda x, y, z: coherence("associator", (x, y, z))
     braid = lambda x, y: coherence("braiding", (x, y))
+    agree = lambda f, g: maps_agree(f, g, [f.src.delta(x) for x in f.src.generators], 2)
 
     # pentagon on (a, b, c, d)
     p1 = assoc(tensor([a, b]), c, d).fwd.compose(assoc(a, b, tensor([c, d])).fwd)
@@ -232,14 +224,14 @@ def coherence_diagrams(a, b, c, d) -> dict:
             tensor_map([ConvexMap.identity(a), assoc(b, c, d).fwd])
         )
     )
-    results["pentagon"] = _maps_equal_on_generators(p1, p2)
+    results["pentagon"] = agree(p1, p2)
 
     # triangle on (a, b)
     t1 = tensor_map([coherence("right_unitor", (a,)).fwd, ConvexMap.identity(b)]).compose(
         assoc(a, UNIT, b).fwd
     )
     t2 = tensor_map([ConvexMap.identity(a), coherence("left_unitor", (b,)).fwd])
-    results["triangle"] = _maps_equal_on_generators(t1, t2)
+    results["triangle"] = agree(t1, t2)
 
     # hexagon 1: (a (x) b) (x) c -> b (x) (c (x) a) ... standard shape
     h1_left = assoc(b, c, a).back.compose(
@@ -250,7 +242,7 @@ def coherence_diagrams(a, b, c, d) -> dict:
             tensor_map([braid(a, b).fwd, ConvexMap.identity(c)])
         )
     )
-    results["hexagon_1"] = _maps_equal_on_generators(h1_left, h1_right)
+    results["hexagon_1"] = agree(h1_left, h1_right)
 
     # hexagon 2: a (x) (b (x) c) -> (c (x) a) (x) b
     h2_left = assoc(c, a, b).fwd.compose(
@@ -261,22 +253,18 @@ def coherence_diagrams(a, b, c, d) -> dict:
             tensor_map([ConvexMap.identity(a), braid(b, c).fwd])
         )
     )
-    results["hexagon_2"] = _maps_equal_on_generators(h2_left, h2_right)
+    results["hexagon_2"] = agree(h2_left, h2_right)
 
     # braiding is an involution
     inv = braid(b, a).fwd.compose(braid(a, b).fwd)
-    results["braiding_involution"] = _maps_equal_on_generators(
-        inv, ConvexMap.identity(tensor([a, b]))
-    )
+    results["braiding_involution"] = agree(inv, ConvexMap.identity(tensor([a, b])))
 
     # unitors against the braiding: r_a = l_a . s_{a,1}
     ub = coherence("left_unitor", (a,)).fwd.compose(braid(a, UNIT).fwd)
-    results["unitor_braiding"] = _maps_equal_on_generators(
-        ub, coherence("right_unitor", (a,)).fwd
-    )
+    results["unitor_braiding"] = agree(ub, coherence("right_unitor", (a,)).fwd)
 
     # the two unitors agree on the unit object
-    results["unit_unitors_agree"] = _maps_equal_on_generators(
+    results["unit_unitors_agree"] = agree(
         coherence("left_unitor", (UNIT,)).fwd,
         coherence("right_unitor", (UNIT,)).fwd,
     )

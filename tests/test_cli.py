@@ -1900,6 +1900,10 @@ def test_job_loads_only_its_verb_modules(tmp_path, key):
         (["--bound", "-1", "selfcheck"], "--bound -1: "),
         (["--bound=-1", "selfcheck"], "--bound -1: "),
         (["selfcheck", "--bound", "-1"], "--bound -1: "),
+        (["--bound", "x", "selfcheck"], "--bound x: expected an integer >= 0"),
+        (["--bound", "-x", "selfcheck"], "--bound -x: expected an integer >= 0"),
+        (["--seed", "x", "selfcheck"], "--seed x: expected an integer"),
+        (["selfcheck", "--seed", "1.5"], "--seed 1.5: expected an integer"),
     ],
 )
 def test_bad_global_flag_exit_two(argv, error):
@@ -1926,6 +1930,13 @@ def test_dash_led_tolerance_reaches_the_report():
     code, report, stderr = _run_process("--tol", "-1e-3", "selfcheck")
     assert code == 2 and stderr == ""
     assert report["error"] == "--tol -1e-3: expected a finite number >= 0"
+
+
+def test_flag_after_a_value_flag_stays_an_option(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit):  # --out has no value; no file named --chains
+        run(["entropy", "gen", "--out", "--chains"])
+    assert not (tmp_path / "--chains").exists()
 
 
 MUTATIONS = ("remove", None, 7, "x", [], {})
@@ -2215,9 +2226,10 @@ def test_entropy_gen_empty_carrier_exit_two(tmp_path):
 
 def test_entropy_gen_negative_chains_exit_two(tmp_path):
     out = tmp_path / "x.json"
-    code, report = invoke("entropy", "gen", "--out", str(out), "--chains", "-1")
-    assert code == 2 and report["error"] == "--chains -1: expected an integer >= 0"
-    assert not out.exists()
+    for flag, text, low in [("--chains", "-1", 0), ("--chains", "x", 0), ("--max-carrier", "-x", 1)]:
+        code, report = invoke("entropy", "gen", "--out", str(out), flag, text)
+        assert code == 2 and report["error"] == f"{flag} {text}: expected an integer >= {low}"
+        assert not out.exists()
     # no chains at all is a corpus of single maps
     code, report = invoke("entropy", "gen", "--out", str(out), "--chains", "0", "--max-carrier", "1")
     assert code == 0 and report["result"]["morphisms"] == 20

@@ -1,6 +1,7 @@
 """Finite probability spaces, entropy, the information-loss functional,
 and the category seen as a convex Grothendieck construction."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,9 @@ from convexion.finprob import (
     info_loss,
     shannon_entropy,
     verify_entropy_axioms,
+    verify_value_table,
 )
+from convexion.jsonio import canonical_json
 from convexion.matprop import QConvOp
 
 F = Fraction
@@ -216,6 +219,34 @@ def test_squared_additivity_fails_on_two_collapses():
     assert abs(lhs - (2 * LN2) ** 2) < 1e-12
     assert abs(rhs - 2 * LN2**2) < 1e-12
     assert abs(lhs - rhs) > 0.5
+
+
+# The sha256 of each report's canonical as_dict() on one seeded corpus: three
+# callable candidates, and a table of info_loss values whose chain 3 is off by
+# one half (one composition failure; convexity and continuity skipped).
+REPORT_DIGESTS = {
+    "info_loss": "73341c8c12c0d38bfb68289571dbce44c3e1978c4c66cbd046e6e22cada8c12e",
+    "doubled": "87d62b01e125fc1890f52b3376bb079cd628fd4fe13d1c1ca0261fb6c6e0d60f",
+    "squared": "2b9e20489df7b0f3a78f59b1fb9859f5ae81ace609d67e8c3ce1c8dbe9c89445",
+    "table": "f5678ad6cbee040aecd3017ab573694bcb80460e19e66773e5812f037474a76d",
+}
+
+
+def test_verifier_reports_are_pinned():
+    corpus = generate_corpus(seed=17, n_chains=12, max_carrier=6)
+    chain_values = [info_loss(f.compose(g)) for f, g in map(corpus.chain_morphisms, range(12))]
+    chain_values[3] += 0.5
+    reports = {
+        "info_loss": verify_entropy_axioms(info_loss, corpus),
+        "doubled": verify_entropy_axioms(lambda m: 2 * info_loss(m), corpus),
+        "squared": verify_entropy_axioms(lambda m: info_loss(m) ** 2, corpus),
+        "table": verify_value_table([info_loss(m) for m in corpus.morphisms], chain_values, corpus),
+    }
+    digests = {
+        name: hashlib.sha256(canonical_json(report.as_dict()).encode()).hexdigest()
+        for name, report in reports.items()
+    }
+    assert digests == REPORT_DIGESTS
 
 
 # -- FinProb as a convex Grothendieck construction -----------------------------------------
