@@ -7,24 +7,20 @@ every source object; extraction inverts it up to explicitly constructed
 natural isomorphisms.  The convex version keeps the fibres as presented
 convex sets: object fibres can be infinite, so the total category is lazy
 (membership tests and lift functions), with fibre-level convex structure
-given by mixing graph pairs.
+given by mixing graph pairs.  Only that convex half imports presentation
+(and so linalg), where it runs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import NotAFibration, NotAFunctor
-from .presentation import (
-    DEFAULT_STEP_BOUND,
-    ConvexMap,
-    PresentedElement,
-    Presentation,
-    eq,
-    quotient_mix,
-)
+
+if TYPE_CHECKING:
+    from .presentation import Presentation, PresentedElement
 
 
 @dataclass(frozen=True)
@@ -440,8 +436,9 @@ def fibration_morphism_over_base(p: FibrationData, q: FibrationData, obj_map):
 class CSetFunctor:
     """on_objects: object -> Presentation; on_morphisms: name -> ConvexMap.
 
-    Functoriality is validated up to eq at the given bound; an Unknown
-    verdict fails validation loudly.
+    Functoriality is validated up to eq at the given bound (None:
+    presentation.DEFAULT_STEP_BOUND); an Unknown verdict fails validation
+    loudly.
     """
 
     def __init__(
@@ -449,15 +446,17 @@ class CSetFunctor:
         base: FiniteCategory,
         on_objects,
         on_morphisms,
-        step_bound: int = DEFAULT_STEP_BOUND,
+        step_bound: Optional[int] = None,
     ):
+        from .presentation import DEFAULT_STEP_BOUND
         self.base = base
         self.on_objects = dict(on_objects)
         self.on_morphisms = dict(on_morphisms)
-        self.step_bound = step_bound
+        self.step_bound = DEFAULT_STEP_BOUND if step_bound is None else step_bound
         self.validate()
 
     def validate(self):
+        from .presentation import ConvexMap, Presentation, eq
         for c in self.base.objects:
             if not isinstance(self.on_objects.get(c), Presentation):
                 raise NotAFunctor(f"no presentation for object {c!r}")
@@ -527,6 +526,7 @@ class ConvexFibrationData:
         return self.functor.on_objects[c]
 
     def contains_object(self, c, element) -> bool:
+        from .presentation import PresentedElement
         return (
             c in self.base.objects
             and isinstance(element, PresentedElement)
@@ -549,6 +549,7 @@ class ConvexFibrationData:
         if len(names) != 1:
             raise NotAFibration("mixing pairs over different base morphisms")
         (name,) = names
+        from .presentation import quotient_mix
         return GraphPair(
             name,
             quotient_mix(alpha, [p.source for p in pairs]),
@@ -586,13 +587,17 @@ def convex_grothendieck(
 
 
 def check_fibrewise_equations(
-    cfib: ConvexFibrationData, samples, step_bound: int = DEFAULT_STEP_BOUND
+    cfib: ConvexFibrationData, samples, step_bound: Optional[int] = None
 ):
-    """Verify s, t, and Id compatibility on sampled mixtures.
+    """Verify s, t, and Id compatibility on sampled mixtures, with eq at
+    step_bound (None: presentation.DEFAULT_STEP_BOUND).
 
     samples: iterable of (morphism_name, alpha, elements-over-source).
     Returns a list of failure descriptions (empty when all hold).
     """
+    from .presentation import DEFAULT_STEP_BOUND, eq, quotient_mix
+    if step_bound is None:
+        step_bound = DEFAULT_STEP_BOUND
     failures = []
     for name, alpha, elements in samples:
         pairs = [cfib.lift(name, e) for e in elements]

@@ -11,10 +11,12 @@ elimination step (_eliminate): it touches only the rows holding the pivot
 column and divides each by its content (the gcd of its entries and rhs),
 which keeps the integers small.  The pivot row is never normalised, so
 each stored row is a nonzero multiple of the row a normalising Fraction
-tableau would hold.  Fractions are built only for the answers.  The
-simplex starts from the slack columns a system offers (unit-like columns,
-such as the spectators of the equality engine's zig-zag LP) and adds
-artificials only on the rows without one.
+tableau would hold.  Fractions are built only for the answers: rref and
+nullspace read theirs off echelon, the row reduction's integer form,
+which the equality engine caches.  The simplex starts from the slack
+columns a system offers (unit-like columns, such as the spectators of
+the equality engine's zig-zag LP) and adds artificials only on the rows
+without one.
 """
 
 from __future__ import annotations
@@ -202,8 +204,8 @@ def _eliminate(rows, rhs, cols, r, c):
 def _integer_row(row, v=0):
     """A dense row and its rhs v times the lcm of their denominators,
     negated when v < 0: the row as a {column: int} dict, and the int rhs.
-    _rref scales its input rows with it (the RREF does not depend on the
-    scale).  Zeros are skipped by a truth test in C (itertools.compress),
+    echelon scales its input rows with it (the RREF does not depend on
+    the scale).  Zeros are skipped by a truth test in C (itertools.compress),
     which is fastest on int 0."""
     nonzero = list(compress(range(len(row)), row))
     scale = lcm(v.denominator, *(row[j].denominator for j in nonzero))
@@ -215,9 +217,12 @@ def _integer_row(row, v=0):
     )
 
 
-def _rref(rows, ncols):
-    """Reduced row echelon form as {column: Fraction} dict rows, in pivot
-    order, and the pivot columns.  The form is unique, so the row that
+def echelon(rows, ncols):
+    """The fraction-free Gauss-Jordan form of a row matrix: {column: int}
+    dict rows in pivot order, each zero at every other row's pivot column,
+    and the pivot columns.  The dense rows (ints or Fractions) are scaled
+    to ints first (_integer_row).  Each row is a nonzero multiple of the
+    reduced row echelon form's row, which is unique, so the row that
     supplies each pivot is free to choose: the sparsest, to keep fill-in
     down."""
     mat = [_integer_row(row)[0] for row in rows]
@@ -239,31 +244,30 @@ def _rref(rows, ncols):
         pivots.append(c)
         if not unused:
             break
-    reduced = []
-    for r, c in zip(order, pivots):
-        p = mat[r][c]
-        reduced.append({j: Fraction(v, p) for j, v in mat[r].items()})
-    return reduced, pivots
+    return [mat[r] for r in order], pivots
 
 
 def rref(rows, ncols=None):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    reduced, pivots = _rref(rows, ncols)
-    return [[row.get(j, ZERO) for j in range(ncols)] for row in reduced], pivots
+    reduced, pivots = echelon(rows, ncols)
+    dense = [[Fraction(row.get(j, 0), row[c]) for j in range(ncols)] for row, c in zip(reduced, pivots)]
+    return dense, pivots
+
+
+def null_vector(reduced, pivots, fc, ncols):
+    """The nullspace basis vector of free column fc of an echelon form, as
+    ncols Fractions: 1 at fc, -row[fc] / row[pc] at each pivot column pc."""
+    v = [ZERO] * ncols
+    v[fc] = ONE
+    for row, pc in zip(reduced, pivots):
+        v[pc] = Fraction(-row.get(fc, 0), row[pc])
+    return v
 
 
 def nullspace(rows, ncols):
-    """Basis of {v : A v = 0} for the row matrix A with ncols columns."""
-    reduced, pivots = _rref(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row.get(fc, ZERO)
-        basis.append(v)
-    return basis
+    """Basis of {v : A v = 0} for the row matrix A with ncols columns: the
+    null_vector of each free column of echelon(rows, ncols), in order."""
+    reduced, pivots = echelon(rows, ncols)
+    return [null_vector(reduced, pivots, fc, ncols) for fc in range(ncols) if fc not in pivots]

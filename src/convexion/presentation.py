@@ -53,10 +53,12 @@ elements is decided (where possible) by a three-valued engine:
   is not claimed; callers that need a decision treat Unknown as an error.
 
 Every witness replays mechanically, in integers; see verify_verdict.
-eq's invariant test also runs in integers, on each element's integer
-form (_nums over _den) and the invariant basis scaled to ints.  A verdict's
-bound is the step bound that was asked for, not the level where the
-search stopped.
+eq's invariant test also runs in integers: an invariant separates x and
+y exactly when y - x lies outside the span of the relation differences,
+so eq reduces y - x against their cached linalg.echelon form and builds
+a Fraction invariant only from a nonzero residual (_separating_invariant).
+A verdict's bound is the step bound that was asked for, not the level
+where the search stopped.
 """
 
 from __future__ import annotations
@@ -92,22 +94,22 @@ class Presentation:
         gens = tuple(sorted(set(generators), key=element_key))
         if not gens:
             raise InvalidInput("a presentation needs at least one generator")
-        gen_set = set(gens)
+        index = {g: i for i, g in enumerate(gens)}
         rels = []
         for lhs, rhs in relations:
             for side in (lhs, rhs):
                 if not isinstance(side, FiniteDistribution):
                     raise SemiringMismatch("relations must pair distributions")
                 require_rational(side.semiring, "presented convex sets")
-                if not side.support() <= gen_set:
+                if not side._nums.keys() <= index.keys():
                     raise PresentationMismatch(
                         f"relation distribution has support outside the "
-                        f"generators: {sorted(side.support() - gen_set, key=element_key)}"
+                        f"generators: {sorted(side._nums.keys() - index.keys(), key=element_key)}"
                     )
             rels.append((lhs, rhs))
         self.generators = gens
         self.relations = tuple(rels)
-        self._gen_index = {g: i for i, g in enumerate(gens)}
+        self._gen_index = index
 
     @classmethod
     def free(cls, generators) -> "Presentation":
@@ -179,8 +181,8 @@ class Presentation:
     def _difference_rows(self):
         """One row per relation: lhs - rhs over the generators, times the
         lcm of the two sides' denominators, as a dense list of ints.  An
-        invariant is a vector orthogonal to every row (invariant_basis and
-        the Distinct replay in verify_verdict); the scale does not change
+        invariant is a vector orthogonal to every row (_echelon and the
+        Distinct replay in verify_verdict); the scale does not change
         which vectors those are."""
         rows = []
         for lhs, rhs in self.relations:
@@ -191,22 +193,17 @@ class Presentation:
         return rows
 
     @cached_property
-    def invariant_basis(self):
-        """Basis of affine functionals constant on every relation pair."""
-        return linalg.nullspace(self._difference_rows, len(self.generators))
+    def _echelon(self):
+        """linalg.echelon of _difference_rows: the integer Gauss-Jordan
+        rows of the span of the relation differences, and their pivots."""
+        return linalg.echelon(self._difference_rows, len(self.generators))
 
     @cached_property
-    def _integer_invariants(self):
-        """invariant_basis as eq's Distinct test reads it: per basis vector,
-        the vector as a tuple (the certificate eq returns) and its nonzero
-        entries times the lcm of their denominators, as a {generator: int}
-        map.  The scale does not change which elements it separates."""
-        out = []
-        for vec in self.invariant_basis:
-            scale = lcm(*(v.denominator for v in vec))
-            ints = {g: v.numerator * (scale // v.denominator) for g, v in zip(self.generators, vec) if v}
-            out.append((tuple(vec), ints))
-        return tuple(out)
+    def invariant_basis(self):
+        """Basis of affine functionals constant on every relation pair:
+        linalg.nullspace(_difference_rows, ng), read off _echelon."""
+        (reduced, pivots), ng = self._echelon, len(self.generators)
+        return [linalg.null_vector(reduced, pivots, fc, ng) for fc in range(ng) if fc not in pivots]
 
     # -- value semantics ---------------------------------------------------
 
@@ -235,10 +232,10 @@ class PresentedElement:
 
     def __init__(self, presentation: Presentation, rep: FiniteDistribution):
         require_rational(rep.semiring, "presented convex sets")
-        missing = rep.support() - set(presentation.generators)
-        if missing:
+        index = presentation._gen_index
+        if not rep._nums.keys() <= index.keys():
             raise PresentationMismatch(
-                f"representative uses non-generators: {sorted(missing, key=element_key)}"
+                f"representative uses non-generators: {sorted(rep._nums.keys() - index.keys(), key=element_key)}"
             )
         self.presentation = presentation
         self.rep = rep
@@ -359,9 +356,8 @@ def eq(
     if x == y:
         return EqualityVerdict("equal", path=(), bound=step_bound)
 
-    for vec, ints in pres._integer_invariants:
-        if _value(ints, x) * y._den != _value(ints, y) * x._den:
-            return EqualityVerdict("distinct", invariant=vec, bound=step_bound)
+    if vec := _separating_invariant(pres, x, y):
+        return EqualityVerdict("distinct", invariant=vec, bound=step_bound)
 
     for p, q in ((x, y), (y, x)):  # U_y, then U_x
         outside = _respected(pres, set(pres._gen_index).difference(q._nums))
@@ -377,6 +373,31 @@ def eq(
             if steps is not None:
                 return EqualityVerdict("equal", path=steps, bound=step_bound)
     return EqualityVerdict("unknown", bound=step_bound)
+
+
+def _separating_invariant(pres, x, y):
+    """The first invariant_basis vector v with v.x != v.y, as a tuple, or
+    None.  d = (x - y) x._den y._den is reduced fraction-free against the
+    cached echelon rows, which are zero at each other's pivots, so one pass
+    leaves d on the free columns, each entry v_fc.d times a nonzero factor
+    (v_fc is free column fc's basis vector): the lowest nonzero decides."""
+    index = pres._gen_index
+    d = {index[g]: n * y._den for g, n in x._nums.items()}
+    for g, n in y._nums.items():
+        d[index[g]] = d.get(index[g], 0) - n * x._den
+    reduced, pivots = pres._echelon
+    for row, pc in zip(reduced, pivots):
+        if f := d.pop(pc, 0):
+            p = row[pc]
+            g = gcd(f, p) if p > 0 else -gcd(f, p)
+            p, f = p // g, f // g  # d becomes (p d - f row) / g, with p > 0
+            if p != 1:
+                d = {j: v * p for j, v in d.items()}
+            for j, v in row.items():
+                if j != pc:
+                    d[j] = d.get(j, 0) - f * v
+    fc = min((j for j, v in d.items() if v), default=None)
+    return None if fc is None else tuple(linalg.null_vector(reduced, pivots, fc, len(pres.generators)))
 
 
 def _value(ints, dist):

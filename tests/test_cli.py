@@ -1851,7 +1851,7 @@ VERB_MODULES = {
     ("join", "join_mix"): ["join", "linalg", "presentation"],
     ("tensor", "tensor"): ["linalg", "presentation", "tensor"],
     ("prop", "compose"): ["matprop"],
-    ("groth", "grothendieck"): ["category", "linalg", "presentation"],
+    ("groth", "grothendieck"): ["category"],
     ("omon", "star_alpha"): ["category", "linalg", "matprop", "omonoidal", "presentation", "tensor"],
     ("twist", "twisted_product"): ["simplicial"],
     ("entropy", "eval"): ["finprob"],

@@ -192,6 +192,28 @@ def test_rref_with_negative_pivots():
 
 
 @given(st.data())
+def test_echelon_is_the_integer_form_of_the_rref(data):
+    # each row is ints, zero at every other row's pivot, and divided by its
+    # pivot entry it is the RREF's row; nullspace reads its basis off it
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 5))
+    rows = _rational_matrix(data, m, n)
+    reduced, pivots = linalg.echelon(rows, n)
+    expected, expected_pivots = naive_rref(rows, n)
+    assert pivots == expected_pivots
+    for row, pc in zip(reduced, pivots):
+        assert all(type(v) is int and v for v in row.values())
+        assert all(q not in row for q in pivots if q != pc)
+    assert [[F(row.get(j, 0), row[pc]) for j in range(n)] for row, pc in zip(reduced, pivots)] == expected
+    free = [c for c in range(n) if c not in pivots]
+    basis = [[F(c == fc) for c in range(n)] for fc in free]
+    for vec, fc in zip(basis, free):
+        for row, pc in zip(expected, pivots):
+            vec[pc] = -row[fc]
+    assert linalg.nullspace(rows, n) == basis
+
+
+@given(st.data())
 def test_nullspace_is_the_same_for_int_and_fraction_input(data):
     m = data.draw(st.integers(1, 4))
     n = data.draw(st.integers(1, 5))

@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_linalg import _rewrite, _tensor_cases, dense, dot, recorded_pivots, zigzag_cases
 
-from convexion import presentation
-from convexion.distribution import FiniteDistribution, delta
+from convexion import linalg, presentation
+from convexion.distribution import FiniteDistribution, convex_combine, delta
 from convexion.errors import (
     PresentationMismatch,
     RelationViolated,
@@ -60,6 +60,13 @@ SPLIT = Presentation(
 def test_relations_must_be_supported_on_generators():
     with pytest.raises(PresentationMismatch):
         Presentation(["a"], [(delta("a"), delta("z"))])
+    # the missing generators are listed in generator order
+    with pytest.raises(PresentationMismatch) as raised:
+        Presentation(["a"], [(delta("a"), rd({"z": "1/2", "a": "1/4", "y": "1/4"}))])
+    assert str(raised.value) == "relation distribution has support outside the generators: ['y', 'z']"
+    with pytest.raises(PresentationMismatch) as raised:
+        FREE_AB.element(rd({"z": "1/2", "a": "1/4", "c": "1/4"}))
+    assert str(raised.value) == "representative uses non-generators: ['c', 'z']"
 
 
 def test_boolean_presentations_rejected():
@@ -907,3 +914,84 @@ def test_replay_rejects_forged_support_certificates():
     assert verify_verdict(EqualityVerdict("distinct", support=("a",)), b, a)
     mid = pres.element(rd({"a": "1/2", "b": "1/2"}))  # equal to a
     assert not verify_verdict(EqualityVerdict("distinct", support=("a",)), a, mid)
+
+
+# -- the invariant step: one integer residual against the cached echelon form --------
+
+
+def _mix(t, p, q):
+    return convex_combine([t, 1 - t], [p, q])
+
+
+def _invariant_relations(rng, gens):
+    """0-3 relations over gens: random ones, ones whose difference row
+    (lhs - rhs) leads with a negative entry, and dependent ones (an earlier
+    relation reversed, or one mixture of two earlier relations' sides)."""
+    rels = []
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(["random", "negative", "dependent"][: 3 if rels else 2])
+        if kind == "dependent":
+            (r1, s1), (r2, s2) = rng.choice(rels), rng.choice(rels)
+            t = F(rng.randint(1, 3), 4)
+            lhs, rhs = (s1, r1) if rng.random() < 0.5 else (_mix(t, r1, r2), _mix(t, s1, s2))
+        else:
+            lhs, rhs = _random_dist(rng, gens), _random_dist(rng, gens)
+            lead = next((lhs.weight(g) - rhs.weight(g) for g in gens if lhs.weight(g) != rhs.weight(g)), 0)
+            if kind == "negative" and lead > 0:
+                lhs, rhs = rhs, lhs
+        if lhs != rhs:
+            rels.append((lhs, rhs))
+    return rels
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_invariant_step_takes_the_first_separating_nullspace_vector(data):
+    # On a fresh presentation eq reduces y - x against the cached echelon
+    # form; its invariant must be the first basis vector that separates x
+    # and y, and invariant_basis must be the nullspace of the difference
+    # rows.  Partners that differ by a relation move are never separated.
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    gens = [f"g{i}" for i in range(rng.randint(1, 5))]
+    rels = _invariant_relations(rng, gens)
+    x = _random_dist(rng, gens)
+    if rels and rng.random() < 0.4:  # y - x is t (s - r) for a relation (r, s)
+        r, s = rng.choice(rels)
+        t = F(rng.randint(1, 3), 4)
+        x, y = _mix(t, r, x), _mix(t, s, x)
+    else:
+        y = _random_dist(rng, gens)
+    pres = Presentation(gens, rels)
+    e1, e2 = pres.element(x), pres.element(y)
+    v = eq(e1, e2, rng.randint(0, 2))
+    assert pres.invariant_basis == linalg.nullspace(pres._difference_rows, len(gens))
+    xv, yv = dense(pres, x), dense(pres, y)
+    separating = [vec for vec in pres.invariant_basis if dot(vec, xv) != dot(vec, yv)]
+    if separating:
+        assert v.is_distinct and repr(v.invariant) == repr(tuple(separating[0]))
+        assert verify_verdict(v, e1, e2)
+    else:
+        assert not (v.is_distinct and v.invariant)
+
+
+def test_eq_on_a_fresh_presentation_never_calls_nullspace(monkeypatch):
+    def refuse(rows, ncols):
+        raise AssertionError("eq called linalg.nullspace")
+
+    monkeypatch.setattr(linalg, "nullspace", refuse)
+
+    def verdict(gens, rels, x, y):
+        pres = Presentation(gens, rels)  # fresh: nothing cached yet
+        e1, e2 = pres.element(x), pres.element(y)
+        v = eq(e1, e2, 2)
+        assert verify_verdict(v, e1, e2)
+        return v
+
+    split = [(delta("a"), rd({"b": "1/2", "c": "1/2"}))]
+    abcd = ["a", "b", "c", "d"]
+    v = verdict(abcd, split, delta("a"), delta("b"))
+    assert v.invariant == (F(1, 2), F(1), F(0), F(0))
+    assert verdict(["a", "b", "c"], [], delta("b"), delta("c")).invariant == (F(0), F(1), F(0))
+    assert verdict(abcd, split, delta("a"), rd({"b": "1/2", "c": "1/2"})).is_equal
+    absorb = [(delta("a"), rd({"a": "1/2", "b": "1/2"}))]
+    assert verdict(["a", "b"], absorb, delta("a"), delta("b")).support == ("a",)
