@@ -20,10 +20,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .distribution import FiniteDistribution, convex_combine, pushforward
 from .errors import ArityMismatch, InvalidInput, NotMeasurePreserving, NotNormalized
+
+if TYPE_CHECKING:
+    from .matprop import QConvOp
 
 F = Fraction
 

@@ -24,10 +24,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .distribution import FiniteDistribution, _common_denominator, element_label
-from .errors import InvalidInput, ParseError
+from .errors import InvalidInput, ParseError, RelationViolated, Undecided
 from .semiring import RATIONAL, Semiring, semiring_by_name
+
+if TYPE_CHECKING:
+    from .join import JoinElement, JoinSpace
+    from .matprop import QConvOp, RMatrix
+    from .presentation import EqualityVerdict, Presentation
 
 F = Fraction
 
@@ -358,8 +364,13 @@ def encode_verdict(verdict: EqualityVerdict, pres: Presentation) -> dict:
     return out
 
 
+_CERTIFICATES = {"equal": ("path",), "distinct": ("support", "invariant"), "unknown": ()}
+
+
 def decode_verdict(payload, pres: Presentation) -> EqualityVerdict:
-    """A verdict as encode_verdict writes it."""
+    """A verdict as encode_verdict writes it.  Every certificate key present
+    is read: a key that the verdict's status does not carry, or an
+    invariant beside a support, is an error at its path."""
     from .presentation import EqualityVerdict, ZigZagStep
 
     job = _reader(payload)
@@ -367,6 +378,13 @@ def decode_verdict(payload, pres: Presentation) -> EqualityVerdict:
     bound = job.get("bound", 0)
     if isinstance(bound.value, bool) or not isinstance(bound.value, int) or bound.value < 0:
         raise bound.error("expected a nonnegative integer")
+    if not isinstance(status.value, str) or status.value not in _CERTIFICATES:
+        raise status.error(f"unknown verdict status {status.value!r}")
+    for key in ("path", "support", "invariant"):
+        if key in job and key not in _CERTIFICATES[status.value]:
+            raise job[key].error(f"a verdict of status {status.value!r} has no {key}")
+    if "support" in job and "invariant" in job:
+        raise job["invariant"].error("a verdict with a support has no invariant")
     labels = {element_label(g): i for i, g in enumerate(pres.generators)}
     if status.value == "equal":
         steps = []
@@ -381,9 +399,7 @@ def decode_verdict(payload, pres: Presentation) -> EqualityVerdict:
     if status.value == "distinct":
         inv = _generator_map(job.get("invariant", {}), labels, signed=True)
         return EqualityVerdict("distinct", invariant=inv, bound=bound.value)
-    if status.value == "unknown":
-        return EqualityVerdict("unknown", bound=bound.value)
-    raise status.error(f"unknown verdict status {status.value!r}")
+    return EqualityVerdict("unknown", bound=bound.value)
 
 
 def _triples(job):
@@ -490,6 +506,8 @@ def decode_set_functor(payload, base):
 
 
 def decode_cset_functor(payload, base, step_bound):
+    """Each morphism's map is built by induce_map: one that eq does not find
+    to respect its source's relations at step_bound is an error at its path."""
     from .category import CSetFunctor
     from .presentation import induce_map
 
@@ -507,7 +525,10 @@ def decode_cset_functor(payload, base, step_bound):
             raise raw.error("not a morphism between objects in on_objects")
         src, tgt = on_objects[m.src], on_objects[m.tgt]
         assignment = {g: tgt.element(decode_distribution(d)) for g, d in raw.entries()}
-        on_morphisms[k] = induce_map(src, tgt, assignment, step_bound, validate=False)
+        try:
+            on_morphisms[k] = induce_map(src, tgt, assignment, step_bound)
+        except (RelationViolated, Undecided) as exc:
+            raise raw.error(str(exc)) from None
     return CSetFunctor(base, on_objects, on_morphisms, step_bound)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -28,6 +28,9 @@ from .errors import (
     SizeMismatch,
 )
 from .semiring import RATIONAL, Semiring
+
+if TYPE_CHECKING:
+    from .presentation import Presentation, PresentedElement
 
 F = Fraction
 

@@ -205,13 +205,13 @@ def trivial_structure(sym_mon: SymmetricMonoidalData, operad: OperadSpec) -> OMo
     return OMonCategory(operad, sym_mon.base, tensor_obj)
 
 
-def cset_omon(operad: OperadSpec = QCONV) -> OMonCategory:
+def cset_omon() -> OMonCategory:
     """Presented convex sets with the parameter-blind tensor structure."""
 
     def tensor_obj(op, objs):
         return nfold_tensor(objs)
 
-    return OMonCategory(operad, "CSet", tensor_obj)
+    return OMonCategory(QCONV, "CSet", tensor_obj)
 
 
 # -- the subset-of-the-join structure ---------------------------------------------
@@ -373,7 +373,6 @@ def permutation_square_holds(
     sigma: Sequence[int],
     objs: Sequence,
     elems: Sequence[PresentedElement],
-    step_bound: int = DEFAULT_STEP_BOUND,
     target_iso: Optional[ConvexMap] = None,
 ) -> bool:
     """xi at the permuted operation on permuted inputs matches xi at the
@@ -393,7 +392,7 @@ def permutation_square_holds(
         return False
     if target_iso is not None:
         lhs = target_iso(lhs)
-    return eq(lhs, rhs, step_bound).is_equal
+    return eq(lhs, rhs).is_equal
 
 
 # -- the O-monoidal Grothendieck construction ---------------------------------------
@@ -501,7 +500,7 @@ def _mixing_weights(op: OperadOp | QConvOp, n: int) -> tuple:
     return op.weights if op.kind == "qconv" else (F(1, n),) * n
 
 
-def dist_lax_functor(max_size: int = 6, operad: OperadSpec = QCONV) -> LaxOMonFunctor:
+def dist_lax_functor(max_size: int = 6) -> LaxOMonFunctor:
     """Distributions on a skeleton of nonempty finite sets, with disjoint
     union as the base tensor (size sum) and mixtures as structure maps:
     xi_alpha(p_1, ..., p_n) = sum alpha_i p_i on the union, each summand
@@ -522,7 +521,7 @@ def dist_lax_functor(max_size: int = 6, operad: OperadSpec = QCONV) -> LaxOMonFu
             )
         return f"S{total}"
 
-    omon = OMonCategory(operad, base_cat, tensor_obj)
+    omon = OMonCategory(QCONV, base_cat, tensor_obj)
     on_objects = {o: Presentation.free([f"e{i}" for i in range(size(o))]) for o in objects}
     on_morphisms = {
         base_cat.identity[o]: ConvexMap.identity(on_objects[o]) for o in objects

@@ -671,13 +671,12 @@ def _same_point(a, a_scale, b, b_scale):
 class ConvexMap:
     """Affine extension of a generator assignment between presentations."""
 
-    __slots__ = ("src", "tgt", "assignment", "step_bound")
+    __slots__ = ("src", "tgt", "assignment")
 
-    def __init__(self, src, tgt, assignment, step_bound=DEFAULT_STEP_BOUND):
+    def __init__(self, src, tgt, assignment):
         self.src = src
         self.tgt = tgt
         self.assignment = dict(assignment)
-        self.step_bound = step_bound
 
     @classmethod
     def identity(cls, pres: Presentation) -> "ConvexMap":
@@ -706,7 +705,6 @@ class ConvexMap:
             first.src,
             self.tgt,
             {g: self(first.assignment[g]) for g in first.src.generators},
-            self.step_bound,
         )
 
     def __repr__(self):
@@ -718,13 +716,12 @@ def induce_map(
     tgt: Presentation,
     assignment: Mapping,
     step_bound: int = DEFAULT_STEP_BOUND,
-    validate: bool = True,
 ) -> ConvexMap:
     """Extend a generator assignment affinely, if it respects the relations.
 
-    Every source relation pair must map to eq-Equal elements of the target;
-    a Distinct image raises RelationViolated (carrying the failing pair),
-    an Unknown image raises Undecided.
+    Every source relation pair must map to elements of the target that eq
+    finds Equal at step_bound; a Distinct image raises RelationViolated
+    (carrying the failing pair), an Unknown image raises Undecided.
     """
     values = {}
     for g in src.generators:
@@ -736,21 +733,18 @@ def induce_map(
                 f"assignment for {g!r} is not an element of the target"
             )
         values[g] = v
-    fmap = ConvexMap(src, tgt, values, step_bound)
-    if validate:
-        for lhs, rhs in src.relations:
-            image_l = fmap(PresentedElement(src, lhs))
-            image_r = fmap(PresentedElement(src, rhs))
-            verdict = eq(image_l, image_r, step_bound)
-            if verdict.is_distinct:
-                raise RelationViolated(
-                    "assignment sends a relation pair to distinct elements",
-                    pair=(lhs, rhs),
-                )
-            if verdict.is_unknown:
-                raise Undecided(
-                    f"relation image equality unknown at bound {step_bound}"
-                )
+    fmap = ConvexMap(src, tgt, values)
+    for lhs, rhs in src.relations:
+        image_l = fmap(PresentedElement(src, lhs))
+        image_r = fmap(PresentedElement(src, rhs))
+        verdict = eq(image_l, image_r, step_bound)
+        if verdict.is_distinct:
+            raise RelationViolated(
+                "assignment sends a relation pair to distinct elements",
+                pair=(lhs, rhs),
+            )
+        if verdict.is_unknown:
+            raise Undecided(f"relation image equality unknown at bound {step_bound}")
     return fmap
 
 
@@ -772,7 +766,7 @@ def hom_combine(alpha, fs: Sequence[ConvexMap]) -> ConvexMap:
         g: quotient_mix(alpha, [f.assignment[g] for f in fs])
         for g in src.generators
     }
-    return ConvexMap(src, tgt, assignment, fs[0].step_bound)
+    return ConvexMap(src, tgt, assignment)
 
 
 def maps_agree(

@@ -447,6 +447,53 @@ def test_groth_convex_cli(tmp_path):
     assert report["result"]["fibrewise_equations_hold"] is True
 
 
+def _arrow_functor_job(tmp_path, target):
+    """F(0) = {a, b | a ~ b} and F(1) = target on the generators c and e,
+    with F(f): a -> c, b -> e."""
+    delta = {g: {"weights": [{"el": g, "w": "1"}]} for g in "abce"}
+    return write(
+        tmp_path,
+        "arrow.json",
+        {
+            "op": "convex_grothendieck",
+            "category": ARROW_CAT,
+            "functor": {
+                "on_objects": {"0": GLUE, "1": target},
+                "on_morphisms": {
+                    "f": {"a": delta["c"], "b": delta["e"]},
+                    "id0": {"a": delta["a"], "b": delta["b"]},
+                    "id1": {"c": delta["c"], "e": delta["e"]},
+                },
+            },
+        },
+    )
+
+
+def test_groth_convex_refuses_an_ill_defined_map(tmp_path):
+    # a ~ b in F(0), but F(f) sends them to distinct generators of a free set.
+    job = _arrow_functor_job(tmp_path, {"generators": ["c", "e"], "relations": []})
+    code, report = invoke("groth", "--job", job)
+    assert code == 2
+    assert report["error"] == (
+        "functor.on_morphisms['f']: assignment sends a relation pair to distinct elements"
+    )
+
+
+def test_groth_convex_checks_each_map_at_the_bound(tmp_path):
+    # c ~ e in F(1) too: the relation images are equal by one zig-zag step,
+    # which the default bound finds and bound 0 does not look for.
+    glued = {
+        "generators": ["c", "e"],
+        "relations": [[{"weights": [{"el": "c", "w": "1"}]}, {"weights": [{"el": "e", "w": "1"}]}]],
+    }
+    job = _arrow_functor_job(tmp_path, glued)
+    code, report = invoke("groth", "--job", job)
+    assert code == 0 and report["result"]["fibrewise_equations_hold"] is True
+    code, report = invoke("groth", "--bound", "0", "--job", job)
+    assert code == 2
+    assert report["error"] == "functor.on_morphisms['f']: relation image equality unknown at bound 0"
+
+
 # -- omon --------------------------------------------------------------------------------
 
 
@@ -904,6 +951,14 @@ def _verify_job(tmp_path, verdict, lhs=MIDPOINT, rhs=HALVES):
             "verdict.path[0].spectator:",
         ),
         ({"status": "equl"}, "verdict.status:"),
+        # a certificate key that the status does not carry is read, not skipped
+        ({"status": "distinct", "support": ["a"], "invariant": {"a": "x"}}, "verdict.invariant:"),
+        ({"status": "distinct", "support": ["a"], "invariant": {"a": "1"}}, "verdict.invariant:"),
+        ({"status": "unknown", "path": [{"lambdas": ["1", "0"]}]}, "verdict.path:"),
+        ({"status": "distinct", "invariant": {"a": "1"}, "path": []}, "verdict.path:"),
+        ({"status": "equal", "path": [], "invariant": {"a": "1"}}, "verdict.invariant:"),
+        ({"status": "equal", "path": [], "support": ["a"]}, "verdict.support:"),
+        ({"status": "unknown", "support": ["a"]}, "verdict.support:"),
     ],
 )
 def test_malformed_certificate_exit_two(tmp_path, verdict, where):

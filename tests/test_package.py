@@ -1,6 +1,9 @@
 """The package root: each public name is read from its module on first
-access, and a bare import loads no submodule."""
+access, and a bare import loads no submodule.  Every name a module
+annotates with is bound in it."""
 
+import ast
+import builtins
 import importlib
 import os
 import pathlib
@@ -67,3 +70,45 @@ def test_unknown_attribute_raises_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         convexion.no_such_name
     assert not hasattr(convexion, "no_such_name")
+
+
+def _module_bindings(body):
+    """The names that the statements body bind at module level, looking
+    into if blocks (so an `if TYPE_CHECKING:` import counts)."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.If):
+            names |= _module_bindings(node.body) | _module_bindings(node.orelse)
+    return names
+
+
+def _annotations(tree):
+    """Every annotation expression in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            yield from (a.annotation for a in every if a is not None and a.annotation)
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(SRC, "convexion").glob("*.py")), ids=lambda p: p.stem)
+def test_every_annotation_name_is_bound(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = _module_bindings(tree.body) | set(dir(builtins))
+    unbound = set()
+    for annotation in _annotations(tree):
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            annotation = ast.parse(annotation.value, mode="eval")
+        unbound.update(n.id for n in ast.walk(annotation) if isinstance(n, ast.Name) and n.id not in bound)
+    assert not unbound, f"{path.stem} annotates with unbound names {sorted(unbound)}"

@@ -619,6 +619,22 @@ def test_verdicts_on_the_seeded_corpus_are_pinned():
     assert hashlib.sha256("\n".join(text).encode()).hexdigest() == VERDICT_DIGEST
 
 
+def test_every_corpus_verdict_survives_its_json_form():
+    # In process, over every certificate kind the corpus gives: the decoded
+    # verdict is the verdict, and it replays as the verdict does.
+    from convexion.jsonio import decode_verdict, encode_verdict
+
+    kinds = Counter()
+    for e1, e2, bound in verdict_corpus():
+        v = eq(e1, e2, bound)
+        pres = e1.presentation
+        back = decode_verdict(encode_verdict(v, pres), pres)
+        assert back == v
+        assert verify_verdict(back, e1, e2) == verify_verdict(v, e1, e2)
+        kinds["support" if v.support else v.status] += 1
+    assert kinds == {"equal": 134, "distinct": 100, "support": 33, "unknown": 13}
+
+
 # -- the face presolve ---------------------------------------------------------------------
 
 
