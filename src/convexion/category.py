@@ -436,27 +436,20 @@ def fibration_morphism_over_base(p: FibrationData, q: FibrationData, obj_map):
 class CSetFunctor:
     """on_objects: object -> Presentation; on_morphisms: name -> ConvexMap.
 
-    Functoriality is validated up to eq at the given bound (None:
-    presentation.DEFAULT_STEP_BOUND); an Unknown verdict fails validation
-    loudly.
+    Functoriality is validated on generators, exactly: each identity must
+    fix every generator and each composite must agree with the table's
+    morphism on every generator, in the target's quotient
+    (presentation.same_class).  A failure raises NotAFunctor.
     """
 
-    def __init__(
-        self,
-        base: FiniteCategory,
-        on_objects,
-        on_morphisms,
-        step_bound: Optional[int] = None,
-    ):
-        from .presentation import DEFAULT_STEP_BOUND
+    def __init__(self, base: FiniteCategory, on_objects, on_morphisms):
         self.base = base
         self.on_objects = dict(on_objects)
         self.on_morphisms = dict(on_morphisms)
-        self.step_bound = DEFAULT_STEP_BOUND if step_bound is None else step_bound
         self.validate()
 
     def validate(self):
-        from .presentation import ConvexMap, Presentation, eq
+        from .presentation import ConvexMap, Presentation, same_class
         for c in self.base.objects:
             if not isinstance(self.on_objects.get(c), Presentation):
                 raise NotAFunctor(f"no presentation for object {c!r}")
@@ -467,32 +460,20 @@ class CSetFunctor:
             if cmap.src != self.on_objects[m.src] or cmap.tgt != self.on_objects[m.tgt]:
                 raise NotAFunctor(f"convex map of {name!r} has the wrong type")
         for c, iname in self.base.identity.items():
-            cmap = self.on_morphisms[iname]
-            for g in self.on_objects[c].generators:
-                verdict = eq(
-                    cmap(self.on_objects[c].delta(g)),
-                    self.on_objects[c].delta(g),
-                    self.step_bound,
-                )
-                if not verdict.is_equal:
+            cmap, pres = self.on_morphisms[iname], self.on_objects[c]
+            for g in pres.generators:
+                if not same_class(cmap(pres.delta(g)), pres.delta(g)):
                     raise NotAFunctor(
-                        f"identity of {c!r} is not the identity map "
-                        f"(verdict {verdict.status} at generator {g!r})"
+                        f"identity of {c!r} is not the identity map at generator {g!r}"
                     )
         for (g, f), gf in self.base.table.items():
-            fsrc = self.base.morphisms[f].src
+            pres = self.on_objects[self.base.morphisms[f].src]
             composite = self.on_morphisms[g].compose(self.on_morphisms[f])
             direct = self.on_morphisms[gf]
-            for gen in self.on_objects[fsrc].generators:
-                verdict = eq(
-                    composite(self.on_objects[fsrc].delta(gen)),
-                    direct(self.on_objects[fsrc].delta(gen)),
-                    self.step_bound,
-                )
-                if not verdict.is_equal:
+            for gen in pres.generators:
+                if not same_class(composite(pres.delta(gen)), direct(pres.delta(gen))):
                     raise NotAFunctor(
-                        f"functoriality fails on ({g!r}, {f!r}): verdict "
-                        f"{verdict.status} at generator {gen!r}"
+                        f"functoriality fails on ({g!r}, {f!r}) at generator {gen!r}"
                     )
 
     def apply(self, morphism_name, element: PresentedElement) -> PresentedElement:
@@ -586,34 +567,30 @@ def convex_grothendieck(
     return ConvexFibrationData(f)
 
 
-def check_fibrewise_equations(
-    cfib: ConvexFibrationData, samples, step_bound: Optional[int] = None
-):
-    """Verify s, t, and Id compatibility on sampled mixtures, with eq at
-    step_bound (None: presentation.DEFAULT_STEP_BOUND).
+def check_fibrewise_equations(cfib: ConvexFibrationData, samples):
+    """Verify s, t, and Id compatibility on sampled mixtures, each equation
+    decided exactly in its fibre's quotient (presentation.same_class).
 
     samples: iterable of (morphism_name, alpha, elements-over-source).
     Returns a list of failure descriptions (empty when all hold).
     """
-    from .presentation import DEFAULT_STEP_BOUND, eq, quotient_mix
-    if step_bound is None:
-        step_bound = DEFAULT_STEP_BOUND
+    from .presentation import quotient_mix, same_class
     failures = []
     for name, alpha, elements in samples:
         pairs = [cfib.lift(name, e) for e in elements]
         mixed_pair = cfib.mix_pairs(alpha, pairs)
         src_mix = quotient_mix(alpha, [p.source for p in pairs])
         tgt_mix = quotient_mix(alpha, [p.target for p in pairs])
-        if not eq(mixed_pair.source, src_mix, step_bound).is_equal:
+        if not same_class(mixed_pair.source, src_mix):
             failures.append(("source", name))
-        if not eq(mixed_pair.target, tgt_mix, step_bound).is_equal:
+        if not same_class(mixed_pair.target, tgt_mix):
             failures.append(("target", name))
         m = cfib.base.morphisms[name]
         id_of_mix = cfib.identity_pair(m.src, src_mix)
         id_pairs = [cfib.identity_pair(m.src, e) for e in elements]
         mixed_ids = cfib.mix_pairs(alpha, id_pairs)
-        if not eq(id_of_mix.source, mixed_ids.source, step_bound).is_equal or not eq(
-            id_of_mix.target, mixed_ids.target, step_bound
-        ).is_equal:
+        if not same_class(id_of_mix.source, mixed_ids.source) or not same_class(
+            id_of_mix.target, mixed_ids.target
+        ):
             failures.append(("identity", name))
     return failures

@@ -12,8 +12,9 @@ every JSON file the entropy ops name, only through jsonio.Job, the one
 reader, and passes its sub-readers to the decoders, so each malformed-input
 diagnostic begins with the JSON path of the offending value.  Reports are
 canonical JSON (sorted keys, lowest-terms rationals) and always carry the
-tool version, the equality step bound in use, and the assumption flags
-relevant to the operation.  Every handler imports the modules it uses, so a
+tool version, the --bound value, and the assumption flags relevant to the
+operation.  --bound is eq eq's step bound and no other op reads it: the
+constructions decide equality in the quotient exactly (same_class).  Every handler imports the modules it uses, so a
 job loads only its verb's modules.
 
 Exit codes: 0 success / all checks passed; 1 a check failed (the report is
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 from . import __version__, jsonio
 from .distribution import FiniteDistribution, convex_combine, delta, flatten, pushforward
-from .errors import ConvexionError, ParseError, RelationViolated, Undecided
+from .errors import ConvexionError, ParseError, PresentationMismatch, RelationViolated
 from .semiring import RATIONAL
 
 F = Fraction
@@ -98,7 +99,7 @@ def _distribution(out):
 
 def _induced(build, report_pair):
     """(build(), None), or (None, the refusal's report) when build raises
-    RelationViolated (with its pair if report_pair) or Undecided."""
+    RelationViolated (with its pair if report_pair)."""
     try:
         return build(), None
     except RelationViolated as exc:
@@ -106,8 +107,6 @@ def _induced(build, report_pair):
         if report_pair:
             refusal["pair"] = [jsonio.encode_distribution(side) for side in exc.pair]
         return None, refusal
-    except Undecided:
-        return None, {"accepted": False, "reason": "undecided"}
 
 
 # -- dist ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ def eq_induce_map(job, ctx):
     src = jsonio.decode_presentation(job["source"])
     tgt = jsonio.decode_presentation(job["target"])
     assignment = _assignment(tgt, job["assignment"])
-    fmap, refusal = _induced(lambda: induce_map(src, tgt, assignment, ctx["bound"]), True)
+    fmap, refusal = _induced(lambda: induce_map(src, tgt, assignment), True)
     if refusal:
         return refusal
     result = {"accepted": True}
@@ -191,10 +190,13 @@ def eq_hom_combine(job, ctx):
 
     src = jsonio.decode_presentation(job["source"])
     tgt = jsonio.decode_presentation(job["target"])
-    maps = [
-        induce_map(src, tgt, _assignment(tgt, table), ctx["bound"])
-        for table in job["assignments"].items()
-    ]
+    maps = []
+    for table in job["assignments"].items():
+        values = _assignment(tgt, table)
+        try:
+            maps.append(induce_map(src, tgt, values))
+        except (PresentationMismatch, RelationViolated) as exc:
+            raise table.error(str(exc)) from None
     mixed = hom_combine(job.rationals("alpha"), maps)
     assignment = {g: jsonio.encode_distribution(mixed.on_generator(g).rep) for g in src.generators}
     result = {"assignment": assignment}
@@ -247,8 +249,8 @@ def join_copair(job, ctx):
 
     space = _join_space(job)
     tgt = jsonio.decode_presentation(job["target"])
-    f = induce_map(space.x_factor, tgt, _assignment(tgt, job["f"]), ctx["bound"])
-    g = induce_map(space.y_factor, tgt, _assignment(tgt, job["g"]), ctx["bound"])
+    f = induce_map(space.x_factor, tgt, _assignment(tgt, job["f"]))
+    g = induce_map(space.y_factor, tgt, _assignment(tgt, job["g"]))
     h = copair(f, g)
     pt = jsonio.decode_join_element(job["point"], h.space)
     return {"value": jsonio.encode_distribution(h(pt).rep)}
@@ -278,7 +280,7 @@ def tensor_extend_multiconvex(job, ctx):
     from .tensor import extend_multiconvex, restrict_multiconvex, universal_map
 
     spec = jsonio.decode_nconvex_spec(job["spec"])
-    fmap, refusal = _induced(lambda: extend_multiconvex(spec, ctx["bound"]), False)
+    fmap, refusal = _induced(lambda: extend_multiconvex(spec), False)
     if refusal:
         return refusal
     result = {"accepted": True}
@@ -364,7 +366,7 @@ def tensor_enriched_bridge(job, ctx):
             if (b, c) in hom and (a, b, c) not in composition:
                 raise job["composition"].error(f"no table for {a + ',' + b + ',' + c!r}")
     cat = BiconvexCategory(objects, hom, identities, composition)
-    back = enriched_inverse(enriched_bridge(cat, ctx["bound"]))
+    back = enriched_inverse(enriched_bridge(cat))
     round_trip = back.composition == cat.composition
     return _checked(round_trip, {"round_trip": round_trip})
 
@@ -476,7 +478,7 @@ def groth_convex_grothendieck(job, ctx):
     from .category import check_fibrewise_equations, convex_grothendieck
 
     base = jsonio.decode_category(job["category"])
-    functor = jsonio.decode_cset_functor(job["functor"], base, ctx["bound"])
+    functor = jsonio.decode_cset_functor(job["functor"], base)
     cfib = convex_grothendieck(functor)
     samples = []
     for raw in job.get("samples", []).items():
@@ -486,7 +488,7 @@ def groth_convex_grothendieck(job, ctx):
         pres = cfib.fibre_presentation(base.morphisms[name].src)
         alpha = raw.rationals("alpha")
         samples.append((name, alpha, [_element(pres, d) for d in raw["elements"].items()]))
-    failures = check_fibrewise_equations(cfib, samples, ctx["bound"])
+    failures = check_fibrewise_equations(cfib, samples)
     result = {
         "fibrewise_equations_hold": not failures,
         "failures": [list(map(str, f)) for f in failures],
@@ -602,7 +604,7 @@ def omon_check_lax(job, ctx):
         )
         instances.append(LaxInstance(outer, tuple(inner_ops), tuple(blocks), elements))
     units = _objects(job.get("unit_objects", []), functor)
-    report = check_lax(functor, instances, ctx["bound"], unit_objects=units)
+    report = check_lax(functor, instances, unit_objects=units)
     failures = [str(f) for f in report.failures]
     return _checked(report.ok, {"checked": report.checked, "ok": report.ok, "failures": failures})
 
@@ -614,7 +616,7 @@ def omon_o_grothendieck(job, ctx):
     from .omonoidal import o_grothendieck
 
     functor = _lax_functor_from_job(job)
-    fib = o_grothendieck(functor, step_bound=ctx["bound"])
+    fib = o_grothendieck(functor)
     rng = random.Random(ctx["seed"])
     results = []
     ok = True
@@ -886,7 +888,7 @@ def _global_flags(parser, top: bool):
     kw = (lambda default: {"default": default}) if top else (
         lambda default: {"default": argparse.SUPPRESS}
     )
-    parser.add_argument("--bound", help="eq step bound", **kw("4"))
+    parser.add_argument("--bound", help="step bound of eq eq (no other op reads it)", **kw("4"))
     parser.add_argument("--tol", help="entropy tolerance", **kw("1e-9"))
     parser.add_argument("--seed", help="sample seed", **kw("0"))
     parser.add_argument("--report", type=str, help="report path", **kw(None))

@@ -41,10 +41,6 @@ class RelationViolated(ConvexionError):
         self.pair = pair
 
 
-class Undecided(ConvexionError):
-    """The equality engine returned Unknown where a decision was required."""
-
-
 class SignatureMismatch(ConvexionError):
     """Maps with different sources or targets were combined."""
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .distribution import FiniteDistribution, _common_denominator, element_label
-from .errors import InvalidInput, ParseError, RelationViolated, Undecided
+from .errors import InvalidInput, ParseError, PresentationMismatch, RelationViolated
 from .semiring import RATIONAL, Semiring, semiring_by_name
 
 if TYPE_CHECKING:
@@ -505,9 +505,10 @@ def decode_set_functor(payload, base):
     return SetFunctor(base, on_objects, on_morphisms)
 
 
-def decode_cset_functor(payload, base, step_bound):
-    """Each morphism's map is built by induce_map: one that eq does not find
-    to respect its source's relations at step_bound is an error at its path."""
+def decode_cset_functor(payload, base):
+    """Each morphism's map is built by induce_map: an assignment that misses
+    a generator or does not respect its source's relations is an error at
+    its path."""
     from .category import CSetFunctor
     from .presentation import induce_map
 
@@ -526,10 +527,10 @@ def decode_cset_functor(payload, base, step_bound):
         src, tgt = on_objects[m.src], on_objects[m.tgt]
         assignment = {g: tgt.element(decode_distribution(d)) for g, d in raw.entries()}
         try:
-            on_morphisms[k] = induce_map(src, tgt, assignment, step_bound)
-        except (RelationViolated, Undecided) as exc:
+            on_morphisms[k] = induce_map(src, tgt, assignment)
+        except (PresentationMismatch, RelationViolated) as exc:
             raise raw.error(str(exc)) from None
-    return CSetFunctor(base, on_objects, on_morphisms, step_bound)
+    return CSetFunctor(base, on_objects, on_morphisms)
 
 
 # -- simplicial data ----------------------------------------------------------------------------

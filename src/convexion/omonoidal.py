@@ -39,12 +39,11 @@ from .errors import (
 )
 from .matprop import QConvOp, qconv_compose
 from .presentation import (
-    DEFAULT_STEP_BOUND,
     ConvexMap,
     PresentedElement,
     Presentation,
-    eq,
     quotient_mix,
+    same_class,
 )
 from .tensor import TensorPresentation, tensor, universal_map
 
@@ -315,11 +314,11 @@ class LaxInstance:
 def check_lax(
     functor: LaxOMonFunctor,
     samples: Sequence[LaxInstance],
-    step_bound: int = DEFAULT_STEP_BOUND,
     unit_objects: Sequence = (),
 ) -> LaxCheckReport:
     """Verify the operadic-unit condition and the composition compatibility
-    squares on the given instances.  Failures are reported, not raised."""
+    squares on the given instances, each equation decided exactly
+    (same_class).  Failures are reported, not raised."""
     report = LaxCheckReport()
     operad = functor.source.operad
     unit = operad.unit()
@@ -327,7 +326,7 @@ def check_lax(
         pres = functor.fibre(obj)
         cmap = functor.xi_map(unit, (obj,))
         for g in pres.generators:
-            if not eq(cmap(pres.delta(g)), pres.delta(g), step_bound).is_equal:
+            if not same_class(cmap(pres.delta(g)), pres.delta(g)):
                 report.failures.append(("unit", obj, g))
         report.checked += 1
     for inst in samples:
@@ -362,7 +361,7 @@ def check_lax(
                 report.failures.append(("square-target", inst.outer, tgt1, tgt2))
                 continue
             path2 = functor.functor.on_morphisms[phi](path2)
-        if not eq(path1, path2, step_bound).is_equal:
+        if not same_class(path1, path2):
             report.failures.append(("square", inst.outer, inst.inner))
     return report
 
@@ -392,7 +391,7 @@ def permutation_square_holds(
         return False
     if target_iso is not None:
         lhs = target_iso(lhs)
-    return eq(lhs, rhs).is_equal
+    return same_class(lhs, rhs)
 
 
 # -- the O-monoidal Grothendieck construction ---------------------------------------
@@ -401,9 +400,8 @@ def permutation_square_holds(
 class OConvexFibration:
     """Total structure of the convex O-monoidal Grothendieck construction."""
 
-    def __init__(self, functor: LaxOMonFunctor, step_bound: int = DEFAULT_STEP_BOUND):
+    def __init__(self, functor: LaxOMonFunctor):
         self.lax = functor
-        self.step_bound = step_bound
         self.cfib: ConvexFibrationData = convex_grothendieck(functor.functor)
 
     @property
@@ -444,7 +442,7 @@ class OConvexFibration:
             single[slot] = (obj, v)
             outs.append(self.total_op(op, single)[1])
         rhs = quotient_mix(alpha, outs)
-        return eq(lhs, rhs, self.step_bound).is_equal
+        return same_class(lhs, rhs)
 
     def extract_xi_tables(self, op: OperadOp | QConvOp, objs):
         """Recover the structure map's generator table from total operations."""
@@ -458,7 +456,7 @@ class OConvexFibration:
         return table
 
     def recovers_functor(self, op: OperadOp | QConvOp, objs) -> bool:
-        """The extracted tables agree with the original xi up to eq."""
+        """The extracted tables agree with the original xi in the quotient."""
         cmap = self.lax.xi_map(op, tuple(objs))
         table = self.extract_xi_tables(op, objs)
         src = cmap.src
@@ -469,7 +467,7 @@ class OConvexFibration:
                 if isinstance(src, TensorPresentation)
                 else cmap(src.delta(key))
             )
-            if not eq(value, want, self.step_bound).is_equal:
+            if not same_class(value, want):
                 return False
         return True
 
@@ -477,7 +475,6 @@ class OConvexFibration:
 def o_grothendieck(
     functor: LaxOMonFunctor,
     instances: Sequence[tuple] = (),
-    step_bound: int = DEFAULT_STEP_BOUND,
 ) -> OConvexFibration:
     """Build the total structure and re-verify it on the given instances.
 
@@ -485,7 +482,7 @@ def o_grothendieck(
     strictness check fails, NotConvexStructureMap when a xi component has
     the wrong signature.
     """
-    fib = OConvexFibration(functor, step_bound)
+    fib = OConvexFibration(functor)
     for op, pairs in instances:
         if not fib.strictness_holds(op, pairs):
             raise NotLax(f"strict projection fails at {op}")

@@ -49,8 +49,8 @@ elements is decided (where possible) by a three-valued engine:
   lies outside both supports, so it lies in the greatest such set; that
   set is respected and misses supp y, so it lies in U_y.  So the LP needs
   no fixed point of its own.
-* Unknown -- no certificate found within the step bound.  Completeness
-  is not claimed; callers that need a decision treat Unknown as an error.
+* Unknown -- no certificate found within the step bound.  Only eq answers
+  Unknown: the constructions ask same_class (below), which always decides.
 
 Every witness replays mechanically, in integers; see verify_verdict.
 eq's invariant test also runs in integers: an invariant separates x and
@@ -59,6 +59,44 @@ so eq reduces y - x against their cached linalg.echelon form and builds
 a Fraction invariant only from a nonzero residual (_separating_invariant).
 A verdict's bound is the step bound that was asked for, not the level
 where the search stopped.
+
+same_class decides equality in the quotient exactly, with no bound and
+no certificate, for the checks that need only a yes or a no.  If neither
+support test separates x and y, U_x is the greatest respected set outside
+both supports; let W be the rest of the generators and L_W the span of
+s_j - r_j over the relation pairs inside W.  Then x ~ y exactly when
+y - x lies in L_W (Sokolova & Woracek, "Congruences of convex algebras",
+JPAA 219 (2015); Fritz, "Convex spaces I", arXiv:0903.5522):
+
+* Distinct direction.  By the face argument above, every zig-zag from x
+  stays in W and uses only pairs inside W; a step with multipliers
+  lambda moves its point by sum_j lambda_j (s_j - r_j), an element of
+  L_W.  So every point that x reaches differs from x by an element of
+  L_W, and y - x outside L_W means x and y are not equal.
+* Equal direction.  W is the least set that holds supp x and holds
+  supp s_j whenever it holds supp r_j (the complement of U_x), and the
+  same for y.  Spread: from a point with support S strictly inside W, some
+  pair has supp r_j in S and supp s_j not; one step with a small equal
+  lambda on every pair whose r_j lies in S, and the rest of the point as
+  spectator (positive on S), reaches support S together with those s_j.
+  At most |W| such steps reach x* ~ x with support W, and y* ~ y the
+  same way.  Each step moves by an element of L_W, so y* - x* lies in L_W:
+  y* - x* = sum_j c_j (s_j - r_j) over the pairs inside W.  Flow: put
+  Lambda = c+ on one orientation of each pair and c- on the other, so
+  y* - x* = sum Lambda_j (s_j - r_j) with Lambda >= 0, and let
+  R = sum Lambda_j r_j, supported in W.  Walk the segment from x* to y*
+  in N equal steps, each with multipliers Lambda / N and spectator
+  z - R / N at its start z: every z on the segment is at least
+  min(x*_g, y*_g) > 0 at each g in W, so for N >= max_g R_g /
+  min(x*_g, y*_g) every spectator is nonnegative, and each step ends
+  at z + (y* - x*) / N.  So x ~ x* ~ y* ~ y.
+
+The span test is the invariant step's residual taken on the face: y - x
+is reduced in integers against linalg.echelon of the difference rows of
+the pairs inside W (_residual), the cached _echelon when W is every
+generator.  An invariant separating x and y is a vector orthogonal to
+the larger span of all the relation differences, so it needs no test of
+its own there.
 """
 
 from __future__ import annotations
@@ -80,7 +118,6 @@ from .errors import (
     RelationViolated,
     SemiringMismatch,
     SignatureMismatch,
-    Undecided,
 )
 from .semiring import RATIONAL, require_rational
 
@@ -359,11 +396,10 @@ def eq(
     if vec := _separating_invariant(pres, x, y):
         return EqualityVerdict("distinct", invariant=vec, bound=step_bound)
 
-    for p, q in ((x, y), (y, x)):  # U_y, then U_x
-        outside = _respected(pres, set(pres._gen_index).difference(q._nums))
-        if not outside.isdisjoint(p._nums):
-            support = tuple(g for g in pres.generators if g in outside)
-            return EqualityVerdict("distinct", bound=step_bound, support=support)
+    outside, separates = _separating_support(pres, x, y)
+    if separates:
+        support = tuple(g for g in pres.generators if g in outside)
+        return EqualityVerdict("distinct", bound=step_bound, support=support)
 
     # U_x misses supp y, so it is the greatest respected set outside both
     if pres.relations and step_bound >= 1:
@@ -375,17 +411,66 @@ def eq(
     return EqualityVerdict("unknown", bound=step_bound)
 
 
+def same_class(e1: PresentedElement, e2: PresentedElement) -> bool:
+    """Whether two elements are equal in the quotient: an exact decision,
+    with no step bound and no certificate (the module docstring proves
+    it).  The support tests, then y - x against the span of the relation
+    differences inside the face W."""
+    if e1.presentation != e2.presentation:
+        raise PresentationMismatch("same_class needs elements of one presentation")
+    pres = e1.presentation
+    x, y = e1.rep, e2.rep
+    if x == y:
+        return True
+    outside, separates = _separating_support(pres, x, y)
+    if separates:
+        return False
+    if outside:  # W is a proper face: the pairs inside it span L_W
+        rows = [
+            row
+            for (lhs, _), row in zip(pres.relations, pres._difference_rows)
+            if outside.isdisjoint(lhs._nums)
+        ]
+        echelon = linalg.echelon(rows, len(pres.generators))
+    else:
+        echelon = pres._echelon
+    return not any(_residual(pres, echelon, x, y).values())
+
+
+def _separating_support(pres, x, y):
+    """The support tests: U_y, the greatest respected set missing supp y,
+    then U_x.  (U, True) for the first that meets the other input's
+    support; else (U_x, False), and U_x misses supp y too, so it is the
+    greatest respected set outside both supports."""
+    for p, q in ((x, y), (y, x)):  # U_y, then U_x
+        outside = _respected(pres, set(pres._gen_index).difference(q._nums))
+        if not outside.isdisjoint(p._nums):
+            return outside, True
+    return outside, False
+
+
 def _separating_invariant(pres, x, y):
     """The first invariant_basis vector v with v.x != v.y, as a tuple, or
-    None.  d = (x - y) x._den y._den is reduced fraction-free against the
-    cached echelon rows, which are zero at each other's pivots, so one pass
-    leaves d on the free columns, each entry v_fc.d times a nonzero factor
-    (v_fc is free column fc's basis vector): the lowest nonzero decides."""
+    None.  The residual of x - y against the cached echelon rows holds,
+    at each free column fc, v_fc.d times a nonzero factor (v_fc is free
+    column fc's basis vector): the lowest nonzero decides."""
+    reduced, pivots = echelon = pres._echelon
+    d = _residual(pres, echelon, x, y)
+    fc = min((j for j, v in d.items() if v), default=None)
+    return None if fc is None else tuple(linalg.null_vector(reduced, pivots, fc, len(pres.generators)))
+
+
+def _residual(pres, echelon, x, y):
+    """d = (x - y) x._den y._den over generator indices, reduced
+    fraction-free against the rows of a linalg.echelon form over them.
+    The rows are zero at each other's pivots, so one pass leaves d on the
+    free columns only, as a {column: int} dict that may hold zeros; it is
+    all zero exactly when x - y lies in the rows' span."""
     index = pres._gen_index
     d = {index[g]: n * y._den for g, n in x._nums.items()}
     for g, n in y._nums.items():
         d[index[g]] = d.get(index[g], 0) - n * x._den
-    reduced, pivots = pres._echelon
+    reduced, pivots = echelon
     for row, pc in zip(reduced, pivots):
         if f := d.pop(pc, 0):
             p = row[pc]
@@ -396,8 +481,7 @@ def _separating_invariant(pres, x, y):
             for j, v in row.items():
                 if j != pc:
                     d[j] = d.get(j, 0) - f * v
-    fc = min((j for j, v in d.items() if v), default=None)
-    return None if fc is None else tuple(linalg.null_vector(reduced, pivots, fc, len(pres.generators)))
+    return d
 
 
 def _value(ints, dist):
@@ -711,17 +795,12 @@ class ConvexMap:
         return f"ConvexMap({self.src!r} -> {self.tgt!r})"
 
 
-def induce_map(
-    src: Presentation,
-    tgt: Presentation,
-    assignment: Mapping,
-    step_bound: int = DEFAULT_STEP_BOUND,
-) -> ConvexMap:
+def induce_map(src: Presentation, tgt: Presentation, assignment: Mapping) -> ConvexMap:
     """Extend a generator assignment affinely, if it respects the relations.
 
-    Every source relation pair must map to elements of the target that eq
-    finds Equal at step_bound; a Distinct image raises RelationViolated
-    (carrying the failing pair), an Unknown image raises Undecided.
+    Every source relation pair must map to elements of the target in one
+    class (same_class); otherwise RelationViolated, carrying the failing
+    pair.
     """
     values = {}
     for g in src.generators:
@@ -735,16 +814,11 @@ def induce_map(
         values[g] = v
     fmap = ConvexMap(src, tgt, values)
     for lhs, rhs in src.relations:
-        image_l = fmap(PresentedElement(src, lhs))
-        image_r = fmap(PresentedElement(src, rhs))
-        verdict = eq(image_l, image_r, step_bound)
-        if verdict.is_distinct:
+        if not same_class(fmap(PresentedElement(src, lhs)), fmap(PresentedElement(src, rhs))):
             raise RelationViolated(
                 "assignment sends a relation pair to distinct elements",
                 pair=(lhs, rhs),
             )
-        if verdict.is_unknown:
-            raise Undecided(f"relation image equality unknown at bound {step_bound}")
     return fmap
 
 
@@ -769,13 +843,8 @@ def hom_combine(alpha, fs: Sequence[ConvexMap]) -> ConvexMap:
     return ConvexMap(src, tgt, assignment)
 
 
-def maps_agree(
-    f: ConvexMap, g: ConvexMap, elements, step_bound=DEFAULT_STEP_BOUND
-):
-    """Pointwise eq-agreement of two parallel maps on given elements."""
+def maps_agree(f: ConvexMap, g: ConvexMap, elements):
+    """Whether two parallel maps agree in the quotient on given elements."""
     if f.src != g.src or f.tgt != g.tgt:
         return False
-    for e in elements:
-        if not eq(f(e), g(e), step_bound).is_equal:
-            return False
-    return True
+    return all(same_class(f(e), g(e)) for e in elements)

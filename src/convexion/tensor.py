@@ -30,10 +30,8 @@ from .errors import (
     EmptyFactorList,
     FactorMismatch,
     RelationViolated,
-    Undecided,
 )
 from .presentation import (
-    DEFAULT_STEP_BOUND,
     ConvexMap,
     PresentedElement,
     Presentation,
@@ -120,13 +118,11 @@ class NConvexMapSpec:
                 raise FactorMismatch("table value is not an element of the target")
 
 
-def extend_multiconvex(
-    spec: NConvexMapSpec, step_bound: int = DEFAULT_STEP_BOUND
-) -> ConvexMap:
+def extend_multiconvex(spec: NConvexMapSpec) -> ConvexMap:
     """The convex map out of the tensor induced by a value table; raises
-    RelationViolated/Undecided when a lifted relation image fails eq."""
+    RelationViolated when a lifted relation's images are not equal."""
     tp = tensor(spec.factors)
-    return induce_map(tp, spec.target, dict(spec.table), step_bound)
+    return induce_map(tp, spec.target, dict(spec.table))
 
 
 def restrict_multiconvex(f: ConvexMap) -> NConvexMapSpec:
@@ -215,7 +211,7 @@ def coherence_diagrams(a, b, c, d) -> dict:
     results = {}
     assoc = lambda x, y, z: coherence("associator", (x, y, z))
     braid = lambda x, y: coherence("braiding", (x, y))
-    agree = lambda f, g: maps_agree(f, g, [f.src.delta(x) for x in f.src.generators], 2)
+    agree = lambda f, g: maps_agree(f, g, [f.src.delta(x) for x in f.src.generators])
 
     # pentagon on (a, b, c, d)
     p1 = assoc(tensor([a, b]), c, d).fwd.compose(assoc(a, b, tensor([c, d])).fwd)
@@ -357,9 +353,7 @@ class EnrichedCategoryData:
     composition_maps: Mapping  # (a, b, c) -> ConvexMap
 
 
-def enriched_bridge(
-    cat: BiconvexCategory, step_bound: int = DEFAULT_STEP_BOUND
-) -> EnrichedCategoryData:
+def enriched_bridge(cat: BiconvexCategory) -> EnrichedCategoryData:
     """Package each biconvex composition table as a convex map out of the
     tensor of hom-objects; fails if a table is not biconvex on the quotients."""
     comp_maps = {}
@@ -368,8 +362,8 @@ def enriched_bridge(
             (cat.hom[(b, c)], cat.hom[(a, b)]), cat.hom[(a, c)], dict(table)
         )
         try:
-            comp_maps[(a, b, c)] = extend_multiconvex(spec, step_bound)
-        except (RelationViolated, Undecided) as exc:
+            comp_maps[(a, b, c)] = extend_multiconvex(spec)
+        except RelationViolated as exc:
             raise CompositionNotBiconvex(
                 f"composition table for {(a, b, c)} does not descend: {exc}"
             ) from exc

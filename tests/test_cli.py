@@ -479,9 +479,10 @@ def test_groth_convex_refuses_an_ill_defined_map(tmp_path):
     )
 
 
-def test_groth_convex_checks_each_map_at_the_bound(tmp_path):
+def test_groth_convex_decides_each_map_at_any_bound(tmp_path):
     # c ~ e in F(1) too: the relation images are equal by one zig-zag step,
-    # which the default bound finds and bound 0 does not look for.
+    # which eq at bound 0 does not look for; the map check decides exactly,
+    # so --bound (eq's step bound) does not change the answer.
     glued = {
         "generators": ["c", "e"],
         "relations": [[{"weights": [{"el": "c", "w": "1"}]}, {"weights": [{"el": "e", "w": "1"}]}]],
@@ -489,9 +490,8 @@ def test_groth_convex_checks_each_map_at_the_bound(tmp_path):
     job = _arrow_functor_job(tmp_path, glued)
     code, report = invoke("groth", "--job", job)
     assert code == 0 and report["result"]["fibrewise_equations_hold"] is True
-    code, report = invoke("groth", "--bound", "0", "--job", job)
-    assert code == 2
-    assert report["error"] == "functor.on_morphisms['f']: relation image equality unknown at bound 0"
+    code, at_zero = invoke("groth", "--bound", "0", "--job", job)
+    assert code == 0 and at_zero["result"] == report["result"]
 
 
 # -- omon --------------------------------------------------------------------------------
@@ -2071,9 +2071,9 @@ NESTED_FIELD_JOBS = [
     (
         ("eq", "hom_combine"),
         {"source": GLUE},
-        "RelationViolated: assignment sends a relation pair to distinct elements",
+        "assignments[0]: assignment sends a relation pair to distinct elements",
     ),
-    (("eq", "hom_combine"), {"assignments": [{"a": DELTA_A}]}, "PresentationMismatch: assignment misses generator 'b'"),
+    (("eq", "hom_combine"), {"assignments": [{"a": DELTA_A}]}, "assignments[0]: assignment misses generator 'b'"),
     (
         ("groth", "grothendieck"),
         {"functor": {"on_objects": {"0": ["x", {}], "1": ["z"]}, "on_morphisms": {}}},
@@ -2087,7 +2087,7 @@ NESTED_FIELD_JOBS = [
     (
         ("groth", "convex_grothendieck"),
         {"functor": {**CSET_FUNCTOR, "on_morphisms": {"id0": {"a": DELTA_A}}}},
-        "PresentationMismatch: assignment misses generator 'b'",
+        "functor.on_morphisms['id0']: assignment misses generator 'b'",
     ),
     (
         ("groth", "convex_grothendieck"),

@@ -28,6 +28,7 @@ from convexion.presentation import (
     hom_combine,
     induce_map,
     quotient_mix,
+    same_class,
     verify_verdict,
 )
 from convexion.semiring import BOOLEAN
@@ -512,25 +513,20 @@ def test_maps_agree_helper():
     assert not maps_agree(f, h, elements)  # different sources
 
 
-def test_undecided_raised_at_bound_zero():
-    from convexion.errors import Undecided
-
-    # relation image needs one rewriting step; at bound 0 the engine
-    # answers unknown, and map induction must fail loudly
+def test_induce_map_decides_where_eq_at_bound_zero_does_not():
+    # the relation image needs one rewriting step, so eq at bound 0 answers
+    # unknown; induce_map decides exactly and accepts the assignment, and
+    # still refuses one whose images are distinct
     split = Presentation(
         ["a", "b", "c"],
         [(delta("a"), rd({"b": "1/2", "c": "1/2"}))],
     )
-    with pytest.raises(Undecided):
-        induce_map(
-            GLUE_AB,
-            split,
-            {
-                "a": split.delta("a"),
-                "b": split.element(rd({"b": "1/2", "c": "1/2"})),
-            },
-            step_bound=0,
-        )
+    half = split.element(rd({"b": "1/2", "c": "1/2"}))
+    assert eq(split.delta("a"), half, 0).is_unknown
+    fmap = induce_map(GLUE_AB, split, {"a": split.delta("a"), "b": half})
+    assert fmap(GLUE_AB.delta("b")) == half
+    with pytest.raises(RelationViolated):
+        induce_map(GLUE_AB, split, {"a": split.delta("a"), "b": split.delta("b")})
 
 
 # -- verdict identity on a seeded corpus ---------------------------------------------------
@@ -633,6 +629,25 @@ def test_every_corpus_verdict_survives_its_json_form():
         assert verify_verdict(back, e1, e2) == verify_verdict(v, e1, e2)
         kinds["support" if v.support else v.status] += 1
     assert kinds == {"equal": 134, "distinct": 100, "support": 33, "unknown": 13}
+
+
+def test_same_class_agrees_with_every_corpus_verdict():
+    # Equal and Distinct are certified, so same_class must say the same;
+    # an Unknown that same_class calls equal has a zig-zag, which a deeper
+    # search finds and verify_verdict accepts.
+    split = Counter()
+    for e1, e2, bound in verdict_corpus():
+        v = eq(e1, e2, bound)
+        same = same_class(e1, e2)
+        assert same_class(e2, e1) == same
+        if not v.is_unknown:
+            assert same == v.is_equal
+            continue
+        split[same] += 1
+        deep = eq(e1, e2, 32)
+        assert deep.is_equal == same
+        assert verify_verdict(deep, e1, e2)
+    assert split == {True: 12, False: 1}
 
 
 # -- the face presolve ---------------------------------------------------------------------
