@@ -88,6 +88,18 @@ def _assignment(tgt, table):
     return {g: _element(tgt, d) for g, d in table.entries()}
 
 
+def _induced_at(src, tgt, table):
+    """induce_map of src into tgt on the assignment table, with its
+    PresentationMismatch or RelationViolated reported at the table's path."""
+    from .presentation import induce_map
+
+    values = _assignment(tgt, table)
+    try:
+        return induce_map(src, tgt, values)
+    except (PresentationMismatch, RelationViolated) as exc:
+        raise table.error(str(exc)) from None
+
+
 def _factors(job):
     """The presentations of the list field "factors"."""
     return [jsonio.decode_presentation(p) for p in job["factors"].items()]
@@ -175,7 +187,10 @@ def eq_induce_map(job, ctx):
     src = jsonio.decode_presentation(job["source"])
     tgt = jsonio.decode_presentation(job["target"])
     assignment = _assignment(tgt, job["assignment"])
-    fmap, refusal = _induced(lambda: induce_map(src, tgt, assignment), True)
+    try:
+        fmap, refusal = _induced(lambda: induce_map(src, tgt, assignment), True)
+    except PresentationMismatch as exc:
+        raise job["assignment"].error(str(exc)) from None
     if refusal:
         return refusal
     result = {"accepted": True}
@@ -186,17 +201,11 @@ def eq_induce_map(job, ctx):
 
 @op("eq", "hom_combine")
 def eq_hom_combine(job, ctx):
-    from .presentation import hom_combine, induce_map
+    from .presentation import hom_combine
 
     src = jsonio.decode_presentation(job["source"])
     tgt = jsonio.decode_presentation(job["target"])
-    maps = []
-    for table in job["assignments"].items():
-        values = _assignment(tgt, table)
-        try:
-            maps.append(induce_map(src, tgt, values))
-        except (PresentationMismatch, RelationViolated) as exc:
-            raise table.error(str(exc)) from None
+    maps = [_induced_at(src, tgt, table) for table in job["assignments"].items()]
     mixed = hom_combine(job.rationals("alpha"), maps)
     assignment = {g: jsonio.encode_distribution(mixed.on_generator(g).rep) for g in src.generators}
     result = {"assignment": assignment}
@@ -245,12 +254,11 @@ def join_join_mix(job, ctx):
 @op("join", "copair")
 def join_copair(job, ctx):
     from .join import copair
-    from .presentation import induce_map
 
     space = _join_space(job)
     tgt = jsonio.decode_presentation(job["target"])
-    f = induce_map(space.x_factor, tgt, _assignment(tgt, job["f"]))
-    g = induce_map(space.y_factor, tgt, _assignment(tgt, job["g"]))
+    f = _induced_at(space.x_factor, tgt, job["f"])
+    g = _induced_at(space.y_factor, tgt, job["g"])
     h = copair(f, g)
     pt = jsonio.decode_join_element(job["point"], h.space)
     return {"value": jsonio.encode_distribution(h(pt).rep)}

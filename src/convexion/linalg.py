@@ -8,15 +8,17 @@ equality engine's zig-zag LP is built that way from its presentation's
 cache); the row reduction scales its Fraction rows itself, each by the
 lcm of its denominators (_integer_row).  Both share one fraction-free
 elimination step (_eliminate): it touches only the rows holding the pivot
-column and divides each by its content (the gcd of its entries and rhs),
-which keeps the integers small.  The pivot row is never normalised, so
-each stored row is a nonzero multiple of the row a normalising Fraction
-tableau would hold.  Fractions are built only for the answers: rref and
-nullspace read theirs off echelon, the row reduction's integer form,
-which the equality engine caches.  The simplex starts from the slack
-columns a system offers (unit-like columns, such as the spectators of
-the equality engine's zig-zag LP) and adds artificials only on the rows
-without one.
+column, cancels the gcd of the pivot and the row's entry in that column
+before the update (so a row whose entry the pivot divides is not scaled
+at all), and divides each updated row by its content (the gcd of its
+entries and rhs), which keeps the integers small.  The pivot row is never
+normalised, so each stored row is a nonzero multiple of the row a
+normalising Fraction tableau would hold.  Fractions are built only for
+the answers: rref and nullspace read theirs off echelon, the row
+reduction's integer form, which the equality engine caches.  The simplex
+starts from the slack columns a system offers (unit-like columns, such as
+the spectators of the equality engine's zig-zag LP) and adds artificials
+only on the rows without one.
 """
 
 from __future__ import annotations
@@ -159,12 +161,16 @@ def solve_eq_nonneg(rows, rhs, ncols):
 
 
 def _eliminate(rows, rhs, cols, r, c):
-    """Clear column c from every row but r, fraction-free: each such row
-    becomes p * row - row[c] * rows[r], with p = rows[r][c], and is then
-    divided together with its rhs by their gcd, signed like p so the row
-    keeps its sign.  rows are {column: int} dicts without zeros; cols maps
-    each column to the set of rows holding it and is kept in step; rhs is
-    the right-hand side list, updated alongside."""
+    """Clear column c from every row but r, fraction-free (Bareiss 1968,
+    with the common factor cancelled first): with p = rows[r][c], f =
+    row[c] and g = gcd(f, p) signed like p, each such row becomes
+    q * row - f' * rows[r], with q = p / g > 0 and f' = f / g, and is then
+    divided together with its rhs by their gcd.  That is the primitive
+    form of p * row - f * rows[r], signed like p, so the row keeps its
+    sign; when p divides f, q = 1 and the row is not scaled at all.  rows
+    are {column: int} dicts without zeros; cols maps each column to the
+    set of rows holding it and is kept in step; rhs is the right-hand side
+    list, updated alongside."""
     prow = rows[r]
     p = prow[c]
     pb = rhs[r]
@@ -172,10 +178,15 @@ def _eliminate(rows, rhs, cols, r, c):
     cols[c] = {r}
     for i in others:
         row = rows[i]
-        f = row.pop(c)  # p * row - f * prow clears column c exactly
-        if p != 1:
+        f = row.pop(c)
+        g = gcd(f, p)
+        if p < 0:
+            g = -g
+        q = p // g
+        f //= g  # q * row - f * prow clears column c exactly
+        if q != 1:
             for j, w in row.items():
-                row[j] = p * w
+                row[j] = q * w
         for j, v in prow.items():
             if j == c:
                 continue
@@ -190,11 +201,9 @@ def _eliminate(rows, rhs, cols, r, c):
                 else:
                     del row[j]
                     cols[j].discard(i)
-        bi = p * rhs[i] - f * pb
+        bi = q * rhs[i] - f * pb
         g = gcd(bi, *row.values())
-        if p < 0:
-            g = -g
-        if g != 1 and g != 0:
+        if g > 1:
             for j, w in row.items():
                 row[j] = w // g
             bi //= g

@@ -465,7 +465,10 @@ def _residual(pres, echelon, x, y):
     fraction-free against the rows of a linalg.echelon form over them.
     The rows are zero at each other's pivots, so one pass leaves d on the
     free columns only, as a {column: int} dict that may hold zeros; it is
-    all zero exactly when x - y lies in the rows' span."""
+    all zero exactly when x - y lies in the rows' span.  Each reduction is
+    linalg._eliminate's update without its content division: the common
+    factor of the pivot and d's entry is cancelled first, and d is not
+    scaled when the pivot divides that entry."""
     index = pres._gen_index
     d = {index[g]: n * y._den for g, n in x._nums.items()}
     for g, n in y._nums.items():

@@ -2074,6 +2074,13 @@ NESTED_FIELD_JOBS = [
         "assignments[0]: assignment sends a relation pair to distinct elements",
     ),
     (("eq", "hom_combine"), {"assignments": [{"a": DELTA_A}]}, "assignments[0]: assignment misses generator 'b'"),
+    (("eq", "induce_map"), {"assignment": {"a": DELTA_A, "m": DELTA_B}}, "assignment: assignment misses generator 'b'"),
+    (
+        ("join", "copair"),
+        {"x_presentation": GLUE},
+        "f: assignment sends a relation pair to distinct elements",
+    ),
+    (("join", "copair"), {"g": {}}, "g: assignment misses generator 'u'"),
     (
         ("groth", "grothendieck"),
         {"functor": {"on_objects": {"0": ["x", {}], "1": ["z"]}, "on_morphisms": {}}},

@@ -5,6 +5,7 @@ import itertools
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -603,6 +604,62 @@ def test_integer_rows_are_read_not_modified():
     assert linalg.solve_eq_nonneg(rows, rhs, 3) == [F(2), F(1), F(0)]
     assert rows == [{0: -1}, {0: 1, 1: 1, 2: 1}] and rhs == [-2, 3]
     assert linalg.solve_eq_nonneg([{0: 1, 1: 1}], [-1], 2) is None
+
+
+def textbook_update(row, b, prow, pb, p, f, ncols):
+    """p * row - f * prow with its rhs, divided by their gcd signed like p
+    (left alone when all zero), as a zero-free {column: int} dict, the
+    rhs and the gcd."""
+    new = [p * row.get(j, 0) - f * prow.get(j, 0) for j in range(ncols)]
+    nb = p * b - f * pb
+    content = gcd(nb, *new)
+    if content:
+        g = content if p > 0 else -content
+        new, nb = [v // g for v in new], nb // g
+    return {j: v for j, v in enumerate(new) if v}, nb, content
+
+
+ENTRIES = [-6, -4, -3, -2, -1, 1, 2, 3, 4, 6]
+
+
+def test_eliminate_stores_the_primitive_textbook_row():
+    # Seeded sparse integer tableaux: every row updated by a pivot is the
+    # primitive form of p * row - f * prow, signed like p, whatever p and f
+    # have in common; the pinned zig-zag outputs rely on that form.
+    rng = random.Random(20260)
+    seen = {"negative pivot": 0, "positive pivot": 0, "p divides f": 0, "p not dividing f": 0,
+            "fill-in": 0, "cancellation": 0, "content > 1": 0}
+    for _ in range(400):
+        m, n = rng.randint(2, 6), rng.randint(2, 7)
+        rows = [{j: rng.choice(ENTRIES) for j in range(n) if rng.random() < 0.5} for _ in range(m)]
+        rhs = [rng.randint(-9, 9) for _ in range(m)]
+        cols = [set() for _ in range(n)]
+        for i, row in enumerate(rows):
+            for j in row:
+                cols[j].add(i)
+        nonempty = [j for j in range(n) if cols[j]]
+        if not nonempty:
+            continue
+        c = rng.choice(nonempty)
+        r = rng.choice(sorted(cols[c]))
+        before, before_rhs = [dict(row) for row in rows], list(rhs)
+        linalg._eliminate(rows, rhs, cols, r, c)
+        prow, pb = before[r], before_rhs[r]
+        p = prow[c]
+        for i, (row, b) in enumerate(zip(before, before_rhs)):
+            if i == r or c not in row:
+                assert rows[i] == row and rhs[i] == b
+                continue
+            f = row[c]
+            expected, expected_b, content = textbook_update(row, b, prow, pb, p, f, n)
+            assert rows[i] == expected and rhs[i] == expected_b
+            seen["negative pivot" if p < 0 else "positive pivot"] += 1
+            seen["p divides f" if f % p == 0 else "p not dividing f"] += 1
+            seen["fill-in"] += any(j not in row for j in rows[i])
+            seen["cancellation"] += any(j not in rows[i] for j in row if j != c and j in prow)
+            seen["content > 1"] += content > 1
+        assert cols == [{i for i, row in enumerate(rows) if j in row} for j in range(n)]
+    assert all(seen.values()), seen
 
 
 def fraction_endpoints(step, pres):
