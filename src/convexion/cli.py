@@ -10,7 +10,9 @@ also accepts the direct flag form, the entropy ops are subcommands with
 their own flags, and selfcheck takes none.  A handler reads its job, and
 every JSON file the entropy ops name, only through jsonio.Job, the one
 reader, and passes its sub-readers to the decoders, so each malformed-input
-diagnostic begins with the JSON path of the offending value.  Reports are
+diagnostic begins with the JSON path of the offending value; a library
+error that no decoder reports at a path spans several fields of the job,
+and reads "<op> job: ClassName: message".  Reports are
 canonical JSON (sorted keys, lowest-terms rationals) and always carry the
 tool version, the --bound value, and the assumption flags relevant to the
 operation.  --bound is eq eq's step bound and no other op reads it: the
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 from . import __version__, jsonio
 from .distribution import FiniteDistribution, convex_combine, delta, flatten, pushforward
-from .errors import ConvexionError, ParseError, PresentationMismatch, RelationViolated
+from .errors import ConvexionError, ParseError, RelationViolated
 from .semiring import RATIONAL
 
 F = Fraction
@@ -78,26 +80,13 @@ def _checked(ok, result):
     return result
 
 
-def _element(pres, payload):
-    """The element of pres named by the distribution JSON payload."""
-    return pres.element(jsonio.decode_distribution(payload))
-
-
-def _assignment(tgt, table):
-    """A {generator: distribution JSON} table as elements of tgt."""
-    return {g: _element(tgt, d) for g, d in table.entries()}
-
-
-def _induced_at(src, tgt, table):
-    """induce_map of src into tgt on the assignment table, with its
-    PresentationMismatch or RelationViolated reported at the table's path."""
-    from .presentation import induce_map
-
-    values = _assignment(tgt, table)
-    try:
-        return induce_map(src, tgt, values)
-    except (PresentationMismatch, RelationViolated) as exc:
-        raise table.error(str(exc)) from None
+def _object_pair(key, at, objects):
+    """The pair (a, b) that the key 'a,b' of the entry at names, both of
+    them among objects."""
+    pair = tuple(key.split(","))
+    if len(pair) != 2 or not set(pair) <= set(objects):
+        raise at.error("expected a key 'a,b' naming two objects")
+    return pair
 
 
 def _factors(job):
@@ -162,8 +151,8 @@ def eq_eq(job, ctx):
     from .presentation import eq, verify_verdict
 
     pres = jsonio.decode_presentation(job["presentation"])
-    lhs, rhs = _element(pres, job["lhs"]), _element(pres, job["rhs"])
-    verdict = eq(lhs, rhs, job.get("bound", ctx["bound"]).value)
+    lhs, rhs = jsonio.decode_element(job["lhs"], pres), jsonio.decode_element(job["rhs"], pres)
+    verdict = eq(lhs, rhs, job.get("bound", ctx["bound"]).nonnegative_int())
     return {
         "verdict": jsonio.encode_verdict(verdict, pres),
         "verified": verify_verdict(verdict, lhs, rhs),
@@ -176,7 +165,7 @@ def eq_quotient_mix(job, ctx):
 
     pres = jsonio.decode_presentation(job["presentation"])
     alpha = job.rationals("alpha")
-    elements = [_element(pres, d) for d in job["elements"].items()]
+    elements = [jsonio.decode_element(d, pres) for d in job["elements"].items()]
     return {"element": jsonio.encode_distribution(quotient_mix(alpha, elements).rep)}
 
 
@@ -186,16 +175,15 @@ def eq_induce_map(job, ctx):
 
     src = jsonio.decode_presentation(job["source"])
     tgt = jsonio.decode_presentation(job["target"])
-    assignment = _assignment(tgt, job["assignment"])
-    try:
-        fmap, refusal = _induced(lambda: induce_map(src, tgt, assignment), True)
-    except PresentationMismatch as exc:
-        raise job["assignment"].error(str(exc)) from None
+    table = job["assignment"]
+    assignment = {g: jsonio.decode_element(d, tgt) for g, d in table.entries()}
+    fmap, refusal = table.build(_induced, lambda: induce_map(src, tgt, assignment), True)
     if refusal:
         return refusal
     result = {"accepted": True}
     if "apply_to" in job:
-        result["value"] = jsonio.encode_distribution(fmap(_element(src, job["apply_to"])).rep)
+        x = jsonio.decode_element(job["apply_to"], src)
+        result["value"] = jsonio.encode_distribution(fmap(x).rep)
     return result
 
 
@@ -205,12 +193,13 @@ def eq_hom_combine(job, ctx):
 
     src = jsonio.decode_presentation(job["source"])
     tgt = jsonio.decode_presentation(job["target"])
-    maps = [_induced_at(src, tgt, table) for table in job["assignments"].items()]
+    maps = [jsonio.decode_convex_map(table, src, tgt) for table in job["assignments"].items()]
     mixed = hom_combine(job.rationals("alpha"), maps)
     assignment = {g: jsonio.encode_distribution(mixed.on_generator(g).rep) for g in src.generators}
     result = {"assignment": assignment}
     if "apply_to" in job:
-        result["value"] = jsonio.encode_distribution(mixed(_element(src, job["apply_to"])).rep)
+        x = jsonio.decode_element(job["apply_to"], src)
+        result["value"] = jsonio.encode_distribution(mixed(x).rep)
     return result
 
 
@@ -219,7 +208,7 @@ def eq_verify(job, ctx):
     from .presentation import verify_verdict
 
     pres = jsonio.decode_presentation(job["presentation"])
-    lhs, rhs = _element(pres, job["lhs"]), _element(pres, job["rhs"])
+    lhs, rhs = jsonio.decode_element(job["lhs"], pres), jsonio.decode_element(job["rhs"], pres)
     verdict = jsonio.decode_verdict(job["verdict"], pres)
     ok = verify_verdict(verdict, lhs, rhs)
     return _checked(ok, {"verified": ok})
@@ -257,8 +246,8 @@ def join_copair(job, ctx):
 
     space = _join_space(job)
     tgt = jsonio.decode_presentation(job["target"])
-    f = _induced_at(space.x_factor, tgt, job["f"])
-    g = _induced_at(space.y_factor, tgt, job["g"])
+    f = jsonio.decode_convex_map(job["f"], space.x_factor, tgt)
+    g = jsonio.decode_convex_map(job["g"], space.y_factor, tgt)
     h = copair(f, g)
     pt = jsonio.decode_join_element(job["point"], h.space)
     return {"value": jsonio.encode_distribution(h(pt).rep)}
@@ -279,7 +268,7 @@ def tensor_universal_map(job, ctx):
     from .tensor import universal_map
 
     factors = _factors(job)
-    xs = [_element(f, d) for f, d in zip(factors, job["elements"].items())]
+    xs = [jsonio.decode_element(d, f) for f, d in zip(factors, job["elements"].items())]
     return {"element": jsonio.encode_distribution(universal_map(factors, xs).rep)}
 
 
@@ -293,7 +282,7 @@ def tensor_extend_multiconvex(job, ctx):
         return refusal
     result = {"accepted": True}
     if "elements" in job:
-        xs = [_element(f, d) for f, d in zip(spec.factors, job["elements"].items())]
+        xs = [jsonio.decode_element(d, f) for f, d in zip(spec.factors, job["elements"].items())]
         out = fmap(universal_map(list(spec.factors), xs))
         result["value"] = jsonio.encode_distribution(out.rep)
     result["restriction"] = jsonio.encode_nconvex_spec(restrict_multiconvex(fmap))
@@ -337,19 +326,19 @@ def tensor_enriched_bridge(job, ctx):
     from .tensor import BiconvexCategory, enriched_bridge, enriched_inverse
 
     objects = tuple(o.expect(str) for o in job["objects"].items())
-    hom = {}
-    for key, value in job["hom"].entries():
-        pair = tuple(key.split(","))
-        if len(pair) != 2 or not set(pair) <= set(objects):
-            raise value.error("expected a key 'a,b' naming two objects")
-        hom[pair] = jsonio.decode_presentation(value)
+    hom = {
+        _object_pair(key, value, objects): jsonio.decode_presentation(value)
+        for key, value in job["hom"].entries()
+    }
 
     def hom_at(at, a, b):
         if (a, b) not in hom:
             raise at.error(f"hom has no entry {a + ',' + b!r}")
         return hom[(a, b)]
 
-    identities = {k: _element(hom_at(v, k, k), v) for k, v in job["identities"].entries()}
+    identities = {
+        k: jsonio.decode_element(v, hom_at(v, k, k)) for k, v in job["identities"].entries()
+    }
     for o in objects:
         if o not in identities:
             raise job["identities"].error(f"object {o!r} has no identity")
@@ -367,7 +356,7 @@ def tensor_enriched_bridge(job, ctx):
             pair = row.typed("pair", list)
             if len(pair) != 2 or not all(isinstance(g, str) for g in pair):
                 raise row["pair"].error("expected two generator names")
-            table[tuple(pair)] = _element(target, row["value"])
+            table[tuple(pair)] = jsonio.decode_element(row["value"], target)
         composition[triple] = table
     for a, b in hom:
         for c in objects:
@@ -382,29 +371,26 @@ def tensor_enriched_bridge(job, ctx):
 # -- prop ------------------------------------------------------------------------------
 
 
-def _matrix(job, key):
-    return jsonio.decode_matrix(job[key])
-
-
 @op("prop", "is_convex_matrix")
 def prop_is_convex_matrix(job, ctx):
     from .matprop import is_convex_matrix
 
-    return {"convex": is_convex_matrix(_matrix(job, "matrix"))}
+    return {"convex": is_convex_matrix(jsonio.decode_matrix(job["matrix"]))}
 
 
 @op("prop", "compose")
 def prop_compose(job, ctx):
     from .matprop import compose
 
-    return {"matrix": jsonio.encode_matrix(compose(_matrix(job, "left"), _matrix(job, "right")))}
+    out = compose(jsonio.decode_matrix(job["left"]), jsonio.decode_matrix(job["right"]))
+    return {"matrix": jsonio.encode_matrix(out)}
 
 
 @op("prop", "direct_sum")
 def prop_direct_sum(job, ctx):
     from .matprop import direct_sum
 
-    out = direct_sum(_matrix(job, "left"), _matrix(job, "right"))
+    out = direct_sum(jsonio.decode_matrix(job["left"]), jsonio.decode_matrix(job["right"]))
     return {"matrix": jsonio.encode_matrix(out)}
 
 
@@ -415,7 +401,7 @@ def prop_permute(job, ctx):
     tau, sigma = job.typed("tau", list), job.typed("sigma", list)
     if not all(type(i) is int for i in tau + sigma):
         raise ParseError("tau, sigma: expected lists of indices")
-    out = permute(tuple(tau), _matrix(job, "matrix"), tuple(sigma))
+    out = permute(tuple(tau), jsonio.decode_matrix(job["matrix"]), tuple(sigma))
     return {"matrix": jsonio.encode_matrix(out)}
 
 
@@ -433,8 +419,8 @@ def prop_algebra_apply(job, ctx):
     from .matprop import algebra_apply
 
     pres = jsonio.decode_presentation(job["presentation"])
-    matrix = _matrix(job, "matrix")
-    xs = [_element(pres, d) for d in job["elements"].items()]
+    matrix = jsonio.decode_matrix(job["matrix"])
+    xs = [jsonio.decode_element(d, pres) for d in job["elements"].items()]
     out = algebra_apply(pres, matrix, xs)
     return {"elements": [jsonio.encode_distribution(e.rep) for e in out]}
 
@@ -495,7 +481,8 @@ def groth_convex_grothendieck(job, ctx):
             raise raw["morphism"].error(f"{name!r} is not a morphism")
         pres = cfib.fibre_presentation(base.morphisms[name].src)
         alpha = raw.rationals("alpha")
-        samples.append((name, alpha, [_element(pres, d) for d in raw["elements"].items()]))
+        xs = [jsonio.decode_element(d, pres) for d in raw["elements"].items()]
+        samples.append((name, alpha, xs))
     failures = check_fibrewise_equations(cfib, samples)
     result = {
         "fibrewise_equations_hold": not failures,
@@ -556,9 +543,10 @@ def omon_trivial_structure(job, ctx):
     base = jsonio.decode_category(job["category"])
     table = {}
     for key, value in job["tensor"].entries():
+        pair = _object_pair(key, value, base.objects)
         if value.value not in base.objects:
             raise value.error(f"{value.value!r} is not an object")
-        table[tuple(key.split(","))] = value.value
+        table[pair] = value.value
     unit = job.get("unit").value
     if unit is not None and unit not in base.objects:
         raise job["unit"].error(f"{unit!r} is not an object")
@@ -654,9 +642,9 @@ def _space_and_group(job):
         name = payload["standard"].value
         n_max = payload.typed("N", int, 2)
         if name == "circle":
-            space = standard_circle(n_max)
+            space = payload.build(standard_circle, n_max)
         elif name == "point":
-            space = standard_point(n_max)
+            space = payload.build(standard_point, n_max)
         else:
             raise payload["standard"].error(f"unknown standard space {name!r}")
     else:
@@ -1005,7 +993,7 @@ def run(argv=None):
         "assumptions": ASSUMPTION_FLAGS,
         "ok": True,
     }
-    exit_code = 0
+    exit_code, request = 0, None
     try:
         report["bound"] = bound = _integer("--bound", args.bound, 0)
         tol, seed = _tolerance(args.tol), _integer("--seed", args.seed)
@@ -1030,9 +1018,10 @@ def run(argv=None):
         report["ok"] = False
         report["error"] = str(exc)
         exit_code = 2
-    except ConvexionError as exc:
+    except ConvexionError as exc:  # raised outside every decoder, so at the job's root
         report["ok"] = False
-        report["error"] = f"{type(exc).__name__}: {exc}"
+        error = f"{type(exc).__name__}: {exc}"
+        report["error"] = str(request.error(error)) if isinstance(request, jsonio.Job) else error
         exit_code = 2
     return exit_code, report, args.report
 

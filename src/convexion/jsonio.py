@@ -6,9 +6,11 @@ it came from.  Every decoder reads each field, list item and map entry
 through it, so a missing field, a value of another JSON type or a bad
 literal is a ParseError whose message begins with the path of the
 offending value: schema fields are written .field, list items [i] and
-user-chosen keys ['k'], as in outer[0].dist.weights[1].el.  The path is
-built only when an error is raised, and a decoder given a raw payload
-reads it as a Job at the root.
+user-chosen keys ['k'], as in outer[0].dist.weights[1].el.  Each decoder
+builds its value through Job.build on its own reader, so a library error
+in building it is at that value's path too: elements[1].weights: weights
+sum to 7, expected 1.  The path is built only when an error is raised,
+and a decoder given a raw payload reads it as a Job at the root.
 
 Rational strings are canonical lowest-terms ("3/4", "1"); the Boolean
 semiring writes "1".  Element identifiers are strings in JSON; internal
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .distribution import FiniteDistribution, _common_denominator, element_label
-from .errors import InvalidInput, ParseError, PresentationMismatch, RelationViolated
+from .errors import ConvexionError, ParseError
 from .semiring import RATIONAL, Semiring, semiring_by_name
 
 if TYPE_CHECKING:
@@ -143,16 +145,30 @@ class Job:
         """This value as a literal of semiring; a rational may be negative
         when signed."""
         text = str(self.value)
-        try:
-            if signed and text.lstrip().startswith("-"):
-                return -semiring.parse(text.lstrip()[1:])
-            return semiring.parse(text)
-        except ParseError as exc:
-            raise self.error(str(exc)) from None
+        if signed and text.lstrip().startswith("-"):
+            return -self.build(semiring.parse, text.lstrip()[1:])
+        return self.build(semiring.parse, text)
 
     def rationals(self, key):
         """The list field key of rational literals."""
         return [item.literal() for item in self[key].items()]
+
+    def nonnegative_int(self):
+        """This value, which must be a nonnegative integer (not a JSON
+        Boolean)."""
+        value = self.value
+        if type(value) is not int or value < 0:
+            raise self.error("expected a nonnegative integer")
+        return value
+
+    def build(self, factory, *args, **kwargs):
+        """The value read here, as the library constructor factory builds it
+        from the decoded arguments; a ConvexionError that it raises is a
+        ParseError at this value's path, with the library's message."""
+        try:
+            return factory(*args, **kwargs)
+        except ConvexionError as exc:
+            raise self.error(str(exc)) from None
 
     def floats(self, key, default=_REQUIRED):
         """The list field key of numbers."""
@@ -170,7 +186,7 @@ def _reader(payload) -> Job:
 def semiring_of(job: Job) -> Semiring:
     """The semiring that the optional field "semiring" of job names."""
     name = job.typed("semiring", str, "rational")
-    try:
+    try:  # not job.get("semiring").build, which makes a reader per distribution decoded
         return semiring_by_name(name)
     except ParseError as exc:
         raise job["semiring"].error(str(exc)) from None
@@ -216,7 +232,24 @@ def decode_distribution(payload, semiring: Semiring | None = None) -> FiniteDist
         el = item.typed("el", str)
         item["w"].literal(semiring)
         raise item["el"].error(f"duplicate element {el!r} in distribution")
-    return FiniteDistribution._from_numerators(*_common_denominator(ratios, semiring), semiring)
+    try:  # not weights.build, which would add a call to every distribution decoded
+        return FiniteDistribution._from_numerators(*_common_denominator(ratios, semiring), semiring)
+    except ConvexionError as exc:
+        raise weights.error(str(exc)) from None
+
+
+def decode_element(payload, pres):
+    """The element of the presentation pres that a distribution names."""
+    return _reader(payload).build(pres.element, decode_distribution(payload))
+
+
+def decode_convex_map(payload, src, tgt):
+    """The convex map src -> tgt that induce_map builds from {generator: <dist>}."""
+    from .presentation import induce_map
+
+    job = _reader(payload)
+    assignment = {g: decode_element(d, tgt) for g, d in job.entries()}
+    return job.build(induce_map, src, tgt, assignment)
 
 
 # -- presentations ------------------------------------------------------------------
@@ -243,7 +276,7 @@ def decode_presentation(payload) -> Presentation:
         if len(sides) != 2:
             raise pair.error("expected a pair of distributions")
         relations.append((decode_distribution(sides[0]), decode_distribution(sides[1])))
-    return Presentation(gens, relations)
+    return job.build(Presentation, gens, relations)
 
 
 # -- join ---------------------------------------------------------------------------
@@ -263,10 +296,10 @@ def decode_join_element(payload, space: JoinSpace) -> JoinElement:
     job = _reader(payload)
     alpha = job["alpha"].literal()
     x, y = (
-        None if part.value is None else factor.element(decode_distribution(part))
+        None if part.value is None else decode_element(part, factor)
         for part, factor in ((job.get("x"), space.x_factor), (job.get("y"), space.y_factor))
     )
-    return join_point(alpha, x, y, space)
+    return job.build(join_point, alpha, x, y, space)
 
 
 # -- matrices and operad operations ---------------------------------------------------
@@ -291,7 +324,7 @@ def decode_matrix(payload) -> RMatrix:
     rows = job.typed("rows", int)
     cols = job.typed("cols", int)
     parsed = [[v.literal(semiring) for v in row.items()] for row in job["entries"].items()]
-    return RMatrix(parsed, rows=rows, cols=cols, semiring=semiring)
+    return job.build(RMatrix, parsed, rows=rows, cols=cols, semiring=semiring)
 
 
 def encode_qconv(op: QConvOp) -> dict:
@@ -301,7 +334,8 @@ def encode_qconv(op: QConvOp) -> dict:
 def decode_qconv(payload) -> QConvOp:
     from .matprop import QConvOp
 
-    return QConvOp(_reader(payload).rationals("alpha"))
+    job = _reader(payload)
+    return job.build(QConvOp, job.rationals("alpha"))
 
 
 # -- multiconvex tables ------------------------------------------------------------------
@@ -332,8 +366,8 @@ def decode_nconvex_spec(payload):
     table = {}
     for row in job["table"].items():
         key = tuple(row["tuple"].names())
-        table[key] = target.element(decode_distribution(row["value"]))
-    return NConvexMapSpec(tuple(factors), target, table)
+        table[key] = decode_element(row["value"], target)
+    return job.build(NConvexMapSpec, tuple(factors), target, table)
 
 
 # -- equality verdicts ----------------------------------------------------------------------
@@ -375,9 +409,7 @@ def decode_verdict(payload, pres: Presentation) -> EqualityVerdict:
 
     job = _reader(payload)
     status = job["status"]
-    bound = job.get("bound", 0)
-    if isinstance(bound.value, bool) or not isinstance(bound.value, int) or bound.value < 0:
-        raise bound.error("expected a nonnegative integer")
+    bound = job.get("bound", 0).nonnegative_int()
     if not isinstance(status.value, str) or status.value not in _CERTIFICATES:
         raise status.error(f"unknown verdict status {status.value!r}")
     for key in ("path", "support", "invariant"):
@@ -392,14 +424,14 @@ def decode_verdict(payload, pres: Presentation) -> EqualityVerdict:
             lams = tuple(l.literal() for l in step.get("lambdas", []).items())
             spect = _generator_map(step.get("spectator", {}), labels)
             steps.append(ZigZagStep(lams, spect))
-        return EqualityVerdict("equal", path=tuple(steps), bound=bound.value)
+        return EqualityVerdict("equal", path=tuple(steps), bound=bound)
     if status.value == "distinct" and "support" in job:
         support = tuple(pres.generators[_generator_at(item, labels)] for item in job["support"].items())
-        return EqualityVerdict("distinct", bound=bound.value, support=support)
+        return EqualityVerdict("distinct", bound=bound, support=support)
     if status.value == "distinct":
         inv = _generator_map(job.get("invariant", {}), labels, signed=True)
-        return EqualityVerdict("distinct", invariant=inv, bound=bound.value)
-    return EqualityVerdict("unknown", bound=bound.value)
+        return EqualityVerdict("distinct", invariant=inv, bound=bound)
+    return EqualityVerdict("unknown", bound=bound)
 
 
 def _triples(job):
@@ -469,7 +501,7 @@ def decode_category(payload):
         identities = _infer_identities(job, objects, morphisms, table)
     else:
         identities = given.name_table()
-    return FiniteCategory(objects, morphisms, identities, table)
+    return job.build(FiniteCategory, objects, morphisms, identities, table)
 
 
 def _infer_identities(job, objects, morphisms, table):
@@ -502,35 +534,30 @@ def decode_set_functor(payload, base):
     job = _reader(payload)
     on_objects = {k: tuple(v.names()) for k, v in job["on_objects"].entries()}
     on_morphisms = {k: dict(v.name_table()) for k, v in job["on_morphisms"].entries()}
-    return SetFunctor(base, on_objects, on_morphisms)
+    return job.build(SetFunctor, base, on_objects, on_morphisms)
 
 
 def decode_cset_functor(payload, base):
-    """Each morphism's map is built by induce_map: an assignment that misses
-    a generator or does not respect its source's relations is an error at
-    its path."""
+    """Each object's presentation is inline or the value of the file that
+    {"path": name} names, read as the entry name below the path field, so
+    an error in it names the file: on_objects['0'].path['p.json'].relations."""
     from .category import CSetFunctor
-    from .presentation import induce_map
 
     job = _reader(payload)
     on_objects = {}
     for k, raw in job["on_objects"].entries():
         if "path" in raw:
-            path = raw.typed("path", str)
-            raw = Job(load_json(path), path)
+            at = raw["path"]
+            name = at.expect(str)
+            raw = Job(at.build(load_json, name), name, at, True)
         on_objects[k] = decode_presentation(raw)
     on_morphisms = {}
     for k, raw in job["on_morphisms"].entries():
         m = base.morphisms.get(k)
         if m is None or m.src not in on_objects or m.tgt not in on_objects:
             raise raw.error("not a morphism between objects in on_objects")
-        src, tgt = on_objects[m.src], on_objects[m.tgt]
-        assignment = {g: tgt.element(decode_distribution(d)) for g, d in raw.entries()}
-        try:
-            on_morphisms[k] = induce_map(src, tgt, assignment)
-        except (PresentationMismatch, RelationViolated) as exc:
-            raise raw.error(str(exc)) from None
-    return CSetFunctor(base, on_objects, on_morphisms)
+        on_morphisms[k] = decode_convex_map(raw, on_objects[m.src], on_objects[m.tgt])
+    return job.build(CSetFunctor, base, on_objects, on_morphisms)
 
 
 # -- simplicial data ----------------------------------------------------------------------------
@@ -558,7 +585,7 @@ def decode_simplicial_set(payload):
     levels = [level.names() for level in job["levels"].items()]
     face = _indexed_tables(job, "faces")
     degen = _indexed_tables(job, "degeneracies")
-    return TruncatedSimplicialSet(n_max, levels, face, degen)
+    return job.build(TruncatedSimplicialSet, n_max, levels, face, degen)
 
 
 def encode_simplicial_set(x) -> dict:
@@ -585,14 +612,12 @@ def decode_simplicial_group(payload):
 
     job = _reader(payload)
     if "cyclic" in job:
-        try:
-            group = AbGroup.cyclic(job.typed("cyclic", int))
-        except InvalidInput as exc:
-            raise job["cyclic"].error(str(exc)) from None
-        return SimplicialAbGroup.constant(group, job.typed("N", int))
+        group = job["cyclic"].build(AbGroup.cyclic, job.typed("cyclic", int))
+        return job.build(SimplicialAbGroup.constant, group, job.typed("N", int))
     n_max = job.typed("N", int)
     groups = [
-        AbGroup(
+        g.build(
+            AbGroup,
             g["elements"].names(),
             _triples(g["add"]),
             g.typed("zero", str),
@@ -602,17 +627,17 @@ def decode_simplicial_group(payload):
     ]
     face = _indexed_tables(job, "faces")
     degen = _indexed_tables(job, "degeneracies")
-    return SimplicialAbGroup(n_max, groups, face, degen)
+    return job.build(SimplicialAbGroup, n_max, groups, face, degen)
 
 
 def decode_twist(payload, space, group):
     from .simplicial import TwistingFunction
 
     maps = _reader(payload)["maps"]
-    tables = {n: table.value for n, table in _levels(maps).items()}
+    tables = {n: dict(table.value) for n, table in _levels(maps).items()}
     if not all(isinstance(v, str) for table in tables.values() for v in table.values()):
         raise maps.error("expected names (JSON strings)")
-    return TwistingFunction(space, group, {n: dict(table) for n, table in tables.items()})
+    return maps.build(TwistingFunction, space, group, tables)
 
 
 def encode_twist(twist) -> dict:
@@ -627,8 +652,9 @@ def encode_twist(twist) -> dict:
 def decode_sdist(payload, bundle):
     from .simplicial import SimplicialDistribution
 
+    job = _reader(payload)
     levels = {}
-    for n, table in _levels(_reader(payload)["levels"]).items():
+    for n, table in _levels(job["levels"]).items():
         if n > bundle.total.n_max:
             raise table.error(f"above the truncation {bundle.total.n_max}")
         lookup = {element_label(e): e for e in bundle.total.simplices(n)}
@@ -638,7 +664,7 @@ def decode_sdist(payload, bundle):
             if not set(weights) <= set(lookup):
                 raise dist.error(f"not a distribution on level {n}")
             levels[n][x] = FiniteDistribution({lookup[el]: w for el, w in weights.items()})
-    return SimplicialDistribution(bundle, levels)
+    return job.build(SimplicialDistribution, bundle, levels)
 
 
 def _levels(job):
@@ -686,7 +712,7 @@ def decode_prob_object(payload):
     job = _reader(payload)
     carrier = job["carrier"].names()
     weights = {x: w.literal() for x, w in job["p"].entries()}
-    return ProbObject(carrier, weights)
+    return job.build(ProbObject, carrier, weights)
 
 
 def encode_prob_morphism(m) -> dict:
@@ -705,7 +731,7 @@ def decode_prob_morphism(payload):
     job = _reader(payload)
     src = decode_prob_object(job["src"])
     tgt = decode_prob_object(job["tgt"])
-    return ProbMorphism(src, tgt, job["map"].name_table())
+    return job.build(ProbMorphism, src, tgt, job["map"].name_table())
 
 
 def encode_corpus(corpus) -> dict:

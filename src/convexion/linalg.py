@@ -14,7 +14,7 @@ at all), and divides each updated row by its content (the gcd of its
 entries and rhs), which keeps the integers small.  The pivot row is never
 normalised, so each stored row is a nonzero multiple of the row a
 normalising Fraction tableau would hold.  Fractions are built only for
-the answers: rref and nullspace read theirs off echelon, the row
+the answers: nullspace reads them off echelon, the row
 reduction's integer form, which the equality engine caches.  The simplex
 starts from the slack columns a system offers (unit-like columns, such as
 the spectators of the equality engine's zig-zag LP) and adds artificials
@@ -254,15 +254,6 @@ def echelon(rows, ncols):
         if not unused:
             break
     return [mat[r] for r in order], pivots
-
-
-def rref(rows, ncols=None):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    reduced, pivots = echelon(rows, ncols)
-    dense = [[Fraction(row.get(j, 0), row[c]) for j in range(ncols)] for row, c in zip(reduced, pivots)]
-    return dense, pivots
 
 
 def null_vector(reduced, pivots, fc, ncols):

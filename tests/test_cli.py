@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -29,7 +30,7 @@ import convexion.tensor as tensor_mod
 from convexion import cli, jsonio
 from convexion.cli import run
 from convexion.distribution import FiniteDistribution
-from convexion.errors import ConvexionError, ParseError
+from convexion.errors import ConvexionError, NotNormalized, ParseError
 from convexion.semiring import BOOLEAN, RATIONAL
 
 
@@ -868,7 +869,7 @@ def test_empty_generator_list_exit_two(tmp_path):
     )
     code, report, stderr = _run_process("eq", "--job", job)
     assert code == 2 and "Traceback" not in stderr
-    assert report["error"].startswith("InvalidInput")
+    assert report["error"] == "presentation: a presentation needs at least one generator"
 
 
 def test_negative_bound_exit_two(tmp_path):
@@ -887,7 +888,7 @@ def test_negative_bound_exit_two(tmp_path):
     assert report["error"] == "--bound -1: expected an integer >= 0"
 
 
-@pytest.mark.parametrize("bound", [{}, "x", None, [], True, 2.5])
+@pytest.mark.parametrize("bound", [{}, "x", None, [], True, 2.5, "3", -1])
 def test_non_integer_job_bound_exit_two(tmp_path, bound):
     job = write(
         tmp_path,
@@ -902,7 +903,7 @@ def test_non_integer_job_bound_exit_two(tmp_path, bound):
     )
     code, report, stderr = _run_process("eq", "--job", job)
     assert code == 2 and "Traceback" not in stderr
-    assert report["error"].startswith("InvalidInput")
+    assert report["error"] == "bound: expected a nonnegative integer"
 
 
 # The segment m = a/2 + b/2: one relation, so two symmetrized pairs.
@@ -1100,7 +1101,10 @@ def _reference_decode(items, semiring):
         if el in weights:
             raise ParseError(f"weights[{i}].el: duplicate element {el!r} in distribution")
         weights[el] = payload
-    return FiniteDistribution(weights, semiring)
+    try:
+        return FiniteDistribution(weights, semiring)
+    except NotNormalized as exc:
+        raise ParseError(f"weights: {exc}") from None
 
 
 @pytest.mark.parametrize("semiring", [RATIONAL, BOOLEAN], ids=["rational", "boolean"])
@@ -1139,7 +1143,7 @@ def test_decoder_integer_read_matches_the_reference(semiring):
             seen["dist"] += 1
         else:
             assert got == want, items
-            seen[want[0].__name__] += 1
+            seen["NotNormalized" if want[1].startswith("weights: ") else want[0].__name__] += 1
     assert set(seen) == {"dist", "ParseError", "NotNormalized"} and min(seen.values()) > 50, seen
 
 
@@ -2050,6 +2054,9 @@ NESTED_FIELD_JOBS = [
     (("omon", "trivial_structure"), {"unit": 7}, "unit: 7 is not an object"),
     (("omon", "trivial_structure"), {"tensor": {"0,0": "2"}}, "tensor['0,0']: '2' is not an object"),
     (("omon", "trivial_structure"), {"tensor": {"0,0": "0"}}, "tensor: no entry for 0,1"),
+    (("omon", "trivial_structure"), {"tensor": {"0,1,1": "1"}}, "tensor['0,1,1']: expected a key 'a,b' naming two objects"),
+    (("omon", "trivial_structure"), {"tensor": {"0": "1"}}, "tensor['0']: expected a key 'a,b' naming two objects"),
+    (("omon", "trivial_structure"), {"tensor": {"9,9": "1"}}, "tensor['9,9']: expected a key 'a,b' naming two objects"),
     (("omon", "o_grothendieck"), {"functor": "dist"}, "instances[0].objects[0]: '*' is not an object of the functor"),
     (("omon", "o_grothendieck"), {"carrier": ["x", []]}, "carrier: expected names (JSON strings)"),
     (("omon", "check_lax"), {"unit_objects": ["S1", "T"]}, "unit_objects[1]: 'T' is not an object of the functor"),
@@ -2065,7 +2072,7 @@ NESTED_FIELD_JOBS = [
     (
         ("twist", "mu_product"),
         {"p": {"levels": {"0": UNIFORM["levels"]["0"]}}},
-        "InvalidInput: no distribution at simplex 'e' of level 1",
+        "mu_product job: InvalidInput: no distribution at simplex 'e' of level 1",
     ),
     (("eq", "eq"), {"presentation": {"generators": ["a", []]}}, "presentation.generators: expected names (JSON strings)"),
     (
@@ -2154,7 +2161,7 @@ NESTED_FIELD_JOBS = [
     (
         ("twist", "twisted_product"),
         {"space": {**CIRCLE_1, "faces": {**CIRCLE_1["faces"], "2,0": {}}}},
-        "InvalidInput: face table (2,0) is outside the truncation N = 1",
+        "space: face table (2,0) is outside the truncation N = 1",
     ),
     (
         ("omon", "check_lax"),
@@ -2180,7 +2187,7 @@ NESTED_FIELD_JOBS = [
     (
         ("twist", "twisted_product"),
         {"space": {"standard": "point", "N": 1000}},
-        "InvalidInput: truncation bound N = 1000 is outside 0..3",
+        "space: truncation bound N = 1000 is outside 0..3",
     ),
 ]
 
@@ -2271,6 +2278,88 @@ def test_nested_mutation_exits_0_1_or_2(tmp_path_factory, case, value):
     code, report = invoke(*sample_argv(tmp_path_factory.mktemp("nested"), key, sample))
     # exit 1 is a CheckFailure: a result, no error
     assert code in (0, 1, 2) and (code == 1) == ("result" in report and not report["ok"])
+
+
+# A value replaced in a --job sample: the six replacements of every nested
+# value of every job, of which a seeded sample of FUZZ_CASES runs.
+FUZZ_VALUES = (None, 7, "x", [], {}, -1)
+FUZZ_CASES = 600
+
+
+def test_library_errors_are_reported_at_a_json_path(tmp_path):
+    # A library error reads "ClassName: message" only below "<op> job: ",
+    # so an exit-2 error never begins with a class name.  Each sample goes
+    # through a JSON round trip first: samples share sub-objects (SEGMENT is
+    # both source and target), and a replacement must land at one path.
+    samples = {k: json.loads(json.dumps(v)) for k, v in SAMPLE_JOBS.items() if isinstance(v, dict)}
+    cases = [
+        (key, path, value)
+        for key, sample in samples.items()
+        for path in nested_paths(sample)
+        if path != ("op",)
+        for value in FUZZ_VALUES
+    ]
+    job = tmp_path / "job.json"
+    unpathed = []
+    for key, path, value in random.Random(20261019).sample(cases, FUZZ_CASES):
+        job.write_text(json.dumps(replaced(samples[key], path, value)))
+        code, report = invoke(key[0], "--job", str(job))
+        assert code in (0, 1, 2), (key, path, value)
+        if code == 2 and re.match(r"[A-Z][A-Za-z]*: ", report["error"]):
+            unpathed.append(f"{key} {path} {value!r}: {report['error']}")
+    assert unpathed == []
+
+
+@pytest.mark.parametrize(
+    "key, fields, error",
+    [
+        (
+            ("prop", "compose"),
+            {"right": {"rows": 1, "cols": 1, "entries": [["1"]]}},
+            "compose job: DimensionMismatch: inner dimensions 2 != 1",
+        ),
+        (
+            ("dist", "convex_combine"),
+            {"alpha": ["1"]},
+            "convex_combine job: NotConvexVector: 1 coefficients for 2 distributions",
+        ),
+    ],
+    ids=["compose", "convex_combine"],
+)
+def test_errors_across_fields_are_reported_at_the_job_root(tmp_path, key, fields, error):
+    code, report = invoke(*sample_argv(tmp_path, key, _sample_with(key, **fields)))
+    assert code == 2 and report["error"] == error
+
+
+def _functor_with_object_0(value):
+    """The convex_grothendieck sample whose functor gives object 0 as value."""
+    key = ("groth", "convex_grothendieck")
+    on_objects = {**CSET_FUNCTOR["on_objects"], "0": value}
+    return _sample_with(key, functor={**CSET_FUNCTOR, "on_objects": on_objects})
+
+
+def test_functor_presentation_by_path_matches_inline(tmp_path):
+    key = ("groth", "convex_grothendieck")
+    pres = write(tmp_path, "pres.json", CSET_FUNCTOR["on_objects"]["0"])
+    inline = invoke(*sample_argv(tmp_path, key))
+    assert inline[0] == 0
+    assert invoke(*sample_argv(tmp_path, key, _functor_with_object_0({"path": pres}))) == inline
+
+
+@pytest.mark.parametrize(
+    "content, error",
+    [
+        (None, "functor.on_objects['0'].path: no such file: {file}"),
+        ({"generators": ["a", "b"], "relations": 7}, "functor.on_objects['0'].path[{file!r}].relations: expected a JSON list"),
+        ({"generators": []}, "functor.on_objects['0'].path[{file!r}]: a presentation needs at least one generator"),
+    ],
+    ids=["missing", "malformed", "no_generators"],
+)
+def test_functor_presentation_by_path_errors_name_the_file(tmp_path, content, error):
+    key = ("groth", "convex_grothendieck")
+    file = str(tmp_path / "pres.json") if content is None else write(tmp_path, "pres.json", content)
+    code, report = invoke(*sample_argv(tmp_path, key, _functor_with_object_0({"path": file})))
+    assert code == 2 and report["error"] == error.format(file=file)
 
 
 def test_entropy_eval_needs_an_input():
