@@ -14,20 +14,20 @@ given by mixing graph pairs.  Only that convex half imports presentation
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import NotAFibration, NotAFunctor
+from .record import Frozen
 
 if TYPE_CHECKING:
     from .presentation import Presentation, PresentedElement
 
 
-@dataclass(frozen=True)
-class Morphism:
-    name: object
-    src: object
-    tgt: object
+class Morphism(Frozen):
+    __slots__ = _fields = ("name", "src", "tgt")
+
+    def __init__(self, name, src, tgt):
+        self._set(name, src, tgt)
 
 
 class FiniteCategory:
@@ -291,14 +291,22 @@ class SetFunctor:
         return self.on_morphisms[morphism_name][x]
 
 
-@dataclass
 class FibrationData:
     """A functor total -> base presented by explicit projection maps."""
 
-    total: FiniteCategory
-    base: FiniteCategory
-    object_projection: Mapping
-    morphism_projection: Mapping
+    __slots__ = ("total", "base", "object_projection", "morphism_projection")
+
+    def __init__(
+        self,
+        total: FiniteCategory,
+        base: FiniteCategory,
+        object_projection: Mapping,
+        morphism_projection: Mapping,
+    ):
+        self.total = total
+        self.base = base
+        self.object_projection = object_projection
+        self.morphism_projection = morphism_projection
 
     def fibre_objects(self, c):
         return sorted(
@@ -480,13 +488,13 @@ class CSetFunctor:
         return self.on_morphisms[morphism_name](element)
 
 
-@dataclass(frozen=True)
-class GraphPair:
+class GraphPair(Frozen):
     """A point of the fibre over a base morphism: (x, F(f)(x))."""
 
-    morphism: object
-    source: PresentedElement
-    target: PresentedElement
+    __slots__ = _fields = ("morphism", "source", "target")
+
+    def __init__(self, morphism, source: PresentedElement, target: PresentedElement):
+        self._set(morphism, source, target)
 
 
 class ConvexFibrationData:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -191,13 +190,15 @@ MAX_WEIGHT = 8
 SINGLES = 20
 
 
-@dataclass
 class Corpus:
     """Morphisms plus composable chains (pairs of indices: apply second
     after first)."""
 
-    morphisms: list
-    chains: list
+    __slots__ = ("morphisms", "chains")
+
+    def __init__(self, morphisms: list, chains: list):
+        self.morphisms = morphisms
+        self.chains = chains
 
     def chain_morphisms(self, idx):
         i, j = self.chains[idx]
@@ -252,23 +253,50 @@ LAMBDA_GRID = tuple(F(i, 8) for i in range(9))
 CONTINUITY_FINAL = 1e-2
 
 
-@dataclass
 class CheckResult:
-    passed: bool = True
-    checked: int = 0
-    failures: list = field(default_factory=list)
-    skipped: bool = False
+    __slots__ = ("passed", "checked", "failures", "skipped")
+
+    def __init__(
+        self,
+        passed: bool = True,
+        checked: int = 0,
+        failures: list | None = None,
+        skipped: bool = False,
+    ):
+        self.passed = passed
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.skipped = skipped
 
 
-@dataclass
 class EntropyReport:
-    sign_convention: str
-    tolerance: float
-    composition: CheckResult
-    convexity: CheckResult
-    continuity: CheckResult
-    fitted_c: float
-    max_residual: float
+    __slots__ = (
+        "sign_convention",
+        "tolerance",
+        "composition",
+        "convexity",
+        "continuity",
+        "fitted_c",
+        "max_residual",
+    )
+
+    def __init__(
+        self,
+        sign_convention: str,
+        tolerance: float,
+        composition: CheckResult,
+        convexity: CheckResult,
+        continuity: CheckResult,
+        fitted_c: float,
+        max_residual: float,
+    ):
+        self.sign_convention = sign_convention
+        self.tolerance = tolerance
+        self.composition = composition
+        self.convexity = convexity
+        self.continuity = continuity
+        self.fitted_c = fitted_c
+        self.max_residual = max_residual
 
     @property
     def all_passed(self) -> bool:

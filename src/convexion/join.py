@@ -16,7 +16,6 @@ Coefficients are rational throughout: the triple representation needs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,20 +31,25 @@ from .presentation import (
     Presentation,
     quotient_mix,
 )
+from .record import Frozen
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class IndexedJoinElement:
-    space: IndexedJoinSpace
-    weights: tuple
-    parts: tuple
+class IndexedJoinElement(Frozen):
+    __slots__ = _fields = ("space", "weights", "parts")
+
+    def __init__(self, space: IndexedJoinSpace, weights: tuple, parts: tuple):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "parts", parts)
 
 
 class JoinElement(IndexedJoinElement):
     """A point of a binary join, read as [alpha, x, y]."""
+
+    __slots__ = ()
 
     @property
     def alpha(self) -> Fraction:
@@ -63,14 +67,15 @@ class JoinElement(IndexedJoinElement):
         return f"[{self.alpha}, {self.x_part!r}, {self.y_part!r}]"
 
 
-@dataclass(frozen=True)
-class IndexedJoinSpace:
+class IndexedJoinSpace(Frozen):
     """Join of finitely many presentations; points carry a weight vector and
     one part per nonzero slot."""
 
-    factors: tuple
-
+    __slots__ = _fields = ("factors",)
     _element = IndexedJoinElement
+
+    def __init__(self, factors: tuple):
+        self._set(factors)
 
     def point(self, weights, parts) -> IndexedJoinElement:
         ws = tuple(Fraction(w) for w in weights)
@@ -119,6 +124,7 @@ class IndexedJoinSpace:
 class JoinSpace(IndexedJoinSpace):
     """The join X * Y of two presentations: the 2-factor indexed join."""
 
+    __slots__ = ()
     _element = JoinElement
 
     def __init__(self, x_factor: Presentation, y_factor: Presentation):
@@ -163,14 +169,14 @@ def join_mix(beta, pts: Sequence[JoinElement]) -> JoinElement:
     return pts[0].space.mix(beta, pts)
 
 
-@dataclass(frozen=True)
-class JoinCopairMap:
+class JoinCopairMap(Frozen):
     """The map X * Y -> Z determined by convex maps f: X -> Z, g: Y -> Z;
     [alpha, x, y] evaluates to alpha f(x) + (1 - alpha) g(y)."""
 
-    space: JoinSpace
-    f: ConvexMap
-    g: ConvexMap
+    __slots__ = _fields = ("space", "f", "g")
+
+    def __init__(self, space: JoinSpace, f: ConvexMap, g: ConvexMap):
+        self._set(space, f, g)
 
     @property
     def target(self) -> Presentation:

@@ -15,7 +15,6 @@ linear-algebra picture, demo scale).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import TYPE_CHECKING, Sequence
@@ -27,6 +26,7 @@ from .errors import (
     SemiringMismatch,
     SizeMismatch,
 )
+from .record import Frozen
 from .semiring import RATIONAL, Semiring
 
 if TYPE_CHECKING:
@@ -162,11 +162,10 @@ def permute(tau: Sequence[int], m: RMatrix, sigma: Sequence[int]) -> RMatrix:
 # -- the quasiconvexity operad -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QConvOp:
+class QConvOp(Frozen):
     """A convex vector of rational weights: an m-ary mixing operation."""
 
-    weights: tuple
+    __slots__ = _fields = ("weights",)
     kind = "qconv"  # its operad, as in omonoidal.OperadOp.kind
 
     def __init__(self, weights):

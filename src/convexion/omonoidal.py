@@ -25,7 +25,6 @@ the same presentation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -45,6 +44,7 @@ from .presentation import (
     quotient_mix,
     same_class,
 )
+from .record import Frozen
 from .tensor import TensorPresentation, tensor, universal_map
 
 F = Fraction
@@ -53,24 +53,27 @@ F = Fraction
 # -- operads -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperadOp:
+class OperadOp(Frozen):
     """An operation of the trivial, associative or commutative operad; the
     quasiconvexity operad's operations are QConvOp."""
 
-    kind: str  # "trivial" | "assoc" | "comm"
-    arity: int
-    param: tuple = ()
+    __slots__ = _fields = ("kind", "arity", "param")
 
-    def __post_init__(self):
-        if self.kind == "assoc":
-            if sorted(self.param) != list(range(self.arity)):
+    def __init__(
+        self,
+        kind: str,  # "trivial" | "assoc" | "comm"
+        arity: int,
+        param: tuple = (),
+    ):
+        if kind == "assoc":
+            if sorted(param) != list(range(arity)):
                 raise ArityMismatch("assoc parameter is not a permutation")
-        elif self.kind in ("trivial", "comm"):
-            if self.param:
-                raise ArityMismatch(f"{self.kind} operations carry no parameter")
+        elif kind in ("trivial", "comm"):
+            if param:
+                raise ArityMismatch(f"{kind} operations carry no parameter")
         else:
-            raise ArityMismatch(f"unknown operad kind {self.kind!r}")
+            raise ArityMismatch(f"unknown operad kind {kind!r}")
+        self._set(kind, arity, param)
 
 
 def comm_op(arity: int) -> OperadOp:
@@ -82,9 +85,11 @@ def assoc_op(perm) -> OperadOp:
     return OperadOp("assoc", len(perm), perm)
 
 
-@dataclass(frozen=True)
-class OperadSpec:
-    kind: str
+class OperadSpec(Frozen):
+    __slots__ = _fields = ("kind",)
+
+    def __init__(self, kind: str):
+        self._set(kind)
 
     def unit(self) -> OperadOp | QConvOp:
         if self.kind == "qconv":
@@ -128,7 +133,6 @@ QCONV = OperadSpec("qconv")
 # -- O-monoidal categories -------------------------------------------------------
 
 
-@dataclass
 class OMonCategory:
     """A category (finite, or a named large handle) with an n-ary tensor per
     operation.  tensor_obj(op, objects) must satisfy: the unit operation
@@ -139,10 +143,19 @@ class OMonCategory:
     objects to tensor_z of the blockwise tensors; None means the two
     composites coincide strictly (the built-in instances are strict)."""
 
-    operad: OperadSpec
-    base: object  # FiniteCategory or a handle string like "CSet"
-    tensor_obj: Callable
-    coherence: Optional[Callable] = None
+    __slots__ = ("operad", "base", "tensor_obj", "coherence")
+
+    def __init__(
+        self,
+        operad: OperadSpec,
+        base: object,  # FiniteCategory or a handle string like "CSet"
+        tensor_obj: Callable,
+        coherence: Optional[Callable] = None,
+    ):
+        self.operad = operad
+        self.base = base
+        self.tensor_obj = tensor_obj
+        self.coherence = coherence
 
     def tensor_objects(self, op: OperadOp | QConvOp, objs: Sequence) -> object:
         if op.arity != len(objs):
@@ -165,14 +178,21 @@ def nfold_pure(xs: Sequence[PresentedElement]) -> PresentedElement:
     return universal_map([x.presentation for x in xs], xs)
 
 
-@dataclass
 class SymmetricMonoidalData:
     """Minimal symmetric monoidal data: an n-ary object tensor and an
     optional unit object, validated on the base's objects."""
 
-    base: object
-    nfold_obj: Callable[[tuple], object]
-    unit_object: object = None
+    __slots__ = ("base", "nfold_obj", "unit_object")
+
+    def __init__(
+        self,
+        base: object,
+        nfold_obj: Callable[[tuple], object],
+        unit_object: object = None,
+    ):
+        self.base = base
+        self.nfold_obj = nfold_obj
+        self.unit_object = unit_object
 
     def validate(self):
         objs = None
@@ -263,7 +283,6 @@ def star_alpha(alpha: QConvOp, xs: Sequence[Presentation]) -> Presentation:
 # -- lax O-monoidal functors -------------------------------------------------------
 
 
-@dataclass
 class LaxOMonFunctor:
     """A functor into presented convex sets with structure maps xi.
 
@@ -272,9 +291,17 @@ class LaxOMonFunctor:
     object.  The unit condition demands xi at the operadic unit be the
     identity map."""
 
-    source: OMonCategory
-    functor: CSetFunctor
-    xi: Callable[[OperadOp | QConvOp, tuple], ConvexMap]
+    __slots__ = ("source", "functor", "xi")
+
+    def __init__(
+        self,
+        source: OMonCategory,
+        functor: CSetFunctor,
+        xi: Callable[[OperadOp | QConvOp, tuple], ConvexMap],
+    ):
+        self.source = source
+        self.functor = functor
+        self.xi = xi
 
     def fibre(self, obj) -> Presentation:
         return self.functor.on_objects[obj]
@@ -290,25 +317,32 @@ class LaxOMonFunctor:
         return cmap
 
 
-@dataclass
 class LaxCheckReport:
-    checked: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = ("checked", "failures")
+
+    def __init__(self, checked: int = 0, failures: list | None = None):
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class LaxInstance:
+class LaxInstance(Frozen):
     """One compatibility-square instance: an outer operation, inner
     operations, the object blocks, and sample elements per innermost slot."""
 
-    outer: OperadOp | QConvOp
-    inner: tuple  # operations, len = outer.arity
-    object_blocks: tuple  # tuple of tuples of source objects
-    elements: tuple  # tuple of tuples of PresentedElements
+    __slots__ = _fields = ("outer", "inner", "object_blocks", "elements")
+
+    def __init__(
+        self,
+        outer: OperadOp | QConvOp,
+        inner: tuple,  # operations, len = outer.arity
+        object_blocks: tuple,  # tuple of tuples of source objects
+        elements: tuple,  # tuple of tuples of PresentedElements
+    ):
+        self._set(outer, inner, object_blocks, elements)
 
 
 def check_lax(

@@ -101,7 +101,6 @@ its own there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
@@ -119,6 +118,7 @@ from .errors import (
     SemiringMismatch,
     SignatureMismatch,
 )
+from .record import Frozen
 from .semiring import RATIONAL, require_rational
 
 DEFAULT_STEP_BOUND = 4
@@ -311,13 +311,19 @@ def quotient_mix(alpha, es: Sequence[PresentedElement]) -> PresentedElement:
 # -- equality engine -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZigZagStep:
+class ZigZagStep(Frozen):
     """One move: start = sum_j lambda_j r_j + t, end = sum_j lambda_j s_j + t,
     with j indexing the presentation's symmetrized relation pairs."""
 
-    lambdas: tuple
-    spectator: tuple  # dense over presentation.generators
+    __slots__ = _fields = ("lambdas", "spectator")
+
+    def __init__(
+        self,
+        lambdas: tuple,
+        spectator: tuple,  # dense over presentation.generators
+    ):
+        object.__setattr__(self, "lambdas", lambdas)
+        object.__setattr__(self, "spectator", spectator)
 
     def integer_endpoints(self, pres: Presentation):
         """The step's start and end in integers: two {generator: int} maps
@@ -345,13 +351,22 @@ class ZigZagStep:
         return start, end, scale
 
 
-@dataclass(frozen=True)
-class EqualityVerdict:
-    status: str  # "equal" | "distinct" | "unknown"
-    path: tuple = ()  # ZigZagSteps for Equal
-    invariant: tuple = ()  # dense rational assignment for Distinct
-    bound: int = DEFAULT_STEP_BOUND  # the requested step bound
-    support: tuple = ()  # respected generators for Distinct, in place of invariant
+class EqualityVerdict(Frozen):
+    __slots__ = _fields = ("status", "path", "invariant", "bound", "support")
+
+    def __init__(
+        self,
+        status: str,  # "equal" | "distinct" | "unknown"
+        path: tuple = (),  # ZigZagSteps for Equal
+        invariant: tuple = (),  # dense rational assignment for Distinct
+        bound: int = DEFAULT_STEP_BOUND,  # the requested step bound
+        support: tuple = (),  # respected generators for Distinct, in place of invariant
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "support", support)
 
     @property
     def is_equal(self):

@@ -25,7 +25,6 @@ twist addition, and grade a monoid over the twisting functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -495,12 +494,14 @@ def twisted_product(group: SimplicialAbGroup, eta: TwistingFunction,
 # -- simplicial distributions -----------------------------------------------------------------
 
 
-@dataclass
 class SimplicialDistribution:
     """Per-level maps from base simplices to distributions on total ones."""
 
-    bundle: Bundle
-    levels: dict  # n -> {x: FiniteDistribution}
+    __slots__ = ("bundle", "levels")
+
+    def __init__(self, bundle: Bundle, levels: dict):  # levels: n -> {x: FiniteDistribution}
+        self.bundle = bundle
+        self.levels = levels
 
     def at(self, n, x) -> FiniteDistribution:
         if x not in self.levels.get(n, {}):
@@ -508,9 +509,11 @@ class SimplicialDistribution:
         return self.levels[n][x]
 
 
-@dataclass
 class SDistReport:
-    failures: list = field(default_factory=list)
+    __slots__ = ("failures",)
+
+    def __init__(self, failures: list | None = None):
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self):
@@ -759,17 +762,26 @@ def pushforward_sdist(p: SimplicialDistribution, dst_bundle: Bundle, mapping) ->
 # -- the graded monoid of twisted distributions ---------------------------------------------------
 
 
-@dataclass
 class TwistMonoid:
     """Addition of twisting functions with the graded multiplication
     (eta1, p) * (eta2, q) = (eta1 + eta2, mu(p, q) transported along the
     twist-addition isomorphism)."""
 
-    space: TruncatedSimplicialSet
-    group: SimplicialAbGroup
-    twists: list
-    zero: TwistingFunction
-    bundles: dict  # twist -> Bundle
+    __slots__ = ("space", "group", "twists", "zero", "bundles")
+
+    def __init__(
+        self,
+        space: TruncatedSimplicialSet,
+        group: SimplicialAbGroup,
+        twists: list,
+        zero: TwistingFunction,
+        bundles: dict,  # twist -> Bundle
+    ):
+        self.space = space
+        self.group = group
+        self.twists = twists
+        self.zero = zero
+        self.bundles = bundles
 
     def add(self, t1: TwistingFunction, t2: TwistingFunction) -> TwistingFunction:
         return t1 + t2

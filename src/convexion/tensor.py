@@ -18,7 +18,6 @@ inverts the extension.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -39,6 +38,7 @@ from .presentation import (
     maps_agree,
     quotient_mix,
 )
+from .record import Frozen
 
 #: Presentation of the one-point convex set (monoidal unit).
 UNIT = Presentation.free(("*",))
@@ -94,16 +94,16 @@ def pure_tensor(xs: Sequence[PresentedElement]) -> PresentedElement:
     return universal_map([x.presentation for x in xs], xs)
 
 
-@dataclass
 class NConvexMapSpec:
     """A value table on generator tuples, the data of an n-convex map."""
 
-    factors: tuple
-    target: Presentation
-    table: dict  # generator tuple -> PresentedElement of target
+    __slots__ = ("factors", "target", "table")
 
-    def __post_init__(self):
-        self.factors = tuple(self.factors)
+    def __init__(self, factors: tuple, target: Presentation, table: dict):
+        # table: generator tuple -> PresentedElement of target
+        self.factors = tuple(factors)
+        self.target = target
+        self.table = table
         expected = set(
             itertools.product(*(f.generators for f in self.factors))
         )
@@ -151,10 +151,11 @@ def tensor_map(fs: Sequence[ConvexMap]) -> ConvexMap:
 # -- symmetric monoidal coherences -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Iso:
-    fwd: ConvexMap
-    back: ConvexMap
+class Iso(Frozen):
+    __slots__ = _fields = ("fwd", "back")
+
+    def __init__(self, fwd: ConvexMap, back: ConvexMap):
+        self._set(fwd, back)
 
 
 def _delta_map(src: Presentation, tgt: Presentation, gen_map) -> ConvexMap:
@@ -270,12 +271,17 @@ def coherence_diagrams(a, b, c, d) -> dict:
 # -- the biconvex-but-not-convex composition ---------------------------------
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
-    biconvex_value: FiniteDistribution
-    convex_hypothesis_value: FiniteDistribution
-    unequal: bool
-    value_note: str
+class CounterexampleReport(Frozen):
+    __slots__ = _fields = ("biconvex_value", "convex_hypothesis_value", "unequal", "value_note")
+
+    def __init__(
+        self,
+        biconvex_value: FiniteDistribution,
+        convex_hypothesis_value: FiniteDistribution,
+        unequal: bool,
+        value_note: str,
+    ):
+        self._set(biconvex_value, convex_hypothesis_value, unequal, value_note)
 
 
 def check_biconvex_not_convex_counterexample() -> CounterexampleReport:
@@ -321,7 +327,6 @@ def check_biconvex_not_convex_counterexample() -> CounterexampleReport:
 # -- enriched categories vs biconvex composition ------------------------------
 
 
-@dataclass
 class BiconvexCategory:
     """Finite object set, presented hom-objects, identity elements, and
     biconvex composition given by value tables on generator pairs.
@@ -330,10 +335,13 @@ class BiconvexCategory:
     g1 of hom(a, b) -- to the composite element of hom(a, c).
     """
 
-    objects: tuple
-    hom: Mapping
-    identities: Mapping
-    composition: Mapping
+    __slots__ = ("objects", "hom", "identities", "composition")
+
+    def __init__(self, objects: tuple, hom: Mapping, identities: Mapping, composition: Mapping):
+        self.objects = objects
+        self.hom = hom
+        self.identities = identities
+        self.composition = composition
 
     def compose_elements(self, a, b, c, g2: PresentedElement, g1: PresentedElement):
         """Biconvex extension of the table to arbitrary hom elements."""
@@ -342,15 +350,23 @@ class BiconvexCategory:
         return quotient_mix([w for _, w in pairs], [table[k] for k, _ in pairs])
 
 
-@dataclass
 class EnrichedCategoryData:
     """Same skeleton, with composition as convex maps out of the tensor
     hom(b, c) (x) hom(a, b)."""
 
-    objects: tuple
-    hom: Mapping
-    identities: Mapping
-    composition_maps: Mapping  # (a, b, c) -> ConvexMap
+    __slots__ = ("objects", "hom", "identities", "composition_maps")
+
+    def __init__(
+        self,
+        objects: tuple,
+        hom: Mapping,
+        identities: Mapping,
+        composition_maps: Mapping,  # (a, b, c) -> ConvexMap
+    ):
+        self.objects = objects
+        self.hom = hom
+        self.identities = identities
+        self.composition_maps = composition_maps
 
 
 def enriched_bridge(cat: BiconvexCategory) -> EnrichedCategoryData:

@@ -3,6 +3,8 @@ coverage of the (verb, op) table cli.OPS: one sample job per op, and every
 module operation reached by running them."""
 
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -1816,6 +1818,19 @@ def test_every_op_has_a_sample_job():
     assert set(SAMPLE_JOBS) == set(cli.OPS)
 
 
+def test_every_op_is_a_function_of_its_verb_module():
+    # (verb, op) is dispatched to verb_op in convexion.verbs.<verb>, and
+    # every verb_* function there is the handler of an op of cli.OPS.
+    handlers = set()
+    for verb in {verb for verb, _ in cli.OPS}:
+        module = importlib.import_module(f"convexion.verbs.{verb}")
+        for name, value in vars(module).items():
+            if name.startswith(f"{verb}_"):
+                assert inspect.isfunction(value) and value.__module__ == module.__name__, name
+                handlers.add((verb, name.removeprefix(f"{verb}_")))
+    assert handlers == set(cli.OPS)
+
+
 def test_samples_reach_every_module_operation(tmp_path, monkeypatch):
     # Each operation is wrapped where it is defined and wherever a convexion
     # module imported it by name; the handlers import their operations when
@@ -1902,19 +1917,22 @@ def test_cli_import_loads_no_construction_module():
     assert out.stdout.strip() == "[]"
 
 
-# The convexion modules that one sample job per verb loads, beyond cli and
-# the modules every job loads: jsonio, distribution, errors and semiring.
+# The convexion modules that one sample job per verb loads, beyond the
+# modules every job loads: cli, jsonio, distribution, errors, semiring,
+# verbs and the verb's own module verbs.<verb>.
 VERB_MODULES = {
     ("dist", "delta"): [],
-    ("eq", "eq"): ["linalg", "presentation"],
-    ("join", "join_mix"): ["join", "linalg", "presentation"],
-    ("tensor", "tensor"): ["linalg", "presentation", "tensor"],
-    ("prop", "compose"): ["matprop"],
-    ("groth", "grothendieck"): ["category"],
-    ("omon", "star_alpha"): ["category", "linalg", "matprop", "omonoidal", "presentation", "tensor"],
+    ("eq", "eq"): ["linalg", "presentation", "record"],
+    ("join", "join_mix"): ["join", "linalg", "presentation", "record"],
+    ("tensor", "tensor"): ["linalg", "presentation", "record", "tensor"],
+    ("prop", "compose"): ["matprop", "record"],
+    ("groth", "grothendieck"): ["category", "record"],
+    ("omon", "star_alpha"): [
+        "category", "linalg", "matprop", "omonoidal", "presentation", "record", "tensor",
+    ],
     ("twist", "twisted_product"): ["simplicial"],
     ("entropy", "eval"): ["finprob"],
-    ("selfcheck", "selfcheck"): ["linalg", "matprop", "presentation", "tensor"],
+    ("selfcheck", "selfcheck"): ["linalg", "matprop", "presentation", "record", "tensor"],
 }
 
 
@@ -1926,9 +1944,11 @@ def test_every_verb_has_a_module_set():
 def test_job_loads_only_its_verb_modules(tmp_path, key):
     code = (
         "import json, sys\n"
+        "before = 'dataclasses' in sys.modules\n"
         "from convexion import cli\n"
         "code = cli.main(json.loads(sys.argv[1]))\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('convexion.'))]))"
+        "loaded = sorted(m for m in sys.modules if m.startswith('convexion.'))\n"
+        "print(json.dumps([code, before, 'dataclasses' in sys.modules, loaded]))"
     )
     report = tmp_path / "report.json"
     argv = ["--report", str(report), *sample_argv(tmp_path, key)]
@@ -1936,10 +1956,11 @@ def test_job_loads_only_its_verb_modules(tmp_path, key):
         [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, env=ENV
     )
     assert out.returncode == 0, out.stderr
-    exit_code, loaded = json.loads(out.stdout)
+    exit_code, dataclasses_before, dataclasses_after, loaded = json.loads(out.stdout)
     assert exit_code == 0 and json.loads(report.read_text())["ok"] is True
-    every_job = ["cli", "distribution", "errors", "jsonio", "semiring"]
+    every_job = ["cli", "distribution", "errors", "jsonio", "semiring", "verbs", f"verbs.{key[0]}"]
     assert loaded == sorted(f"convexion.{m}" for m in every_job + VERB_MODULES[key])
+    assert dataclasses_before or not dataclasses_after
 
 
 # -- global flags ---------------------------------------------------------------------------
@@ -2121,6 +2142,12 @@ NESTED_FIELD_JOBS = [
     (("prop", "permute"), {"tau": [1, "0"]}, "tau, sigma: expected lists of indices"),
     (("prop", "qconv_compose"), {"outer": {"alpha": 7}}, "outer.alpha: expected a JSON list"),
     (("tensor", "extend_multiconvex"), {"spec": {**SPEC, "factors": 7}}, "spec.factors: expected a JSON list"),
+    (
+        ("tensor", "universal_map"),
+        {"elements": [DIST, DELTA_C, {"weights": [{"el": "zz", "w": "1"}]}]},
+        "elements: expected 2 elements, one per factor",
+    ),
+    (("tensor", "extend_multiconvex"), {"elements": [DIST]}, "elements: expected 2 elements, one per factor"),
     (
         ("tensor", "extend_multiconvex"),
         {"spec": {**SPEC, "table": [{"tuple": 7, "value": DELTA_A}]}},

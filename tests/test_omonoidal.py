@@ -15,6 +15,7 @@ from convexion.omonoidal import (
     QCONV,
     TRIVIAL,
     LaxInstance,
+    LaxOMonFunctor,
     OMonCategory,
     SymmetricMonoidalData,
     assoc_op,
@@ -259,9 +260,7 @@ def test_corrupted_xi_is_reported():
             return good_xi(QConvOp(tuple(reversed(op.weights))), objs)
         return good_xi(op, objs)
 
-    import dataclasses
-
-    broken = dataclasses.replace(functor, xi=bad_xi)
+    broken = LaxOMonFunctor(functor.source, functor.functor, bad_xi)
     pres = functor.fibre("*")
     inst = LaxInstance(
         QConvOp([F(1, 4), F(3, 4)]),
@@ -280,10 +279,8 @@ def test_check_lax_transports_through_base_coherence():
     # A deliberately non-strict base: pairwise tensors land on object P,
     # triple tensors on the isomorphic object Q; the compatibility square
     # only closes through F of the coherence iso u: Q -> P.
-    import dataclasses
-
     from convexion.category import CSetFunctor, FiniteCategory, Morphism
-    from convexion.omonoidal import LaxOMonFunctor, OMonCategory, nfold_tensor
+    from convexion.omonoidal import nfold_tensor
     from convexion.presentation import ConvexMap
 
     pres = Presentation.free(["x", "y"])
@@ -346,7 +343,7 @@ def test_check_lax_transports_through_base_coherence():
     report = check_lax(lax, [inst])
     assert report.ok, report.failures
     # without the coherence the same square is (correctly) rejected
-    strict = dataclasses.replace(lax, source=OMonCategory(QCONV, base, tensor_obj))
+    strict = LaxOMonFunctor(OMonCategory(QCONV, base, tensor_obj), lax.functor, lax.xi)
     assert not check_lax(strict, [inst]).ok
 
 
@@ -454,15 +451,13 @@ def test_comm_specializes_to_monoidal_construction():
 
 
 def test_wrong_signature_xi_rejected():
-    import dataclasses
-
     from convexion.errors import NotConvexStructureMap
     from convexion.presentation import ConvexMap
 
     functor = mixture_lax_functor(["x", "y"])
     other = Presentation.free(["q"])
-    broken = dataclasses.replace(
-        functor, xi=lambda op, objs: ConvexMap.identity(other)
+    broken = LaxOMonFunctor(
+        functor.source, functor.functor, lambda op, objs: ConvexMap.identity(other)
     )
     with pytest.raises(NotConvexStructureMap):
         broken.xi_map(QConvOp([F(1, 2), F(1, 2)]), ("*", "*"))
@@ -476,9 +471,7 @@ def test_o_grothendieck_rejects_broken_strictness():
         return "**"  # not an object
 
     broken_base = OMonCategory(base.operad, base.base, bad_tensor)
-    import dataclasses
-
-    broken = dataclasses.replace(functor, source=broken_base)
+    broken = LaxOMonFunctor(broken_base, functor.functor, functor.xi)
     pres = functor.fibre("*")
     with pytest.raises((NotLax, KeyError)):
         o_grothendieck(

@@ -102,7 +102,14 @@ def _annotations(tree):
             yield node.annotation
 
 
-@pytest.mark.parametrize("path", sorted(pathlib.Path(SRC, "convexion").glob("*.py")), ids=lambda p: p.stem)
+PACKAGE = pathlib.Path(SRC, "convexion")
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE.rglob("*.py")),
+    ids=lambda p: p.relative_to(PACKAGE).with_suffix("").as_posix(),
+)
 def test_every_annotation_name_is_bound(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     bound = _module_bindings(tree.body) | set(dir(builtins))

@@ -1,7 +1,9 @@
 """Presented convex sets: quotient mixing, the equality engine, induced maps."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -1026,3 +1028,15 @@ def test_eq_on_a_fresh_presentation_never_calls_nullspace(monkeypatch):
     assert verdict(abcd, split, delta("a"), rd({"b": "1/2", "c": "1/2"})).is_equal
     absorb = [(delta("a"), rd({"a": "1/2", "b": "1/2"}))]
     assert verdict(["a", "b"], absorb, delta("a"), delta("b")).support == ("a",)
+
+
+def test_verdicts_survive_copy_and_pickle():
+    # verdicts are frozen __slots__ records, so copying must restore their
+    # fields without going through the assignment they refuse
+    pres = Presentation.free(["a", "b"])
+    step = ZigZagStep((F(1),), (F(0), F(1, 2)))
+    for verdict in (eq(pres.delta("a"), pres.delta("b")), EqualityVerdict("equal", path=(step,), bound=3)):
+        for clone in (copy.copy(verdict), copy.deepcopy(verdict), pickle.loads(pickle.dumps(verdict))):
+            assert clone == verdict and hash(clone) == hash(verdict) and repr(clone) == repr(verdict)
+            with pytest.raises(AttributeError):
+                clone.status = "unknown"

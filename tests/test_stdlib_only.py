@@ -1,4 +1,5 @@
-"""The runtime depends on the Python standard library alone."""
+"""The runtime depends on the Python standard library alone, and on none
+of the modules that would slow every command-line job's start-up."""
 
 import ast
 import pathlib
@@ -7,10 +8,11 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "convexion"
 
 
-def test_absolute_imports_are_stdlib_or_convexion():
-    sources = sorted(SRC.glob("*.py"))
+def _absolute_imports():
+    """(path relative to SRC, module name) for every absolute import in the
+    package, subpackages included."""
+    sources = sorted(SRC.rglob("*.py"))
     assert sources
-    outside = []
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -20,7 +22,20 @@ def test_absolute_imports_are_stdlib_or_convexion():
             else:
                 continue
             for name in names:
-                top = name.split(".")[0]
-                if top != "convexion" and top not in sys.stdlib_module_names:
-                    outside.append(f"{path.name}: {name}")
+                yield path.relative_to(SRC).as_posix(), name
+
+
+def test_absolute_imports_are_stdlib_or_convexion():
+    outside = []
+    for path, name in _absolute_imports():
+        top = name.split(".")[0]
+        if top != "convexion" and top not in sys.stdlib_module_names:
+            outside.append(f"{path}: {name}")
     assert not outside, outside
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses imports inspect, and each class it builds costs a job
+    # about as much again; records are __slots__ classes (convexion.record)
+    found = [f"{path}: {name}" for path, name in _absolute_imports() if name.split(".")[0] == "dataclasses"]
+    assert not found, found
