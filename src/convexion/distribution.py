@@ -12,9 +12,12 @@ tensors and nesting).
 A distribution stores only its integer form, built once by the
 constructor: ``_nums`` maps each support element to a positive int and
 ``_den`` is one common denominator, with the semiring fixing the form
-(``Semiring.canonical_form``).  Over the rationals ``_den`` is the lcm of
-the reduced denominators, so ``gcd(_den, *_nums.values()) == 1``: the form
-is canonical, equal distributions have equal forms, and normalisation is
+(``Semiring.canonical_form``).  That form is the one ``RMatrix`` stores
+too, so ``canonical_form`` reduces any positive numerators over a
+denominator; that they sum to one is checked here, by
+``Semiring.is_normalized``.  Over the rationals ``_den`` is the lcm of the
+reduced denominators, so ``gcd(_den, *_nums.values()) == 1``: the form is
+canonical, equal distributions have equal forms, and normalisation is
 ``sum(_nums.values()) == _den``.  Over the Booleans every weight is 1 over
 1.  The constructor reads each weight straight into a numerator and a
 denominator (``Semiring.ratio``).  ``flatten``, ``convex_combine`` and
@@ -95,8 +98,7 @@ class FiniteDistribution:
 
     def weight(self, el):
         """Weight of el (zero if outside the support)."""
-        n = self._nums.get(el)
-        return self.semiring.payload(n, self._den) if n else self.semiring.zero()
+        return self.semiring.payload(self._nums.get(el, 0), self._den)
 
     __call__ = weight
 

@@ -8,6 +8,12 @@ to one (vacuously so with zero rows); convex matrices are closed under all
 three structure operations.  The unary-output part of the convex PROP is
 the operad of convex vectors; its composition flattens products of weights.
 
+A matrix stores only the integer form of its weights, as a distribution
+does (see ``RMatrix``): composition is one sparse product of int
+numerators, the direct sum rescales both blocks to one denominator, the
+symmetric action reindexes cells, and convexity asks the semiring whether
+each row's numerators are normalized.
+
 Convex matrices act on presented convex sets row-by-row through
 quotient_mix; matrices over a ring act on rational vector tuples (the
 linear-algebra picture, demo scale).
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
@@ -36,56 +43,72 @@ F = Fraction
 
 
 class RMatrix:
-    """Dense n x m matrix of semiring values; 0 x m and n x 0 allowed."""
+    """An n x m matrix over a semiring; 0 x m and n x 0 allowed.
 
-    __slots__ = ("rows", "cols", "entries", "semiring")
+    Like a distribution, a matrix stores only its integer form: ``_nums``
+    maps each nonzero cell (i, j) to a positive int and ``_den`` is one
+    common denominator, in the semiring's canonical form
+    (``Semiring.canonical_form``), so equal matrices have equal forms.  The
+    payloads that ``entries`` shows are built on demand.
+    """
+
+    __slots__ = ("rows", "cols", "semiring", "_nums", "_den")
 
     def __init__(self, entries, rows=None, cols=None, semiring: Semiring = RATIONAL):
-        mat = tuple(tuple(semiring.coerce(v) for v in row) for row in entries)
-        n = len(mat) if rows is None else rows
-        if rows is not None and rows != len(mat):
-            raise DimensionMismatch(f"declared {rows} rows, got {len(mat)}")
+        ratio = semiring.ratio
+        mat = [[ratio(v) for v in row] for row in entries]
+        n = len(mat)
+        if rows is not None and rows != n:
+            raise DimensionMismatch(f"declared {rows} rows, got {n}")
         widths = {len(r) for r in mat}
         if len(widths) > 1:
             raise DimensionMismatch("ragged rows")
-        m = widths.pop() if widths else (0 if cols is None else cols)
-        if cols is not None and mat and cols != m:
+        m = widths.pop() if widths else cols or 0
+        if cols is not None and cols != m:
             raise DimensionMismatch(f"declared {cols} cols, got {m}")
-        if not mat and cols is not None:
-            m = cols
+        den = lcm(*[d for row in mat for k, d in row if k])
+        acc = {
+            (i, j): k * (den // d)
+            for i, row in enumerate(mat)
+            for j, (k, d) in enumerate(row)
+            if k
+        }
         self.rows, self.cols = n, m
-        self.entries = mat
         self.semiring = semiring
+        self._nums, self._den = semiring.canonical_form(acc, den)
 
     @classmethod
-    def _trusted(cls, entries: tuple, rows: int, cols: int, semiring: Semiring) -> "RMatrix":
-        """Trusted constructor: entries is a tuple of rows rows, each a
-        tuple of cols payloads of semiring, taken as they are."""
+    def _trusted(cls, acc: dict, den: int, rows: int, cols: int, semiring: Semiring) -> "RMatrix":
+        """Trusted constructor: ``acc`` maps cells of a rows x cols matrix
+        to positive ints over ``den``; the semiring brings them into
+        canonical form."""
         self = object.__new__(cls)
         self.rows, self.cols = rows, cols
-        self.entries = entries
         self.semiring = semiring
+        self._nums, self._den = semiring.canonical_form(acc, den)
         return self
 
     @classmethod
     def identity(cls, n: int, semiring: Semiring = RATIONAL) -> "RMatrix":
-        one, zero = semiring.one(), semiring.zero()
-        return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)],
-            semiring=semiring,
-        )
+        return cls._trusted({(i, i): 1 for i in range(n)}, 1, n, n, semiring)
 
     @classmethod
     def empty(cls, rows: int = 0, cols: int = 0, semiring: Semiring = RATIONAL):
-        return cls([[] for _ in range(rows)], rows=rows, cols=cols, semiring=semiring)
+        return cls._trusted({}, 1, rows, cols, semiring)
 
     @classmethod
     def column_of_ones(cls, n: int, semiring: Semiring = RATIONAL) -> "RMatrix":
         """The unique convex matrix with one input and n outputs."""
-        return cls([[semiring.one()] for _ in range(n)], semiring=semiring)
+        return cls._trusted({(i, 0): 1 for i in range(n)}, 1, n, 1, semiring)
 
-    def row(self, i):
-        return self.entries[i]
+    @property
+    def entries(self) -> tuple:
+        """The rows of payloads, zeros included."""
+        payload, den, get = self.semiring.payload, self._den, self._nums.get
+        return tuple(
+            tuple(payload(get((i, j), 0), den) for j in range(self.cols))
+            for i in range(self.rows)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, RMatrix):
@@ -94,11 +117,14 @@ class RMatrix:
             self.semiring is other.semiring
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __hash__(self):
-        return hash((self.semiring.name, self.rows, self.cols, self.entries))
+        return hash(
+            (self.semiring.name, self.rows, self.cols, self._den, frozenset(self._nums.items()))
+        )
 
     def __repr__(self):
         body = "; ".join(
@@ -109,39 +135,41 @@ class RMatrix:
 
 def is_convex_matrix(m: RMatrix) -> bool:
     """Every row sums to one (true for zero rows)."""
-    sr = m.semiring
-    return all(sr.is_one(sr.sum(row)) for row in m.entries)
+    rows = [{} for _ in range(m.rows)]
+    for (i, j), k in m._nums.items():
+        rows[i][j] = k
+    return all(m.semiring.is_normalized(row, m._den) for row in rows)
 
 
 def compose(m: RMatrix, n: RMatrix) -> RMatrix:
-    """Matrix product of an n x k with a k x m operation."""
+    """Matrix product of an n x k with a k x m operation: integer
+    numerators multiplied over m._den * n._den and summed per cell."""
     if m.semiring is not n.semiring:
         raise SemiringMismatch("matrices over different semirings")
     if m.cols != n.rows:
         raise DimensionMismatch(f"inner dimensions {m.cols} != {n.rows}")
-    sr = m.semiring
-    out = []
-    for i in range(m.rows):
-        row = []
-        for j in range(n.cols):
-            acc = sr.zero()
-            for k in range(m.cols):
-                acc = sr.add(acc, sr.mul(m.entries[i][k], n.entries[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return RMatrix._trusted(tuple(out), m.rows, n.cols, sr)
+    by_row: dict = {}
+    for (k, j), b in n._nums.items():
+        by_row.setdefault(k, []).append((j, b))
+    acc: dict = {}
+    get = acc.get
+    for (i, k), a in m._nums.items():
+        for j, b in by_row.get(k, ()):
+            acc[i, j] = get((i, j), 0) + a * b
+    return RMatrix._trusted(acc, m._den * n._den, m.rows, n.cols, m.semiring)
 
 
 def direct_sum(m: RMatrix, n: RMatrix) -> RMatrix:
-    """Block-diagonal horizontal composition."""
+    """Block-diagonal horizontal composition, over the lcm of the two
+    denominators."""
     if m.semiring is not n.semiring:
         raise SemiringMismatch("matrices over different semirings")
-    sr = m.semiring
-    zero = sr.zero()
-    out = tuple(row + (zero,) * n.cols for row in m.entries) + tuple(
-        (zero,) * m.cols + row for row in n.entries
-    )
-    return RMatrix._trusted(out, m.rows + n.rows, m.cols + n.cols, sr)
+    den = lcm(m._den, n._den)
+    sm, sn = den // m._den, den // n._den
+    acc = {cell: k * sm for cell, k in m._nums.items()}
+    for (i, j), k in n._nums.items():
+        acc[i + m.rows, j + m.cols] = k * sn
+    return RMatrix._trusted(acc, den, m.rows + n.rows, m.cols + n.cols, m.semiring)
 
 
 def permute(tau: Sequence[int], m: RMatrix, sigma: Sequence[int]) -> RMatrix:
@@ -152,11 +180,10 @@ def permute(tau: Sequence[int], m: RMatrix, sigma: Sequence[int]) -> RMatrix:
         raise SizeMismatch(
             f"column permutation has size {len(sigma)}, need {m.cols}"
         )
-    out = tuple(
-        tuple(m.entries[tau[i]][sigma[j]] for j in range(m.cols))
-        for i in range(m.rows)
-    )
-    return RMatrix._trusted(out, m.rows, m.cols, m.semiring)
+    row_of = {r: i for i, r in enumerate(tau)}
+    col_of = {c: j for j, c in enumerate(sigma)}
+    acc = {(row_of[r], col_of[c]): k for (r, c), k in m._nums.items()}
+    return RMatrix._trusted(acc, m._den, m.rows, m.cols, m.semiring)
 
 
 # -- the quasiconvexity operad -------------------------------------------------
@@ -265,4 +292,4 @@ def convex_matrices(rows: int, cols: int, max_denominator: int):
     """All convex rows x cols matrices with denominators <= max_denominator."""
     choices = convex_rows(cols, max_denominator)
     for rows_choice in iproduct(choices, repeat=rows):
-        yield RMatrix([list(r) for r in rows_choice])
+        yield RMatrix([list(r) for r in rows_choice], rows=rows, cols=cols)

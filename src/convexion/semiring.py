@@ -1,20 +1,20 @@
-"""Coefficient semirings with exact arithmetic.
+"""Coefficient semirings, fixed by the integer form that distributions and
+matrices store.
 
 Two semirings are supported: nonnegative rationals (``fractions.Fraction``
 payloads, always in lowest terms) and the Boolean semiring (``bool``
-payloads, or/and).  Values are plain payloads; the semiring object supplies
-the operations, so containers carry one semiring reference instead of
-wrapping every scalar.
-
-Each semiring also fixes the integer form that ``distribution.py`` stores
-instead of payloads: numerators (element -> int) over one common
-denominator.  ``ratio`` reads a payload spelling (a payload, an int or a
-string) straight into a numerator and a denominator, ``read`` does so for
-a string literal, ``payload`` turns a numerator over a denominator back
-into a payload, and ``is_normalized`` and ``canonical_form`` test and
-reduce an integer form.  Rationals divide a sum by its gcd, which leaves
-the lcm of the reduced denominators; Booleans use weight 1 over 1 for every
-support element.
+payloads, or/and).  A container stores no payloads: it keeps positive int
+numerators over one common denominator and one semiring reference, and the
+semiring fixes that integer form.  ``ratio`` reads a payload spelling (a
+payload, an int or a string) straight into a numerator and a denominator,
+``read`` does so for a string literal, ``payload`` turns a numerator over a
+denominator back into a payload (``parse`` and ``format`` go between a
+literal and a payload), ``is_normalized`` tests whether an integer form
+sums to one, and ``canonical_form`` reduces one.  Rationals divide by the
+gcd of the denominator and the numerators, which leaves the lcm of the
+reduced denominators; Booleans use 1 over 1 for every nonzero numerator,
+so a cell reached by two paths (numerator 2) reads 1 again.  All
+arithmetic is int arithmetic on that form, in the containers.
 """
 
 from __future__ import annotations
@@ -24,49 +24,17 @@ from math import gcd
 
 from .errors import ParseError, SemiringMismatch
 
-# Fractions are immutable, so every rational zero and one can be these two.
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 class Semiring:
     name = "abstract"
 
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def sum(self, values):
-        total = self.zero()
-        for v in values:
-            total = self.add(total, v)
-        return total
-
-    def is_zero(self, v) -> bool:
-        return v == self.zero()
-
-    def is_one(self, v) -> bool:
-        return v == self.one()
-
-    def coerce(self, v):
-        """Accept convenient payload spellings (ints, strings) exactly."""
-        return self.payload(*self.ratio(v))
-
     def parse(self, s: str):
+        """The payload of a string literal."""
         return self.payload(*self.read(s))
 
     def format(self, v) -> str:
+        """The canonical literal of a payload."""
         raise NotImplementedError
-
-    # -- integer form ------------------------------------------------------
 
     def ratio(self, v):
         """(numerator, denominator) of a payload spelling, as ints."""
@@ -85,8 +53,8 @@ class Semiring:
         raise NotImplementedError
 
     def canonical_form(self, acc, den):
-        """(nums, den): the canonical integer form of positive integer
-        numerators ``acc`` over ``den`` that sum to one."""
+        """(nums, den): the canonical integer form of the positive integer
+        numerators ``acc`` over ``den``."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -97,25 +65,6 @@ class RationalSemiring(Semiring):
     """Nonnegative rationals under + and *."""
 
     name = "rational"
-
-    def zero(self):
-        return ZERO
-
-    def one(self):
-        return ONE
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, v) -> bool:
-        return not v
-
-    def coerce(self, v):
-        n, den = self.ratio(v)
-        return v if isinstance(v, Fraction) else Fraction(n, den)
 
     def ratio(self, v):
         if isinstance(v, (Fraction, int)) and not isinstance(v, bool):
@@ -167,18 +116,6 @@ class BooleanSemiring(Semiring):
     """Truth values under or and and."""
 
     name = "boolean"
-
-    def zero(self):
-        return False
-
-    def one(self):
-        return True
-
-    def add(self, a, b):
-        return a or b
-
-    def mul(self, a, b):
-        return a and b
 
     def ratio(self, v):
         if isinstance(v, str):

@@ -19,15 +19,17 @@ def dist_pushforward(job, ctx):
 
 
 def dist_flatten(job, ctx):
-    from ..distribution import FiniteDistribution, flatten
+    from ..distribution import FiniteDistribution, flatten, pushforward
 
     semiring = jsonio.semiring_of(job)
     outer = {}
-    for item in job["outer"].items():
+    for i, item in enumerate(job["outer"].items()):
         inner = jsonio.decode_distribution(item["dist"], semiring)
-        w = item["weight"].literal(semiring)
-        outer[inner] = semiring.add(outer.get(inner, semiring.zero()), w)
-    return _distribution(flatten(FiniteDistribution(outer, semiring)))
+        outer[i, inner] = item["weight"].literal(semiring)
+    # an inner distribution listed twice is merged by the monad: pushed
+    # forward along the second key, its weights add in the semiring
+    merged = pushforward(lambda key: key[1], FiniteDistribution(outer, semiring))
+    return _distribution(flatten(merged))
 
 
 def dist_convex_combine(job, ctx):

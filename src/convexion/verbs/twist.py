@@ -62,13 +62,25 @@ def twist_bundle_tensor(job, ctx):
     return _checked(iso_ok, result)
 
 
+def _total_sdist(job, key, bundle):
+    """The simplicial distribution at job[key], which must have a
+    distribution at every base simplex of every level."""
+    p = jsonio.decode_sdist(job[key], bundle)
+    base = bundle.base
+    for n in range(base.n_max + 1):
+        for x in base.simplices(n):
+            if x not in p.levels.get(n, ()):
+                raise job[key]["levels"].error(f"no distribution at simplex {x!r} of level {n}")
+    return p
+
+
 def twist_mu_product(job, ctx):
     from ..simplicial import check_simplicial_distribution, mu_product
 
     space, group = _space_and_group(job)
     _, b1 = _bundle(job, "twist1", space, group)
     _, b2 = _bundle(job, "twist2", space, group)
-    product = mu_product(jsonio.decode_sdist(job["p"], b1), jsonio.decode_sdist(job["q"], b2))
+    product = mu_product(_total_sdist(job, "p", b1), _total_sdist(job, "q", b2))
     report = check_simplicial_distribution(product, product.bundle)
     return _checked(
         report.ok,

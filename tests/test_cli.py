@@ -2093,7 +2093,12 @@ NESTED_FIELD_JOBS = [
     (
         ("twist", "mu_product"),
         {"p": {"levels": {"0": UNIFORM["levels"]["0"]}}},
-        "mu_product job: InvalidInput: no distribution at simplex 'e' of level 1",
+        "p.levels: no distribution at simplex 'e' of level 1",
+    ),
+    (
+        ("twist", "mu_product"),
+        {"q": {"levels": {"0": UNIFORM["levels"]["0"]}}},
+        "q.levels: no distribution at simplex 'e' of level 1",
     ),
     (("eq", "eq"), {"presentation": {"generators": ["a", []]}}, "presentation.generators: expected names (JSON strings)"),
     (

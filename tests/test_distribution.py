@@ -1,7 +1,10 @@
 """Distribution monad: unit, pushforward, flatten, mixtures."""
 
+import functools
 import itertools
+import json
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -282,64 +285,119 @@ def test_boolean_pushforward_is_image():
     )
 
 
+def _weights(pairs):
+    return {"weights": [{"el": el, "w": w} for el, w in pairs]}
+
+
+@pytest.mark.parametrize(
+    "semiring, outer, expected",
+    [
+        # P = a/2 + b/2 listed twice: 1/3 + 1/3 = 2/3 of P, then 1/3 of a
+        (
+            "rational",
+            [("1/3", [("a", "1/2"), ("b", "1/2")]), ("1/3", [("a", "1")]), ("1/3", [("b", "1/2"), ("a", "1/2")])],
+            [("a", "2/3"), ("b", "1/3")],
+        ),
+        # the subset {a, b} listed twice, with 1 and then 0: 1 or 0 is 1
+        (
+            "boolean",
+            [("1", [("a", "1"), ("b", "1")]), ("1", [("a", "1")]), ("0", [("b", "1"), ("a", "1")])],
+            [("a", "1"), ("b", "1")],
+        ),
+    ],
+)
+def test_dist_flatten_job_merges_a_repeated_inner_distribution(tmp_path, semiring, outer, expected):
+    from convexion.cli import run
+
+    job = {
+        "op": "flatten",
+        "semiring": semiring,
+        "outer": [{"weight": w, "dist": _weights(inner)} for w, inner in outer],
+    }
+    path = tmp_path / "flatten.json"
+    path.write_text(json.dumps(job))
+    code, report, _ = run(["dist", "--job", str(path)])
+    assert code == 0
+    assert report["result"]["distribution"]["weights"] == _weights(expected)["weights"]
+
+
 # -- integer form against the Fraction accumulation it replaced --------------
 #
 # These are the constructor and operation loops that accumulated one
 # semiring add or multiply per term before distributions kept an integer
-# form; they stay here as the oracle for both semirings.
+# form; they stay here as the oracle for both semirings.  The semirings
+# keep no payload arithmetic, so the oracle has its own table.
+
+
+class Arithmetic:
+    """Payload arithmetic of one semiring: zero, one, add, mul, and
+    coerce, which reads a payload spelling (payload, int or string)."""
+
+    def __init__(self, zero, one, add, mul, coerce):
+        self.zero, self.one, self.add, self.mul, self.coerce = zero, one, add, mul, coerce
+
+    def sum(self, values):
+        return functools.reduce(self.add, values, self.zero)
+
+
+ARITHMETIC = {
+    RATIONAL: Arithmetic(F(0), F(1), operator.add, operator.mul, F),
+    BOOLEAN: Arithmetic(False, True, operator.or_, operator.and_, lambda v: bool(int(v))),
+}
 
 
 def fraction_cleaned(weights, sr):
+    ar = ARITHMETIC[sr]
     cleaned = {}
     for el, w in weights.items():
-        w = sr.coerce(w)
-        if sr.is_zero(w):
+        w = ar.coerce(w)
+        if w == ar.zero:
             continue
         if el in cleaned:
-            w = sr.add(cleaned[el], w)
+            w = ar.add(cleaned[el], w)
         cleaned[el] = w
-    return cleaned, sr.is_one(sr.sum(cleaned.values()))
+    return cleaned, ar.sum(cleaned.values()) == ar.one
 
 
 def fraction_pushforward(f, p):
-    sr = p.semiring
+    ar = ARITHMETIC[p.semiring]
     out = {}
     for el, w in p.as_dict().items():
         y = f[el]
-        out[y] = sr.add(out[y], w) if y in out else w
+        out[y] = ar.add(out[y], w) if y in out else w
     return out
 
 
 def fraction_flatten(nested):
-    sr = nested.semiring
+    ar = ARITHMETIC[nested.semiring]
     out = {}
     for q, outer in nested.as_dict().items():
         for el, inner in q.as_dict().items():
-            w = sr.mul(outer, inner)
-            out[el] = sr.add(out[el], w) if el in out else w
+            w = ar.mul(outer, inner)
+            out[el] = ar.add(out[el], w) if el in out else w
     return out
 
 
 def fraction_convex_combine(alpha, ps):
-    sr = ps[0].semiring
-    coeffs = [sr.coerce(a) for a in alpha]
+    ar = ARITHMETIC[ps[0].semiring]
+    coeffs = [ar.coerce(a) for a in alpha]
     out = {}
     for a, p in zip(coeffs, ps):
-        if sr.is_zero(a):
+        if a == ar.zero:
             continue
         for el, w in p.as_dict().items():
-            term = sr.mul(a, w)
-            out[el] = sr.add(out[el], term) if el in out else term
+            term = ar.mul(a, w)
+            out[el] = ar.add(out[el], term) if el in out else term
     return out
 
 
 def fraction_product(ps):
-    sr = ps[0].semiring
+    ar = ARITHMETIC[ps[0].semiring]
     out = {}
     for combo in itertools.product(*(p.as_dict().items() for p in ps)):
-        w = sr.one()
+        w = ar.one
         for _, v in combo:
-            w = sr.mul(w, v)
+            w = ar.mul(w, v)
         out[tuple(el for el, _ in combo)] = w
     return out
 
@@ -428,12 +486,13 @@ def test_views_match_fraction_oracle(data):
     cleaned, _ = fraction_cleaned(raw, sr)
     ordered = sorted(cleaned.items(), key=lambda kv: element_key(kv[0]))
     assert p.as_dict() == cleaned and list(p.as_dict()) == list(cleaned)
-    assert all(type(w) is type(sr.one()) for w in p.as_dict().values())
+    zero = ARITHMETIC[sr].zero
+    assert all(type(w) is type(zero) for w in p.as_dict().values())
     assert p.items() == ordered
     assert p.support() == frozenset(cleaned) and p.support_size == len(cleaned)
     for el in elements + ["outside"]:
         w = p.weight(el)
-        assert w == cleaned.get(el, sr.zero()) and type(w) is type(sr.zero())
+        assert w == cleaned.get(el, zero) and type(w) is type(zero)
     body = ", ".join(f"{element_label(el)}: {sr.format(w)}" for el, w in ordered)
     assert repr(p) == "{" + body + "}"
 
@@ -499,7 +558,7 @@ def test_product_fixed_cases():
 
 @given(st.lists(st.sampled_from(["0", "1/3", "2/3", "1/2", "1", 0, 1, F(1, 6)]), max_size=4))
 def test_is_convex_vector_matches_fraction_sum(alpha):
-    assert is_convex_vector(alpha) == RATIONAL.is_one(RATIONAL.sum(RATIONAL.coerce(a) for a in alpha))
+    assert is_convex_vector(alpha) == (sum(F(a) for a in alpha) == 1)
 
 
 @given(st.data())

@@ -1,6 +1,8 @@
 """PROP of matrices, the convex sub-PROP, the quasiconvexity operad, and
 matrix algebras on presented convex sets and rational vectors."""
 
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexion.distribution import FiniteDistribution, delta
+from convexion.jsonio import encode_matrix
 from convexion.errors import (
     ArityMismatch,
     DimensionMismatch,
@@ -29,7 +32,7 @@ from convexion.matprop import (
     qconv_compose,
 )
 from convexion.presentation import Presentation, eq
-from convexion.semiring import BOOLEAN
+from convexion.semiring import BOOLEAN, RATIONAL
 
 F = Fraction
 
@@ -217,6 +220,129 @@ def test_bisymmetry_compatibility():
     assert lhs == rhs
 
 
+# -- integer form against the payload loops it replaced ------------------------
+#
+# Before matrices kept an integer form, compose, direct_sum, permute and
+# is_convex_matrix were these loops over payloads; they stay here as the
+# oracle for both semirings.  The semirings keep no payload arithmetic, so
+# the oracle has its own table: zero, one, add, mul.
+
+ARITHMETIC = {
+    RATIONAL: (F(0), F(1), operator.add, operator.mul),
+    BOOLEAN: (False, True, operator.or_, operator.and_),
+}
+
+
+def payload_compose(a, b, cols, sr):
+    zero, _, add, mul = ARITHMETIC[sr]
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(cols):
+            acc = zero
+            for k in range(len(b)):
+                acc = add(acc, mul(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def payload_direct_sum(a, a_cols, b, b_cols, sr):
+    zero = ARITHMETIC[sr][0]
+    return tuple(tuple(row) + (zero,) * b_cols for row in a) + tuple(
+        (zero,) * a_cols + tuple(row) for row in b
+    )
+
+
+def payload_permute(tau, a, sigma):
+    return tuple(tuple(a[tau[i]][sigma[j]] for j in range(len(sigma))) for i in range(len(tau)))
+
+
+def payload_is_convex(a, sr):
+    zero, one, add, _ = ARITHMETIC[sr]
+    for row in a:
+        total = zero
+        for v in row:
+            total = add(total, v)
+        if total != one:
+            return False
+    return True
+
+
+def payload_matrices(sr, rows, cols):
+    """Rows of payloads of sr, often zero, so all-zero rows and matrices
+    come up."""
+    if sr is BOOLEAN:
+        value = st.booleans()
+    else:
+        value = st.one_of(st.just(F(0)), st.fractions(0, 2, max_denominator=6))
+    row = st.lists(value, min_size=cols, max_size=cols).map(tuple)
+    return st.lists(row, min_size=rows, max_size=rows).map(tuple)
+
+
+def assert_matches(m, rows, cols, entries, sr):
+    """m is the rows x cols matrix of the payloads entries, in canonical
+    integer form, and shows them as the payload matrix did."""
+    zero = ARITHMETIC[sr][0]
+    assert (m.rows, m.cols, m.semiring) == (rows, cols, sr)
+    assert m.entries == entries
+    assert all(type(v) is type(zero) for row in m.entries for v in row)
+    # the same matrix from literals is equal, with an equal hash
+    literals = [[sr.format(v) for v in row] for row in entries]
+    rebuilt = RMatrix(literals, rows=rows, cols=cols, semiring=sr)
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+    assert (m._nums, m._den) == (rebuilt._nums, rebuilt._den)
+    body = "; ".join(" ".join(row) for row in literals)
+    assert repr(m) == f"RMatrix({rows}x{cols}: {body})"
+    encoded = {"rows": rows, "cols": cols, "entries": literals}
+    if sr is BOOLEAN:
+        encoded["semiring"] = "boolean"
+    assert encode_matrix(m) == encoded
+    # the integer form holds exactly the nonzero cells
+    cells = {(i, j): v for i, row in enumerate(entries) for j, v in enumerate(row) if v}
+    assert set(m._nums) == set(cells) and all(n > 0 for n in m._nums.values())
+    if sr is BOOLEAN:
+        assert m._den == 1 and set(m._nums.values()) <= {1}
+    else:
+        assert m._den == math.lcm(*(v.denominator for v in cells.values()))
+        assert math.gcd(m._den, *m._nums.values()) == 1
+        assert all(F(n, m._den) == cells[cell] for cell, n in m._nums.items())
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_operations_match_payload_loops(data):
+    sr = data.draw(st.sampled_from([RATIONAL, BOOLEAN]))
+    n, k, m = (data.draw(st.integers(0, 3)) for _ in range(3))
+    a = data.draw(payload_matrices(sr, n, k))
+    b = data.draw(payload_matrices(sr, k, m))
+    ma = RMatrix(a, rows=n, cols=k, semiring=sr)
+    mb = RMatrix(b, rows=k, cols=m, semiring=sr)
+    assert_matches(ma, n, k, a, sr)
+    assert_matches(compose(ma, mb), n, m, payload_compose(a, b, m, sr), sr)
+    assert_matches(direct_sum(ma, mb), n + k, k + m, payload_direct_sum(a, k, b, m, sr), sr)
+    tau = data.draw(st.permutations(range(n)))
+    sigma = data.draw(st.permutations(range(k)))
+    assert_matches(permute(tau, ma, sigma), n, k, payload_permute(tau, a, sigma), sr)
+    assert is_convex_matrix(ma) == payload_is_convex(a, sr)
+
+
+def test_boolean_cell_reached_by_two_paths_reads_one():
+    row = RMatrix([["1", "1"]], semiring=BOOLEAN)
+    col = RMatrix([["1"], ["1"]], semiring=BOOLEAN)
+    out = compose(row, col)
+    assert out == RMatrix.identity(1, BOOLEAN) and out._nums == {(0, 0): 1}
+    assert out.entries == ((True,),) and repr(out) == "RMatrix(1x1: 1)"
+
+
+def test_integer_form_is_the_only_stored_state():
+    assert RMatrix.__slots__ == ("rows", "cols", "semiring", "_nums", "_den")
+    m = rmx([["1/2", "1/2"], ["0", "1"]])
+    assert not hasattr(m, "__dict__")
+    assert (m._nums, m._den) == ({(0, 0): 1, (0, 1): 1, (1, 1): 2}, 2)
+    assert RMatrix.empty(2, 3).entries == ((F(0),) * 3,) * 2
+
+
 # -- quasiconvexity operad --------------------------------------------------------
 
 
@@ -357,7 +483,7 @@ def test_linear_apply_vector_space_action():
 
 
 def test_single_input_convex_matrices_are_columns_of_ones():
-    for n in range(1, 5):
+    for n in range(5):
         found = [m for m in convex_matrices(n, 1, 4)]
         assert found == [RMatrix.column_of_ones(n)]
 
