@@ -17,10 +17,11 @@ the offending value; a library error that no decoder reports at a path
 spans several fields of the job, and reads "<op> job: ClassName: message".
 Reports are canonical JSON (sorted keys, lowest-terms rationals) and always
 carry the tool version, the --bound value, and the assumption flags
-relevant to the operation.  --bound is eq eq's step bound and no other op
-reads it: the constructions decide equality in the quotient exactly
-(same_class).  Every handler imports the library modules it uses, so a job
-loads only its verb's modules.
+relevant to the operation.  --bound is eq eq's step bound (at most
+presentation.MAX_STEP_BOUND, which eq eq checks) and no other op reads it:
+the constructions decide equality in the quotient exactly (same_class).
+Every handler imports the library modules it uses, so a job loads only
+its verb's modules.
 
 Exit codes: 0 success / all checks passed; 1 a check failed (the report is
 still written); 2 malformed input.

@@ -123,6 +123,10 @@ from .semiring import RATIONAL, require_rational
 
 DEFAULT_STEP_BOUND = 4
 
+#: The largest step bound eq accepts: its last LP has (bound + 1) rows per
+#: generator, and the simplex's time and memory grow faster than that.
+MAX_STEP_BOUND = 256
+
 
 class Presentation:
     """Generators plus relation pairs of distributions over the generators."""
@@ -187,13 +191,12 @@ class Presentation:
     @cached_property
     def _integer_columns(self):
         """Per generator x, the x-th entries of symmetric_relations in
-        integer form, for _zigzag_lp: (r, r_lcm, r_minus_s, s_minus_r,
-        d_lcm).  r holds the (pair index j, r_j[x] * r_lcm) of the nonzero
-        r_j[x], where r_lcm is the lcm of their denominators; r_minus_s and
-        s_minus_r hold r_j[x] - s_j[x] and its negation, both times d_lcm,
-        the lcm of the differences' denominators.  Built from the
-        relations' supports, so a generator in no relation costs nothing
-        and gets empty entries with lcm 1."""
+        integer form, for _zigzag_lp: (r, r_lcm, r_minus_s, d_lcm).  r
+        holds the (pair index j, r_j[x] * r_lcm) of the nonzero r_j[x],
+        where r_lcm is the lcm of their denominators; r_minus_s holds
+        r_j[x] - s_j[x] times d_lcm, the lcm of the differences'
+        denominators.  Built from the relations' supports, so a generator
+        in no relation costs nothing and gets empty entries with lcm 1."""
         index = self._gen_index
         r_at = [{} for _ in self.generators]
         s_at = [{} for _ in self.generators]
@@ -210,8 +213,7 @@ class Presentation:
                     diff[j] = (dn, rd * sd)
             r_lcm, r_ints = _integer_entries(r)
             d_lcm, d_ints = _integer_entries(diff)
-            s_minus_r = tuple((j, -v) for j, v in d_ints)
-            columns.append((r_ints, r_lcm, d_ints, s_minus_r, d_lcm))
+            columns.append((r_ints, r_lcm, d_ints, d_lcm))
         return tuple(columns)
 
     @cached_property
@@ -234,13 +236,6 @@ class Presentation:
         """linalg.echelon of _difference_rows: the integer Gauss-Jordan
         rows of the span of the relation differences, and their pivots."""
         return linalg.echelon(self._difference_rows, len(self.generators))
-
-    @cached_property
-    def invariant_basis(self):
-        """Basis of affine functionals constant on every relation pair:
-        linalg.nullspace(_difference_rows, ng), read off _echelon."""
-        (reduced, pivots), ng = self._echelon, len(self.generators)
-        return [linalg.null_vector(reduced, pivots, fc, ng) for fc in range(ng) if fc not in pivots]
 
     # -- value semantics ---------------------------------------------------
 
@@ -401,8 +396,8 @@ def eq(
         raise PresentationMismatch("eq needs elements of one presentation")
     if not isinstance(step_bound, int) or isinstance(step_bound, bool):
         raise InvalidInput(f"step_bound must be an int, not {step_bound!r}")
-    if step_bound < 0:
-        raise InvalidInput("step_bound must be >= 0")
+    if not 0 <= step_bound <= MAX_STEP_BOUND:
+        raise InvalidInput(f"step_bound {step_bound} is outside 0..{MAX_STEP_BOUND}")
     pres = e1.presentation
     x, y = e1.rep, e2.rep
     if x == y:
@@ -465,10 +460,11 @@ def _separating_support(pres, x, y):
 
 
 def _separating_invariant(pres, x, y):
-    """The first invariant_basis vector v with v.x != v.y, as a tuple, or
-    None.  The residual of x - y against the cached echelon rows holds,
-    at each free column fc, v_fc.d times a nonzero factor (v_fc is free
-    column fc's basis vector): the lowest nonzero decides."""
+    """The first vector v of linalg.nullspace of the difference rows with
+    v.x != v.y, as a tuple, or None.  The residual of x - y against the
+    cached echelon rows holds, at each free column fc, v_fc.d times a
+    nonzero factor (v_fc is free column fc's basis vector): the lowest
+    nonzero decides."""
     reduced, pivots = echelon = pres._echelon
     d = _residual(pres, echelon, x, y)
     fc = min((j for j, v in d.items() if v), default=None)
@@ -560,8 +556,8 @@ class _Face:
         new = {j: i for i, j in enumerate(self._pair_at)}
         columns = pres._integer_columns
         self._integer_columns = [
-            (_kept(r, new), r_lcm, _kept(r_minus_s, new), _kept(s_minus_r, new), d_lcm)
-            for r, r_lcm, r_minus_s, s_minus_r, d_lcm in (columns[x] for x in self._gen_at)
+            (_kept(r, new), r_lcm, _kept(r_minus_s, new), d_lcm)
+            for r, r_lcm, r_minus_s, d_lcm in (columns[x] for x in self._gen_at)
         ]
 
     vector = Presentation.vector
@@ -650,9 +646,7 @@ def _zigzag_lp(pres, pv, qv, k):
     ncols = k * width
     rows = [None] * ((k + 1) * ng)  # row (i, x) at i * ng + x
     rhs = [0] * len(rows)
-    for x, (r, r_lcm, r_minus_s, s_minus_r, d_lcm) in enumerate(
-        pres._integer_columns
-    ):
+    for x, (r, r_lcm, r_minus_s, d_lcm) in enumerate(pres._integer_columns):
         pn, pd = pv[x]
         scale = lcm(r_lcm, pd)  # step 0 has no earlier moves
         f = scale // r_lcm
@@ -682,10 +676,10 @@ def _zigzag_lp(pres, pv, qv, k):
         scale = lcm(d_lcm, vd)
         if vn < 0:
             scale = -scale
-        f = scale // d_lcm
+        f = -(scale // d_lcm)  # the row holds s - r
         row = {}
         for a in range(0, ncols, width):
-            for j, w in s_minus_r:
+            for j, w in r_minus_s:
                 row[a + j] = w * f
         rows[k * ng + x] = row
         rhs[k * ng + x] = vn * (scale // vd)

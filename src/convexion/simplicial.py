@@ -11,8 +11,11 @@ X_n -> X_{n+1}, and TruncatedSimplicialSet.apply applies either kind, so
 each check and builder below has one loop over both, and the bound is
 enforced once, in structure_maps, before any table is built.  The
 twisted product K x_eta X has componentwise faces except the zeroth, which
-is shifted: d_0(k, x) = (eta(x) + d_0 k, d_0 x); the twisting-function
-identities validated here are exactly the ones this convention forces.
+is shifted: d_0(k, x) = (eta(x) + d_0 k, d_0 x).  A twisting function is
+valid exactly when K x_eta X satisfies the simplicial identities (May,
+Simplicial Objects in Algebraic Topology, 1967, section 18; conversely,
+each identity of the product at k = 0 is one twisting identity), so it is
+checked once, by building that product.
 
 A simplicial distribution on a bundle pi: E -> X assigns each simplex a
 distribution on its fibre level, commuting with faces and degeneracies
@@ -111,6 +114,16 @@ def structure_maps(n_max: int):
     return faces + [("degeneracy", n, i, n + 1) for n in range(n_max) for i in range(n + 1)]
 
 
+def _is_simplicial_map(src, dst, f):
+    """Whether the levelwise map f (n -> {simplex of src: simplex of dst})
+    commutes with every face and degeneracy."""
+    return all(
+        dst.apply(kind, n, i, f[n][s]) == f[m][src.apply(kind, n, i, s)]
+        for kind, n, i, m in structure_maps(src.n_max)
+        for s in src.simplices(n)
+    )
+
+
 def _split_tables(n_max: int, table):
     """The face and degeneracy tables of a builder, where table(kind, n, i,
     m) gives the map of one structure_maps entry."""
@@ -118,9 +131,6 @@ def _split_tables(n_max: int, table):
     for kind, n, i, m in structure_maps(n_max):
         tables[kind][(n, i)] = table(kind, n, i, m)
     return tables["face"], tables["degeneracy"]
-
-
-_PLURAL = {"face": "faces", "degeneracy": "degeneracies"}
 
 
 class TruncatedSimplicialSet:
@@ -159,12 +169,12 @@ class TruncatedSimplicialSet:
         """Totality, no table outside the truncation, plus the simplicial
         identities."""
         n_max, levels, d, s = self.n_max, self.levels, self.d, self.s
-        maps = structure_maps(n_max)
+        maps, level_sets = structure_maps(n_max), [set(lv) for lv in levels]
         for kind, n, i, m in maps:
             table = self.tables(kind).get((n, i))
-            if table is None or set(table) != set(levels[n]):
+            if table is None or table.keys() != level_sets[n]:
                 raise InvalidInput(f"{kind} table ({n},{i}) missing or not total")
-            if not set(table.values()) <= set(levels[m]):
+            if not level_sets[m].issuperset(table.values()):
                 raise InvalidInput(f"{kind} table ({n},{i}) escapes its level")
         walked = {(kind, n, i) for kind, n, i, _ in maps}
         for kind in ("face", "degeneracy"):
@@ -270,53 +280,38 @@ def standard_circle(n_max: int = 2) -> TruncatedSimplicialSet:
 
 
 class TwistingFunction:
-    """Maps eta_n: X_n -> K_{n-1} for 1 <= n <= N satisfying the identities
-    forced by the twisted zeroth face (checked on construction)."""
+    """Maps eta_n: X_n -> K_{n-1} for 1 <= n <= N whose twisted product
+    K x_eta X, built on construction as total, is a simplicial set."""
 
     def __init__(self, space: TruncatedSimplicialSet, group: SimplicialAbGroup, maps: Mapping):
         self.space = space
         self.group = group
         self.maps = {n: dict(v) for n, v in maps.items()}
-        self.validate()
-
-    def validate(self):
-        x, k = self.space, self.group
-        if x.n_max != k.n_max:
+        n_max = space.n_max
+        if n_max != group.n_max:
             raise InvalidTwist("space and group truncations differ")
-        for n in range(1, x.n_max + 1):
+        for n in range(1, n_max + 1):
             table = self.maps.get(n)
-            if table is None or set(table) != set(x.simplices(n)):
+            if table is None or set(table) != set(space.simplices(n)):
                 raise InvalidTwist(f"level {n} map missing or not total")
-            if not set(table.values()) <= set(k.level(n - 1).elements):
+            if not set(table.values()) <= set(group.level(n - 1).elements):
                 raise InvalidTwist(f"level {n} map escapes the group")
-        eta = self.value
-        for n in range(2, x.n_max + 1):
-            gk = k.level(n - 2)
-            for simp in x.simplices(n):
-                lhs = k.d(n - 1, 0, eta(n, simp))
-                rhs = gk.add(
-                    eta(n - 1, x.d(n, 1, simp)),
-                    gk.neg(eta(n - 1, x.d(n, 0, simp))),
-                )
-                if lhs != rhs:
-                    raise InvalidTwist(f"zeroth-face identity fails at {simp!r}")
-                for i in range(1, n):
-                    if k.d(n - 1, i, eta(n, simp)) != eta(n - 1, x.d(n, i + 1, simp)):
-                        raise InvalidTwist(
-                            f"face identity fails at level {n}, i={i}, {simp!r}"
-                        )
-        for n in range(1, x.n_max):
-            for simp in x.simplices(n):
-                for i in range(n):
-                    if k.s(n - 1, i, eta(n, simp)) != eta(n + 1, x.s(n, i + 1, simp)):
-                        raise InvalidTwist(
-                            f"degeneracy identity fails at level {n}, i={i}"
-                        )
-        for n in range(x.n_max):
-            zero = k.level(n).zero
-            for simp in x.simplices(n):
-                if eta(n + 1, x.s(n, 0, simp)) != zero:
-                    raise InvalidTwist(f"eta(s_0 {simp!r}) != 0")
+        levels = [
+            tuple(itertools.product(group.level(n).elements, space.simplices(n)))
+            for n in range(n_max + 1)
+        ]
+
+        def structure(kind, n, i, m):
+            on_k, on_x = group.tables(kind)[(n, i)], space.tables(kind)[(n, i)]
+            if kind == "face" and i == 0:  # the shifted zeroth face
+                eta, add = self.maps[n], group.level(m).add
+                return {(k, x): (add(eta[x], on_k[k]), on_x[x]) for (k, x) in levels[n]}
+            return {(k, x): (on_k[k], on_x[x]) for (k, x) in levels[n]}
+
+        try:
+            self.total = TruncatedSimplicialSet(n_max, levels, *_split_tables(n_max, structure))
+        except InvalidInput as exc:
+            raise InvalidTwist(f"the twisted product is not simplicial: {exc}") from None
 
     def value(self, n, simplex):
         return self.maps[n][simplex]
@@ -442,53 +437,33 @@ class Bundle:
                 }
                 if orbit != fibre:
                     raise InvalidInput("fibres do not match orbits")
-        # action and projection are simplicial
+        if not _is_simplicial_map(e, x, self.proj):
+            raise InvalidInput("projection is not simplicial")
         for kind, n, i, m in structure_maps(e.n_max):
-            for el in e.simplices(n):
-                image = e.apply(kind, n, i, el)
-                if self.proj[m][image] != x.apply(kind, n, i, self.proj[n][el]):
-                    raise InvalidInput(f"projection does not commute with {_PLURAL[kind]}")
-                for g in k.level(n).elements:
-                    if e.apply(kind, n, i, self.act(n, g, el)) != self.act(
-                        m, k.apply(kind, n, i, g), image
-                    ):
-                        raise InvalidInput(f"action does not commute with {_PLURAL[kind]}")
+            for el, g in itertools.product(e.simplices(n), k.level(n).elements):
+                if e.apply(kind, n, i, self.act(n, g, el)) != self.act(
+                    m, k.apply(kind, n, i, g), e.apply(kind, n, i, el)
+                ):
+                    raise InvalidInput("action is not simplicial")
 
 
 def twisted_product(group: SimplicialAbGroup, eta: TwistingFunction,
                     space: TruncatedSimplicialSet) -> Bundle:
-    """The bundle K x_eta X: pairs (k, x) with componentwise structure
-    except d_0(k, x) = (eta(x) + d_0 k, d_0 x)."""
+    """The bundle K x_eta X over eta.total, with K acting on the first
+    component and the projection onto the second."""
     if eta.space is not space or eta.group is not group:
         raise InvalidTwist("twisting function is for different data")
-    n_max = space.n_max
-    levels = [
-        tuple(itertools.product(group.level(n).elements, space.simplices(n)))
-        for n in range(n_max + 1)
-    ]
-
-    def structure(kind, n, i, m):
-        if kind == "face" and i == 0:  # the shifted zeroth face
-            return {
-                (k, x): (group.level(m).add(eta.value(n, x), group.d(n, 0, k)), space.d(n, 0, x))
-                for (k, x) in levels[n]
-            }
-        return {
-            (k, x): (group.apply(kind, n, i, k), space.apply(kind, n, i, x))
-            for (k, x) in levels[n]
-        }
-
-    total = TruncatedSimplicialSet(n_max, levels, *_split_tables(n_max, structure))
+    levels = eta.total.levels
     action = {
         n: {
             (g, (k, x)): (group.level(n).add(g, k), x)
             for g in group.level(n).elements
             for (k, x) in levels[n]
         }
-        for n in range(n_max + 1)
+        for n in range(space.n_max + 1)
     }
-    proj = {n: {(k, x): x for (k, x) in levels[n]} for n in range(n_max + 1)}
-    return Bundle(group, space, total, action, proj)
+    proj = {n: {(k, x): x for (k, x) in levels[n]} for n in range(space.n_max + 1)}
+    return Bundle(group, space, eta.total, action, proj)
 
 
 # -- simplicial distributions -----------------------------------------------------------------
@@ -575,17 +550,8 @@ def enumerate_sections(bundle: Bundle):
     return [
         section
         for section in _choice_product(x, range(x.n_max + 1), bundle.fibre)
-        if _section_is_simplicial(bundle, section)
+        if _is_simplicial_map(x, bundle.total, section)
     ]
-
-
-def _section_is_simplicial(bundle, section):
-    x, e = bundle.base, bundle.total
-    for kind, n, i, m in structure_maps(x.n_max):
-        for simp in x.simplices(n):
-            if e.apply(kind, n, i, section[n][simp]) != section[m][x.apply(kind, n, i, simp)]:
-                return False
-    return True
 
 
 def section_sdist(bundle: Bundle, section) -> SimplicialDistribution:
@@ -698,13 +664,7 @@ def bundle_iso_valid(src: Bundle, dst: Bundle, mapping: Mapping) -> bool:
             for g in src.group.level(n).elements:
                 if table[src.act(n, g, e)] != dst.act(n, g, table[e]):
                     return False
-    for kind, n, i, m in structure_maps(src.total.n_max):
-        for e in src.total.simplices(n):
-            if mapping[m][src.total.apply(kind, n, i, e)] != dst.total.apply(
-                kind, n, i, mapping[n][e]
-            ):
-                return False
-    return True
+    return _is_simplicial_map(src.total, dst.total, mapping)
 
 
 def twist_addition_iso(tensor_bundle: TensorBundle, sum_bundle: Bundle):

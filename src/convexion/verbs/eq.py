@@ -3,14 +3,19 @@ between presentations."""
 
 from .. import jsonio
 from ..cli import _checked, _induced
+from ..errors import ParseError
 
 
 def eq_eq(job, ctx):
-    from ..presentation import eq, verify_verdict
+    from ..presentation import MAX_STEP_BOUND, eq, verify_verdict
 
     pres = jsonio.decode_presentation(job["presentation"])
     lhs, rhs = jsonio.decode_element(job["lhs"], pres), jsonio.decode_element(job["rhs"], pres)
-    verdict = eq(lhs, rhs, job.get("bound", ctx["bound"]).nonnegative_int())
+    field = job.get("bound", ctx["bound"])
+    if (bound := field.nonnegative_int()) > MAX_STEP_BOUND:  # the job's "bound", else --bound
+        message = f"expected an integer <= {MAX_STEP_BOUND}"
+        raise field.error(message) if "bound" in job else ParseError(f"--bound {bound}: {message}")
+    verdict = eq(lhs, rhs, bound)
     return {
         "verdict": jsonio.encode_verdict(verdict, pres),
         "verified": verify_verdict(verdict, lhs, rhs),

@@ -56,9 +56,10 @@ def twist_bundle_tensor(job, ctx):
     t1, b1 = _bundle(job, "twist1", space, group)
     t2, b2 = _bundle(job, "twist2", space, group)
     tensored = bundle_tensor(b1, b2)
-    target = twisted_product(group, t1 + t2, space)
+    sum_twist = t1 + t2
+    target = twisted_product(group, sum_twist, space)
     iso_ok = bundle_iso_valid(tensored, target, twist_addition_iso(tensored, target))
-    result = {"realizes_twist_addition": iso_ok, "sum_twist": jsonio.encode_twist(t1 + t2)}
+    result = {"realizes_twist_addition": iso_ok, "sum_twist": jsonio.encode_twist(sum_twist)}
     return _checked(iso_ok, result)
 
 

@@ -908,6 +908,54 @@ def test_non_integer_job_bound_exit_two(tmp_path, bound):
     assert report["error"] == "bound: expected a nonnegative integer"
 
 
+# A pair that no support set or invariant separates and no zig-zag joins,
+# so eq stays Unknown at every bound and builds its last LP: at bound
+# 2**20 that LP alone would hold 3 * (2**20 + 1) rows.
+FACE_DISTINCT = {
+    "op": "eq",
+    "presentation": {
+        "generators": ["g0", "g1", "g2"],
+        "relations": [
+            [
+                {"weights": [{"el": "g0", "w": "2/3"}, {"el": "g2", "w": "1/3"}]},
+                {"weights": [{"el": "g0", "w": "1/3"}, {"el": "g1", "w": "2/3"}]},
+            ],
+            [
+                {"weights": [{"el": "g0", "w": "1/4"}, {"el": "g1", "w": "3/4"}]},
+                {"weights": [{"el": "g0", "w": "1/3"}, {"el": "g2", "w": "2/3"}]},
+            ],
+        ],
+    },
+    "lhs": {"weights": [{"el": "g1", "w": "3/5"}, {"el": "g2", "w": "2/5"}]},
+    "rhs": {"weights": [{"el": "g1", "w": "1/3"}, {"el": "g2", "w": "2/3"}]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, bound, error",
+    [
+        (["--bound", "1048576"], None, "--bound 1048576: expected an integer <= 256"),
+        (["--bound", "257"], None, "--bound 257: expected an integer <= 256"),
+        ([], 1048576, "bound: expected an integer <= 256"),
+        (["--bound", "4"], 257, "bound: expected an integer <= 256"),
+    ],
+)
+def test_bound_above_the_limit_exit_two(tmp_path, argv, bound, error):
+    fields = {} if bound is None else {"bound": bound}
+    job = write(tmp_path, "eq.json", {**FACE_DISTINCT, **fields})
+    code, report, stderr = _run_process(*argv, "eq", "--job", job)
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"] == error
+
+
+def test_bound_at_the_limit_is_accepted(tmp_path):
+    job = write(tmp_path, "eq.json", FACE_DISTINCT)
+    code, report = invoke("--bound", "256", "eq", "--job", job)
+    assert code == 0 and report["result"]["verdict"] == {"status": "unknown", "bound": 256}
+    code, report = invoke("eq", "--job", write(tmp_path, "at.json", {**FACE_DISTINCT, "bound": 256}))
+    assert code == 0 and report["result"]["verdict"] == {"status": "unknown", "bound": 256}
+
+
 # The segment m = a/2 + b/2: one relation, so two symmetrized pairs.
 SEGMENT = {
     "generators": ["a", "b", "m"],
@@ -2214,6 +2262,13 @@ NESTED_FIELD_JOBS = [
         ("twist", "twisted_product"),
         {"space": CIRCLE_1, "group": {**GROUP_1, "faces": {**GROUP_1["faces"], "1,1": {"0": []}}}},
         "group.faces['1,1']: expected names (JSON strings)",
+    ),
+    # eta(s_0 v) = 1: d_0 s_0 (0, v) = (1, v), so the twisted product fails
+    # the first mixed identity
+    (
+        ("twist", "twisted_product"),
+        {"space": {"standard": "circle", "N": 1}, "group": {"cyclic": 2, "N": 1}, "twist": {"maps": {"1": {"e": "0", "sv": "1"}}}},
+        "twist.maps: the twisted product is not simplicial: mixed identity fails at n=0, i=0, j=0, ('0', 'v')",
     ),
     # the bound is checked before any table is built: N = 1000 would take hours
     (

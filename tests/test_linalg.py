@@ -470,7 +470,7 @@ Q_Z = [F(7, 12), F(1, 4), F(0), F(1, 6)]
 
 
 def test_a_generator_in_no_relation_has_empty_columns():
-    assert SEGMENT_Z._integer_columns[3] == ((), 1, (), (), 1)
+    assert SEGMENT_Z._integer_columns[3] == ((), 1, (), 1)
     rows, rhs, _ = zigzag_lp_matching_the_dense_builder(SEGMENT_Z, P_Z, Q_Z, 2)
     # z's start rows hold its spectator only, scaled by p[z]'s denominator
     assert (rows[3], rhs[3]) == ({5: 6}, 1)
@@ -478,7 +478,7 @@ def test_a_generator_in_no_relation_has_empty_columns():
 
 
 def test_rhs_denominators_outside_the_column_lcm():
-    assert SEGMENT_Z._integer_columns[0] == (((1, 1),), 2, ((0, -1), (1, 1)), ((0, 1), (1, -1)), 2)
+    assert SEGMENT_Z._integer_columns[0] == (((1, 1),), 2, ((0, -1), (1, 1)), 2)
     rows, rhs, _ = zigzag_lp_matching_the_dense_builder(SEGMENT_Z, P_Z, Q_Z, 2)
     # a's rows: scale lcm(2, 3) = 6
     assert (rows[0], rhs[0]) == ({1: 3, 2: 6}, 2)

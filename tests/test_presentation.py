@@ -16,12 +16,14 @@ from test_linalg import _rewrite, _tensor_cases, dense, dot, recorded_pivots, zi
 from convexion import linalg, presentation
 from convexion.distribution import FiniteDistribution, convex_combine, delta
 from convexion.errors import (
+    InvalidInput,
     PresentationMismatch,
     RelationViolated,
     SemiringMismatch,
     SignatureMismatch,
 )
 from convexion.presentation import (
+    MAX_STEP_BOUND,
     ConvexMap,
     EqualityVerdict,
     Presentation,
@@ -364,7 +366,7 @@ def single_lp_status(e1, e2, bound):
     if e1.rep == e2.rep:
         return "equal"
     diff = [e1.rep.weight(g) - e2.rep.weight(g) for g in pres.generators]
-    if any(dot(vec, diff) != 0 for vec in pres.invariant_basis):
+    if any(dot(vec, diff) != 0 for vec in linalg.nullspace(pres._difference_rows, len(diff))):
         return "distinct"
     x, y = e1.rep.support(), e2.rep.support()
     if respected_oracle(pres, y) & x or respected_oracle(pres, x) & y:
@@ -492,7 +494,7 @@ def test_bound_16_unknown_stays_cheap(monkeypatch):
         levels = [presentation._zigzag_search(face, lhs.rep, rhs.rep, k) for k in presentation._deepening_levels(16)]
     assert levels == [None] * 5
     assert len(eliminations) <= 1000
-    pres.invariant_basis  # its two RREF eliminations are not the LP's
+    pres._echelon  # its two RREF eliminations are not the LP's
     with recorded_pivots(monkeypatch) as eliminations:
         v = eq(lhs, rhs, 16)
     assert v == EqualityVerdict("distinct", bound=16, support=("g0", "g1", "g3"))
@@ -861,12 +863,22 @@ def test_replay_accepts_int_entries():
 ABSORB = Presentation(["a", "b"], [(delta("a"), rd({"a": "1/2", "b": "1/2"}))])
 
 
+@pytest.mark.parametrize("bound", [-1, MAX_STEP_BOUND + 1, 2**20])
+def test_step_bound_outside_the_limit_is_invalid_input(bound):
+    # refused before any LP is built: at 2**20 the last one alone would
+    # have 2**20 + 1 rows per generator
+    a, b = ABSORB.delta("a"), ABSORB.delta("b")
+    with pytest.raises(InvalidInput, match=rf"^step_bound {bound} is outside 0\.\.256$"):
+        eq(a, b, bound)
+    assert eq(a, b, MAX_STEP_BOUND).bound == MAX_STEP_BOUND
+
+
 def test_a_against_b_under_absorption_is_distinct_by_support():
     # The only invariants are multiples of [a] + [b], which take 1 on both
     # a and b, and no zig-zag joins them at any level; but {a} is
     # respected (both sides of the relation meet it) and misses b.
     a, b = ABSORB.delta("a"), ABSORB.delta("b")
-    assert all(vec[0] == vec[1] for vec in ABSORB.invariant_basis)
+    assert all(vec[0] == vec[1] for vec in linalg.nullspace(ABSORB._difference_rows, 2))
     assert all(presentation._zigzag_search(ABSORB, a.rep, b.rep, k) is None for k in range(1, 7))
     for bound in range(7):
         for lhs, rhs in ((a, b), (b, a)):
@@ -981,9 +993,9 @@ def _invariant_relations(rng, gens):
 @given(st.data())
 def test_invariant_step_takes_the_first_separating_nullspace_vector(data):
     # On a fresh presentation eq reduces y - x against the cached echelon
-    # form; its invariant must be the first basis vector that separates x
-    # and y, and invariant_basis must be the nullspace of the difference
-    # rows.  Partners that differ by a relation move are never separated.
+    # form; its invariant must be the first vector of the nullspace basis
+    # of the difference rows that separates x and y.  Partners that differ
+    # by a relation move are never separated.
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     gens = [f"g{i}" for i in range(rng.randint(1, 5))]
     rels = _invariant_relations(rng, gens)
@@ -997,9 +1009,9 @@ def test_invariant_step_takes_the_first_separating_nullspace_vector(data):
     pres = Presentation(gens, rels)
     e1, e2 = pres.element(x), pres.element(y)
     v = eq(e1, e2, rng.randint(0, 2))
-    assert pres.invariant_basis == linalg.nullspace(pres._difference_rows, len(gens))
     xv, yv = dense(pres, x), dense(pres, y)
-    separating = [vec for vec in pres.invariant_basis if dot(vec, xv) != dot(vec, yv)]
+    basis = linalg.nullspace(pres._difference_rows, len(gens))
+    separating = [vec for vec in basis if dot(vec, xv) != dot(vec, yv)]
     if separating:
         assert v.is_distinct and repr(v.invariant) == repr(tuple(separating[0]))
         assert verify_verdict(v, e1, e2)

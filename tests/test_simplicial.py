@@ -13,6 +13,7 @@ from convexion.simplicial import (
     SimplicialAbGroup,
     TruncatedSimplicialSet,
     TwistingFunction,
+    _choice_product,
     assoc_iso,
     braiding_iso,
     bundle_iso_valid,
@@ -154,8 +155,62 @@ def test_invalid_twist_rejected():
         1: {"e": "0", "sv": "1"},  # eta(s_0 v) must be 0
         2: {"s0e": "0", "s1e": "0", "ssv": "0"},
     }
-    with pytest.raises(InvalidTwist):
+    with pytest.raises(InvalidTwist) as invalid:
         TwistingFunction(x, k, maps)
+    # the face identities are walked first: d_0 d_1 and d_0 d_0 of
+    # (0, s_1 e) differ by eta(s_0 v)
+    assert str(invalid.value) == (
+        "the twisted product is not simplicial: face identity fails at n=2, i=0, j=1, ('0', 's1e')"
+    )
+
+
+def twisting_identities_hold(x, k, maps):
+    """The twisting identities that the shifted zeroth face d_0(k, x) =
+    (eta(x) + d_0 k, d_0 x) forces (May, Simplicial Objects in Algebraic
+    Topology, section 18), walked one by one; maps must be total and land
+    in the group.  The reference that TwistingFunction's check through
+    the twisted product is compared with."""
+    eta = lambda n, simp: maps[n][simp]
+    for n in range(2, x.n_max + 1):
+        gk = k.level(n - 2)
+        for simp in x.simplices(n):
+            moved = gk.add(eta(n - 1, x.d(n, 1, simp)), gk.neg(eta(n - 1, x.d(n, 0, simp))))
+            if k.d(n - 1, 0, eta(n, simp)) != moved:
+                return False
+            for i in range(1, n):
+                if k.d(n - 1, i, eta(n, simp)) != eta(n - 1, x.d(n, i + 1, simp)):
+                    return False
+    for n in range(1, x.n_max):
+        for simp in x.simplices(n):
+            for i in range(n):
+                if k.s(n - 1, i, eta(n, simp)) != eta(n + 1, x.s(n, i + 1, simp)):
+                    return False
+    return all(
+        eta(n + 1, x.s(n, 0, simp)) == k.level(n).zero
+        for n in range(x.n_max)
+        for simp in x.simplices(n)
+    )
+
+
+def test_a_twist_is_valid_exactly_when_the_identities_hold():
+    # every candidate map of the circle (N = 1, 2) and the point (N = 1, 2,
+    # 3) into constant Z/2, Z/3 and Z/4
+    checked = accepted = 0
+    for x in (standard_circle(1), standard_circle(2), standard_point(1), standard_point(2), standard_point(3)):
+        for order in (2, 3, 4):
+            k = SimplicialAbGroup.constant(AbGroup.cyclic(order), x.n_max)
+            levels = range(1, x.n_max + 1)
+            for maps in _choice_product(x, levels, lambda n, simp: k.level(n - 1).elements):
+                try:
+                    TwistingFunction(x, k, maps)
+                    valid = True
+                except InvalidTwist:
+                    valid = False
+                assert valid == twisting_identities_hold(x, k, maps), (x, order, maps)
+                checked += 1
+                accepted += valid
+    assert checked == 1465
+    assert accepted > 15  # more than the zero twist of each of the 15 pairs
 
 
 def test_twist_addition_closed():
@@ -179,6 +234,7 @@ def test_twisted_zeroth_face_shifts():
     x, k = circle_setup()
     (t1,) = [t for t in enumerate_twists(x, k) if t.value(1, "e") == "1"]
     bundle = twisted_product(k, t1, x)
+    assert bundle.total is t1.total  # built once, by the twisting function
     assert bundle.total.d(1, 0, ("0", "e")) == ("1", "v")
     assert bundle.total.d(1, 1, ("0", "e")) == ("0", "v")
 

@@ -205,14 +205,14 @@ def test_segment_cube_midpoint_equals_corner_mixture():
 
 def test_eq_builds_no_dense_lp_row(monkeypatch):
     # The zig-zag LP's rows come scaled from the presentation's cache.  The
-    # invariant basis is computed first: its RREF scales dense rows.
+    # echelon form is computed first: its RREF scales dense rows.
     seg = Presentation(
         ["a", "b", "m"], [(delta("m"), FiniteDistribution({"a": F(1, 2), "b": F(1, 2)}))]
     )
     mid = universal_map([seg] * 3, [seg.delta("m")] * 3)
     corners = rd(mid.presentation, {g: "1/8" for g in itertools.product("ab", repeat=3)})
     assert len(mid.presentation.generators) == 27
-    mid.presentation.invariant_basis
+    mid.presentation._echelon
     scaled = []
     integer_row = linalg._integer_row
     monkeypatch.setattr(
