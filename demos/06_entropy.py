@@ -4,6 +4,7 @@ additive under composition, affine under mixtures, continuous -- and then
 any such functional is a scalar multiple of the entropy drop.
 """
 
+import ast
 import math
 from fractions import Fraction as F
 
@@ -49,14 +50,15 @@ print()
 print("== verifying the axioms on a seeded corpus ==")
 corpus = generate_corpus(seed=42, n_chains=60, max_carrier=12)
 report = verify_entropy_axioms(info_loss, corpus)
-print("info_loss:  composition additivity:", report.composition.passed,
-      "| convexity:", report.convexity.passed,
-      "| continuity:", report.continuity.passed)
-print("  fitted scalar c =", report.fitted_c, "| max residual =", report.max_residual)
+print("info_loss:  composition additivity:", report["composition"]["passed"],
+      "| convexity:", report["convexity"]["passed"],
+      "| continuity:", report["continuity"]["passed"])
+print("  fitted scalar c =", report["fitted_c"], "| max residual =", report["max_residual"])
 
 doubled = verify_entropy_axioms(lambda m: 2 * info_loss(m), corpus)
-print("2*info_loss passes with c =", doubled.fitted_c)
+print("2*info_loss passes with c =", doubled["fitted_c"])
 
+# each failure is written as the repr of its witness (chain, lhs, rhs)
 squared = verify_entropy_axioms(lambda m: info_loss(m) ** 2, corpus)
-print("info_loss^2 fails additivity:", not squared.composition.passed,
-      "| first witnessed chain:", squared.composition.failures[0][0])
+print("info_loss^2 fails additivity:", not squared["composition"]["passed"],
+      "| first witnessed chain:", ast.literal_eval(squared["composition"]["failures"][0])[0])

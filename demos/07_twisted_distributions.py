@@ -48,17 +48,17 @@ print("sections of the flat bundle:    ", len(enumerate_sections(b_flat)))
 print("sections of the twisted bundle: ", len(enumerate_sections(b_twisted)))
 uniform = uniform_sdist(b_twisted)
 print("the uniform family is still a simplicial distribution:",
-      check_simplicial_distribution(uniform, b_twisted).ok)
+      check_simplicial_distribution(uniform, b_twisted) == [])
 
 print()
 print("== distributions mix; products descend to the bundle tensor ==")
 s0, s1 = enumerate_sections(b_flat)
 p = mix_sdist([F(1, 3), F(2, 3)], [section_sdist(b_flat, s0), section_sdist(b_flat, s1)])
 print("a (1/3, 2/3) mixture of the two sections is valid:",
-      check_simplicial_distribution(p, b_flat).ok)
+      check_simplicial_distribution(p, b_flat) == [])
 product = mu_product(p, uniform)
 print("mu(p, uniform-on-twisted) is valid on the tensor bundle:",
-      check_simplicial_distribution(product, product.bundle).ok)
+      check_simplicial_distribution(product, product.bundle) == [])
 
 print()
 print("== the tensor adds twists ==")

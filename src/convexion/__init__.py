@@ -13,6 +13,10 @@ the modules its verb uses.
 
 __version__ = "0.1.0"
 
+#: The largest step bound of eq and --bound (its last LP has bound + 1 rows
+#: per generator); here so that cli checks --bound without loading presentation.
+MAX_STEP_BOUND = 256
+
 # public name -> the submodule that defines it
 _EXPORTS = {
     "FiniteDistribution": "distribution",

@@ -18,7 +18,7 @@ spans several fields of the job, and reads "<op> job: ClassName: message".
 Reports are canonical JSON (sorted keys, lowest-terms rationals) and always
 carry the tool version, the --bound value, and the assumption flags
 relevant to the operation.  --bound is eq eq's step bound (at most
-presentation.MAX_STEP_BOUND, which eq eq checks) and no other op reads it:
+MAX_STEP_BOUND, which run checks for every verb) and no other op reads it:
 the constructions decide equality in the quotient exactly (same_class).
 Every handler imports the library modules it uses, so a job loads only
 its verb's modules.
@@ -33,7 +33,7 @@ import argparse
 import math
 import sys
 
-from . import __version__, jsonio
+from . import MAX_STEP_BOUND, __version__, jsonio
 from .errors import ConvexionError, ParseError, RelationViolated
 
 #: Deviations from the literal source formulas, surfaced in reports.
@@ -151,9 +151,9 @@ def _induced(build, report_pair):
         return None, refusal
 
 
-def _integer(flag, text, low=None):
+def _integer(flag, text, low=None, high=None):
     """The text of an integer flag as an int, or a ParseError naming flag
-    when it is not an integer, or below low when low is given."""
+    when it is not an integer, or below low or above high when given."""
     try:
         value = int(text)
     except ValueError:
@@ -161,6 +161,8 @@ def _integer(flag, text, low=None):
     if value is None or (low is not None and value < low):
         expected = "an integer" if low is None else f"an integer >= {low}"
         raise ParseError(f"{flag} {text}: expected {expected}")
+    if high is not None and value > high:
+        raise ParseError(f"{flag} {text}: expected an integer <= {high}")
     return value
 
 
@@ -284,7 +286,7 @@ def run(argv=None):
     }
     exit_code, request = 0, None
     try:
-        report["bound"] = bound = _integer("--bound", args.bound, 0)
+        report["bound"] = bound = _integer("--bound", args.bound, 0, MAX_STEP_BOUND)
         tol, seed = _tolerance(args.tol), _integer("--seed", args.seed)
         ctx = {"bound": bound, "tol": tol, "seed": seed}
         if hasattr(args, "op"):  # entropy and selfcheck read the command line

@@ -85,10 +85,6 @@ class NotAFibration(ConvexionError):
     """The projection is not a discrete fibration."""
 
 
-class NotLax(ConvexionError):
-    """A lax structure map failed a coherence check."""
-
-
 class NotConvexStructureMap(ConvexionError):
     """A structure map is not a convex map out of the tensor."""
 

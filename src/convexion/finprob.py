@@ -11,7 +11,8 @@ by least squares against the entropy differences.
 
 A callable candidate (verify_entropy_axioms) and a table
 (verify_value_table) share one path: _check turns (key, lhs, rhs) triples
-into a CheckResult, and _report fits c and builds the EntropyReport.
+into one check's entry, and _report fits c and returns the report, a
+plain dict that the entropy verify command writes as it is.
 """
 
 from __future__ import annotations
@@ -253,100 +254,33 @@ LAMBDA_GRID = tuple(F(i, 8) for i in range(9))
 CONTINUITY_FINAL = 1e-2
 
 
-class CheckResult:
-    __slots__ = ("passed", "checked", "failures", "skipped")
-
-    def __init__(
-        self,
-        passed: bool = True,
-        checked: int = 0,
-        failures: list | None = None,
-        skipped: bool = False,
-    ):
-        self.passed = passed
-        self.checked = checked
-        self.failures = [] if failures is None else failures
-        self.skipped = skipped
+def _result(checked: int, failures: list) -> dict:
+    """The report entry of one check: each failure is its own witness,
+    written as its repr."""
+    return {"passed": not failures, "checked": checked, "failures": [repr(f) for f in failures]}
 
 
-class EntropyReport:
-    __slots__ = (
-        "sign_convention",
-        "tolerance",
-        "composition",
-        "convexity",
-        "continuity",
-        "fitted_c",
-        "max_residual",
-    )
-
-    def __init__(
-        self,
-        sign_convention: str,
-        tolerance: float,
-        composition: CheckResult,
-        convexity: CheckResult,
-        continuity: CheckResult,
-        fitted_c: float,
-        max_residual: float,
-    ):
-        self.sign_convention = sign_convention
-        self.tolerance = tolerance
-        self.composition = composition
-        self.convexity = convexity
-        self.continuity = continuity
-        self.fitted_c = fitted_c
-        self.max_residual = max_residual
-
-    @property
-    def all_passed(self) -> bool:
-        return (
-            self.composition.passed
-            and self.convexity.passed
-            and self.continuity.passed
-        )
-
-    def as_dict(self) -> dict:
-        def encode(check):
-            out = {
-                "passed": check.passed,
-                "checked": check.checked,
-                "failures": [repr(f) for f in check.failures],
-            }
-            if check.skipped:
-                out["skipped"] = True
-            return out
-
-        return {
-            "sign_convention": self.sign_convention,
-            "tolerance": self.tolerance,
-            "fitted_c": self.fitted_c,
-            "max_residual": self.max_residual,
-            "composition": encode(self.composition),
-            "convexity": encode(self.convexity),
-            "continuity": encode(self.continuity),
-            "all_passed": self.all_passed,
-        }
-
-
-def _check(triples, tol: float) -> CheckResult:
+def _check(triples, tol: float) -> dict:
     """Every (key, lhs, rhs) triple checked; a triple whose sides differ by
-    more than tol fails and is its own witness."""
+    more than tol fails."""
     triples = list(triples)
-    failures = [t for t in triples if abs(t[1] - t[2]) > tol]
-    return CheckResult(not failures, len(triples), failures)
+    return _result(len(triples), [t for t in triples if abs(t[1] - t[2]) > tol])
 
 
-def _report(values, corpus: Corpus, tol: float, composition, convexity, continuity):
+def _report(values, corpus: Corpus, tol: float, **checks) -> dict:
     """The report of the three checks, with c fitted by least squares to
     values[i] against info_loss of corpus.morphisms[i]."""
     diffs = [info_loss(m) for m in corpus.morphisms]
     denom = sum(d * d for d in diffs)
     c = sum(v * d for v, d in zip(values, diffs)) / denom if denom > 0 else 0.0
-    return EntropyReport(
-        SIGN_CONVENTION, tol, composition, convexity, continuity, c,
-        max((abs(v - c * d) for v, d in zip(values, diffs)), default=0.0),
-    )
+    return {
+        "sign_convention": SIGN_CONVENTION,
+        "tolerance": tol,
+        "fitted_c": c,
+        "max_residual": max((abs(v - c * d) for v, d in zip(values, diffs)), default=0.0),
+        **checks,
+        "all_passed": all(check["passed"] for check in checks.values()),
+    }
 
 
 def verify_value_table(
@@ -354,13 +288,14 @@ def verify_value_table(
     chain_values: Sequence[float],
     corpus: Corpus,
     tol: float = 1e-9,
-) -> EntropyReport:
+) -> dict:
     """Verify a tabulated functional: values[i] for corpus.morphisms[i] and
     chain_values[j] for the composite of corpus.chains[j].
 
     Only additivity and the scalar fit are computable from a finite table;
     the convexity and continuity conditions need the functional on derived
-    morphisms, so they are reported as skipped, never as passed.
+    morphisms, so they are reported as skipped, never as passed.  The
+    report is that of verify_entropy_axioms.
     """
     if len(values) != len(corpus.morphisms):
         raise InvalidInput("one value per corpus morphism required")
@@ -372,8 +307,9 @@ def verify_value_table(
          for idx, (i, j) in enumerate(corpus.chains)),
         tol,
     )
-    skipped = CheckResult(skipped=True)
-    return _report(values, corpus, tol, composition, skipped, skipped)
+    skipped = {**_result(0, []), "skipped": True}
+    return _report(values, corpus, tol, composition=composition, convexity=skipped,
+                   continuity=skipped)
 
 
 def _perturbation(obj: ProbObject, n: int) -> ProbObject:
@@ -387,9 +323,14 @@ def verify_entropy_axioms(
     candidate: Callable[[ProbMorphism], float],
     corpus: Corpus,
     tol: float = 1e-9,
-) -> EntropyReport:
+) -> dict:
     """Check additivity, convexity, and continuity of a morphism functional
-    and fit the proportionality scalar against entropy differences."""
+    and fit the proportionality scalar against entropy differences.
+
+    The report is a canonical-JSON-ready dict: the fit, all_passed, and
+    per check its passed flag, the number checked and each failing
+    witness's repr.
+    """
     ms = corpus.morphisms
     composition = _check(
         ((idx, candidate(ms[i].compose(ms[j])), candidate(ms[i]) + candidate(ms[j]))
@@ -404,16 +345,16 @@ def verify_entropy_axioms(
         tol,
     )
 
-    continuity = CheckResult()
+    tested = ms[:10]
+    failures = []
     steps = (4, 16, 64, 256, 1024)
-    for m in ms[:10]:
+    for m in tested:
         base = candidate(m)
         devs = []
         for n in steps:
             src_n = _perturbation(m.src, n)
             m_n = ProbMorphism.from_map(src_n, m.mapping, m.tgt.carrier)
             devs.append(abs(candidate(m_n) - base))
-        continuity.checked += 1
         tail_shrinks = all(
             devs[i + 1] <= devs[i] or devs[i + 1] < 1e-12
             for i in range(len(devs) - 1)
@@ -423,8 +364,8 @@ def verify_entropy_axioms(
             devs[-1] <= devs[0] / 10 and devs[-1] < CONTINUITY_FINAL
         )
         if not (tail_shrinks and decayed):
-            continuity.passed = False
-            continuity.failures.append((repr(m), devs))
+            failures.append((repr(m), devs))
 
     values = [candidate(m) for m in ms]
-    return _report(values, corpus, tol, composition, convexity, continuity)
+    return _report(values, corpus, tol, composition=composition, convexity=convexity,
+                   continuity=_result(len(tested), failures))

@@ -34,7 +34,6 @@ from .errors import (
     ArityMismatch,
     CoherenceFailure,
     NotConvexStructureMap,
-    NotLax,
 )
 from .matprop import QConvOp, qconv_compose
 from .presentation import (
@@ -317,18 +316,6 @@ class LaxOMonFunctor:
         return cmap
 
 
-class LaxCheckReport:
-    __slots__ = ("checked", "failures")
-
-    def __init__(self, checked: int = 0, failures: list | None = None):
-        self.checked = checked
-        self.failures = [] if failures is None else failures
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 class LaxInstance(Frozen):
     """One compatibility-square instance: an outer operation, inner
     operations, the object blocks, and sample elements per innermost slot."""
@@ -349,11 +336,11 @@ def check_lax(
     functor: LaxOMonFunctor,
     samples: Sequence[LaxInstance],
     unit_objects: Sequence = (),
-) -> LaxCheckReport:
-    """Verify the operadic-unit condition and the composition compatibility
-    squares on the given instances, each equation decided exactly
-    (same_class).  Failures are reported, not raised."""
-    report = LaxCheckReport()
+) -> list:
+    """The failures of the operadic-unit condition and of the composition
+    compatibility squares on the given instances, each equation decided
+    exactly (same_class); empty when every check holds."""
+    failures = []
     operad = functor.source.operad
     unit = operad.unit()
     for obj in unit_objects:
@@ -361,10 +348,8 @@ def check_lax(
         cmap = functor.xi_map(unit, (obj,))
         for g in pres.generators:
             if not same_class(cmap(pres.delta(g)), pres.delta(g)):
-                report.failures.append(("unit", obj, g))
-        report.checked += 1
+                failures.append(("unit", obj, g))
     for inst in samples:
-        report.checked += 1
         blocks = inst.object_blocks
         flat_objs = tuple(o for block in blocks for o in block)
         flat_elems = tuple(e for block in inst.elements for e in block)
@@ -392,12 +377,12 @@ def check_lax(
                 else None
             )
             if phi is None:
-                report.failures.append(("square-target", inst.outer, tgt1, tgt2))
+                failures.append(("square-target", inst.outer, tgt1, tgt2))
                 continue
             path2 = functor.functor.on_morphisms[phi](path2)
         if not same_class(path1, path2):
-            report.failures.append(("square", inst.outer, inst.inner))
-    return report
+            failures.append(("square", inst.outer, inst.inner))
+    return failures
 
 
 def permutation_square_holds(
@@ -456,11 +441,12 @@ class OConvexFibration:
     # -- checks ------------------------------------------------------------
 
     def strictness_holds(self, op: OperadOp | QConvOp, pairs) -> bool:
+        """The total operation lands over the base tensor of the inputs'
+        objects, which must be an object of the base."""
+        if self.base.tensor_objects(op, tuple(i for i, _ in pairs)) not in self.cfib.base.objects:
+            return False
         target_obj, value = self.total_op(op, pairs)
-        return (
-            target_obj == self.base.tensor_objects(op, tuple(i for i, _ in pairs))
-            and self.cfib.contains_object(target_obj, value)
-        )
+        return self.cfib.contains_object(target_obj, value)
 
     def nconvex_in_slot(
         self, op: OperadOp | QConvOp, pairs, slot, alpha, variants
@@ -506,21 +492,10 @@ class OConvexFibration:
         return True
 
 
-def o_grothendieck(
-    functor: LaxOMonFunctor,
-    instances: Sequence[tuple] = (),
-) -> OConvexFibration:
-    """Build the total structure and re-verify it on the given instances.
-
-    instances: (op, pairs) tuples; raises NotLax when a compatibility or
-    strictness check fails, NotConvexStructureMap when a xi component has
-    the wrong signature.
-    """
-    fib = OConvexFibration(functor)
-    for op, pairs in instances:
-        if not fib.strictness_holds(op, pairs):
-            raise NotLax(f"strict projection fails at {op}")
-    return fib
+def o_grothendieck(functor: LaxOMonFunctor) -> OConvexFibration:
+    """The total structure of the construction; strictness_holds,
+    nconvex_in_slot and recovers_functor re-check it on instances."""
+    return OConvexFibration(functor)
 
 
 # -- concrete lax functors ------------------------------------------------------

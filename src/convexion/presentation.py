@@ -106,7 +106,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Sequence
 
-from . import linalg
+from . import MAX_STEP_BOUND, linalg
 from .distribution import (
     FiniteDistribution, convex_combine, delta, element_key, flatten, pushforward,
 )
@@ -123,9 +123,6 @@ from .semiring import RATIONAL, require_rational
 
 DEFAULT_STEP_BOUND = 4
 
-#: The largest step bound eq accepts: its last LP has (bound + 1) rows per
-#: generator, and the simplex's time and memory grow faster than that.
-MAX_STEP_BOUND = 256
 
 
 class Presentation:

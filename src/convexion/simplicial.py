@@ -28,6 +28,7 @@ twist addition, and grade a monoid over the twisting functions.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -364,10 +365,22 @@ def _choice_product(space: TruncatedSimplicialSet, ns, choices):
         yield {n: dict(zip(simps, values)) for (n, simps), values in zip(keys, combo)}
 
 
+#: The most candidates, prod_n |K_(n-1)|^|X_n|, that enumerate_twists
+#: filters, each a whole twisted product: 32,768 for Z/8 on the circle.
+MAX_TWIST_CANDIDATES = 1 << 16
+
+
 def enumerate_twists(space: TruncatedSimplicialSet, group: SimplicialAbGroup):
-    """All twisting functions on the given tables, by filtered brute force."""
+    """All twisting functions on the given tables, by filtered brute force;
+    more than MAX_TWIST_CANDIDATES candidates is InvalidInput, raised
+    before any candidate is built."""
     out = []
     ns = range(1, space.n_max + 1)  # eta_n is defined for 1 <= n <= N
+    count = math.prod(len(group.level(n - 1).elements) ** len(space.simplices(n)) for n in ns)
+    if count > MAX_TWIST_CANDIDATES:
+        raise InvalidInput(
+            f"{count} candidate twisting functions exceed the budget of {MAX_TWIST_CANDIDATES}"
+        )
     for maps in _choice_product(space, ns, lambda n, x: group.level(n - 1).elements):
         try:
             out.append(TwistingFunction(space, group, maps))
@@ -484,41 +497,31 @@ class SimplicialDistribution:
         return self.levels[n][x]
 
 
-class SDistReport:
-    __slots__ = ("failures",)
-
-    def __init__(self, failures: list | None = None):
-        self.failures = [] if failures is None else failures
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
-def check_simplicial_distribution(p: SimplicialDistribution, bundle: Bundle) -> SDistReport:
-    """Exact verification of naturality (non-signaling) and the section
-    condition; failures are itemized with simplex and face index."""
-    report = SDistReport()
+def check_simplicial_distribution(p: SimplicialDistribution, bundle: Bundle) -> list:
+    """The failures of naturality (non-signaling) and of the section
+    condition, checked exactly and itemized as (check, n, simplex, face or
+    degeneracy index); empty when p is a simplicial distribution."""
+    failures = []
     x, e = bundle.base, bundle.total
     for n in range(x.n_max + 1):
         table = p.levels.get(n)
         if table is None or set(table) != set(x.simplices(n)):
-            report.failures.append(("totality", n, None, None))
-            return report
+            failures.append(("totality", n, None, None))
+            return failures
         for simp in x.simplices(n):
             dist = table[simp]
             if not dist.support() <= set(e.simplices(n)):
-                report.failures.append(("support", n, simp, None))
+                failures.append(("support", n, simp, None))
             pushed = pushforward(lambda el: bundle.project(n, el), dist)
             if pushed != delta(simp):
-                report.failures.append(("section", n, simp, None))
+                failures.append(("section", n, simp, None))
     for kind, n, i, m in structure_maps(x.n_max):
         for simp in x.simplices(n):
             lhs = pushforward(lambda el: e.apply(kind, n, i, el), p.at(n, simp))
             rhs = p.at(m, x.apply(kind, n, i, simp))
             if lhs != rhs:
-                report.failures.append((kind, n, simp, i))
-    return report
+                failures.append((kind, n, simp, i))
+    return failures
 
 
 def mix_sdist(alpha, ps: Sequence[SimplicialDistribution]) -> SimplicialDistribution:

@@ -1,20 +1,18 @@
 """eq: equality in a presented convex set, its certificates, and the maps
 between presentations."""
 
-from .. import jsonio
+from .. import MAX_STEP_BOUND, jsonio
 from ..cli import _checked, _induced
-from ..errors import ParseError
 
 
 def eq_eq(job, ctx):
-    from ..presentation import MAX_STEP_BOUND, eq, verify_verdict
+    from ..presentation import eq, verify_verdict
 
     pres = jsonio.decode_presentation(job["presentation"])
     lhs, rhs = jsonio.decode_element(job["lhs"], pres), jsonio.decode_element(job["rhs"], pres)
-    field = job.get("bound", ctx["bound"])
-    if (bound := field.nonnegative_int()) > MAX_STEP_BOUND:  # the job's "bound", else --bound
-        message = f"expected an integer <= {MAX_STEP_BOUND}"
-        raise field.error(message) if "bound" in job else ParseError(f"--bound {bound}: {message}")
+    field = job.get("bound", ctx["bound"])  # --bound is checked by cli.run
+    if (bound := field.nonnegative_int()) > MAX_STEP_BOUND:
+        raise field.error(f"expected an integer <= {MAX_STEP_BOUND}")
     verdict = eq(lhs, rhs, bound)
     return {
         "verdict": jsonio.encode_verdict(verdict, pres),

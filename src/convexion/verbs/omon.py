@@ -112,9 +112,9 @@ def omon_check_lax(job, ctx):
         )
         instances.append(LaxInstance(outer, tuple(inner_ops), tuple(blocks), elements))
     units = _objects(job.get("unit_objects", []), functor)
-    report = check_lax(functor, instances, unit_objects=units)
-    failures = [str(f) for f in report.failures]
-    return _checked(report.ok, {"checked": report.checked, "ok": report.ok, "failures": failures})
+    failures = [str(f) for f in check_lax(functor, instances, unit_objects=units)]
+    ok = not failures
+    return _checked(ok, {"checked": len(units) + len(instances), "ok": ok, "failures": failures})
 
 
 def omon_o_grothendieck(job, ctx):

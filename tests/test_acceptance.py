@@ -619,14 +619,14 @@ def test_criterion_9_entropy():
             )
 
         report = verify_entropy_axioms(info_loss, corpus)
-        assert report.all_passed
-        assert abs(report.fitted_c - 1.0) < 1e-6
+        assert report["all_passed"]
+        assert abs(report["fitted_c"] - 1.0) < 1e-6
         report2 = verify_entropy_axioms(lambda m: 2 * info_loss(m), corpus)
-        assert report2.all_passed
-        assert abs(report2.fitted_c - 2.0) < 1e-6
+        assert report2["all_passed"]
+        assert abs(report2["fitted_c"] - 2.0) < 1e-6
         report3 = verify_entropy_axioms(lambda m: info_loss(m) ** 2, corpus)
-        assert not report3.composition.passed
-        assert report3.composition.failures  # concrete witness
+        assert not report3["composition"]["passed"]
+        assert report3["composition"]["failures"]  # concrete witness
 
 
 # -- criterion 10: simplicial ------------------------------------------------------------------
@@ -690,7 +690,7 @@ def test_criterion_10_simplicial():
             t_choice = rng.choice(twists)
             q = uniform_sdist(bundles[t_choice])
             product = mu_product(p, q)
-            assert check_simplicial_distribution(product, product.bundle).ok
+            assert check_simplicial_distribution(product, product.bundle) == []
             instances += 1
         # mu biconvexity, exact rational identity
         p0 = section_sdist(bundles[zero], sections[0])

@@ -735,6 +735,21 @@ def test_twist_explicit_simplicial_tables(tmp_path):
     assert report["result"]["levels"] == [2, 4]
 
 
+def test_twist_monoid_over_the_candidate_budget_exit_two(tmp_path, monkeypatch):
+    from convexion import simplicial
+
+    def built(*args):
+        raise AssertionError("a twisting-function candidate was built")
+
+    monkeypatch.setattr(simplicial, "_choice_product", built)
+    job = write(tmp_path, "tm.json", {"op": "twist_monoid", "space": CIRCLE, "group": {"cyclic": 32, "N": 2}})
+    code, report = invoke("twist", "--job", job)
+    assert code == 2
+    assert report["error"] == (
+        "twist_monoid job: InvalidInput: 33554432 candidate twisting functions exceed the budget of 65536"
+    )
+
+
 def test_twist_monoid_cli(tmp_path):
     job = write(
         tmp_path,
@@ -2046,6 +2061,14 @@ def test_bad_tolerance_is_refused_for_every_verb(tmp_path, verb):
     code, report = invoke("--tol", "-1e-3", *sample_argv(tmp_path, key))
     assert code == 2
     assert report["error"] == "--tol -1e-3: expected a finite number >= 0"
+
+
+@pytest.mark.parametrize("verb", sorted({verb for verb, _ in cli.OPS}))
+def test_bound_above_the_limit_is_refused_for_every_verb(tmp_path, verb):
+    key = next(k for k in SAMPLE_JOBS if k[0] == verb)
+    code, report = invoke("--bound", "1048576", *sample_argv(tmp_path, key))
+    assert code == 2 and "result" not in report
+    assert report["error"] == "--bound 1048576: expected an integer <= 256"
 
 
 @pytest.mark.parametrize("argv", [["--tol", "0"], ["--tol=1e-12"], ["--bound", "0"]])

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from convexion.distribution import FiniteDistribution, delta
+from convexion import simplicial
 from convexion.errors import InvalidInput, InvalidTwist
 from convexion.simplicial import (
+    MAX_TWIST_CANDIDATES,
     AbGroup,
     SimplicialAbGroup,
     TruncatedSimplicialSet,
@@ -249,7 +251,18 @@ def test_truncation_level_three_supported():
     assert twists == [TwistingFunction.zero(x3, k3)]
     bundle = twisted_product(k3, twists[0], x3)
     assert [len(lv) for lv in bundle.total.levels] == [2, 2, 2, 2]
-    assert check_simplicial_distribution(uniform_sdist(bundle), bundle).ok
+    assert check_simplicial_distribution(uniform_sdist(bundle), bundle) == []
+
+
+def test_twist_candidates_are_counted_before_any_is_built(monkeypatch):
+    # Z/8 on the circle at N = 2 has 8^2 * 8^3 = 32,768 candidates, within
+    # the budget; Z/16 has 16^5, above it.  No candidate is built here.
+    monkeypatch.setattr(simplicial, "_choice_product", lambda *args: iter(()))
+    x = standard_circle(2)
+    assert 8**5 <= MAX_TWIST_CANDIDATES < 16**5
+    assert enumerate_twists(x, SimplicialAbGroup.constant(AbGroup.cyclic(8), 2)) == []
+    with pytest.raises(InvalidInput, match="^1048576 candidate twisting functions exceed"):
+        enumerate_twists(x, SimplicialAbGroup.constant(AbGroup.cyclic(16), 2))
 
 
 def test_twisted_product_is_principal_for_every_twist():
@@ -273,8 +286,8 @@ def test_sections_of_untwisted_circle():
     sections = enumerate_sections(bundle)
     assert len(sections) == 2  # constant group-valued functions
     for s in sections:
-        report = check_simplicial_distribution(section_sdist(bundle, s), bundle)
-        assert report.ok, report.failures
+        failures = check_simplicial_distribution(section_sdist(bundle, s), bundle)
+        assert not failures, failures
 
 
 def test_twisted_circle_has_no_sections_but_uniform_works():
@@ -282,8 +295,8 @@ def test_twisted_circle_has_no_sections_but_uniform_works():
     (t1,) = [t for t in enumerate_twists(x, k) if t.value(1, "e") == "1"]
     bundle = twisted_product(k, t1, x)
     assert enumerate_sections(bundle) == []
-    report = check_simplicial_distribution(uniform_sdist(bundle), bundle)
-    assert report.ok, report.failures
+    failures = check_simplicial_distribution(uniform_sdist(bundle), bundle)
+    assert not failures, failures
 
 
 def test_invalid_distribution_itemized():
@@ -292,9 +305,9 @@ def test_invalid_distribution_itemized():
     p = uniform_sdist(bundle)
     # corrupt one level-1 value: delta instead of uniform breaks naturality
     p.levels[1]["e"] = delta(("0", "e"))
-    report = check_simplicial_distribution(p, bundle)
-    assert not report.ok
-    kinds = {f[0] for f in report.failures}
+    failures = check_simplicial_distribution(p, bundle)
+    assert failures
+    kinds = {f[0] for f in failures}
     assert "face" in kinds
 
 
@@ -303,8 +316,7 @@ def test_failures_list_faces_then_degeneracies():
     bundle = twisted_product(k, TwistingFunction.zero(x, k), x)
     p = uniform_sdist(bundle)
     p.levels[2]["s0e"] = delta(("0", "s0e"))
-    report = check_simplicial_distribution(p, bundle)
-    assert report.failures == [
+    assert check_simplicial_distribution(p, bundle) == [
         ("face", 2, "s0e", 0),
         ("face", 2, "s0e", 1),
         ("face", 2, "s0e", 2),
@@ -320,7 +332,7 @@ def test_mixtures_stay_valid():
         [F(1, 3), F(2, 3)],
         [section_sdist(bundle, s0), section_sdist(bundle, s1)],
     )
-    assert check_simplicial_distribution(mixed, bundle).ok
+    assert check_simplicial_distribution(mixed, bundle) == []
 
 
 # -- bundle tensor -----------------------------------------------------------------------
@@ -413,7 +425,7 @@ def test_mu_of_sections_is_section_of_product():
     s0, s1 = enumerate_sections(bundle)
     p, q = section_sdist(bundle, s0), section_sdist(bundle, s1)
     product = mu_product(p, q)
-    assert check_simplicial_distribution(product, product.bundle).ok
+    assert check_simplicial_distribution(product, product.bundle) == []
     for n in product.levels:
         for x_s in product.levels[n]:
             assert product.at(n, x_s).support_size == 1
@@ -428,7 +440,7 @@ def test_mu_with_delta_relabels():
     p = uniform_sdist(bundle)
     product = mu_product(p, q)
     # the product of the uniform with a point mass stays uniform on orbits
-    assert check_simplicial_distribution(product, product.bundle).ok
+    assert check_simplicial_distribution(product, product.bundle) == []
     for n in product.levels:
         for x_s in product.levels[n]:
             dist = product.at(n, x_s)
@@ -452,7 +464,7 @@ def test_mu_outputs_always_valid_on_random_mixtures():
         )
         q = uniform_sdist(bundles[t1])
         product = mu_product(p, q)
-        assert check_simplicial_distribution(product, product.bundle).ok
+        assert check_simplicial_distribution(product, product.bundle) == []
 
 
 def test_mu_biconvex_levelwise_exact():
