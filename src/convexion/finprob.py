@@ -186,9 +186,13 @@ def dist_lax_xi(alpha: QConvOp, ps: Sequence[FiniteDistribution]) -> FiniteDistr
 
 
 #: Random objects weigh each point 0..MAX_WEIGHT before normalizing; a corpus
-#: ends with SINGLES maps outside its chains.
+#: ends with SINGLES maps outside its chains.  A corpus has at most
+#: MAX_CHAINS chains and carriers of at most MAX_CARRIER points, since its
+#: cost grows with their product (1,000 x 256 takes about 0.8 s).
 MAX_WEIGHT = 8
 SINGLES = 20
+MAX_CHAINS = 1000
+MAX_CARRIER = 256
 
 
 class Corpus:
@@ -231,7 +235,12 @@ def _random_collapse(rng: random.Random, src: ProbObject):
 
 def generate_corpus(seed: int, n_chains: int = 50, max_carrier: int = 16) -> Corpus:
     """Deterministic corpus: composable collapse chains plus SINGLES single
-    maps."""
+    maps.  n_chains outside 0..MAX_CHAINS, or max_carrier outside
+    1..MAX_CARRIER, is InvalidInput."""
+    if not 0 <= n_chains <= MAX_CHAINS:
+        raise InvalidInput(f"{n_chains} chains are not in 0..{MAX_CHAINS}")
+    if not 1 <= max_carrier <= MAX_CARRIER:
+        raise InvalidInput(f"carrier bound {max_carrier} is not in 1..{MAX_CARRIER}")
     rng = random.Random(seed)
     morphisms = []
     chains = []

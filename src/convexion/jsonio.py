@@ -107,16 +107,21 @@ class Job:
 
     def expect(self, kind):
         """This value, which must be of the JSON type kind: dict (an
-        object), list, str or int."""
-        if not isinstance(self.value, kind):
+        object), list, str or int (not a JSON Boolean, though bool is an
+        int in Python)."""
+        if not isinstance(self.value, kind) or self.value.__class__ is bool:
             raise self.error(f"expected a JSON {_JSON_TYPE_NAMES[kind]}")
         return self.value
 
     def typed(self, key, kind, default=_REQUIRED):
-        """The value of the field key, of the JSON type kind; when it is
-        absent, default if one is given."""
+        """The value of the field key, of the JSON type kind (as expect);
+        when it is absent, default if one is given."""
         fields = self.value
-        if isinstance(fields, dict) and isinstance(value := fields.get(key, default), kind):
+        if (
+            isinstance(fields, dict)
+            and isinstance(value := fields.get(key, default), kind)
+            and value.__class__ is not bool
+        ):
             return value
         return (self[key] if default is _REQUIRED else self.get(key, default)).expect(kind)
 
@@ -283,10 +288,11 @@ def decode_presentation(payload) -> Presentation:
 
 
 def encode_join_element(pt: JoinElement) -> dict:
+    x, y = pt.x_part, pt.y_part  # each read off the representative
     return {
         "alpha": str(pt.alpha),
-        "x": encode_distribution(pt.x_part.rep) if pt.x_part is not None else None,
-        "y": encode_distribution(pt.y_part.rep) if pt.y_part is not None else None,
+        "x": encode_distribution(x.rep) if x is not None else None,
+        "y": encode_distribution(y.rep) if y is not None else None,
     }
 
 

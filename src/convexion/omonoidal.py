@@ -33,6 +33,7 @@ from .distribution import FiniteDistribution, convex_combine, delta
 from .errors import (
     ArityMismatch,
     CoherenceFailure,
+    InvalidInput,
     NotConvexStructureMap,
 )
 from .matprop import QConvOp, qconv_compose
@@ -506,12 +507,21 @@ def _mixing_weights(op: OperadOp | QConvOp, n: int) -> tuple:
     return op.weights if op.kind == "qconv" else (F(1, n),) * n
 
 
+#: The largest skeleton of dist_lax_functor: its fibres hold
+#: max_size (max_size + 1) / 2 generators in all.
+MAX_SKELETON_SIZE = 64
+
+
 def dist_lax_functor(max_size: int = 6) -> LaxOMonFunctor:
     """Distributions on a skeleton of nonempty finite sets, with disjoint
     union as the base tensor (size sum) and mixtures as structure maps:
     xi_alpha(p_1, ..., p_n) = sum alpha_i p_i on the union, each summand
-    shifted into its block of the union's carrier."""
+    shifted into its block of the union's carrier.  A max_size outside
+    1..MAX_SKELETON_SIZE is InvalidInput."""
     from .category import discrete_category
+
+    if not 1 <= max_size <= MAX_SKELETON_SIZE:
+        raise InvalidInput(f"skeleton size {max_size} is not in 1..{MAX_SKELETON_SIZE}")
 
     objects = [f"S{k}" for k in range(1, max_size + 1)]
     base_cat = discrete_category(objects)

@@ -18,6 +18,7 @@ inverts the extension.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -28,6 +29,7 @@ from .errors import (
     CompositionNotBiconvex,
     EmptyFactorList,
     FactorMismatch,
+    InvalidInput,
     RelationViolated,
 )
 from .presentation import (
@@ -42,6 +44,11 @@ from .record import Frozen
 
 #: Presentation of the one-point convex set (monoidal unit).
 UNIT = Presentation.free(("*",))
+
+#: The most generators, prod_i |G_i|, and lifted relations,
+#: sum_i |R_i| prod_(j != i) |G_j|, that a tensor is built with.
+MAX_TENSOR_GENERATORS = 1 << 12
+MAX_TENSOR_RELATIONS = 1 << 14
 
 
 class TensorPresentation(Presentation):
@@ -61,6 +68,19 @@ def tensor(factors: Sequence[Presentation]) -> TensorPresentation:
 
 @lru_cache(maxsize=512)
 def _tensor_cached(factors: tuple) -> TensorPresentation:
+    """The tensor of factors; InvalidInput, raised before anything is
+    built, when it is over MAX_TENSOR_GENERATORS or MAX_TENSOR_RELATIONS."""
+    sizes = [len(f.generators) for f in factors]
+    count = math.prod(sizes)
+    if count > MAX_TENSOR_GENERATORS:
+        raise InvalidInput(
+            f"a tensor of {count} generators exceeds the budget of {MAX_TENSOR_GENERATORS}"
+        )
+    lifted = sum(len(f.relations) * count // size for f, size in zip(factors, sizes))
+    if lifted > MAX_TENSOR_RELATIONS:
+        raise InvalidInput(
+            f"a tensor of {lifted} lifted relations exceeds the budget of {MAX_TENSOR_RELATIONS}"
+        )
     gen_lists = [f.generators for f in factors]
     generators = [tuple(t) for t in itertools.product(*gen_lists)]
     relations = []

@@ -27,10 +27,10 @@ def _candidate_from_spec(spec: str):
 
 
 def entropy_gen(args, ctx):
-    from ..finprob import generate_corpus
+    from ..finprob import MAX_CARRIER, MAX_CHAINS, generate_corpus
 
-    chains = _integer("--chains", args.chains, 0)
-    max_carrier = _integer("--max-carrier", args.max_carrier, 1)
+    chains = _integer("--chains", args.chains, 0, MAX_CHAINS)
+    max_carrier = _integer("--max-carrier", args.max_carrier, 1, MAX_CARRIER)
     corpus = generate_corpus(seed=ctx["seed"], n_chains=chains, max_carrier=max_carrier)
     _write_file("--out", args.out, jsonio.canonical_json(jsonio.encode_corpus(corpus)))
     return {"written": args.out, "morphisms": len(corpus.morphisms)}

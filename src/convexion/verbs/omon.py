@@ -15,7 +15,8 @@ def _lax_functor_from_job(job):
 
     kind = job.get("functor", "dist").value
     if kind == "dist":
-        return dist_lax_functor(job.typed("max_size", int, 6))
+        max_size = job.get("max_size", 6)
+        return max_size.build(dist_lax_functor, max_size.expect(int))
     if kind == "mixture":
         return mixture_lax_functor(job.get("carrier", ["x", "y"]).names())
     raise job["functor"].error(f"unknown lax functor kind {kind!r}")

@@ -16,7 +16,8 @@ def _elements(job, factors):
 def tensor_tensor(job, ctx):
     from ..tensor import tensor
 
-    return {"presentation": jsonio.encode_presentation(tensor(_factors(job)))}
+    pres = job["factors"].build(tensor, _factors(job))
+    return {"presentation": jsonio.encode_presentation(pres)}
 
 
 def tensor_universal_map(job, ctx):

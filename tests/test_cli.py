@@ -750,6 +750,87 @@ def test_twist_monoid_over_the_candidate_budget_exit_two(tmp_path, monkeypatch):
     )
 
 
+# A JSON Boolean where an integer is expected; Python's bool is an int, so
+# each must be refused by name.
+BOOLEAN_INTEGER_JOBS = [
+    (
+        "prop",
+        {"op": "is_convex_matrix", "matrix": {"rows": True, "cols": 1, "entries": [["1"]]}},
+        "matrix.rows",
+    ),
+    (
+        "prop",
+        {"op": "is_convex_matrix", "matrix": {"rows": 1, "cols": True, "entries": [["1"]]}},
+        "matrix.cols",
+    ),
+    (
+        "twist",
+        {"op": "twist_monoid", "space": {"standard": "circle", "N": True}, "group": {"cyclic": 2, "N": 2}},
+        "space.N",
+    ),
+    (
+        "twist",
+        {"op": "twist_monoid", "space": {"standard": "circle", "N": 2}, "group": {"cyclic": 2, "N": True}},
+        "group.N",
+    ),
+    (
+        "twist",
+        {"op": "twist_monoid", "space": {"standard": "circle", "N": 2}, "group": {"cyclic": True, "N": 2}},
+        "group.cyclic",
+    ),
+    (
+        "omon",
+        {"op": "check_lax", "functor": "dist", "max_size": True, "unit_objects": ["S1"], "instances": []},
+        "max_size",
+    ),
+]
+
+
+@pytest.mark.parametrize("verb, payload, path", BOOLEAN_INTEGER_JOBS, ids=[p for _, _, p in BOOLEAN_INTEGER_JOBS])
+def test_boolean_is_not_an_integer(tmp_path, verb, payload, path):
+    code, report = invoke(verb, "--job", write(tmp_path, "job.json", payload))
+    assert code == 2 and report["error"] == f"{path}: expected a JSON integer"
+
+
+def _refuse_building(monkeypatch, module, name, what):
+    def built(*args, **kwargs):
+        raise AssertionError(f"{what} was built")
+
+    monkeypatch.setattr(module, name, built)
+
+
+def test_tensor_over_the_generator_budget_exit_two(tmp_path, monkeypatch):
+    from convexion import tensor
+
+    _refuse_building(monkeypatch, tensor, "TensorPresentation", "a tensor")
+    factors = [{"generators": [f"g{j}_{i}" for i in range(17)], "relations": []} for j in range(3)]
+    code, report = invoke("tensor", "--job", write(tmp_path, "t.json", {"op": "tensor", "factors": factors}))
+    assert code == 2
+    assert report["error"] == "factors: a tensor of 4913 generators exceeds the budget of 4096"
+
+
+@pytest.mark.parametrize("max_size", [-3, 0, 65])
+def test_skeleton_size_outside_its_range_exit_two(tmp_path, monkeypatch, max_size):
+    from convexion import category
+
+    _refuse_building(monkeypatch, category, "discrete_category", "a skeleton")
+    job = {"op": "check_lax", "functor": "dist", "max_size": max_size, "unit_objects": ["S1"], "instances": []}
+    code, report = invoke("omon", "--job", write(tmp_path, "om.json", job))
+    assert code == 2
+    assert report["error"] == f"max_size: skeleton size {max_size} is not in 1..64"
+
+
+@pytest.mark.parametrize("flag, value, limit", [("--chains", "1001", 1000), ("--max-carrier", "257", 256)])
+def test_corpus_size_over_its_limit_exit_two(tmp_path, monkeypatch, flag, value, limit):
+    from convexion import finprob
+
+    _refuse_building(monkeypatch, finprob, "_random_object", "a corpus object")
+    out = tmp_path / "c.json"
+    code, report = invoke("entropy", "gen", "--out", str(out), flag, value)
+    assert code == 2 and not out.exists()
+    assert report["error"] == f"{flag} {value}: expected an integer <= {limit}"
+
+
 def test_twist_monoid_cli(tmp_path):
     job = write(
         tmp_path,

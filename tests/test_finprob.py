@@ -294,3 +294,19 @@ def test_finprob_agrees_with_grothendieck_of_distributions():
             {f"x{i}": f"x{images[i]}" for i in range(k)}, p
         )
         assert pair.target.rep == direct
+
+
+@pytest.mark.parametrize(
+    "n_chains, max_carrier, error",
+    [(1001, 16, "1001 chains are not in 0..1000"), (-1, 16, "-1 chains"),
+     (5, 257, "carrier bound 257 is not in 1..256"), (5, 0, "carrier bound 0")],
+)
+def test_generate_corpus_refuses_sizes_outside_its_limits(monkeypatch, n_chains, max_carrier, error):
+    from convexion import finprob
+
+    def built(*args):
+        raise AssertionError("a corpus object was built")
+
+    monkeypatch.setattr(finprob, "_random_object", built)
+    with pytest.raises(InvalidInput, match=error):
+        generate_corpus(seed=1, n_chains=n_chains, max_carrier=max_carrier)

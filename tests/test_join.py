@@ -21,10 +21,12 @@ from convexion.join import (
 )
 from convexion.presentation import (
     ConvexMap,
+    PresentedElement,
     Presentation,
     eq,
     induce_map,
     quotient_mix,
+    same_class,
 )
 
 F = Fraction
@@ -378,3 +380,63 @@ def test_mix_rejects_points_of_another_join():
     elsewhere = JoinSpace(X, Z).point(F(1, 2), X.delta("x0"), Z.delta("z0"))
     with pytest.raises(PresentationMismatch):
         join_mix([F(1, 2), F(1, 2)], [pt, elsewhere])
+
+
+# -- the join as the coproduct presentation -----------------------------------------
+
+
+def test_same_class_matches_slotwise_equality():
+    # Join points are presented elements on the tagged generators, so the
+    # presentation's exact decision applies to them as it stands.
+    rng = random.Random(47)
+    space = JoinSpace(XP, YP)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        p1, p2 = (
+            space.point(F(rng.randint(0, 2), 2), random_element(rng, XP), random_element(rng, YP))
+            for _ in range(2)
+        )
+        verdicts = [
+            eq(a, b, 3)
+            for a, b in ((p1.x_part, p2.x_part), (p1.y_part, p2.y_part))
+            if a is not None and b is not None
+        ]
+        if any(v.is_unknown for v in verdicts):
+            continue
+        assert same_class(p1, p2) == _join_eq(p1, p2, 3)
+        seen[_join_eq(p1, p2, 3)] += 1
+    assert seen[True] and seen[False]
+
+
+def test_self_join_keeps_its_slots_apart():
+    space = JoinSpace(X, X)
+    assert len(space.generators) == 2 * len(X.generators)
+    pt = space.point(F(1, 3), X.delta("x0"), X.delta("x1"))
+    assert pt.parts == (X.delta("x0"), X.delta("x1")) and pt.weights == (F(1, 3), F(2, 3))
+    swapped = space.point(F(2, 3), X.delta("x1"), X.delta("x0"))
+    assert not same_class(pt, swapped)
+    mixed = join_mix([F(1, 2), F(1, 2)], [space.inject_x(X.delta("x0")), space.inject_y(X.delta("x0"))])
+    assert mixed.parts == (X.delta("x0"), X.delta("x0"))
+    f = induce_map(X, Z, {"x0": Z.delta("z0"), "x1": Z.delta("z1")})
+    g = induce_map(X, Z, {"x0": Z.delta("z1"), "x1": Z.delta("z0")})
+    h = copair(f, g)
+    assert h.space == space
+    assert h(space.inject_x(X.delta("x0"))) == Z.delta("z0")
+    assert h(space.inject_y(X.delta("x0"))) == Z.delta("z1")
+    # 1/3 of f(x0) = z0 and 2/3 of g(x1) = z0
+    assert h(pt) == Z.delta("z0")
+
+
+def test_copair_is_the_map_induced_by_the_tagged_assignment():
+    rng = random.Random(53)
+    for _ in range(20):
+        f, g = make_f(rng), make_g(rng)
+        h = copair(f, g)
+        assert isinstance(h, ConvexMap) and isinstance(h.space, Presentation)
+        tagged = {(0, x): f(X.delta(x)) for x in X.generators}
+        tagged.update({(1, y): g(Y.delta(y)) for y in Y.generators})
+        induced = induce_map(h.space, Z, tagged)
+        for _ in range(3):
+            pt = h.space.point(F(rng.randint(0, 4), 4), random_element(rng, X), random_element(rng, Y))
+            assert isinstance(pt, PresentedElement)
+            assert h(pt).rep == induced(pt).rep

@@ -10,12 +10,14 @@ import pytest
 from test_linalg import recorded_pivots, scaled_zigzag_lp
 
 from convexion import linalg, presentation
+from convexion import tensor as tensor_module
 from convexion.distribution import FiniteDistribution, delta
 from convexion.errors import (
     ArityMismatch,
     CompositionNotBiconvex,
     EmptyFactorList,
     FactorMismatch,
+    InvalidInput,
     RelationViolated,
 )
 from convexion.presentation import (
@@ -561,3 +563,29 @@ def test_tensor_map_functoriality():
     lhs = fg(universal_map([AB, C], [x, yel]))
     rhs = universal_map([CD, AB], [f(x), g(yel)])
     assert lhs == rhs
+
+
+# -- the size budget ---------------------------------------------------------------
+
+
+def test_tensor_lifted_relations_are_counted_before_any_is_built(monkeypatch):
+    # 9 relations on two generators, lifted along 2,048 others: 18,432 pairs
+    # on 4,096 generators, which is within the generator budget
+    pair = Presentation(
+        ["a", "b"],
+        [(delta("a"), FiniteDistribution({"a": Fraction(1, k), "b": Fraction(k - 1, k)})) for k in range(2, 11)],
+    )
+    wide = Presentation.free([f"w{i}" for i in range(2048)])
+
+    def built(*args):
+        raise AssertionError("a tensor was built")
+
+    monkeypatch.setattr(tensor_module, "TensorPresentation", built)
+    monkeypatch.setattr(tensor_module, "_lift", built)
+    with pytest.raises(InvalidInput, match="18432 lifted relations exceed"):
+        tensor([pair, wide])
+
+
+def test_tensor_at_the_generator_budget_is_built():
+    factors = [Presentation.free([f"{s}{i}" for i in range(64)]) for s in "gh"]
+    assert len(tensor(factors).generators) == tensor_module.MAX_TENSOR_GENERATORS
