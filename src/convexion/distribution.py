@@ -32,11 +32,13 @@ built on demand (``Semiring.payload``).
 from __future__ import annotations
 
 from collections.abc import Mapping
+from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import (
-    EmptyFactorList, NotConvexVector, NotNormalized, SemiringMismatch, UndefinedOnSupport,
+    EmptyFactorList, NotConvexVector, NotNormalized, ParseError, SemiringMismatch,
+    UndefinedOnSupport,
 )
 from .semiring import BOOLEAN, RATIONAL, Semiring
 
@@ -209,7 +211,17 @@ def flatten(nested: FiniteDistribution) -> FiniteDistribution:
 
 
 def _coefficient_form(alpha: Sequence, sr: Semiring):
-    ratios = [sr.ratio(a) for a in alpha]
+    """({index: numerator}, den): the coefficients over one denominator.
+    A negative number is NotConvexVector, since nothing was parsed; a
+    literal that does not read stays the semiring's ParseError."""
+    ratios = []
+    for a in alpha:
+        try:
+            ratios.append(sr.ratio(a))
+        except ParseError:
+            if isinstance(a, (int, Fraction)) and a < 0:
+                raise NotConvexVector(f"negative coefficient {a} is not allowed") from None
+            raise
     den = lcm(*[d for _, d in ratios])
     return {i: n * (den // d) for i, (n, d) in enumerate(ratios)}, den
 

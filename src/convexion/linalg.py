@@ -5,17 +5,19 @@ No floating point, and no Fraction arithmetic inside the loops.  Rows are
 stored sparsely as {column: int} dicts of nonzeros.  The simplex takes
 its rows in that form, already scaled to integers by the caller (the
 equality engine's zig-zag LP is built that way from its presentation's
-cache); the row reduction scales its Fraction rows itself, each by the
-lcm of its denominators (_integer_row).  Both share one fraction-free
-elimination step (_eliminate): it touches only the rows holding the pivot
-column, cancels the gcd of the pivot and the row's entry in that column
-before the update (so a row whose entry the pivot divides is not scaled
-at all), and divides each updated row by its content (the gcd of its
-entries and rhs), which keeps the integers small.  The pivot row is never
-normalised, so each stored row is a nonzero multiple of the row a
-normalising Fraction tableau would hold.  Fractions are built only for
-the answers: nullspace reads them off echelon, the row
-reduction's integer form, which the equality engine caches.  The simplex
+cache); the row reduction (echelon) scales its Fraction rows itself,
+each by the lcm of its denominators (_integer_row), or takes them in
+integer form (sparse_echelon, which the equality engine's one-step solve
+calls).  Both share one fraction-free elimination step (_eliminate): it
+touches only the rows holding the pivot column, cancels the gcd of the
+pivot and the row's entry in that column before the update (so a row
+whose entry the pivot divides is not scaled at all), and divides each
+updated row by its content (the gcd of its entries and rhs), which keeps
+the integers small.  The pivot row is never normalised, so each stored
+row is a nonzero multiple of the row a normalising Fraction tableau
+would hold.  Fractions are built only for the answers: nullspace reads
+them off echelon, the row reduction's integer form, which the equality
+engine caches.  The simplex
 starts from the slack columns a system offers (unit-like columns, such as
 the spectators of the equality engine's zig-zag LP) and adds artificials
 only on the rows without one.
@@ -234,7 +236,12 @@ def echelon(rows, ncols):
     reduced row echelon form's row, which is unique, so the row that
     supplies each pivot is free to choose: the sparsest, to keep fill-in
     down."""
-    mat = [_integer_row(row)[0] for row in rows]
+    return sparse_echelon([_integer_row(row)[0] for row in rows], ncols)
+
+
+def sparse_echelon(mat, ncols):
+    """echelon of rows already in integer form: {column: int} dicts
+    without zeros, with columns in range(ncols), reduced in place."""
     cols = defaultdict(set)
     for i, row in enumerate(mat):
         for j in row:

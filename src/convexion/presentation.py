@@ -29,6 +29,23 @@ elements is decided (where possible) by a three-valued engine:
   same feasibility as the full one.  Its witness is widened with zero
   multipliers on the dropped pairs and zero spectators outside W (see
   _Face).
+  Level 1 often needs no simplex, since its multipliers are unique (the
+  unique-solution case of LP presolve: Andersen & Andersen, "Presolving
+  in linear programming", Math. Programming 71 (1995)).  Let J be the
+  pairs with supp r_j inside supp p and supp s_j inside supp q.  Every
+  feasible point of the level-1 LP is zero off J: t = p - R lambda >= 0
+  gives lambda_j r_j <= p, and q = S lambda + t >= S lambda gives
+  lambda_j s_j <= q.  So the LP asks for lambda >= 0 on J with
+  (S - R)_J lambda = q - p and spectator t = p - R_J lambda >= 0.  When
+  the move columns s_j - r_j over J are linearly independent, that
+  system has at most one solution, so the LP has at most one feasible
+  point; the simplex returns a feasible point when there is one, so it
+  returns that one, and solving the system exactly gives the same step.
+  When the system has no solution, or its solution has a negative
+  multiplier or a negative spectator entry, the LP has no feasible point
+  at all, and level 1 is infeasible.  _one_step decides these cases and
+  leaves the LP only the dependent ones, such as J holding both
+  orientations of a relation.
 * Distinct -- witnessed by one of two certificates, tried in this order.
   An affine invariant: a rational assignment on the generators whose
   induced affine functional is constant across every relation pair but
@@ -101,6 +118,7 @@ its own there.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
@@ -380,14 +398,16 @@ def eq(
 ) -> EqualityVerdict:
     """Decide equality in the quotient, with a replayable certificate.
 
-    Distinct is tried first, through the invariant basis, then through
-    the support sets U_y and U_x (in generator order in the verdict).
-    Then the zig-zag LP, cut down to the face that U_x gives (the module
-    docstring says why it is the face of e1 and e2), is solved at
-    k = 1, 2, 4, ..., step_bound; the first
-    feasible level gives Equal with its path (at most k steps), and if
-    every level is infeasible the verdict is Unknown.  The verdict's bound
-    is step_bound, whichever level decided it.
+    Distinct is tried first, through an affine invariant (y - x reduced
+    against the cached echelon form of the relation differences), then
+    through the support sets U_y and U_x (in generator order in the
+    verdict).  Then the zig-zag LP, cut down to the face that U_x gives
+    (the module docstring says why it is the face of e1 and e2), is
+    solved at k = 1, 2, 4, ..., step_bound, level 1 without the simplex
+    where its multipliers are unique; the first feasible level gives
+    Equal with its path (at most k steps), and if every level is
+    infeasible the verdict is Unknown.  The verdict's bound is
+    step_bound, whichever level decided it.
     """
     if e1.presentation != e2.presentation:
         raise PresentationMismatch("eq needs elements of one presentation")
@@ -533,7 +553,9 @@ class _Face:
     It offers what _zigzag_search and _zigzag_lp read of a presentation,
     so the zig-zag LP is built on W alone, and widen maps a solution back.
     The filtered columns keep the presentation's lcms, so each row is the
-    full LP's row at the same scale, without the dropped columns."""
+    full LP's row at the same scale, without the dropped columns.  U is
+    respected, so a relation keeps both orientations or neither, and they
+    stay at indices 2i and 2i + 1 as in the presentation."""
 
     __slots__ = (
         "presentation", "generators", "symmetric_relations", "_integer_columns",
@@ -590,11 +612,13 @@ def _deepening_levels(bound):
 def _zigzag_search(pres, p, q, k):
     """Feasibility of a k-step zig-zag as one exact LP; the steps, or None.
     pres is the presentation, or a _Face of it (eq passes the face of p
-    and q): then the LP is solved on the face and its steps are widened."""
-    pv = pres.vector(p.rep if isinstance(p, PresentedElement) else p)
-    qv = pres.vector(q.rep if isinstance(q, PresentedElement) else q)
-    rows, rhs, ncols = _zigzag_lp(pres, pv, qv, k)
-    sol = linalg.solve_eq_nonneg(rows, rhs, ncols)
+    and q): then the LP is solved on the face and its steps are widened.
+    At k = 1 the LP is solved only when _one_step leaves it undecided."""
+    p = p.rep if isinstance(p, PresentedElement) else p
+    q = q.rep if isinstance(q, PresentedElement) else q
+    sol = _one_step(pres, p, q) if k == 1 else _UNDECIDED
+    if sol is _UNDECIDED:
+        sol = linalg.solve_eq_nonneg(*_zigzag_lp(pres, pres.vector(p), pres.vector(q), k))
     if sol is None:
         return None
     nj = len(pres.symmetric_relations)
@@ -608,6 +632,77 @@ def _zigzag_search(pres, p, q, k):
             else:
                 steps.append(ZigZagStep(tuple(lams), tuple(spect)))
     return tuple(steps)
+
+
+_UNDECIDED = object()  # what _one_step returns when only the LP can decide
+
+
+def _one_step(pres, p, q):
+    """The level-1 LP's answer without the simplex, where the module
+    docstring's one-step argument gives it: its one feasible point, laid
+    out as linalg.solve_eq_nonneg returns it (the lambdas over pres's
+    symmetric pairs, then the spectator over its generators), or None
+    when it has none.  _UNDECIDED when the usable pairs J hold both
+    orientations of a relation (checked first: it is the common case) or
+    their move columns are dependent.
+
+    (S - R)_J lambda = q - p is solved in integers, by
+    linalg.sparse_echelon of its augmented matrix: column i is s_j - r_j
+    for the i-th pair j of J, times d_j, the lcm of the pair's
+    denominators, and the last column m is q - p times p._den q._den,
+    with a row per generator of supp p or supp q (every other row is
+    zero).  The system is inconsistent exactly when column m is a pivot.
+    Otherwise, with every column of J a pivot, the i-th echelon row says
+    row[i] nu_i = row[m] for nu_i = p._den q._den lambda_j / d_j.  The
+    spectator t = p - R_J lambda is checked over one common denominator,
+    and is zero off supp p since each r_j lies in it."""
+    pairs = pres.symmetric_relations
+    pn, qn = p._nums, q._nums
+    usable = [
+        j for j, (r, s) in enumerate(pairs)
+        if r._nums.keys() <= pn.keys() and s._nums.keys() <= qn.keys()
+    ]
+    if len({j >> 1 for j in usable}) < len(usable):  # pairs 2i and 2i + 1 are one relation
+        return _UNDECIDED
+    sides = []
+    for j in usable:
+        r, s = pairs[j]
+        d = lcm(r._den, s._den)
+        sides.append((r, d // r._den, s, d // s._den, d))
+    pd, qd = p._den, q._den
+    m = len(usable)
+    rows = []
+    for g in {**pn, **qn}:
+        row = {}
+        for i, (r, fr, s, fs, _) in enumerate(sides):
+            if v := s._nums.get(g, 0) * fs - r._nums.get(g, 0) * fr:
+                row[i] = v
+        if v := qn.get(g, 0) * pd - pn.get(g, 0) * qd:
+            row[m] = v
+        rows.append(row)
+    reduced, pivots = linalg.sparse_echelon(rows, m + 1)
+    if pivots and pivots[-1] == m:
+        return None
+    if len(pivots) < m:
+        return _UNDECIDED
+    sol = [linalg.ZERO] * (len(pairs) + len(pres.generators))
+    used = []
+    for i, (j, row, (r, _, _, _, d)) in enumerate(zip(usable, reduced, sides)):
+        num, den = row.get(m, 0) * d, row[i] * pd * qd
+        if num * den < 0:
+            return None
+        if num:
+            sol[j] = lam = Fraction(num, den)
+            used.append((lam, r))
+    scale = lcm(pd, *(lam.denominator * r._den for lam, r in used))
+    terms = [(lam.numerator * (scale // (lam.denominator * r._den)), r._nums) for lam, r in used]
+    for x, g in enumerate(pres.generators, len(pairs)):
+        if n := pn.get(g):
+            t = n * (scale // pd) - sum([f * rn.get(g, 0) for f, rn in terms])
+            if t < 0:
+                return None
+            sol[x] = Fraction(t, scale)
+    return sol
 
 
 def _zigzag_lp(pres, pv, qv, k):

@@ -603,8 +603,10 @@ def test_error_messages_are_unchanged():
         FiniteDistribution({"a": "-1/2", "b": "3/2"})
     with pytest.raises(ParseError, match="negative coefficient"):
         FiniteDistribution({"a": F(-1, 2), "b": F(3, 2)})
-    with pytest.raises(ParseError, match="negative coefficient"):
+    with pytest.raises(NotConvexVector, match="^negative coefficient -1 is not allowed$"):
         convex_combine([-1, 2], [delta("a"), delta("b")])
+    with pytest.raises(ParseError, match="negative coefficient"):
+        convex_combine(["-1", "2"], [delta("a"), delta("b")])
     with pytest.raises(SemiringMismatch, match="boolean payload"):
         FiniteDistribution({"a": True})
     with pytest.raises(SemiringMismatch, match="boolean payload"):

@@ -757,6 +757,143 @@ def test_face_drops_the_generators_a_zigzag_cannot_reach():
     assert face_of(pres, far.rep, pres.element(rd({"b": "1/4", "c": "1/4", "e": "1/2"})).rep) is pres
 
 
+# -- the one-step solve -------------------------------------------------------------------
+
+
+def simplex_one_step(pres, p, q):
+    """Level 1 as the simplex answers it: the steps read off
+    linalg.solve_eq_nonneg on _zigzag_lp at k = 1 (widened from a face),
+    or None."""
+    sol = linalg.solve_eq_nonneg(*presentation._zigzag_lp(pres, pres.vector(p), pres.vector(q), 1))
+    if sol is None:
+        return None
+    nj = len(pres.symmetric_relations)
+    lams, spect = sol[:nj], sol[nj:]
+    if not any(lams):
+        return ()
+    if isinstance(pres, presentation._Face):
+        return (pres.widen(lams, spect),)
+    return (ZigZagStep(tuple(lams), tuple(spect)),)
+
+
+def check_one_step(pres, p, q):
+    """_zigzag_search at k = 1 against the simplex, on pres and on the face
+    of p and q, step for step and in repr; how _one_step went on the face:
+    "step", "none" or "lp" (left to the simplex)."""
+    face = face_of(pres, p, q)
+    for space in (pres, face):
+        steps, simplex = presentation._zigzag_search(space, p, q, 1), simplex_one_step(space, p, q)
+        assert steps == simplex and repr(steps) == repr(simplex)
+    decided = presentation._one_step(face, p, q)
+    return "lp" if decided is presentation._UNDECIDED else "none" if decided is None else "step"
+
+
+def test_one_step_solve_matches_the_simplex_on_the_corpora():
+    outcomes = Counter()
+    for e1, e2, _ in verdict_corpus():
+        outcomes[check_one_step(e1.presentation, e1.rep, e2.rep)] += 1
+    for pres, pv, qv, _ in _tensor_cases():
+        outcomes[check_one_step(pres, pres.dist_from_vector(pv), pres.dist_from_vector(qv))] += 1
+    assert set(outcomes) == {"step", "none", "lp"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_step_solve_matches_the_simplex_on_sparse_draws(data):
+    # 2-5 generators, 1-3 relations with sparse sides; the partner is a
+    # rewrite chain of one or two moves or a sparse random element.
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    gens = [f"g{i}" for i in range(rng.randint(2, 5))]
+    pres = _sparse_presentation(rng, gens, rng.randint(1, 3))
+    assume(pres.relations)
+    e1 = pres.element(_sparse_dist(rng, gens))
+    check_one_step(pres, e1.rep, _partner(rng, e1, 1).rep)
+
+
+# a/2 + c/2 ~ b/2 + c/2 and a/2 + d/2 ~ b/2 + d/2 both move by (b - a)/2
+SAME_MOVE = Presentation(
+    ["a", "b", "c", "d"],
+    [
+        (rd({"a": "1/2", "c": "1/2"}), rd({"b": "1/2", "c": "1/2"})),
+        (rd({"a": "1/2", "d": "1/2"}), rd({"b": "1/2", "d": "1/2"})),
+    ],
+)
+# a/2 + b/2 ~ b/2 + d/2: from 3a/4 + b/8 + c/8 the one usable pair reaches
+# a/4 + b/8 + c/8 + d/2 with lambda = 1, but its spectator is -3/8 at b
+SHIFT = Presentation(
+    ["a", "b", "c", "d"], [(rd({"a": "1/2", "b": "1/2"}), rd({"b": "1/2", "d": "1/2"}))]
+)
+
+
+@pytest.mark.parametrize(
+    "pres, p, q",
+    [
+        (GLUE_AB, rd({"a": "1/3", "b": "2/3"}), rd({"a": "2/3", "b": "1/3"})),
+        (SAME_MOVE, rd({"a": "1/2", "c": "1/4", "d": "1/4"}), rd({"b": "1/2", "c": "1/4", "d": "1/4"})),
+    ],
+    ids=["both orientations usable", "equal move vectors"],
+)
+def test_dependent_moves_leave_level_one_to_the_simplex(pres, p, q):
+    assert presentation._one_step(pres, p, q) is presentation._UNDECIDED
+    steps = presentation._zigzag_search(pres, p, q, 1)
+    assert steps == simplex_one_step(pres, p, q) and len(steps) == 1
+    assert verify_verdict(EqualityVerdict("equal", path=steps, bound=1), pres.element(p), pres.element(q))
+
+
+@pytest.mark.parametrize(
+    "pres, p, q",
+    [
+        (CHAIN, delta("a"), delta("c")),
+        (SPLIT, delta("a"), rd({"b": "1/3", "c": "2/3"})),
+        (SHIFT, rd({"a": "3/4", "b": "1/8", "c": "1/8"}), rd({"a": "1/4", "b": "1/8", "c": "1/8", "d": "1/2"})),
+    ],
+    ids=["no usable pair", "inconsistent system", "negative spectator"],
+)
+def test_level_one_decided_infeasible(pres, p, q):
+    assert presentation._one_step(pres, p, q) is None
+    assert simplex_one_step(pres, p, q) is None
+    assert presentation._zigzag_search(pres, p, q, 1) is None
+
+
+def lp_calls(monkeypatch, e1, e2, bound):
+    """eq's verdict and how many times it called linalg.solve_eq_nonneg."""
+    calls = []
+    solve = linalg.solve_eq_nonneg
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "solve_eq_nonneg", spy)
+        verdict = eq(e1, e2, bound)
+    return verdict, len(calls)
+
+
+def test_a_unique_one_step_zigzag_needs_no_lp(monkeypatch):
+    a, mid = SPLIT.delta("a"), SPLIT.element(rd({"b": "1/2", "c": "1/2"}))
+    v, calls = lp_calls(monkeypatch, a, mid, 4)
+    assert calls == 0
+    assert v.is_equal and len(v.path) == 1 and verify_verdict(v, a, mid)
+
+
+def test_level_one_decided_infeasible_leaves_one_lp(monkeypatch):
+    a, c = CHAIN.delta("a"), CHAIN.delta("c")
+    v, calls = lp_calls(monkeypatch, a, c, 4)
+    assert calls == 1  # level 2's
+    assert v.is_equal and len(v.path) == 2 and verify_verdict(v, a, c)
+
+
+def test_both_orientations_usable_solve_level_one_by_the_lp(monkeypatch):
+    p, q = GLUE_AB.element(rd({"a": "1/3", "b": "2/3"})), GLUE_AB.element(rd({"a": "2/3", "b": "1/3"}))
+    with recorded_pivots(monkeypatch) as eliminations:
+        assert presentation._one_step(GLUE_AB, p.rep, q.rep) is presentation._UNDECIDED
+    assert eliminations == []  # seen before the system is built
+    v, calls = lp_calls(monkeypatch, p, q, 4)
+    assert calls == 1
+    assert v.is_equal and len(v.path) == 1 and verify_verdict(v, p, q)
+
+
 # -- the integer replay ------------------------------------------------------------------
 
 
