@@ -181,10 +181,14 @@ def _global_flags(parser, top: bool):
     parser.add_argument("--report", type=str, help="report path", **kw(None))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per verb of OPS, its ops listed in its --help; the
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of the command line argv: one subparser per verb of
+    OPS, its ops listed in its --help, but only a verb that argv names
+    gets its arguments, since a job parses one verb.  Of those, the
     entropy ops are subcommands with their flags, selfcheck has no
-    arguments, and every other verb reads a --job file."""
+    arguments, and every other verb reads a --job file.  A token that is
+    a verb's name but not the verb (a --report path, say) costs only that
+    verb's arguments."""
     parser = argparse.ArgumentParser(
         prog="convexion",
         description="Exact-arithmetic computational convex algebra.",
@@ -194,9 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     verbs = {}
     for verb, name in OPS:
         verbs.setdefault(verb, []).append(name)
+    named = set(argv)
     for verb, names in verbs.items():
         ops = f"ops: {', '.join(names)}"
         p = sub.add_parser(verb, help=ops, description=ops)
+        if verb not in named:
+            continue
         _global_flags(p, top=False)
         if verb == "entropy":
             actions = p.add_subparsers(dest="op", required=True)
@@ -275,8 +282,8 @@ def _tolerance(text):
 
 def run(argv=None):
     """Parse, dispatch, and return (exit_code, report, report_path)."""
-    parser = build_parser()
-    args = parser.parse_args(_glue_dash_values(sys.argv[1:] if argv is None else argv))
+    argv = _glue_dash_values(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv).parse_args(argv)
     report = {
         "tool": {"name": "convexion", "version": __version__},
         "bound": args.bound,

@@ -227,7 +227,25 @@ def _coefficient_form(alpha: Sequence, sr: Semiring):
 
 
 def is_convex_vector(alpha: Sequence, semiring: Semiring = RATIONAL) -> bool:
-    return semiring.is_normalized(*_coefficient_form(alpha, semiring))
+    """Whether alpha's coefficients sum to one in the semiring.  A negative
+    coefficient, a number or a literal such as "-1/2", makes it False; a
+    literal that does not read stays the semiring's ParseError."""
+    try:
+        return semiring.is_normalized(*_coefficient_form(alpha, semiring))
+    except (NotConvexVector, ParseError):
+        if any(map(_negative, alpha)):
+            return False
+        raise
+
+
+def _negative(a) -> bool:
+    """Whether a is a negative int or Fraction, or a string that reads as one."""
+    if isinstance(a, str):
+        try:
+            a = Fraction(a)
+        except (ValueError, ZeroDivisionError):
+            return False
+    return isinstance(a, (int, Fraction)) and a < 0
 
 
 def convex_combine(

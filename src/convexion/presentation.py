@@ -28,7 +28,12 @@ elements is decided (where possible) by a three-valued engine:
   LP keeps the W rows, the W spectators and those pairs, and has the
   same feasibility as the full one.  Its witness is widened with zero
   multipliers on the dropped pairs and zero spectators outside W (see
-  _Face).
+  _Face).  A presentation has few faces, so each is built once: _face
+  keeps the _Face of each respected set U on the presentation, under
+  U's bitmask (bit i for generator i), at most FACE_CACHE_SIZE of them,
+  and drops the oldest first.  A face builds its index lists when it is
+  made, its LP columns on the first LP that reads them, and the echelon
+  form of its pairs' difference rows when same_class first reads it.
   Level 1 often needs no simplex, since its multipliers are unique (the
   unique-solution case of LP presolve: Andersen & Andersen, "Presolving
   in linear programming", Math. Programming 71 (1995)).  Let J be the
@@ -59,8 +64,9 @@ elements is decided (where possible) by a three-valued engine:
   constant on every relation pair, so it is constant on each class of
   the quotient, and it separates the inputs.  Respected sets are closed
   under union, so the greatest one inside a set is a fixed point
-  (_respected), and eq tries U_y, the greatest respected set missing
-  supp y, then U_x, the same with x and y swapped.
+  (_respected, on bitmasks of the relation sides' supports), and eq tries
+  U_y, the greatest respected set missing supp y, then U_x, the same with
+  x and y swapped.
   The face is that same fixed point: when U_y misses supp x, U_y is the
   greatest respected set outside supp x and supp y.  U_y is respected and
   lies outside both supports, so it lies in the greatest such set; that
@@ -110,10 +116,10 @@ JPAA 219 (2015); Fritz, "Convex spaces I", arXiv:0903.5522):
 
 The span test is the invariant step's residual taken on the face: y - x
 is reduced in integers against linalg.echelon of the difference rows of
-the pairs inside W (_residual), the cached _echelon when W is every
-generator.  An invariant separating x and y is a vector orthogonal to
-the larger span of all the relation differences, so it needs no test of
-its own there.
+the pairs inside W (_residual), cached on the face of W as its _echelon,
+or the presentation's own _echelon when W is every generator.  An
+invariant separating x and y is a vector orthogonal to the larger span
+of all the relation differences, so it needs no test of its own there.
 """
 
 from __future__ import annotations
@@ -166,6 +172,7 @@ class Presentation:
         self.generators = gens
         self.relations = tuple(rels)
         self._gen_index = index
+        self._faces = {}  # _face's cache: a respected set's mask -> its _Face, oldest first
 
     @classmethod
     def free(cls, generators) -> "Presentation":
@@ -202,6 +209,22 @@ class Presentation:
             out.append((lhs, rhs))
             out.append((rhs, lhs))
         return tuple(out)
+
+    def _mask(self, gens):
+        """The mask of some generators (a distribution's _nums, say): bit i
+        stands for generator i."""
+        index = self._gen_index
+        return sum([1 << index[g] for g in gens])
+
+    def _members(self, mask):
+        """The generators of a mask, in generator order."""
+        return tuple(g for i, g in enumerate(self.generators) if mask >> i & 1)
+
+    @cached_property
+    def _support_masks(self):
+        """Per relation, the masks of its two sides' supports."""
+        mask = self._mask
+        return tuple((mask(lhs._nums), mask(rhs._nums)) for lhs, rhs in self.relations)
 
     @cached_property
     def _integer_columns(self):
@@ -425,8 +448,7 @@ def eq(
 
     outside, separates = _separating_support(pres, x, y)
     if separates:
-        support = tuple(g for g in pres.generators if g in outside)
-        return EqualityVerdict("distinct", bound=step_bound, support=support)
+        return EqualityVerdict("distinct", bound=step_bound, support=pres._members(outside))
 
     # U_x misses supp y, so it is the greatest respected set outside both
     if pres.relations and step_bound >= 1:
@@ -452,26 +474,19 @@ def same_class(e1: PresentedElement, e2: PresentedElement) -> bool:
     outside, separates = _separating_support(pres, x, y)
     if separates:
         return False
-    if outside:  # W is a proper face: the pairs inside it span L_W
-        rows = [
-            row
-            for (lhs, _), row in zip(pres.relations, pres._difference_rows)
-            if outside.isdisjoint(lhs._nums)
-        ]
-        echelon = linalg.echelon(rows, len(pres.generators))
-    else:
-        echelon = pres._echelon
-    return not any(_residual(pres, echelon, x, y).values())
+    return not any(_residual(pres, _face(pres, outside)._echelon, x, y).values())
 
 
 def _separating_support(pres, x, y):
     """The support tests: U_y, the greatest respected set missing supp y,
-    then U_x.  (U, True) for the first that meets the other input's
-    support; else (U_x, False), and U_x misses supp y too, so it is the
-    greatest respected set outside both supports."""
-    for p, q in ((x, y), (y, x)):  # U_y, then U_x
-        outside = _respected(pres, set(pres._gen_index).difference(q._nums))
-        if not outside.isdisjoint(p._nums):
+    then U_x, each as a mask.  (U, True) for the first that meets the
+    other input's support; else (U_x, False), and U_x misses supp y too,
+    so it is the greatest respected set outside both supports."""
+    every = (1 << len(pres.generators)) - 1
+    xm, ym = pres._mask(x._nums), pres._mask(y._nums)
+    for p, q in ((xm, ym), (ym, xm)):  # U_y, then U_x
+        outside = _respected(pres, every & ~q)
+        if outside & p:
             return outside, True
     return outside, False
 
@@ -522,64 +537,89 @@ def _value(ints, dist):
 
 
 def _respected(pres, outside):
-    """The greatest respected set of generators inside the set outside,
-    which is updated in place and returned.
+    """The mask of the greatest respected set of generators inside the
+    set whose mask is outside (bit i for generator i).
 
     Respected sets are closed under union, so the greatest one inside a
     set is its fixed point under: while some relation has exactly one
-    side meeting U, remove that side's support from U."""
+    side meeting U, remove that side's support from U.  Each relation
+    side is read as its cached support mask (Presentation._support_masks)."""
+    masks = pres._support_masks
     stable = not outside
     while not stable:
         stable = True
-        for lhs, rhs in pres.relations:
-            meets = not outside.isdisjoint(lhs._nums)
-            if meets == outside.isdisjoint(rhs._nums):  # one side only
-                outside.difference_update((lhs if meets else rhs)._nums)
+        for lhs, rhs in masks:
+            meets = outside & lhs
+            if (not meets) != (not outside & rhs):  # one side only
+                outside &= ~(lhs if meets else rhs)
                 stable = not outside
     return outside
 
 
+#: How many faces _face keeps per presentation; the oldest goes first.
+FACE_CACHE_SIZE = 16
+
+
 def _face(pres, outside):
-    """Where a zig-zag between two points must stay, given the greatest
-    respected set outside their supports: pres cut down to the rest of
-    the generators (a _Face), or pres itself when that set is empty."""
-    return _Face(pres, outside) if outside else pres
+    """Where a zig-zag between two points must stay, given the mask of the
+    greatest respected set outside their supports: pres cut down to the
+    rest of the generators (a _Face), or pres itself when that set is
+    empty.  The face is kept on pres under the mask, so the queries of one
+    face share its index lists, LP columns and echelon form."""
+    if not outside:
+        return pres
+    faces = pres._faces
+    face = faces.get(outside)
+    if face is None:
+        if len(faces) >= FACE_CACHE_SIZE:
+            del faces[next(iter(faces))]
+        face = faces[outside] = _Face(pres, outside)
+    return face
 
 
 class _Face:
     """A presentation cut down to the complement W of a respected set U of
-    generators: the generators in W, the symmetric pairs with both sides
-    inside W, and the presentation's _integer_columns filtered to them.
-    It offers what _zigzag_search and _zigzag_lp read of a presentation,
-    so the zig-zag LP is built on W alone, and widen maps a solution back.
-    The filtered columns keep the presentation's lcms, so each row is the
-    full LP's row at the same scale, without the dropped columns.  U is
+    generators (given as a mask): the generators in W, the symmetric pairs
+    with both sides inside W, and, built on the first LP that reads them,
+    the presentation's _integer_columns filtered to those pairs.  It offers
+    what _zigzag_search and _zigzag_lp read of a presentation, so the
+    zig-zag LP is built on W alone, and widen maps a solution back.  The
+    filtered columns keep the presentation's lcms, so each row is the full
+    LP's row at the same scale, without the dropped columns.  U is
     respected, so a relation keeps both orientations or neither, and they
-    stay at indices 2i and 2i + 1 as in the presentation."""
-
-    __slots__ = (
-        "presentation", "generators", "symmetric_relations", "_integer_columns",
-        "_gen_at", "_pair_at",
-    )
+    stay at indices 2i and 2i + 1 as in the presentation.  Its _echelon,
+    built on first use, is same_class's span L_W."""
 
     def __init__(self, pres, outside):
         self.presentation = pres
-        self._gen_at = [x for x, g in enumerate(pres.generators) if g not in outside]
+        self._gen_at = [x for x in range(len(pres.generators)) if not outside >> x & 1]
         self._pair_at = [
             j
-            for j, (r, _) in enumerate(pres.symmetric_relations)
-            if outside.isdisjoint(r._nums)
+            for i, (lhs, _) in enumerate(pres._support_masks)
+            if not outside & lhs
+            for j in (2 * i, 2 * i + 1)
         ]
         self.generators = [pres.generators[x] for x in self._gen_at]
         self.symmetric_relations = [pres.symmetric_relations[j] for j in self._pair_at]
+
+    vector = Presentation.vector
+
+    @cached_property
+    def _integer_columns(self):
         new = {j: i for i, j in enumerate(self._pair_at)}
-        columns = pres._integer_columns
-        self._integer_columns = [
+        columns = self.presentation._integer_columns
+        return [
             (_kept(r, new), r_lcm, _kept(r_minus_s, new), d_lcm)
             for r, r_lcm, r_minus_s, d_lcm in (columns[x] for x in self._gen_at)
         ]
 
-    vector = Presentation.vector
+    @cached_property
+    def _echelon(self):
+        """linalg.echelon of the difference rows of the relations inside W,
+        over every generator's column: the span L_W."""
+        pres = self.presentation
+        rows = [pres._difference_rows[j >> 1] for j in self._pair_at[::2]]
+        return linalg.echelon(rows, len(pres.generators))
 
     def widen(self, lambdas, spectator):
         """The ZigZagStep of the presentation whose lambdas and spectator

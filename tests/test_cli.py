@@ -2013,6 +2013,16 @@ def test_verb_help_lists_its_ops(verb, capsys):
     assert f"ops: {', '.join(names)}" in " ".join(capsys.readouterr().out.split())
 
 
+def test_the_parser_builds_only_the_verb_on_the_command_line():
+    # every verb is a choice, but only the one named gets its arguments,
+    # with the global flags before or after it
+    argv = ["--bound", "2", "eq", "--job", "x.json", "--seed", "3"]
+    args = cli.build_parser(argv).parse_args(argv)
+    assert (args.verb, args.job, args.bound, args.seed) == ("eq", "x.json", "2", "3")
+    with pytest.raises(SystemExit):
+        cli.build_parser(argv).parse_args(["dist", "--job", "x.json"])
+
+
 @pytest.mark.parametrize("name", ["nope", "join_mix", [1], {"op": "delta"}, 7, None])
 def test_unknown_op_exit_two(tmp_path, name):
     job = write(tmp_path, "job.json", {"op": name, "element": "a"})

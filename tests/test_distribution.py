@@ -276,6 +276,19 @@ def test_is_convex_vector_predicate():
     assert not is_convex_vector([F(1, 2), F(1, 3)])
     assert is_convex_vector([True, False], BOOLEAN)
     assert not is_convex_vector([False, False], BOOLEAN)
+    # a negative coefficient answers False, as a number or as a literal
+    assert not is_convex_vector([F(3, 2), F(-1, 2)])
+    assert not is_convex_vector([2, -1])
+    assert not is_convex_vector(["3/2", "-1/2"])
+    assert not is_convex_vector(["3/2", " -1/2 "])
+    assert is_convex_vector(["1/3", "2/3"]) and not is_convex_vector(["1/2", "1/3"])
+    # a literal that does not read is still malformed input
+    for unread in (["x", "1"], ["1/0", "1"], ["1/2", "-"]):
+        with pytest.raises(ParseError):
+            is_convex_vector(unread)
+    # and convex_combine still refuses a negative number
+    with pytest.raises(NotConvexVector):
+        convex_combine([F(3, 2), F(-1, 2)], [delta("a"), delta("b")])
 
 
 def test_boolean_pushforward_is_image():

@@ -488,7 +488,7 @@ def test_bound_16_unknown_stays_cheap(monkeypatch):
         ],
     )
     lhs, rhs = pres.delta("g2"), pres.element(rd({"g1": "1/2", "g2": "1/2"}))
-    face = presentation._face(pres, presentation._respected(pres, {"g0", "g3"}))
+    face = presentation._face(pres, presentation._respected(pres, pres._mask({"g0", "g3"})))
     assert face.generators == ["g1", "g2"]
     with recorded_pivots(monkeypatch) as eliminations:
         levels = [presentation._zigzag_search(face, lhs.rep, rhs.rep, k) for k in presentation._deepening_levels(16)]
@@ -660,7 +660,8 @@ def test_same_class_agrees_with_every_corpus_verdict():
 def face_of(pres, p, q):
     """The face of p and q, from the greatest respected set outside both
     supports."""
-    return presentation._face(pres, presentation._respected(pres, set(pres.generators) - p.support() - q.support()))
+    inside = p.support() | q.support()
+    return presentation._face(pres, presentation._respected(pres, pres._mask(set(pres.generators) - inside)))
 
 
 def respected_oracle(pres, inside):
@@ -755,6 +756,132 @@ def test_face_drops_the_generators_a_zigzag_cannot_reach():
     # set that misses d and meets e.
     far = pres.element(rd({"a": "1/2", "d": "1/2"}))
     assert face_of(pres, far.rep, pres.element(rd({"b": "1/4", "c": "1/4", "e": "1/2"})).rep) is pres
+
+
+# -- the face cache -----------------------------------------------------------------------
+
+
+def _corpus_and_tensor_cases():
+    """verdict_corpus() and test_linalg's fixed tensor instances, as
+    (e1, e2, bound) triples."""
+    cases = verdict_corpus()
+    for pres, pv, qv, k in _tensor_cases():
+        cases.append((pres.element(pres.dist_from_vector(pv)), pres.element(pres.dist_from_vector(qv)), k))
+    return cases
+
+
+def _cold_verdict(e1, e2, bound):
+    """eq with the face cache of e1's presentation emptied first."""
+    e1.presentation._faces.clear()
+    return eq(e1, e2, bound)
+
+
+def test_cached_faces_give_the_verdicts_of_fresh_ones():
+    # Two warm passes, so the second reads every face it needs from the
+    # cache, then one pass with the cache emptied before every call.
+    cases = _corpus_and_tensor_cases()
+    warm = [repr(eq(*case)) for case in cases + cases]
+    cached = sum(len(e1.presentation._faces) for e1, _, _ in cases)
+    cold = [repr(_cold_verdict(*case)) for case in cases]
+    assert warm == cold + cold
+    assert cached >= 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cached_faces_give_the_verdicts_of_fresh_ones_on_shared_presentations(data):
+    # Several pairs on one presentation of 2-6 generators and 1-4 sparse
+    # relations, so later pairs may meet the faces of earlier ones.
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    gens = [f"g{i}" for i in range(rng.randint(2, 6))]
+    pres = _sparse_presentation(rng, gens, rng.randint(1, 4))
+    assume(pres.relations)
+    cases = []
+    for _ in range(8):
+        e1 = pres.element(_sparse_dist(rng, gens))
+        cases.append((e1, _partner(rng, e1, 3), rng.randint(1, 4)))
+    warm = [eq(*case) for case in cases + cases]
+    cold = [_cold_verdict(*case) for case in cases]
+    assert [repr(v) for v in warm] == [repr(v) for v in cold + cold]
+    assert all(verify_verdict(v, e1, e2) for v, (e1, e2, _) in zip(cold, cases))
+
+
+def _same_class_fresh(e1, e2):
+    """same_class as the module docstring states it, from the oracle's
+    respected sets and a freshly computed linalg.echelon of the pairs
+    inside W."""
+    pres, x, y = e1.presentation, e1.rep, e2.rep
+    if x == y:
+        return True
+    u_y, u_x = respected_oracle(pres, y.support()), respected_oracle(pres, x.support())
+    if u_y & x.support() or u_x & y.support():
+        return False
+    rows = [row for (lhs, _), row in zip(pres.relations, pres._difference_rows) if u_x.isdisjoint(lhs.support())]
+    return not any(presentation._residual(pres, linalg.echelon(rows, len(pres.generators)), x, y).values())
+
+
+def test_same_class_through_the_cached_face_echelon():
+    proper = 0
+    for e1, e2, _ in _corpus_and_tensor_cases():
+        pres = e1.presentation
+        assert same_class(e1, e2) == same_class(e2, e1) == _same_class_fresh(e1, e2)
+        outside, separates = presentation._separating_support(pres, e1.rep, e2.rep)
+        if separates or not outside:
+            continue
+        proper += 1
+        face = presentation._face(pres, outside)
+        assert presentation._face(pres, outside) is face  # the cached one, which same_class read
+        inside = [row for (lhs, _), row in zip(pres.relations, pres._difference_rows) if not outside & pres._mask(lhs._nums)]
+        assert face._echelon == linalg.echelon(inside, len(pres.generators))
+    assert proper >= 40
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mask_closure_is_the_greatest_respected_set(data):
+    # 1-7 generators, 0-4 sparse relations, and a random set to stay
+    # outside of: the fixed point on masks against the brute-force union
+    # of every respected subset.
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    gens = [f"g{i}" for i in range(rng.randint(1, 7))]
+    pres = _sparse_presentation(rng, gens, rng.randint(0, 4))
+    inside = set(rng.sample(gens, rng.randint(0, len(gens))))
+    outside = presentation._respected(pres, pres._mask(set(gens) - inside))
+    expected = respected_oracle(pres, inside)
+    assert outside == pres._mask(expected)
+    assert pres._members(outside) == tuple(g for g in pres.generators if g in expected)
+
+
+def test_face_cache_keeps_at_most_its_size():
+    # k disjoint relations a_i ~ b_i: every union of blocks {a_i, b_i} is
+    # respected, 2^k sets.  The a's of a nonempty set S of blocks against
+    # their b's has the face of S, so 2^k - 2 pairs meet a proper face,
+    # each at once directly solved and, from a 2:1 to a 1:2 mixture of
+    # each block where both orientations are usable, through the LP.
+    k = 5
+    assert 2**k - 2 > presentation.FACE_CACHE_SIZE
+    pres = Presentation([f"{s}{i}" for i in range(k) for s in "ab"], [(delta(f"a{i}"), delta(f"b{i}")) for i in range(k)])
+
+    def mixture(blocks, weights):
+        return pres.element(FiniteDistribution({f"{s}{i}": F(w, len(blocks)) for i in blocks for s, w in weights.items()}))
+
+    cases, seen = [], []
+    for size in range(1, k):
+        for blocks in itertools.combinations(range(k), size):
+            for p, q in (({"a": 1}, {"b": 1}), ({"a": F(2, 3), "b": F(1, 3)}, {"a": F(1, 3), "b": F(2, 3)})):
+                e1, e2 = mixture(blocks, p), mixture(blocks, q)
+                v = eq(e1, e2, 1)
+                assert v.is_equal and verify_verdict(v, e1, e2)
+                assert len(pres._faces) <= presentation.FACE_CACHE_SIZE
+                cases.append((e1, e2, v))
+            outside, _ = presentation._separating_support(pres, e1.rep, e2.rep)
+            seen.append(outside)
+    assert len(set(seen)) == 2**k - 2
+    assert list(pres._faces) == seen[-presentation.FACE_CACHE_SIZE :]  # the oldest went first
+    for e1, e2, v in cases:  # the evicted faces are built again
+        again = eq(e1, e2, 1)
+        assert repr(again) == repr(v) and verify_verdict(again, e1, e2)
+    assert len(pres._faces) == presentation.FACE_CACHE_SIZE
 
 
 # -- the one-step solve -------------------------------------------------------------------
@@ -1052,8 +1179,8 @@ def test_support_verdicts_take_the_greatest_respected_set(data):
         assert not u_y & x and not u_x & y
         assert u_y == u_x == respected_oracle(pres, x | y)
         everywhere = set(pres.generators)
-        assert presentation._respected(pres, everywhere - y) == u_y
-        assert presentation._respected(pres, everywhere - x) == u_x
+        assert set(pres._members(presentation._respected(pres, pres._mask(everywhere - y)))) == u_y
+        assert set(pres._members(presentation._respected(pres, pres._mask(everywhere - x)))) == u_x
 
 
 @settings(max_examples=80, deadline=None)
