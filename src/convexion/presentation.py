@@ -24,16 +24,18 @@ elements is decided (where possible) by a three-valued engine:
   rest of the generators.  A step from a point supported in W uses only
   pairs whose moved side lies in W (its start is lambda_j r_j + t), so
   r_j misses U, so s_j does too, and its end is supported in W again.
-  So every zig-zag from p stays in W and uses only pairs inside W: the
-  LP keeps the W rows, the W spectators and those pairs, and has the
-  same feasibility as the full one.  Its witness is widened with zero
-  multipliers on the dropped pairs and zero spectators outside W (see
-  _Face).  A presentation has few faces, so each is built once: _face
-  keeps the _Face of each respected set U on the presentation, under
-  U's bitmask (bit i for generator i), at most FACE_CACHE_SIZE of them,
-  and drops the oldest first.  A face builds its index lists when it is
-  made, its LP columns on the first LP that reads them, and the echelon
-  form of its pairs' difference rows when same_class first reads it.
+  So every zig-zag from p stays in W and uses only pairs inside W: it is
+  a zig-zag of the restriction to W, the presentation whose generators
+  are W and whose relations are the relations inside W (the stratum of
+  the face in the semilattice decomposition: Romanowska & Smith, Modes,
+  2002).  The search runs the restriction's own LP, which has the same
+  feasibility as the full one, and widens its witness with zero
+  multipliers on the other pairs and zero spectators outside W
+  (_widen).  A presentation has few faces, so each restriction is built
+  once: _face keeps it on the presentation under U's bitmask (bit i for
+  generator i), at most FACE_CACHE_SIZE of them, and drops the oldest
+  first.  Like any presentation, the restriction builds its LP columns
+  on its first LP and its echelon form when same_class first reads it.
   Level 1 often needs no simplex, since its multipliers are unique (the
   unique-solution case of LP presolve: Andersen & Andersen, "Presolving
   in linear programming", Math. Programming 71 (1995)).  Let J be the
@@ -115,11 +117,12 @@ JPAA 219 (2015); Fritz, "Convex spaces I", arXiv:0903.5522):
   at z + (y* - x*) / N.  So x ~ x* ~ y* ~ y.
 
 The span test is the invariant step's residual taken on the face: y - x
-is reduced in integers against linalg.echelon of the difference rows of
-the pairs inside W (_residual), cached on the face of W as its _echelon,
-or the presentation's own _echelon when W is every generator.  An
-invariant separating x and y is a vector orthogonal to the larger span
-of all the relation differences, so it needs no test of its own there.
+is reduced in integers (_residual) against the _echelon of the
+restriction to W, the echelon form of the difference rows of the pairs
+inside W over the |W| generators of W, which are the presentation's own
+rows when W is every generator.  An invariant separating x and y is a
+vector orthogonal to the larger span of all the relation differences,
+so it needs no test of its own there.
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ class Presentation:
         self.generators = gens
         self.relations = tuple(rels)
         self._gen_index = index
-        self._faces = {}  # _face's cache: a respected set's mask -> its _Face, oldest first
+        self._faces = {}  # _face's cache: a respected set's mask -> its restriction, oldest first
 
     @classmethod
     def free(cls, generators) -> "Presentation":
@@ -424,13 +427,14 @@ def eq(
     Distinct is tried first, through an affine invariant (y - x reduced
     against the cached echelon form of the relation differences), then
     through the support sets U_y and U_x (in generator order in the
-    verdict).  Then the zig-zag LP, cut down to the face that U_x gives
-    (the module docstring says why it is the face of e1 and e2), is
-    solved at k = 1, 2, 4, ..., step_bound, level 1 without the simplex
-    where its multipliers are unique; the first feasible level gives
-    Equal with its path (at most k steps), and if every level is
-    infeasible the verdict is Unknown.  The verdict's bound is
-    step_bound, whichever level decided it.
+    verdict).  Then the zig-zag LP of the restriction to the face that
+    U_x gives (the module docstring says why it is the face of e1 and
+    e2) is solved at k = 1, 2, 4, ..., step_bound, level 1 without the
+    simplex where its multipliers are unique; the first feasible level
+    gives Equal with its path (at most k steps, widened to the whole
+    presentation), and if every level is infeasible the verdict is
+    Unknown.  The verdict's bound is step_bound, whichever level decided
+    it.
     """
     if e1.presentation != e2.presentation:
         raise PresentationMismatch("eq needs elements of one presentation")
@@ -456,7 +460,7 @@ def eq(
         for k in _deepening_levels(step_bound):
             steps = _zigzag_search(face, x, y, k)
             if steps is not None:
-                return EqualityVerdict("equal", path=steps, bound=step_bound)
+                return EqualityVerdict("equal", path=_widen(pres, outside, steps), bound=step_bound)
     return EqualityVerdict("unknown", bound=step_bound)
 
 
@@ -474,7 +478,8 @@ def same_class(e1: PresentedElement, e2: PresentedElement) -> bool:
     outside, separates = _separating_support(pres, x, y)
     if separates:
         return False
-    return not any(_residual(pres, _face(pres, outside)._echelon, x, y).values())
+    face = _face(pres, outside)
+    return not any(_residual(face, face._echelon, x, y).values())
 
 
 def _separating_support(pres, x, y):
@@ -562,10 +567,12 @@ FACE_CACHE_SIZE = 16
 
 def _face(pres, outside):
     """Where a zig-zag between two points must stay, given the mask of the
-    greatest respected set outside their supports: pres cut down to the
-    rest of the generators (a _Face), or pres itself when that set is
-    empty.  The face is kept on pres under the mask, so the queries of one
-    face share its index lists, LP columns and echelon form."""
+    greatest respected set U outside their supports: the restriction of
+    pres to the rest W of the generators, a Presentation whose generators
+    are W and whose relations are the relations inside W, or pres itself
+    when U is empty.  The restriction is kept on pres under the mask, so
+    the queries of one face share its LP columns and echelon form; it
+    holds no reference to pres."""
     if not outside:
         return pres
     faces = pres._faces
@@ -573,70 +580,31 @@ def _face(pres, outside):
     if face is None:
         if len(faces) >= FACE_CACHE_SIZE:
             del faces[next(iter(faces))]
-        face = faces[outside] = _Face(pres, outside)
+        inside = [rel for rel, (lhs, _) in zip(pres.relations, pres._support_masks) if not outside & lhs]
+        face = faces[outside] = Presentation(pres._members(~outside), inside)
     return face
 
 
-class _Face:
-    """A presentation cut down to the complement W of a respected set U of
-    generators (given as a mask): the generators in W, the symmetric pairs
-    with both sides inside W, and, built on the first LP that reads them,
-    the presentation's _integer_columns filtered to those pairs.  It offers
-    what _zigzag_search and _zigzag_lp read of a presentation, so the
-    zig-zag LP is built on W alone, and widen maps a solution back.  The
-    filtered columns keep the presentation's lcms, so each row is the full
-    LP's row at the same scale, without the dropped columns.  U is
-    respected, so a relation keeps both orientations or neither, and they
-    stay at indices 2i and 2i + 1 as in the presentation.  Its _echelon,
-    built on first use, is same_class's span L_W."""
-
-    def __init__(self, pres, outside):
-        self.presentation = pres
-        self._gen_at = [x for x in range(len(pres.generators)) if not outside >> x & 1]
-        self._pair_at = [
-            j
-            for i, (lhs, _) in enumerate(pres._support_masks)
-            if not outside & lhs
-            for j in (2 * i, 2 * i + 1)
-        ]
-        self.generators = [pres.generators[x] for x in self._gen_at]
-        self.symmetric_relations = [pres.symmetric_relations[j] for j in self._pair_at]
-
-    vector = Presentation.vector
-
-    @cached_property
-    def _integer_columns(self):
-        new = {j: i for i, j in enumerate(self._pair_at)}
-        columns = self.presentation._integer_columns
-        return [
-            (_kept(r, new), r_lcm, _kept(r_minus_s, new), d_lcm)
-            for r, r_lcm, r_minus_s, d_lcm in (columns[x] for x in self._gen_at)
-        ]
-
-    @cached_property
-    def _echelon(self):
-        """linalg.echelon of the difference rows of the relations inside W,
-        over every generator's column: the span L_W."""
-        pres = self.presentation
-        rows = [pres._difference_rows[j >> 1] for j in self._pair_at[::2]]
-        return linalg.echelon(rows, len(pres.generators))
-
-    def widen(self, lambdas, spectator):
-        """The ZigZagStep of the presentation whose lambdas and spectator
-        over the face are given: zero on every dropped pair and generator."""
-        pres = self.presentation
-        lams = [linalg.ZERO] * len(pres.symmetric_relations)
-        for j, v in zip(self._pair_at, lambdas):
-            lams[j] = v
-        spect = [linalg.ZERO] * len(pres.generators)
-        for x, v in zip(self._gen_at, spectator):
-            spect[x] = v
-        return ZigZagStep(tuple(lams), tuple(spect))
-
-
-def _kept(entries, new):
-    """The (pair index, value) entries whose pair is kept, renumbered."""
-    return [(new[j], v) for j, v in entries if j in new]
+def _widen(pres, outside, steps):
+    """The ZigZagSteps of pres for steps of its restriction to the
+    complement W of the respected set U whose mask is outside (see
+    _face): zero multipliers on the pairs not inside W, and zero
+    spectators off W.  U is respected, so a relation is inside W in both
+    orientations or in neither, and the restriction's pairs 2i and 2i + 1
+    are one relation of pres, as pres's are.  The steps themselves when U
+    is empty."""
+    if not outside:
+        return steps
+    zero = linalg.ZERO
+    wide = []
+    for step in steps:
+        lams, spect = iter(step.lambdas), iter(step.spectator)
+        wide_lams = []
+        for lhs, _ in pres._support_masks:
+            wide_lams += (zero, zero) if outside & lhs else (next(lams), next(lams))
+        wide_spect = [zero if outside >> x & 1 else next(spect) for x in range(len(pres.generators))]
+        wide.append(ZigZagStep(tuple(wide_lams), tuple(wide_spect)))
+    return tuple(wide)
 
 
 def _deepening_levels(bound):
@@ -650,12 +618,11 @@ def _deepening_levels(bound):
 
 
 def _zigzag_search(pres, p, q, k):
-    """Feasibility of a k-step zig-zag as one exact LP; the steps, or None.
-    pres is the presentation, or a _Face of it (eq passes the face of p
-    and q): then the LP is solved on the face and its steps are widened.
-    At k = 1 the LP is solved only when _one_step leaves it undecided."""
-    p = p.rep if isinstance(p, PresentedElement) else p
-    q = q.rep if isinstance(q, PresentedElement) else q
+    """Feasibility of a k-step zig-zag from distribution p to distribution
+    q as one exact LP; the steps, or None.  eq passes the restriction of
+    the presentation to the face of p and q (see _face) and widens the
+    steps it returns.  At k = 1 the LP is solved only when _one_step
+    leaves it undecided."""
     sol = _one_step(pres, p, q) if k == 1 else _UNDECIDED
     if sol is _UNDECIDED:
         sol = linalg.solve_eq_nonneg(*_zigzag_lp(pres, pres.vector(p), pres.vector(q), k))
@@ -667,10 +634,7 @@ def _zigzag_search(pres, p, q, k):
     for i in range(0, k * width, width):
         lams, spect = sol[i : i + nj], sol[i + nj : i + width]
         if any(l != 0 for l in lams):
-            if isinstance(pres, _Face):
-                steps.append(pres.widen(lams, spect))
-            else:
-                steps.append(ZigZagStep(tuple(lams), tuple(spect)))
+            steps.append(ZigZagStep(tuple(lams), tuple(spect)))
     return tuple(steps)
 
 
@@ -769,8 +733,9 @@ def _zigzag_lp(pres, pv, qv, k):
     negative.  That scale is part of the pivot rule (the solver's
     docstring says why), and it is the one linalg._integer_row gives the
     dense row, so the pivots and the witnesses do not depend on how the
-    rows were built.  pres may be a _Face: then the generators, the pairs
-    and the columns are the face's, and the scales the presentation's.
+    rows were built.  On a face, pres is the restriction (see _face): the
+    LP is the restriction's own, with its own row scales, and eq widens
+    its steps.
     """
     nj = len(pres.symmetric_relations)
     ng = len(pres.generators)

@@ -1,10 +1,12 @@
 """Presented convex sets: quotient mixing, the equality engine, induced maps."""
 
 import copy
+import gc
 import hashlib
 import itertools
 import pickle
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -489,7 +491,7 @@ def test_bound_16_unknown_stays_cheap(monkeypatch):
     )
     lhs, rhs = pres.delta("g2"), pres.element(rd({"g1": "1/2", "g2": "1/2"}))
     face = presentation._face(pres, presentation._respected(pres, pres._mask({"g0", "g3"})))
-    assert face.generators == ["g1", "g2"]
+    assert face.generators == ("g1", "g2")
     with recorded_pivots(monkeypatch) as eliminations:
         levels = [presentation._zigzag_search(face, lhs.rep, rhs.rep, k) for k in presentation._deepening_levels(16)]
     assert levels == [None] * 5
@@ -718,6 +720,7 @@ def test_face_presolve_keeps_every_level(data):
         assert (full is None) == (cut is None)
         if cut is None:
             continue
+        cut = presentation._widen(pres, pres._mask(outside), cut)
         for step in cut:
             for lam, (r, _) in zip(step.lambdas, pres.symmetric_relations):
                 assert lam == 0 or outside.isdisjoint(r.support())
@@ -735,8 +738,8 @@ def test_face_drops_the_generators_a_zigzag_cannot_reach():
     )
     lhs, rhs = pres.delta("a"), pres.element(rd({"b": "1/2", "c": "1/2"}))
     face = face_of(pres, lhs.rep, rhs.rep)
-    assert face.generators == ["a", "b", "c"]
-    assert face.symmetric_relations == list(pres.symmetric_relations[:2])
+    assert face.generators == ("a", "b", "c")
+    assert face.symmetric_relations == pres.symmetric_relations[:2]
     rows, _, ncols = presentation._zigzag_lp(face, face.vector(lhs.rep), face.vector(rhs.rep), 1)
     assert (len(rows), ncols) == (6, 5)
     v = eq(lhs, rhs, 1)
@@ -751,7 +754,7 @@ def test_face_drops_the_generators_a_zigzag_cannot_reach():
     )
     a, e = chain.delta("a"), chain.delta("e")
     assert respected_oracle(chain, {"a", "e"}) == {"d"}
-    assert face_of(chain, a.rep, e.rep).generators == ["a", "b", "c", "e"]
+    assert face_of(chain, a.rep, e.rep).generators == ("a", "b", "c", "e")
     # With d in the support nothing is dropped: d ~ e is respected by no
     # set that misses d and meets e.
     far = pres.element(rd({"a": "1/2", "d": "1/2"}))
@@ -821,18 +824,27 @@ def _same_class_fresh(e1, e2):
 
 
 def test_same_class_through_the_cached_face_echelon():
+    # same_class against fresh echelon forms; and every proper face met is
+    # the restriction to W, whose zig-zags, widened, are the presentation's
+    # at the same feasibility and replay.
     proper = 0
-    for e1, e2, _ in _corpus_and_tensor_cases():
-        pres = e1.presentation
+    for e1, e2, k in _corpus_and_tensor_cases():
+        pres, x, y = e1.presentation, e1.rep, e2.rep
         assert same_class(e1, e2) == same_class(e2, e1) == _same_class_fresh(e1, e2)
-        outside, separates = presentation._separating_support(pres, e1.rep, e2.rep)
+        outside, separates = presentation._separating_support(pres, x, y)
         if separates or not outside:
             continue
         proper += 1
         face = presentation._face(pres, outside)
         assert presentation._face(pres, outside) is face  # the cached one, which same_class read
-        inside = [row for (lhs, _), row in zip(pres.relations, pres._difference_rows) if not outside & pres._mask(lhs._nums)]
-        assert face._echelon == linalg.echelon(inside, len(pres.generators))
+        u = set(pres._members(outside))
+        inside = [(lhs, rhs) for lhs, rhs in pres.relations if u.isdisjoint(lhs.support() | rhs.support())]
+        assert face == Presentation([g for g in pres.generators if g not in u], inside)
+        cut, full = presentation._zigzag_search(face, x, y, k), presentation._zigzag_search(pres, x, y, k)
+        assert (cut is None) == (full is None)
+        if cut is not None:
+            path = presentation._widen(pres, outside, cut)
+            assert verify_verdict(EqualityVerdict("equal", path=path, bound=k), e1, e2)
     assert proper >= 40
 
 
@@ -884,13 +896,32 @@ def test_face_cache_keeps_at_most_its_size():
     assert len(pres._faces) == presentation.FACE_CACHE_SIZE
 
 
+def test_a_presentation_with_a_cached_face_is_freed_by_reference_counting():
+    # The cache holds plain restrictions, which hold nothing of the
+    # presentation they came from, so no reference cycle keeps a dropped
+    # presentation alive until the cyclic collector runs.
+    pres = Presentation(
+        ["a", "b", "c", "d", "e"],
+        [(delta("a"), rd({"b": "1/2", "c": "1/2"})), (delta("d"), delta("e"))],
+    )
+    gc.disable()
+    try:
+        assert eq(pres.delta("a"), pres.element(rd({"b": "1/2", "c": "1/2"})), 1).is_equal
+        faces = [(type(face), face.generators) for face in pres._faces.values()]
+        alive = weakref.ref(pres)
+        del pres
+        assert alive() is None
+        assert faces == [(Presentation, ("a", "b", "c"))]
+    finally:
+        gc.enable()
+
+
 # -- the one-step solve -------------------------------------------------------------------
 
 
 def simplex_one_step(pres, p, q):
     """Level 1 as the simplex answers it: the steps read off
-    linalg.solve_eq_nonneg on _zigzag_lp at k = 1 (widened from a face),
-    or None."""
+    linalg.solve_eq_nonneg on _zigzag_lp at k = 1, or None."""
     sol = linalg.solve_eq_nonneg(*presentation._zigzag_lp(pres, pres.vector(p), pres.vector(q), 1))
     if sol is None:
         return None
@@ -898,8 +929,6 @@ def simplex_one_step(pres, p, q):
     lams, spect = sol[:nj], sol[nj:]
     if not any(lams):
         return ()
-    if isinstance(pres, presentation._Face):
-        return (pres.widen(lams, spect),)
     return (ZigZagStep(tuple(lams), tuple(spect)),)
 
 

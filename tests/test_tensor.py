@@ -243,7 +243,7 @@ def test_two_step_chain_through_a_stalling_lp(monkeypatch):
     )
     with monkeypatch.context() as patch, recorded_pivots(monkeypatch) as stalls:
         patch.setattr(presentation, "_zigzag_lp", scaled_zigzag_lp)
-        chained = presentation._zigzag_search(start.presentation, start, end, 4)
+        chained = presentation._zigzag_search(start.presentation, start.rep, end.rep, 4)
     longest = run = 0
     for stalled in stalls:
         run = run + 1 if stalled else 0
