@@ -2,25 +2,23 @@
 A x = b, x >= 0, and reduced row echelon / nullspace computations.
 
 No floating point, and no Fraction arithmetic inside the loops.  Rows are
-stored sparsely as {column: int} dicts of nonzeros.  The simplex takes
-its rows in that form, already scaled to integers by the caller (the
-equality engine's zig-zag LP is built that way from its presentation's
-cache); the row reduction (echelon) scales its Fraction rows itself,
-each by the lcm of its denominators (_integer_row), or takes them in
-integer form (sparse_echelon, which the equality engine's one-step solve
-calls).  Both share one fraction-free elimination step (_eliminate): it
-touches only the rows holding the pivot column, cancels the gcd of the
-pivot and the row's entry in that column before the update (so a row
-whose entry the pivot divides is not scaled at all), and divides each
-updated row by its content (the gcd of its entries and rhs), which keeps
-the integers small.  The pivot row is never normalised, so each stored
-row is a nonzero multiple of the row a normalising Fraction tableau
-would hold.  Fractions are built only for the answers: nullspace reads
-them off echelon, the row reduction's integer form, which the equality
-engine caches.  The simplex
-starts from the slack columns a system offers (unit-like columns, such as
-the spectators of the equality engine's zig-zag LP) and adds artificials
-only on the rows without one.
+stored sparsely as {column: int} dicts of nonzeros, and both the simplex
+and the row reduction (sparse_echelon) take them in that form, already
+scaled to integers by the caller: the equality engine builds its zig-zag
+LP and its difference rows that way, and nullspace scales dense rows of
+ints or Fractions, each by the lcm of its denominators (_integer_row).
+Both share one fraction-free elimination step (_eliminate): it touches
+only the rows holding the pivot column, cancels the gcd of the pivot and
+the row's entry in that column before the update (so a row whose entry
+the pivot divides is not scaled at all), and divides each updated row by
+its content (the gcd of its entries and rhs), which keeps the integers
+small.  The pivot row is never normalised, so each stored row is a
+nonzero multiple of the row a normalising Fraction tableau would hold.
+Fractions are built only for the answers: null_vector reads them off
+sparse_echelon's integer form, which the equality engine caches.  The
+simplex starts from the slack columns a system offers (unit-like columns,
+such as the spectators of the equality engine's zig-zag LP) and adds
+artificials only on the rows without one.
 """
 
 from __future__ import annotations
@@ -215,7 +213,7 @@ def _eliminate(rows, rhs, cols, r, c):
 def _integer_row(row, v=0):
     """A dense row and its rhs v times the lcm of their denominators,
     negated when v < 0: the row as a {column: int} dict, and the int rhs.
-    echelon scales its input rows with it (the RREF does not depend on
+    nullspace scales its input rows with it (the RREF does not depend on
     the scale).  Zeros are skipped by a truth test in C (itertools.compress),
     which is fastest on int 0."""
     nonzero = list(compress(range(len(row)), row))
@@ -228,20 +226,14 @@ def _integer_row(row, v=0):
     )
 
 
-def echelon(rows, ncols):
-    """The fraction-free Gauss-Jordan form of a row matrix: {column: int}
-    dict rows in pivot order, each zero at every other row's pivot column,
-    and the pivot columns.  The dense rows (ints or Fractions) are scaled
-    to ints first (_integer_row).  Each row is a nonzero multiple of the
-    reduced row echelon form's row, which is unique, so the row that
-    supplies each pivot is free to choose: the sparsest, to keep fill-in
-    down."""
-    return sparse_echelon([_integer_row(row)[0] for row in rows], ncols)
-
-
 def sparse_echelon(mat, ncols):
-    """echelon of rows already in integer form: {column: int} dicts
-    without zeros, with columns in range(ncols), reduced in place."""
+    """The fraction-free Gauss-Jordan form of a row matrix in integer
+    form ({column: int} dicts without zeros, with columns in
+    range(ncols), reduced in place): {column: int} dict rows in pivot
+    order, each zero at every other row's pivot column, and the pivot
+    columns.  Each row is a nonzero multiple of the reduced row echelon
+    form's row, which is unique, so the row that supplies each pivot is
+    free to choose: the sparsest, to keep fill-in down."""
     cols = defaultdict(set)
     for i, row in enumerate(mat):
         for j in row:
@@ -274,7 +266,9 @@ def null_vector(reduced, pivots, fc, ncols):
 
 
 def nullspace(rows, ncols):
-    """Basis of {v : A v = 0} for the row matrix A with ncols columns: the
-    null_vector of each free column of echelon(rows, ncols), in order."""
-    reduced, pivots = echelon(rows, ncols)
+    """Basis of {v : A v = 0} for the row matrix A with ncols columns,
+    given as dense rows of ints or Fractions: the null_vector of each free
+    column of the sparse_echelon of the rows scaled to ints by
+    _integer_row, in order."""
+    reduced, pivots = sparse_echelon([_integer_row(row)[0] for row in rows], ncols)
     return [null_vector(reduced, pivots, fc, ncols) for fc in range(ncols) if fc not in pivots]

@@ -80,8 +80,9 @@ elements is decided (where possible) by a three-valued engine:
 Every witness replays mechanically, in integers; see verify_verdict.
 eq's invariant test also runs in integers: an invariant separates x and
 y exactly when y - x lies outside the span of the relation differences,
-so eq reduces y - x against their cached linalg.echelon form and builds
-a Fraction invariant only from a nonzero residual (_separating_invariant).
+so eq reduces y - x against their cached linalg.sparse_echelon form
+(_echelon, of the sparse integer difference rows) and builds a Fraction
+invariant only from a nonzero residual (_separating_invariant).
 A verdict's bound is the step bound that was asked for, not the level
 where the search stopped.
 
@@ -130,7 +131,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
 from typing import Mapping, Sequence
 
 from . import MAX_STEP_BOUND, linalg
@@ -191,12 +191,6 @@ class Presentation:
             return PresentedElement(self, weights)
         return PresentedElement(self, FiniteDistribution(weights, RATIONAL))
 
-    def vector(self, dist: FiniteDistribution):
-        """Dense coefficient vector of a distribution over the generators,
-        each entry in lowest terms as a (numerator, denominator) int pair."""
-        nums, den = dist._nums, dist._den
-        return [_lowest(nums.get(g, 0), den) for g in self.generators]
-
     def dist_from_vector(self, vec) -> FiniteDistribution:
         return FiniteDistribution(
             {g: v for g, v in zip(self.generators, vec) if v != 0}, RATIONAL
@@ -236,22 +230,23 @@ class Presentation:
         holds the (pair index j, r_j[x] * r_lcm) of the nonzero r_j[x],
         where r_lcm is the lcm of their denominators; r_minus_s holds
         r_j[x] - s_j[x] times d_lcm, the lcm of the differences'
-        denominators.  Built from the relations' supports, so a generator
-        in no relation costs nothing and gets empty entries with lcm 1."""
+        denominators.  The differences are read off _difference_rows: pair
+        2i is row i over its relation's lcm, and pair 2i + 1 is -row i.
+        Built from the relations' supports, so a generator in no relation
+        costs nothing and gets empty entries with lcm 1."""
         index = self._gen_index
         r_at = [{} for _ in self.generators]
-        s_at = [{} for _ in self.generators]
-        for j, (lhs, rhs) in enumerate(self.symmetric_relations):
-            for side, at in ((lhs, r_at), (rhs, s_at)):
-                for g, n in side._nums.items():
-                    at[index[g]][j] = (n, side._den)
+        diff_at = [{} for _ in self.generators]
+        for j, (r, _) in enumerate(self.symmetric_relations):
+            for g, n in r._nums.items():
+                r_at[index[g]][j] = (n, r._den)
+        for i, ((lhs, rhs), row) in enumerate(zip(self.relations, self._difference_rows)):
+            scale = lcm(lhs._den, rhs._den)
+            for x, v in row.items():
+                diff_at[x][2 * i] = (v, scale)
+                diff_at[x][2 * i + 1] = (-v, scale)
         columns = []
-        for r, s in zip(r_at, s_at):
-            diff = {}
-            for j in sorted(r.keys() | s.keys()):
-                (rn, rd), (sn, sd) = r.get(j, (0, 1)), s.get(j, (0, 1))
-                if dn := rn * sd - sn * rd:
-                    diff[j] = (dn, rd * sd)
+        for r, diff in zip(r_at, diff_at):
             r_lcm, r_ints = _integer_entries(r)
             d_lcm, d_ints = _integer_entries(diff)
             columns.append((r_ints, r_lcm, d_ints, d_lcm))
@@ -259,24 +254,29 @@ class Presentation:
 
     @cached_property
     def _difference_rows(self):
-        """One row per relation: lhs - rhs over the generators, times the
-        lcm of the two sides' denominators, as a dense list of ints.  An
-        invariant is a vector orthogonal to every row (_echelon and the
+        """One row per relation: lhs - rhs times the lcm of the two sides'
+        denominators, as a {generator index: int} dict of its nonzeros.
+        An invariant is a vector orthogonal to every row (_echelon and the
         Distinct replay in verify_verdict); the scale does not change
         which vectors those are."""
+        index = self._gen_index
         rows = []
         for lhs, rhs in self.relations:
             scale = lcm(lhs._den, rhs._den)
             fl, fr = scale // lhs._den, scale // rhs._den
-            ln, rn = lhs._nums, rhs._nums
-            rows.append([ln.get(g, 0) * fl - rn.get(g, 0) * fr for g in self.generators])
+            row = {index[g]: n * fl for g, n in lhs._nums.items()}
+            for g, n in rhs._nums.items():
+                x = index[g]
+                row[x] = row.get(x, 0) - n * fr
+            rows.append({x: v for x, v in row.items() if v})
         return rows
 
     @cached_property
     def _echelon(self):
-        """linalg.echelon of _difference_rows: the integer Gauss-Jordan
-        rows of the span of the relation differences, and their pivots."""
-        return linalg.echelon(self._difference_rows, len(self.generators))
+        """linalg.sparse_echelon of copies of _difference_rows (it reduces
+        its input in place): the integer Gauss-Jordan rows of the span of
+        the relation differences, and their pivots."""
+        return linalg.sparse_echelon([dict(row) for row in self._difference_rows], len(self.generators))
 
     # -- value semantics ---------------------------------------------------
 
@@ -398,6 +398,8 @@ class EqualityVerdict(Frozen):
         bound: int = DEFAULT_STEP_BOUND,  # the requested step bound
         support: tuple = (),  # respected generators for Distinct, in place of invariant
     ):
+        if status not in ("equal", "distinct", "unknown"):
+            raise InvalidInput(f"a verdict's status is equal, distinct or unknown, not {status!r}")
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "path", path)
         object.__setattr__(self, "invariant", invariant)
@@ -510,13 +512,13 @@ def _separating_invariant(pres, x, y):
 
 def _residual(pres, echelon, x, y):
     """d = (x - y) x._den y._den over generator indices, reduced
-    fraction-free against the rows of a linalg.echelon form over them.
-    The rows are zero at each other's pivots, so one pass leaves d on the
-    free columns only, as a {column: int} dict that may hold zeros; it is
-    all zero exactly when x - y lies in the rows' span.  Each reduction is
-    linalg._eliminate's update without its content division: the common
-    factor of the pivot and d's entry is cancelled first, and d is not
-    scaled when the pivot divides that entry."""
+    fraction-free against the rows of a linalg.sparse_echelon form over
+    them.  The rows are zero at each other's pivots, so one pass leaves d
+    on the free columns only, as a {column: int} dict that may hold zeros;
+    it is all zero exactly when x - y lies in the rows' span.  Each
+    reduction is linalg._eliminate's update without its content division:
+    the common factor of the pivot and d's entry is cancelled first, and d
+    is not scaled when the pivot divides that entry."""
     index = pres._gen_index
     d = {index[g]: n * y._den for g, n in x._nums.items()}
     for g, n in y._nums.items():
@@ -625,7 +627,7 @@ def _zigzag_search(pres, p, q, k):
     leaves it undecided."""
     sol = _one_step(pres, p, q) if k == 1 else _UNDECIDED
     if sol is _UNDECIDED:
-        sol = linalg.solve_eq_nonneg(*_zigzag_lp(pres, pres.vector(p), pres.vector(q), k))
+        sol = linalg.solve_eq_nonneg(*_zigzag_lp(pres, p, q, k))
     if sol is None:
         return None
     nj = len(pres.symmetric_relations)
@@ -709,8 +711,8 @@ def _one_step(pres, p, q):
     return sol
 
 
-def _zigzag_lp(pres, pv, qv, k):
-    """The system A x = b, x >= 0 of a k-step zig-zag from pv to qv.
+def _zigzag_lp(pres, p, q, k):
+    """The system A x = b, x >= 0 of a k-step zig-zag from p to q.
 
     Variables per step i: lambda_i over the symmetrized pairs (r_j, s_j)
     and a spectator t_i over the generators, all >= 0.  Step i moves
@@ -728,12 +730,13 @@ def _zigzag_lp(pres, pv, qv, k):
 
     Rows are linalg.solve_eq_nonneg's integer rows: {column: int} dicts
     of nonzeros with an int rhs, read off the cached
-    Presentation._integer_columns.  Each row is the rational row times
-    the lcm of its denominators and its rhs's, negated when the rhs is
-    negative.  That scale is part of the pivot rule (the solver's
-    docstring says why), and it is the one linalg._integer_row gives the
-    dense row, so the pivots and the witnesses do not depend on how the
-    rows were built.  On a face, pres is the restriction (see _face): the
+    Presentation._integer_columns and p's and q's entries in lowest
+    terms.  Each row is the rational row times the lcm of its
+    denominators and its rhs's, negated when the rhs is negative.  That
+    scale is part of the pivot rule (the solver's docstring says why),
+    and it is the one linalg._integer_row gives the rational row, so the
+    pivots and the witnesses do not depend on how the rows were built.
+    On a face, pres is the restriction (see _face): the
     LP is the restriction's own, with its own row scales, and eq widens
     its steps.
     """
@@ -743,8 +746,8 @@ def _zigzag_lp(pres, pv, qv, k):
     ncols = k * width
     rows = [None] * ((k + 1) * ng)  # row (i, x) at i * ng + x
     rhs = [0] * len(rows)
-    for x, (r, r_lcm, r_minus_s, d_lcm) in enumerate(pres._integer_columns):
-        pn, pd = pv[x]
+    for x, (g, (r, r_lcm, r_minus_s, d_lcm)) in enumerate(zip(pres.generators, pres._integer_columns)):
+        pn, pd = _lowest(p._nums.get(g, 0), p._den)
         scale = lcm(r_lcm, pd)  # step 0 has no earlier moves
         f = scale // r_lcm
         row = {j: v * f for j, v in r}
@@ -768,8 +771,8 @@ def _zigzag_lp(pres, pv, qv, k):
                 row[a + nj + x] = scale
                 rows[i * ng + x] = row
                 rhs[i * ng + x] = b
-        qn, qd = qv[x]  # the net moves sum to q - p, here vn / vd in lowest terms
-        vn, vd = _lowest(qn * pd - pn * qd, qd * pd)
+        qn, qd = _lowest(q._nums.get(g, 0), q._den)
+        vn, vd = _lowest(qn * pd - pn * qd, qd * pd)  # the net moves sum to q - p = vn / vd
         scale = lcm(d_lcm, vd)
         if vn < 0:
             scale = -scale
@@ -843,7 +846,7 @@ def verify_verdict(
             return False
         scale = lcm(*(v.denominator for v in vec))
         ints = [v.numerator * (scale // v.denominator) for v in vec]
-        if any(sum(map(mul, ints, row)) for row in pres._difference_rows):
+        if any(sum([ints[x] * v for x, v in row.items()]) for row in pres._difference_rows):
             return False
         ints = {g: a for g, a in zip(pres.generators, ints) if a}
         return _value(ints, x) * y._den != _value(ints, y) * x._den

@@ -28,10 +28,10 @@ def dense(pres, dist):
     return [dist.weight(g) for g in pres.generators]
 
 
-def int_pairs(vec):
-    """A dense Fraction vector as Presentation.vector gives it: each entry
-    as its (numerator, denominator) pair in lowest terms."""
-    return [(F(v).numerator, F(v).denominator) for v in vec]
+def echelon(rows, ncols):
+    """linalg.sparse_echelon of dense rows (ints or Fractions), each scaled
+    to ints by linalg._integer_row, as nullspace scales them."""
+    return linalg.sparse_echelon([linalg._integer_row(row)[0] for row in rows], ncols)
 
 
 def check_solution(rows, rhs, x):
@@ -123,7 +123,7 @@ def test_nullspace_orthogonality_random(data):
     for v in basis:
         for row in rows:
             assert dot(row, v) == 0
-    reduced, pivots = linalg.echelon(rows, n)
+    reduced, pivots = echelon(rows, n)
     assert len(reduced) + len(basis) == n  # rank-nullity
 
 
@@ -178,8 +178,8 @@ def naive_rref(rows, ncols):
 
 
 def rref_of_echelon(rows, ncols):
-    """The RREF read off linalg.echelon: each row divided by its pivot."""
-    reduced, pivots = linalg.echelon(rows, ncols)
+    """The RREF read off echelon: each row divided by its pivot."""
+    reduced, pivots = echelon(rows, ncols)
     return [[F(row.get(j, 0), row[pc]) for j in range(ncols)] for row, pc in zip(reduced, pivots)], pivots
 
 
@@ -196,7 +196,7 @@ def test_echelon_is_the_integer_form_of_the_rref(data):
     m = data.draw(st.integers(1, 4))
     n = data.draw(st.integers(1, 5))
     rows = _rational_matrix(data, m, n)
-    reduced, pivots = linalg.echelon(rows, n)
+    reduced, pivots = echelon(rows, n)
     expected, expected_pivots = naive_rref(rows, n)
     assert pivots == expected_pivots
     for row, pc in zip(reduced, pivots):
@@ -432,16 +432,17 @@ def _tensor_cases():
             yield pres, dense(pres, start.rep), dense(pres, end), k
 
 
-def scaled_zigzag_lp(pres, pv, qv, k):
+def scaled_zigzag_lp(pres, p, q, k):
     """The chained oracle's rows in solve_eq_nonneg's integer form, from
-    _zigzag_lp's arguments (pv and qv as Presentation.vector gives them)."""
-    return integer_lp(*dense_zigzag_lp(pres, [F(*v) for v in pv], [F(*v) for v in qv], k))
+    _zigzag_lp's arguments (the distributions p and q)."""
+    return integer_lp(*dense_zigzag_lp(pres, dense(pres, p), dense(pres, q), k))
 
 
 def zigzag_lp_matching_the_dense_builder(pres, pv, qv, k):
     """_zigzag_lp's system, after checking that each of its rows and rhs
     is exactly _integer_row of the cell-by-cell difference-form oracle's."""
-    rows, rhs, ncols = presentation._zigzag_lp(pres, int_pairs(pv), int_pairs(qv), k)
+    p, q = pres.dist_from_vector(pv), pres.dist_from_vector(qv)
+    rows, rhs, ncols = presentation._zigzag_lp(pres, p, q, k)
     dense_rows, dense_rhs = dense_difference_lp(pres, pv, qv, k)
     assert len(rows) == len(rhs) == len(dense_rows) == (k + 1) * len(pres.generators)
     assert ncols == len(dense_rows[0])
@@ -506,14 +507,13 @@ def test_difference_form_solutions_satisfy_the_chained_rows():
     feasible = 0
     for pres, pv, qv, k in zigzag_cases() + list(_tensor_cases()):
         chained_rows, chained_rhs = dense_zigzag_lp(pres, pv, qv, k)
-        x = linalg.solve_eq_nonneg(*presentation._zigzag_lp(pres, int_pairs(pv), int_pairs(qv), k))
+        p, q = pres.dist_from_vector(pv), pres.dist_from_vector(qv)
+        x = linalg.solve_eq_nonneg(*presentation._zigzag_lp(pres, p, q, k))
         assert (x is None) == (solve_dense(chained_rows, chained_rhs) is None)
         if x is None:
             continue
         feasible += 1
         check_solution(chained_rows, chained_rhs, x)
-        p, q = pres.dist_from_vector(pv), pres.dist_from_vector(qv)
-        assert (pres.vector(p), pres.vector(q)) == (int_pairs(pv), int_pairs(qv))
         steps = presentation._zigzag_search(pres, p, q, k)
         assert len(steps) <= k
         current = list(pv)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_linalg import _rewrite, _tensor_cases, dense, dot, recorded_pivots, zigzag_cases
+from test_linalg import _rewrite, _tensor_cases, dense, dot, echelon, recorded_pivots, zigzag_cases
 
 from convexion import linalg, presentation
 from convexion.distribution import FiniteDistribution, convex_combine, delta
@@ -48,6 +48,11 @@ def dist(**kw):
 
 def rd(mapping):
     return FiniteDistribution({k: F(str(v)) for k, v in mapping.items()})
+
+
+def dense_difference_rows(pres):
+    """Presentation._difference_rows as dense int lists over the generators."""
+    return [[row.get(x, 0) for x in range(len(pres.generators))] for row in pres._difference_rows]
 
 
 FREE_AB = Presentation.free(["a", "b"])
@@ -368,7 +373,7 @@ def single_lp_status(e1, e2, bound):
     if e1.rep == e2.rep:
         return "equal"
     diff = [e1.rep.weight(g) - e2.rep.weight(g) for g in pres.generators]
-    if any(dot(vec, diff) != 0 for vec in linalg.nullspace(pres._difference_rows, len(diff))):
+    if any(dot(vec, diff) != 0 for vec in linalg.nullspace(dense_difference_rows(pres), len(diff))):
         return "distinct"
     x, y = e1.rep.support(), e2.rep.support()
     if respected_oracle(pres, y) & x or respected_oracle(pres, x) & y:
@@ -740,7 +745,7 @@ def test_face_drops_the_generators_a_zigzag_cannot_reach():
     face = face_of(pres, lhs.rep, rhs.rep)
     assert face.generators == ("a", "b", "c")
     assert face.symmetric_relations == pres.symmetric_relations[:2]
-    rows, _, ncols = presentation._zigzag_lp(face, face.vector(lhs.rep), face.vector(rhs.rep), 1)
+    rows, _, ncols = presentation._zigzag_lp(face, lhs.rep, rhs.rep, 1)
     assert (len(rows), ncols) == (6, 5)
     v = eq(lhs, rhs, 1)
     assert v.is_equal and verify_verdict(v, lhs, rhs)
@@ -811,7 +816,7 @@ def test_cached_faces_give_the_verdicts_of_fresh_ones_on_shared_presentations(da
 
 def _same_class_fresh(e1, e2):
     """same_class as the module docstring states it, from the oracle's
-    respected sets and a freshly computed linalg.echelon of the pairs
+    respected sets and a freshly computed echelon form of the pairs
     inside W."""
     pres, x, y = e1.presentation, e1.rep, e2.rep
     if x == y:
@@ -819,8 +824,8 @@ def _same_class_fresh(e1, e2):
     u_y, u_x = respected_oracle(pres, y.support()), respected_oracle(pres, x.support())
     if u_y & x.support() or u_x & y.support():
         return False
-    rows = [row for (lhs, _), row in zip(pres.relations, pres._difference_rows) if u_x.isdisjoint(lhs.support())]
-    return not any(presentation._residual(pres, linalg.echelon(rows, len(pres.generators)), x, y).values())
+    rows = [row for (lhs, _), row in zip(pres.relations, dense_difference_rows(pres)) if u_x.isdisjoint(lhs.support())]
+    return not any(presentation._residual(pres, echelon(rows, len(pres.generators)), x, y).values())
 
 
 def test_same_class_through_the_cached_face_echelon():
@@ -922,7 +927,7 @@ def test_a_presentation_with_a_cached_face_is_freed_by_reference_counting():
 def simplex_one_step(pres, p, q):
     """Level 1 as the simplex answers it: the steps read off
     linalg.solve_eq_nonneg on _zigzag_lp at k = 1, or None."""
-    sol = linalg.solve_eq_nonneg(*presentation._zigzag_lp(pres, pres.vector(p), pres.vector(q), 1))
+    sol = linalg.solve_eq_nonneg(*presentation._zigzag_lp(pres, p, q, 1))
     if sol is None:
         return None
     nj = len(pres.symmetric_relations)
@@ -1171,7 +1176,7 @@ def test_a_against_b_under_absorption_is_distinct_by_support():
     # a and b, and no zig-zag joins them at any level; but {a} is
     # respected (both sides of the relation meet it) and misses b.
     a, b = ABSORB.delta("a"), ABSORB.delta("b")
-    assert all(vec[0] == vec[1] for vec in linalg.nullspace(ABSORB._difference_rows, 2))
+    assert all(vec[0] == vec[1] for vec in linalg.nullspace(dense_difference_rows(ABSORB), 2))
     assert all(presentation._zigzag_search(ABSORB, a.rep, b.rep, k) is None for k in range(1, 7))
     for bound in range(7):
         for lhs, rhs in ((a, b), (b, a)):
@@ -1303,7 +1308,7 @@ def test_invariant_step_takes_the_first_separating_nullspace_vector(data):
     e1, e2 = pres.element(x), pres.element(y)
     v = eq(e1, e2, rng.randint(0, 2))
     xv, yv = dense(pres, x), dense(pres, y)
-    basis = linalg.nullspace(pres._difference_rows, len(gens))
+    basis = linalg.nullspace(dense_difference_rows(pres), len(gens))
     separating = [vec for vec in basis if dot(vec, xv) != dot(vec, yv)]
     if separating:
         assert v.is_distinct and repr(v.invariant) == repr(tuple(separating[0]))
@@ -1333,6 +1338,18 @@ def test_eq_on_a_fresh_presentation_never_calls_nullspace(monkeypatch):
     assert verdict(abcd, split, delta("a"), rd({"b": "1/2", "c": "1/2"})).is_equal
     absorb = [(delta("a"), rd({"a": "1/2", "b": "1/2"}))]
     assert verdict(["a", "b"], absorb, delta("a"), delta("b")).support == ("a",)
+
+
+@pytest.mark.parametrize("status", ["Equal", "EQUAL", "equal ", "", "other", None, 1])
+def test_a_verdict_status_outside_the_three_is_invalid_input(status):
+    # verify_verdict replays equal and distinct certificates and accepts an
+    # unknown verdict as it stands, so a verdict of any other status would
+    # pass unchecked: the constructor refuses it
+    with pytest.raises(InvalidInput, match="status"):
+        EqualityVerdict(status)
+    a, b = FREE_AB.delta("a"), FREE_AB.delta("b")
+    assert not verify_verdict(EqualityVerdict("equal"), a, b)
+    assert verify_verdict(EqualityVerdict("unknown"), a, b)
 
 
 def test_verdicts_survive_copy_and_pickle():

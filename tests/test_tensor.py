@@ -3,7 +3,11 @@ the biconvex-not-convex composition, and the enriched-category bridge."""
 
 import hashlib
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -45,6 +49,11 @@ from convexion.tensor import (
 )
 
 F = Fraction
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+)
 
 AB = Presentation.free(["a", "b"])
 C = Presentation.free(["c"])
@@ -206,15 +215,15 @@ def test_segment_cube_midpoint_equals_corner_mixture():
 
 
 def test_eq_builds_no_dense_lp_row(monkeypatch):
-    # The zig-zag LP's rows come scaled from the presentation's cache.  The
-    # echelon form is computed first: its RREF scales dense rows.
+    # The zig-zag LP's rows come scaled from the presentation's cache, and
+    # the echelon form reduces the sparse integer difference rows: from
+    # cold, eq scales no dense row at all.
     seg = Presentation(
         ["a", "b", "m"], [(delta("m"), FiniteDistribution({"a": F(1, 2), "b": F(1, 2)}))]
     )
     mid = universal_map([seg] * 3, [seg.delta("m")] * 3)
     corners = rd(mid.presentation, {g: "1/8" for g in itertools.product("ab", repeat=3)})
     assert len(mid.presentation.generators) == 27
-    mid.presentation._echelon
     scaled = []
     integer_row = linalg._integer_row
     monkeypatch.setattr(
@@ -589,3 +598,50 @@ def test_tensor_lifted_relations_are_counted_before_any_is_built(monkeypatch):
 def test_tensor_at_the_generator_budget_is_built():
     factors = [Presentation.free([f"{s}{i}" for i in range(64)]) for s in "gh"]
     assert len(tensor(factors).generators) == tensor_module.MAX_TENSOR_GENERATORS
+
+
+# Two 64-generator factors with 128 random relations each: the tensor has
+# 4,096 generators and 16,384 lifted relations, both at the budget.  The
+# pair is one lifted relation apart.  ru_maxrss is in kilobytes on Linux
+# and in bytes on macOS.
+BUDGET_CHILD = """
+import random, resource
+from fractions import Fraction
+from convexion.distribution import FiniteDistribution
+from convexion.presentation import Presentation, eq, same_class, verify_verdict
+from convexion.tensor import universal_map
+
+rng = random.Random(0)
+gens = [f"g{i}" for i in range(64)]
+
+def side():
+    weights = {g: rng.randint(1, 3) for g in rng.sample(gens, rng.randint(1, 3))}
+    return FiniteDistribution({g: Fraction(w, sum(weights.values())) for g, w in weights.items()})
+
+factors = []
+for _ in range(2):
+    relations = []
+    while len(relations) < 128:
+        lhs, rhs = side(), side()
+        if lhs != rhs:
+            relations.append((lhs, rhs))
+    factors.append(Presentation(gens, relations))
+lhs, rhs = factors[0].relations[0]
+x = universal_map(factors, [factors[0].element(lhs), factors[1].delta("g0")])
+y = universal_map(factors, [factors[0].element(rhs), factors[1].delta("g0")])
+same = same_class(x, y)
+verdict = eq(x, y, 1)
+print(same, verdict.status, verify_verdict(verdict, x, y), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_same_class_at_the_tensor_budget_stays_small():
+    # Dense difference rows, one int per generator per relation, peaked
+    # near 600 MB here; the sparse rows stay under 100 MB.
+    pytest.importorskip("resource")
+    out = subprocess.run([sys.executable, "-c", BUDGET_CHILD], capture_output=True, text=True, env=ENV)
+    assert out.returncode == 0, out.stderr
+    same, status, verified, peak = out.stdout.split()
+    assert (same, status, verified) == ("True", "equal", "True")
+    peak_mb = int(peak) / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    assert peak_mb < 200
