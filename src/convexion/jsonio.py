@@ -2,15 +2,20 @@
 one reader of JSON input.
 
 Job is a read view of one JSON value at its path from the root of the file
-it came from.  Every decoder reads each field, list item and map entry
-through it, so a missing field, a value of another JSON type or a bad
-literal is a ParseError whose message begins with the path of the
-offending value: schema fields are written .field, list items [i] and
-user-chosen keys ['k'], as in outer[0].dist.weights[1].el.  Each decoder
-builds its value through Job.build on its own reader, so a library error
-in building it is at that value's path too: elements[1].weights: weights
-sum to 7, expected 1.  The path is built only when an error is raised,
-and a decoder given a raw payload reads it as a Job at the root.
+it came from.  The distribution and presentation decoders read the
+canonical form that the encoders write (string weight literals, no
+"semiring" field, no duplicate element) straight off the raw JSON values,
+by plain type checks, and build no reader.  Every other input, the
+malformed included, is read field by field, list item by list item and
+map entry by map entry through Job, so a missing field, a value of
+another JSON type or a bad literal is a ParseError whose message begins
+with the path of the offending value: schema fields are written .field,
+list items [i] and user-chosen keys ['k'], as in
+outer[0].dist.weights[1].el.  There each decoder builds its value through
+Job.build on its own reader, so a library error in building it is at
+that value's path too: elements[1].weights: weights sum to 7, expected 1.
+The path is built only when an error is raised, and a decoder given a
+raw payload reads it as a Job at the root.
 
 Rational strings are canonical lowest-terms ("3/4", "1"); the Boolean
 semiring writes "1".  Element identifiers are strings in JSON; internal
@@ -40,16 +45,28 @@ if TYPE_CHECKING:
 F = Fraction
 
 
+# json.dumps builds a new encoder on every call that passes it options
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(payload) + "\n"
 
 
 def load_json(path: str):
+    """The JSON value of the file path; a file that cannot be read or is
+    not JSON is a ParseError naming path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply to read") from None
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -212,32 +229,53 @@ def encode_distribution(dist: FiniteDistribution) -> dict:
     return out
 
 
+def _canonical_distribution(raw):
+    """The rational distribution of the raw JSON value raw when it is in
+    the canonical form: an object with no "semiring" field whose weights
+    are {"el": string, "w": string literal} items with distinct elements
+    that sum to one; else None."""
+    if type(raw) is not dict or "semiring" in raw or type(weights := raw.get("weights")) is not list:
+        return None
+    ratios, read = {}, RATIONAL.read
+    for entry in weights:
+        if (
+            type(entry) is not dict
+            or type(el := entry.get("el")) is not str
+            or type(w := entry.get("w")) is not str
+            or el in ratios
+        ):
+            return None
+        try:
+            ratios[el] = read(w)
+        except ParseError:
+            return None
+    try:
+        return FiniteDistribution._from_numerators(*_common_denominator(ratios, RATIONAL), RATIONAL)
+    except ConvexionError:
+        return None
+
+
 def decode_distribution(payload, semiring: Semiring | None = None) -> FiniteDistribution:
     """The distribution of a {"weights": [{"el": ..., "w": ...}, ...]}
     object.  Each weight literal is read straight into a numerator and a
-    denominator; an item's reader is built only to raise its error."""
+    denominator.  The canonical form builds no reader; any other input is
+    read item by item through readers, so an error names its path."""
+    if semiring is None:
+        dist = _canonical_distribution(payload.value if isinstance(payload, Job) else payload)
+        if dist is not None:
+            return dist
     job = _reader(payload)
     if semiring is None:
         semiring = semiring_of(job)
     weights = job["weights"]
     ratios = {}
-    for i, entry in enumerate(weights.expect(list)):
-        if (
-            isinstance(entry, dict)
-            and isinstance(el := entry.get("el"), str)
-            and "w" in entry
-            and el not in ratios
-        ):
-            try:
-                ratios[el] = semiring.read(str(entry["w"]))
-                continue
-            except ParseError:
-                pass
-        item = Job(entry, i, weights)
-        el = item.typed("el", str)
-        item["w"].literal(semiring)
-        raise item["el"].error(f"duplicate element {el!r} in distribution")
-    try:  # not weights.build, which would add a call to every distribution decoded
+    for item in weights.items():
+        el, w = item.typed("el", str), item["w"]
+        ratio = w.build(semiring.read, str(w.value))
+        if el in ratios:
+            raise item["el"].error(f"duplicate element {el!r} in distribution")
+        ratios[el] = ratio
+    try:
         return FiniteDistribution._from_numerators(*_common_denominator(ratios, semiring), semiring)
     except ConvexionError as exc:
         raise weights.error(str(exc)) from None
@@ -245,7 +283,11 @@ def decode_distribution(payload, semiring: Semiring | None = None) -> FiniteDist
 
 def decode_element(payload, pres):
     """The element of the presentation pres that a distribution names."""
-    return _reader(payload).build(pres.element, decode_distribution(payload))
+    dist = decode_distribution(payload)
+    try:  # not _reader(payload).build, which makes a reader per element decoded
+        return pres.element(dist)
+    except ConvexionError as exc:
+        raise _reader(payload).error(str(exc)) from None
 
 
 def decode_convex_map(payload, src, tgt):
@@ -271,8 +313,32 @@ def encode_presentation(pres: Presentation) -> dict:
 
 
 def decode_presentation(payload) -> Presentation:
+    """The presentation of a {"generators": [...], "relations": [[<dist>,
+    <dist>], ...]} object.  The canonical form (generators a list of
+    strings, each relation a list of two canonical distributions) builds
+    no reader."""
     from .presentation import Presentation
 
+    raw = payload.value if isinstance(payload, Job) else payload
+    if (
+        type(raw) is dict
+        and type(gens := raw.get("generators")) is list
+        and all(type(g) is str for g in gens)
+        and type(pairs := raw.get("relations", [])) is list
+    ):
+        relations = []
+        for pair in pairs:
+            if type(pair) is not list or len(pair) != 2:
+                break
+            lhs, rhs = _canonical_distribution(pair[0]), _canonical_distribution(pair[1])
+            if lhs is None or rhs is None:
+                break
+            relations.append((lhs, rhs))
+        else:
+            try:
+                return Presentation(gens, relations)
+            except ConvexionError:
+                pass
     job = _reader(payload)
     gens = job["generators"].names()
     relations = []

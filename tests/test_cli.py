@@ -954,6 +954,24 @@ def _run_process(*argv):
     return out.returncode, json.loads(out.stdout), out.stderr
 
 
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda path: path.mkdir(), "cannot read: "),
+        (lambda path: path.write_bytes(b"\xff\xfe" + '{"op": "delta"}'.encode("utf-16-le")),
+         "not UTF-8 text at byte 0: invalid start byte"),
+        (lambda path: path.write_text("[" * 100000 + "]" * 100000), "JSON nested too deeply to read"),
+    ],
+    ids=["directory", "utf16_bom", "deep_nesting"],
+)
+def test_unreadable_job_file_exit_two(tmp_path, make, error):
+    path = tmp_path / "job.json"
+    make(path)
+    code, report, stderr = _run_process("dist", "--job", str(path))
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"].startswith(f"{path}: {error}")
+
+
 def test_empty_generator_list_exit_two(tmp_path):
     job = write(
         tmp_path,
@@ -1291,6 +1309,167 @@ def test_decoder_integer_read_matches_the_reference(semiring):
             assert got == want, items
             seen["NotNormalized" if want[1].startswith("weights: ") else want[0].__name__] += 1
     assert set(seen) == {"dist", "ParseError", "NotNormalized"} and min(seen.values()) > 50, seen
+
+
+# The presentation decoder as it read every input before the canonical form
+# skipped the readers: each field, list item and relation side through a
+# jsonio.Job, and each side through the per-entry distribution decoder.
+def _reference_decode_distribution(payload):
+    job = jsonio._reader(payload)
+    semiring = jsonio.semiring_of(job)
+    weights = job["weights"]
+    ratios = {}
+    for i, entry in enumerate(weights.expect(list)):
+        if (
+            isinstance(entry, dict)
+            and isinstance(el := entry.get("el"), str)
+            and "w" in entry
+            and el not in ratios
+        ):
+            try:
+                ratios[el] = semiring.read(str(entry["w"]))
+                continue
+            except ParseError:
+                pass
+        item = jsonio.Job(entry, i, weights)
+        el = item.typed("el", str)
+        item["w"].literal(semiring)
+        raise item["el"].error(f"duplicate element {el!r} in distribution")
+    try:
+        return FiniteDistribution._from_numerators(
+            *distribution_mod._common_denominator(ratios, semiring), semiring
+        )
+    except ConvexionError as exc:
+        raise weights.error(str(exc)) from None
+
+
+def _reference_decode_presentation(payload):
+    job = jsonio._reader(payload)
+    gens = job["generators"].names()
+    relations = []
+    for pair in job.get("relations", []).items():
+        sides = pair.items()
+        if len(sides) != 2:
+            raise pair.error("expected a pair of distributions")
+        relations.append(
+            (_reference_decode_distribution(sides[0]), _reference_decode_distribution(sides[1]))
+        )
+    return job.build(presentation_mod.Presentation, gens, relations)
+
+
+def _random_dist(rng, gens):
+    support = rng.sample(gens, rng.randint(1, len(gens)))
+    parts = {g: rng.randint(1, 3) for g in support}
+    return FiniteDistribution({g: F(n, sum(parts.values())) for g, n in parts.items()})
+
+
+def _random_presentation_json(rng):
+    """An eq-fuzz-shaped presentation in canonical JSON: 1-4 generators,
+    0-2 relations."""
+    gens = [f"g{i}" for i in range(rng.randint(1, 4))]
+    relations = [(_random_dist(rng, gens), _random_dist(rng, gens)) for _ in range(rng.randint(0, 2))]
+    return gens, jsonio.encode_presentation(presentation_mod.Presentation(gens, relations))
+
+
+def _json_nodes(value, path=()):
+    """(path, value) for value and every value inside it; a path is the
+    keys and list indices from the root."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield from _json_nodes(inner, path + (key,))
+    elif isinstance(value, list):
+        for i, inner in enumerate(value):
+            yield from _json_nodes(inner, path + (i,))
+
+
+def _with_node(value, path, mutation):
+    """A copy of value whose node at path is removed or set to mutation."""
+    if not path:
+        return mutation
+    out = json.loads(json.dumps(value))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation == "remove":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = mutation
+    return out
+
+
+def _any_outcome(decode):
+    try:
+        return decode()
+    except Exception as exc:  # an escape must match the reference's too
+        return type(exc), str(exc)
+
+
+def test_presentation_decoder_matches_the_reference():
+    rng = random.Random(20261021)
+    bases = []
+    for _ in range(30):
+        gens, pres = _random_presentation_json(rng)
+        bases.append(pres)
+        sides = [side for pair in pres["relations"] for side in pair]
+        if sides:  # numeric weight literals and an explicit semiring field
+            numeric = json.loads(json.dumps(pres))
+            side = rng.choice([side for pair in numeric["relations"] for side in pair])
+            side["weights"] = [{"el": gens[0], "w": 1}] + [{"el": g, "w": 0} for g in gens[1:]]
+            bases.append(numeric)
+            for name in ("rational", "boolean", "x", 7):
+                named = json.loads(json.dumps(pres))
+                rng.choice([side for pair in named["relations"] for side in pair])["semiring"] = name
+                bases.append(named)
+    seen = Counter()
+    for base in bases:
+        for path, _ in list(_json_nodes(base)):
+            for mutation in MUTATIONS:
+                if mutation == "remove" and not path:
+                    continue
+                payload = _with_node(base, path, mutation)
+                for wrap in (lambda p: p, lambda p: jsonio.Job({"presentation": p}, "eq")["presentation"]):
+                    got = _any_outcome(lambda: jsonio.decode_presentation(wrap(payload)))
+                    want = _any_outcome(lambda: _reference_decode_presentation(wrap(payload)))
+                    if isinstance(want, presentation_mod.Presentation):
+                        assert isinstance(got, presentation_mod.Presentation), (payload, got)
+                        assert got.generators == want.generators, payload
+                        assert [(p.semiring, p._nums, p._den) for pair in got.relations for p in pair] == [
+                            (p.semiring, p._nums, p._den) for pair in want.relations for p in pair
+                        ], payload
+                        seen["presentation"] += 1
+                    else:
+                        assert got == want, payload
+                        seen[want[0].__name__] += 1
+    assert set(seen) == {"presentation", "ParseError"} and min(seen.values()) > 500, seen
+
+
+def test_the_canonical_form_builds_no_reader(monkeypatch):
+    rng = random.Random(17)
+    payloads = []
+    for _ in range(200):
+        gens, pres = _random_presentation_json(rng)
+        lhs, rhs = (jsonio.encode_distribution(_random_dist(rng, gens)) for _ in range(2))
+        payloads.append((pres, lhs, rhs))
+    readers = []
+    init = jsonio.Job.__init__
+
+    def counting_init(self, *args, **kwargs):
+        readers.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(jsonio.Job, "__init__", counting_init)
+    statuses = Counter()
+    for pres_json, lhs_json, rhs_json in payloads:
+        pres = jsonio.decode_presentation(pres_json)
+        lhs, rhs = (jsonio.decode_element(side, pres) for side in (lhs_json, rhs_json))
+        verdict = presentation_mod.eq(lhs, rhs, 3)
+        statuses[json.loads(jsonio.canonical_json(jsonio.encode_verdict(verdict, pres)))["status"]] += 1
+    assert readers == []
+    assert statuses["equal"] and statuses["distinct"], statuses
+    with pytest.raises(ParseError):  # the count sees the readers of other input
+        jsonio.decode_distribution({"weights": [{"el": "a", "w": 1}, {"el": "a", "w": 0}]})
+    assert readers
 
 
 # One job per verb, each without a field its handler reads unconditionally.
