@@ -2,20 +2,19 @@
 one reader of JSON input.
 
 Job is a read view of one JSON value at its path from the root of the file
-it came from.  The distribution and presentation decoders read the
-canonical form that the encoders write (string weight literals, no
-"semiring" field, no duplicate element) straight off the raw JSON values,
-by plain type checks, and build no reader.  Every other input, the
-malformed included, is read field by field, list item by list item and
-map entry by map entry through Job, so a missing field, a value of
-another JSON type or a bad literal is a ParseError whose message begins
-with the path of the offending value: schema fields are written .field,
-list items [i] and user-chosen keys ['k'], as in
-outer[0].dist.weights[1].el.  There each decoder builds its value through
-Job.build on its own reader, so a library error in building it is at
-that value's path too: elements[1].weights: weights sum to 7, expected 1.
-The path is built only when an error is raised, and a decoder given a
-raw payload reads it as a Job at the root.
+it came from.  Each decoder reads its input along one path.  The
+distribution and presentation decoders read the raw JSON values by plain
+type checks and build a reader only for a value that they refuse; the
+others read field by field, list item by list item and map entry by map
+entry through Job.  Either way a missing field, a value of another JSON
+type or a bad literal is a ParseError whose message begins with the path
+of the offending value: schema fields are written .field, list items [i]
+and user-chosen keys ['k'], as in outer[0].dist.weights[1].el.  A decoder
+builds its value through Job.build on its own reader, or catches the
+library's error and raises it at its reader, so a library error in
+building it is at that value's path too: elements[1].weights: weights sum
+to 7, expected 1.  The path is built only when an error is raised, and a
+decoder given a raw payload reads it as a Job at the root.
 
 Rational strings are canonical lowest-terms ("3/4", "1"); the Boolean
 semiring writes "1".  Element identifiers are strings in JSON; internal
@@ -35,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from .distribution import FiniteDistribution, _common_denominator, element_label
 from .errors import ConvexionError, ParseError
-from .semiring import RATIONAL, Semiring, semiring_by_name
+from .semiring import _BY_NAME, RATIONAL, Semiring, semiring_by_name
 
 if TYPE_CHECKING:
     from .join import JoinElement, JoinSpace
@@ -207,11 +206,7 @@ def _reader(payload) -> Job:
 
 def semiring_of(job: Job) -> Semiring:
     """The semiring that the optional field "semiring" of job names."""
-    name = job.typed("semiring", str, "rational")
-    try:  # not job.get("semiring").build, which makes a reader per distribution decoded
-        return semiring_by_name(name)
-    except ParseError as exc:
-        raise job["semiring"].error(str(exc)) from None
+    return job.get("semiring").build(semiring_by_name, job.typed("semiring", str, "rational"))
 
 
 # -- distributions ---------------------------------------------------------------
@@ -229,56 +224,41 @@ def encode_distribution(dist: FiniteDistribution) -> dict:
     return out
 
 
-def _canonical_distribution(raw):
-    """The rational distribution of the raw JSON value raw when it is in
-    the canonical form: an object with no "semiring" field whose weights
-    are {"el": string, "w": string literal} items with distinct elements
-    that sum to one; else None."""
-    if type(raw) is not dict or "semiring" in raw or type(weights := raw.get("weights")) is not list:
-        return None
-    ratios, read = {}, RATIONAL.read
-    for entry in weights:
-        if (
-            type(entry) is not dict
-            or type(el := entry.get("el")) is not str
-            or type(w := entry.get("w")) is not str
-            or el in ratios
-        ):
-            return None
-        try:
-            ratios[el] = read(w)
-        except ParseError:
-            return None
-    try:
-        return FiniteDistribution._from_numerators(*_common_denominator(ratios, RATIONAL), RATIONAL)
-    except ConvexionError:
-        return None
-
-
 def decode_distribution(payload, semiring: Semiring | None = None) -> FiniteDistribution:
     """The distribution of a {"weights": [{"el": ..., "w": ...}, ...]}
-    object.  Each weight literal is read straight into a numerator and a
-    denominator.  The canonical form builds no reader; any other input is
-    read item by item through readers, so an error names its path."""
+    object, over semiring or else the one that its "semiring" field names.
+    Each weight literal is read straight into a numerator and a
+    denominator.  A reader is built only for a value that is refused, so
+    an error names its path and a well-formed input builds none."""
+    raw = payload.value if isinstance(payload, Job) else payload
+    fields = raw if isinstance(raw, dict) else {}
     if semiring is None:
-        dist = _canonical_distribution(payload.value if isinstance(payload, Job) else payload)
-        if dist is not None:
-            return dist
-    job = _reader(payload)
-    if semiring is None:
-        semiring = semiring_of(job)
-    weights = job["weights"]
-    ratios = {}
-    for item in weights.items():
+        name = fields.get("semiring", "rational")
+        semiring = _BY_NAME.get(name) if type(name) is str else None
+        if semiring is None:
+            semiring = semiring_of(_reader(payload))
+    weights = fields.get("weights")
+    if type(weights) is not list:
+        weights = _reader(payload)["weights"].expect(list)
+    ratios, read = {}, semiring.read
+    for entry in weights:
+        if type(entry) is dict and type(el := entry.get("el")) is str and el not in ratios:
+            try:  # a missing "w" reads as "None", which no semiring reads
+                ratios[el] = read(str(entry.get("w")))
+                continue
+            except ParseError:
+                pass
+        # this is item len(ratios): each one before it added one element
+        item = Job(entry, len(ratios), _reader(payload)["weights"])
         el, w = item.typed("el", str), item["w"]
-        ratio = w.build(semiring.read, str(w.value))
+        ratio = w.build(read, str(w.value))
         if el in ratios:
             raise item["el"].error(f"duplicate element {el!r} in distribution")
         ratios[el] = ratio
     try:
         return FiniteDistribution._from_numerators(*_common_denominator(ratios, semiring), semiring)
     except ConvexionError as exc:
-        raise weights.error(str(exc)) from None
+        raise _reader(payload)["weights"].error(str(exc)) from None
 
 
 def decode_element(payload, pres):
@@ -314,40 +294,34 @@ def encode_presentation(pres: Presentation) -> dict:
 
 def decode_presentation(payload) -> Presentation:
     """The presentation of a {"generators": [...], "relations": [[<dist>,
-    <dist>], ...]} object.  The canonical form (generators a list of
-    strings, each relation a list of two canonical distributions) builds
-    no reader."""
+    <dist>], ...]} object.  A reader is built only for a value that is
+    refused; a relation side that is refused is decoded again below its
+    reader, so its error names relations[i][k]."""
     from .presentation import Presentation
 
     raw = payload.value if isinstance(payload, Job) else payload
-    if (
-        type(raw) is dict
-        and type(gens := raw.get("generators")) is list
-        and all(type(g) is str for g in gens)
-        and type(pairs := raw.get("relations", [])) is list
-    ):
-        relations = []
-        for pair in pairs:
-            if type(pair) is not list or len(pair) != 2:
-                break
-            lhs, rhs = _canonical_distribution(pair[0]), _canonical_distribution(pair[1])
-            if lhs is None or rhs is None:
-                break
-            relations.append((lhs, rhs))
-        else:
-            try:
-                return Presentation(gens, relations)
-            except ConvexionError:
-                pass
-    job = _reader(payload)
-    gens = job["generators"].names()
+    fields = raw if isinstance(raw, dict) else {}
+    gens = fields.get("generators")
+    if type(gens) is not list or not all(type(g) is str for g in gens):
+        gens = _reader(payload)["generators"].names()
+    pairs = fields.get("relations", [])
+    if type(pairs) is not list:
+        pairs = _reader(payload).get("relations", []).expect(list)
     relations = []
-    for pair in job.get("relations", []).items():
-        sides = pair.items()
-        if len(sides) != 2:
-            raise pair.error("expected a pair of distributions")
-        relations.append((decode_distribution(sides[0]), decode_distribution(sides[1])))
-    return job.build(Presentation, gens, relations)
+    for i, pair in enumerate(pairs):
+        if type(pair) is not list or len(pair) != 2:
+            at = Job(pair, i, _reader(payload)["relations"])
+            if len(at.expect(list)) != 2:
+                raise at.error("expected a pair of distributions")
+        try:
+            relations.append((decode_distribution(pair[0]), decode_distribution(pair[1])))
+        except ParseError:
+            at = Job(pair, i, _reader(payload)["relations"])
+            relations.append((decode_distribution(Job(pair[0], 0, at)), decode_distribution(Job(pair[1], 1, at))))
+    try:
+        return Presentation(gens, relations)
+    except ConvexionError as exc:
+        raise _reader(payload).error(str(exc)) from None
 
 
 # -- join ---------------------------------------------------------------------------

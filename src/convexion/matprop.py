@@ -30,6 +30,7 @@ from .errors import (
     ArityMismatch,
     DimensionMismatch,
     NotConvexMatrix,
+    NotConvexVector,
     SemiringMismatch,
     SizeMismatch,
 )
@@ -198,7 +199,7 @@ class QConvOp(Frozen):
     def __init__(self, weights):
         ws = tuple(F(w) for w in weights)
         if any(w < 0 for w in ws) or sum(ws) != 1:
-            raise ArityMismatch("weights are not a convex vector")
+            raise NotConvexVector("weights are not a convex vector")
         object.__setattr__(self, "weights", ws)
 
     @property

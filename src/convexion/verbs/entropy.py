@@ -86,4 +86,5 @@ def entropy_xi(args, ctx):
 
     payload = jsonio.Job(jsonio.load_json(args.input), "xi")
     dists = [jsonio.decode_distribution(d) for d in payload["dists"].items()]
-    return _distribution(dist_lax_xi(QConvOp(payload.rationals("alpha")), dists))
+    alpha = payload["alpha"].build(QConvOp, payload.rationals("alpha"))
+    return _distribution(payload["dists"].build(dist_lax_xi, alpha, dists))

@@ -45,7 +45,7 @@ def omon_star_alpha(job, ctx):
     from ..matprop import QConvOp
     from ..omonoidal import star_alpha
 
-    alpha = QConvOp(job.rationals("alpha"))
+    alpha = job["alpha"].build(QConvOp, job.rationals("alpha"))
     out = star_alpha(alpha, _factors(job))
     return {"presentation": jsonio.encode_presentation(out)}
 

@@ -1465,6 +1465,20 @@ def test_the_canonical_form_builds_no_reader(monkeypatch):
         lhs, rhs = (jsonio.decode_element(side, pres) for side in (lhs_json, rhs_json))
         verdict = presentation_mod.eq(lhs, rhs, 3)
         statuses[json.loads(jsonio.canonical_json(jsonio.encode_verdict(verdict, pres)))["status"]] += 1
+    # well-formed input beside the canonical form: numeric weight literals,
+    # an explicit "semiring" field or argument, no "relations" field
+    for pres_json, lhs_json, _ in payloads[:50]:
+        gens = pres_json["generators"]
+        numeric = {"weights": [{"el": gens[0], "w": 1}] + [{"el": g, "w": 0} for g in gens[1:]]}
+        free = jsonio.decode_presentation({"generators": gens})
+        assert free == presentation_mod.Presentation.free(gens)
+        assert jsonio.decode_element(numeric, free) == free.delta(gens[0])
+        named = {**lhs_json, "semiring": "rational"}
+        assert jsonio.decode_distribution(named) == jsonio.decode_distribution(lhs_json, RATIONAL)
+        glued = jsonio.decode_presentation({"generators": gens, "relations": [[numeric, named]]})
+        assert len(glued.relations) == 1
+        every = {"weights": [{"el": g, "w": "1"} for g in gens], "semiring": "boolean"}
+        assert jsonio.decode_distribution(every).semiring is BOOLEAN
     assert readers == []
     assert statuses["equal"] and statuses["distinct"], statuses
     with pytest.raises(ParseError):  # the count sees the readers of other input
@@ -2670,20 +2684,33 @@ def test_library_errors_are_reported_at_a_json_path(tmp_path):
     # A library error reads "ClassName: message" only below "<op> job: ",
     # so an exit-2 error never begins with a class name.  Each sample goes
     # through a JSON round trip first: samples share sub-objects (SEGMENT is
-    # both source and target), and a replacement must land at one path.
-    samples = {k: json.loads(json.dumps(v)) for k, v in SAMPLE_JOBS.items() if isinstance(v, dict)}
+    # both source and target), and a replacement must land at one path.  An
+    # argv sample is read as a list, whose JSON objects are the files it
+    # names; every replacement inside those files runs.
+    samples = {
+        k: json.loads(json.dumps(v if isinstance(v, dict) else list(v))) for k, v in SAMPLE_JOBS.items()
+    }
     cases = [
         (key, path, value)
         for key, sample in samples.items()
+        if isinstance(sample, dict)
         for path in nested_paths(sample)
         if path != ("op",)
         for value in FUZZ_VALUES
     ]
-    job = tmp_path / "job.json"
+    files = [
+        (key, path, value)
+        for key, sample in samples.items()
+        if isinstance(sample, list)
+        for path in nested_paths(sample)
+        if isinstance(sample[path[0]], dict) and len(path) > 1
+        for value in FUZZ_VALUES
+    ]
     unpathed = []
-    for key, path, value in random.Random(20261019).sample(cases, FUZZ_CASES):
-        job.write_text(json.dumps(replaced(samples[key], path, value)))
-        code, report = invoke(key[0], "--job", str(job))
+    for key, path, value in random.Random(20261019).sample(cases, FUZZ_CASES) + files:
+        sample = replaced(samples[key], path, value)
+        argv = sample_argv(tmp_path, key, sample if isinstance(sample, dict) else tuple(sample))
+        code, report = invoke(*argv)
         assert code in (0, 1, 2), (key, path, value)
         if code == 2 and re.match(r"[A-Z][A-Za-z]*: ", report["error"]):
             unpathed.append(f"{key} {path} {value!r}: {report['error']}")
@@ -2708,6 +2735,32 @@ def test_library_errors_are_reported_at_a_json_path(tmp_path):
 )
 def test_errors_across_fields_are_reported_at_the_job_root(tmp_path, key, fields, error):
     code, report = invoke(*sample_argv(tmp_path, key, _sample_with(key, **fields)))
+    assert code == 2 and report["error"] == error
+
+
+@pytest.mark.parametrize(
+    "key, sample, error",
+    [
+        (
+            ("entropy", "xi"),
+            ("entropy", "xi", "--input", {"alpha": ["1/2", "1/3"], "dists": [DIST, DELTA_C]}),
+            "alpha: weights are not a convex vector",
+        ),
+        (
+            ("entropy", "xi"),
+            ("entropy", "xi", "--input", {"alpha": ["1/2", "1/2"], "dists": [DIST, DELTA_A]}),
+            "dists: carriers overlap on ['a']",
+        ),
+        (
+            ("omon", "star_alpha"),
+            {"op": "star_alpha", "alpha": ["1/2", "1/3"], "factors": [PRES, CD_PRES]},
+            "alpha: weights are not a convex vector",
+        ),
+    ],
+    ids=["xi_alpha", "xi_overlap", "star_alpha"],
+)
+def test_mixing_weights_and_carriers_are_reported_at_their_path(tmp_path, key, sample, error):
+    code, report = invoke(*sample_argv(tmp_path, key, sample))
     assert code == 2 and report["error"] == error
 
 
