@@ -23,10 +23,13 @@ canonical, equal distributions have equal forms, and normalisation is
 denominator (``Semiring.ratio``).  ``flatten``, ``convex_combine`` and
 ``pushforward`` add integer numerators over one common denominator,
 ``product`` multiplies them over the product of the denominators, and each
-builds its result through one trusted constructor, which brings the sum
-into canonical form.  Equality and hashing read the integer form; the
-payloads that ``weight``, ``items``, ``as_dict`` and ``repr`` show are
-built on demand (``Semiring.payload``).
+builds its result through one trusted constructor, ``_from_numerators``,
+which brings the sum into canonical form (``Semiring.canonical_form``
+reduces sums).  A decoder that reads rational literals into lowest terms
+builds the canonical form in that one pass, and so uses the other trusted
+constructor, ``_from_canonical``, which reduces nothing.  Equality and
+hashing read the integer form; the payloads that ``weight``, ``items``,
+``as_dict`` and ``repr`` show are built on demand (``Semiring.payload``).
 """
 
 from __future__ import annotations
@@ -93,6 +96,16 @@ class FiniteDistribution:
         self = object.__new__(cls)
         self.semiring = semiring
         self._nums, self._den = semiring.canonical_form(acc, den)
+        self._hash = None
+        return self
+
+    @classmethod
+    def _from_canonical(cls, nums: dict, den: int, semiring: Semiring):
+        """Trusted constructor: ``nums`` over ``den`` is already in the
+        semiring's canonical form and sums to one."""
+        self = object.__new__(cls)
+        self.semiring = semiring
+        self._nums, self._den = nums, den
         self._hash = None
         return self
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from .distribution import FiniteDistribution, _common_denominator, element_label
@@ -227,8 +228,11 @@ def encode_distribution(dist: FiniteDistribution) -> dict:
 def decode_distribution(payload, semiring: Semiring | None = None) -> FiniteDistribution:
     """The distribution of a {"weights": [{"el": ..., "w": ...}, ...]}
     object, over semiring or else the one that its "semiring" field names.
-    Each weight literal is read straight into a numerator and a
-    denominator.  A reader is built only for a value that is refused, so
+    A rational distribution is read in one integer pass that builds its
+    canonical form directly (_rational_weights).  Whatever that pass
+    refuses, and every other semiring, goes through the checked loop
+    below, which reads each weight literal straight into a numerator and
+    a denominator.  A reader is built only for a value that is refused, so
     an error names its path and a well-formed input builds none."""
     raw = payload.value if isinstance(payload, Job) else payload
     fields = raw if isinstance(raw, dict) else {}
@@ -240,6 +244,8 @@ def decode_distribution(payload, semiring: Semiring | None = None) -> FiniteDist
     weights = fields.get("weights")
     if type(weights) is not list:
         weights = _reader(payload)["weights"].expect(list)
+    if semiring is RATIONAL and (dist := _rational_weights(weights)) is not None:
+        return dist
     ratios, read = {}, semiring.read
     for entry in weights:
         if type(entry) is dict and type(el := entry.get("el")) is str and el not in ratios:
@@ -259,6 +265,37 @@ def decode_distribution(payload, semiring: Semiring | None = None) -> FiniteDist
         return FiniteDistribution._from_numerators(*_common_denominator(ratios, semiring), semiring)
     except ConvexionError as exc:
         raise _reader(payload)["weights"].error(str(exc)) from None
+
+
+def _rational_weights(weights):
+    """The rational distribution of a raw "weights" list, in one pass, or
+    None when an item is not {"el": <a new string>, "w": <"p/q" or "n">}
+    (a JSON number is read as its text) or the weights do not sum to one.
+    Each literal is put in lowest terms as it is read, so the lcm den of
+    the reduced denominators is already canonical: each prime of den
+    divides some reduced denominator to its full power, so it does not
+    divide that weight's numerator over den, and gcd(den, *nums) == 1."""
+    ratios, dens = {}, []
+    for entry in weights:
+        if type(entry) is not dict or type(el := entry.get("el")) is not str or el in ratios:
+            return None
+        w = entry.get("w")
+        num, slash, den = (w if type(w) is str else str(w)).partition("/")
+        if not num.isdecimal() or slash and not den.isdecimal():
+            return None
+        n, d = int(num), int(den) if slash else 1
+        if d != 1:
+            if not d:
+                return None
+            g = gcd(n, d)  # d for a zero weight, which becomes 0/1
+            n, d = n // g, d // g
+            dens.append(d)
+        ratios[el] = n, d
+    den = lcm(*dens)
+    nums = {el: n * (den // d) for el, (n, d) in ratios.items() if n}
+    if sum(nums.values()) != den:
+        return None
+    return FiniteDistribution._from_canonical(nums, den, RATIONAL)
 
 
 def decode_element(payload, pres):
@@ -292,13 +329,23 @@ def encode_presentation(pres: Presentation) -> dict:
     }
 
 
+# presentation.Presentation, imported by the first decode_presentation: an
+# import statement in the function would resolve the module on every call
+_Presentation = None
+
+
 def decode_presentation(payload) -> Presentation:
     """The presentation of a {"generators": [...], "relations": [[<dist>,
-    <dist>], ...]} object.  A reader is built only for a value that is
-    refused; a relation side that is refused is decoded again below its
-    reader, so its error names relations[i][k]."""
-    from .presentation import Presentation
+    <dist>], ...]} object, each side read as decode_distribution reads
+    it.  A reader is built only for a value that is refused; a relation
+    side that is refused is decoded again below its reader, so its error
+    names relations[i][k].  The presentation module is loaded on the
+    first call, so a job that decodes no presentation does not load it."""
+    global _Presentation
+    if _Presentation is None:
+        from . import presentation
 
+        _Presentation = presentation.Presentation
     raw = payload.value if isinstance(payload, Job) else payload
     fields = raw if isinstance(raw, dict) else {}
     gens = fields.get("generators")
@@ -319,7 +366,7 @@ def decode_presentation(payload) -> Presentation:
             at = Job(pair, i, _reader(payload)["relations"])
             relations.append((decode_distribution(Job(pair[0], 0, at)), decode_distribution(Job(pair[1], 1, at))))
     try:
-        return Presentation(gens, relations)
+        return _Presentation(gens, relations)
     except ConvexionError as exc:
         raise _reader(payload).error(str(exc)) from None
 
@@ -363,12 +410,27 @@ def encode_matrix(m: RMatrix) -> dict:
 
 
 def decode_matrix(payload) -> RMatrix:
+    """The matrix of a {"rows": n, "cols": m, "entries": [[<literal>, ...],
+    ...]} object, over the semiring that its optional "semiring" field
+    names.  The literals go to RMatrix as they are (a JSON number as its
+    text), which reads each straight into its integer form; a reader is
+    built only for a cell that RMatrix refuses, so its error names
+    entries[i][j]."""
     from .matprop import RMatrix
 
     job = _reader(payload)
     semiring = semiring_of(job)
     rows = job.typed("rows", int)
     cols = job.typed("cols", int)
+    entries = job.typed("entries", list)
+    if all(type(row) is list for row in entries):
+        cells = [[v if type(v) is str else str(v) for v in row] for row in entries]
+        try:
+            return RMatrix(cells, rows=rows, cols=cols, semiring=semiring)
+        except ParseError:  # a cell that does not read: read them again below
+            pass
+        except ConvexionError as exc:
+            raise job.error(str(exc)) from None
     parsed = [[v.literal(semiring) for v in row.items()] for row in job["entries"].items()]
     return job.build(RMatrix, parsed, rows=rows, cols=cols, semiring=semiring)
 

@@ -33,9 +33,11 @@ elements is decided (where possible) by a three-valued engine:
   multipliers on the other pairs and zero spectators outside W
   (_widen).  A presentation has few faces, so each restriction is built
   once: _face keeps it on the presentation under U's bitmask (bit i for
-  generator i), at most FACE_CACHE_SIZE of them, and drops the oldest
-  first.  Like any presentation, the restriction builds its LP columns
-  on its first LP and its echelon form when same_class first reads it.
+  generator i), beside the positions of its pairs and generators in the
+  presentation that _widen reads, at most FACE_CACHE_SIZE of them, and
+  drops the oldest first.  Like any presentation, the restriction builds
+  its LP columns on its first LP and its echelon form when same_class
+  first reads it.
   Level 1 often needs no simplex, since its multipliers are unique (the
   unique-solution case of LP presolve: Andersen & Andersen, "Presolving
   in linear programming", Math. Programming 71 (1995)).  Let J be the
@@ -129,7 +131,6 @@ so it needs no test of its own there.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -150,6 +151,24 @@ from .semiring import RATIONAL, require_rational
 
 DEFAULT_STEP_BOUND = 4
 
+
+class _lazy:
+    """A table of an instance, built by the decorated method on its first
+    read and stored in the instance's __dict__ under the method's name,
+    where later reads find it before this descriptor (which defines no
+    __set__).  It is functools.cached_property without the lock that
+    Python 3.10 and 3.11 take on every first read."""
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        table = obj.__dict__[self.name] = self.build(obj)
+        return table
 
 
 class Presentation:
@@ -175,7 +194,7 @@ class Presentation:
         self.generators = gens
         self.relations = tuple(rels)
         self._gen_index = index
-        self._faces = {}  # _face's cache: a respected set's mask -> its restriction, oldest first
+        self._faces = {}  # _restriction's cache: a respected set's mask -> its entry, oldest first
 
     @classmethod
     def free(cls, generators) -> "Presentation":
@@ -198,7 +217,7 @@ class Presentation:
 
     # -- cached relation machinery ---------------------------------------
 
-    @cached_property
+    @_lazy
     def symmetric_relations(self):
         """Relation pairs in both orientations, as distribution pairs."""
         out = []
@@ -217,13 +236,13 @@ class Presentation:
         """The generators of a mask, in generator order."""
         return tuple(g for i, g in enumerate(self.generators) if mask >> i & 1)
 
-    @cached_property
+    @_lazy
     def _support_masks(self):
         """Per relation, the masks of its two sides' supports."""
         mask = self._mask
         return tuple((mask(lhs._nums), mask(rhs._nums)) for lhs, rhs in self.relations)
 
-    @cached_property
+    @_lazy
     def _integer_columns(self):
         """Per generator x, the x-th entries of symmetric_relations in
         integer form, for _zigzag_lp: (r, r_lcm, r_minus_s, d_lcm).  r
@@ -252,7 +271,7 @@ class Presentation:
             columns.append((r_ints, r_lcm, d_ints, d_lcm))
         return tuple(columns)
 
-    @cached_property
+    @_lazy
     def _difference_rows(self):
         """One row per relation: lhs - rhs times the lcm of the two sides'
         denominators, as a {generator index: int} dict of its nonzeros.
@@ -271,7 +290,7 @@ class Presentation:
             rows.append({x: v for x, v in row.items() if v})
         return rows
 
-    @cached_property
+    @_lazy
     def _echelon(self):
         """linalg.sparse_echelon of copies of _difference_rows (it reduces
         its input in place): the integer Gauss-Jordan rows of the span of
@@ -572,19 +591,27 @@ def _face(pres, outside):
     greatest respected set U outside their supports: the restriction of
     pres to the rest W of the generators, a Presentation whose generators
     are W and whose relations are the relations inside W, or pres itself
-    when U is empty.  The restriction is kept on pres under the mask, so
-    the queries of one face share its LP columns and echelon form; it
-    holds no reference to pres."""
-    if not outside:
-        return pres
+    when U is empty.  The restriction is kept on pres (_restriction), so
+    the queries of one face share its LP columns and echelon form."""
+    return _restriction(pres, outside)[0] if outside else pres
+
+
+def _restriction(pres, outside):
+    """pres._faces's entry for the nonempty U whose mask is outside,
+    built on first use: the restriction to W, the positions of its
+    symmetric pairs among pres's, and the positions of its generators
+    among pres's.  The positions are ints, so the entry holds no
+    reference to pres."""
     faces = pres._faces
-    face = faces.get(outside)
-    if face is None:
+    entry = faces.get(outside)
+    if entry is None:
         if len(faces) >= FACE_CACHE_SIZE:
             del faces[next(iter(faces))]
-        inside = [rel for rel, (lhs, _) in zip(pres.relations, pres._support_masks) if not outside & lhs]
-        face = faces[outside] = Presentation(pres._members(~outside), inside)
-    return face
+        inside = [i for i, (lhs, _) in enumerate(pres._support_masks) if not outside & lhs]
+        gens = tuple(x for x in range(len(pres.generators)) if not outside >> x & 1)
+        face = Presentation([pres.generators[x] for x in gens], [pres.relations[i] for i in inside])
+        entry = faces[outside] = face, tuple(j for i in inside for j in (2 * i, 2 * i + 1)), gens
+    return entry
 
 
 def _widen(pres, outside, steps):
@@ -593,19 +620,22 @@ def _widen(pres, outside, steps):
     _face): zero multipliers on the pairs not inside W, and zero
     spectators off W.  U is respected, so a relation is inside W in both
     orientations or in neither, and the restriction's pairs 2i and 2i + 1
-    are one relation of pres, as pres's are.  The steps themselves when U
-    is empty."""
+    are one relation of pres, as pres's are; the restriction's entry in
+    pres._faces holds where its pairs and generators sit in pres.  The
+    steps themselves when U is empty."""
     if not outside:
         return steps
+    _, pairs, gens = _restriction(pres, outside)
     zero = linalg.ZERO
     wide = []
     for step in steps:
-        lams, spect = iter(step.lambdas), iter(step.spectator)
-        wide_lams = []
-        for lhs, _ in pres._support_masks:
-            wide_lams += (zero, zero) if outside & lhs else (next(lams), next(lams))
-        wide_spect = [zero if outside >> x & 1 else next(spect) for x in range(len(pres.generators))]
-        wide.append(ZigZagStep(tuple(wide_lams), tuple(wide_spect)))
+        lams = [zero] * (2 * len(pres.relations))
+        for j, lam in zip(pairs, step.lambdas):
+            lams[j] = lam
+        spect = [zero] * len(pres.generators)
+        for x, t in zip(gens, step.spectator):
+            spect[x] = t
+        wide.append(ZigZagStep(tuple(lams), tuple(spect)))
     return tuple(wide)
 
 

@@ -15,6 +15,12 @@ gcd of the denominator and the numerators, which leaves the lcm of the
 reduced denominators; Booleans use 1 over 1 for every nonzero numerator,
 so a cell reached by two paths (numerator 2) reads 1 again.  All
 arithmetic is int arithmetic on that form, in the containers.
+``canonical_form`` is for sums, mixtures and products, whose numerators
+share factors; a decoder builds the canonical form in its one reading
+pass instead (``jsonio.decode_distribution``), since literals put in
+lowest terms as they are read need no reduction over their lcm.  The two
+semirings are singletons, compared by identity: a copied or unpickled
+one is the same object.
 """
 
 from __future__ import annotations
@@ -59,6 +65,11 @@ class Semiring:
 
     def __repr__(self):
         return f"<semiring {self.name}>"
+
+    def __reduce__(self):
+        # containers compare semirings by identity, so a copied or
+        # unpickled container must hold the same semiring object
+        return semiring_by_name, (self.name,)
 
 
 class RationalSemiring(Semiring):

@@ -4,8 +4,10 @@ module operation reached by running them."""
 
 import hashlib
 import importlib
+import importlib.util
 import inspect
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -1484,6 +1486,116 @@ def test_the_canonical_form_builds_no_reader(monkeypatch):
     with pytest.raises(ParseError):  # the count sees the readers of other input
         jsonio.decode_distribution({"weights": [{"el": "a", "w": 1}, {"el": "a", "w": 0}]})
     assert readers
+
+
+def _eq_fuzz_queries(seed=17):
+    """The eq-fuzz benchmark's queries: presentation, lhs and rhs as JSON
+    (perfbench/inputs.py, which uses the standard library only)."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.eq_fuzz_inputs(seed)["queries"]
+
+
+def _criterion_11_pairs():
+    """(generators, pairs of distributions): the relation pairs and the
+    element pair of each trial of test_criterion_11_equality_soundness,
+    drawn from its seed in its order."""
+    from test_acceptance import random_dist
+
+    rng = random.Random(111)
+    for _ in range(1000):
+        gens = [f"g{i}" for i in range(rng.randint(1, 4))]
+        relations = [(random_dist(rng, gens, 3), random_dist(rng, gens, 3)) for _ in range(rng.randint(0, 2))]
+        yield gens, relations
+        e1 = random_dist(rng, gens, 3)
+        if rng.random() < 0.5 or not relations:
+            yield gens, [(e1, random_dist(rng, gens, 3))]
+        else:  # the engineered pair: one step from e1 across a relation
+            lam = F(rng.randint(1, 2), 4)
+            pair = relations[rng.randrange(len(relations))]
+            yield gens, [tuple(
+                FiniteDistribution({g: w for g in gens if (w := (1 - lam) * e1.weight(g) + lam * side.weight(g))})
+                for side in pair
+            )]
+
+
+def _assert_constructed(got, payload):
+    """got is the distribution that the constructor builds from the weight
+    literals of payload, in canonical form."""
+    semiring = BOOLEAN if payload.get("semiring") == "boolean" else RATIONAL
+    want = FiniteDistribution({item["el"]: str(item["w"]) for item in payload["weights"]}, semiring)
+    assert (got.semiring, got._nums, got._den, hash(got)) == (want.semiring, want._nums, want._den, hash(want))
+    assert math.gcd(got._den, *got._nums.values()) == 1
+
+
+def test_the_one_pass_decoder_is_canonical():
+    sides = 0
+    for query in _eq_fuzz_queries():
+        pres = jsonio.decode_presentation(query["presentation"])
+        for got, payload in zip(
+            [side for pair in pres.relations for side in pair] + [jsonio.decode_distribution(query[k]) for k in ("lhs", "rhs")],
+            [side for pair in query["presentation"]["relations"] for side in pair] + [query["lhs"], query["rhs"]],
+        ):
+            _assert_constructed(got, payload)
+            sides += 1
+    for gens, pairs in _criterion_11_pairs():
+        pres_json = jsonio.encode_presentation(presentation_mod.Presentation(gens, pairs))
+        pres = jsonio.decode_presentation(pres_json)
+        for got, payload in zip(
+            [side for pair in pres.relations for side in pair],
+            [side for pair in pres_json["relations"] for side in pair],
+        ):
+            _assert_constructed(got, payload)
+            _assert_constructed(jsonio.decode_distribution(payload), payload)
+            sides += 2
+    assert sides > 20000
+
+
+@pytest.mark.parametrize(
+    "items, semiring, want",
+    [
+        ([("a", "2/4"), ("b", "1/2")], RATIONAL, None),
+        ([("a", "3/6"), ("b", "0/5"), ("c", "6/12")], RATIONAL, None),
+        ([("a", "6/6")], RATIONAL, None),
+        ([("a", "6/3")], RATIONAL, "weights: weights sum to 2, expected 1"),
+        ([("a", "6/3"), ("b", "0/5")], RATIONAL, "weights: weights sum to 2, expected 1"),
+        ([("a", "0"), ("b", "0/5")], RATIONAL, "weights: weights sum to 0, expected 1"),
+        ([], RATIONAL, "weights: weights sum to 0, expected 1"),
+        ([("a", "1/2"), ("a", "1/2")], RATIONAL, "weights[1].el: duplicate element 'a' in distribution"),
+        ([("a", "0"), ("a", "1")], RATIONAL, "weights[1].el: duplicate element 'a' in distribution"),
+        ([("a", "1/0")], RATIONAL, "weights[0].w: bad rational literal '1/0': Fraction(1, 0)"),
+        ([("a", "1/2"), ("b", "1/0")], RATIONAL, "weights[1].w: bad rational literal '1/0': Fraction(1, 0)"),
+        ([("a", 1), ("b", 0)], RATIONAL, None),
+        ([("a", "1/4"), ("b", 0), ("c", "3/4")], RATIONAL, None),
+        ([("a", 0.5), ("b", "1/2")], RATIONAL, None),
+        ([("a", "1"), ("b", "0"), ("c", "1")], BOOLEAN, None),
+        ([("a", "0")], BOOLEAN, "weights: weights sum to 0, expected 1"),
+    ],
+)
+def test_the_one_pass_decoder_on_hand_cases(items, semiring, want):
+    payload = {"weights": [{"el": el, "w": w} for el, w in items]}
+    if semiring is BOOLEAN:
+        payload["semiring"] = "boolean"
+    got = _outcome(lambda: jsonio.decode_distribution(payload))
+    assert got == _outcome(lambda: _reference_decode(items, semiring))
+    if want is None:
+        _assert_constructed(got, payload)
+    else:
+        assert got == (ParseError, want)
+
+
+def test_a_non_canonical_spelling_of_an_equal_element_is_equal(tmp_path):
+    # With the weights not in canonical form the two representatives would
+    # differ as distributions, and eq would look for a zig-zag on free a, b.
+    lhs = {"weights": [{"el": "a", "w": "2/4"}, {"el": "b", "w": "3/6"}]}
+    rhs = {"weights": [{"el": "a", "w": "1/2"}, {"el": "b", "w": "1/2"}]}
+    job = write(tmp_path, "eq.json", {"op": "eq", "presentation": PRES, "lhs": lhs, "rhs": rhs})
+    code, report = invoke("eq", "--job", job)
+    assert code == 0
+    assert report["result"]["verdict"]["status"] == "equal"
+    assert report["result"]["verdict"]["path"] == []
 
 
 # One job per verb, each without a field its handler reads unconditionally.

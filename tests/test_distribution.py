@@ -1,10 +1,12 @@
 """Distribution monad: unit, pushforward, flatten, mixtures."""
 
+import copy
 import functools
 import itertools
 import json
 import math
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -630,3 +632,13 @@ def test_error_messages_are_unchanged():
         flatten(FiniteDistribution({delta("a", BOOLEAN): 1}))
     with pytest.raises(SemiringMismatch, match="mixed semirings"):
         convex_combine([1, 0], [delta("a"), delta("a", BOOLEAN)])
+
+
+def test_copied_and_unpickled_distributions_are_equal():
+    # equality compares semirings by identity, so a copy must keep the
+    # RATIONAL or BOOLEAN object itself
+    for p in (FiniteDistribution({"a": "1/3", "b": "2/3"}), boolean_subset(["a", "b"]), delta("a", BOOLEAN)):
+        for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert clone.semiring is p.semiring
+            assert clone == p and hash(clone) == hash(p)
+    assert copy.deepcopy(RATIONAL) is RATIONAL and pickle.loads(pickle.dumps(BOOLEAN)) is BOOLEAN

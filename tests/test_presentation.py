@@ -4,8 +4,13 @@ import copy
 import gc
 import hashlib
 import itertools
+import json
+import os
+import pathlib
 import pickle
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -912,7 +917,7 @@ def test_a_presentation_with_a_cached_face_is_freed_by_reference_counting():
     gc.disable()
     try:
         assert eq(pres.delta("a"), pres.element(rd({"b": "1/2", "c": "1/2"})), 1).is_equal
-        faces = [(type(face), face.generators) for face in pres._faces.values()]
+        faces = [(type(face), face.generators) for face, _, _ in pres._faces.values()]
         alive = weakref.ref(pres)
         del pres
         assert alive() is None
@@ -1350,6 +1355,75 @@ def test_a_verdict_status_outside_the_three_is_invalid_input(status):
     a, b = FREE_AB.delta("a"), FREE_AB.delta("b")
     assert not verify_verdict(EqualityVerdict("equal"), a, b)
     assert verify_verdict(EqualityVerdict("unknown"), a, b)
+
+
+LAZY_TABLES = ("symmetric_relations", "_support_masks", "_difference_rows", "_echelon", "_integer_columns")
+
+
+def _spaces_with_tables():
+    """A Presentation, a TensorPresentation and an IndexedJoinSpace, each
+    with relations, every lazy table built and a face cached."""
+    from convexion.join import IndexedJoinSpace
+    from convexion.tensor import tensor
+
+    pres = Presentation(["a", "b", "c"], [(delta("a"), rd({"a": "1/2", "b": "1/2"}))])
+    spaces = [pres, tensor([pres, Presentation(["x", "y"], [(delta("x"), delta("y"))])]), IndexedJoinSpace((pres, pres))]
+    for space in spaces:
+        for name in LAZY_TABLES:
+            getattr(space, name)
+        lhs, rhs = (space.element(side) for side in space.relations[0])
+        assert eq(lhs, rhs, 1).is_equal and same_class(lhs, rhs) and space._faces
+    return spaces
+
+
+def test_each_lazy_table_is_built_once_per_instance(monkeypatch):
+    built = {name: [] for name in LAZY_TABLES}  # the instances, kept alive so their ids differ
+    for name in LAZY_TABLES:
+        table = Presentation.__dict__[name]
+
+        def counted(space, build=table.build, name=name):
+            built[name].append(space)
+            return build(space)
+
+        monkeypatch.setattr(table, "build", counted)
+    spaces = _spaces_with_tables()
+    for space in spaces + [face for space in spaces for face, _, _ in space._faces.values()]:
+        for name in LAZY_TABLES:
+            assert getattr(space, name) is getattr(space, name) is space.__dict__[name]
+    for name, instances in built.items():
+        assert instances and len({id(space) for space in instances}) == len(instances), name
+    assert Presentation.symmetric_relations.__doc__.startswith("Relation pairs in both orientations")
+
+
+def test_presentations_with_built_tables_survive_copy_and_pickle():
+    for space in _spaces_with_tables():
+        for clone in (copy.copy(space), copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
+            assert type(clone) is type(space) and clone == space and hash(clone) == hash(space)
+            for name in LAZY_TABLES:
+                assert getattr(clone, name) == getattr(space, name)
+            g = space.generators
+            a, b = clone.delta(g[0]), clone.element(rd({g[0]: "1/2", g[-1]: "1/2"}))
+            v = eq(a, b, 2)
+            assert repr(v) == repr(eq(space.delta(g[0]), space.element(b.rep), 2))
+            assert verify_verdict(v, a, b)
+
+
+def test_a_dist_job_loads_no_presentation_module(tmp_path):
+    # a dist job decodes its distribution with no presentation module loaded
+    dist = {"weights": [{"el": "a", "w": "2/4"}, {"el": "b", "w": "1/2"}]}
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"op": "pushforward", "map": {"a": "b", "b": "a"}, "dist": dist}))
+    code = (
+        "import sys\n"
+        "from convexion import cli\n"
+        "code = cli.main(['dist', '--job', sys.argv[1]])\n"
+        "print(code, [m for m in ('convexion.presentation', 'convexion.linalg') if m in sys.modules])"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code, str(job)], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def test_verdicts_survive_copy_and_pickle():
