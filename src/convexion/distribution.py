@@ -20,16 +20,21 @@ reduced denominators, so ``gcd(_den, *_nums.values()) == 1``: the form is
 canonical, equal distributions have equal forms, and normalisation is
 ``sum(_nums.values()) == _den``.  Over the Booleans every weight is 1 over
 1.  The constructor reads each weight straight into a numerator and a
-denominator (``Semiring.ratio``).  ``flatten``, ``convex_combine`` and
-``pushforward`` add integer numerators over one common denominator,
-``product`` multiplies them over the product of the denominators, and each
-builds its result through one trusted constructor, ``_from_numerators``,
-which brings the sum into canonical form (``Semiring.canonical_form``
-reduces sums).  A decoder that reads rational literals into lowest terms
-builds the canonical form in that one pass, and so uses the other trusted
-constructor, ``_from_canonical``, which reduces nothing.  Equality and
-hashing read the integer form; the payloads that ``weight``, ``items``,
-``as_dict`` and ``repr`` show are built on demand (``Semiring.payload``).
+denominator in lowest terms (``Semiring.ratio``).  ``flatten``,
+``convex_combine`` and ``pushforward`` add integer numerators over one
+common denominator, ``product`` multiplies them over the product of the
+denominators, and each builds its result through one trusted
+constructor, ``_from_numerators``, which brings the sum into canonical
+form (``Semiring.canonical_form`` reduces sums).  Weights read in lowest
+terms need no such reduction: over the lcm of their denominators they
+are already canonical, since for each prime p of that lcm some weight's
+denominator holds p to the lcm's full power, and p divides neither that
+weight's numerator nor the lcm over that denominator.  So the
+constructor puts them over their lcm and reduces nothing, and so does
+the decoder in its one reading pass (``jsonio.decode_distribution``),
+through the other trusted constructor, ``_from_canonical``.  Equality and hashing read the integer form; the payloads that
+``weight``, ``items``, ``as_dict`` and ``repr`` show are built on demand
+(``Semiring.payload``).
 """
 
 from __future__ import annotations
@@ -84,9 +89,8 @@ class FiniteDistribution:
     def __init__(self, weights: Mapping, semiring: Semiring = RATIONAL):
         ratio = semiring.ratio
         ratios = {el: ratio(w) for el, w in weights.items()}
-        acc, den = _common_denominator(ratios, semiring)
         self.semiring = semiring
-        self._nums, self._den = semiring.canonical_form(acc, den)
+        self._nums, self._den = _common_denominator(ratios, semiring)
         self._hash = None
 
     @classmethod
@@ -102,7 +106,8 @@ class FiniteDistribution:
     @classmethod
     def _from_canonical(cls, nums: dict, den: int, semiring: Semiring):
         """Trusted constructor: ``nums`` over ``den`` is already in the
-        semiring's canonical form and sums to one."""
+        semiring's canonical form and sums to one, as weights read in
+        lowest terms are over the lcm of their denominators."""
         self = object.__new__(cls)
         self.semiring = semiring
         self._nums, self._den = nums, den
@@ -161,13 +166,20 @@ class FiniteDistribution:
 def _common_denominator(ratios: Mapping, semiring: Semiring):
     """(acc, den): the weights that ``ratios`` maps elements to as
     (numerator, denominator) int pairs, as numerators over their lcm den,
-    zeros dropped; NotNormalized unless they sum to one."""
+    zeros dropped; NotNormalized unless they sum to one.  With the pairs
+    in lowest terms, (acc, den) is the canonical form."""
     den = lcm(*[d for n, d in ratios.values() if n])
     acc = {el: n * (den // d) for el, (n, d) in ratios.items() if n}
     if not semiring.is_normalized(acc, den):
-        total = semiring.payload(sum(acc.values()), den)
-        raise NotNormalized(f"weights sum to {semiring.format(total)}, expected 1")
+        raise _not_normalized(acc, den, semiring)
     return acc, den
+
+
+def _not_normalized(acc: dict, den: int, semiring: Semiring) -> NotNormalized:
+    """The error for the numerators ``acc`` over ``den``, which do not sum
+    to one."""
+    total = semiring.payload(sum(acc.values()), den)
+    return NotNormalized(f"weights sum to {semiring.format(total)}, expected 1")
 
 
 def delta(el, semiring: Semiring = RATIONAL) -> FiniteDistribution:

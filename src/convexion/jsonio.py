@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import TYPE_CHECKING
 
-from .distribution import FiniteDistribution, _common_denominator, element_label
+from .distribution import FiniteDistribution, _not_normalized, element_label
 from .errors import ConvexionError, ParseError
 from .semiring import _BY_NAME, RATIONAL, Semiring, semiring_by_name
 
@@ -228,12 +228,13 @@ def encode_distribution(dist: FiniteDistribution) -> dict:
 def decode_distribution(payload, semiring: Semiring | None = None) -> FiniteDistribution:
     """The distribution of a {"weights": [{"el": ..., "w": ...}, ...]}
     object, over semiring or else the one that its "semiring" field names.
-    A rational distribution is read in one integer pass that builds its
-    canonical form directly (_rational_weights).  Whatever that pass
-    refuses, and every other semiring, goes through the checked loop
-    below, which reads each weight literal straight into a numerator and
-    a denominator.  A reader is built only for a value that is refused, so
-    an error names its path and a well-formed input builds none."""
+    One integer pass: the loop reads each weight literal straight into a
+    numerator and a denominator in lowest terms (Semiring.read), so a zero
+    reads 0/1, and keeps the lcm den of the denominators as it goes; one
+    scaling and one sum check then give the canonical form, which no gcd
+    pass reduces again (the distribution module says why).  A reader is
+    built only for a value that is refused, so an error names its path
+    and a well-formed input builds none."""
     raw = payload.value if isinstance(payload, Job) else payload
     fields = raw if isinstance(raw, dict) else {}
     if semiring is None:
@@ -244,58 +245,30 @@ def decode_distribution(payload, semiring: Semiring | None = None) -> FiniteDist
     weights = fields.get("weights")
     if type(weights) is not list:
         weights = _reader(payload)["weights"].expect(list)
-    if semiring is RATIONAL and (dist := _rational_weights(weights)) is not None:
-        return dist
-    ratios, read = {}, semiring.read
+    ratios, den, read = {}, 1, semiring.read
     for entry in weights:
         if type(entry) is dict and type(el := entry.get("el")) is str and el not in ratios:
+            w = entry.get("w")
             try:  # a missing "w" reads as "None", which no semiring reads
-                ratios[el] = read(str(entry.get("w")))
-                continue
+                n, d = read(w if type(w) is str else str(w))
             except ParseError:
                 pass
+            else:
+                ratios[el] = n, d
+                den = lcm(den, d)
+                continue
         # this is item len(ratios): each one before it added one element
         item = Job(entry, len(ratios), _reader(payload)["weights"])
         el, w = item.typed("el", str), item["w"]
-        ratio = w.build(read, str(w.value))
+        n, d = w.build(read, str(w.value))
         if el in ratios:
             raise item["el"].error(f"duplicate element {el!r} in distribution")
-        ratios[el] = ratio
-    try:
-        return FiniteDistribution._from_numerators(*_common_denominator(ratios, semiring), semiring)
-    except ConvexionError as exc:
-        raise _reader(payload)["weights"].error(str(exc)) from None
-
-
-def _rational_weights(weights):
-    """The rational distribution of a raw "weights" list, in one pass, or
-    None when an item is not {"el": <a new string>, "w": <"p/q" or "n">}
-    (a JSON number is read as its text) or the weights do not sum to one.
-    Each literal is put in lowest terms as it is read, so the lcm den of
-    the reduced denominators is already canonical: each prime of den
-    divides some reduced denominator to its full power, so it does not
-    divide that weight's numerator over den, and gcd(den, *nums) == 1."""
-    ratios, dens = {}, []
-    for entry in weights:
-        if type(entry) is not dict or type(el := entry.get("el")) is not str or el in ratios:
-            return None
-        w = entry.get("w")
-        num, slash, den = (w if type(w) is str else str(w)).partition("/")
-        if not num.isdecimal() or slash and not den.isdecimal():
-            return None
-        n, d = int(num), int(den) if slash else 1
-        if d != 1:
-            if not d:
-                return None
-            g = gcd(n, d)  # d for a zero weight, which becomes 0/1
-            n, d = n // g, d // g
-            dens.append(d)
         ratios[el] = n, d
-    den = lcm(*dens)
+        den = lcm(den, d)
     nums = {el: n * (den // d) for el, (n, d) in ratios.items() if n}
-    if sum(nums.values()) != den:
-        return None
-    return FiniteDistribution._from_canonical(nums, den, RATIONAL)
+    if not semiring.is_normalized(nums, den):
+        raise _reader(payload)["weights"].error(str(_not_normalized(nums, den, semiring)))
+    return FiniteDistribution._from_canonical(nums, den, semiring)
 
 
 def decode_element(payload, pres):

@@ -76,7 +76,9 @@ class RMatrix:
         }
         self.rows, self.cols = n, m
         self.semiring = semiring
-        self._nums, self._den = semiring.canonical_form(acc, den)
+        # each cell was read in lowest terms, so over their lcm the cells
+        # are already in canonical form (see the distribution module)
+        self._nums, self._den = acc, den
 
     @classmethod
     def _trusted(cls, acc: dict, den: int, rows: int, cols: int, semiring: Semiring) -> "RMatrix":

@@ -32,10 +32,10 @@ elements is decided (where possible) by a three-valued engine:
   feasibility as the full one, and widens its witness with zero
   multipliers on the other pairs and zero spectators outside W
   (_widen).  A presentation has few faces, so each restriction is built
-  once: _face keeps it on the presentation under U's bitmask (bit i for
-  generator i), beside the positions of its pairs and generators in the
-  presentation that _widen reads, at most FACE_CACHE_SIZE of them, and
-  drops the oldest first.  Like any presentation, the restriction builds
+  once: _restriction keeps it on the presentation under U's bitmask (bit
+  i for generator i), beside the positions of its pairs and generators
+  in the presentation that _widen reads, at most FACE_CACHE_SIZE of
+  them, and drops the oldest first.  Like any presentation, the restriction builds
   its LP columns on its first LP and its echelon form when same_class
   first reads it.
   Level 1 often needs no simplex, since its multipliers are unique (the
@@ -131,6 +131,7 @@ so it needs no test of its own there.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -150,25 +151,6 @@ from .record import Frozen
 from .semiring import RATIONAL, require_rational
 
 DEFAULT_STEP_BOUND = 4
-
-
-class _lazy:
-    """A table of an instance, built by the decorated method on its first
-    read and stored in the instance's __dict__ under the method's name,
-    where later reads find it before this descriptor (which defines no
-    __set__).  It is functools.cached_property without the lock that
-    Python 3.10 and 3.11 take on every first read."""
-
-    def __init__(self, build):
-        self.build = build
-        self.name = build.__name__
-        self.__doc__ = build.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        table = obj.__dict__[self.name] = self.build(obj)
-        return table
 
 
 class Presentation:
@@ -217,7 +199,7 @@ class Presentation:
 
     # -- cached relation machinery ---------------------------------------
 
-    @_lazy
+    @cached_property
     def symmetric_relations(self):
         """Relation pairs in both orientations, as distribution pairs."""
         out = []
@@ -236,13 +218,13 @@ class Presentation:
         """The generators of a mask, in generator order."""
         return tuple(g for i, g in enumerate(self.generators) if mask >> i & 1)
 
-    @_lazy
+    @cached_property
     def _support_masks(self):
         """Per relation, the masks of its two sides' supports."""
         mask = self._mask
         return tuple((mask(lhs._nums), mask(rhs._nums)) for lhs, rhs in self.relations)
 
-    @_lazy
+    @cached_property
     def _integer_columns(self):
         """Per generator x, the x-th entries of symmetric_relations in
         integer form, for _zigzag_lp: (r, r_lcm, r_minus_s, d_lcm).  r
@@ -271,7 +253,7 @@ class Presentation:
             columns.append((r_ints, r_lcm, d_ints, d_lcm))
         return tuple(columns)
 
-    @_lazy
+    @cached_property
     def _difference_rows(self):
         """One row per relation: lhs - rhs times the lcm of the two sides'
         denominators, as a {generator index: int} dict of its nonzeros.
@@ -290,7 +272,7 @@ class Presentation:
             rows.append({x: v for x, v in row.items() if v})
         return rows
 
-    @_lazy
+    @cached_property
     def _echelon(self):
         """linalg.sparse_echelon of copies of _difference_rows (it reduces
         its input in place): the integer Gauss-Jordan rows of the span of
@@ -477,11 +459,11 @@ def eq(
 
     # U_x misses supp y, so it is the greatest respected set outside both
     if pres.relations and step_bound >= 1:
-        face = _face(pres, outside)
+        face, pairs, gens = _restriction(pres, outside)
         for k in _deepening_levels(step_bound):
             steps = _zigzag_search(face, x, y, k)
             if steps is not None:
-                return EqualityVerdict("equal", path=_widen(pres, outside, steps), bound=step_bound)
+                return EqualityVerdict("equal", path=_widen(pres, pairs, gens, steps), bound=step_bound)
     return EqualityVerdict("unknown", bound=step_bound)
 
 
@@ -582,26 +564,28 @@ def _respected(pres, outside):
     return outside
 
 
-#: How many faces _face keeps per presentation; the oldest goes first.
+#: How many faces _restriction keeps per presentation; the oldest goes first.
 FACE_CACHE_SIZE = 16
 
 
 def _face(pres, outside):
-    """Where a zig-zag between two points must stay, given the mask of the
-    greatest respected set U outside their supports: the restriction of
-    pres to the rest W of the generators, a Presentation whose generators
-    are W and whose relations are the relations inside W, or pres itself
-    when U is empty.  The restriction is kept on pres (_restriction), so
-    the queries of one face share its LP columns and echelon form."""
-    return _restriction(pres, outside)[0] if outside else pres
+    """The face that _restriction finds for the mask outside."""
+    return _restriction(pres, outside)[0]
 
 
 def _restriction(pres, outside):
-    """pres._faces's entry for the nonempty U whose mask is outside,
-    built on first use: the restriction to W, the positions of its
-    symmetric pairs among pres's, and the positions of its generators
-    among pres's.  The positions are ints, so the entry holds no
-    reference to pres."""
+    """Where a zig-zag between two points must stay, given the mask of the
+    greatest respected set U outside their supports: (face, pairs, gens),
+    where face is the restriction of pres to the rest W of the
+    generators, a Presentation whose generators are W and whose relations
+    are the relations inside W, and pairs and gens are the positions of
+    its symmetric pairs and of its generators among pres's, which _widen
+    reads; (pres, None, None) when U is empty.  The entry is kept on pres
+    under the mask, so the queries of one face share its LP columns and
+    echelon form; its positions are ints, so it holds no reference to
+    pres."""
+    if not outside:
+        return pres, None, None
     faces = pres._faces
     entry = faces.get(outside)
     if entry is None:
@@ -614,18 +598,17 @@ def _restriction(pres, outside):
     return entry
 
 
-def _widen(pres, outside, steps):
+def _widen(pres, pairs, gens, steps):
     """The ZigZagSteps of pres for steps of its restriction to the
-    complement W of the respected set U whose mask is outside (see
-    _face): zero multipliers on the pairs not inside W, and zero
-    spectators off W.  U is respected, so a relation is inside W in both
-    orientations or in neither, and the restriction's pairs 2i and 2i + 1
-    are one relation of pres, as pres's are; the restriction's entry in
-    pres._faces holds where its pairs and generators sit in pres.  The
-    steps themselves when U is empty."""
-    if not outside:
+    complement W of a respected set U, whose pairs and generators sit at
+    the positions pairs and gens of pres's (see _restriction): zero
+    multipliers on the pairs not inside W, and zero spectators off W.  U
+    is respected, so a relation is inside W in both orientations or in
+    neither, and the restriction's pairs 2i and 2i + 1 are one relation
+    of pres, as pres's are.  The steps themselves when U is empty (pairs
+    is None)."""
+    if pairs is None:
         return steps
-    _, pairs, gens = _restriction(pres, outside)
     zero = linalg.ZERO
     wide = []
     for step in steps:
@@ -652,8 +635,8 @@ def _deepening_levels(bound):
 def _zigzag_search(pres, p, q, k):
     """Feasibility of a k-step zig-zag from distribution p to distribution
     q as one exact LP; the steps, or None.  eq passes the restriction of
-    the presentation to the face of p and q (see _face) and widens the
-    steps it returns.  At k = 1 the LP is solved only when _one_step
+    the presentation to the face of p and q (see _restriction) and widens
+    the steps it returns.  At k = 1 the LP is solved only when _one_step
     leaves it undecided."""
     sol = _one_step(pres, p, q) if k == 1 else _UNDECIDED
     if sol is _UNDECIDED:
@@ -766,7 +749,7 @@ def _zigzag_lp(pres, p, q, k):
     scale is part of the pivot rule (the solver's docstring says why),
     and it is the one linalg._integer_row gives the rational row, so the
     pivots and the witnesses do not depend on how the rows were built.
-    On a face, pres is the restriction (see _face): the
+    On a face, pres is the restriction (see _restriction): the
     LP is the restriction's own, with its own row scales, and eq widens
     its steps.
     """

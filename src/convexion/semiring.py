@@ -6,21 +6,21 @@ payloads, always in lowest terms) and the Boolean semiring (``bool``
 payloads, or/and).  A container stores no payloads: it keeps positive int
 numerators over one common denominator and one semiring reference, and the
 semiring fixes that integer form.  ``ratio`` reads a payload spelling (a
-payload, an int or a string) straight into a numerator and a denominator,
-``read`` does so for a string literal, ``payload`` turns a numerator over a
-denominator back into a payload (``parse`` and ``format`` go between a
-literal and a payload), ``is_normalized`` tests whether an integer form
-sums to one, and ``canonical_form`` reduces one.  Rationals divide by the
-gcd of the denominator and the numerators, which leaves the lcm of the
-reduced denominators; Booleans use 1 over 1 for every nonzero numerator,
-so a cell reached by two paths (numerator 2) reads 1 again.  All
-arithmetic is int arithmetic on that form, in the containers.
-``canonical_form`` is for sums, mixtures and products, whose numerators
-share factors; a decoder builds the canonical form in its one reading
-pass instead (``jsonio.decode_distribution``), since literals put in
-lowest terms as they are read need no reduction over their lcm.  The two
-semirings are singletons, compared by identity: a copied or unpickled
-one is the same object.
+payload, an int or a string) straight into a numerator and a denominator
+in lowest terms, ``read`` does so for a string literal, ``payload`` turns
+a numerator over a denominator back into a payload (``parse`` and
+``format`` go between a literal and a payload), ``is_normalized`` tests
+whether an integer form sums to one, and ``canonical_form`` reduces one.
+Rationals divide by the gcd of the denominator and the numerators, which
+leaves the lcm of the reduced denominators; Booleans use 1 over 1 for
+every nonzero numerator, so a cell reached by two paths (numerator 2)
+reads 1 again.  All arithmetic is int arithmetic on that form, in the
+containers.  ``canonical_form`` is for sums, mixtures and products, whose
+numerators share factors.  The constructors and the decoders, which read
+weights, build the canonical form directly in their one reading pass (as
+``jsonio.decode_distribution`` does), since weights read in lowest terms
+need no reduction over their lcm.  The two semirings are singletons,
+compared by identity: a copied or unpickled one is the same object.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ class Semiring:
         raise NotImplementedError
 
     def read(self, s: str):
-        """(numerator, denominator) of a string literal, as ints."""
+        """(numerator, denominator) of a string literal, as ints in lowest
+        terms."""
         raise NotImplementedError
 
     def payload(self, n: int, den: int):
@@ -97,7 +98,8 @@ class RationalSemiring(Semiring):
                 # regular expression of Fraction(str)
                 n, d = int(num), int(den) if slash else 1
                 if d:
-                    return n, d
+                    g = gcd(n, d)  # d for a zero weight, which reads 0/1
+                    return n // g, d // g
                 raise ZeroDivisionError(f"Fraction({n}, 0)")
             out = Fraction(s.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -1553,9 +1553,33 @@ def test_the_one_pass_decoder_is_canonical():
     assert sides > 20000
 
 
+def _int_refusal(digits):
+    """What int() says of a digit string past its limit (Python 3.10.7 and
+    later), or None where it has no limit."""
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+LONG_ONES, LONG_THREES = "1" * 5000, "3" * 5000
+NEEDS_INT_LIMIT = pytest.mark.skipif(_int_refusal(LONG_ONES) is None, reason="int() has no digit limit here")
+
+
 @pytest.mark.parametrize(
     "items, semiring, want",
     [
+        pytest.param(
+            [("a", LONG_ONES)], RATIONAL,
+            f"weights[0].w: bad rational literal {LONG_ONES!r}: {_int_refusal(LONG_ONES)}",
+            marks=NEEDS_INT_LIMIT, id="numerator-past-the-int-digit-limit",
+        ),
+        pytest.param(
+            [("a", "1/2"), ("b", "1/" + LONG_THREES)], RATIONAL,
+            f"weights[1].w: bad rational literal {'1/' + LONG_THREES!r}: {_int_refusal(LONG_THREES)}",
+            marks=NEEDS_INT_LIMIT, id="denominator-past-the-int-digit-limit",
+        ),
         ([("a", "2/4"), ("b", "1/2")], RATIONAL, None),
         ([("a", "3/6"), ("b", "0/5"), ("c", "6/12")], RATIONAL, None),
         ([("a", "6/6")], RATIONAL, None),
@@ -1596,6 +1620,19 @@ def test_a_non_canonical_spelling_of_an_equal_element_is_equal(tmp_path):
     assert code == 0
     assert report["result"]["verdict"]["status"] == "equal"
     assert report["result"]["verdict"]["path"] == []
+
+
+@NEEDS_INT_LIMIT
+@pytest.mark.parametrize("w", [LONG_ONES, "1/" + LONG_THREES], ids=["numerator", "denominator"])
+def test_a_weight_past_the_int_digit_limit_exits_2(tmp_path, w):
+    # int() refuses it with a ValueError, which the reader must report as
+    # a ParseError at the weight's path rather than let escape
+    flags = []
+    for key, job in (("presentation", PRES), ("lhs", {"weights": [{"el": "a", "w": w}]}), ("rhs", DELTA_A)):
+        flags += [f"--{key}", write(tmp_path, f"{key}.json", job)]
+    code, report, stderr = _run_process("eq", *flags)
+    assert code == 2 and "Traceback" not in stderr
+    assert report["error"].startswith("weights[0].w: bad rational literal")
 
 
 # One job per verb, each without a field its handler reads unconditionally.

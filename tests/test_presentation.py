@@ -730,7 +730,7 @@ def test_face_presolve_keeps_every_level(data):
         assert (full is None) == (cut is None)
         if cut is None:
             continue
-        cut = presentation._widen(pres, pres._mask(outside), cut)
+        cut = presentation._widen(pres, *presentation._restriction(pres, pres._mask(outside))[1:], cut)
         for step in cut:
             for lam, (r, _) in zip(step.lambdas, pres.symmetric_relations):
                 assert lam == 0 or outside.isdisjoint(r.support())
@@ -853,7 +853,7 @@ def test_same_class_through_the_cached_face_echelon():
         cut, full = presentation._zigzag_search(face, x, y, k), presentation._zigzag_search(pres, x, y, k)
         assert (cut is None) == (full is None)
         if cut is not None:
-            path = presentation._widen(pres, outside, cut)
+            path = presentation._widen(pres, *presentation._restriction(pres, outside)[1:], cut)
             assert verify_verdict(EqualityVerdict("equal", path=path, bound=k), e1, e2)
     assert proper >= 40
 
@@ -1381,11 +1381,11 @@ def test_each_lazy_table_is_built_once_per_instance(monkeypatch):
     for name in LAZY_TABLES:
         table = Presentation.__dict__[name]
 
-        def counted(space, build=table.build, name=name):
+        def counted(space, build=table.func, name=name):
             built[name].append(space)
             return build(space)
 
-        monkeypatch.setattr(table, "build", counted)
+        monkeypatch.setattr(table, "func", counted)
     spaces = _spaces_with_tables()
     for space in spaces + [face for space in spaces for face, _, _ in space._faces.values()]:
         for name in LAZY_TABLES:
